@@ -89,6 +89,8 @@ def parse_tau(text):
         t = mpmath.mpc(parts[0], parts[1])
     except ValueError as exc:
         raise InputError("bad tau %r" % text) from exc
+    if not mpmath.isfinite(t):
+        raise InputError("tau must be finite")
     if t.imag <= 0:
         raise InputError("tau must have positive imaginary part")
     return t

@@ -78,7 +78,8 @@ class NumberField:
             return self.elem([-self.modulus.coeffs[0]])
         return self.elem([0, 1])
 
-    def _reduce(self, conv):
+    def reduce_powers(self, conv):
+        """Coordinates from a raw power list c_t x^t, t <= 2*degree - 2."""
         d = self.degree
         out = list(conv[:d]) + [Fraction(0)] * (d - min(d, len(conv)))
         for t in range(d, len(conv)):
@@ -163,7 +164,7 @@ class NumberFieldElem:
                 for j, b in enumerate(other.coords):
                     if b:
                         conv[i + j] += a * b
-        return NumberFieldElem(self.field, tuple(self.field._reduce(conv)))
+        return NumberFieldElem(self.field, tuple(self.field.reduce_powers(conv)))
 
     __rmul__ = __mul__
 

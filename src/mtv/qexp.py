@@ -2,9 +2,23 @@
 
 QSeries holds a truncated expansion in q^(1/e) with exact coefficients:
 rationals, number-field elements, or prime-conductor cyclotomic elements.
-Multiplication clears denominators, convolves integer component arrays, and
-reduces by the coefficient field's power relations, so the inner loops stay
-big-integer only.
+
+A rational series stores one list of integer numerators over one positive
+common denominator, kept canonical: the denominator is coprime to the
+numerators taken together, and it is 1 for the zero series.  Equal series
+therefore have equal arrays, and sums, scalings, truncations and
+comparisons work on the integers directly.  The public ``coeffs`` tuple of
+reduced Fractions is built on first access and cached.  Series over a
+number field or a cyclotomic field keep a tuple of field elements.
+
+Every product of integer arrays goes through ``_kron_mul`` (Kronecker
+substitution): each array is packed into one big integer, in slots wide
+enough that no product coefficient spills into its neighbour, one big-int
+multiply does the whole convolution in CPython's C core (Karatsuba), and the
+coefficients are cut back out of the product's bytes.  A field-valued
+product convolves pairs of integer component arrays this way and reduces by
+the field's power relations.  Eta quotients expand each Euler factor with
+the power rule for series, so an exponent r costs one pass, not |r|.
 
 The Eisenstein constructors are closed forms; each (weight, level) is gated
 once per process against the independent numeric coset-sum oracle before its
@@ -14,7 +28,9 @@ direct numeric evaluation of the slash action.
 
 import json
 import math
+import operator
 from fractions import Fraction
+from itertools import repeat
 
 from mpmath import mp, mpc
 
@@ -27,12 +43,11 @@ from .errors import (
 from .numerics import eval_qseries, lattice_sum_eisenstein
 from .numfield import (
     CycloElem,
-    CycloField,
     NumberField,
     NumberFieldElem,
     conjugate_quadratic,
 )
-from .rational import format_rational, lcm_denominators, parse_rational
+from .rational import format_rational, parse_rational
 
 
 def _merge_fields(fa, fb):
@@ -43,14 +58,10 @@ def _merge_fields(fa, fb):
     raise InputError("coefficient domain mismatch: %r vs %r" % (fa, fb))
 
 
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
-
-
 class QSeries:
     """Truncated q-expansion; coeffs[m] multiplies q^(m/e), known through q^trunc."""
 
-    __slots__ = ("coeffs", "e", "trunc", "weight", "level", "field")
+    __slots__ = ("_num", "_den", "_coeffs", "e", "trunc", "weight", "level", "field")
 
     def __init__(self, coeffs, e=1, trunc=None, weight=None, level=1, field=None):
         e = int(e)
@@ -64,29 +75,75 @@ class QSeries:
             raise InputError("negative truncation order")
         want = e * trunc + 1
         coeffs = coeffs[:want]
+        self._init_meta(e, trunc, weight, level, field)
         if field is None:
-            coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+            fr = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+            den = math.lcm(*[c.denominator for c in fr])
+            num = [c.numerator * (den // c.denominator) for c in fr]
+            num.extend([0] * (want - len(num)))
+            self._set_ints(num, den)
         else:
             coeffs = [field.coerce(c) for c in coeffs]
-        if len(coeffs) < want:
-            zero = Fraction(0) if field is None else field.zero()
-            coeffs.extend([zero] * (want - len(coeffs)))
-        self.coeffs = tuple(coeffs)
+            coeffs.extend([field.zero()] * (want - len(coeffs)))
+            self._num = self._den = None
+            self._coeffs = tuple(coeffs)
+
+    def _init_meta(self, e, trunc, weight, level, field):
         self.e = e
         self.trunc = trunc
         self.weight = weight if weight is None else int(weight)
         self.level = int(level)
         self.field = field
 
+    def _set_ints(self, num, den):
+        g = math.gcd(den, *num)
+        if g > 1:
+            num = [x // g for x in num]
+            den //= g
+        self._num = num
+        self._den = den
+        self._coeffs = None
+
+    @classmethod
+    def _from_ints(cls, num, den, e, trunc, weight, level):
+        """Rational series num[m]/den on the q^(1/e) grid; len(num) == e*trunc + 1."""
+        self = cls.__new__(cls)
+        self._init_meta(e, trunc, weight, level, None)
+        self._set_ints(num, den)
+        return self
+
+    @property
+    def coeffs(self):
+        """Coefficient tuple: reduced Fractions, or elements of ``field``."""
+        if self._coeffs is None:
+            den = self._den
+            if den == 1:
+                self._coeffs = tuple(map(Fraction, self._num))
+            else:
+                self._coeffs = tuple([Fraction(n, den) for n in self._num])
+        return self._coeffs
+
+    def _values(self):
+        """Stored coefficients: numerators over the shared denominator, or field elements."""
+        return self._num if self.field is None else self._coeffs
+
+    def _with_values(self, values, trunc, level=None):
+        """A series on this grid and weight from values in ``_values()`` form."""
+        level = self.level if level is None else level
+        if self.field is None:
+            return QSeries._from_ints(values, self._den, self.e, trunc, self.weight, level)
+        return QSeries(values, e=self.e, trunc=trunc, weight=self.weight, level=level,
+                       field=self.field)
+
     # -- inspection ----------------------------------------------------
 
     def is_zero(self):
         if self.field is None:
-            return all(c == 0 for c in self.coeffs)
-        return all(c.is_zero() for c in self.coeffs)
+            return not any(self._num)
+        return all(c.is_zero() for c in self._coeffs)
 
     def constant_term(self):
-        return self.coeffs[0]
+        return self.coeff(0)
 
     def coeff(self, n):
         """Coefficient of q^n; n may be a Fraction on a fractional-power grid."""
@@ -98,28 +155,32 @@ class QSeries:
         m = n * self.e
         if m.denominator != 1 or m < 0:
             return Fraction(0) if self.field is None else self.field.zero()
-        return self.coeffs[int(m)]
+        if self.field is None:
+            return Fraction(self._num[int(m)], self._den)
+        return self._coeffs[int(m)]
 
     def valuation(self):
         """Exponent of the first nonzero term, or None for the zero series."""
-        for m, c in enumerate(self.coeffs):
-            nz = (c != 0) if self.field is None else (not c.is_zero())
-            if nz:
-                return Fraction(m, self.e)
-        return None
+        if self.field is None:
+            nonzero = (m for m, x in enumerate(self._num) if x)
+        else:
+            nonzero = (m for m, c in enumerate(self._coeffs) if not c.is_zero())
+        m = next(nonzero, None)
+        return None if m is None else Fraction(m, self.e)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return (
-            self.e == other.e
-            and self.trunc == other.trunc
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
+        if (self.e, self.trunc) != (other.e, other.trunc) or self.field != other.field:
+            return False
+        if self.field is None:
+            return self._den == other._den and self._num == other._num
+        return self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash((self.e, self.trunc, self.coeffs))
+        if self.field is None:
+            return hash((self.e, self.trunc, self._den, tuple(self._num)))
+        return hash((self.e, self.trunc, self._coeffs))
 
     def __repr__(self):
         head = []
@@ -140,20 +201,15 @@ class QSeries:
             raise TruncationError("cannot extend a series by truncation")
         if T == self.trunc:
             return self
-        return QSeries(
-            self.coeffs[: self.e * T + 1],
-            e=self.e,
-            trunc=T,
-            weight=self.weight,
-            level=self.level,
-            field=self.field,
-        )
+        return self._with_values(self._values()[: self.e * T + 1], T)
 
     def agrees_through(self, other, T):
         """Exact coefficient agreement through q^T (grids may differ)."""
         if self.trunc < T or other.trunc < T:
             raise TruncationError("agreement order exceeds a truncation order")
-        e = _lcm(self.e, other.e)
+        if self.field is None and other.field is None and self.e == other.e:
+            return self.truncate(T) == other.truncate(T)
+        e = math.lcm(self.e, other.e)
         for m in range(e * T + 1):
             n = Fraction(m, e)
             a = self.coeff(n)
@@ -172,7 +228,7 @@ class QSeries:
         if self.weight is not None and other.weight is not None and self.weight != other.weight:
             raise InputError("adding series of different weights")
         w = self.weight if self.weight is not None else other.weight
-        return w, _lcm(self.level, other.level)
+        return w, math.lcm(self.level, other.level)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -187,12 +243,22 @@ class QSeries:
             return NotImplemented
         field = _merge_fields(self.field, other.field)
         w, lev = self._meta_add(other)
-        e = _lcm(self.e, other.e)
+        e = math.lcm(self.e, other.e)
         T = min(self.trunc, other.trunc)
+        if field is None:
+            n = e * T + 1
+            den = math.lcm(self._den, other._den)
+            a = _on_grid(self._num, e // self.e, n)
+            b = _on_grid(other._num, e // other.e, n)
+            if den != self._den:
+                a = [x * (den // self._den) for x in a]
+            if den != other._den:
+                b = [x * (den // other._den) for x in b]
+            return QSeries._from_ints(list(map(operator.add, a, b)), den, e, T, w, lev)
         out = []
         for m in range(e * T + 1):
             n = Fraction(m, e)
-            out.append(_add_values(self.coeff(n), other.coeff(n), field))
+            out.append(field.coerce(self.coeff(n)) + field.coerce(other.coeff(n)))
         return QSeries(out, e=e, trunc=T, weight=w, level=lev, field=field)
 
     __radd__ = __add__
@@ -210,12 +276,12 @@ class QSeries:
 
     def scale(self, c):
         """Multiply by an exact scalar (rational or coefficient-field element)."""
-        if isinstance(c, (int, Fraction)):
+        if self.field is None and isinstance(c, (int, Fraction)):
             c = Fraction(c)
-            coeffs = [a * c for a in self.coeffs]
-            return QSeries(
-                coeffs, e=self.e, trunc=self.trunc, weight=self.weight,
-                level=self.level, field=self.field,
+            p = c.numerator
+            return QSeries._from_ints(
+                [x * p for x in self._num], self._den * c.denominator,
+                self.e, self.trunc, self.weight, self.level,
             )
         field = _merge_fields(self.field, getattr(c, "field", None))
         coeffs = [c * a for a in self.coeffs]
@@ -228,28 +294,13 @@ class QSeries:
         """Integer component arrays on the q^(1/e_out) grid plus their denominator."""
         stride = e_out // self.e
         if self.field is None:
-            den = lcm_denominators(c for c in self.coeffs if c)
-            arr = [0] * out_len
-            for m, c in enumerate(self.coeffs):
-                idx = m * stride
-                if idx >= out_len:
-                    break
-                if c:
-                    arr[idx] = c.numerator * (den // c.denominator)
-            return [arr], den
-        ncomp = self.field.degree
-        den = 1
-        for c in self.coeffs:
-            for v in c.coords:
-                den = _lcm(den, v.denominator)
-        comps = [[0] * out_len for _ in range(ncomp)]
-        for m, c in enumerate(self.coeffs):
-            idx = m * stride
-            if idx >= out_len:
-                break
-            for i, v in enumerate(c.coords):
-                if v:
-                    comps[i][idx] = v.numerator * (den // v.denominator)
+            return [_on_grid(self._num, stride, out_len)], self._den
+        den = math.lcm(*[v.denominator for c in self._coeffs for v in c.coords])
+        comps = []
+        for i in range(self.field.degree):
+            arr = [v.numerator * (den // v.denominator)
+                   for v in (c.coords[i] for c in self._coeffs)]
+            comps.append(_on_grid(arr, stride, out_len))
         return comps, den
 
     def __mul__(self, other):
@@ -258,73 +309,32 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         field = _merge_fields(self.field, other.field)
-        if (
-            isinstance(field, NumberField)
-            and self.field is not None
-            and other.field is not None
-        ):
-            return self._mul_generic(other)
         w = None
         if self.weight is not None and other.weight is not None:
             w = self.weight + other.weight
-        lev = _lcm(self.level, other.level)
-        e = _lcm(self.e, other.e)
+        lev = math.lcm(self.level, other.level)
+        e = math.lcm(self.e, other.e)
         T = min(self.trunc, other.trunc)
         out_len = e * T + 1
+        # convolve component arrays into a power list in the field generator
         A, da = self._components(e, out_len)
         B, db = other._components(e, out_len)
-        raw = [[0] * out_len for _ in range(len(A) + len(B) - 1)]
+        raw = [None] * (len(A) + len(B) - 1)
         for i, ai in enumerate(A):
             for j, bj in enumerate(B):
-                _conv_into(raw[i + j], ai, bj, out_len)
-        if isinstance(field, CycloField):
-            comps = _cyclo_reduce_arrays(field.p, raw, out_len)
-        else:
-            comps = raw
+                c = _kron_mul(ai, bj, out_len)
+                raw[i + j] = c if raw[i + j] is None else list(map(operator.add, raw[i + j], c))
         den = da * db
         if field is None:
-            coeffs = [Fraction(v, den) for v in comps[0]]
-        else:
-            ncomp = field.degree
-            while len(comps) < ncomp:
-                comps.append([0] * out_len)
-            coeffs = [
-                field.elem([Fraction(comps[i][m], den) for i in range(ncomp)])
-                for m in range(out_len)
-            ]
+            return QSeries._from_ints(raw[0], den, e, T, w, lev)
+        # reduce each coefficient by the field's power relations
+        coeffs = [
+            field.elem(field.reduce_powers([Fraction(r[m], den) for r in raw]))
+            for m in range(out_len)
+        ]
         return QSeries(coeffs, e=e, trunc=T, weight=w, level=lev, field=field)
 
     __rmul__ = __mul__
-
-    def _mul_generic(self, other):
-        field = _merge_fields(self.field, other.field)
-        w = None
-        if self.weight is not None and other.weight is not None:
-            w = self.weight + other.weight
-        e = _lcm(self.e, other.e)
-        T = min(self.trunc, other.trunc)
-        out_len = e * T + 1
-        sa = e // self.e
-        sb = e // other.e
-        zero = field.zero()
-        out = [zero] * out_len
-        for i, a in enumerate(self.coeffs):
-            ia = i * sa
-            if ia >= out_len:
-                break
-            if (a == 0) if isinstance(a, Fraction) else a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                idx = ia + j * sb
-                if idx >= out_len:
-                    break
-                if (b == 0) if isinstance(b, Fraction) else b.is_zero():
-                    continue
-                out[idx] = out[idx] + a * b
-        return QSeries(
-            out, e=e, trunc=T, weight=w,
-            level=_lcm(self.level, other.level), field=field,
-        )
 
     def __pow__(self, n):
         n = int(n)
@@ -366,12 +376,6 @@ class QSeries:
         return d
 
 
-def _add_values(a, b, field):
-    if field is None:
-        return a + b
-    return field.coerce(a) + field.coerce(b)
-
-
 def _match_values(a, b):
     if isinstance(a, Fraction):
         a = b.field.coerce(a) if not isinstance(b, Fraction) else a
@@ -380,40 +384,53 @@ def _match_values(a, b):
     return a, b
 
 
-def _conv_into(out, a, b, out_len):
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        top = min(len(b), out_len - i)
-        if top <= 0:
-            break
-        if ai == 1:
-            for j in range(top):
-                bj = b[j]
-                if bj:
-                    out[i + j] += bj
-        else:
-            for j in range(top):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
+def _on_grid(values, stride, out_len):
+    """values[m] moved to index m*stride of a zero array of length out_len."""
+    if stride == 1:
+        return values[:out_len]
+    out = [0] * out_len
+    out[::stride] = values[: (out_len - 1) // stride + 1]
+    return out
 
 
-def _cyclo_reduce_arrays(p, raw, out_len):
-    d = p - 1
-    out = [list(raw[t]) if t < len(raw) else [0] * out_len for t in range(d)]
-    if len(raw) > d:
-        mid = raw[d]  # zeta^(p-1) = -(1 + ... + zeta^(p-2))
-        for i in range(d):
-            oi = out[i]
-            for m, v in enumerate(mid):
-                if v:
-                    oi[m] -= v
-    for t in range(p, len(raw)):
-        oi = out[t - p]
-        for m, v in enumerate(raw[t]):
-            if v:
-                oi[m] += v
+def _slot_bias(count, nbytes, half):
+    """The integer whose count slots of nbytes bytes each hold half."""
+    return int.from_bytes(half.to_bytes(nbytes, "little") * count, "little")
+
+
+def _kron_pack(values, nbytes, half):
+    """sum values[i] * 2^(8*nbytes*i) for integers |values[i]| < half."""
+    raw = b"".join(map(int.to_bytes, map(half.__add__, values), repeat(nbytes),
+                       repeat("little")))
+    return int.from_bytes(raw, "little") - _slot_bias(len(values), nbytes, half)
+
+
+def _kron_mul(a, b, out_len):
+    """First out_len coefficients of the product of integer arrays a and b.
+
+    Kronecker substitution with X = 2^w: with A = sum a_i X^i and B alike,
+    A*B = sum c_k X^k holds digit by digit as long as every |c_k| < X/2.
+    |c_k| < min(len a, len b) * 2^(bits a + bits b), which fixes w.  Slots
+    are biased by X/2 on the way in and out, so the bytes only ever hold
+    nonnegative slot values and signs need no separate pass.
+    """
+    a = a[:out_len]
+    b = b[:out_len]
+    bits_a = max(max(a, default=0), -min(a, default=0)).bit_length()
+    bits_b = max(max(b, default=0), -min(b, default=0)).bit_length()
+    if not bits_a or not bits_b:
+        return [0] * out_len
+    nbytes = (bits_a + bits_b + min(len(a), len(b)).bit_length() + 8) // 8
+    half = 1 << (8 * nbytes - 1)
+    pa = _kron_pack(a, nbytes, half)
+    pb = pa if a == b else _kron_pack(b, nbytes, half)
+    n = min(len(a) + len(b) - 1, out_len)
+    width = nbytes * n
+    low = (pa * pb + _slot_bias(n, nbytes, half)) & ((1 << (8 * width)) - 1)
+    data = low.to_bytes(width, "little")
+    out = [int.from_bytes(data[i : i + nbytes], "little") - half
+           for i in range(0, width, nbytes)]
+    out.extend([0] * (out_len - n))
     return out
 
 
@@ -448,36 +465,30 @@ def _sigma_list(power, T):
 
 def _eisenstein_level1_raw(weight, trunc):
     mult = Fraction(-2 * weight) / bernoulli(weight)
-    sig = _sigma_list(weight - 1, trunc)
-    coeffs = [Fraction(1)] + [mult * sig[n] for n in range(1, trunc + 1)]
-    return QSeries(coeffs, e=1, trunc=trunc, weight=weight, level=1)
+    p, q = mult.numerator, mult.denominator
+    num = [q] + [p * s for s in _sigma_list(weight - 1, trunc)[1:]]
+    return QSeries._from_ints(num, q, 1, trunc, weight, 1)
 
 
 def _eisenstein_prime_level_raw(weight, level, trunc):
     if level == 1:
         return _eisenstein_level1_raw(weight, trunc)
     E = _eisenstein_level1_raw(weight, trunc)
-    Npow = Fraction(level) ** weight
-    den = Npow - 1
-    coeffs = []
-    for m in range(trunc + 1):
-        v = -E.coeffs[m]
-        if m % level == 0:
-            v += Npow * E.coeffs[m // level]
-        coeffs.append(v / den)
-    return QSeries(coeffs, e=1, trunc=trunc, weight=weight, level=level)
+    Npow = level**weight
+    num = [-x for x in E._num]
+    for m in range(0, trunc + 1, level):
+        num[m] += Npow * E._num[m // level]
+    return QSeries._from_ints(num, E._den * (Npow - 1), 1, trunc, weight, level)
 
 
 def _fricke_eisenstein_raw(weight, level, trunc):
     E = _eisenstein_level1_raw(weight, trunc)
-    scale = Fraction(level) ** (weight // 2) / (Fraction(level) ** weight - 1)
-    coeffs = []
-    for m in range(trunc + 1):
-        v = E.coeffs[m]
-        if m % level == 0:
-            v -= E.coeffs[m // level]
-        coeffs.append(v * scale)
-    return QSeries(coeffs, e=1, trunc=trunc, weight=weight, level=level)
+    num = list(E._num)
+    for m in range(0, trunc + 1, level):
+        num[m] -= E._num[m // level]
+    scale = level ** (weight // 2)
+    num = [x * scale for x in num]
+    return QSeries._from_ints(num, E._den * (level**weight - 1), 1, trunc, weight, level)
 
 
 _GATE_DONE = set()
@@ -624,8 +635,8 @@ class EtaQuotientSpec:
 
 
 def _pentagonal(limit):
-    """(exponent, sign) pairs of the Euler product expansion, exponent <= limit."""
-    out = [(0, 1)]
+    """(exponent, sign) of the nonconstant terms of prod (1 - q^n), exponent <= limit."""
+    out = []
     k = 1
     while True:
         g1 = k * (3 * k - 1) // 2
@@ -640,6 +651,33 @@ def _pentagonal(limit):
     return out
 
 
+def _unit_series_power(terms, r, L):
+    """(1 + sum s_g q^g)^r through q^L, for sparse integer terms (g, s_g), g >= 1.
+
+    The power rule for series (Knuth, TAOCP vol. 2, 4.7): with c = P^r,
+    m c_m = sum_{g>=1} s_g ((r+1) g - m) c_(m-g), one pass for any sign of r.
+    """
+    c = [1] + [0] * L
+    for m in range(1, L + 1):
+        t = 0
+        for g, s in terms:
+            if g > m:
+                break
+            t += s * ((r + 1) * g - m) * c[m - g]
+        c[m], rem = divmod(t, m)
+        if rem:
+            raise VerificationError(
+                "power rule left remainder %d at q^%d of an integral unit power" % (rem, m)
+            )
+    return c
+
+
+def _euler_power(d, r, L):
+    """prod_n (1 - q^(d n))^r through q^L as an integer array."""
+    power = _unit_series_power(_pentagonal(L // d), r, L // d)
+    return _on_grid(power, d, L + 1)
+
+
 def eta_quotient(spec, trunc, level=None):
     """Exact expansion of q^v * prod_n prod_d (1 - q^(d n))^(r_d), v from the spec."""
     if not isinstance(spec, EtaQuotientSpec):
@@ -651,41 +689,15 @@ def eta_quotient(spec, trunc, level=None):
     if trunc < v:
         raise InputError("truncation order below the leading exponent %d" % v)
     L = trunc - v
-    acc = [0] * (L + 1)
-    acc[0] = 1
+    acc = None
     for d, r in spec.pairs:
-        pent = [(g * d, s) for g, s in _pentagonal(L // d if d <= L else 0)]
-        if r > 0:
-            for _ in range(r):
-                nxt = [0] * (L + 1)
-                for g, s in pent:
-                    if s == 1:
-                        for m in range(g, L + 1):
-                            nxt[m] += acc[m - g]
-                    else:
-                        for m in range(g, L + 1):
-                            nxt[m] -= acc[m - g]
-                acc = nxt
-        else:
-            # divide by the unit Euler factor |r| times
-            for _ in range(-r):
-                nxt = [0] * (L + 1)
-                for m in range(L + 1):
-                    t = acc[m]
-                    for g, s in pent:
-                        if g and g <= m:
-                            if s == 1:
-                                t -= nxt[m - g]
-                            else:
-                                t += nxt[m - g]
-                    nxt[m] = t
-                acc = nxt
-    coeffs = [Fraction(0)] * v + [Fraction(c) for c in acc]
+        factor = _euler_power(d, r, L)
+        acc = factor if acc is None else _kron_mul(acc, factor, L + 1)
+    if acc is None:
+        acc = [1] + [0] * L
     if level is None:
-        level = 1
-        for d, r in spec.pairs:
-            level = _lcm(level, d)
-    return QSeries(coeffs, e=1, trunc=trunc, weight=spec.weight, level=int(level))
+        level = math.lcm(*[d for d, _ in spec.pairs])
+    return QSeries._from_ints([0] * v + acc, 1, 1, trunc, spec.weight, int(level))
 
 
 # -- operators -------------------------------------------------------------
@@ -698,8 +710,7 @@ def op_U(f, t):
     if f.e != 1:
         raise InputError("U_t acts on integral q-power series")
     T = f.trunc // t
-    coeffs = [f.coeffs[t * n] for n in range(T + 1)]
-    return QSeries(coeffs, e=1, trunc=T, weight=f.weight, level=f.level, field=f.field)
+    return f._with_values(f._values()[: t * T + 1 : t], T)
 
 
 def op_V(f, t):
@@ -710,13 +721,9 @@ def op_V(f, t):
     if f.e != 1:
         raise InputError("V_t acts on integral q-power series")
     T = f.trunc * t
-    zero = Fraction(0) if f.field is None else f.field.zero()
-    coeffs = [zero] * (T + 1)
-    for n, c in enumerate(f.coeffs):
-        coeffs[t * n] = c
-    return QSeries(
-        coeffs, e=1, trunc=T, weight=f.weight, level=f.level * t, field=f.field
-    )
+    values = [0 if f.field is None else f.field.zero()] * (T + 1)
+    values[::t] = f._values()
+    return f._with_values(values, T, level=f.level * t)
 
 
 def _hecke_p(f, p):
@@ -727,13 +734,11 @@ def _hecke_p(f, p):
             "series order %d too small for T_%d; need order >= %d" % (f.trunc, p, p)
         )
     pk = p ** (k - 1)
-    coeffs = []
-    for m in range(T + 1):
-        c = f.coeffs[p * m]
-        if m % p == 0:
-            c = c + pk * f.coeffs[m // p]
-        coeffs.append(c)
-    return QSeries(coeffs, e=1, trunc=T, weight=k, level=f.level, field=f.field)
+    vals = f._values()
+    out = list(vals[: p * T + 1 : p])
+    for m in range(0, T + 1, p):
+        out[m] = out[m] + pk * vals[m // p]
+    return f._with_values(out, T)
 
 
 def hecke_T(f, n):

@@ -42,6 +42,29 @@ def pow_trunc(a, n, T):
     return out
 
 
+def inv_trunc(a, T):
+    """1/a through q^T by solving a * x = 1 term by term; needs a[0] != 0."""
+    x = []
+    for m in range(T + 1):
+        acc = Fraction(1 if m == 0 else 0)
+        for j in range(1, min(m, len(a) - 1) + 1):
+            acc -= a[j] * x[m - j]
+        x.append(acc / a[0])
+    return x
+
+
+def euler_power_ref(d, r, T):
+    """prod (1 - q^(d n))^r through q^T, by repeated multiplication (or division)."""
+    euler = [Fraction(1)] + [Fraction(0)] * T
+    for n in range(d, T + 1, d):
+        term = [Fraction(1)] + [Fraction(0)] * T
+        term[n] = Fraction(-1)
+        euler = mul_trunc(euler, term, T)
+    if r < 0:
+        euler = inv_trunc(euler, T)
+    return pow_trunc(euler, abs(r), T)
+
+
 def delta_ref(T):
     """(E4^3 - E6^2)/1728, no eta involved."""
     e4 = eis_ref(4, T)

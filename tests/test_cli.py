@@ -119,6 +119,8 @@ def test_reports_are_deterministic():
     ["theorem", "--level", "3", "--eis-weight", "5"],
     ["specialize", "--curve", "3,1"],
     ["oracle", "--eis-weight", "4", "--level", "2", "--tau", "0.5,-1"],
+    ["oracle", "--eis-weight", "4", "--level", "2", "--tau", "nan,1"],
+    ["oracle", "--eis-weight", "4", "--level", "2", "--tau", "0.1,inf"],
 ])
 def test_malformed_requests_exit3(args):
     proc = run_cli(args)

@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +30,7 @@ from mtv.numfield import NumberField
 from mtv.polynomial import UniPoly
 import mtv.qexp as qexp_mod
 
-from _oracles import delta_ref, eis_ref, eta_power_ref, mul_trunc
+from _oracles import delta_ref, eis_ref, eta_power_ref, euler_power_ref, mul_trunc
 
 
 # -- QSeries semantics -------------------------------------------------------
@@ -105,6 +108,168 @@ def test_pow_square_and_unit():
     assert unit.constant_term() == 1 and unit.coeff(1) == 0
     with pytest.raises(InputError):
         f ** -1
+
+
+
+# -- integer core and Kronecker products ---------------------------------------
+
+def _random_ints(rng, n, bits, density=1.0):
+    top = 1 << bits
+    return [rng.randrange(-top + 1, top) if rng.random() < density else 0 for _ in range(n)]
+
+
+@pytest.mark.parametrize("bits", [1, 7, 8, 9, 63, 64, 65, 300, 2000])
+@pytest.mark.parametrize("seed", range(3))
+def test_kron_mul_matches_naive_convolution(bits, seed):
+    rng = random.Random("kron:%d:%d" % (bits, seed))
+    la, lb = rng.randint(1, 40), rng.randint(1, 40)
+    a = _random_ints(rng, la, bits, density=rng.choice([1.0, 0.3, 0.05]))
+    b = _random_ints(rng, lb, bits)
+    full = la + lb - 1
+    for out_len in (0, 1, min(la, lb), full - 1, full, full + 7):
+        assert qexp_mod._kron_mul(a, b, out_len) == mul_trunc(a, b, out_len - 1)
+    assert qexp_mod._kron_mul(a, a, full) == mul_trunc(a, a, full - 1)
+
+
+@pytest.mark.parametrize("bits", [1, 8, 64, 2000])
+def test_kron_mul_worst_case_slot_width(bits):
+    # every coefficient at the largest magnitude of its bit length, one sign:
+    # each product coefficient reaches the bound the slot width is sized for;
+    # at n = 255 and 8 or 64 bits the width has no slack from byte rounding
+    top = (1 << bits) - 1
+    for n in (1, 2, 3, 31, 32, 33, 255):
+        for sa, sb in ((1, 1), (-1, 1), (-1, -1)):
+            a = [sa * top] * n
+            b = [sb * top] * (n + 5)
+            got = qexp_mod._kron_mul(a, b, 2 * n + 4)
+            assert got == mul_trunc(a, b, 2 * n + 3)
+            assert max(map(abs, got)) == n * top * top
+
+
+def test_kron_mul_degenerate_inputs():
+    assert qexp_mod._kron_mul([], [1, 2], 3) == [0, 0, 0]
+    assert qexp_mod._kron_mul([0, 0, 0], [5, -7], 4) == [0, 0, 0, 0]
+    assert qexp_mod._kron_mul([3], [-2], 1) == [-6]
+    assert qexp_mod._kron_mul([0, 0, 0, 1], [1, -1], 6) == [0, 0, 0, 1, -1, 0]
+    assert qexp_mod._kron_mul([1, 2], [3, 4], 0) == []
+
+
+def _random_fractions(rng, n, bits=40):
+    return [Fraction(rng.randrange(-(1 << bits), 1 << bits), rng.randrange(1, 1 << 12))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_number_field_times_rational_product(seed):
+    rng = random.Random("nfq:%d" % seed)
+    field = NumberField(UniPoly([-2, 0, 1]))
+    T = rng.randint(0, 12)
+    a = [field.elem(_random_fractions(rng, 2)) for _ in range(T + 1)]
+    b = _random_fractions(rng, T + 1 + rng.randint(0, 3))
+    fa = QSeries(a, trunc=T, field=field)
+    fb = QSeries(b, trunc=len(b) - 1)
+    ref = [mul_trunc([x.coords[i] for x in a], b, T) for i in range(2)]
+    for prod in (fa * fb, fb * fa):
+        assert prod.field == field and prod.trunc == T
+        assert [c.coords for c in prod.coeffs] == list(zip(*ref))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_number_field_product(seed):
+    # (a0 + a1 x)(b0 + b1 x) = a0 b0 + 2 a1 b1 + (a0 b1 + a1 b0) x in Q[x]/(x^2 - 2)
+    rng = random.Random("nfnf:%d" % seed)
+    field = NumberField(UniPoly([-2, 0, 1]))
+    T = rng.randint(0, 10)
+    a = [_random_fractions(rng, T + 1) for _ in range(2)]
+    b = [_random_fractions(rng, T + 1) for _ in range(2)]
+    fa = QSeries([field.elem(c) for c in zip(*a)], trunc=T, field=field)
+    fb = QSeries([field.elem(c) for c in zip(*b)], trunc=T, field=field)
+    c0 = [x + 2 * y for x, y in zip(mul_trunc(a[0], b[0], T), mul_trunc(a[1], b[1], T))]
+    c1 = [x + y for x, y in zip(mul_trunc(a[0], b[1], T), mul_trunc(a[1], b[0], T))]
+    assert [c.coords for c in (fa * fb).coeffs] == list(zip(c0, c1))
+
+
+@pytest.mark.parametrize("ea,eb", [(1, 1), (5, 1), (1, 3), (2, 3), (5, 5)])
+def test_fractional_grid_product(ea, eb):
+    rng = random.Random("grid:%d:%d" % (ea, eb))
+    T = 6
+    a = _random_fractions(rng, ea * T + 1)
+    b = _random_fractions(rng, eb * (T + 1) + 1)
+    fa = QSeries(a, e=ea, trunc=T)
+    fb = QSeries(b, e=eb, trunc=T + 1)
+    e = math.lcm(ea, eb)
+
+    def spread(vals, stride):
+        out = [Fraction(0)] * (e * T + 1)
+        for m, v in enumerate(vals[: (e * T) // stride + 1]):
+            out[m * stride] = v
+        return out
+
+    prod = fa * fb
+    assert prod.e == e and prod.trunc == T
+    assert list(prod.coeffs) == mul_trunc(spread(a, e // ea), spread(b, e // eb), e * T)
+
+
+@pytest.mark.parametrize("r", [1, -1, 4, -4, 24, -24])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_euler_power_matches_repeated_products(d, r):
+    T = 30
+    assert qexp_mod._euler_power(d, r, T) == euler_power_ref(d, r, T)
+
+
+@pytest.mark.parametrize("pairs", [
+    {1: 24}, {1: 16, 2: -8}, {2: 24, 1: -24}, {5: 24, 1: -24}, {1: 5, 5: -1},
+    {1: 8, 2: 8}, {1: 4, 5: 4},
+])
+def test_eta_quotient_matches_repeated_products(pairs):
+    T = 30
+    spec = EtaQuotientSpec(pairs)
+    v = spec.leading_exponent
+    f = eta_quotient(spec, T)
+    acc = [Fraction(1)] + [Fraction(0)] * T
+    for d, r in spec.pairs:
+        acc = mul_trunc(acc, euler_power_ref(d, r, T), T)
+    assert list(f.coeffs) == [Fraction(0)] * v + acc[: T - v + 1]
+
+
+def test_power_rule_remainder_raises():
+    # a half-integral power of 1 + 2q is not integral at q^2
+    with pytest.raises(VerificationError):
+        qexp_mod._unit_series_power([(1, 2)], Fraction(1, 2), 4)
+
+
+def _canonical(f):
+    return f._den > 0 and math.gcd(f._den, *f._num) == 1
+
+
+def test_canonical_form_is_construction_independent():
+    want = [Fraction(1, 2), Fraction(3, 4), 0, Fraction(-5, 6)]
+    built = [
+        QSeries(want, trunc=3),
+        QSeries([6, 9, 0, -10], trunc=3).scale(Fraction(1, 12)),
+        QSeries([1, Fraction(3, 2), 0, Fraction(-5, 3)], trunc=3)
+        * QSeries([Fraction(1, 2)], trunc=3),
+        QSeries(want + [Fraction(1, 7)], trunc=4).truncate(3),
+        QSeries([Fraction(1, 4), Fraction(1, 4), Fraction(1, 3), Fraction(-1, 6)], trunc=3)
+        + QSeries([Fraction(1, 4), Fraction(1, 2), Fraction(-1, 3), Fraction(-2, 3)], trunc=3),
+    ]
+    for f in built:
+        assert _canonical(f) and f._den == 12
+        assert f == built[0] and hash(f) == hash(built[0])
+        assert f.coeffs == tuple(Fraction(c) for c in want)
+        assert all(type(c) is Fraction for c in f.coeffs)
+    ints = QSeries([3, -6, 9], trunc=2)
+    halved = QSeries([6, -12, 18], trunc=2).scale(Fraction(1, 2))
+    assert ints == halved and hash(ints) == hash(halved) and halved._den == 1
+
+
+def test_zero_series_has_unit_denominator():
+    f = QSeries([Fraction(1, 3), Fraction(2, 9)], trunc=1)
+    for z in (f.scale(0), f - f, QSeries([], trunc=0), QSeries([0, 0], trunc=1),
+              f * QSeries([0, 0], trunc=1)):
+        assert z.is_zero() and z._den == 1 and z.valuation() is None
+    assert f.scale(0) == QSeries([0, 0], trunc=1)
+    assert hash(f.scale(0)) == hash(QSeries([0, 0], trunc=1))
 
 
 # -- Eisenstein series -------------------------------------------------------
