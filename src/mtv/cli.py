@@ -35,16 +35,10 @@ from .errors import (
     VerificationError,
 )
 from .numerics import lattice_sum_eisenstein, eval_qseries
-from .qexp import (
-    EtaQuotientSpec,
-    eisenstein_level1,
-    eisenstein_prime_level,
-    eta_quotient,
-    fricke_eisenstein,
-)
+from .qexp import EtaQuotientSpec, eisenstein_level1, eisenstein_prime_level
 from .rational import format_rational, parse_rational
 from .spaces import delta_series, dim_cusp_level1, newform_basis_level1
-from .trace import fricke_eta_series, transformation_polynomial, verify_theorem
+from .trace import product_inputs, transformation_polynomial, verify_theorem
 
 # cusp inputs shipped with the engine, keyed by prime level
 BUNDLED_ETA = {
@@ -170,13 +164,7 @@ def cmd_phi(args):
     if args.power < 1:
         raise InputError("power must be >= 1")
     N = args.level
-    T_in = N * args.order * args.power + 8
-    g = eta_quotient(spec, T_in, level=N)
-    gfr = fricke_eta_series(spec, N, T_in)
-    E = eisenstein_prime_level(args.eis_weight, N, T_in)
-    Efr = fricke_eisenstein(args.eis_weight, N, T_in)
-    h = g * E
-    hfr = gfr * Efr
+    h, hfr = product_inputs(N, spec, args.eis_weight, args.order)
     if args.power != 1:
         h = h ** args.power
         hfr = hfr ** args.power

@@ -5,12 +5,13 @@ prime p uses the basis 1, zeta, ..., zeta^(p-2); products reduce first by
 zeta^p = 1 and then by zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).
 """
 
+import operator
 from fractions import Fraction
 
-from .errors import InputError, PrecisionError, UnsupportedScopeError
+from .errors import InputError, UnsupportedScopeError
 from .linalg import MatQ
 from .numerics import root_cluster
-from .polynomial import UniPoly, poly_factor_q
+from .polynomial import UniPoly, poly_factor_q, real_root_count
 
 
 class NumberField:
@@ -43,6 +44,7 @@ class NumberField:
             cur = nxt
             table.append(tuple(cur))
         self._red = tuple(table)
+        self._power_sums = None
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.modulus == other.modulus
@@ -90,15 +92,29 @@ class NumberField:
                     out[i] += c * red[i]
         return out
 
+    def power_sums(self):
+        """Tr(theta^j) for j = 0 .. 2*degree - 2, theta the generator.
+
+        Computed once per field from the modulus by Newton's identities; the
+        trace form Tr(y*z) of two elements only needs these.
+        """
+        if self._power_sums is None:
+            from .trace import power_sums_from_elementary  # trace imports this module
+
+            d = self.degree
+            cs = self.modulus.coeffs
+            sym = [cs[d - i] if i % 2 == 0 else -cs[d - i] for i in range(1, d + 1)]
+            self._power_sums = (Fraction(d),) + tuple(
+                power_sums_from_elementary(sym, 2 * d - 2)
+            )
+        return self._power_sums
+
     def embeddings(self, prec_bits=None):
         return root_cluster(self.modulus, prec_bits)
 
-    def is_totally_real(self, prec_bits=None):
-        try:
-            roots = self.embeddings(prec_bits)
-        except PrecisionError:
-            return False
-        return all(abs(r.value.imag) <= 4 * r.err for r in roots)
+    def is_totally_real(self):
+        """Exact: a Sturm sequence counts the real roots of the modulus."""
+        return real_root_count(self.modulus) == self.degree
 
 
 class NumberFieldElem:
@@ -220,10 +236,19 @@ class NumberFieldElem:
 
 
 def nf_trace(elem):
-    """Field trace K -> Q."""
+    """Field trace K -> Q: the coordinates dotted with the power sums Tr(theta^j)."""
     if isinstance(elem, (int, Fraction)):
         return Fraction(elem)
-    return elem.mult_matrix().trace()
+    return sum(map(operator.mul, elem.coords, elem.field.power_sums()), Fraction(0))
+
+
+def trace_form(elem):
+    """Vector w with Tr(elem * y) = sum_k w_k * y.coords[k] for every y in the field."""
+    ps = elem.field.power_sums()
+    return [
+        sum((c * ps[j + k] for j, c in enumerate(elem.coords) if c), Fraction(0))
+        for k in range(elem.field.degree)
+    ]
 
 
 def nf_norm(elem):

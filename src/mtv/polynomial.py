@@ -1,11 +1,17 @@
 """Dense univariate polynomials over Q and factorization into irreducibles.
 
-Factorization strategy: squarefree decomposition (Yun), then a numeric
-assist on each squarefree part: cluster the roots at high precision, try
-subsets of roots as candidate factors, round the candidate's coefficients
-to integers, and certify by exact division.  A failed certification never
-produces a wrong answer, only a retry at doubled precision; the final
-multiply-back identity is asserted unconditionally.
+Factorization strategy: squarefree decomposition (Yun), then for each
+squarefree part an irreducibility certificate first.  Distinct-degree
+factorization modulo a fixed list of small primes gives, for each prime that
+keeps the part squarefree and its degree, the degrees a proper factor over Q
+could have (the subset sums of the mod-p factor degrees); an empty
+intersection over the primes proves the part irreducible.  Only a part the
+sieve cannot certify goes to the numeric assist: cluster the roots at high
+precision, try subsets of roots as candidate factors, round the candidate's
+coefficients to integers, and certify by exact division.  A failed numeric
+candidate never produces a wrong answer, only a retry at doubled precision;
+the final multiply-back identity is checked unconditionally and raises
+VerificationError if it fails.
 """
 
 import itertools
@@ -14,7 +20,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import InputError, PrecisionError
+from .errors import InputError, PrecisionError, VerificationError
 from .numerics import root_cluster
 from .rational import lcm_denominators
 
@@ -218,6 +224,142 @@ def squarefree_parts(p):
     return out
 
 
+def real_root_count(p):
+    """Number of distinct real roots of a nonzero p, by a Sturm sequence over Q."""
+    seq = [p, p.derivative()]
+    while not seq[-1].is_zero():
+        seq.append(-(seq[-2] % seq[-1]))
+    seq.pop()
+
+    def sign_changes(signs):
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    at_pos = [q.lc() > 0 for q in seq]
+    at_neg = [(q.lc() > 0) == (q.degree % 2 == 0) for q in seq]
+    return sign_changes(at_neg) - sign_changes(at_pos)
+
+
+# -- arithmetic in F_p[x]: int lists, constant first, no trailing zeros ------
+
+# The sieve's primes.  Below the weight, the T_2 polynomials of level-1
+# cusp spaces rarely reduce squarefree, or split into many small factors
+# (eigenforms mod p come from small weights), so the list reaches well past
+# the weights the engine can decompose: weight 106 certifies at p = 113.
+# These are the primes below 512.
+_SIEVE_PRIMES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
+    151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229,
+    233, 239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293, 307, 311, 313,
+    317, 331, 337, 347, 349, 353, 359, 367, 373, 379, 383, 389, 397, 401, 409,
+    419, 421, 431, 433, 439, 443, 449, 457, 461, 463, 467, 479, 487, 491, 499,
+    503, 509,
+)
+
+
+def _fp_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fp_sub(a, b, p):
+    n = max(len(a), len(b))
+    a = a + [0] * (n - len(a))
+    for i, c in enumerate(b):
+        a[i] = (a[i] - c) % p
+    return _fp_trim(a)
+
+
+def _fp_divmod(a, b, p):
+    """Quotient and remainder of a by a nonzero b over F_p."""
+    rem = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    quo = [0] * max(0, len(rem) - db)
+    for i in range(len(rem) - 1 - db, -1, -1):
+        c = rem[i + db] * inv % p
+        quo[i] = c
+        if c:
+            for j, bj in enumerate(b):
+                rem[i + j] = (rem[i + j] - c * bj) % p
+    return _fp_trim(quo), _fp_trim(rem[:db])
+
+
+def _fp_mulmod(a, b, f, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _fp_divmod([c % p for c in out], f, p)[1]
+
+
+def _fp_gcd(a, b, p):
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    return a
+
+
+def _fp_ddf_degrees(f, p):
+    """Degrees of the irreducible factors of a monic squarefree f over F_p.
+
+    Distinct-degree factorization: gcd(f, x^(p^d) - x) is the product of the
+    irreducible factors of degree d once those of lower degree are divided out.
+    """
+    degrees = []
+    d = 0
+    xp = [0, 1]  # x^(p^d) mod f
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        base, e, acc = xp, p, [1]
+        while e:
+            if e & 1:
+                acc = _fp_mulmod(acc, base, f, p)
+            base = _fp_mulmod(base, base, f, p)
+            e >>= 1
+        xp = acc
+        g = _fp_gcd(f, _fp_sub(xp, [0, 1], p), p)
+        if len(g) > 1:
+            degrees += [d] * ((len(g) - 1) // d)
+            f = _fp_divmod(f, g, p)[0]
+            xp = _fp_divmod(xp, f, p)[1]
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return degrees
+
+
+def _certified_irreducible(P):
+    """True when the mod-p degree sieve proves the integer polynomial P irreducible.
+
+    A factor of P over Q of degree k reduces, modulo any prime p not dividing
+    lc(P), to a product of some of the irreducible factors of P mod p, so k
+    is a subset sum of their degrees.  Primes that divide lc(P) or leave the
+    reduction non-squarefree are skipped.  False means "not proved", never
+    "reducible".
+    """
+    n = P.degree
+    ints = [int(c) for c in P.coeffs]
+    possible = set(range(1, n))
+    for p in _SIEVE_PRIMES:
+        if ints[-1] % p == 0:
+            continue
+        inv = pow(ints[-1], -1, p)
+        f = [c * inv % p for c in ints]
+        df = _fp_trim([i * c % p for i, c in enumerate(f)][1:])
+        if not df or len(_fp_gcd(f, df, p)) > 1:
+            continue
+        sums = {0}
+        for d in _fp_ddf_degrees(f, p):
+            sums |= {s + d for s in sums}
+        possible &= sums
+        if not possible:
+            return True
+    return False
+
+
 def _round_to_int(x, slack):
     n = int(round(float(x)))
     if abs(x - n) > slack:
@@ -293,15 +435,18 @@ def _factor_squarefree_monic_int(H, prec0):
             remaining = [t for t in remaining if t not in subset]
         if rem_poly.degree > 0:
             found.append(rem_poly)
-        assert sum(f.degree for f in found) == n
+        if sum(f.degree for f in found) != n:
+            raise VerificationError("numeric factor search lost degrees")
         return found
 
 
 def poly_factor_q(p, prec_bits=None):
     """Factor p over Q into monic irreducibles.
 
-    Returns [(factor, multiplicity), ...] sorted by (degree, coefficients);
-    lc(p) * product(factor^mult) == p, asserted before returning.
+    Returns [(factor, multiplicity), ...] sorted by (degree, coefficients).
+    Each factor is irreducible: certified by the mod-p degree sieve, or found
+    by the numeric subset search.  lc(p) * product(factor^mult) == p is
+    checked before returning (VerificationError otherwise).
     """
     if not isinstance(p, UniPoly):
         p = UniPoly(p)
@@ -321,15 +466,19 @@ def poly_factor_q(p, prec_bits=None):
         result[UniPoly((0, 1)).coeffs] = v
     if work.degree > 0:
         for part, mult in squarefree_parts(work):
-            unit, P = part.primitive_int()
-            lcP = int(P.lc())
-            # monic integer transform: Htilde(x) = lc^(deg-1) * P(x/lc)
+            _, P = part.primitive_int()
             d = P.degree
-            H = UniPoly([int(P.coeffs[i]) * lcP ** (d - 1 - i) for i in range(d + 1)])
-            for G in _factor_squarefree_monic_int(H, prec0):
-                # map back to a monic rational factor of the original part
-                f = G.scale_arg(lcP)
-                f = f.monic()
+            if d <= 1 or _certified_irreducible(P):
+                found = [part.monic()]
+            else:
+                # monic integer transform: H(x) = lc^(d-1) * P(x/lc), so the
+                # top coefficient is exactly 1
+                lcP = int(P.lc())
+                H = UniPoly([int(P.coeffs[i]) * lcP ** (d - 1 - i) for i in range(d)] + [1])
+                # map each factor back to a monic rational factor of the part
+                found = [G.scale_arg(lcP).monic()
+                         for G in _factor_squarefree_monic_int(H, prec0)]
+            for f in found:
                 result[f.coeffs] = result.get(f.coeffs, 0) + mult
     factors = sorted(
         ((UniPoly(cs), m) for cs, m in result.items()),
@@ -338,5 +487,6 @@ def poly_factor_q(p, prec_bits=None):
     check = UniPoly((p.lc(),))
     for f, m in factors:
         check = check * f ** m
-    assert check == p, "factorization certification failed"
+    if check != p:
+        raise VerificationError("factorization certification failed")
     return factors

@@ -4,9 +4,17 @@ The basis for weight k is h_j = E4^a * E6^(b + 2(d-j)) * Delta^(j-1) with
 4a + 6b = k - 12(d-1), which makes h_j = q^(j-1) + O(q^j): upper triangular,
 so expansion in the basis is forward substitution.  Newforms are cut out as
 eigenvectors of T_2; Strong Multiplicity One at level 1 means each irreducible
-factor of the T_2 characteristic polynomial picks out one Galois orbit.
+factor g of the T_2 characteristic polynomial chi picks out one Galois orbit.
+
+The eigenvector for a root theta of g comes without elimination over the
+Hecke field K = Q[x]/(g): synthetic division writes chi(x) = (x - theta) h(x)
+with h in K[x], and by Cayley-Hamilton v = h(T_2) e = sum_j h_j T_2^j e is,
+for any vector e, zero or an eigenvector for theta.  The Krylov vectors T_2^j e are
+rational, so v costs only rational-times-K products; T_2 v = theta v is
+checked exactly, and normalizing a_1 = 1 takes one inverse in K per orbit.
 """
 
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -133,6 +141,10 @@ class GaloisOrbitSet:
         return len(self.orbits)
 
 
+def _is_zero(x):
+    return (x == 0) if isinstance(x, Fraction) else x.is_zero()
+
+
 def expand_in_triangular(f, basis, strict=True):
     """Coordinates of f in a q^(i)-triangular basis by forward substitution.
 
@@ -143,10 +155,13 @@ def expand_in_triangular(f, basis, strict=True):
     rem = f
     for i, b in enumerate(basis):
         lead = b.valuation()
+        if lead is None:
+            raise TruncationError(
+                "basis element %d vanishes through q^%d; raise the order" % (i + 1, b.trunc)
+            )
         c = rem.coeff(lead)
         coords.append(c)
-        nz = (c != 0) if isinstance(c, Fraction) else (not c.is_zero())
-        if nz:
+        if not _is_zero(c):
             rem = rem - b.scale(c)
     if strict and not rem.is_zero():
         v = rem.valuation()
@@ -175,6 +190,44 @@ def hecke_matrix_level1(weight, n, trunc=None):
     return M, basis
 
 
+def _krylov_eigenvector(M, chi, theta):
+    """Eigenvector of M for the root theta of its characteristic polynomial chi.
+
+    theta is a Fraction or a number field element; the entries of the vector
+    lie in theta's field, and the first entry is 1.
+    """
+    s = M.nrows
+    cs = chi.coeffs
+    # chi(x) = (x - theta) * sum_i h_i x^i, by synthetic division
+    h = [None] * s
+    acc = cs[s]
+    for i in range(s - 1, -1, -1):
+        h[i] = acc
+        acc = cs[i] + theta * acc
+    if not _is_zero(acc):
+        raise VerificationError("eigenvalue is not a root of the characteristic polynomial")
+    zero = theta - theta
+    for start in range(s):
+        # v = h(M) e = sum_j h_j M^j e over rational Krylov vectors u = M^j e
+        u = [Fraction(i == start) for i in range(s)]
+        v = [zero] * s
+        for j, hj in enumerate(h):
+            if j:
+                u = [sum(map(operator.mul, row, u)) for row in M.rows]
+            v = [x + hj * c if c else x for x, c in zip(v, u)]
+        if not all(map(_is_zero, v)):
+            break
+    else:
+        raise VerificationError("Krylov vector vanishes for every unit vector")
+    Mv = [sum((c * x for c, x in zip(row, v) if c), zero) for row in M.rows]
+    if not all(_is_zero(y - theta * x) for y, x in zip(Mv, v)):
+        raise VerificationError("Krylov vector is not an eigenvector")
+    if _is_zero(v[0]):
+        raise VerificationError("eigenvector with vanishing q^1 coefficient")
+    inv = 1 / v[0]
+    return [x * inv for x in v]
+
+
 def newform_basis_level1(weight, trunc):
     """Galois orbits of normalized eigenforms in the weight-k level-1 cusp space."""
     k = int(weight)
@@ -193,40 +246,25 @@ def newform_basis_level1(weight, trunc):
             )
     orbits = []
     for g, _ in factors:
-        deg = g.degree
-        if deg == 1:
+        if g.degree == 1:
             field = None
             theta = -g.coeffs[0]
-            rows = [
-                [M.rows[i][j] - (theta if i == j else 0) for j in range(s)]
-                for i in range(s)
-            ]
         else:
-            field = NumberField(g)
+            # poly_factor_q has just certified g irreducible
+            field = NumberField(g, check_irreducible=False)
             theta = field.gen()
-            rows = [
-                [field.coerce(M.rows[i][j]) - (theta if i == j else field.zero())
-                 for j in range(s)]
-                for i in range(s)
-            ]
-        null = MatQ(rows).nullspace()
-        if len(null) != 1:
-            raise VerificationError(
-                "eigenvalue factor of degree %d has eigenspace of dimension %d"
-                % (deg, len(null))
-            )
-        v = list(null[0])
-        v1 = v[0]
-        bad = (v1 == 0) if field is None else v1.is_zero()
-        if bad:
-            raise VerificationError("eigenvector with vanishing q^1 coefficient")
-        v = [x / v1 for x in v]
-        f = None
-        for x, b in zip(v, basis):
-            term = b.scale(x)
-            f = term if f is None else f + term
-        f = f.truncate(trunc)
-        f = QSeries(f.coeffs, e=1, trunc=trunc, weight=k, level=1, field=field)
+        v = _krylov_eigenvector(M, chi, theta)
+        # sum_i v_i * basis_i, one rational series per coordinate of K
+        rows = [[x] if field is None else x.coords for x in v]
+        comps = []
+        for j in range(g.degree):
+            acc = None
+            for r, b in zip(rows, basis):
+                term = b.scale(r[j])
+                acc = term if acc is None else acc + term
+            comps.append(acc.truncate(trunc).coeffs)
+        coeffs = comps[0] if field is None else [field.elem(c) for c in zip(*comps)]
+        f = QSeries(coeffs, e=1, trunc=trunc, weight=k, level=1, field=field)
         orbits.append(Newform(weight=k, field=field, modulus=g, qexp=f))
     return GaloisOrbitSet(k, orbits, s)
 
@@ -253,20 +291,16 @@ def validate_external_newform(f):
     T = f.trunc
     if T < 2:
         raise InputError("need at least two coefficients to validate")
-
-    def is_zero(x):
-        return (x == 0) if isinstance(x, Fraction) else x.is_zero()
-
-    if not is_zero(f.coeff(0)):
+    if not _is_zero(f.coeff(0)):
         raise VerificationError("constant term is %s, expected 0" % (f.coeff(0),))
-    if not is_zero(f.coeff(1) - 1):
+    if not _is_zero(f.coeff(1) - 1):
         raise VerificationError("q^1 coefficient is %s, expected 1" % (f.coeff(1),))
     # multiplicativity on coprime pairs
     for m in range(2, T + 1):
         for n in range(m + 1, T // m + 1):
             if gcd(m, n) != 1:
                 continue
-            if not is_zero(f.coeff(m * n) - f.coeff(m) * f.coeff(n)):
+            if not _is_zero(f.coeff(m * n) - f.coeff(m) * f.coeff(n)):
                 raise VerificationError(
                     "multiplicativity fails first at a_%d * a_%d != a_%d"
                     % (m, n, m * n)
@@ -280,7 +314,7 @@ def validate_external_newform(f):
             while q <= T:
                 lhs = f.coeff(q)
                 rhs = f.coeff(p) * f.coeff(q // p) - pk * f.coeff(q // (p * p))
-                if not is_zero(lhs - rhs):
+                if not _is_zero(lhs - rhs):
                     raise VerificationError(
                         "Hecke recursion fails first at a_%d (p=%d)" % (q, p)
                     )

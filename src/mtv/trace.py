@@ -17,6 +17,7 @@ itself can be tested against the definition.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .linalg import MatQ
 from .numerics import eval_qseries, to_mpf
-from .numfield import CycloField, nf_charpoly, nf_norm, nf_trace
+from .numfield import CycloField, nf_charpoly, nf_norm, nf_trace, trace_form
 from .qexp import (
     EtaQuotientSpec,
     QSeries,
@@ -155,6 +156,21 @@ def fricke_eta_series(spec, level, trunc):
     """q-expansion of the Fricke image of the eta quotient, exact."""
     partner, scalar = fricke_eta_data(spec, level)
     return eta_quotient(partner, trunc, level=level).scale(scalar)
+
+
+def product_inputs(level, eta_spec, eis_weight, order):
+    """h = (eta quotient) * (Eisenstein row) and its Fricke image h|w_N.
+
+    Both trace routes read the Fricke image on the q^(1/N) grid, so they
+    reach q^(T // N) for inputs known through q^T; T = N*order + 8 takes
+    them to q^(order + 8//N) whatever power of h is traced afterwards.
+    """
+    T_in = level * order + 8
+    g = eta_quotient(eta_spec, T_in, level=level)
+    gfr = fricke_eta_series(eta_spec, level, T_in)
+    E = eisenstein_prime_level(eis_weight, level, T_in)
+    Efr = fricke_eisenstein(eis_weight, level, T_in)
+    return g * E, gfr * Efr
 
 
 # -- translates and the transformation polynomial --------------------------
@@ -328,21 +344,18 @@ def expand_in_newforms(f, orbit_set):
                 % orbit_set.weight
             )
         return []
+    # Tr(y * a_n) is linear in a_n's coordinates: one trace-form vector per
+    # field element y, from the field's power sums
     cols = []
-    owners = []
     for nf in orbit_set.orbits:
-        d = nf.degree
-        for j in range(d):
-            col = []
-            for n in range(1, r + 1):
-                an = nf.a(n)
-                if nf.field is None:
-                    col.append(an if j == 0 else Fraction(0))
-                else:
-                    theta_j = nf.field.gen() ** j if j else nf.field.one()
-                    col.append(nf_trace(theta_j * an))
-            cols.append(col)
-            owners.append(nf)
+        if nf.field is None:
+            cols.append([nf.a(n) for n in range(1, r + 1)])
+            continue
+        coords = [nf.a(n).coords for n in range(1, r + 1)]
+        theta = nf.field.gen()
+        for j in range(nf.degree):
+            w = trace_form(theta**j)
+            cols.append([sum(map(operator.mul, w, c)) for c in coords])
     A = MatQ([[cols[c][n] for c in range(r)] for n in range(r)])
     b = [f.coeff(n) for n in range(1, r + 1)]
     x = A.solve(b)
@@ -357,12 +370,14 @@ def expand_in_newforms(f, orbit_set):
         else:
             out.append(nf.field.elem(block))
     # certify: rebuild the series from the solution and compare everywhere
+    forms = [None if nf.field is None else trace_form(c)
+             for c, nf in zip(out, orbit_set.orbits)]
     T = min(f.trunc, min(nf.qexp.trunc for nf in orbit_set.orbits))
     for n in range(T + 1):
         acc = Fraction(0)
-        for c, nf in zip(out, orbit_set.orbits):
+        for c, w, nf in zip(out, forms, orbit_set.orbits):
             an = nf.a(n)
-            acc += c * an if nf.field is None else nf_trace(c * an)
+            acc += c * an if w is None else sum(map(operator.mul, w, an.coords))
         if acc != f.coeff(n):
             raise VerificationError(
                 "newform expansion residual is nonzero first at q^%d" % n
@@ -461,14 +476,7 @@ def verify_theorem(level, eta_pairs, eis_weight, power, order=64):
         raise InputError("order must be >= 8")
     if spec.leading_exponent < 1 or spec.fricke_partner(N).leading_exponent < 1:
         raise UnsupportedScopeError("eta quotient must vanish at both cusps")
-    T_in = N * order * power + 8
-
-    g = eta_quotient(spec, T_in, level=N)
-    gfr = fricke_eta_series(spec, N, T_in)
-    E = eisenstein_prime_level(eis_weight, N, T_in)
-    Efr = fricke_eisenstein(eis_weight, N, T_in)
-    h = g * E
-    hfr = gfr * Efr
+    h, hfr = product_inputs(N, spec, eis_weight, order)
     w = h.weight
     H = h**power
     Hfr = hfr**power

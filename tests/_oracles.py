@@ -1,10 +1,15 @@
 """Independent reference arithmetic for the test suite.
 
-Everything here is deliberately naive and shares no code with the package:
-Bernoulli numbers come from sympy, products are plain convolutions, and the
-weight-24 Hecke data is solved by hand on an explicit basis.  Slow is fine.
+Everything here is deliberately naive.  Bernoulli numbers come from sympy,
+products are plain convolutions, factorizations over F_p are found by trial
+division by every monic polynomial, and the weight-24 Hecke data is solved
+by hand on an explicit basis; none of it shares code with the package.  The
+one exception is `elimination_eigenvector`, the package's former newform
+route (row reduction over the Hecke field with `MatQ.nullspace`), kept as the
+reference for the Krylov eigenvectors.  Slow is fine.
 """
 
+import itertools
 from fractions import Fraction
 
 import sympy
@@ -122,3 +127,70 @@ def t2_charpoly_weight24():
     tr = m[0][0] + m[1][1]
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     return [det, -tr, Fraction(1)]
+
+
+def _fp_rem(a, b, p):
+    """Remainder of a by a monic b over F_p; lists constant first."""
+    a = [c % p for c in a]
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1]
+        if c:
+            for j, bj in enumerate(b):
+                a[i + j] = (a[i + j] - c * bj) % p
+    return a[: len(b) - 1]
+
+
+def _fp_quo(a, b, p):
+    """Exact quotient of a by a monic divisor b over F_p."""
+    a = [c % p for c in a]
+    q = [0] * (len(a) - len(b) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c = a[i + len(b) - 1]
+        q[i] = c
+        for j, bj in enumerate(b):
+            a[i + j] = (a[i + j] - c * bj) % p
+    return q
+
+
+def factor_mod_p(coeffs, p):
+    """Monic irreducible factors of a monic f over F_p, with multiplicity, by
+    trial division with every monic polynomial in turn (tuples, constant first)."""
+    f = [c % p for c in coeffs]
+    factors = []
+    d = 1
+    while len(f) - 1 >= 2 * d:
+        for low in itertools.product(range(p), repeat=d):
+            g = list(low) + [1]
+            while len(f) - 1 >= d and not any(_fp_rem(f, g, p)):
+                f = _fp_quo(f, g, p)
+                factors.append(tuple(g))
+        d += 1
+    if len(f) > 1:
+        factors.append(tuple(f))
+    return sorted(factors)
+
+
+def elimination_eigenvector(M, g):
+    """Eigenvector of the rational matrix M for a root theta of the monic
+    irreducible g, by row reduction of M - theta over Q[x]/(g).
+
+    Entries are Fractions when g is linear, else elements of NumberField(g);
+    the first entry is normalized to 1.
+    """
+    from mtv.linalg import MatQ
+    from mtv.numfield import NumberField
+
+    s = M.nrows
+    if g.degree == 1:
+        theta = -g.coeffs[0]
+        rows = [[M.rows[i][j] - (theta if i == j else 0) for j in range(s)]
+                for i in range(s)]
+    else:
+        field = NumberField(g)
+        theta = field.gen()
+        rows = [[field.coerce(M.rows[i][j]) - (theta if i == j else field.zero())
+                 for j in range(s)] for i in range(s)]
+    null = MatQ(rows).nullspace()
+    assert len(null) == 1
+    v = list(null[0])
+    return [x / v[0] for x in v]

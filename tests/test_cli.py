@@ -146,6 +146,18 @@ def test_verification_failure_exits2(monkeypatch, capsys):
     assert "planted failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    # the weight-84 s_6 needs 8 basis elements, the series reach q^2
+    ["phi", "--level", "5", "--eis-weight", "10", "--order", "1"],
+    ["phi", "--level", "2", "--eis-weight", "4", "--power", "3", "--order", "2"],
+])
+def test_too_short_phi_exits4(args):
+    proc = run_cli(args)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "raise the order" in proc.stderr
+
+
 def test_resource_failure_exits4(monkeypatch, capsys):
     def boom(*a, **kw):
         raise PrecisionError("no bits left")

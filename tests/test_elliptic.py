@@ -18,6 +18,7 @@ from mtv import (
     specialize_level1_exact,
     specialize_phi,
     tau_from_curve,
+    verify_corollary,
 )
 from mtv.elliptic import j_invariant_numeric
 from mtv.numerics import BigComplex
@@ -214,6 +215,19 @@ def test_corollary_identity_power2(corollary_runs):
     assert d["identity_holds"] is True
     assert d["specialized_trace_lhs"] == "4107"
     assert d["theorem"]["orbits"][0]["ratio_trace"] == "0"
+
+
+@pytest.mark.parametrize("level, eta, weight, curve, degrees", [
+    # Phi_E = x (x^3 + (4320/41)^3): the numeric factor search on a
+    # non-monic part
+    (3, {1: 6, 3: 6}, 8, (0, 1), [1, 1, 2]),
+    (5, {1: 4, 5: 4}, 6, (-2, -5), [6]),
+])
+def test_corollary_at_levels_3_and_5(level, eta, weight, curve, degrees):
+    res = verify_corollary(level, eta, weight, 1, CurveQ(*curve), order=64)
+    assert res.equal and res.lhs == res.rhs
+    assert res.phi_factor_degrees == degrees
+    assert res.condition_a is (degrees == [level + 1])
 
 
 def test_corollary_rejects_singular_curve():

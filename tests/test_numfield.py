@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from mtv.numfield import (
     nf_charpoly,
     nf_norm,
     nf_trace,
+    trace_form,
 )
 from mtv.polynomial import UniPoly
 
@@ -71,6 +73,9 @@ def test_totally_real_detection():
     assert not NumberField(X**3 - 2).is_totally_real()
     # weight-24 Hecke field
     assert NumberField(X**2 - 1080 * X - 20468736).is_totally_real()
+    # roots 2.8e-100 apart, closer than 256-bit root isolation can separate
+    assert NumberField(X**2 - F(2, 10**200)).is_totally_real()
+    assert not NumberField(X**2 + F(2, 10**200)).is_totally_real()
 
 
 def test_cubic_field_inverse_and_power():
@@ -103,3 +108,29 @@ def test_cyclo_arithmetic_against_sums():
     # (1 + z)(1 + z^2) = 1 + z + z^2 + z^3 = 0 + 1 = 1
     lhs = (K.zeta_power(0) + z) * (K.zeta_power(0) + K.zeta_power(2))
     assert (lhs - K.zeta_power(0)).is_zero()
+
+
+TRACE_FIELDS = [
+    X**2 - X - 1,
+    X**3 - 2,
+    X**4 - 10 * X**2 + 1,
+    X**5 - X - 1,
+    X**2 - 1080 * X - 20468736,
+    X - F(7, 3),
+]
+
+
+@pytest.mark.parametrize("modulus", TRACE_FIELDS, ids=str)
+def test_trace_form_matches_multiplication_matrix(modulus):
+    K = NumberField(modulus)
+    rng = random.Random(K.degree)
+
+    def rand_elem():
+        return K.elem([F(rng.randint(-99, 99), rng.randint(1, 12))
+                       for _ in range(K.degree)])
+
+    for _ in range(12):
+        y, z = rand_elem(), rand_elem()
+        assert nf_trace(y) == y.mult_matrix().trace()
+        w = trace_form(y)
+        assert sum(a * b for a, b in zip(w, z.coords)) == (y * z).mult_matrix().trace()

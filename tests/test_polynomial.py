@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,17 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtv.polynomial import UniPoly, poly_factor_q, poly_gcd, squarefree_parts
+from mtv import polynomial
+from mtv.errors import VerificationError
+from mtv.polynomial import (
+    UniPoly,
+    poly_factor_q,
+    poly_gcd,
+    real_root_count,
+    squarefree_parts,
+)
+
+from _oracles import factor_mod_p
 
 X = UniPoly.x()
 
@@ -82,6 +93,10 @@ FACTOR_CASES = [
     X**4 + X**3 + X**2 + X + 1,             # 5th cyclotomic
     (X - 1) * (X**2 + 1) * (2 * X + 3),     # mixed degrees, non-monic
     X**5 - X - 1,                           # irreducible quintic
+    # Phi_E of the level-3 corollary at y^2 = 4x^3 - 1: x (x^3 + (4320/41)^3),
+    # whose part x^3 + c needs the numeric search with a non-monic P
+    X**4 + Fraction(80621568000, 68921) * X,
+    (41 * X + 4320) * (X**2 - 7),           # non-monic linear factor
 ]
 
 
@@ -99,3 +114,67 @@ def test_factor_certifies_product():
     for fac, mult in poly_factor_q(p):
         acc = acc * fac**mult
     assert acc == p.monic()
+
+
+def random_int_poly(rng, degree, size):
+    cs = [rng.randint(-size, size) for _ in range(degree)]
+    return UniPoly(cs + [rng.choice([-1, 1]) * rng.randint(1, size)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_ddf_degrees_match_brute_force(p):
+    rng = random.Random(1000 + p)
+    checked = 0
+    while checked < 30:
+        n = rng.randint(1, 7)
+        f = [rng.randrange(p) for _ in range(n)] + [1]
+        factors = factor_mod_p(f, p)
+        if len(set(factors)) != len(factors):
+            continue  # distinct-degree factorization needs squarefree input
+        want = sorted(len(g) - 1 for g in factors)
+        assert sorted(polynomial._fp_ddf_degrees(f, p)) == want, (f, p)
+        checked += 1
+
+
+def test_sieve_primes_are_the_primes_below_512():
+    assert polynomial._SIEVE_PRIMES == tuple(sympy.primerange(2, 512))
+
+
+def test_sieve_never_certifies_a_product():
+    rng = random.Random(20261018)
+    for _ in range(60):
+        a = random_int_poly(rng, rng.randint(1, 4), 30)
+        b = random_int_poly(rng, rng.randint(1, 4), 30)
+        _, P = (a * b).primitive_int()
+        assert not polynomial._certified_irreducible(P), (a, b)
+
+
+def test_sieve_certifies_without_roots(monkeypatch):
+    def no_roots(*args, **kwargs):
+        raise AssertionError("the numeric factor search ran")
+
+    monkeypatch.setattr(polynomial, "root_cluster", no_roots)
+    for p in (X**5 - X - 1, X**2 - 1080 * X - 20468736, 3 * X**3 - 7 * X + 2):
+        ((f, m),) = poly_factor_q(p)
+        assert f == p.monic() and m == 1
+    # irreducible over Q yet reducible modulo every prime: not certified, so
+    # the numeric search is the route that proves it
+    _, P = (X**4 - 10 * X**2 + 1).primitive_int()
+    assert not polynomial._certified_irreducible(P)
+
+
+def test_failed_multiply_back_raises_verification_error(monkeypatch):
+    monkeypatch.setattr(polynomial, "_factor_squarefree_monic_int",
+                        lambda H, prec: [H + 1])
+    with pytest.raises(VerificationError):
+        poly_factor_q((X - 1) * (X - 2))
+
+
+def test_real_root_count_by_sturm():
+    assert real_root_count(X**2 - 2) == 2
+    assert real_root_count(X**2 + 1) == 0
+    assert real_root_count(X**3 - 2) == 1
+    assert real_root_count((X - 1) * (X - 2) * (X + 3) * (X**2 + X + 1)) == 3
+    # roots 2.8e-100 apart: exact counting needs no precision
+    assert real_root_count(X**2 - Fraction(2, 10**200)) == 2
+    assert real_root_count(UniPoly([5])) == 0

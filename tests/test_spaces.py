@@ -1,5 +1,8 @@
 """Level-1 space machinery: dimensions, Miller basis, Hecke matrices, orbits."""
 
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,9 +21,15 @@ from mtv import (
     newform_basis_level1,
     validate_external_newform,
 )
+from mtv import polynomial
+from mtv.linalg import MatQ
+from mtv.numfield import NumberField
+from mtv.polynomial import UniPoly, poly_factor_q
 from mtv.qexp import QSeries
+from mtv.rational import format_rational
+from mtv.spaces import _krylov_eigenvector
 
-from _oracles import t2_charpoly_weight24
+from _oracles import elimination_eigenvector, t2_charpoly_weight24
 
 
 DIM_MODULAR = {0: 1, 2: 0, 4: 1, 6: 1, 8: 1, 10: 1, 12: 2, 14: 1, 16: 2,
@@ -152,3 +161,95 @@ def test_conductor_of_space():
     assert conductor_of_space(8, 5) == (5, [5])
     with pytest.raises(InputError):
         conductor_of_space(12, 6)
+
+
+def krylov_against_elimination(M):
+    chi = M.charpoly()
+    for g, mult in poly_factor_q(chi):
+        assert mult == 1
+        theta = -g.coeffs[0] if g.degree == 1 else NumberField(g).gen()
+        assert _krylov_eigenvector(M, chi, theta) == elimination_eigenvector(M, g)
+
+
+@pytest.mark.parametrize("weight", [12, 24, 36, 48, 60])
+def test_krylov_eigenvector_matches_elimination_on_t2(weight):
+    M, _ = hecke_matrix_level1(weight, 2)
+    krylov_against_elimination(M)
+
+
+def companion(g):
+    d = g.degree
+    return [[Fraction(int(i == j + 1)) if j < d - 1 else -g.coeffs[i]
+             for j in range(d)] for i in range(d)]
+
+
+def block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, r in enumerate(b):
+            rows[at + i][at : at + len(r)] = r
+        at += len(b)
+    return rows
+
+
+def conjugate(rows, rng, upper):
+    """U M U^-1 for a seeded unimodular U, built from elementary operations;
+    upper keeps U unitriangular, so M e_1 = M_11 e_1 survives."""
+    n = len(rows)
+    for _ in range(8):
+        i, j = rng.sample(range(n), 2)
+        if upper and i > j:
+            i, j = j, i
+        c = rng.randint(-3, 3)
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        for r in rows:
+            r[j] -= c * r[i]
+    return MatQ(rows)
+
+
+def test_krylov_eigenvector_mixed_degrees():
+    X = UniPoly.x()
+    blocks = [companion(X - 3), companion(X**2 - X - 1), companion(X**3 - 2)]
+    rng = random.Random(7)
+    for upper in (True, False):
+        # with upper set, e_1 is the eigenvector for 3, so h(M) e_1 vanishes
+        # for the other factors and the next unit vector is used
+        krylov_against_elimination(conjugate(block_diagonal(blocks), rng, upper))
+
+
+def test_newform_basis_needs_no_numeric_roots(monkeypatch):
+    def no_roots(*args, **kwargs):
+        raise AssertionError("the numeric factor search ran")
+
+    monkeypatch.setattr(polynomial, "root_cluster", no_roots)
+    orbs = newform_basis_level1(96, 16)
+    assert [f.degree for f in orbs] == [8]
+    assert orbs.orbits[0].field.is_totally_real()
+
+
+def orbit_digest(orbit_set):
+    doc = [
+        [nf.modulus.serialize(),
+         [[format_rational(c) for c in getattr(nf.a(n), "coords", (nf.a(n),))]
+          for n in range(nf.qexp.trunc + 1)]]
+        for nf in orbit_set.orbits
+    ]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of orbit_digest(newform_basis_level1(k, 64)): minimal
+# polynomials and every coefficient through q^64, as computed by row
+# reduction over the Hecke field before the Krylov route replaced it
+ORBIT_DIGESTS = {
+    84: "b67582bdc099273b", 86: "fe18d856bdf3e91d", 88: "08b46f4a02bea8ce",
+    90: "e953ae029ca7fc29", 92: "549fb00fcc66a4e8", 94: "a5f1266e86681695",
+    96: "d33c9e001d905a29", 98: "d681a8d00321265f", 100: "92d084191babe192",
+    102: "8133784974e306fc", 104: "33ed7b03fba71023", 106: "bf06c521920b6518",
+}
+
+
+@pytest.mark.parametrize("weight", sorted(ORBIT_DIGESTS))
+def test_high_weight_orbits_pinned(weight):
+    assert orbit_digest(newform_basis_level1(weight, 64)) == ORBIT_DIGESTS[weight]

@@ -271,6 +271,9 @@ def test_theorem_power2_quadratic_field(theorem_runs):
     res, _ = theorem_runs[(2, 4, 2)]
     assert res.weight_total == 24
     assert res.power == 2
+    # inputs through q^(N*order + 8) whatever the power: both routes reach
+    # q^(order + 8//N)
+    assert res.route_agree_through == 64 + 8 // 2
     (nf,) = list(res.orbit_set)
     assert nf.degree == 2
     assert nf.modulus.serialize() == ["-20468736", "-1080", "1"]
