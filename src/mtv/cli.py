@@ -164,7 +164,9 @@ def cmd_phi(args):
     if args.power < 1:
         raise InputError("power must be >= 1")
     N = args.level
-    h, hfr = product_inputs(N, spec, args.eis_weight, args.order)
+    # s_i of h^power has weight w*power*i: its Miller basis grows with the
+    # power, and so must the inputs
+    h, hfr = product_inputs(N, spec, args.eis_weight, args.order * args.power)
     if args.power != 1:
         h = h ** args.power
         hfr = hfr ** args.power

@@ -11,7 +11,12 @@ from fractions import Fraction
 from .errors import InputError, UnsupportedScopeError
 from .linalg import MatQ
 from .numerics import root_cluster
-from .polynomial import UniPoly, poly_factor_q, real_root_count
+from .polynomial import (
+    UniPoly,
+    poly_factor_q,
+    power_sums_from_elementary,
+    real_root_count,
+)
 
 
 class NumberField:
@@ -99,8 +104,6 @@ class NumberField:
         trace form Tr(y*z) of two elements only needs these.
         """
         if self._power_sums is None:
-            from .trace import power_sums_from_elementary  # trace imports this module
-
             d = self.degree
             cs = self.modulus.coeffs
             sym = [cs[d - i] if i % 2 == 0 else -cs[d - i] for i in range(1, d + 1)]

@@ -7,11 +7,12 @@ keeps the part squarefree and its degree, the degrees a proper factor over Q
 could have (the subset sums of the mod-p factor degrees); an empty
 intersection over the primes proves the part irreducible.  Only a part the
 sieve cannot certify goes to the numeric assist: cluster the roots at high
-precision, try subsets of roots as candidate factors, round the candidate's
-coefficients to integers, and certify by exact division.  A failed numeric
-candidate never produces a wrong answer, only a retry at doubled precision;
-the final multiply-back identity is checked unconditionally and raises
-VerificationError if it fails.
+precision, try subsets of roots as candidate factors (only of the sizes the
+sieve left possible), round the candidate's coefficients to integers, and
+certify by exact division.  A failed numeric candidate never produces a
+wrong answer, only a retry at doubled precision; the final multiply-back
+identity is checked unconditionally and raises VerificationError if it
+fails.
 """
 
 import itertools
@@ -239,21 +240,62 @@ def real_root_count(p):
     return sign_changes(at_neg) - sign_changes(at_pos)
 
 
+# -- Newton's identities, for any ring elements that add, multiply and scale
+# by a Fraction (rationals, q-series) --------------------------------------
+
+def elementary_from_power_sums(power_sums):
+    """e_1..e_m from p_1..p_m: m*e_m = sum_{i=1}^{m} (-1)^(i-1) e_(m-i) p_i."""
+    es = []
+    for m in range(1, len(power_sums) + 1):
+        acc = None
+        for i in range(1, m + 1):
+            prev = es[m - i - 1] if m - i >= 1 else None
+            term = power_sums[i - 1] if prev is None else prev * power_sums[i - 1]
+            if i % 2 == 0:
+                term = -term
+            acc = term if acc is None else acc + term
+        es.append(acc * Fraction(1, m))
+    return es
+
+
+def power_sums_from_elementary(sym, count):
+    """p_1..p_count from s_1..s_k (s_i = 0 beyond the list), Newton's identities.
+
+    p_m = sum_{i=1}^{m-1} (-1)^(i+1) s_i p_(m-i) + (-1)^(m+1) m s_m.
+    """
+    ps = []
+    for m in range(1, count + 1):
+        acc = None
+        for i in range(1, m):
+            if i <= len(sym):
+                term = sym[i - 1] * ps[m - i - 1]
+                if i % 2 == 0:
+                    term = -term
+                acc = term if acc is None else acc + term
+        if m <= len(sym):
+            tail = sym[m - 1] * Fraction(m if m % 2 else -m)
+            acc = tail if acc is None else acc + tail
+        if acc is None:
+            raise InputError("all symmetric functions vanish below index %d" % m)
+        ps.append(acc)
+    return ps
+
+
 # -- arithmetic in F_p[x]: int lists, constant first, no trailing zeros ------
 
-# The sieve's primes.  Below the weight, the T_2 polynomials of level-1
-# cusp spaces rarely reduce squarefree, or split into many small factors
-# (eigenforms mod p come from small weights), so the list reaches well past
-# the weights the engine can decompose: weight 106 certifies at p = 113.
-# These are the primes below 512.
+# The sieve's primes.  Modulo p below the weight, the T_2 polynomial of a
+# level-1 cusp space rarely stays squarefree or splits into few factors
+# (eigenforms mod p come from weights up to about p), so certificates come
+# from primes just above the weight.  Measured on the T_2 polynomials of
+# every even weight 24..260: the certifying prime is 1.0 to 1.4 times the
+# weight, at most 281 (weight 232), and every tier-1 test and benchmark input
+# certifies by 137.  The list stops at 293, the last prime below 300; a part
+# it cannot certify goes to the numeric search, which stays correct.
 _SIEVE_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
     151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229,
-    233, 239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293, 307, 311, 313,
-    317, 331, 337, 347, 349, 353, 359, 367, 373, 379, 383, 389, 397, 401, 409,
-    419, 421, 431, 433, 439, 443, 449, 457, 461, 463, 467, 479, 487, 491, 499,
-    503, 509,
+    233, 239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293,
 )
 
 
@@ -331,14 +373,13 @@ def _fp_ddf_degrees(f, p):
     return degrees
 
 
-def _certified_irreducible(P):
-    """True when the mod-p degree sieve proves the integer polynomial P irreducible.
+def _factor_degrees(P):
+    """Degrees a proper factor over Q of the integer polynomial P may have.
 
     A factor of P over Q of degree k reduces, modulo any prime p not dividing
     lc(P), to a product of some of the irreducible factors of P mod p, so k
     is a subset sum of their degrees.  Primes that divide lc(P) or leave the
-    reduction non-squarefree are skipped.  False means "not proved", never
-    "reducible".
+    reduction non-squarefree are skipped.  An empty set proves P irreducible.
     """
     n = P.degree
     ints = [int(c) for c in P.coeffs]
@@ -356,8 +397,8 @@ def _certified_irreducible(P):
             sums |= {s + d for s in sums}
         possible &= sums
         if not possible:
-            return True
-    return False
+            break
+    return possible
 
 
 def _round_to_int(x, slack):
@@ -367,11 +408,13 @@ def _round_to_int(x, slack):
     return n
 
 
-def _factor_squarefree_monic_int(H, prec0):
+def _factor_squarefree_monic_int(H, prec0, degrees):
     """Irreducible monic integer factors of a squarefree monic integer polynomial.
 
-    Returns factors in discovery order; the caller sorts.  Raises
-    PrecisionError if root accuracy can never support a trustworthy verdict.
+    Only subsets whose size is in degrees (every irreducible factor's degree
+    must be, see _factor_degrees) are tried.  Returns factors in discovery
+    order; the caller sorts.  Raises PrecisionError if root accuracy can
+    never support a trustworthy verdict.
     """
     n = H.degree
     if n <= 1:
@@ -399,6 +442,9 @@ def _factor_squarefree_monic_int(H, prec0):
         found = []
         size = 1
         while 2 * size <= len(remaining):
+            if size not in degrees:
+                size += 1
+                continue
             hit = None
             for subset in itertools.combinations(remaining, size):
                 # monic product of the chosen linear factors
@@ -468,7 +514,8 @@ def poly_factor_q(p, prec_bits=None):
         for part, mult in squarefree_parts(work):
             _, P = part.primitive_int()
             d = P.degree
-            if d <= 1 or _certified_irreducible(P):
+            degrees = _factor_degrees(P) if d > 1 else ()
+            if not degrees:
                 found = [part.monic()]
             else:
                 # monic integer transform: H(x) = lc^(d-1) * P(x/lc), so the
@@ -477,7 +524,7 @@ def poly_factor_q(p, prec_bits=None):
                 H = UniPoly([int(P.coeffs[i]) * lcP ** (d - 1 - i) for i in range(d)] + [1])
                 # map each factor back to a monic rational factor of the part
                 found = [G.scale_arg(lcP).monic()
-                         for G in _factor_squarefree_monic_int(H, prec0)]
+                         for G in _factor_squarefree_monic_int(H, prec0, degrees)]
             for f in found:
                 result[f.coeffs] = result.get(f.coeffs, 0) + mult
     factors = sorted(

@@ -32,6 +32,7 @@ from .errors import (
 from .linalg import MatQ
 from .numerics import eval_qseries, to_mpf
 from .numfield import CycloField, nf_charpoly, nf_norm, nf_trace, trace_form
+from .polynomial import elementary_from_power_sums, power_sums_from_elementary
 from .qexp import (
     EtaQuotientSpec,
     QSeries,
@@ -42,6 +43,8 @@ from .qexp import (
 )
 from .spaces import (
     conductor_of_space,
+    dim_cusp_level1,
+    dim_modular_level1,
     expand_in_triangular,
     miller_basis,
     newform_basis_level1,
@@ -161,9 +164,8 @@ def fricke_eta_series(spec, level, trunc):
 def product_inputs(level, eta_spec, eis_weight, order):
     """h = (eta quotient) * (Eisenstein row) and its Fricke image h|w_N.
 
-    Both trace routes read the Fricke image on the q^(1/N) grid, so they
-    reach q^(T // N) for inputs known through q^T; T = N*order + 8 takes
-    them to q^(order + 8//N) whatever power of h is traced afterwards.
+    Both are known through q^(N*order + 8); the trace routes read the Fricke
+    image on the q^(1/N) grid, so they reach q^(order + 8//N).
     """
     T_in = level * order + 8
     g = eta_quotient(eta_spec, T_in, level=level)
@@ -206,44 +208,6 @@ def _integral_exponent_part(s):
     return QSeries(
         coeffs, e=1, trunc=s.trunc, weight=s.weight, level=s.level, field=s.field
     )
-
-
-def elementary_from_power_sums(power_sums):
-    """e_1..e_m from p_1..p_m: m*e_m = sum_{i=1}^{m} (-1)^(i-1) e_(m-i) p_i."""
-    es = []
-    for m in range(1, len(power_sums) + 1):
-        acc = None
-        for i in range(1, m + 1):
-            prev = es[m - i - 1] if m - i >= 1 else None
-            term = power_sums[i - 1] if prev is None else prev * power_sums[i - 1]
-            if i % 2 == 0:
-                term = -term
-            acc = term if acc is None else acc + term
-        es.append(acc * Fraction(1, m))
-    return es
-
-
-def power_sums_from_elementary(sym, count):
-    """p_1..p_count from s_1..s_k (s_i = 0 beyond the list), Newton's identities.
-
-    p_m = sum_{i=1}^{m-1} (-1)^(i+1) s_i p_(m-i) + (-1)^(m+1) m s_m.
-    """
-    ps = []
-    for m in range(1, count + 1):
-        acc = None
-        for i in range(1, m):
-            if i <= len(sym):
-                term = sym[i - 1] * ps[m - i - 1]
-                if i % 2 == 0:
-                    term = -term
-                acc = term if acc is None else acc + term
-        if m <= len(sym):
-            tail = sym[m - 1] * Fraction(m if m % 2 else -m)
-            acc = tail if acc is None else acc + tail
-        if acc is None:
-            raise InputError("all symmetric functions vanish below index %d" % m)
-        ps.append(acc)
-    return ps
 
 
 def transformation_polynomial(h, h_fricke, level, validate=True):
@@ -476,8 +440,13 @@ def verify_theorem(level, eta_pairs, eis_weight, power, order=64):
         raise InputError("order must be >= 8")
     if spec.leading_exponent < 1 or spec.fricke_partner(N).leading_exponent < 1:
         raise UnsupportedScopeError("eta quotient must vanish at both cusps")
-    h, hfr = product_inputs(N, spec, eis_weight, order)
-    w = h.weight
+    # the routes must reach the requested order, the validation of the s_i
+    # (weights w*i, i <= N+1) the leads of the Miller basis, and the newform
+    # expansion its dim S_W unknowns with 8 coefficients to spare
+    w = spec.weight + int(eis_weight)
+    reach = max(order, dim_modular_level1(w * (N + 1)),
+                dim_cusp_level1(w * power) + 8)
+    h, hfr = product_inputs(N, spec, eis_weight, reach)
     H = h**power
     Hfr = hfr**power
     W = w * power

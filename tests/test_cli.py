@@ -149,13 +149,24 @@ def test_verification_failure_exits2(monkeypatch, capsys):
 @pytest.mark.parametrize("args", [
     # the weight-84 s_6 needs 8 basis elements, the series reach q^2
     ["phi", "--level", "5", "--eis-weight", "10", "--order", "1"],
-    ["phi", "--level", "2", "--eis-weight", "4", "--power", "3", "--order", "2"],
+    # the weight-108 s_3 of h^3 needs 10 basis elements, the series reach q^7
+    ["phi", "--level", "2", "--eis-weight", "4", "--power", "3", "--order", "1"],
 ])
 def test_too_short_phi_exits4(args):
     proc = run_cli(args)
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert "raise the order" in proc.stderr
+
+
+def test_phi_inputs_grow_with_power():
+    # the same weight-108 s_3 at order 4: inputs through q^(2*4*3 + 8) reach
+    # q^16, past the ten basis leads
+    proc = run_cli(["phi", "--level", "2", "--eis-weight", "4", "--power", "3",
+                    "--order", "4"])
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert [s["weight"] for s in doc["symmetric"]] == [36, 72, 108]
 
 
 def test_resource_failure_exits4(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -136,8 +137,8 @@ def test_ddf_degrees_match_brute_force(p):
         checked += 1
 
 
-def test_sieve_primes_are_the_primes_below_512():
-    assert polynomial._SIEVE_PRIMES == tuple(sympy.primerange(2, 512))
+def test_sieve_primes_are_the_primes_below_300():
+    assert polynomial._SIEVE_PRIMES == tuple(sympy.primerange(2, 300))
 
 
 def test_sieve_never_certifies_a_product():
@@ -146,7 +147,26 @@ def test_sieve_never_certifies_a_product():
         a = random_int_poly(rng, rng.randint(1, 4), 30)
         b = random_int_poly(rng, rng.randint(1, 4), 30)
         _, P = (a * b).primitive_int()
-        assert not polynomial._certified_irreducible(P), (a, b)
+        # a true factor degree never leaves the candidate set
+        assert a.degree in polynomial._factor_degrees(P), (a, b)
+
+
+def test_numeric_search_tries_only_sieve_degrees(monkeypatch):
+    p = (X**2 - 2) * (X**2 - 3) * (X**2 - 5)
+    _, P = p.primitive_int()
+    assert polynomial._factor_degrees(P) == {2, 4}
+    sizes = []
+
+    class SpyItertools:
+        @staticmethod
+        def combinations(pool, r):
+            sizes.append(r)
+            return itertools.combinations(pool, r)
+
+    monkeypatch.setattr(polynomial, "itertools", SpyItertools)
+    got = [f for f, _ in poly_factor_q(p)]
+    assert got == [X**2 - 5, X**2 - 3, X**2 - 2]
+    assert set(sizes) == {2}
 
 
 def test_sieve_certifies_without_roots(monkeypatch):
@@ -160,12 +180,12 @@ def test_sieve_certifies_without_roots(monkeypatch):
     # irreducible over Q yet reducible modulo every prime: not certified, so
     # the numeric search is the route that proves it
     _, P = (X**4 - 10 * X**2 + 1).primitive_int()
-    assert not polynomial._certified_irreducible(P)
+    assert polynomial._factor_degrees(P) == {2}
 
 
 def test_failed_multiply_back_raises_verification_error(monkeypatch):
     monkeypatch.setattr(polynomial, "_factor_squarefree_monic_int",
-                        lambda H, prec: [H + 1])
+                        lambda H, prec, degrees: [H + 1])
     with pytest.raises(VerificationError):
         poly_factor_q((X - 1) * (X - 2))
 

@@ -12,6 +12,7 @@ from mtv import (
     UnsupportedScopeError,
     VerificationError,
     delta_series,
+    dim_cusp_level1,
     eisenstein_prime_level,
     eta_quotient,
     expand_in_newforms,
@@ -23,14 +24,9 @@ from mtv import (
     transformation_polynomial,
     verify_theorem,
 )
+from mtv.polynomial import elementary_from_power_sums, power_sums_from_elementary
 from mtv.qexp import EtaQuotientSpec, QSeries
-from mtv.trace import (
-    CosetData,
-    coset_translates,
-    elementary_from_power_sums,
-    fricke_eta_data,
-    power_sums_from_elementary,
-)
+from mtv.trace import CosetData, coset_translates, fricke_eta_data
 
 from conftest import eta_of
 
@@ -267,12 +263,22 @@ def test_theorem_weight12_runs(theorem_runs):
         assert len(res.phi_symmetric) == res.level + 1
 
 
+def test_theorem_high_power_low_order_sizes_inputs_from_cusp_dimension():
+    # weight 14*9 = 126 has a 10-dimensional cusp space: order 8 alone would
+    # leave the routes at q^9, too short to solve for ten coefficients
+    res = verify_theorem(5, {1: 4, 5: 4}, 10, 9, order=8)
+    assert res.weight_total == 126
+    assert dim_cusp_level1(126) == 10
+    assert res.route_agree_through == 10 + 8 + 8 // 5
+    assert sum(nf.degree for nf in res.orbit_set) == 10
+
+
 def test_theorem_power2_quadratic_field(theorem_runs):
     res, _ = theorem_runs[(2, 4, 2)]
     assert res.weight_total == 24
     assert res.power == 2
-    # inputs through q^(N*order + 8) whatever the power: both routes reach
-    # q^(order + 8//N)
+    # order 64 already covers dim S_24 + 8, so both routes reach
+    # q^(order + 8//N) whatever the power
     assert res.route_agree_through == 64 + 8 // 2
     (nf,) = list(res.orbit_set)
     assert nf.degree == 2
