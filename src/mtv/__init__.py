@@ -1,9 +1,11 @@
 """mtv: exact trace identities for eta-quotient and Eisenstein products.
 
 The engine works with q-expansions over Q and over number fields, all
-arithmetic exact.  Floating point appears only in two places, both
-certified: oracle comparisons against lattice sums, and period recovery
-for elliptic specializations.
+arithmetic exact.  Floating point appears only in two places: oracle
+comparisons against lattice sums, and period recovery for elliptic
+specializations.  Both carry error bounds.  The lattice-sum error (truncation
+tail plus rounding) and the rounding of q-series evaluation are proven; the
+tail of a q-series evaluation past its truncation is a fitted majorant.
 """
 
 from .errors import (
@@ -12,6 +14,7 @@ from .errors import (
     NonconvergentError,
     PrecisionError,
     ReconstructionError,
+    ResourceLimitError,
     TruncationError,
     UnsupportedScopeError,
     VerificationError,
@@ -83,6 +86,7 @@ __all__ = [
     "PrecisionError",
     "QSeries",
     "ReconstructionError",
+    "ResourceLimitError",
     "TheoremResult",
     "TruncationError",
     "UnsupportedScopeError",

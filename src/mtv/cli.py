@@ -30,6 +30,7 @@ from .errors import (
     NonconvergentError,
     PrecisionError,
     ReconstructionError,
+    ResourceLimitError,
     TruncationError,
     UnsupportedScopeError,
     VerificationError,
@@ -42,11 +43,13 @@ from .trace import product_inputs, transformation_polynomial, verify_theorem
 
 # cusp inputs shipped with the engine, keyed by prime level
 BUNDLED_ETA = {
-    1: {1: 24},
     2: {1: 8, 2: 8},
     3: {1: 6, 3: 6},
     5: {1: 4, 5: 4},
 }
+
+# cap on the lattice points of one oracle sum: (2B + 1) B at bound B
+MAX_ORACLE_TERMS = 10**7
 
 
 def parse_eta(text):
@@ -203,6 +206,13 @@ def cmd_phi(args):
 
 
 def cmd_oracle(args):
+    bound = max(args.bound, 0)  # a bound below 1 is refused as malformed later
+    terms = (2 * bound + 1) * bound
+    if terms > MAX_ORACLE_TERMS:
+        raise ResourceLimitError(
+            "oracle --bound %d would sum %d lattice terms, above the cap of %d"
+            % (args.bound, terms, MAX_ORACLE_TERMS)
+        )
     tau = parse_tau(args.tau)
     prec = args.prec
     T = args.series_order
@@ -325,7 +335,8 @@ def build_parser():
 _EXIT_BY_ERROR = (
     (VerificationError, 2),
     ((InputError, UnsupportedScopeError), 3),
-    ((PrecisionError, ReconstructionError, TruncationError, NonconvergentError), 4),
+    ((PrecisionError, ReconstructionError, TruncationError, NonconvergentError,
+      ResourceLimitError), 4),
 )
 
 

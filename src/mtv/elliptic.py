@@ -14,7 +14,7 @@ import mpmath
 from mpmath import mpc, mpf
 
 from .errors import InputError, PrecisionError, VerificationError
-from .numerics import BigComplex, eval_qseries, to_mpc
+from .numerics import BigComplex, _qseries_value, eval_qseries, to_mpc
 from .numfield import nf_trace
 from .polynomial import UniPoly, poly_factor_q
 from .qexp import eisenstein_level1
@@ -240,9 +240,9 @@ def _invert_j_newton(jv, prec_bits):
                 tau = tau_r
             T = _order_for(float(tau.imag), prec_bits)
             E4s, E6s, Ds = _level1_series(T)
-            e4 = eval_qseries(E4s, tau, prec_bits + 16).value
-            e6 = eval_qseries(E6s, tau, prec_bits + 16).value
-            dd = eval_qseries(Ds, tau, prec_bits + 16).value
+            e4 = _qseries_value(E4s, tau, prec_bits + 16)
+            e6 = _qseries_value(E6s, tau, prec_bits + 16)
+            dd = _qseries_value(Ds, tau, prec_bits + 16)
             jval = e4**3 / dd
             jder = -two_pi_i * e4**2 * e6 / dd
             if jder == 0:
@@ -332,7 +332,7 @@ class CorollaryResult:
     __slots__ = (
         "theorem", "curve", "lhs", "rhs", "equal", "condition_a",
         "phi_factor_degrees", "interpretation", "condition_b", "pair",
-        "j_level_tau",
+        "j_level_tau", "missing",
     )
 
     def __init__(self, **kw):
@@ -355,6 +355,8 @@ class CorollaryResult:
             d["lattice"] = self.pair.serialize()
         if self.j_level_tau is not None:
             d["j_at_level_tau"] = self.j_level_tau.serialize(30)
+        if self.missing:
+            d["missing_sections"] = self.missing
         return d
 
 
@@ -388,13 +390,20 @@ def verify_corollary(level, eta_pairs, eis_weight, power, curve, order=64,
             "identity holds; specialized polynomial splits, so the field "
             "interpretation degenerates to the factor fields"
         )
+    # the numeric sections are optional; a precision failure drops them
+    # with its reason instead of failing the exact identity
     pair = None
     jN = None
+    missing = {}
     try:
         pair = tau_from_curve(curve, prec_bits)
-        jN = j_invariant_numeric(pair.tau * level, prec_bits)
-    except PrecisionError:
-        pass
+    except PrecisionError as exc:
+        missing["lattice"] = missing["j_at_level_tau"] = str(exc)
+    if pair is not None:
+        try:
+            jN = j_invariant_numeric(pair.tau * level, prec_bits)
+        except PrecisionError as exc:
+            missing["j_at_level_tau"] = str(exc)
     return CorollaryResult(
         theorem=res,
         curve=curve,
@@ -407,4 +416,5 @@ def verify_corollary(level, eta_pairs, eis_weight, power, curve, order=64,
         condition_b="base field is Q, coefficient comparison is exact; nothing further to check",
         pair=pair,
         j_level_tau=jN,
+        missing=missing,
     )

@@ -31,3 +31,7 @@ class ReconstructionError(MtvError):
 
 class NonconvergentError(MtvError):
     """Dirichlet partial sum requested outside its convergence range."""
+
+
+class ResourceLimitError(MtvError):
+    """A request whose size exceeds a fixed cap, refused before any work."""

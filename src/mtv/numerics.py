@@ -1,7 +1,13 @@
 """Arbitrary-precision numeric layer.
 
-Heuristic (not interval-certified) error tracking: every value carries an
-additive error magnitude that honest tests are expected to respect.  All
+Every value carries an additive error magnitude.  The two hot loops run in
+exact integer fixed point, so their rounding is bounded by proof, not by a
+fit: the coset sum of lattice_sum_eisenstein reports its truncation tail
+plus its rounding, both proven, and eval_qseries reports a proven bound on
+its Horner rounding and on the error of q, plus a tail for the coefficients
+past the truncation that is a fitted majorant (a heuristic, since those
+coefficients are unknown to it).  Both bounds take mpmath's elementary
+functions at their working precision as correct to a few ulps.  All
 load-bearing identities elsewhere in the package are exact; this layer only
 cross-checks them and supports root isolation for factorization.
 """
@@ -133,64 +139,141 @@ def kronecker(a, n):
     return k if n == 1 else 0
 
 
-def eval_qseries(f, tau, prec_bits=None):
-    """Evaluate a rational-coefficient q-expansion at tau in the upper half-plane.
-
-    f needs .coeffs (index m = coefficient of q^(m/e)) and .e.  The result
-    error combines a fitted-majorant tail estimate for the unknown
-    coefficients past the truncation with a rounding allowance.
-    """
-    prec = _check_prec(prec_bits)
-    coeffs = list(f.coeffs)
+def _series_ints(f):
+    """(numerators, common denominator, e) of a rational series on the q^(1/e) grid."""
     e = int(getattr(f, "e", 1))
+    num = getattr(f, "_num", None)
+    if num is not None:
+        return num, f._den, e
+    coeffs = list(f.coeffs)
     for c in coeffs:
         if not isinstance(c, (int, Fraction)):
             raise InputError("eval_qseries handles rational-coefficient series only")
-    M = len(coeffs) - 1
-    if M < 0:
-        return BigComplex(0, 0)
-    guard = 16 + (M + 2).bit_length()
-    with mp.workprec(prec + guard):
+    den = math.lcm(*[Fraction(c).denominator for c in coeffs])
+    return [int(c * den) for c in coeffs], den, e
+
+
+def _man_exp(x):
+    """(m, e) with x = m 2^e exactly, m signed (mpf.man_exp drops the sign)."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
+def _fixed(x, P):
+    """floor(x * 2^P) for a finite mpf x, exactly."""
+    man, exp = _man_exp(x)
+    return man << (exp + P) if exp + P >= 0 else man >> -(exp + P)
+
+
+def _horner(num, den, e, tau, prec):
+    """sum_m num[m]/den q^(m/e) at tau by fixed-point Horner.
+
+    q = e(tau/e) comes from mpmath once, at W = prec + 16 + bitlen(M + 2)
+    bits, and is floored to the Gaussian integer Q = (qx, qy) in units of
+    2^-P, where P = W + log2(1/|q|) keeps the W-bit relative accuracy of q
+    (at most 2W: a smaller q moves the sum by less than its rounding).
+    The sum starts at the first nonzero numerator num[v], so the integer
+    numerators keep the partial sums >= 1 in size, and is multiplied by q^v
+    at the end.  Each step floors one complex product, an error below
+    sqrt(2) units of 2^-P that later steps multiply by |Q| 2^-P < 1.
+
+    Returns (value, W, P, v, q, (qx, qy)) with value an mpc at W bits.
+    """
+    M = len(num) - 1
+    W = prec + 16 + (M + 2).bit_length()
+    with mp.workprec(W):
         tau = to_mpc(tau)
-        if tau.imag <= 0:
+        if not mpmath.isfinite(tau) or tau.imag <= 0:
             raise InputError("tau must lie in the upper half-plane")
-        q1 = mpmath.expjpi(2 * tau / e)
-        r = abs(q1)
-        if r >= 1:
+        q = mpmath.expjpi(2 * tau / e)
+        if abs(q) >= 1:
             raise InputError("tau must lie in the upper half-plane")
-        acc = mpc(0)
-        for c in reversed(coeffs):
-            acc = acc * q1
-            if c:
-                acc = acc + to_mpf(c)
-        # tail majorant |c_m| <= C*(m+1)^alpha fitted on the computed range
-        alpha = mpf(0)
-        for m, c in enumerate(coeffs):
-            if m >= 2 and c:
-                a = mpmath.log(abs(to_mpf(c))) / mpmath.log(m + 1)
-                if a > alpha:
-                    alpha = a
-        C = mpf(0)
-        absr_sum = mpf(0)
-        rpow = mpf(1)
-        for m, c in enumerate(coeffs):
-            if c:
-                am = abs(to_mpf(c))
-                absr_sum += am * rpow
-                cm = am / mpf(m + 1) ** alpha
-                if cm > C:
-                    C = cm
-            rpow *= r
-        if C == 0:
-            C = mpf(1)
-        rho = r * (1 + mpf(1) / (M + 2)) ** alpha
-        if rho >= mpf(63) / 64:
-            raise InputError(
-                "Im(tau) too small for the truncation order; evaluate with a larger series order"
-            )
-        tail = 4 * C * mpf(M + 2) ** alpha * r ** (M + 1) / (1 - rho)
-        rounding = (absr_sum + 1) * (M + 2) * mpf(2) ** (-(prec + guard) + 4)
-        return BigComplex(acc, tail + rounding)
+        P = W + min(W, max(0, -mpmath.mag(q)))
+        qx, qy = _fixed(q.real, P), _fixed(q.imag, P)
+        v = next((m for m, c in enumerate(num) if c), M + 1)
+        ax = ay = 0
+        for m in range(M, v - 1, -1):
+            ax, ay = ((ax * qx - ay * qy) >> P) + (num[m] << P), (ax * qy + ay * qx) >> P
+        value = mpc(mpmath.ldexp(mpf(ax), -P), mpmath.ldexp(mpf(ay), -P)) / den
+        if v:
+            value *= q**v
+        return value, W, P, v, q, (qx, qy)
+
+
+def _qseries_value(f, tau, prec_bits=None):
+    """The value eval_qseries returns, without its error bound."""
+    num, den, e = _series_ints(f)
+    if not num:
+        return mpc(0)
+    return _horner(num, den, e, tau, _check_prec(prec_bits))[0]
+
+
+def _upper_sum(vals, rho64):
+    """An integer >= sum_j vals[j] (rho64 / 2^64)^j, for nonnegative ints vals."""
+    acc = 0
+    for x in reversed(vals):
+        acc = -((-acc * rho64) >> 64) + x
+    return acc
+
+
+def _fitted_tail(num, den, ln_r):
+    """Heuristic tail majorant for the coefficients past the truncation.
+
+    Fits |c_m| <= C (m + 1)^alpha on the computed range (alpha from m >= 2)
+    and sums that majorant past M: 4 C (M + 2)^alpha r^(M+1) / (1 - rho) with
+    rho = r (1 + 1/(M + 2))^alpha.  Not a proof: the coefficients past M are
+    unknown.  The logarithms are floats of the exact integers; alpha and the
+    final exponent are rounded up, and the tail grows with alpha, so the
+    float arithmetic never gives less than the fit computed exactly.
+    """
+    M = len(num) - 1
+    lden = math.log(den)
+    logs = [(m, math.log(abs(c)) - lden) for m, c in enumerate(num) if c]
+    alpha = max([lc / math.log(m + 1) for m, lc in logs if m >= 2] + [0.0])
+    alpha += 2**-40 * (1 + alpha)
+    ln_c = max([lc - alpha * math.log(m + 1) for m, lc in logs], default=0.0)
+    rho = math.exp(ln_r + alpha * math.log1p(1 / (M + 2))) * (1 + 2**-40)
+    if rho >= 63 / 64:
+        raise InputError(
+            "Im(tau) too small for the truncation order; evaluate with a larger series order"
+        )
+    parts = (math.log(4), ln_c, alpha * math.log(M + 2), (M + 1) * ln_r,
+             -math.log1p(-rho))
+    slack = 2**-40 * (1 + sum(map(abs, parts)) + max([abs(lc) for _, lc in logs], default=0))
+    return mpmath.exp(math.fsum(parts) + slack)
+
+
+def eval_qseries(f, tau, prec_bits=None):
+    """Evaluate a rational-coefficient q-expansion at tau in the upper half-plane.
+
+    f is a rational QSeries, or any object with .coeffs (index m = coefficient
+    of q^(m/e), ints or Fractions) and .e.  The error is the proven bound on
+    the fixed-point rounding (see _horner) and on the error of q itself,
+    propagated through sum m |c_m| rho^(m-1), plus the fitted tail majorant
+    of _fitted_tail for the unknown coefficients past the truncation, which
+    is a heuristic.
+    """
+    prec = _check_prec(prec_bits)
+    num, den, e = _series_ints(f)
+    if not num:
+        return BigComplex(0, 0)
+    value, W, P, v, q, (qx, qy) = _horner(num, den, e, tau, prec)
+    with mp.workprec(W):
+        tau = to_mpc(tau)
+        tail = _fitted_tail(num, den, float(-2 * mpmath.pi * tau.imag / e))
+        # |Q 2^-P - q| <= D 2^-P: the floor of q, plus mpmath's q taken as
+        # correct to 8 ulps of W bits after the 2 pi |tau| / e amplification
+        # of the rounding of 2 tau / e
+        D = int(mpmath.ldexp(abs(q), P - W) * (8 + 8 * abs(tau))) + 3
+        # rho bounds |q|, |Q| 2^-P and the mpmath q, in units of 2^-64
+        rho64 = ((math.isqrt(qx * qx + qy * qy) + 1 + D) >> (P - 64)) + 1
+        horner = _upper_sum([1] * (len(num) - v), rho64)
+        if v:
+            horner *= (mpf(rho64) / 2**64) ** v
+        dq = _upper_sum([m * abs(c) for m, c in enumerate(num)][1:], rho64)
+        rounding = (math.sqrt(2) * horner + D * dq) / (den * mpf(2) ** P)
+        rounding += abs(value) * (8 + 8 * v) * mpf(2) ** -W
+        return BigComplex(value, tail + rounding)
 
 
 def _lattice_tail_bound(lam, N, X, Y, B):
@@ -219,6 +302,51 @@ def _lattice_tail_bound(lam, N, X, Y, B):
     return c_tail + d_tail
 
 
+def _lattice_kernel(k, N, B, X, Y, s, P, chis):
+    """Fixed-point coset sum for tau = (X + iY)/2^s, in units of 2^-P.
+
+    With W = (cX + d 2^s) + i cY, a Gaussian integer, the term is
+    (c tau + d)^-k = 2^(ks) conj(W)^k / |W|^(2k); each component is floored
+    by one integer division, an error below 1 unit.  chis[d + B] is the
+    character value at d.  Returns (re, im, number of terms), the c = 0
+    term 1 included.
+    """
+    half, odd = divmod(k, 2)
+    shift = P + k * s
+    row_d = [(d, d << s, chi) for d, chi in zip(range(-B, B + 1), chis) if chi]
+    sx, sy, n = 1 << P, 0, 1
+    for c in range(N, B * N + 1, N):
+        cx = c * X
+        b = c * Y
+        b2 = b * b
+        rx = ry = 0
+        for d, d2s, chi in row_d:
+            if math.gcd(c, d) != 1:
+                continue
+            a = cx + d2s
+            a2 = a * a
+            # conj(W)^2, raised to k // 2, times conj(W) when k is odd
+            ux, uy = a2 - b2, -2 * a * b
+            vx, vy = ux, uy
+            for _ in range(half - 1):
+                vx, vy = vx * ux - vy * uy, vx * uy + vy * ux
+            if odd:
+                vx, vy = vx * a + vy * b, vy * a - vx * b
+            den = (a2 + b2) ** k
+            tx = (vx << shift) // den
+            ty = (vy << shift) // den
+            if chi > 0:
+                rx += tx
+                ry += ty
+            else:
+                rx -= tx
+                ry -= ty
+            n += 1
+        sx += rx
+        sy += ry
+    return sx, sy, n
+
+
 def lattice_sum_eisenstein(weight, level, tau, bound, character=None, prec_bits=None):
     """Truncated coset sum 1 + sum chi(d) (c tau + d)^(-weight) over the
     Gamma_infinity orbit representatives with 0 < c <= bound*level, level | c,
@@ -226,7 +354,10 @@ def lattice_sum_eisenstein(weight, level, tau, bound, character=None, prec_bits=
 
     The numeric oracle for the exact Eisenstein constructors.  character is
     None (trivial) or a Kronecker-symbol discriminant for a real quadratic
-    character.  The attached error is the explicit truncation bound.
+    character.  tau is taken as the dyadic point to_mpc gives at prec + 16
+    bits and summed exactly in fixed point (_lattice_kernel).  The attached
+    error is proven: the explicit truncation bound, plus sqrt(2) 2^-P per
+    term for the floors, plus the final rounding to prec + 16 bits.
     """
     lam = int(weight)
     N = int(level)
@@ -236,33 +367,19 @@ def lattice_sum_eisenstein(weight, level, tau, bound, character=None, prec_bits=
     if N < 1 or B < 1:
         raise InputError("level and bound must be positive")
     prec = _check_prec(prec_bits)
-    with mp.workprec(prec + 16):
+    W = prec + 16
+    with mp.workprec(W):
         tau = to_mpc(tau)
-        if tau.imag <= 0:
+        if not mpmath.isfinite(tau) or tau.imag <= 0:
             raise InputError("tau must lie in the upper half-plane")
-        half = lam // 2
-        odd = lam % 2
-        total = mpc(1)  # the c = 0 orbit
-        nterms = 1
-        for c in range(N, B * N + 1, N):
-            ctau = c * tau
-            row = mpc(0)
-            for d in range(-B, B + 1):
-                if math.gcd(c, abs(d)) != 1:
-                    continue
-                chi = 1 if character is None else kronecker(character, d)
-                if chi == 0:
-                    continue
-                w = ctau + d
-                w2inv = 1 / (w * w)
-                term = w2inv ** half
-                if odd:
-                    term = term / w
-                row += term if chi == 1 else -term
-                nterms += 1
-            total += row
+        s = max(0, -_man_exp(tau.real)[1], -_man_exp(tau.imag)[1])
+        X, Y = _fixed(tau.real, s), _fixed(tau.imag, s)
+        P = W + ((2 * B + 1) * B + 1).bit_length() + 2
+        chis = [1 if character is None else kronecker(character, d) for d in range(-B, B + 1)]
+        sx, sy, nterms = _lattice_kernel(lam, N, B, X, Y, s, P, chis)
+        total = mpc(mpmath.ldexp(mpf(sx), -P), mpmath.ldexp(mpf(sy), -P))
         tail = _lattice_tail_bound(lam, N, tau.real, tau.imag, B)
-        rounding = nterms * mpf(2) ** (-prec - 8)
+        rounding = math.sqrt(2) * nterms * mpf(2) ** -P + abs(total) * mpf(2) ** (1 - W)
         return BigComplex(total, tail + rounding)
 
 

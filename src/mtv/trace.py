@@ -31,7 +31,7 @@ from .errors import (
 )
 from .linalg import MatQ
 from .numerics import eval_qseries, to_mpf
-from .numfield import CycloField, nf_charpoly, nf_norm, nf_trace, trace_form
+from .numfield import CycloField, nf_charpoly, nf_trace, trace_form
 from .polynomial import elementary_from_power_sums, power_sums_from_elementary
 from .qexp import (
     EtaQuotientSpec,
@@ -396,6 +396,8 @@ class TheoremResult:
         orbits = []
         for nf, c, xi in zip(self.orbit_set.orbits, self.components, self.ratios):
             cp = nf_charpoly(xi)
+            # the norm is the signed constant term of the charpoly
+            norm = cp.coeffs[0] if cp.degree % 2 == 0 else -cp.coeffs[0]
             orbits.append({
                 "degree": nf.degree,
                 "hecke_minpoly": nf.modulus.serialize() if nf.modulus is not None else None,
@@ -403,7 +405,7 @@ class TheoremResult:
                 "component": fmt_elem(c),
                 "ratio": fmt_elem(xi),
                 "ratio_trace": format_rational(nf_trace(xi)),
-                "ratio_norm": format_rational(nf_norm(xi)),
+                "ratio_norm": format_rational(norm),
                 "ratio_charpoly": cp.serialize(),
                 "totally_real": True if nf.field is None else nf.field.is_totally_real(),
             })

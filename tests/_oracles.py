@@ -4,14 +4,18 @@ Everything here is deliberately naive.  Bernoulli numbers come from sympy,
 products are plain convolutions, factorizations over F_p are found by trial
 division by every monic polynomial, and the weight-24 Hecke data is solved
 by hand on an explicit basis; none of it shares code with the package.  The
-one exception is `elimination_eigenvector`, the package's former newform
+exceptions are `elimination_eigenvector`, the package's former newform
 route (row reduction over the Hecke field with `MatQ.nullspace`), kept as the
-reference for the Krylov eigenvectors.  Slow is fine.
+reference for the Krylov eigenvectors, and `lattice_sum_ref` /
+`eval_qseries_ref`, the former mpmath loops of the numeric layer, kept as the
+references for its fixed-point kernels.  Slow is fine.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
+import mpmath
 import sympy
 
 
@@ -194,3 +198,47 @@ def elimination_eigenvector(M, g):
     assert len(null) == 1
     v = list(null[0])
     return [x / v[0] for x in v]
+
+
+def kronecker_ref(D, n):
+    """Kronecker symbol (D|n) from its definition: multiplicative in n, with
+    (D|-1) = sign D, (D|2) by D mod 8, and Legendre symbols at odd primes."""
+    if n == 0:
+        return 1 if abs(D) == 1 else 0
+    k = -1 if n < 0 and D < 0 else 1
+    for p, e in sympy.factorint(abs(n)).items():
+        if p == 2:
+            s = 0 if D % 2 == 0 else (1 if D % 8 in (1, 7) else -1)
+        else:
+            s = int(sympy.legendre_symbol(D % p, p)) if D % p else 0
+        k *= s**e
+    return k
+
+
+def lattice_sum_ref(weight, level, tau, bound, character, prec):
+    """1 + sum chi(d) (c tau + d)^-weight over 0 < c <= bound*level, level | c,
+    |d| <= bound, gcd(c, d) = 1, summed term by term in mpmath at prec bits."""
+    chis = {d: 1 if character is None else kronecker_ref(character, d)
+            for d in range(-bound, bound + 1)}
+    with mpmath.workprec(prec):
+        tau = mpmath.mpc(tau)
+        total = mpmath.mpc(1)
+        for c in range(level, bound * level + 1, level):
+            for d in range(-bound, bound + 1):
+                if math.gcd(c, abs(d)) != 1:
+                    continue
+                chi = chis[d]
+                if chi:
+                    total += chi / (c * tau + d) ** weight
+        return total
+
+
+def eval_qseries_ref(coeffs, e, tau, prec):
+    """sum coeffs[m] q^(m/e) at tau by mpmath Horner at prec bits."""
+    with mpmath.workprec(prec):
+        q = mpmath.expjpi(2 * mpmath.mpc(tau) / e)
+        acc = mpmath.mpc(0)
+        for c in reversed(coeffs):
+            c = Fraction(c)
+            acc = acc * q + mpmath.mpf(c.numerator) / c.denominator
+        return acc

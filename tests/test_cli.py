@@ -121,6 +121,7 @@ def test_reports_are_deterministic():
     ["oracle", "--eis-weight", "4", "--level", "2", "--tau", "0.5,-1"],
     ["oracle", "--eis-weight", "4", "--level", "2", "--tau", "nan,1"],
     ["oracle", "--eis-weight", "4", "--level", "2", "--tau", "0.1,inf"],
+    ["theorem", "--level", "1", "--eis-weight", "4"],
 ])
 def test_malformed_requests_exit3(args):
     proc = run_cli(args)
@@ -177,3 +178,25 @@ def test_resource_failure_exits4(monkeypatch, capsys):
     rc = cli.main(["specialize", "--curve", "4,1"])
     assert rc == 4
     assert "no bits left" in capsys.readouterr().err
+
+
+def test_oracle_bound_over_the_term_cap_exits4(monkeypatch, capsys):
+    # (2B + 1) B = 9,992,685 at B = 2235 and 10,001,628 at B = 2236; the
+    # planted series constructor shows where the run would start summing
+    def reached(*a, **kw):
+        raise VerificationError("reached the series")
+
+    monkeypatch.setattr(cli, "eisenstein_prime_level", reached)
+    monkeypatch.setattr(cli, "lattice_sum_eisenstein", reached)
+    argv = ["oracle", "--eis-weight", "4", "--level", "2", "--tau", "0.1,1.2",
+            "--bound"]
+    assert cli.main(argv + ["2235"]) == 2
+    assert "reached the series" in capsys.readouterr().err
+    assert cli.main(argv + ["2236"]) == 4
+    err = capsys.readouterr().err
+    assert "10000000" in err and "reached" not in err
+
+    proc = run_cli(argv + ["100000"])
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "cap of %d" % cli.MAX_ORACLE_TERMS in proc.stderr

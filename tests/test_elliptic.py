@@ -217,6 +217,33 @@ def test_corollary_identity_power2(corollary_runs):
     assert d["theorem"]["orbits"][0]["ratio_trace"] == "0"
 
 
+def test_corollary_report_names_the_missing_lattice(monkeypatch):
+    import mtv.elliptic as elliptic
+    from mtv import PrecisionError
+
+    args = (2, {1: 8, 2: 8}, 4, 1, CurveQ(4, 1))
+    d = verify_corollary(*args, order=16).to_dict()
+    assert "lattice" in d and "j_at_level_tau" in d
+    assert "missing_sections" not in d
+
+    def boom(*a, **kw):
+        raise PrecisionError("planted: no bits left")
+
+    monkeypatch.setattr(elliptic, "tau_from_curve", boom)
+    res = verify_corollary(*args, order=16)
+    assert res.equal and res.lhs == 3 * 37
+    d = res.to_dict()
+    assert "lattice" not in d and "j_at_level_tau" not in d
+    assert d["missing_sections"] == {"lattice": "planted: no bits left",
+                                     "j_at_level_tau": "planted: no bits left"}
+
+    monkeypatch.undo()
+    monkeypatch.setattr(elliptic, "j_invariant_numeric", boom)
+    d = verify_corollary(*args, order=16).to_dict()
+    assert "lattice" in d
+    assert d["missing_sections"] == {"j_at_level_tau": "planted: no bits left"}
+
+
 @pytest.mark.parametrize("level, eta, weight, curve, degrees", [
     # Phi_E = x (x^3 + (4320/41)^3): the numeric factor search on a
     # non-monic part

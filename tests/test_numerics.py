@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath
@@ -5,6 +6,7 @@ import pytest
 import sympy
 from mpmath import mpc, mpf
 
+import mtv.numerics as numerics
 from mtv.errors import InputError, PrecisionError
 from mtv.numerics import (
     BigComplex,
@@ -15,8 +17,10 @@ from mtv.numerics import (
     to_mpc,
 )
 from mtv.polynomial import UniPoly
-from mtv.qexp import QSeries, eisenstein_level1
+from mtv.qexp import QSeries, eisenstein_level1, eisenstein_prime_level
 from mtv.spaces import delta_series
+
+from _oracles import eval_qseries_ref, kronecker_ref, lattice_sum_ref
 
 F = Fraction
 X = UniPoly.x()
@@ -154,3 +158,111 @@ def test_to_mpc_fraction_exact():
     with mpmath.workprec(200):
         v = to_mpc(F(1, 3))
         assert abs(v - mpmath.mpf(1) / 3) < mpf(2) ** -190
+
+
+def test_kronecker_matches_reference_definition():
+    for D in (-4, -3, 5, 8, 12, -7):
+        for n in range(-30, 31):
+            assert kronecker(D, n) == kronecker_ref(D, n), (D, n)
+
+
+# -- the fixed-point kernels against the former mpmath loops ---------------------
+
+with mpmath.workprec(300):
+    TAU_300_NEG = mpc(-mpmath.sqrt(2) / 5, mpmath.sqrt(3) / 2)
+    TAU_300_POS = mpc(mpmath.pi / 10, mpmath.e / 2)
+TAU_53_NEG = mpc(-0.37, 1.71)
+TAU_53_POS = mpc(0.21, 1.13)
+TAU_53_LOW = mpc(-0.49, 0.87)
+
+LATTICE_CASES = [
+    # weight, level, tau, bound, character, prec
+    (3, 1, TAU_53_NEG, 40, None, 128),
+    (4, 1, TAU_53_POS, 1, None, 64),
+    (4, 1, TAU_53_LOW, 30, None, 128),
+    (5, 1, TAU_300_POS, 12, -4, 128),
+    (6, 2, TAU_300_NEG, 20, None, 256),
+    (7, 3, TAU_53_NEG, 8, None, 96),
+    (8, 5, TAU_53_POS, 40, None, 128),
+    (9, 2, TAU_53_NEG, 16, 5, 128),
+    (10, 3, TAU_300_POS, 25, None, 256),
+    (4, 5, TAU_300_NEG, 40, -3, 200),
+    (3, 2, TAU_53_NEG, 2, None, 64),
+    (6, 1, TAU_300_NEG, 33, 8, 300),
+]
+
+
+@pytest.mark.parametrize("weight, level, tau, bound, character, prec", LATTICE_CASES)
+def test_lattice_kernel_matches_reference(monkeypatch, weight, level, tau, bound,
+                                          character, prec):
+    got = lattice_sum_eisenstein(weight, level, tau, bound, character, prec)
+    # the kernel sums the lattice point tau rounds to at prec + 16 bits
+    with mpmath.workprec(prec + 16):
+        point = mpc(tau)
+    want = lattice_sum_ref(weight, level, point, bound, character, prec + 64)
+    with mpmath.workprec(prec + 64):
+        diff = abs(got.value - want)
+        assert diff <= mpf(2) ** -prec * max(1, abs(want))
+        assert diff <= got.err
+    # without the truncation tail, what is left is the proven rounding bound
+    monkeypatch.setattr(numerics, "_lattice_tail_bound", lambda *a: mpf(0))
+    rounding = lattice_sum_eisenstein(weight, level, tau, bound, character, prec)
+    assert rounding.value == got.value
+    with mpmath.workprec(prec + 64):
+        assert diff <= rounding.err
+
+
+class _CoeffsOnly:
+    """A series given only by .coeffs and .e."""
+
+    def __init__(self, coeffs, e):
+        self.coeffs = coeffs
+        self.e = e
+
+
+def _seeded_fractions(seed, n):
+    rng = random.Random(seed)
+    return [F(rng.randint(-10**6, 10**6), rng.randint(1, 999)) for _ in range(n)]
+
+
+EVAL_CASES = [
+    # series, tau, prec
+    ("E4", lambda: eisenstein_level1(4, 128), TAU_53_NEG, 256),
+    ("E6 at i", lambda: eisenstein_level1(6, 200), mpc(0, 1), 192),
+    ("Delta", lambda: delta_series(120), TAU_300_NEG, 256),
+    ("Delta low", lambda: delta_series(289), TAU_53_LOW, 128),
+    ("E4 level 3", lambda: eisenstein_prime_level(4, 3, 100), TAU_300_POS, 300),
+    ("E6 level 5", lambda: eisenstein_prime_level(6, 5, 128), TAU_53_POS, 64),
+    ("grid e=3", lambda: QSeries(_seeded_fractions(1, 121), e=3, trunc=40),
+     TAU_53_NEG, 200),
+    ("grid e=2 valuation 3", lambda: QSeries([0, 0, 0] + _seeded_fractions(2, 78),
+                                             e=2, trunc=40), TAU_300_POS, 128),
+    ("coeffs only", lambda: _CoeffsOnly([3, F(-1, 7), 0, 5, F(22, 9)]
+                                        + _seeded_fractions(3, 60), 2),
+     TAU_53_NEG, 128),
+]
+
+
+@pytest.mark.parametrize("name, build, tau, prec", EVAL_CASES, ids=[c[0] for c in EVAL_CASES])
+def test_eval_kernel_matches_reference(monkeypatch, name, build, tau, prec):
+    f = build()
+    coeffs, e = list(f.coeffs), f.e
+    got = eval_qseries(f, tau, prec)
+    assert numerics._qseries_value(f, tau, prec) == got.value
+    # the kernel evaluates at the point tau rounds to at its working precision
+    with mpmath.workprec(prec + 16 + (len(coeffs) + 1).bit_length()):
+        point = mpc(tau)
+    want = eval_qseries_ref(coeffs, e, point, prec + 64)
+    with mpmath.workprec(prec + 64):
+        q = abs(mpmath.expjpi(2 * point / e))
+        scale = sum(abs(mpf(c.numerator) / c.denominator) * q**m
+                    for m, c in enumerate(map(F, coeffs)))
+        diff = abs(got.value - want)
+        assert diff <= mpf(2) ** -prec * (1 + scale)
+        assert diff <= got.err
+    # without the fitted tail, what is left is the proven rounding bound
+    monkeypatch.setattr(numerics, "_fitted_tail", lambda *a: mpf(0))
+    rounding = eval_qseries(f, tau, prec)
+    assert rounding.value == got.value
+    with mpmath.workprec(prec + 64):
+        assert diff <= rounding.err

@@ -273,6 +273,20 @@ def test_theorem_high_power_low_order_sizes_inputs_from_cusp_dimension():
     assert sum(nf.degree for nf in res.orbit_set) == 10
 
 
+@pytest.mark.parametrize("power", [5, 6])
+def test_report_norm_is_the_signed_charpoly_constant(power):
+    # weights 60 and 72: one orbit whose Hecke field has degree 5 or 6
+    from mtv.numfield import nf_norm
+    from mtv.rational import format_rational
+
+    res = verify_theorem(2, {1: 8, 2: 8}, 4, power, order=16)
+    (nf,) = list(res.orbit_set)
+    (xi,) = res.ratios
+    (orbit,) = res.to_dict()["orbits"]
+    assert nf.degree == power
+    assert orbit["ratio_norm"] == format_rational(nf_norm(xi))
+
+
 def test_theorem_power2_quadratic_field(theorem_runs):
     res, _ = theorem_runs[(2, 4, 2)]
     assert res.weight_total == 24
