@@ -51,6 +51,14 @@ BUNDLED_ETA = {
 # cap on the lattice points of one oracle sum: (2B + 1) B at bound B
 MAX_ORACLE_TERMS = 10**7
 
+# cap on the cusp dimension of one newform basis.  The command takes about
+# 0.4 s at dimension 16 (weight 192), 2 s at 20 (weight 240) and 5 s at 22
+# (weights 264 and 278) on a 2-vCPU VM with CPython 3.11.  At dimension 23
+# the mod-p sieve's primes (up to 293) first fail to certify the T_2
+# polynomial irreducible (weight 276; weights 288-298 fail too), and the
+# numeric subset search that takes over has no useful bound on its run time.
+MAX_NEWFORM_DIM = 22
+
 
 def parse_eta(text):
     """"1:8,2:8" -> EtaQuotientSpec."""
@@ -78,12 +86,14 @@ def parse_curve(text):
     raise InputError("curve must be g2,g3 or a1,a2,a3,a4,a6")
 
 
-def parse_tau(text):
+def parse_tau(text, prec_bits):
+    """"re,im" -> mpc, rounded once at the working precision."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise InputError("tau must be re,im")
     try:
-        t = mpmath.mpc(parts[0], parts[1])
+        with mpmath.workprec(prec_bits):
+            t = mpmath.mpc(parts[0], parts[1])
     except ValueError as exc:
         raise InputError("bad tau %r" % text) from exc
     if not mpmath.isfinite(t):
@@ -122,6 +132,11 @@ def _emit(doc):
 
 def cmd_newforms(args):
     k = args.weight
+    if dim_cusp_level1(k) > MAX_NEWFORM_DIM:
+        raise ResourceLimitError(
+            "newforms --weight %d has cusp dimension %d, above the cap of %d"
+            % (k, dim_cusp_level1(k), MAX_NEWFORM_DIM)
+        )
     orbit_set = newform_basis_level1(k, args.order)
     orbits = []
     for nf in orbit_set.orbits:
@@ -213,8 +228,8 @@ def cmd_oracle(args):
             "oracle --bound %d would sum %d lattice terms, above the cap of %d"
             % (args.bound, terms, MAX_ORACLE_TERMS)
         )
-    tau = parse_tau(args.tau)
     prec = args.prec
+    tau = parse_tau(args.tau, prec)
     T = args.series_order
     ser = eisenstein_prime_level(args.eis_weight, args.level, T)
     closed = eval_qseries(ser, tau, prec)

@@ -378,7 +378,7 @@ def verify_corollary(level, eta_pairs, eis_weight, power, curve, order=64,
     if lhs != rhs:
         raise VerificationError(
             "specialization identity fails: trace side %s vs newform side %s"
-            % (lhs, rhs)
+            % (format_rational(lhs), format_rational(rhs))
         )
     phiE = specialize_phi(res.phi_symmetric, curve)
     irr, factors = condition_a(phiE)

@@ -154,6 +154,35 @@ class MatQ:
         return c0 if self.nrows % 2 == 0 else -c0
 
 
+def bareiss_inverse(rows):
+    """Fraction-free Gauss-Jordan on a square integer matrix A.
+
+    Returns (D, X) with D > 0 and A X = D I, all in integers: every
+    intermediate entry is a minor of [A | I] (Sylvester's identity), so each
+    division by the previous pivot is exact and nothing grows beyond
+    determinant size.  Raises VerificationError if A is singular.
+    """
+    n = len(rows)
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            raise VerificationError("singular integer matrix")
+        a[k], a[piv] = a[piv], a[k]
+        rk = a[k]
+        p = rk[k]
+        for i in range(n):
+            if i != k:
+                ri = a[i]
+                f = ri[k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(ri, rk)]
+        prev = p
+    # the left block is now prev * I
+    sign = 1 if prev > 0 else -1
+    return sign * prev, [[sign * x for x in r[n:]] for r in a]
+
+
 def _dot(r, c):
     acc = None
     for a, b in zip(r, c):

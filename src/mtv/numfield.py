@@ -1,21 +1,23 @@
 """Number fields Q[x]/(p) in the power basis, plus prime-conductor cyclotomics.
 
-Elements are coordinate vectors over Q.  The cyclotomic field Q(zeta_p) for
-prime p uses the basis 1, zeta, ..., zeta^(p-2); products reduce first by
-zeta^p = 1 and then by zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).
+A number field element is one integer coordinate vector over one positive
+denominator; a cyclotomic element is a vector of Fractions.  The cyclotomic
+field Q(zeta_p) for prime p uses the basis 1, zeta, ..., zeta^(p-2);
+products reduce first by zeta^p = 1 and then by
+zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).
 """
 
+import math
 import operator
 from fractions import Fraction
 
 from .errors import InputError, UnsupportedScopeError
-from .linalg import MatQ
 from .numerics import root_cluster
 from .polynomial import (
     UniPoly,
+    elementary_from_power_sums,
     poly_factor_q,
     power_sums_from_elementary,
-    real_root_count,
 )
 
 
@@ -35,11 +37,12 @@ class NumberField:
                 raise InputError("modulus is reducible over Q")
         self.modulus = modulus
         self.degree = modulus.degree
-        # x^t mod modulus for t = degree .. 2*degree-2, as coordinate tuples
+        # x^t mod modulus for t = degree .. 2*degree-2, as integer rows over
+        # the one denominator _red_den (1 for an integral modulus)
         table = []
         d = self.degree
         cur = [-c for c in modulus.coeffs[:d]]
-        table.append(tuple(cur))
+        table.append(cur)
         for _ in range(d - 2):
             nxt = [Fraction(0)] + cur[: d - 1]
             top = cur[d - 1]
@@ -47,12 +50,16 @@ class NumberField:
                 for i in range(d):
                     nxt[i] += top * table[0][i]
             cur = nxt
-            table.append(tuple(cur))
-        self._red = tuple(table)
+            table.append(cur)
+        den = math.lcm(*[c.denominator for row in table for c in row])
+        self._red_den = den
+        self._red = tuple(tuple(int(c * den) for c in row) for row in table)
         self._power_sums = None
 
     def __eq__(self, other):
-        return isinstance(other, NumberField) and self.modulus == other.modulus
+        return self is other or (
+            isinstance(other, NumberField) and self.modulus == other.modulus
+        )
 
     def __hash__(self):
         return hash(("NF", self.modulus.coeffs))
@@ -61,11 +68,11 @@ class NumberField:
         return "NumberField(%r)" % (self.modulus,)
 
     def elem(self, coords):
-        coords = [Fraction(c) for c in coords]
+        coords = list(coords)
         if len(coords) > self.degree:
             raise InputError("coordinate vector too long")
-        coords += [Fraction(0)] * (self.degree - len(coords))
-        return NumberFieldElem(self, tuple(coords))
+        coords += [0] * (self.degree - len(coords))
+        return NumberFieldElem(self, coords)
 
     def coerce(self, v):
         if isinstance(v, NumberFieldElem):
@@ -85,17 +92,25 @@ class NumberField:
             return self.elem([-self.modulus.coeffs[0]])
         return self.elem([0, 1])
 
-    def reduce_powers(self, conv):
-        """Coordinates from a raw power list c_t x^t, t <= 2*degree - 2."""
+    def _reduce(self, conv):
+        """_red_den times the coordinates of the integer power list conv
+        (c_t x^t, t <= 2*degree - 2), as integers."""
         d = self.degree
-        out = list(conv[:d]) + [Fraction(0)] * (d - min(d, len(conv)))
+        rd = self._red_den
+        out = [c * rd for c in conv[:d]] if rd != 1 else list(conv[:d])
+        out += [0] * (d - len(out))
         for t in range(d, len(conv)):
             c = conv[t]
             if c:
-                red = self._red[t - d]
-                for i in range(d):
-                    out[i] += c * red[i]
+                for i, r in enumerate(self._red[t - d]):
+                    out[i] += c * r
         return out
+
+    def reduce_powers(self, conv):
+        """Coordinates from a raw power list c_t x^t, t <= 2*degree - 2."""
+        num, den = _ints_over_den(conv)
+        den *= self._red_den
+        return [Fraction(v, den) for v in self._reduce(num)]
 
     def power_sums(self):
         """Tr(theta^j) for j = 0 .. 2*degree - 2, theta the generator.
@@ -116,55 +131,128 @@ class NumberField:
         return root_cluster(self.modulus, prec_bits)
 
     def is_totally_real(self):
-        """Exact: a Sturm sequence counts the real roots of the modulus."""
-        return real_root_count(self.modulus) == self.degree
+        """Exact: the trace form y -> Tr(y^2) is positive definite.
+
+        Its matrix in the power basis is the Hankel matrix of the power sums;
+        for a separable modulus its signature is (real roots + complex pairs,
+        complex pairs), so the field is totally real exactly when every
+        leading principal minor is positive (Sylvester's criterion).  The
+        minors are the pivots of fraction-free elimination without pivoting.
+        """
+        d = self.degree
+        ps = self.power_sums()
+        den = math.lcm(*[v.denominator for v in ps])
+        ps = [int(v * den) for v in ps]
+        a = [ps[i : i + d] for i in range(d)]
+        prev = 1
+        for k in range(d):
+            p = a[k][k]
+            if p <= 0:
+                return False
+            rk = a[k]
+            for i in range(k + 1, d):
+                ri = a[i]
+                f = ri[k]
+                a[i] = [0] * (k + 1) + [
+                    (p * ri[j] - f * rk[j]) // prev for j in range(k + 1, d)
+                ]
+            prev = p
+        return True
+
+
+def _ints_over_den(values):
+    """Integer numerators of rationals over their least common denominator."""
+    fr = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+    den = math.lcm(*[v.denominator for v in fr])
+    return [v.numerator * (den // v.denominator) for v in fr], den
 
 
 class NumberFieldElem:
-    __slots__ = ("field", "coords")
+    """(num[0] + num[1] theta + ... + num[d-1] theta^(d-1)) / den.
+
+    The layout of a rational QSeries: one integer vector over one positive
+    denominator, kept canonical (den coprime to the numerators taken
+    together, 1 for zero), so equal elements have equal integers.  The
+    public ``coords`` tuple of reduced Fractions is built on first access.
+    """
+
+    __slots__ = ("field", "_num", "_den", "_coords")
 
     def __init__(self, field, coords):
+        num, den = _ints_over_den(coords)
+        if len(num) != field.degree:
+            raise InputError("coordinate vector length differs from the field degree")
+        self._set(field, num, den)
+
+    @classmethod
+    def _from_ints(cls, field, num, den):
+        """The element sum num[i] theta^i / den; den > 0, len(num) == degree."""
+        self = cls.__new__(cls)
+        self._set(field, num, den)
+        return self
+
+    def _set(self, field, num, den):
+        g = math.gcd(den, *num)
+        if g > 1:
+            num = [v // g for v in num]
+            den //= g
         self.field = field
-        self.coords = tuple(Fraction(c) for c in coords)
-        assert len(self.coords) == field.degree
+        self._num = tuple(num)
+        self._den = den
+        self._coords = None
+
+    @property
+    def coords(self):
+        """Coordinates in the power basis as reduced Fractions."""
+        if self._coords is None:
+            den = self._den
+            self._coords = tuple([Fraction(v, den) for v in self._num])
+        return self._coords
 
     def __repr__(self):
         return "NFElem(%s)" % (self.coords,)
 
     def __eq__(self, other):
         if isinstance(other, NumberFieldElem):
-            return self.field == other.field and self.coords == other.coords
+            return (self.field == other.field and self._den == other._den
+                    and self._num == other._num)
         if isinstance(other, (int, Fraction)):
             return self == self.field.coerce(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.coords))
+        return hash((self.field, self._num, self._den))
 
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not any(self._num)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self._num[1:])
 
     def rational_part(self):
         if not self.is_rational():
             raise InputError("element is not rational")
-        return self.coords[0]
+        return Fraction(self._num[0], self._den)
 
     def _coerce(self, other):
         return self.field.coerce(other)
 
     def __add__(self, other):
         other = self._coerce(other)
-        return NumberFieldElem(
-            self.field, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        da, db = self._den, other._den
+        if da == db:
+            num = map(operator.add, self._num, other._num)
+        else:
+            den = math.lcm(da, db)
+            ma, mb = den // da, den // db
+            num = [a * ma + b * mb for a, b in zip(self._num, other._num)]
+            da = den
+        return NumberFieldElem._from_ints(self.field, list(num), da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NumberFieldElem(self.field, tuple(-a for a in self.coords))
+        return NumberFieldElem._from_ints(self.field, [-a for a in self._num], self._den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -174,16 +262,22 @@ class NumberFieldElem:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return NumberFieldElem(self.field, tuple(a * other for a in self.coords))
+            other = Fraction(other)
+            p = other.numerator
+            return NumberFieldElem._from_ints(
+                self.field, [a * p for a in self._num], self._den * other.denominator
+            )
         other = self._coerce(other)
-        d = self.field.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
+        field = self.field
+        conv = [0] * (2 * field.degree - 1)
+        for i, a in enumerate(self._num):
             if a:
-                for j, b in enumerate(other.coords):
+                for j, b in enumerate(other._num):
                     if b:
                         conv[i + j] += a * b
-        return NumberFieldElem(self.field, tuple(self.field.reduce_powers(conv)))
+        return NumberFieldElem._from_ints(
+            field, field._reduce(conv), self._den * other._den * field._red_den
+        )
 
     __rmul__ = __mul__
 
@@ -227,44 +321,51 @@ class NumberFieldElem:
             n >>= 1
         return out
 
-    def mult_matrix(self):
-        """Rational matrix of y -> self*y in the power basis (columns indexed by x^j)."""
-        cols = []
-        cur = self
-        gen = self.field.gen()
-        for _ in range(self.field.degree):
-            cols.append(cur.coords)
-            cur = cur * gen
-        return MatQ(list(zip(*cols)))
-
 
 def nf_trace(elem):
     """Field trace K -> Q: the coordinates dotted with the power sums Tr(theta^j)."""
     if isinstance(elem, (int, Fraction)):
         return Fraction(elem)
-    return sum(map(operator.mul, elem.coords, elem.field.power_sums()), Fraction(0))
+    return sum(map(operator.mul, elem._num, elem.field.power_sums()), Fraction(0)) / elem._den
 
 
 def trace_form(elem):
     """Vector w with Tr(elem * y) = sum_k w_k * y.coords[k] for every y in the field."""
     ps = elem.field.power_sums()
+    den = elem._den
     return [
-        sum((c * ps[j + k] for j, c in enumerate(elem.coords) if c), Fraction(0))
+        sum((c * ps[j + k] for j, c in enumerate(elem._num) if c), Fraction(0)) / den
         for k in range(elem.field.degree)
     ]
 
 
-def nf_norm(elem):
-    if isinstance(elem, (int, Fraction)):
-        return Fraction(elem)
-    return elem.mult_matrix().det()
-
-
 def nf_charpoly(elem):
-    """Characteristic polynomial of elem over Q (degree = field degree)."""
+    """Characteristic polynomial of elem over Q (degree = field degree).
+
+    The traces Tr(elem^m), m = 1 .. degree, are the power sums of its
+    conjugates; Newton's identities turn them into the coefficients.
+    """
     if isinstance(elem, (int, Fraction)):
         return UniPoly((-Fraction(elem), 1))
-    return elem.mult_matrix().charpoly()
+    d = elem.field.degree
+    ps = []
+    cur = elem
+    for m in range(1, d + 1):
+        if m > 1:
+            cur = cur * elem
+        ps.append(nf_trace(cur))
+    es = elementary_from_power_sums(ps)
+    return UniPoly([es[d - i - 1] if (d - i) % 2 == 0 else -es[d - i - 1]
+                    for i in range(d)] + [1])
+
+
+def nf_norm(elem):
+    """Field norm K -> Q: the signed constant term of the charpoly."""
+    if isinstance(elem, (int, Fraction)):
+        return Fraction(elem)
+    cp = nf_charpoly(elem)
+    c0 = cp.coeffs[0]
+    return c0 if elem.field.degree % 2 == 0 else -c0
 
 
 def conjugate_quadratic(elem):

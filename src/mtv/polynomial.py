@@ -1,8 +1,10 @@
 """Dense univariate polynomials over Q and factorization into irreducibles.
 
-Factorization strategy: squarefree decomposition (Yun), then for each
-squarefree part an irreducibility certificate first.  Distinct-degree
-factorization modulo a fixed list of small primes gives, for each prime that
+Factorization strategy: a squarefree certificate (a sieve prime that keeps
+the degree and leaves p coprime to p'), or else squarefree decomposition
+(Yun); then for each squarefree part an irreducibility certificate first.
+Distinct-degree factorization modulo a fixed list of small primes gives,
+for each prime that
 keeps the part squarefree and its degree, the degrees a proper factor over Q
 could have (the subset sums of the mod-p factor degrees); an empty
 intersection over the primes proves the part irreducible.  Only a part the
@@ -225,21 +227,6 @@ def squarefree_parts(p):
     return out
 
 
-def real_root_count(p):
-    """Number of distinct real roots of a nonzero p, by a Sturm sequence over Q."""
-    seq = [p, p.derivative()]
-    while not seq[-1].is_zero():
-        seq.append(-(seq[-2] % seq[-1]))
-    seq.pop()
-
-    def sign_changes(signs):
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    at_pos = [q.lc() > 0 for q in seq]
-    at_neg = [(q.lc() > 0) == (q.degree % 2 == 0) for q in seq]
-    return sign_changes(at_neg) - sign_changes(at_pos)
-
-
 # -- Newton's identities, for any ring elements that add, multiply and scale
 # by a Fraction (rationals, q-series) --------------------------------------
 
@@ -371,6 +358,24 @@ def _fp_ddf_degrees(f, p):
     if len(f) > 1:
         degrees.append(len(f) - 1)
     return degrees
+
+
+def _squarefree_prime(P):
+    """A sieve prime certifying that the integer polynomial P is squarefree, or None.
+
+    Modulo a prime p that does not divide lc(P), gcd(P, P') = 1 over F_p
+    means the resultant of P and P' is nonzero mod p, hence nonzero: P and
+    P' are coprime over Q.  A P with a repeated factor has no such prime.
+    """
+    ints = [int(c) for c in P.coeffs]
+    for p in _SIEVE_PRIMES:
+        if ints[-1] % p == 0:
+            continue
+        f = [c % p for c in ints]
+        df = _fp_trim([i * c % p for i, c in enumerate(f)][1:])
+        if df and len(_fp_gcd(f, df, p)) == 1:
+            return p
+    return None
 
 
 def _factor_degrees(P):
@@ -511,7 +516,12 @@ def poly_factor_q(p, prec_bits=None):
     if v:
         result[UniPoly((0, 1)).coeffs] = v
     if work.degree > 0:
-        for part, mult in squarefree_parts(work):
+        # Yun's decomposition only when no sieve prime certifies squarefree
+        if _squarefree_prime(work.primitive_int()[1]) is not None:
+            parts = [(work, 1)]
+        else:
+            parts = squarefree_parts(work)
+        for part, mult in parts:
             _, P = part.primitive_int()
             d = P.degree
             degrees = _factor_degrees(P) if d > 1 else ()

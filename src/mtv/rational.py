@@ -7,6 +7,7 @@ rationals from high-precision numeric values.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -14,18 +15,55 @@ import mpmath
 from .errors import InputError, ReconstructionError
 
 
+# Integers convert to and from decimal in pieces of at most this many
+# digits, below the smallest cap (640 digits) an interpreter may put on
+# int <-> str conversion, so exact values of any size serialize without
+# touching that process-wide setting.
+_LEAF_DIGITS = 600
+_LEAF_BITS = 1990  # 2^1990 < 10^600
+
+_PLAIN_RATIONAL = re.compile(r"\s*([+-]?)([0-9]+)(?:/([0-9]+))?\s*\Z")
+
+
+def _decimal(n, width=0):
+    """Decimal digits of the integer n >= 0, zero-padded on the left to width."""
+    if n.bit_length() <= _LEAF_BITS:
+        return str(n).zfill(width)
+    k = int(n.bit_length() * 0.30103) // 2  # digits in the low half
+    hi, lo = divmod(n, 10**k)
+    return _decimal(hi, width - k) + _decimal(lo, k)
+
+
+def _from_decimal(digits):
+    """The integer of a string of decimal digits."""
+    if len(digits) <= _LEAF_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _from_decimal(digits[:-k]) * 10**k + _from_decimal(digits[-k:])
+
+
 def format_rational(x):
     """Serialize a rational as "p/q", or plain "n" when the denominator is 1."""
     x = Fraction(x)
+    num = x.numerator
+    text = "-" + _decimal(-num) if num < 0 else _decimal(num)
     if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+        return text
+    return text + "/" + _decimal(x.denominator)
 
 
 def parse_rational(s):
-    """Inverse of format_rational. Accepts "p/q" and "n" forms."""
+    """Inverse of format_rational. Accepts "p/q" and "n" forms of any size,
+    and whatever else ``Fraction`` parses (decimals, exponents)."""
+    if isinstance(s, (int, Fraction)):
+        return Fraction(s)
+    m = _PLAIN_RATIONAL.match(str(s))
     try:
-        return Fraction(str(s).strip())
+        if m is None:
+            return Fraction(str(s).strip())
+        num = _from_decimal(m.group(2))
+        den = 1 if m.group(3) is None else _from_decimal(m.group(3))
+        return Fraction(-num if m.group(1) == "-" else num, den)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError("not a rational: %r" % (s,)) from exc
 

@@ -6,22 +6,26 @@ so expansion in the basis is forward substitution.  Newforms are cut out as
 eigenvectors of T_2; Strong Multiplicity One at level 1 means each irreducible
 factor g of the T_2 characteristic polynomial chi picks out one Galois orbit.
 
-The eigenvector for a root theta of g comes without elimination over the
-Hecke field K = Q[x]/(g): synthetic division writes chi(x) = (x - theta) h(x)
-with h in K[x], and by Cayley-Hamilton v = h(T_2) e = sum_j h_j T_2^j e is,
-for any vector e, zero or an eigenvector for theta.  The Krylov vectors T_2^j e are
-rational, so v costs only rational-times-K products; T_2 v = theta v is
-checked exactly, and normalizing a_1 = 1 takes one inverse in K per orbit.
+The newform layer works in integers.  The T_2 matrix M is integral in the
+cusp part of this basis, whose first coordinate is a_1, and at level 1 the
+pairing (T, f) -> a_1(T f) between the Hecke algebra and the cusp space is
+perfect (W. Stein, Modular Forms, A Computational Approach, AMS GSM 79,
+2007).  So the Krylov rows e_1^T M^j, j < dim, form an invertible integer
+matrix R exactly when chi is squarefree; one fraction-free inversion of R
+gives chi (from the next row) and, for a root theta of each factor g, the
+normalized eigenvector c = R^(-1) (1, theta, theta^2, ...) with entries in
+Q[theta]/(g).  M c = theta c is checked exactly before an orbit is returned.
+Nothing is inverted in a Hecke field.
 """
 
 import operator
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InputError, TruncationError, VerificationError
-from .linalg import MatQ
-from .numfield import NumberField
-from .polynomial import poly_factor_q
+from .linalg import MatQ, bareiss_inverse
+from .numfield import NumberField, NumberFieldElem
+from .polynomial import UniPoly, poly_factor_q
 from .qexp import QSeries, eisenstein_level1, eta_quotient, hecke_T
 
 # 4a + 6b = r, minimal (a, b)
@@ -190,46 +194,50 @@ def hecke_matrix_level1(weight, n, trunc=None):
     return M, basis
 
 
-def _krylov_eigenvector(M, chi, theta):
-    """Eigenvector of M for the root theta of its characteristic polynomial chi.
+def krylov_charpoly(M):
+    """Characteristic polynomial of a square integer matrix M (a list of
+    integer rows) from the rows e_1^T M^j.
 
-    theta is a Fraction or a number field element; the entries of the vector
-    lie in theta's field, and the first entry is 1.
+    The rows r_j = e_1^T M^j (j < s) form the integer matrix R.  Solving
+    r_s = sum_j x_j r_j gives chi(x) = x^s - sum_j x_j x^j, since e_1^T chi(M)
+    vanishes and, R being invertible, no lower-degree polynomial does.
+    Returns (chi, D, X) with R X = D I in integers (Bareiss).  A singular R,
+    i.e. e_1 is not cyclic, raises VerificationError.
     """
-    s = M.nrows
-    cs = chi.coeffs
-    # chi(x) = (x - theta) * sum_i h_i x^i, by synthetic division
-    h = [None] * s
-    acc = cs[s]
-    for i in range(s - 1, -1, -1):
-        h[i] = acc
-        acc = cs[i] + theta * acc
-    if not _is_zero(acc):
-        raise VerificationError("eigenvalue is not a root of the characteristic polynomial")
-    zero = theta - theta
-    for start in range(s):
-        # v = h(M) e = sum_j h_j M^j e over rational Krylov vectors u = M^j e
-        u = [Fraction(i == start) for i in range(s)]
-        v = [zero] * s
-        for j, hj in enumerate(h):
-            if j:
-                u = [sum(map(operator.mul, row, u)) for row in M.rows]
-            v = [x + hj * c if c else x for x, c in zip(v, u)]
-        if not all(map(_is_zero, v)):
-            break
-    else:
-        raise VerificationError("Krylov vector vanishes for every unit vector")
-    Mv = [sum((c * x for c, x in zip(row, v) if c), zero) for row in M.rows]
-    if not all(_is_zero(y - theta * x) for y, x in zip(Mv, v)):
-        raise VerificationError("Krylov vector is not an eigenvector")
-    if _is_zero(v[0]):
-        raise VerificationError("eigenvector with vanishing q^1 coefficient")
-    inv = 1 / v[0]
-    return [x * inv for x in v]
+    s = len(M)
+    cols = list(zip(*M))
+    rows = [[1] + [0] * (s - 1)]
+    for _ in range(s):
+        r = rows[-1]
+        rows.append([sum(c * m for c, m in zip(r, col) if c) for col in cols])
+    try:
+        D, X = bareiss_inverse(rows[:s])
+    except VerificationError:
+        raise VerificationError("e_1 is not cyclic: the Krylov rows are singular") from None
+    top = rows[s]
+    chi = UniPoly([-Fraction(sum(map(operator.mul, top, col)), D) for col in zip(*X)] + [1])
+    return chi, D, X
+
+
+def _times_gen(v, g):
+    """theta * v for the coordinate vector v of Q[theta]/(g), g monic integral."""
+    top = v[-1]
+    out = [0] + v[:-1]
+    if top:
+        out = [a - top * c for a, c in zip(out, g)]
+    return out
 
 
 def newform_basis_level1(weight, trunc):
-    """Galois orbits of normalized eigenforms in the weight-k level-1 cusp space."""
+    """Galois orbits of normalized eigenforms in the weight-k level-1 cusp space.
+
+    In the Miller cusp basis b_i = q^i + O(q^(i+1)) the first coordinate of
+    a form is its a_1, so an eigenform c with a_1 = 1 and T_2-eigenvalue
+    theta has e_1^T M^j c = a_1(T_2^j f) = theta^j: c = R^(-1) (theta^j)_j
+    with R the Krylov rows of krylov_charpoly.  Each orbit costs integer
+    matrix-vector products over Q[theta]/(g), no inverse in the field, and
+    M c = theta c is checked exactly before the orbit is returned.
+    """
     k = int(weight)
     trunc = int(trunc)
     s = dim_cusp_level1(k)
@@ -237,34 +245,57 @@ def newform_basis_level1(weight, trunc):
         return GaloisOrbitSet(k, (), 0)
     T_int = max(trunc, 2 * s + 2)
     M, basis = hecke_matrix_level1(k, 2, T_int)
-    chi = M.charpoly()
+    if any(c.denominator != 1 for r in M.rows for c in r):
+        raise VerificationError(
+            "T_2 matrix is not integral in the Miller basis at weight %d" % k
+        )
+    Mi = [[c.numerator for c in r] for r in M.rows]
+    try:
+        chi, D, X = krylov_charpoly(Mi)
+    except VerificationError:
+        # a perfect pairing makes R singular exactly when chi is not squarefree
+        raise VerificationError(
+            "repeated factor in the T_2 characteristic polynomial at weight %d" % k
+        ) from None
     factors = poly_factor_q(chi)
     for g, mult in factors:
         if mult > 1:
             raise VerificationError(
                 "repeated factor in the T_2 characteristic polynomial at weight %d" % k
             )
+    bden = lcm(*[b._den for b in basis])
+    bnum = [[x * (bden // b._den) for x in b.truncate(trunc)._num] for b in basis]
     orbits = []
     for g, _ in factors:
-        if g.degree == 1:
+        d = g.degree
+        gi = [int(c) for c in g.coeffs[:d]]
+        # theta^j mod g, j < s, as integer coordinate vectors
+        pows = [[1] + [0] * (d - 1)]
+        for _ in range(s - 1):
+            pows.append(_times_gen(pows[-1], gi))
+        # D * c_i = sum_j X_ij theta^j, coordinates over Q[theta]/(g)
+        C = [[sum(x * p[t] for x, p in zip(row, pows) if x) for t in range(d)]
+             for row in X]
+        if C[0] != [D] + [0] * (d - 1):
+            raise VerificationError("eigenvector with a_1 != 1 at weight %d" % k)
+        for row, ci in zip(Mi, C):
+            Mc = [sum(m * cl[t] for m, cl in zip(row, C) if m) for t in range(d)]
+            if Mc != _times_gen(ci, gi):
+                raise VerificationError(
+                    "pairing solution is not a T_2 eigenvector at weight %d" % k
+                )
+        # sum_i c_i b_i, one integer array per coordinate of K
+        comps = [[sum(ci[t] * bn[n] for ci, bn in zip(C, bnum)) for n in range(trunc + 1)]
+                 for t in range(d)]
+        den = D * bden
+        if d == 1:
             field = None
-            theta = -g.coeffs[0]
+            f = QSeries._from_ints(comps[0], den, 1, trunc, k, 1)
         else:
             # poly_factor_q has just certified g irreducible
             field = NumberField(g, check_irreducible=False)
-            theta = field.gen()
-        v = _krylov_eigenvector(M, chi, theta)
-        # sum_i v_i * basis_i, one rational series per coordinate of K
-        rows = [[x] if field is None else x.coords for x in v]
-        comps = []
-        for j in range(g.degree):
-            acc = None
-            for r, b in zip(rows, basis):
-                term = b.scale(r[j])
-                acc = term if acc is None else acc + term
-            comps.append(acc.truncate(trunc).coeffs)
-        coeffs = comps[0] if field is None else [field.elem(c) for c in zip(*comps)]
-        f = QSeries(coeffs, e=1, trunc=trunc, weight=k, level=1, field=field)
+            coeffs = [NumberFieldElem._from_ints(field, list(v), den) for v in zip(*comps)]
+            f = QSeries(coeffs, e=1, trunc=trunc, weight=k, level=1, field=field)
         orbits.append(Newform(weight=k, field=field, modulus=g, qexp=f))
     return GaloisOrbitSet(k, orbits, s)
 

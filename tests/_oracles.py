@@ -4,11 +4,16 @@ Everything here is deliberately naive.  Bernoulli numbers come from sympy,
 products are plain convolutions, factorizations over F_p are found by trial
 division by every monic polynomial, and the weight-24 Hecke data is solved
 by hand on an explicit basis; none of it shares code with the package.  The
-exceptions are `elimination_eigenvector`, the package's former newform
-route (row reduction over the Hecke field with `MatQ.nullspace`), kept as the
-reference for the Krylov eigenvectors, and `lattice_sum_ref` /
-`eval_qseries_ref`, the former mpmath loops of the numeric layer, kept as the
-references for its fixed-point kernels.  Slow is fine.
+exceptions are former routes of the package, kept as references for the
+routes that replaced them: `elimination_eigenvector` (row reduction over
+the Hecke field with `MatQ.nullspace`) and `krylov_eigenvector` (Krylov
+vectors over the field and one field inverse) for the eigenforms of the
+a_1 pairing, `real_root_count` (a Sturm sequence over Q) for the trace-form
+test of total reality, `mult_matrix` (whose Faddeev-LeVerrier charpoly and
+determinant gave a field element's charpoly and norm) for the power-sum
+route, and `lattice_sum_ref` / `eval_qseries_ref`, the
+former mpmath loops of the numeric layer, for its fixed-point kernels.
+Slow is fine.
 """
 
 import itertools
@@ -198,6 +203,74 @@ def elimination_eigenvector(M, g):
     assert len(null) == 1
     v = list(null[0])
     return [x / v[0] for x in v]
+
+
+def mult_matrix(elem):
+    """Rational matrix of y -> elem*y in the power basis (columns indexed by x^j)."""
+    from mtv.linalg import MatQ
+
+    cols = []
+    cur = elem
+    for _ in range(elem.field.degree):
+        cols.append(cur.coords)
+        cur = cur * elem.field.gen()
+    return MatQ(list(zip(*cols)))
+
+
+def _is_zero(x):
+    return (x == 0) if isinstance(x, Fraction) else x.is_zero()
+
+
+def krylov_eigenvector(M, chi, theta):
+    """Eigenvector of M for the root theta of its characteristic polynomial chi.
+
+    theta is a Fraction or a number field element; the entries of the vector
+    lie in theta's field, and the first entry is 1.  Synthetic division writes
+    chi(x) = (x - theta) h(x) with h in K[x]; by Cayley-Hamilton
+    v = h(M) e = sum_j h_j M^j e is, for any vector e, zero or an
+    eigenvector for theta, built from rational Krylov vectors M^j e.
+    """
+    s = M.nrows
+    cs = chi.coeffs
+    h = [None] * s
+    acc = cs[s]
+    for i in range(s - 1, -1, -1):
+        h[i] = acc
+        acc = cs[i] + theta * acc
+    assert _is_zero(acc), "eigenvalue is not a root of the characteristic polynomial"
+    zero = theta - theta
+    for start in range(s):
+        u = [Fraction(i == start) for i in range(s)]
+        v = [zero] * s
+        for j, hj in enumerate(h):
+            if j:
+                u = [sum(a * b for a, b in zip(row, u)) for row in M.rows]
+            v = [x + hj * c if c else x for x, c in zip(v, u)]
+        if not all(map(_is_zero, v)):
+            break
+    else:
+        raise AssertionError("Krylov vector vanishes for every unit vector")
+    Mv = [sum((c * x for c, x in zip(row, v) if c), zero) for row in M.rows]
+    assert all(_is_zero(y - theta * x) for y, x in zip(Mv, v)), "not an eigenvector"
+    assert not _is_zero(v[0]), "eigenvector with vanishing first entry"
+    inv = 1 / v[0]
+    return [x * inv for x in v]
+
+
+def real_root_count(p):
+    """Number of distinct real roots of a nonzero UniPoly p, by a Sturm
+    sequence over Q (the package's former `is_totally_real` route)."""
+    seq = [p, p.derivative()]
+    while not seq[-1].is_zero():
+        seq.append(-(seq[-2] % seq[-1]))
+    seq.pop()
+
+    def sign_changes(signs):
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    at_pos = [q.lc() > 0 for q in seq]
+    at_neg = [(q.lc() > 0) == (q.degree % 2 == 0) for q in seq]
+    return sign_changes(at_neg) - sign_changes(at_pos)
 
 
 def kronecker_ref(D, n):

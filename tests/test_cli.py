@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -200,3 +201,40 @@ def test_oracle_bound_over_the_term_cap_exits4(monkeypatch, capsys):
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert "cap of %d" % cli.MAX_ORACLE_TERMS in proc.stderr
+
+
+def test_newforms_over_the_dimension_cap_exits4(monkeypatch, capsys):
+    # dim S_278 = 22 is the last dimension the cap admits, dim S_276 = 23;
+    # the planted basis shows where a run would start
+    def reached(*a, **kw):
+        raise VerificationError("reached the basis")
+
+    monkeypatch.setattr(cli, "newform_basis_level1", reached)
+    assert cli.MAX_NEWFORM_DIM == 22
+    assert cli.main(["newforms", "--weight", "278"]) == 2
+    assert "reached the basis" in capsys.readouterr().err
+    for weight in ("276", "100000"):
+        assert cli.main(["newforms", "--weight", weight]) == 4
+        err = capsys.readouterr().err
+        assert "above the cap of 22" in err and "reached" not in err
+
+
+def test_oracle_tau_is_parsed_at_the_working_precision(monkeypatch, capsys):
+    from mtv.rational import exact_fraction
+
+    seen = []
+    real = cli.lattice_sum_eisenstein
+
+    def recording(weight, level, tau, bound, character, prec):
+        seen.append(tau)
+        return real(weight, level, tau, bound, character, prec)
+
+    monkeypatch.setattr(cli, "lattice_sum_eisenstein", recording)
+    argv = ["--prec", "256", "oracle", "--eis-weight", "4", "--level", "2",
+            "--tau", "0.21,1.13", "--bound", "4", "--series-order", "32"]
+    assert cli.main(argv) == 0
+    json.loads(capsys.readouterr().out)
+    (tau,) = seen
+    bound = Fraction(1, 2**250)
+    assert abs(exact_fraction(tau.real) - Fraction(21, 100)) < bound
+    assert abs(exact_fraction(tau.imag) - Fraction(113, 100)) < bound

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+import random
+
 import pytest
 import sympy
 
 from mtv.errors import VerificationError
-from mtv.linalg import MatQ
+from mtv.linalg import MatQ, bareiss_inverse
 from mtv.numfield import NumberField
 from mtv.polynomial import UniPoly
 
@@ -78,3 +80,29 @@ def test_solve_over_number_field():
     # solution of [[1,t],[t,1]] x = [1,0] is (-1, t)/(1 - t^2) = (1, -t) scaled
     assert (x[0] + th * x[1] - K.one()).is_zero()
     assert (th * x[0] + x[1]).is_zero()
+
+
+def test_bareiss_inverse_is_exact_and_fraction_free():
+    rng = random.Random(3)
+    for n in range(1, 8):
+        for _ in range(20):
+            rows = [[rng.randint(-9, 9) * 10**rng.randint(0, 30) for _ in range(n)]
+                    for _ in range(n)]
+            det = frac_rows(rows).det()
+            if det == 0:
+                with pytest.raises(VerificationError):
+                    bareiss_inverse(rows)
+                continue
+            D, X = bareiss_inverse(rows)
+            assert D == abs(det)
+            assert all(type(x) is int for r in X for x in r)
+            for i in range(n):
+                for j in range(n):
+                    assert sum(rows[i][k] * X[k][j] for k in range(n)) == D * (i == j)
+
+
+def test_bareiss_inverse_pivots_past_zeros():
+    D, X = bareiss_inverse([[0, 1, 0], [0, 0, 2], [3, 0, 0]])
+    assert D == 6 and X == [[0, 0, 2], [6, 0, 0], [0, 3, 0]]
+    with pytest.raises(VerificationError):
+        bareiss_inverse([[1, 2], [2, 4]])

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,9 @@ from mtv.numfield import (
     nf_trace,
     trace_form,
 )
-from mtv.polynomial import UniPoly
+from mtv.polynomial import UniPoly, poly_factor_q
+
+from _oracles import mult_matrix, real_root_count
 
 F = Fraction
 X = UniPoly.x()
@@ -131,6 +134,55 @@ def test_trace_form_matches_multiplication_matrix(modulus):
 
     for _ in range(12):
         y, z = rand_elem(), rand_elem()
-        assert nf_trace(y) == y.mult_matrix().trace()
+        assert nf_trace(y) == mult_matrix(y).trace()
         w = trace_form(y)
-        assert sum(a * b for a, b in zip(w, z.coords)) == (y * z).mult_matrix().trace()
+        assert sum(a * b for a, b in zip(w, z.coords)) == mult_matrix(y * z).trace()
+
+
+@pytest.mark.parametrize("modulus", TRACE_FIELDS, ids=str)
+def test_integer_layout_is_canonical(modulus):
+    K = NumberField(modulus)
+    rng = random.Random(40 + K.degree)
+    for _ in range(12):
+        coords = [F(rng.randint(-99, 99), rng.randint(1, 12)) for _ in range(K.degree)]
+        y = K.elem(coords)
+        assert y.coords == tuple(coords)
+        assert y._den > 0 and math.gcd(y._den, *y._num) == 1
+        # the same element by other routes has the same integers
+        for z in (y * 6 / 6, (y + y) * F(1, 2), y - K.zero(), K.elem(y.coords)):
+            assert (z._num, z._den) == (y._num, y._den)
+            assert z == y and hash(z) == hash(y)
+    zero = K.elem([F(0)] * K.degree)
+    assert zero._den == 1 and zero == (K.one() - K.one())
+
+
+@pytest.mark.parametrize("modulus", TRACE_FIELDS, ids=str)
+def test_charpoly_and_norm_from_power_sums_match_the_matrix(modulus):
+    K = NumberField(modulus)
+    rng = random.Random(60 + K.degree)
+    elems = [K.zero(), K.one(), K.gen()] + [
+        K.elem([F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(K.degree)])
+        for _ in range(8)
+    ]
+    for y in elems:
+        M = mult_matrix(y)
+        assert nf_charpoly(y) == M.charpoly()
+        assert nf_norm(y) == M.det()
+
+
+def test_totally_real_agrees_with_sturm():
+    rng = random.Random(7)
+    checked = {True: 0, False: 0}
+    for _ in range(200):
+        d = rng.randint(1, 7)
+        p = UniPoly([1])
+        for _ in range(d):
+            p = p * UniPoly([rng.randint(-9, 9), 1])
+        p = p + UniPoly([rng.randint(-30, 30)])
+        fs = poly_factor_q(p)
+        if len(fs) != 1 or fs[0][1] != 1:
+            continue
+        real = real_root_count(p) == p.degree
+        assert NumberField(p, check_irreducible=False).is_totally_real() == real
+        checked[real] += 1
+    assert min(checked.values()) >= 20, checked

@@ -13,11 +13,10 @@ from mtv.polynomial import (
     UniPoly,
     poly_factor_q,
     poly_gcd,
-    real_root_count,
     squarefree_parts,
 )
 
-from _oracles import factor_mod_p
+from _oracles import factor_mod_p, real_root_count
 
 X = UniPoly.x()
 
@@ -188,6 +187,42 @@ def test_failed_multiply_back_raises_verification_error(monkeypatch):
                         lambda H, prec, degrees: [H + 1])
     with pytest.raises(VerificationError):
         poly_factor_q((X - 1) * (X - 2))
+
+
+def test_repeated_factors_are_never_certified_squarefree():
+    rng = random.Random(11)
+    for _ in range(40):
+        g = random_int_poly(rng, rng.randint(1, 3), 9)
+        h = random_int_poly(rng, rng.randint(0, 4), 9)
+        p = g * g * h
+        assert polynomial._squarefree_prime(p.primitive_int()[1]) is None
+        # Yun still runs and reports g with multiplicity 2 (or more, if g
+        # shares a factor with h)
+        factors = dict((f.coeffs, m) for f, m in poly_factor_q(p))
+        for f, m in poly_factor_q(g):
+            assert factors[f.coeffs] >= 2 * m
+
+
+def test_squarefree_certificate_skips_yun(monkeypatch):
+    def no_yun(p):
+        raise AssertionError("Yun ran")
+
+    monkeypatch.setattr(polynomial, "squarefree_parts", no_yun)
+    rng = random.Random(12)
+    for _ in range(40):
+        p = random_int_poly(rng, rng.randint(1, 8), 9)
+        P = p.primitive_int()[1]
+        if sympy.discriminant(sympy.Poly(list(reversed([int(c) for c in P.coeffs])),
+                                          sympy.Symbol("x"))) == 0:
+            continue
+        assert polynomial._squarefree_prime(P) is not None
+        assert all(m == 1 for _, m in poly_factor_q(p))
+
+
+def test_squarefree_certificate_on_a_prime_that_divides_the_degree():
+    # x^3 - 2 mod 3 is (x + 1)^3 and its derivative vanishes there; mod 2
+    # it is x^3 and its derivative x^2: the first certificate is 5
+    assert polynomial._squarefree_prime(X**3 - 2) == 5
 
 
 def test_real_root_count_by_sturm():

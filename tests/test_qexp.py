@@ -516,6 +516,15 @@ def test_form_file_round_trip_field_coefficients():
     assert [c.coords for c in g.coeffs] == [c.coords for c in f.coeffs]
 
 
+def test_form_file_round_trip_beyond_the_str_digit_cap():
+    big = [Fraction(0), Fraction(10**5000), Fraction(-(10**5000 + 1), 3)]
+    f = QSeries(big, trunc=2, weight=12, level=1)
+    assert load_form(dump_form(f)) == f
+    field, _ = _sqrt2_series()
+    g = QSeries([field.elem(big[1:])], trunc=0, field=field)
+    assert load_form(dump_form(g)).coeffs == g.coeffs
+
+
 def test_form_file_character_enforced():
     import json
 

@@ -27,6 +27,27 @@ def test_format_parse_round_trip(x):
     assert parse_rational(format_rational(x)) == x
 
 
+# beyond the interpreter's default cap of 4300 digits on int <-> str
+HUGE = [
+    (Fraction(10**5000), "1" + "0" * 5000),
+    (Fraction(-(10**5000 + 1), 3), "-1" + "0" * 4999 + "1/3"),
+]
+
+
+@pytest.mark.parametrize("x, text", HUGE, ids=["10^5000", "-(10^5000+1)/3"])
+def test_format_parse_beyond_the_str_digit_cap(x, text):
+    assert format_rational(x) == text
+    assert parse_rational(text) == x
+    assert parse_rational(" %s " % text) == x
+
+
+def test_format_rational_matches_str_below_the_cap():
+    for n in (0, 7, -7, 10**599, 10**600, -(10**601), 2**1990, 2**1991 - 1, 3**4000):
+        assert format_rational(n) == str(n)
+        assert format_rational(Fraction(n, 7)) == str(Fraction(n, 7))
+        assert parse_rational(str(n)) == n
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(InputError):
         parse_rational("3/0")

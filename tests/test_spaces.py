@@ -21,15 +21,15 @@ from mtv import (
     newform_basis_level1,
     validate_external_newform,
 )
-from mtv import polynomial
+from mtv import polynomial, spaces
 from mtv.linalg import MatQ
 from mtv.numfield import NumberField
 from mtv.polynomial import UniPoly, poly_factor_q
 from mtv.qexp import QSeries
 from mtv.rational import format_rational
-from mtv.spaces import _krylov_eigenvector
+from mtv.spaces import krylov_charpoly
 
-from _oracles import elimination_eigenvector, t2_charpoly_weight24
+from _oracles import elimination_eigenvector, krylov_eigenvector, t2_charpoly_weight24
 
 
 DIM_MODULAR = {0: 1, 2: 0, 4: 1, 6: 1, 8: 1, 10: 1, 12: 2, 14: 1, 16: 2,
@@ -168,7 +168,7 @@ def krylov_against_elimination(M):
     for g, mult in poly_factor_q(chi):
         assert mult == 1
         theta = -g.coeffs[0] if g.degree == 1 else NumberField(g).gen()
-        assert _krylov_eigenvector(M, chi, theta) == elimination_eigenvector(M, g)
+        assert krylov_eigenvector(M, chi, theta) == elimination_eigenvector(M, g)
 
 
 @pytest.mark.parametrize("weight", [12, 24, 36, 48, 60])
@@ -253,3 +253,90 @@ ORBIT_DIGESTS = {
 @pytest.mark.parametrize("weight", sorted(ORBIT_DIGESTS))
 def test_high_weight_orbits_pinned(weight):
     assert orbit_digest(newform_basis_level1(weight, 64)) == ORBIT_DIGESTS[weight]
+
+
+# the same digests through q^20 at two weights the table above does not
+# reach, recorded with the Krylov route over the Hecke field (one field
+# inverse per orbit) before the pairing route replaced it
+PAIRING_DIGESTS = {144: "ddb19b08a6394c31", 192: "7ae32fa30fa2d9c5"}
+
+
+@pytest.mark.parametrize("weight", sorted(PAIRING_DIGESTS))
+def test_pairing_orbits_pinned(weight):
+    assert orbit_digest(newform_basis_level1(weight, 20)) == PAIRING_DIGESTS[weight]
+
+
+def integer_rows(M):
+    assert all(c.denominator == 1 for r in M.rows for c in r)
+    return [[int(c) for c in r] for r in M.rows]
+
+
+@pytest.mark.parametrize("weight", [24, 96, 144, 192, 240])
+def test_krylov_charpoly_matches_faddeev_leverrier(weight):
+    M, _ = hecke_matrix_level1(weight, 2)
+    chi, D, X = krylov_charpoly(integer_rows(M))
+    assert chi == M.charpoly()
+    assert D > 0
+
+
+@pytest.mark.parametrize("weight", [12, 24, 36, 48, 60])
+def test_pairing_eigenforms_match_krylov_oracle(weight):
+    T = 24
+    M, _ = hecke_matrix_level1(weight, 2)
+    basis = [b.truncate(T) for b in miller_basis(weight, T)[1:]]
+    chi = M.charpoly()
+    orbits = newform_basis_level1(weight, T).orbits
+    assert [nf.modulus for nf in orbits] == [g for g, _ in poly_factor_q(chi)]
+    for nf in orbits:
+        g = nf.modulus
+        theta = -g.coeffs[0] if g.degree == 1 else nf.field.gen()
+        v = krylov_eigenvector(M, chi, theta)
+        for n in range(T + 1):
+            want = sum((c * b.coeff(n) for c, b in zip(v, basis)), theta - theta)
+            assert nf.a(n) == want
+
+
+def test_non_cyclic_e1_raises():
+    # a repeated eigenvalue: no vector is cyclic
+    rows = conjugate(block_diagonal([companion(UniPoly.x() - 2)] * 2
+                                    + [companion(UniPoly.x() - 3)]),
+                     random.Random(5), upper=False)
+    with pytest.raises(VerificationError) as exc:
+        krylov_charpoly(integer_rows(rows))
+    assert "not cyclic" in str(exc.value)
+    # distinct eigenvalues, but e_1 is a left eigenvector: R is singular too
+    with pytest.raises(VerificationError):
+        krylov_charpoly([[2, 0], [1, 3]])
+    assert krylov_charpoly([[2, 1], [0, 3]])[0] == UniPoly([6, -5, 1])
+
+
+def planted_t2(monkeypatch, rows):
+    basis = miller_basis(36, 12)[1:]
+    M = MatQ([[Fraction(x) for x in r] for r in rows])
+    monkeypatch.setattr(spaces, "hecke_matrix_level1",
+                        lambda weight, n, trunc=None: (M, basis))
+
+
+def test_newform_basis_refuses_bad_t2_matrices(monkeypatch):
+    planted_t2(monkeypatch, [[2, 0], [1, 2]])
+    with pytest.raises(VerificationError) as exc:
+        newform_basis_level1(36, 12)
+    assert "repeated factor in the T_2 characteristic polynomial" in str(exc.value)
+    planted_t2(monkeypatch, [[Fraction(1, 2), 0], [1, 2]])
+    with pytest.raises(VerificationError) as exc:
+        newform_basis_level1(36, 12)
+    assert "not integral" in str(exc.value)
+
+
+def test_eigenvector_check_catches_a_wrong_inverse(monkeypatch):
+    real = spaces.bareiss_inverse
+
+    def off_by_one(rows):
+        D, X = real(rows)
+        X[-1][-1] += 1
+        return D, X
+
+    monkeypatch.setattr(spaces, "bareiss_inverse", off_by_one)
+    with pytest.raises(VerificationError) as exc:
+        newform_basis_level1(96, 12)
+    assert "not a T_2 eigenvector" in str(exc.value)
