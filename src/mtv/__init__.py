@@ -11,7 +11,6 @@ tail of a q-series evaluation past its truncation is a fitted majorant.
 from .errors import (
     InputError,
     MtvError,
-    NonconvergentError,
     PrecisionError,
     ReconstructionError,
     ResourceLimitError,
@@ -31,7 +30,6 @@ from .qexp import (
     load_form,
     op_U,
     op_V,
-    rho_conjugate,
 )
 from .spaces import (
     GaloisOrbitSet,
@@ -48,7 +46,6 @@ from .spaces import (
 )
 from .trace import (
     TheoremResult,
-    coset_translates,
     expand_in_newforms,
     fricke_eta_series,
     main_constant,
@@ -82,7 +79,6 @@ __all__ = [
     "InputError",
     "MtvError",
     "Newform",
-    "NonconvergentError",
     "PrecisionError",
     "QSeries",
     "ReconstructionError",
@@ -93,7 +89,6 @@ __all__ = [
     "VerificationError",
     "condition_a",
     "conductor_of_space",
-    "coset_translates",
     "delta_series",
     "dim_cusp_level1",
     "dim_modular_level1",
@@ -117,7 +112,6 @@ __all__ = [
     "op_U",
     "op_V",
     "reconstruct_real",
-    "rho_conjugate",
     "specialize_level1_exact",
     "specialize_phi",
     "tau_from_curve",

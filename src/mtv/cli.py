@@ -3,7 +3,7 @@
 Every subcommand prints one deterministic JSON document to stdout.  Exit
 codes: 0 success, 2 a verified identity failed, 3 the request is malformed
 or out of scope, 4 a numeric resource limit (precision, truncation,
-reconstruction, convergence) was hit.
+reconstruction, a size cap) was hit.
 """
 
 import argparse
@@ -27,7 +27,6 @@ from .elliptic import (
 from .errors import (
     InputError,
     MtvError,
-    NonconvergentError,
     PrecisionError,
     ReconstructionError,
     ResourceLimitError,
@@ -38,7 +37,13 @@ from .errors import (
 from .numerics import lattice_sum_eisenstein, eval_qseries
 from .qexp import EtaQuotientSpec, eisenstein_level1, eisenstein_prime_level
 from .rational import format_rational, parse_rational
-from .spaces import delta_series, dim_cusp_level1, newform_basis_level1
+from .spaces import (
+    MAX_NEWFORM_DIM,  # noqa: F401 -- the CLI's caps stay readable as cli.MAX_*
+    _require_newform_dim,
+    delta_series,
+    dim_cusp_level1,
+    newform_basis_level1,
+)
 from .trace import product_inputs, transformation_polynomial, verify_theorem
 
 # cusp inputs shipped with the engine, keyed by prime level
@@ -50,14 +55,6 @@ BUNDLED_ETA = {
 
 # cap on the lattice points of one oracle sum: (2B + 1) B at bound B
 MAX_ORACLE_TERMS = 10**7
-
-# cap on the cusp dimension of one newform basis.  The command takes about
-# 0.4 s at dimension 16 (weight 192), 2 s at 20 (weight 240) and 5 s at 22
-# (weights 264 and 278) on a 2-vCPU VM with CPython 3.11.  At dimension 23
-# the mod-p sieve's primes (up to 293) first fail to certify the T_2
-# polynomial irreducible (weight 276; weights 288-298 fail too), and the
-# numeric subset search that takes over has no useful bound on its run time.
-MAX_NEWFORM_DIM = 22
 
 
 def parse_eta(text):
@@ -132,11 +129,7 @@ def _emit(doc):
 
 def cmd_newforms(args):
     k = args.weight
-    if dim_cusp_level1(k) > MAX_NEWFORM_DIM:
-        raise ResourceLimitError(
-            "newforms --weight %d has cusp dimension %d, above the cap of %d"
-            % (k, dim_cusp_level1(k), MAX_NEWFORM_DIM)
-        )
+    _require_newform_dim(k)
     orbit_set = newform_basis_level1(k, args.order)
     orbits = []
     for nf in orbit_set.orbits:
@@ -350,8 +343,7 @@ def build_parser():
 _EXIT_BY_ERROR = (
     (VerificationError, 2),
     ((InputError, UnsupportedScopeError), 3),
-    ((PrecisionError, ReconstructionError, TruncationError, NonconvergentError,
-      ResourceLimitError), 4),
+    ((PrecisionError, ReconstructionError, TruncationError, ResourceLimitError), 4),
 )
 
 

@@ -8,6 +8,7 @@ rescaling, which on the triangular level-1 basis is a ring homomorphism we
 can apply exactly to any level-1 form.
 """
 
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -16,7 +17,7 @@ from mpmath import mpc, mpf
 from .errors import InputError, PrecisionError, VerificationError
 from .numerics import BigComplex, _qseries_value, eval_qseries, to_mpc
 from .numfield import nf_trace
-from .polynomial import UniPoly, poly_factor_q
+from .polynomial import UniPoly, _power, poly_factor_q
 from .qexp import eisenstein_level1
 from .rational import exact_fraction, format_rational, rational_reconstruct
 from .spaces import delta_series, expand_in_triangular, miller_basis, miller_exponents
@@ -139,14 +140,7 @@ class CurvePair:
             v = eval_qseries(series, self.tau, self.prec_bits + 16)
             s = self.scale_bc()
             p = int(weight)
-            acc = BigComplex(mpc(1), mpf(0))
-            base = s
-            while p:
-                if p & 1:
-                    acc = acc * base
-                p >>= 1
-                if p:
-                    base = base * base
+            acc = _power(s, p, operator.mul) if p else BigComplex(mpc(1), mpf(0))
             return acc * v
 
     def serialize(self):

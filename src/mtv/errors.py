@@ -29,9 +29,5 @@ class ReconstructionError(MtvError):
     """Rational reconstruction failed or would be ambiguous at the bound."""
 
 
-class NonconvergentError(MtvError):
-    """Dirichlet partial sum requested outside its convergence range."""
-
-
 class ResourceLimitError(MtvError):
     """A request whose size exceeds a fixed cap, refused before any work."""

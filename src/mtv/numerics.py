@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp, mpc, mpf
 
-from .errors import InputError, PrecisionError
+from .errors import InputError, PrecisionError, UnsupportedScopeError
 
 DEFAULT_PREC_BITS = 256
 MIN_PREC_BITS = 64
@@ -100,43 +100,6 @@ class BigComplex:
             "im": mpmath.nstr(self.value.imag, digits),
             "err": mpmath.nstr(self.err, 3),
         }
-
-
-def kronecker(a, n):
-    """Kronecker symbol (a|n), the full extension of the Jacobi symbol."""
-    a = int(a)
-    n = int(n)
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    if a % 2 == 0 and n % 2 == 0:
-        return 0
-    tab2 = (0, 1, 0, -1, 0, -1, 0, 1)  # (2|b) for odd b, indexed b mod 8
-    k = 1
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    if v % 2 == 1:
-        k = tab2[a & 7]
-        if k == 0:
-            return 0
-    if n < 0:
-        n = -n
-        if a < 0:
-            k = -k
-    # now n odd positive; standard binary Jacobi loop
-    a %= n
-    while a != 0:
-        v = 0
-        while a % 2 == 0:
-            a //= 2
-            v += 1
-        if v % 2 == 1 and n & 7 in (3, 5):
-            k = -k
-        if a & n & 2:
-            k = -k
-        a, n = n % a, a
-    return k if n == 1 else 0
 
 
 def _series_ints(f):
@@ -279,8 +242,8 @@ def eval_qseries(f, tau, prec_bits=None):
 def _lattice_tail_bound(lam, N, X, Y, B):
     """Upper bound for the truncated coset-sum defect, via integral comparison.
 
-    Coprimality and the character can only remove terms, so bounding the
-    unrestricted absolute tail is valid.  O(B^(2-lam)) in the bound B.
+    Coprimality can only remove terms, so bounding the unrestricted
+    absolute tail is valid.  O(B^(2-lam)) in the bound B.
     """
     lam = mpf(lam)
     Y = mpf(Y)
@@ -302,25 +265,24 @@ def _lattice_tail_bound(lam, N, X, Y, B):
     return c_tail + d_tail
 
 
-def _lattice_kernel(k, N, B, X, Y, s, P, chis):
+def _lattice_kernel(k, N, B, X, Y, s, P):
     """Fixed-point coset sum for tau = (X + iY)/2^s, in units of 2^-P.
 
     With W = (cX + d 2^s) + i cY, a Gaussian integer, the term is
     (c tau + d)^-k = 2^(ks) conj(W)^k / |W|^(2k); each component is floored
-    by one integer division, an error below 1 unit.  chis[d + B] is the
-    character value at d.  Returns (re, im, number of terms), the c = 0
-    term 1 included.
+    by one integer division, an error below 1 unit.  Returns (re, im,
+    number of terms), the c = 0 term 1 included.
     """
     half, odd = divmod(k, 2)
     shift = P + k * s
-    row_d = [(d, d << s, chi) for d, chi in zip(range(-B, B + 1), chis) if chi]
+    row_d = [(d, d << s) for d in range(-B, B + 1)]
     sx, sy, n = 1 << P, 0, 1
     for c in range(N, B * N + 1, N):
         cx = c * X
         b = c * Y
         b2 = b * b
         rx = ry = 0
-        for d, d2s, chi in row_d:
+        for d, d2s in row_d:
             if math.gcd(c, d) != 1:
                 continue
             a = cx + d2s
@@ -333,14 +295,8 @@ def _lattice_kernel(k, N, B, X, Y, s, P, chis):
             if odd:
                 vx, vy = vx * a + vy * b, vy * a - vx * b
             den = (a2 + b2) ** k
-            tx = (vx << shift) // den
-            ty = (vy << shift) // den
-            if chi > 0:
-                rx += tx
-                ry += ty
-            else:
-                rx -= tx
-                ry -= ty
+            rx += (vx << shift) // den
+            ry += (vy << shift) // den
             n += 1
         sx += rx
         sy += ry
@@ -348,16 +304,16 @@ def _lattice_kernel(k, N, B, X, Y, s, P, chis):
 
 
 def lattice_sum_eisenstein(weight, level, tau, bound, character=None, prec_bits=None):
-    """Truncated coset sum 1 + sum chi(d) (c tau + d)^(-weight) over the
+    """Truncated coset sum 1 + sum (c tau + d)^(-weight) over the
     Gamma_infinity orbit representatives with 0 < c <= bound*level, level | c,
     |d| <= bound, gcd(c, d) = 1.
 
-    The numeric oracle for the exact Eisenstein constructors.  character is
-    None (trivial) or a Kronecker-symbol discriminant for a real quadratic
-    character.  tau is taken as the dyadic point to_mpc gives at prec + 16
-    bits and summed exactly in fixed point (_lattice_kernel).  The attached
-    error is proven: the explicit truncation bound, plus sqrt(2) 2^-P per
-    term for the floors, plus the final rounding to prec + 16 bits.
+    The numeric oracle for the exact Eisenstein constructors.  character
+    must be None, the trivial character; any other value raises
+    UnsupportedScopeError.  tau is taken as the dyadic point to_mpc gives at
+    prec + 16 bits and summed exactly in fixed point (_lattice_kernel).  The
+    attached error is proven: the explicit truncation bound, plus sqrt(2)
+    2^-P per term for the floors, plus the final rounding to prec + 16 bits.
     """
     lam = int(weight)
     N = int(level)
@@ -366,6 +322,8 @@ def lattice_sum_eisenstein(weight, level, tau, bound, character=None, prec_bits=
         raise InputError("lattice sum needs weight >= 3 for absolute convergence")
     if N < 1 or B < 1:
         raise InputError("level and bound must be positive")
+    if character is not None:
+        raise UnsupportedScopeError("the coset sum supports the trivial character only")
     prec = _check_prec(prec_bits)
     W = prec + 16
     with mp.workprec(W):
@@ -375,8 +333,7 @@ def lattice_sum_eisenstein(weight, level, tau, bound, character=None, prec_bits=
         s = max(0, -_man_exp(tau.real)[1], -_man_exp(tau.imag)[1])
         X, Y = _fixed(tau.real, s), _fixed(tau.imag, s)
         P = W + ((2 * B + 1) * B + 1).bit_length() + 2
-        chis = [1 if character is None else kronecker(character, d) for d in range(-B, B + 1)]
-        sx, sy, nterms = _lattice_kernel(lam, N, B, X, Y, s, P, chis)
+        sx, sy, nterms = _lattice_kernel(lam, N, B, X, Y, s, P)
         total = mpc(mpmath.ldexp(mpf(sx), -P), mpmath.ldexp(mpf(sy), -P))
         tail = _lattice_tail_bound(lam, N, tau.real, tau.imag, B)
         rounding = math.sqrt(2) * nterms * mpf(2) ** -P + abs(total) * mpf(2) ** (1 - W)

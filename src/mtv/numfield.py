@@ -1,20 +1,17 @@
-"""Number fields Q[x]/(p) in the power basis, plus prime-conductor cyclotomics.
+"""Number fields Q[x]/(p) in the power basis.
 
 A number field element is one integer coordinate vector over one positive
-denominator; a cyclotomic element is a vector of Fractions.  The cyclotomic
-field Q(zeta_p) for prime p uses the basis 1, zeta, ..., zeta^(p-2);
-products reduce first by zeta^p = 1 and then by
-zeta^(p-1) = -(1 + zeta + ... + zeta^(p-2)).
+denominator.
 """
 
 import math
 import operator
 from fractions import Fraction
 
-from .errors import InputError, UnsupportedScopeError
-from .numerics import root_cluster
+from .errors import InputError
 from .polynomial import (
     UniPoly,
+    _power,
     elementary_from_power_sums,
     poly_factor_q,
     power_sums_from_elementary,
@@ -126,9 +123,6 @@ class NumberField:
                 power_sums_from_elementary(sym, 2 * d - 2)
             )
         return self._power_sums
-
-    def embeddings(self, prec_bits=None):
-        return root_cluster(self.modulus, prec_bits)
 
     def is_totally_real(self):
         """Exact: the trace form y -> Tr(y^2) is positive definite.
@@ -312,14 +306,7 @@ class NumberFieldElem:
         n = int(n)
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, operator.mul) if n else self.field.one()
 
 
 def nf_trace(elem):
@@ -366,161 +353,3 @@ def nf_norm(elem):
     cp = nf_charpoly(elem)
     c0 = cp.coeffs[0]
     return c0 if elem.field.degree % 2 == 0 else -c0
-
-
-def conjugate_quadratic(elem):
-    """The nontrivial automorphism image, for degree <= 2 fields."""
-    d = elem.field.degree
-    if d == 1:
-        return elem
-    if d != 2:
-        raise UnsupportedScopeError("conjugation implemented for degree <= 2 only")
-    b = elem.field.modulus.coeffs[1]  # x^2 + b x + c: other root is -b - x
-    a0, a1 = elem.coords
-    return elem.field.elem([a0 - a1 * b, -a1])
-
-
-class CycloField:
-    """Q(zeta_p) for prime p, basis 1, zeta, ..., zeta^(p-2)."""
-
-    def __init__(self, p):
-        p = int(p)
-        if p < 2 or any(p % t == 0 for t in range(2, int(p**0.5) + 1)):
-            raise InputError("conductor must be prime")
-        self.p = p
-        self.degree = p - 1
-
-    def __eq__(self, other):
-        return isinstance(other, CycloField) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("CYC", self.p))
-
-    def __repr__(self):
-        return "CycloField(%d)" % self.p
-
-    def elem(self, coords):
-        coords = [Fraction(c) for c in coords]
-        if len(coords) > self.degree:
-            raise InputError("coordinate vector too long")
-        coords += [Fraction(0)] * (self.degree - len(coords))
-        return CycloElem(self, tuple(coords))
-
-    def coerce(self, v):
-        if isinstance(v, CycloElem):
-            if v.field != self:
-                raise InputError("element of a different cyclotomic field")
-            return v
-        return self.elem([Fraction(v)])
-
-    def zero(self):
-        return self.elem([])
-
-    def one(self):
-        return self.elem([1])
-
-    def zeta_power(self, j):
-        """zeta^j as an element."""
-        j %= self.p
-        if j < self.degree:
-            coords = [Fraction(0)] * self.degree
-            coords[j] = Fraction(1)
-            return CycloElem(self, tuple(coords))
-        return CycloElem(self, tuple([Fraction(-1)] * self.degree))
-
-    def reduce_powers(self, conv):
-        """Coordinates from a raw power list c_t zeta^t, t < 2p-3."""
-        d = self.degree
-        out = list(conv[:d]) + [Fraction(0)] * (d - min(d, len(conv)))
-        out = [Fraction(c) for c in out]
-        for t in range(d, len(conv)):
-            c = conv[t]
-            if not c:
-                continue
-            if t >= self.p:
-                out[t - self.p] += c
-            else:  # t == p-1
-                for i in range(d):
-                    out[i] -= c
-        return out
-
-
-class CycloElem:
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field, coords):
-        self.field = field
-        self.coords = tuple(Fraction(c) for c in coords)
-        assert len(self.coords) == field.degree
-
-    def __repr__(self):
-        return "CycloElem(p=%d, %s)" % (self.field.p, (self.coords,))
-
-    def __eq__(self, other):
-        if isinstance(other, CycloElem):
-            return self.field == other.field and self.coords == other.coords
-        if isinstance(other, (int, Fraction)):
-            return self == self.field.coerce(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.coords))
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
-    def is_rational(self):
-        return all(c == 0 for c in self.coords[1:])
-
-    def rational_part(self):
-        if not self.is_rational():
-            raise InputError("element is not rational")
-        return self.coords[0]
-
-    def _coerce(self, other):
-        return self.field.coerce(other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return CycloElem(
-            self.field, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycloElem(self.field, tuple(-a for a in self.coords))
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycloElem(self.field, tuple(a * other for a in self.coords))
-        other = self._coerce(other)
-        d = self.field.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    if b:
-                        conv[i + j] += a * b
-        return CycloElem(self.field, tuple(self.field.reduce_powers(conv)))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        n = int(n)
-        if n < 0:
-            raise InputError("negative cyclotomic power not supported")
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out

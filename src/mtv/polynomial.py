@@ -19,13 +19,13 @@ fails.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
 
 from .errors import InputError, PrecisionError, VerificationError
 from .numerics import root_cluster
-from .rational import lcm_denominators
 
 
 class UniPoly:
@@ -99,14 +99,7 @@ class UniPoly:
     def __pow__(self, n):
         if n < 0:
             raise InputError("negative polynomial power")
-        out = UniPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, operator.mul) if n else UniPoly((1,))
 
     def _coerce(self, other):
         if isinstance(other, UniPoly):
@@ -168,7 +161,7 @@ class UniPoly:
         """Write p = unit * P with P integer-coefficient, primitive, lc > 0."""
         if self.is_zero():
             return Fraction(0), UniPoly()
-        den = lcm_denominators(self.coeffs)
+        den = math.lcm(*[c.denominator for c in self.coeffs])
         ints = [int(c * den) for c in self.coeffs]
         g = 0
         for v in ints:
@@ -227,8 +220,24 @@ def squarefree_parts(p):
     return out
 
 
-# -- Newton's identities, for any ring elements that add, multiply and scale
-# by a Fraction (rationals, q-series) --------------------------------------
+# -- ring-generic routines: Newton's identities for any elements that add,
+# multiply and scale by a Fraction (rationals, q-series), and powers --------
+
+def _power(base, n, mul):
+    """base^n for n >= 1 by square-and-multiply, products taken as mul(a, b).
+
+    Needs no identity element: the first factor is base itself, and the
+    last squaring, whose result would go unused, is skipped.
+    """
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else mul(out, base)
+        n >>= 1
+        if not n:
+            return out
+        base = mul(base, base)
+
 
 def elementary_from_power_sums(power_sums):
     """e_1..e_m from p_1..p_m: m*e_m = sum_{i=1}^{m} (-1)^(i-1) e_(m-i) p_i."""
@@ -343,13 +352,7 @@ def _fp_ddf_degrees(f, p):
     xp = [0, 1]  # x^(p^d) mod f
     while 2 * (d + 1) <= len(f) - 1:
         d += 1
-        base, e, acc = xp, p, [1]
-        while e:
-            if e & 1:
-                acc = _fp_mulmod(acc, base, f, p)
-            base = _fp_mulmod(base, base, f, p)
-            e >>= 1
-        xp = acc
+        xp = _power(xp, p, lambda a, b: _fp_mulmod(a, b, f, p))
         g = _fp_gcd(f, _fp_sub(xp, [0, 1], p), p)
         if len(g) > 1:
             degrees += [d] * ((len(g) - 1) // d)

@@ -1,7 +1,7 @@
 """Exact q-expansion engine.
 
 QSeries holds a truncated expansion in q^(1/e) with exact coefficients:
-rationals, number-field elements, or prime-conductor cyclotomic elements.
+rationals or number-field elements.
 
 A rational series stores one list of integer numerators over one positive
 common denominator, kept canonical: the denominator is coprime to the
@@ -9,7 +9,7 @@ numerators taken together, and it is 1 for the zero series.  Equal series
 therefore have equal arrays, and sums, scalings, truncations and
 comparisons work on the integers directly.  The public ``coeffs`` tuple of
 reduced Fractions is built on first access and cached.  Series over a
-number field or a cyclotomic field keep a tuple of field elements.
+number field keep a tuple of field elements.
 
 Every product of integer arrays goes through ``_kron_mul`` (Kronecker
 substitution): each array is packed into one big integer, in slots wide
@@ -36,17 +36,14 @@ from mpmath import mp, mpc
 
 from .errors import (
     InputError,
+    ResourceLimitError,
     TruncationError,
     UnsupportedScopeError,
     VerificationError,
 )
 from .numerics import eval_qseries, lattice_sum_eisenstein
-from .numfield import (
-    CycloElem,
-    NumberField,
-    NumberFieldElem,
-    conjugate_quadratic,
-)
+from .numfield import NumberField, NumberFieldElem
+from .polynomial import UniPoly, _power
 from .rational import format_rational, parse_rational
 
 
@@ -214,9 +211,7 @@ class QSeries:
             n = Fraction(m, e)
             a = self.coeff(n)
             b = other.coeff(n)
-            if isinstance(a, (CycloElem, NumberFieldElem)) != isinstance(
-                b, (CycloElem, NumberFieldElem)
-            ):
+            if isinstance(a, NumberFieldElem) != isinstance(b, NumberFieldElem):
                 a, b = _match_values(a, b)
             if a != b:
                 return False
@@ -235,7 +230,7 @@ class QSeries:
             other = QSeries(
                 [other], e=1, trunc=self.trunc, level=self.level, field=None
             )
-        elif isinstance(other, (NumberFieldElem, CycloElem)):
+        elif isinstance(other, NumberFieldElem):
             other = QSeries(
                 [other], e=1, trunc=self.trunc, level=self.level, field=other.field
             )
@@ -304,7 +299,7 @@ class QSeries:
         return comps, den
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, NumberFieldElem, CycloElem)):
+        if isinstance(other, (int, Fraction, NumberFieldElem)):
             return self.scale(other)
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -346,15 +341,7 @@ class QSeries:
                 [one], e=1, trunc=self.trunc, weight=0, level=self.level,
                 field=self.field,
             )
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, operator.mul)
 
     # -- serialization ---------------------------------------------------
 
@@ -368,11 +355,9 @@ class QSeries:
         }
         if self.field is None:
             d["coeffs"] = [format_rational(c) for c in self.coeffs]
-        elif isinstance(self.field, NumberField):
+        else:
             d["field_modulus"] = self.field.modulus.serialize()
             d["coeffs"] = [[format_rational(v) for v in c.coords] for c in self.coeffs]
-        else:
-            raise UnsupportedScopeError("cyclotomic series serialization not supported")
         return d
 
 
@@ -503,10 +488,47 @@ def _require_even_weight(weight):
     return weight
 
 
+# Miller-Rabin with the prime bases 2 .. 41 is exact below this bound
+# (J. Sorenson and J. Webster, Math. Comp. 86 (2017))
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic primality by Miller-Rabin over _MR_BASES.
+
+    An n below _MR_LIMIT gets an exact answer, as does any n with a base
+    as a factor; any other n raises ResourceLimitError.
+    """
+    n = int(n)
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_LIMIT:
+        raise ResourceLimitError(
+            "%d is beyond the deterministic prime test (n < %d)" % (n, _MR_LIMIT)
+        )
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _require_prime(level):
     level = int(level)
-    if level < 2 or any(level % t == 0 for t in range(2, int(level**0.5) + 1)):
-        raise InputError("level must be prime")
+    if not _is_prime(level):
+        raise InputError("level must be prime, got %d" % level)
     return level
 
 
@@ -790,18 +812,6 @@ def _factorize(n):
     return out
 
 
-def rho_conjugate(f):
-    """Apply the nontrivial field automorphism to the coefficients (degree <= 2)."""
-    if f.field is None:
-        return f
-    if not isinstance(f.field, NumberField) or f.field.degree > 2:
-        raise UnsupportedScopeError("coefficient conjugation needs a rational or quadratic field")
-    coeffs = [conjugate_quadratic(c) for c in f.coeffs]
-    return QSeries(
-        coeffs, e=f.e, trunc=f.trunc, weight=f.weight, level=f.level, field=f.field
-    )
-
-
 # -- form files --------------------------------------------------------------
 
 def dump_form(f, fp=None):
@@ -829,8 +839,6 @@ def load_form(data):
         raise UnsupportedScopeError("only trivial character form files are supported")
     field = None
     if "field_modulus" in data:
-        from .polynomial import UniPoly
-
         field = NumberField(UniPoly([parse_rational(c) for c in data["field_modulus"]]))
         coeffs = [field.elem([parse_rational(v) for v in c]) for c in raw]
     else:

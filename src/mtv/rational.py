@@ -2,11 +2,10 @@
 
 Fraction already guarantees the invariants we need (gcd-reduced, positive
 denominator, exact arithmetic), so this module only adds the serialization
-format, denominator bookkeeping, and continued-fraction reconstruction of
-rationals from high-precision numeric values.
+format and continued-fraction reconstruction of rationals from
+high-precision numeric values.
 """
 
-import math
 import re
 from fractions import Fraction
 
@@ -66,14 +65,6 @@ def parse_rational(s):
         return Fraction(-num if m.group(1) == "-" else num, den)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError("not a rational: %r" % (s,)) from exc
-
-
-def lcm_denominators(xs):
-    """lcm of the denominators of an iterable of Fractions (1 for empty)."""
-    out = 1
-    for x in xs:
-        out = out * x.denominator // math.gcd(out, x.denominator)
-    return out
 
 
 def exact_fraction(x):

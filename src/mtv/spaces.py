@@ -22,14 +22,23 @@ import operator
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InputError, TruncationError, VerificationError
+from .errors import InputError, ResourceLimitError, TruncationError, VerificationError
 from .linalg import MatQ, bareiss_inverse
 from .numfield import NumberField, NumberFieldElem
 from .polynomial import UniPoly, poly_factor_q
-from .qexp import QSeries, eisenstein_level1, eta_quotient, hecke_T
+from .qexp import QSeries, _is_prime, eisenstein_level1, eta_quotient, hecke_T
 
 # 4a + 6b = r, minimal (a, b)
 _RESIDUAL_AB = {0: (0, 0), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1), 14: (2, 1)}
+
+# cap on the cusp dimension of a newform basis that a command builds.  The
+# basis takes about 0.4 s at dimension 16 (weight 192), 2 s at 20 (weight
+# 240) and 5 s at 22 (weights 264 and 278) on a 2-vCPU VM with CPython
+# 3.11.  At dimension 23 the mod-p sieve's primes (up to 293) first fail to
+# certify the T_2 polynomial irreducible (weight 276; weights 288-298 fail
+# too), and the numeric subset search that takes over has no useful bound
+# on its run time.
+MAX_NEWFORM_DIM = 22
 
 
 def dim_modular_level1(weight):
@@ -47,6 +56,16 @@ def dim_cusp_level1(weight):
     if k < 12:
         return 0
     return dim_modular_level1(k) - 1
+
+
+def _require_newform_dim(weight):
+    """Refuse, before any work, a weight whose cusp dimension exceeds MAX_NEWFORM_DIM."""
+    dim = dim_cusp_level1(weight)
+    if dim > MAX_NEWFORM_DIM:
+        raise ResourceLimitError(
+            "weight %d has cusp dimension %d, above the cap of %d"
+            % (weight, dim, MAX_NEWFORM_DIM)
+        )
 
 
 def delta_series(trunc):
@@ -305,7 +324,7 @@ def conductor_of_space(weight, level):
     level = int(level)
     if level == 1:
         return 1, [1]
-    if any(level % t == 0 for t in range(2, int(level**0.5) + 1)):
+    if not _is_prime(level):
         raise InputError("level must be 1 or prime")
     C = 1 if dim_cusp_level1(weight) > 0 else level
     admissible = [M for M in (1, level) if M % C == 0]
@@ -339,7 +358,7 @@ def validate_external_newform(f):
     # prime-power recursion
     p = 2
     while p * p <= T:
-        if all(p % t for t in range(2, p)):
+        if _is_prime(p):
             pk = p ** (k - 1)
             q = p * p
             while q <= T:

@@ -8,12 +8,12 @@ coefficients s_i are level-1 forms of weight w*i; Newton's identities turn
 them into the power sum p_mu = Tr(h^mu).  The two routes share only the
 Fricke image of h and must agree coefficient by coefficient, exactly.
 
-Cyclotomic bookkeeping: the non-identity translates are (h|w_N)((z+j)/N)
-scaled by N^(-w/2), i.e. q^(1/N)-series with coefficients twisted by powers
-of a primitive N-th root of unity.  Power sums over j kill every exponent
-not divisible by N (the root-of-unity sieve), which is why the s_i come out
-rational; coset_translates exposes the raw cyclotomic series so the sieve
-itself can be tested against the definition.
+The non-identity translates are (h|w_N)((z+j)/N) scaled by N^(-w/2): the
+q^(1/N)-series F of the scaled Fricke image with its q^(m/N) coefficient
+twisted by zeta^(j m), zeta a primitive N-th root of unity.  Summed over j,
+their m-th powers keep N times the integral exponents of F^m and nothing
+else (the root-of-unity sieve), so Phi is built over Q without ever
+forming Q(zeta).
 """
 
 import math
@@ -23,25 +23,23 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpc
 
-from .errors import (
-    InputError,
-    NonconvergentError,
-    UnsupportedScopeError,
-    VerificationError,
-)
+from .errors import InputError, UnsupportedScopeError, VerificationError
 from .linalg import MatQ
 from .numerics import eval_qseries, to_mpf
-from .numfield import CycloField, nf_charpoly, nf_trace, trace_form
+from .numfield import nf_charpoly, nf_trace, trace_form
 from .polynomial import elementary_from_power_sums, power_sums_from_elementary
 from .qexp import (
     EtaQuotientSpec,
     QSeries,
+    _require_even_weight,
+    _require_prime,
     eisenstein_prime_level,
     eta_quotient,
     fricke_eisenstein,
     op_U,
 )
 from .spaces import (
+    _require_newform_dim,
     conductor_of_space,
     dim_cusp_level1,
     dim_modular_level1,
@@ -49,41 +47,6 @@ from .spaces import (
     miller_basis,
     newform_basis_level1,
 )
-
-
-def _is_prime(n):
-    n = int(n)
-    if n < 2:
-        return False
-    return all(n % t for t in range(2, int(n**0.5) + 1))
-
-
-def _require_prime_level(level):
-    level = int(level)
-    if not _is_prime(level):
-        raise InputError("level must be prime, got %d" % level)
-    return level
-
-
-class CosetData:
-    """Right coset representatives of the level-N group in the modular group."""
-
-    __slots__ = ("level", "index", "reps")
-
-    def __init__(self, level):
-        level = int(level)
-        if level == 1:
-            self.level = 1
-            self.index = 1
-            self.reps = ("I",)
-            return
-        _require_prime_level(level)
-        self.level = level
-        self.index = level + 1
-        self.reps = ("I",) + tuple("S*T^%d" % j for j in range(level))
-
-    def __repr__(self):
-        return "CosetData(level=%d, index=%d)" % (self.level, self.index)
 
 
 # -- Fricke action on eta quotients ---------------------------------------
@@ -102,7 +65,7 @@ def fricke_eta_data(spec, level):
         spec = EtaQuotientSpec(spec)
     level = int(level)
     if level != 1:
-        _require_prime_level(level)
+        _require_prime(level)
     partner = spec.fricke_partner(level)
     l = spec.weight
     if l % 2:
@@ -175,30 +138,7 @@ def product_inputs(level, eta_spec, eis_weight, order):
     return g * E, gfr * Efr
 
 
-# -- translates and the transformation polynomial --------------------------
-
-def coset_translates(h, h_fricke, level):
-    """All index-many translates h|gamma as q^(1/N) expansions.
-
-    Entry 0 is h itself; entry 1+j is the S*T^j translate, a series over the
-    N-th cyclotomic field.  h_fricke must be the Fricke image of h.
-    """
-    N = _require_prime_level(level)
-    w = h.weight
-    if w is None or w % 2 or h.e != 1 or h_fricke.e != 1:
-        raise InputError("translates need even-weight integral-grid series")
-    Tq = h_fricke.trunc // N
-    out = [h.truncate(min(h.trunc, Tq))]
-    scale = Fraction(1, N ** (w // 2))
-    K = CycloField(N)
-    b = [c * scale for c in h_fricke.coeffs[: N * Tq + 1]]
-    for j in range(N):
-        coeffs = [K.zeta_power(j * m % N) * b[m] for m in range(N * Tq + 1)]
-        out.append(
-            QSeries(coeffs, e=N, trunc=Tq, weight=w, level=N, field=K)
-        )
-    return out
-
+# -- the transformation polynomial ----------------------------------------
 
 def _integral_exponent_part(s):
     """Restrict a q^(1/e) expansion to its integral exponents."""
@@ -218,7 +158,7 @@ def transformation_polynomial(h, h_fricke, level, validate=True):
     s_i is also expanded against the level-1 triangular basis, which fails
     loudly if it is not a level-1 form as far as the truncation can see.
     """
-    N = _require_prime_level(level)
+    N = _require_prime(level)
     w = h.weight
     if w is None or w % 2 or h.e != 1 or h_fricke.e != 1:
         raise InputError("transformation polynomial needs even-weight integral series")
@@ -264,7 +204,7 @@ def transformation_polynomial(h, h_fricke, level, validate=True):
 
 def trace_to_level1(f, f_fricke, level):
     """Tr from prime level: f + N^(1 - w/2) * U_N(f|w_N), exact q-series."""
-    N = _require_prime_level(level)
+    N = _require_prime(level)
     w = f.weight
     if w is None or w % 2:
         raise InputError("trace needs an even integer weight")
@@ -282,7 +222,7 @@ def main_constant(weight, target_level=1):
     if M == 1:
         index = 1
     else:
-        _require_prime_level(M)
+        _require_prime(M)
         index = M + 1
     return Fraction(3) * Fraction(4) ** (1 - w) * math.factorial(w - 2) / index
 
@@ -349,28 +289,6 @@ def expand_in_newforms(f, orbit_set):
     return out
 
 
-def rankin_partial_sum(a_coeffs, b_coeffs, s, weight_a, weight_b, prec_bits=128):
-    """Partial sum of sum a_n conj-free b_n n^(-s) with a convergence guard.
-
-    Refuses (NonconvergentError) unless s > (weight_a - 1)/2 + weight_b, the
-    region where the coefficient bounds make the tail go to zero.
-    """
-    s = Fraction(s)
-    if s <= Fraction(weight_a - 1, 2) + weight_b:
-        raise NonconvergentError(
-            "nonconvergent at s=%s for weights (%d, %d); skipped"
-            % (s, weight_a, weight_b)
-        )
-    with mpmath.workprec(prec_bits):
-        acc = mpmath.mpf(0)
-        nmax = min(len(a_coeffs), len(b_coeffs)) - 1
-        for n in range(1, nmax + 1):
-            acc += to_mpf(Fraction(a_coeffs[n]) * Fraction(b_coeffs[n])) * mpmath.mpf(
-                n
-            ) ** to_mpf(-s)
-        return acc
-
-
 class TheoremResult:
     """Everything the level-lowering run produced, exact where it matters."""
 
@@ -378,7 +296,7 @@ class TheoremResult:
         "level", "eta_spec", "eis_weight", "power", "weight_h", "weight_total",
         "order", "route_agree_through", "trace", "constant", "orbit_set",
         "components", "ratios", "conductor", "admissible_levels",
-        "single_orbit", "rankin_status", "phi_symmetric",
+        "single_orbit", "phi_symmetric",
     )
 
     def __init__(self, **kw):
@@ -425,15 +343,15 @@ class TheoremResult:
             "single_orbit": self.single_orbit,
             "conductor": self.conductor,
             "admissible_levels": self.admissible_levels,
-            "rankin_status": self.rankin_status,
         }
 
 
 def verify_theorem(level, eta_pairs, eis_weight, power, order=64):
     """Run both trace routes for h = (eta quotient) * (Eisenstein row), compare
     exactly, and decompose the trace against the level-1 newform orbits."""
-    N = _require_prime_level(level)
+    N = _require_prime(level)
     spec = eta_pairs if isinstance(eta_pairs, EtaQuotientSpec) else EtaQuotientSpec(eta_pairs)
+    eis_weight = _require_even_weight(eis_weight)
     power = int(power)
     if power < 1:
         raise InputError("power must be >= 1")
@@ -445,13 +363,13 @@ def verify_theorem(level, eta_pairs, eis_weight, power, order=64):
     # the routes must reach the requested order, the validation of the s_i
     # (weights w*i, i <= N+1) the leads of the Miller basis, and the newform
     # expansion its dim S_W unknowns with 8 coefficients to spare
-    w = spec.weight + int(eis_weight)
-    reach = max(order, dim_modular_level1(w * (N + 1)),
-                dim_cusp_level1(w * power) + 8)
+    w = spec.weight + eis_weight
+    W = w * power
+    _require_newform_dim(W)
+    reach = max(order, dim_modular_level1(w * (N + 1)), dim_cusp_level1(W) + 8)
     h, hfr = product_inputs(N, spec, eis_weight, reach)
     H = h**power
     Hfr = hfr**power
-    W = w * power
 
     route1 = trace_to_level1(H, Hfr, N)
     sym = transformation_polynomial(h, hfr, N, validate=True)
@@ -468,20 +386,10 @@ def verify_theorem(level, eta_pairs, eis_weight, power, order=64):
     comps = expand_in_newforms(trace, orbit_set)
     ratios = [c / cm for c in comps]
     conductor, admissible = conductor_of_space(W, N)
-    # numeric Rankin sanity only makes sense where the series converges; at
-    # the natural sample point s = W it never does for these weights
-    s_nat = Fraction(W)
-    bound = Fraction(W - 1, 2) + W
-    if s_nat > bound:
-        head = [Fraction(c) for c in trace.coeffs[: min(trace.trunc, 64) + 1]]
-        val = rankin_partial_sum(head, head, s_nat, W, W)
-        rankin_status = "partial sum at s=%s: %s" % (s_nat, mpmath.nstr(val, 12))
-    else:
-        rankin_status = "nonconvergent at s=%s (needs s > %s); skipped" % (s_nat, bound)
     return TheoremResult(
         level=N,
         eta_spec=spec,
-        eis_weight=int(eis_weight),
+        eis_weight=eis_weight,
         power=power,
         weight_h=w,
         weight_total=W,
@@ -495,6 +403,5 @@ def verify_theorem(level, eta_pairs, eis_weight, power, order=64):
         conductor=conductor,
         admissible_levels=admissible,
         single_orbit=orbit_set.single_orbit,
-        rankin_status=rankin_status,
         phi_symmetric=sym,
     )

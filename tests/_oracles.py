@@ -11,9 +11,11 @@ vectors over the field and one field inverse) for the eigenforms of the
 a_1 pairing, `real_root_count` (a Sturm sequence over Q) for the trace-form
 test of total reality, `mult_matrix` (whose Faddeev-LeVerrier charpoly and
 determinant gave a field element's charpoly and norm) for the power-sum
-route, and `lattice_sum_ref` / `eval_qseries_ref`, the
-former mpmath loops of the numeric layer, for its fixed-point kernels.
-Slow is fine.
+route, `lattice_sum_ref` / `eval_qseries_ref`, the former mpmath loops of
+the numeric layer, for its fixed-point kernels, and
+`twisted_translate_power_sum`, Q(zeta_N) arithmetic by plain convolution in
+place of the former cyclotomic fields, for the root-of-unity sieve that
+builds the transformation polynomial over Q.  Slow is fine.
 """
 
 import itertools
@@ -273,37 +275,72 @@ def real_root_count(p):
     return sign_changes(at_neg) - sign_changes(at_pos)
 
 
-def kronecker_ref(D, n):
-    """Kronecker symbol (D|n) from its definition: multiplicative in n, with
-    (D|-1) = sign D, (D|2) by D mod 8, and Legendre symbols at odd primes."""
-    if n == 0:
-        return 1 if abs(D) == 1 else 0
-    k = -1 if n < 0 and D < 0 else 1
-    for p, e in sympy.factorint(abs(n)).items():
-        if p == 2:
-            s = 0 if D % 2 == 0 else (1 if D % 8 in (1, 7) else -1)
-        else:
-            s = int(sympy.legendre_symbol(D % p, p)) if D % p else 0
-        k *= s**e
-    return k
-
-
-def lattice_sum_ref(weight, level, tau, bound, character, prec):
-    """1 + sum chi(d) (c tau + d)^-weight over 0 < c <= bound*level, level | c,
+def lattice_sum_ref(weight, level, tau, bound, prec):
+    """1 + sum (c tau + d)^-weight over 0 < c <= bound*level, level | c,
     |d| <= bound, gcd(c, d) = 1, summed term by term in mpmath at prec bits."""
-    chis = {d: 1 if character is None else kronecker_ref(character, d)
-            for d in range(-bound, bound + 1)}
     with mpmath.workprec(prec):
         tau = mpmath.mpc(tau)
         total = mpmath.mpc(1)
         for c in range(level, bound * level + 1, level):
             for d in range(-bound, bound + 1):
-                if math.gcd(c, abs(d)) != 1:
-                    continue
-                chi = chis[d]
-                if chi:
-                    total += chi / (c * tau + d) ** weight
+                if math.gcd(c, abs(d)) == 1:
+                    total += 1 / (c * tau + d) ** weight
         return total
+
+
+# -- Q(zeta_N), N prime: an element is N Fractions, entry i the coefficient of
+# zeta^i.  Products reduce by zeta^N = 1 alone, so the vector is not unique:
+# 1 + zeta + ... + zeta^(N-1) = 0, and two vectors are the same element
+# exactly when their difference is constant.
+
+def cyclo_zeta_power(j, N):
+    out = [Fraction(0)] * N
+    out[j % N] = Fraction(1)
+    return out
+
+
+def cyclo_add(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def cyclo_mul(a, b):
+    N = len(a)
+    out = [Fraction(0)] * N
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[(i + j) % N] += x * y
+    return out
+
+
+def cyclo_equal(a, b):
+    d = [x - y for x, y in zip(a, b)]
+    return all(x == d[0] for x in d)
+
+
+def cyclo_series_mul(A, B):
+    """Truncated product of two series given as lists of Q(zeta_N) elements."""
+    N = len(A[0])
+    out = []
+    for k in range(len(A)):
+        acc = [Fraction(0)] * N
+        for i in range(k + 1):
+            acc = cyclo_add(acc, cyclo_mul(A[i], B[k - i]))
+        out.append(acc)
+    return out
+
+
+def twisted_translate_power_sum(coeffs, N, m):
+    """sum_j F_j^m through the length of coeffs, F_j = sum_k coeffs[k] zeta^(jk) q^(k/N)."""
+    total = [[Fraction(0)] * N for _ in coeffs]
+    for j in range(N):
+        F = [[Fraction(c) * x for x in cyclo_zeta_power(j * k, N)]
+             for k, c in enumerate(coeffs)]
+        P = F
+        for _ in range(m - 1):
+            P = cyclo_series_mul(P, F)
+        total = [cyclo_add(t, p) for t, p in zip(total, P)]
+    return total
 
 
 def eval_qseries_ref(coeffs, e, tau, prec):

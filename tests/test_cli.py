@@ -44,7 +44,7 @@ def test_theorem_level3_report():
     assert doc["orbits"][0]["totally_real"] is True
     assert doc["trace_head"][1] == "40/13"
     assert doc["route_agree_through"] >= 8
-    assert doc["rankin_status"].startswith("nonconvergent at s=12")
+    assert "rankin_status" not in doc
 
 
 def test_corollary_identity_and_exit0():
@@ -217,6 +217,36 @@ def test_newforms_over_the_dimension_cap_exits4(monkeypatch, capsys):
         assert cli.main(["newforms", "--weight", weight]) == 4
         err = capsys.readouterr().err
         assert "above the cap of 22" in err and "reached" not in err
+
+
+def test_theorem_and_corollary_over_the_dimension_cap_exit4(monkeypatch, capsys):
+    # at level 2, W = (8 + 4) * power: dim S_264 = 22 (power 22) passes the
+    # guard, dim S_288 = 24 (power 24) is refused before any input is built
+    import mtv.trace as trace
+
+    def reached(*a, **kw):
+        raise VerificationError("reached the inputs")
+
+    monkeypatch.setattr(trace, "product_inputs", reached)
+    argv = ["theorem", "--level", "2", "--eis-weight", "4", "--power"]
+    assert cli.main(argv + ["22"]) == 2
+    assert "reached the inputs" in capsys.readouterr().err
+    for args in (argv + ["24"], ["corollary", "--level", "2", "--eis-weight", "4",
+                                 "--power", "24", "--curve", "4,1"]):
+        assert cli.main(args) == 4
+        err = capsys.readouterr().err
+        assert "above the cap of 22" in err and "reached" not in err
+    # a malformed Eisenstein weight is reported as such before the cap
+    assert cli.main(["theorem", "--level", "2", "--eis-weight", "3", "--power", "30"]) == 3
+    assert "Eisenstein weight must be even" in capsys.readouterr().err
+
+
+def test_oracle_at_a_40_digit_prime_level_exits4(capsys):
+    # past the range where the prime test is proven exact: refused at once
+    level = 10**39 + 3
+    argv = ["oracle", "--eis-weight", "4", "--level", str(level), "--tau", "0.21,1.13"]
+    assert cli.main(argv) == 4
+    assert "beyond the deterministic prime test" in capsys.readouterr().err
 
 
 def test_oracle_tau_is_parsed_at_the_working_precision(monkeypatch, capsys):

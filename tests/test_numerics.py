@@ -3,15 +3,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-import sympy
 from mpmath import mpc, mpf
 
 import mtv.numerics as numerics
-from mtv.errors import InputError, PrecisionError
+from mtv.errors import InputError, PrecisionError, UnsupportedScopeError
 from mtv.numerics import (
     BigComplex,
     eval_qseries,
-    kronecker,
     lattice_sum_eisenstein,
     root_cluster,
     to_mpc,
@@ -20,7 +18,7 @@ from mtv.polynomial import UniPoly
 from mtv.qexp import QSeries, eisenstein_level1, eisenstein_prime_level
 from mtv.spaces import delta_series
 
-from _oracles import eval_qseries_ref, kronecker_ref, lattice_sum_ref
+from _oracles import eval_qseries_ref, lattice_sum_ref
 
 F = Fraction
 X = UniPoly.x()
@@ -38,29 +36,6 @@ def test_bigcomplex_error_propagation():
     assert a.distance(a.value) == 0
     d = a.serialize(digits=10)
     assert set(d) == {"re", "im", "err"}
-
-
-def test_kronecker_matches_sympy_jacobi_on_odd():
-    for n in (3, 5, 7, 9, 15, 21):
-        for a in range(-8, 9):
-            assert kronecker(a, n) == int(sympy.jacobi_symbol(a, n))
-
-
-def test_kronecker_special_cases():
-    # (a|2) follows the a mod 8 rule
-    assert [kronecker(a, 2) for a in (1, 3, 5, 7)] == [1, -1, -1, 1]
-    assert kronecker(4, 2) == 0
-    # (a|1) = 1, (a|-1) = sign
-    assert kronecker(-7, 1) == 1
-    assert kronecker(-7, -1) == -1 and kronecker(7, -1) == 1
-    assert kronecker(0, 5) == 0 and kronecker(0, 1) == 1
-
-
-def test_kronecker_multiplicative_in_top():
-    for n in (2, 3, 4, 5, 12):
-        for a in range(1, 13):
-            for b in range(1, 13):
-                assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
 
 
 def test_eval_geometric_series_certified():
@@ -132,11 +107,11 @@ def test_lattice_sum_rejects_bad_args():
 
 
 def test_lattice_sum_quadratic_character():
-    # chi(d) = (-4|d) kills even d and alternates on odd d; the sum must
-    # still carry a finite certificate and stay stable when B grows
-    a = lattice_sum_eisenstein(5, 1, mpc("0.2", "1.1"), 12, -4, 160)
-    b = lattice_sum_eisenstein(5, 1, mpc("0.2", "1.1"), 24, -4, 160)
-    assert a.distance(b) <= a.err + b.err
+    # only the trivial character is summed; the fifth positional parameter
+    # stays for callers that pass None
+    for character in (-4, 1, 5):
+        with pytest.raises(UnsupportedScopeError):
+            lattice_sum_eisenstein(5, 1, mpc("0.2", "1.1"), 12, character, 160)
 
 
 def test_root_cluster_simple():
@@ -160,12 +135,6 @@ def test_to_mpc_fraction_exact():
         assert abs(v - mpmath.mpf(1) / 3) < mpf(2) ** -190
 
 
-def test_kronecker_matches_reference_definition():
-    for D in (-4, -3, 5, 8, 12, -7):
-        for n in range(-30, 31):
-            assert kronecker(D, n) == kronecker_ref(D, n), (D, n)
-
-
 # -- the fixed-point kernels against the former mpmath loops ---------------------
 
 with mpmath.workprec(300):
@@ -180,15 +149,15 @@ LATTICE_CASES = [
     (3, 1, TAU_53_NEG, 40, None, 128),
     (4, 1, TAU_53_POS, 1, None, 64),
     (4, 1, TAU_53_LOW, 30, None, 128),
-    (5, 1, TAU_300_POS, 12, -4, 128),
+    (5, 1, TAU_300_POS, 12, None, 128),
     (6, 2, TAU_300_NEG, 20, None, 256),
     (7, 3, TAU_53_NEG, 8, None, 96),
     (8, 5, TAU_53_POS, 40, None, 128),
-    (9, 2, TAU_53_NEG, 16, 5, 128),
+    (9, 2, TAU_53_NEG, 16, None, 128),
     (10, 3, TAU_300_POS, 25, None, 256),
-    (4, 5, TAU_300_NEG, 40, -3, 200),
+    (4, 5, TAU_300_NEG, 40, None, 200),
     (3, 2, TAU_53_NEG, 2, None, 64),
-    (6, 1, TAU_300_NEG, 33, 8, 300),
+    (6, 1, TAU_300_NEG, 33, None, 300),
 ]
 
 
@@ -199,7 +168,7 @@ def test_lattice_kernel_matches_reference(monkeypatch, weight, level, tau, bound
     # the kernel sums the lattice point tau rounds to at prec + 16 bits
     with mpmath.workprec(prec + 16):
         point = mpc(tau)
-    want = lattice_sum_ref(weight, level, point, bound, character, prec + 64)
+    want = lattice_sum_ref(weight, level, point, bound, prec + 64)
     with mpmath.workprec(prec + 64):
         diff = abs(got.value - want)
         assert diff <= mpf(2) ** -prec * max(1, abs(want))

@@ -12,6 +12,7 @@ from mtv import (
     EtaQuotientSpec,
     InputError,
     QSeries,
+    ResourceLimitError,
     TruncationError,
     UnsupportedScopeError,
     VerificationError,
@@ -24,7 +25,6 @@ from mtv import (
     load_form,
     op_U,
     op_V,
-    rho_conjugate,
 )
 from mtv.numfield import NumberField
 from mtv.polynomial import UniPoly
@@ -335,6 +335,37 @@ def test_eisenstein_rejects_bad_arguments():
     assert eisenstein_prime_level(4, 1, 10) == eisenstein_level1(4, 10)
 
 
+def test_prime_predicate_matches_sympy():
+    import sympy
+
+    is_prime = qexp_mod._is_prime
+    assert all(is_prime(n) == sympy.isprime(n) for n in range(-5, 10**4))
+    rng = random.Random(20)
+    for _ in range(100):
+        n = rng.randrange(10**19, 10**20)
+        p = sympy.nextprime(n)
+        assert is_prime(n) == sympy.isprime(n)
+        assert is_prime(p) and not is_prime(p * 3) and not is_prime(p - 1)
+    # strong pseudoprimes to the bases 2 .. 7 and to the bases 2 .. 23
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+
+
+def test_prime_predicate_refuses_past_its_proven_range():
+    import sympy
+
+    is_prime = qexp_mod._is_prime
+    limit = qexp_mod._MR_LIMIT
+    p = sympy.nextprime(10**39)
+    assert is_prime(sympy.prevprime(limit))
+    # the limit is the least strong pseudoprime to all the bases
+    for n in (limit, p):
+        with pytest.raises(ResourceLimitError):
+            is_prime(n)
+    # a base that divides n decides n at any size
+    assert not is_prime(41 * p)
+
+
 def test_fricke_gate_catches_corruption(monkeypatch):
     saved = set(qexp_mod._GATE_DONE)
     qexp_mod._GATE_DONE.clear()
@@ -482,25 +513,6 @@ def _sqrt2_series():
     field = NumberField(UniPoly([-2, 0, 1]))
     coeffs = [field.elem([1, 1]), field.elem([0, 2]), field.elem([3, 0])]
     return field, QSeries(coeffs, trunc=2, weight=16, field=field)
-
-
-def test_rho_conjugate_flips_second_coordinate():
-    field, f = _sqrt2_series()
-    g = rho_conjugate(f)
-    assert [c.coords for c in g.coeffs] == [
-        (Fraction(1), Fraction(-1)),
-        (Fraction(0), Fraction(-2)),
-        (Fraction(3), Fraction(0)),
-    ]
-    h = eta_quotient({1: 24}, 6)
-    assert rho_conjugate(h) is h
-
-
-def test_rho_conjugate_scope():
-    field = NumberField(UniPoly([-2, 0, 0, 1]))
-    f = QSeries([field.elem([0, 1, 0])], trunc=0, field=field)
-    with pytest.raises(UnsupportedScopeError):
-        rho_conjugate(f)
 
 
 def test_form_file_round_trip_rational():

@@ -10,7 +10,6 @@ from mtv.rational import (
     convergents,
     exact_fraction,
     format_rational,
-    lcm_denominators,
     parse_rational,
     rational_reconstruct,
 )
@@ -53,11 +52,6 @@ def test_parse_rejects_garbage():
         parse_rational("3/0")
     with pytest.raises(InputError):
         parse_rational("abc")
-
-
-def test_lcm_denominators():
-    assert lcm_denominators([]) == 1
-    assert lcm_denominators([Fraction(1, 6), Fraction(3, 4), Fraction(2)]) == 12
 
 
 def test_exact_fraction_dyadic_is_exact():

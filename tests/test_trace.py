@@ -1,14 +1,12 @@
-"""Level lowering: Fricke data, coset translates, both trace routes, ratios."""
+"""Level lowering: Fricke data, the translate sieve, both trace routes, ratios."""
 
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtv import (
     InputError,
-    NonconvergentError,
     UnsupportedScopeError,
     VerificationError,
     delta_series,
@@ -26,8 +24,9 @@ from mtv import (
 )
 from mtv.polynomial import elementary_from_power_sums, power_sums_from_elementary
 from mtv.qexp import EtaQuotientSpec, QSeries
-from mtv.trace import CosetData, coset_translates, fricke_eta_data
+from mtv.trace import _integral_exponent_part, fricke_eta_data
 
+from _oracles import cyclo_equal, twisted_translate_power_sum
 from conftest import eta_of
 
 
@@ -82,13 +81,18 @@ def _translate_inputs(level, pairs, lam, T):
     (5, {1: 4, 5: 4}, 8),
 ])
 def test_coset_translate_count_and_entry0(level, pairs, lam):
+    """Phi has one root per coset, N + 1 in all, and the identity coset's
+    translate h is one of them: Phi(h) = 0 through the truncation."""
     T = 4 * level
     h, hfr = _translate_inputs(level, pairs, lam, T)
-    trans = coset_translates(h, hfr, level)
-    assert len(trans) == level + 1 == CosetData(level).index
-    assert trans[0].agrees_through(h, hfr.trunc // level)
-    for t in trans[1:]:
-        assert t.e == level
+    sym = transformation_polynomial(h, hfr, level, validate=False)
+    assert len(sym) == level + 1
+    hT = h.truncate(sym[0].trunc)
+    phi = hT ** (level + 1)
+    for i, s in enumerate(sym, start=1):
+        term = s if i == level + 1 else s * hT ** (level + 1 - i)
+        phi = phi + term.scale((-1) ** i)
+    assert phi.is_zero()
 
 
 @pytest.mark.parametrize("level,pairs,lam", [
@@ -99,32 +103,30 @@ def test_coset_translate_count_and_entry0(level, pairs, lam):
 @pytest.mark.parametrize("m", [1, 2])
 def test_translate_sum_sieves(level, pairs, lam, m):
     """Summing the S T^j translates to the m-th power kills every exponent
-    not divisible by the level and multiplies the survivors by the level."""
+    not divisible by the level and multiplies the survivors by the level.
+
+    The translates are formed over Q(zeta_N) by the reference convolution;
+    the package's side is N times the integral-exponent part of F^m, F the
+    scaled Fricke image on the q^(1/N) grid, as transformation_polynomial
+    builds it."""
     T = 6 * level
     h, hfr = _translate_inputs(level, pairs, lam, T)
-    trans = coset_translates(h, hfr, level)
     w = h.weight
     Tq = hfr.trunc // level
-    base = QSeries(
-        [c * Fraction(1, level ** (w // 2)) for c in hfr.coeffs[: level * Tq + 1]],
-        e=level, trunc=Tq, weight=w, level=level,
-    )
-    powered = base ** m
-    total = None
-    for t in trans[1:]:
-        tm = t ** m
-        total = tm if total is None else total + tm
-    K = trans[1].field
-    for j in range(level * powered.trunc + 1):
-        n = Fraction(j, level)
-        want = powered.coeff(n) * level if j % level == 0 else Fraction(0)
-        assert total.coeff(n) == K.coerce(want)
+    b = [c * Fraction(1, level ** (w // 2)) for c in hfr.coeffs[: level * Tq + 1]]
+    F = QSeries(b, e=level, trunc=Tq, weight=w, level=level)
+    sieved = _integral_exponent_part(F**m).scale(level)
+    total = twisted_translate_power_sum(b, level, m)
+    assert len(total) == level * sieved.trunc + 1
+    for k, t in enumerate(total):
+        want = sieved.coeff(Fraction(k, level))
+        assert cyclo_equal(t, [want] + [Fraction(0)] * (level - 1)), k
 
 
 def test_translates_reject_odd_weight():
     f = QSeries([0, 1], trunc=1, weight=3, level=2)
     with pytest.raises(InputError):
-        coset_translates(f, f, 2)
+        transformation_polynomial(f, f, 2)
 
 
 # -- Newton identities ----------------------------------------------------------
@@ -215,21 +217,6 @@ def test_expand_in_newforms_rejects_noncuspidal():
         expand_in_newforms(delta_series(20), newform_basis_level1(16, 20))
 
 
-# -- Rankin partial sums ------------------------------------------------------------
-
-def test_rankin_guard_and_value():
-    from mtv.trace import rankin_partial_sum
-
-    d = [Fraction(c) for c in delta_series(40).coeffs]
-    with pytest.raises(NonconvergentError):
-        rankin_partial_sum(d, d, 12, 12, 12)
-    with pytest.raises(NonconvergentError):
-        rankin_partial_sum(d, d, Fraction(35, 2), 12, 12)
-    val = rankin_partial_sum(d, d, 18, 12, 12)
-    assert isinstance(val, mpmath.mpf)
-    assert val > 1  # n=1 contributes exactly 1 and n=2 adds 576/2^18
-
-
 # -- the full theorem runs -----------------------------------------------------------
 
 PINNED_RATIOS = {
@@ -259,7 +246,6 @@ def test_theorem_weight12_runs(theorem_runs):
         assert res.single_orbit
         assert res.conductor == 1
         assert res.admissible_levels == [1, res.level]
-        assert res.rankin_status.startswith("nonconvergent at s=12")
         assert len(res.phi_symmetric) == res.level + 1
 
 
