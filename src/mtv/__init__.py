@@ -40,6 +40,7 @@ from .spaces import (
     dim_modular_level1,
     expand_in_triangular,
     hecke_matrix_level1,
+    level1_coordinates,
     miller_basis,
     newform_basis_level1,
     validate_external_newform,
@@ -105,6 +106,7 @@ __all__ = [
     "hecke_matrix_level1",
     "j_invariant_numeric",
     "lattice_sum_eisenstein",
+    "level1_coordinates",
     "load_form",
     "main_constant",
     "miller_basis",

@@ -20,7 +20,7 @@ from .numfield import nf_trace
 from .polynomial import UniPoly, _power, poly_factor_q
 from .qexp import eisenstein_level1
 from .rational import exact_fraction, format_rational, rational_reconstruct
-from .spaces import delta_series, expand_in_triangular, miller_basis, miller_exponents
+from .spaces import delta_series, dim_modular_level1, level1_coordinates, miller_exponents
 from .trace import verify_theorem
 
 
@@ -253,34 +253,40 @@ def _invert_j_newton(jv, prec_bits):
 
 # -- exact specialization ----------------------------------------------------
 
-def specialize_level1_exact(f, curve):
-    """Exact specialized value of a level-1 form of even weight.
+def _specialize_all(forms, curve):
+    """Exact specialized values of level-1 forms of even weight.
 
-    Expands f in the triangular basis and maps basis monomials through
+    One level1_coordinates call certifies every form and gives its
+    coordinates in the triangular basis; the basis monomials map through
     E4 -> 12 g2, E6 -> 216 g3, Delta -> discriminant.  Coefficients may lie
     in a number field; the value then lies in the same field.
     """
-    k = f.weight
-    if k is None or k < 0 or k % 2:
-        raise InputError("specialization needs an even nonnegative weight")
-    if k == 0:
-        if not (f - f.coeff(0)).is_zero():
-            raise VerificationError("weight-0 input is not constant")
-        return f.coeff(0)
-    d, a, b = miller_exponents(k)
-    if f.trunc < d:
-        raise InputError("series order %d below basis length %d" % (f.trunc, d))
-    basis = miller_basis(k, f.trunc)
-    coords, _ = expand_in_triangular(f, basis, strict=True)
+    for f in forms:
+        k = f.weight
+        if k is None or k < 0 or k % 2:
+            raise InputError("specialization needs an even nonnegative weight")
+        d = dim_modular_level1(k)
+        if f.trunc < d:
+            raise InputError("series order %d below basis length %d" % (f.trunc, d))
     A = 12 * curve.g2
     B = 216 * curve.g3
     D = curve.discriminant
-    total = None
-    for j in range(1, d + 1):
-        mono = A**a * B ** (b + 2 * (d - j)) * D ** (j - 1)
-        term = coords[j - 1] * mono
-        total = term if total is None else total + term
-    return total
+    values = []
+    for f, coords in zip(forms, level1_coordinates(forms)):
+        d, a, b = miller_exponents(f.weight)
+        total = None
+        for j in range(1, d + 1):
+            mono = A**a * B ** (b + 2 * (d - j)) * D ** (j - 1)
+            term = coords[j - 1] * mono
+            total = term if total is None else total + term
+        values.append(total)
+    return values
+
+
+def specialize_level1_exact(f, curve):
+    """Exact specialized value of a level-1 form of even weight, certified
+    level 1 through its whole truncation."""
+    return _specialize_all([f], curve)[0]
 
 
 def specialize_phi(symmetric, curve):
@@ -289,8 +295,7 @@ def specialize_phi(symmetric, curve):
     coeffs = [Fraction(0)] * (mu + 1)
     coeffs[mu] = Fraction(1)
     sign = -1
-    for i, s in enumerate(symmetric, start=1):
-        v = specialize_level1_exact(s, curve)
+    for i, v in enumerate(_specialize_all(symmetric, curve), start=1):
         if not isinstance(v, Fraction):
             raise InputError("transformation coefficients must be rational")
         coeffs[mu - i] = sign * v

@@ -2,9 +2,16 @@
 
 The basis for weight k is h_j = E4^a * E6^(b + 2(d-j)) * Delta^(j-1) with
 4a + 6b = k - 12(d-1), which makes h_j = q^(j-1) + O(q^j): upper triangular,
-so expansion in the basis is forward substitution.  Newforms are cut out as
-eigenvectors of T_2; Strong Multiplicity One at level 1 means each irreducible
-factor g of the T_2 characteristic polynomial chi picks out one Galois orbit.
+so expansion in the basis is forward substitution.  level1_coordinates
+certifies a form level 1 without building the basis at full length: the
+head of d coefficients fixes the only candidate coordinates (solved against
+the basis through q^(d-1)), one Horner rebuild in Delta over a shared ladder
+of E6^2 powers gives that candidate at full length, and the form must equal
+it exactly.
+
+Newforms are cut out as eigenvectors of T_2; Strong Multiplicity One at
+level 1 means each irreducible factor g of the T_2 characteristic polynomial
+chi picks out one Galois orbit.
 
 The newform layer works in integers.  The T_2 matrix M is integral in the
 cusp part of this basis, whose first coordinate is a_1, and at level 1 the
@@ -26,7 +33,7 @@ from .errors import InputError, ResourceLimitError, TruncationError, Verificatio
 from .linalg import MatQ, bareiss_inverse
 from .numfield import NumberField, NumberFieldElem
 from .polynomial import UniPoly, poly_factor_q
-from .qexp import QSeries, _is_prime, eisenstein_level1, eta_quotient, hecke_T
+from .qexp import QSeries, _is_prime, _kron_mul, eisenstein_level1, eta_quotient, hecke_T
 
 # 4a + 6b = r, minimal (a, b)
 _RESIDUAL_AB = {0: (0, 0), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1), 14: (2, 1)}
@@ -192,6 +199,87 @@ def expand_in_triangular(f, basis, strict=True):
             "series is not in the span of the basis: residual starts at q^%s" % v
         )
     return coords, rem
+
+
+def level1_coordinates(forms):
+    """Miller coordinates of level-1 forms, each certified through its own truncation.
+
+    A form f of weight k and dimension d = dim M_k gets its coordinates c_j
+    from its first d coefficients, solved against miller_basis(k, d - 1).
+    The basis is triangular, so f lies in the span through q^T exactly when
+    it equals the one candidate sum_j c_j h_j that its head determines.  The
+    candidate is rebuilt once at full length by Horner in Delta,
+
+        E4^a E6^b (c_1 X^(d-1) + Delta (c_2 X^(d-2) + Delta (...))),  X = E6^2,
+
+    from one ladder of E4, E6, Delta and the powers of X shared by all the
+    forms, and f minus it must vanish exactly.  A series over a number field
+    is solved and certified one power-basis component at a time, and its
+    coordinates are field elements.  A form outside the span raises
+    VerificationError whose ``index`` attribute is its position in forms.
+    """
+    forms = list(forms)
+    shapes = []
+    for f in forms:
+        if f.weight is None or f.e != 1:
+            raise InputError("level-1 coordinates need a weighted series in powers of q")
+        d, a, b = miller_exponents(f.weight)
+        if f.trunc < d - 1:
+            raise TruncationError(
+                "basis element %d vanishes through q^%d; raise the order"
+                % (f.trunc + 2, f.trunc)
+            )
+        shapes.append((d, a, b))
+    if not forms:
+        return []
+    T = max(f.trunc for f in forms)
+    D = max(d for d, _, _ in shapes)
+    # build only what some form uses: the first E4 or E6 of a process pays a
+    # one-time numeric gate
+    E4 = eisenstein_level1(4, T)._num if any(a for _, a, _ in shapes) else None
+    E6 = eisenstein_level1(6, T)._num if D > 1 or any(b for _, _, b in shapes) else None
+    delta = delta_series(T)._num if D > 1 else None
+    X = [[1] + [0] * T]  # X^m = E6^(2m), m < D
+    if D > 1:
+        X.append(_kron_mul(E6, E6, T + 1))
+    while len(X) < D:
+        X.append(_kron_mul(X[-1], X[1], T + 1))
+    out = []
+    for i, (f, (d, a, b)) in enumerate(zip(forms, shapes)):
+        k = f.weight
+        n = f.trunc + 1
+        head_basis = miller_basis(k, d - 1)
+        base = None  # E4^a E6^b, None for 1
+        for g in [E4] * a + [E6] * b:
+            base = g if base is None else _kron_mul(base, g, n)
+        comps, den = f._components(1, n)
+        coords = []
+        miss = n
+        for comp in comps:
+            head = QSeries._from_ints(comp[:d], den, 1, d - 1, k, 1)
+            c, _ = expand_in_triangular(head, head_basis)
+            L = lcm(*[x.denominator for x in c])
+            C = [x.numerator * (L // x.denominator) for x in c]
+            # L * sum_j c_j h_j, Horner in Delta from the top coordinate down
+            acc = [C[-1]] + [0] * (n - 1)
+            for j in range(d - 2, -1, -1):
+                acc = _kron_mul(delta, acc, n)
+                if C[j]:
+                    acc = [s + C[j] * x for s, x in zip(acc, X[d - 1 - j])]
+            if base is not None:
+                acc = _kron_mul(base, acc, n)
+            # comp / den == acc / L, coefficient by coefficient
+            miss = next((m for m in range(miss) if comp[m] * L != acc[m] * den), miss)
+            coords.append(c)
+        if miss < n:
+            exc = VerificationError(
+                "series is not in the span of the basis: residual starts at q^%d" % miss
+            )
+            exc.index = i
+            raise exc
+        out.append(coords[0] if f.field is None
+                   else [f.field.elem(col) for col in zip(*coords)])
+    return out
 
 
 def hecke_matrix_level1(weight, n, trunc=None):

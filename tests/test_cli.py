@@ -11,6 +11,7 @@ import mpmath
 import pytest
 
 import mtv.cli as cli
+import mtv.trace as trace
 from mtv import PrecisionError, VerificationError
 
 
@@ -201,6 +202,37 @@ def test_oracle_bound_over_the_term_cap_exits4(monkeypatch, capsys):
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert "cap of %d" % cli.MAX_ORACLE_TERMS in proc.stderr
+
+
+@pytest.mark.parametrize("argv,admitted,refused", [
+    # N * order + 8 terms: level 5 at order 2048 builds 10,248
+    (["theorem", "--level", "5", "--eis-weight", "4", "--order"], "2048", "1000000000"),
+    (["theorem", "--level", "2", "--eis-weight", "4", "--order"], "16380", "16381"),
+    (["corollary", "--level", "5", "--eis-weight", "4", "--curve", "4,1", "--order"],
+     "6552", "6553"),
+    # N * order * power + 8
+    (["phi", "--level", "5", "--eis-weight", "4", "--power", "3", "--order"],
+     "2184", "2185"),
+    # 2 * order + 2
+    (["newforms", "--weight", "24", "--order"], "16383", "16384"),
+    (["oracle", "--eis-weight", "4", "--level", "2", "--tau", "0.1,1.2",
+      "--series-order"], "32768", "32769"),
+])
+def test_series_length_over_the_cap_exits4_before_any_work(argv, admitted, refused,
+                                                           monkeypatch, capsys):
+    # the planted builders show where a run would start its first series
+    def reached(*a, **kw):
+        raise VerificationError("reached the inputs")
+
+    for mod, name in ((cli, "product_inputs"), (trace, "product_inputs"),
+                      (cli, "newform_basis_level1"), (cli, "eisenstein_prime_level")):
+        monkeypatch.setattr(mod, name, reached)
+    assert cli.MAX_SERIES_TERMS == 2**15
+    assert cli.main(argv + [admitted]) == 2
+    assert "reached the inputs" in capsys.readouterr().err
+    assert cli.main(argv + [refused]) == 4
+    err = capsys.readouterr().err
+    assert "cap of 32768" in err and "reached" not in err
 
 
 def test_newforms_over_the_dimension_cap_exits4(monkeypatch, capsys):

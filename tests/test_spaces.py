@@ -9,6 +9,7 @@ import pytest
 
 from mtv import (
     InputError,
+    TruncationError,
     VerificationError,
     conductor_of_space,
     delta_series,
@@ -17,6 +18,7 @@ from mtv import (
     eisenstein_level1,
     expand_in_triangular,
     hecke_matrix_level1,
+    level1_coordinates,
     miller_basis,
     newform_basis_level1,
     validate_external_newform,
@@ -82,6 +84,54 @@ def test_expand_in_triangular_strict_failure():
     assert "q^1" in str(exc.value)
     coords, rem = expand_in_triangular(delta_series(T), [e6sq], strict=False)
     assert coords == [Fraction(0)] and rem.valuation() == 1
+
+
+# weights 4 and 14 have dimension 1; with 24 to 120 every class mod 12 occurs
+LADDER_WEIGHTS = (4, 14, 24, 38, 52, 66, 80, 94, 120)
+
+
+def test_level1_coordinates_match_full_basis_expansion():
+    """One call over forms of many weights and truncations gives, form by
+    form, the coordinates of the forward substitution against the full
+    basis."""
+    rng = random.Random(8)
+    forms = []
+    for k in LADDER_WEIGHTS:
+        d = dim_modular_level1(k)
+        T = d + rng.randrange(1, 12)
+        c = [Fraction(rng.randrange(-10**6, 10**6), rng.choice((1, 1, 7, 12)))
+             for _ in range(d)]
+        f = None
+        for cj, h in zip(c, miller_basis(k, T)):
+            f = h.scale(cj) if f is None else f + h.scale(cj)
+        forms.append(f)
+    got = level1_coordinates(forms)
+    for f, coords in zip(forms, got):
+        want, _ = expand_in_triangular(f, miller_basis(f.weight, f.trunc))
+        assert coords == want, f.weight
+
+
+@pytest.mark.parametrize("weight", [24, 36])
+def test_level1_coordinates_of_hecke_field_newforms(weight):
+    T = 20
+    (nf,) = newform_basis_level1(weight, T).orbits
+    assert nf.degree == dim_cusp_level1(weight)
+    want, _ = expand_in_triangular(nf.qexp, miller_basis(weight, T))
+    assert level1_coordinates([nf.qexp]) == [want]
+    bad = nf.qexp + QSeries([0] * T + [1], trunc=T, weight=weight)
+    with pytest.raises(VerificationError, match=r"residual starts at q\^%d" % T) as exc:
+        level1_coordinates([nf.qexp, bad])
+    assert exc.value.index == 1
+
+
+def test_level1_coordinates_refusals():
+    short = delta_series(24) ** 2  # weight 24 needs three leads
+    with pytest.raises(TruncationError, match="raise the order"):
+        level1_coordinates([short.truncate(1)])
+    assert level1_coordinates([short.truncate(2)]) == [[0, 0, 1]]
+    with pytest.raises(InputError):
+        level1_coordinates([QSeries([0, 1], trunc=1, weight=11)])
+    assert level1_coordinates([]) == []
 
 
 def test_hecke_matrix_weight12():

@@ -11,6 +11,7 @@ from mtv import (
     VerificationError,
     delta_series,
     dim_cusp_level1,
+    dim_modular_level1,
     eisenstein_prime_level,
     eta_quotient,
     expand_in_newforms,
@@ -24,10 +25,10 @@ from mtv import (
 )
 from mtv.polynomial import elementary_from_power_sums, power_sums_from_elementary
 from mtv.qexp import EtaQuotientSpec, QSeries
+from mtv import trace
 from mtv.trace import _integral_exponent_part, fricke_eta_data
 
 from _oracles import cyclo_equal, twisted_translate_power_sum
-from conftest import eta_of
 
 
 # -- Fricke data on eta quotients ---------------------------------------------
@@ -169,6 +170,42 @@ def test_transformation_polynomial_validation_failure():
     wrong = fricke_eta_series({1: 8, 2: 8}, 2, T).scale(Fraction(1, 3))
     with pytest.raises(VerificationError):
         transformation_polynomial(h, wrong, 2)
+
+
+TAIL_INPUTS = {
+    2: (2, {1: 8, 2: 8}, 4, 40),
+    3: (3, {1: 6, 3: 6}, 6, 45),
+    5: (5, {1: 4, 5: 4}, 8, 60),
+}
+
+
+@pytest.mark.parametrize("level", sorted(TAIL_INPUTS))
+def test_validation_catches_one_unit_at_the_tail_and_past_the_head(level, monkeypatch):
+    """Adding 1 to one numerator of one s_i at q^T, q^(d-1) or q^d (d the
+    dimension of its weight) is caught, and the error names that s_i."""
+    h, hfr = _translate_inputs(*TAIL_INPUTS[level])
+    w = h.weight
+    sym = transformation_polynomial(h, hfr, level)
+    certify = trace.level1_coordinates
+    for i, si in enumerate(sym, start=1):
+        d = dim_modular_level1(w * i)
+        for m in sorted({si.trunc, d - 1, d}):
+            num = list(si._num)
+            num[m] += 1
+            bumped = QSeries._from_ints(num, si._den, 1, si.trunc, si.weight, si.level)
+
+            def planted(forms, i=i, bumped=bumped):
+                forms = list(forms)
+                forms[i - 1] = bumped
+                return certify(forms)
+
+            monkeypatch.setattr(trace, "level1_coordinates", planted)
+            with pytest.raises(VerificationError,
+                               match=r"^s_%d is not a level-1 form of weight %d: "
+                                     % (i, w * i)):
+                transformation_polynomial(h, hfr, level)
+    monkeypatch.undo()
+    assert transformation_polynomial(h, hfr, level) == sym
 
 
 # -- traces and the main constant -------------------------------------------------
