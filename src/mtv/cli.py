@@ -190,6 +190,7 @@ def cmd_phi(args):
     if args.power < 1:
         raise InputError("power must be >= 1")
     _require_series_terms(args.level * args.order * args.power + 8, "--order", args.order)
+    _require_newform_dim(args.eis_weight)
     spec = _eta_for(args.level, args.eta)
     N = args.level
     # s_i of h^power has weight w*power*i: its Miller basis grows with the
@@ -240,6 +241,7 @@ def cmd_oracle(args):
         )
     T = args.series_order
     _require_series_terms(T, "--series-order", T)
+    _require_newform_dim(args.eis_weight)
     prec = args.prec
     tau = parse_tau(args.tau, prec)
     ser = eisenstein_prime_level(args.eis_weight, args.level, T)

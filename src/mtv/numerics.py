@@ -234,7 +234,9 @@ def eval_qseries(f, tau, prec_bits=None):
         if v:
             horner *= (mpf(rho64) / 2**64) ** v
         dq = _upper_sum([m * abs(c) for m, c in enumerate(num)][1:], rho64)
-        rounding = (math.sqrt(2) * horner + D * dq) / (den * mpf(2) ** P)
+        # in mpf: dq outgrows a float at large weights; the double nearest
+        # sqrt(2) lies above it, so the factor stays an upper bound
+        rounding = (mpf(math.sqrt(2)) * horner + D * dq) / (den * mpf(2) ** P)
         rounding += abs(value) * (8 + 8 * v) * mpf(2) ** -W
         return BigComplex(value, tail + rounding)
 

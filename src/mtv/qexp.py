@@ -18,7 +18,8 @@ multiply does the whole convolution in CPython's C core (Karatsuba), and the
 coefficients are cut back out of the product's bytes.  A field-valued
 product convolves pairs of integer component arrays this way and reduces by
 the field's power relations.  Eta quotients expand each Euler factor with
-the power rule for series, so an exponent r costs one pass, not |r|.
+the power rule for series, so an exponent r costs one pass, not |r|, and
+factors that share r share that pass.
 
 The Eisenstein constructors are closed forms; each (weight, level) is gated
 once per process against the independent numeric coset-sum oracle before its
@@ -711,9 +712,18 @@ def eta_quotient(spec, trunc, level=None):
     if trunc < v:
         raise InputError("truncation order below the leading exponent %d" % v)
     L = trunc - v
+    # one power-rule pass per distinct exponent r, at its smallest d (pairs
+    # are sorted by d, so the longest run comes first); each larger d with
+    # that r reads a prefix of it
+    runs = {}
     acc = None
     for d, r in spec.pairs:
-        factor = _euler_power(d, r, L)
+        if r in runs:
+            d0, run = runs[r]
+            factor = _on_grid(run[::d0], d, L + 1)
+        else:
+            factor = _euler_power(d, r, L)
+            runs[r] = (d, factor)
         acc = factor if acc is None else _kron_mul(acc, factor, L + 1)
     if acc is None:
         acc = [1] + [0] * L

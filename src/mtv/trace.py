@@ -31,6 +31,7 @@ from .polynomial import elementary_from_power_sums, power_sums_from_elementary
 from .qexp import (
     EtaQuotientSpec,
     QSeries,
+    _kron_mul,
     _require_even_weight,
     _require_prime,
     eisenstein_prime_level,
@@ -127,15 +128,20 @@ def fricke_eta_series(spec, level, trunc):
 def product_inputs(level, eta_spec, eis_weight, order):
     """h = (eta quotient) * (Eisenstein row) and its Fricke image h|w_N.
 
-    Both are known through q^(N*order + 8); the trace routes read the Fricke
-    image on the q^(1/N) grid, so they reach q^(order + 8//N).
+    h|w_N is known through q^T_in, T_in = N*order + 8, and h through
+    q^(T_in // N): both trace routes read the Fricke image on the q^(1/N)
+    grid, so they reach q^(T_in // N) and read h no further.  An eta
+    quotient that is its own Fricke partner is expanded once, at T_in.
     """
+    spec = eta_spec if isinstance(eta_spec, EtaQuotientSpec) else EtaQuotientSpec(eta_spec)
     T_in = level * order + 8
-    g = eta_quotient(eta_spec, T_in, level=level)
-    gfr = fricke_eta_series(eta_spec, level, T_in)
-    E = eisenstein_prime_level(eis_weight, level, T_in)
+    T_h = T_in // level
+    partner, scalar = fricke_eta_data(spec, level)
+    gfr = eta_quotient(partner, T_in, level=level)
+    g = gfr.truncate(T_h) if partner == spec else eta_quotient(spec, T_h, level=level)
+    E = eisenstein_prime_level(eis_weight, level, T_h)
     Efr = fricke_eisenstein(eis_weight, level, T_in)
-    return g * E, gfr * Efr
+    return g * E, gfr.scale(scalar) * Efr
 
 
 # -- the transformation polynomial ----------------------------------------
@@ -145,6 +151,22 @@ def _integral_exponent_part(s):
     if s.e == 1:
         return s
     return QSeries._from_ints(s._num[:: s.e], s._den, 1, s.trunc, s.weight, s.level)
+
+
+def _sieved_product(a, b):
+    """_integral_exponent_part(a * b) for rational series on one q^(1/e) grid.
+
+    With the polyphase parts A_r = a[r::e] and B_r = b[r::e], the integral
+    exponents of a*b are A_0 B_0 + q * sum_(r>=1) A_r B_(e-r): e products of
+    length trunc + 1 in place of one of length e*trunc + 1.
+    """
+    e, T = a.e, min(a.trunc, b.trunc)
+    x, y = a._num, b._num
+    acc = _kron_mul(x[::e], y[::e], T + 1)
+    for r in range(1, e):
+        acc[1:] = map(operator.add, acc[1:], _kron_mul(x[r::e], y[e - r :: e], T))
+    return QSeries._from_ints(acc, a._den * b._den, 1, T, a.weight + b.weight,
+                              math.lcm(a.level, b.level))
 
 
 def transformation_polynomial(h, h_fricke, level, validate=True):
@@ -168,11 +190,15 @@ def transformation_polynomial(h, h_fricke, level, validate=True):
     F = QSeries._from_ints(
         h_fricke._num[: N * Tq + 1], h_fricke._den * N ** (w // 2), N, Tq, w, N
     )
-    qs = []
-    cur = None
-    for _ in range(N):
-        cur = F if cur is None else cur * F
-        qs.append(_integral_exponent_part(cur).scale(N))
+    # F^m at full length for m <= ceil(N/2); past that only the integral
+    # exponents of F^top * F^(m - top) are read, so only they are formed
+    top = (N + 1) // 2
+    pows = [F]
+    while len(pows) < top:
+        pows.append(pows[-1] * F)
+    qs = [_integral_exponent_part(p).scale(N) for p in pows]
+    for m in range(top + 1, N + 1):
+        qs.append(_sieved_product(pows[-1], pows[m - top - 1]).scale(N))
     es = elementary_from_power_sums(qs)
     hT = h.truncate(min(h.trunc, Tq))
     sym = []
@@ -271,19 +297,26 @@ def expand_in_newforms(f, orbit_set):
             out.append(block[0])
         else:
             out.append(nf.field.elem(block))
-    # certify: rebuild the series from the solution and compare everywhere
-    forms = [None if nf.field is None else trace_form(c)
-             for c, nf in zip(out, orbit_set.orbits)]
+    # certify: rebuild the series from the solution and compare everywhere,
+    # as integer arrays over one common denominator
     T = min(f.trunc, min(nf.qexp.trunc for nf in orbit_set.orbits))
-    for n in range(T + 1):
-        acc = Fraction(0)
-        for c, w, nf in zip(out, forms, orbit_set.orbits):
-            an = nf.a(n)
-            acc += c * an if w is None else sum(map(operator.mul, w, an.coords))
-        if acc != f.coeff(n):
-            raise VerificationError(
-                "newform expansion residual is nonzero first at q^%d" % n
-            )
+    n = T + 1
+    parts = []
+    for c, nf in zip(out, orbit_set.orbits):
+        comps, den = nf.qexp._components(1, n)
+        ws = [c] if nf.field is None else trace_form(c)
+        parts.extend((wj, comp, den) for wj, comp in zip(ws, comps) if wj)
+    D = math.lcm(*[wj.denominator * den for wj, _, den in parts])
+    acc = [0] * n
+    for wj, comp, den in parts:
+        k = wj.numerator * (D // (wj.denominator * den))
+        acc = [s + k * x for s, x in zip(acc, comp)]
+    fnum, fden = f._num, f._den
+    miss = next((m for m in range(n) if fnum[m] * D != acc[m] * fden), None)
+    if miss is not None:
+        raise VerificationError(
+            "newform expansion residual is nonzero first at q^%d" % miss
+        )
     return out
 
 

@@ -11,6 +11,7 @@ import mpmath
 import pytest
 
 import mtv.cli as cli
+import mtv.qexp as qexp
 import mtv.trace as trace
 from mtv import PrecisionError, VerificationError
 
@@ -247,6 +248,27 @@ def test_newforms_over_the_dimension_cap_exits4(monkeypatch, capsys):
     assert "reached the basis" in capsys.readouterr().err
     for weight in ("276", "100000"):
         assert cli.main(["newforms", "--weight", weight]) == 4
+        err = capsys.readouterr().err
+        assert "above the cap of 22" in err and "reached" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--level", "2", "--tau", "0.1,1.2", "--bound", "10", "--eis-weight"],
+    ["phi", "--level", "2", "--eis-weight"],
+])
+def test_eisenstein_weight_over_the_dimension_cap_exits4_before_any_gate(
+        argv, monkeypatch, capsys):
+    # dim S_274 = dim S_278 = 22 pass the guard, dim S_276 = dim S_280 = 23
+    # are refused; the planted gate shows where a run would start
+    def reached(*a, **kw):
+        raise VerificationError("reached the gate")
+
+    monkeypatch.setattr(qexp, "_gate_eisenstein", reached)
+    for weight in ("274", "278"):
+        assert cli.main(argv + [weight]) == 2
+        assert "reached the gate" in capsys.readouterr().err
+    for weight in ("276", "280", "4000"):
+        assert cli.main(argv + [weight]) == 4
         err = capsys.readouterr().err
         assert "above the cap of 22" in err and "reached" not in err
 

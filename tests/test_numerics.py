@@ -65,6 +65,18 @@ def test_eval_e6_vanishes_at_i():
     assert abs(v.value) <= v.err + mpf(2) ** -150
 
 
+def test_eval_large_weight_gate_series_is_finite():
+    # the level-2 Eisenstein gate series at weight 274 (order 64): its
+    # rounding sum outgrows a float, and must still give a finite bound
+    from mtv.qexp import _GATE_ORDER, _GATE_PREC, _eisenstein_prime_level_raw
+
+    ser = _eisenstein_prime_level_raw(274, 2, _GATE_ORDER)
+    with mpmath.workprec(_GATE_PREC):
+        r = eval_qseries(ser, mpc("0.21", "1.13"), _GATE_PREC)
+        assert mpmath.isfinite(r.value) and mpmath.isfinite(r.err)
+        assert abs(r.value - 1) < mpf(10) ** -90 and 0 < r.err < mpf(10) ** -40
+
+
 def test_eval_rejects_low_imag_with_short_series():
     f = delta_series(8)
     with pytest.raises(InputError):

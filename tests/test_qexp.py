@@ -219,7 +219,7 @@ def test_euler_power_matches_repeated_products(d, r):
 
 @pytest.mark.parametrize("pairs", [
     {1: 24}, {1: 16, 2: -8}, {2: 24, 1: -24}, {5: 24, 1: -24}, {1: 5, 5: -1},
-    {1: 8, 2: 8}, {1: 4, 5: 4},
+    {1: 8, 2: 8}, {1: 4, 5: 4}, {2: 4, 4: 4}, {1: 6, 2: -6, 3: 6, 6: 2},
 ])
 def test_eta_quotient_matches_repeated_products(pairs):
     T = 30

@@ -1,5 +1,6 @@
 """Level lowering: Fricke data, the translate sieve, both trace routes, ratios."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from mtv import (
 from mtv.polynomial import elementary_from_power_sums, power_sums_from_elementary
 from mtv.qexp import EtaQuotientSpec, QSeries
 from mtv import trace
-from mtv.trace import _integral_exponent_part, fricke_eta_data
+from mtv.trace import _integral_exponent_part, _sieved_product, fricke_eta_data
 
 from _oracles import cyclo_equal, twisted_translate_power_sum
 
@@ -128,6 +129,60 @@ def test_translates_reject_odd_weight():
     f = QSeries([0, 1], trunc=1, weight=3, level=2)
     with pytest.raises(InputError):
         transformation_polynomial(f, f, 2)
+
+
+def _random_grid_series(rng, e, T, weight):
+    """Signed 1- to 400-bit numerators on the q^(1/e) grid, some polyphase
+    parts num[r::e] zeroed, over a random denominator."""
+    num = []
+    for _ in range(e * T + 1):
+        bits = rng.randint(1, 400)
+        num.append(rng.choice((-1, 1)) * (rng.getrandbits(bits - 1) | 1 << (bits - 1)))
+    for r in rng.sample(range(e), rng.randint(0, e - 1)):
+        num[r::e] = [0] * len(num[r::e])
+    return QSeries._from_ints(num, rng.randint(1, 10**9), e, T, weight, e)
+
+
+@pytest.mark.parametrize("e", [2, 3, 5, 7])
+@pytest.mark.parametrize("seed", range(5))
+def test_sieved_product_is_the_integral_part_of_the_full_product(e, seed):
+    rng = random.Random(100 * e + seed)
+    T = rng.randint(1, 10)
+    a = _random_grid_series(rng, e, T, 4)
+    b = _random_grid_series(rng, e, T + rng.randint(0, 2), 6)
+    for x, y in ((a, b), (b, a), (a, a)):
+        want = _integral_exponent_part(x * y)
+        got = _sieved_product(x, y)
+        assert got == want
+        assert (got.e, got.trunc, got.weight, got.level) == (1, T, x.weight + y.weight, e)
+    zero = QSeries._from_ints([0] * (e * T + 1), 1, e, T, 6, e)
+    assert _sieved_product(a, zero).is_zero()
+
+
+@pytest.mark.parametrize("level,pairs,lam,order", [
+    (2, {1: 8, 2: 8}, 4, 20),
+    (3, {1: 6, 3: 6}, 6, 16),
+    (5, {1: 4, 5: 4}, 8, 12),
+    # not its own Fricke partner: {2: 32, 1: 8} is, with scalar 2^6
+    (2, {1: 32, 2: 8}, 4, 16),
+])
+def test_product_inputs_match_the_full_length_construction(level, pairs, lam, order):
+    """h|w_N is the full product at T_in = N*order + 8, and h is the full
+    product cut to T_in // N, the part both routes read."""
+    T_in = level * order + 8
+    h_full, hfr_full = _translate_inputs(level, pairs, lam, T_in)
+    h, hfr = trace.product_inputs(level, pairs, lam, order)
+    assert hfr == hfr_full
+    assert h.trunc == T_in // level
+    assert h == h_full.truncate(T_in // level)
+    for got, want in ((h, h_full), (hfr, hfr_full)):
+        assert (got.weight, got.level) == (want.weight, want.level)
+
+
+def test_non_self_partner_theorem_routes_agree():
+    res = verify_theorem(2, {1: 32, 2: 8}, 4, 1, order=16)
+    assert res.weight_total == 24
+    assert res.route_agree_through == 16 + 8 // 2
 
 
 # -- Newton identities ----------------------------------------------------------
@@ -242,6 +297,29 @@ def test_expand_in_newforms_weight12():
     orbs = newform_basis_level1(12, 24)
     tr = delta_series(24).scale(3)
     assert expand_in_newforms(tr, orbs) == [Fraction(3)]
+
+
+@pytest.mark.parametrize("weight", [12, 24])
+def test_expand_in_newforms_names_the_first_residual(weight):
+    """A cusp form with one coefficient bumped past the solved head is
+    refused, naming the first q-power where the residual is nonzero; over
+    Q at weight 12 and over a quadratic Hecke field at weight 24."""
+    from mtv import eisenstein_level1
+
+    T = 20
+    orbs = newform_basis_level1(weight, T)
+    f = delta_series(T)
+    if weight == 24:
+        f = f * eisenstein_level1(4, T) ** 3
+    comps = expand_in_newforms(f, orbs)
+    assert len(comps) == 1
+    for m in (3, 11, T):
+        num = list(f._num)
+        num[m] += 1
+        bumped = QSeries._from_ints(num, f._den, 1, T, weight, 1)
+        with pytest.raises(VerificationError,
+                           match=r"^newform expansion residual is nonzero first at q\^%d$" % m):
+            expand_in_newforms(bumped, orbs)
 
 
 def test_expand_in_newforms_rejects_noncuspidal():
