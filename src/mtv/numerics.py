@@ -271,11 +271,13 @@ def _lattice_kernel(k, N, B, X, Y, s, P):
     """Fixed-point coset sum for tau = (X + iY)/2^s, in units of 2^-P.
 
     With W = (cX + d 2^s) + i cY, a Gaussian integer, the term is
-    (c tau + d)^-k = 2^(ks) conj(W)^k / |W|^(2k); each component is floored
-    by one integer division, an error below 1 unit.  Returns (re, im,
-    number of terms), the c = 0 term 1 included.
+    (c tau + d)^-k = 2^(ks) conj(W)^k / |W|^(2k); conj(W)^k is exact, and
+    each component is floored by one integer division, an error below 1
+    unit.  Returns (re, im, number of terms), the c = 0 term 1 included.
     """
     half, odd = divmod(k, 2)
+    # the bits of k // 2 below its leading one, for left-to-right powering
+    steps = bin(half)[3:]
     shift = P + k * s
     row_d = [(d, d << s) for d in range(-B, B + 1)]
     sx, sy, n = 1 << P, 0, 1
@@ -283,23 +285,23 @@ def _lattice_kernel(k, N, B, X, Y, s, P):
         cx = c * X
         b = c * Y
         b2 = b * b
+        row = [cx + d2s for d, d2s in row_d if math.gcd(c, d) == 1]
+        n += len(row)
         rx = ry = 0
-        for d, d2s in row_d:
-            if math.gcd(c, d) != 1:
-                continue
-            a = cx + d2s
+        for a in row:
             a2 = a * a
-            # conj(W)^2, raised to k // 2, times conj(W) when k is odd
+            # conj(W)^2, raised to k // 2 by squaring, times conj(W) when k is odd
             ux, uy = a2 - b2, -2 * a * b
             vx, vy = ux, uy
-            for _ in range(half - 1):
-                vx, vy = vx * ux - vy * uy, vx * uy + vy * ux
+            for bit in steps:
+                vx, vy = (vx + vy) * (vx - vy), 2 * vx * vy
+                if bit == "1":
+                    vx, vy = vx * ux - vy * uy, vx * uy + vy * ux
             if odd:
                 vx, vy = vx * a + vy * b, vy * a - vx * b
             den = (a2 + b2) ** k
             rx += (vx << shift) // den
             ry += (vy << shift) // den
-            n += 1
         sx += rx
         sy += ry
     return sx, sy, n

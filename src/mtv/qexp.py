@@ -480,6 +480,9 @@ def _fricke_eisenstein_raw(weight, level, trunc):
 _GATE_DONE = set()
 _GATE_ORDER = 64
 _GATE_PREC = 160
+# 27/128 + 145/128 i and -47/128 + 219/128 i: exact at any precision, with
+# 7 fractional bits (see _gate_eisenstein)
+_GATE_TAUS = (mpc("0.2109375", "1.1328125"), mpc("-0.3671875", "1.7109375"))
 
 
 def _require_even_weight(weight):
@@ -534,13 +537,19 @@ def _require_prime(level):
 
 
 def _gate_eisenstein(weight, level):
-    """One-time cross-check of the closed form against the coset-sum oracle."""
+    """One-time cross-check of the closed form against the coset-sum oracle.
+
+    The points _GATE_TAUS are short dyadics: the coset-sum kernel works on
+    tau scaled to Gaussian integers, whose terms grow like the weight times
+    the fractional bits of tau, so 7 bits keep them small where a decimal
+    point held at _GATE_PREC bits would carry about 160.
+    """
     key = (weight, level)
     if key in _GATE_DONE:
         return
     ser = _eisenstein_prime_level_raw(weight, level, _GATE_ORDER)
     with mp.workprec(_GATE_PREC):
-        for tau in (mpc("0.21", "1.13"), mpc("-0.37", "1.71")):
+        for tau in _GATE_TAUS:
             closed = eval_qseries(ser, tau, _GATE_PREC)
             lat = lattice_sum_eisenstein(weight, level, tau, 32, None, _GATE_PREC)
             if closed.distance(lat) > closed.err + lat.err:

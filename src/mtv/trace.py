@@ -153,18 +153,21 @@ def _integral_exponent_part(s):
     return QSeries._from_ints(s._num[:: s.e], s._den, 1, s.trunc, s.weight, s.level)
 
 
-def _sieved_product(a, b):
-    """_integral_exponent_part(a * b) for rational series on one q^(1/e) grid.
+def _sieved_product(a, b, step=None):
+    """Every step-th coefficient of a * b, for rational series on one q^(1/e) grid.
 
-    With the polyphase parts A_r = a[r::e] and B_r = b[r::e], the integral
-    exponents of a*b are A_0 B_0 + q * sum_(r>=1) A_r B_(e-r): e products of
-    length trunc + 1 in place of one of length e*trunc + 1.
+    With step = e (the default) this is _integral_exponent_part(a * b); with
+    integral a, b and step = N it is op_U(a * b, N).  With the polyphase
+    parts A_r = a[r::step] and B_r alike, the kept coefficients are
+    A_0 B_0 + q * sum_(r>=1) A_r B_(step-r): step products of the output's
+    length in place of one of step times that length.
     """
-    e, T = a.e, min(a.trunc, b.trunc)
+    step = a.e if step is None else step
+    T = a.e * min(a.trunc, b.trunc) // step
     x, y = a._num, b._num
-    acc = _kron_mul(x[::e], y[::e], T + 1)
-    for r in range(1, e):
-        acc[1:] = map(operator.add, acc[1:], _kron_mul(x[r::e], y[e - r :: e], T))
+    acc = _kron_mul(x[::step], y[::step], T + 1)
+    for r in range(1, step):
+        acc[1:] = map(operator.add, acc[1:], _kron_mul(x[r::step], y[step - r :: step], T))
     return QSeries._from_ints(acc, a._den * b._den, 1, T, a.weight + b.weight,
                               math.lcm(a.level, b.level))
 
@@ -226,14 +229,25 @@ def transformation_polynomial(h, h_fricke, level, validate=True):
 
 # -- traces ----------------------------------------------------------------
 
-def trace_to_level1(f, f_fricke, level):
-    """Tr from prime level: f + N^(1 - w/2) * U_N(f|w_N), exact q-series."""
+def trace_to_level1(f, f_fricke, level, power=1):
+    """Tr from prime level of F = f^power: F + N^(1 - w/2) * U_N(F|w_N), exact
+    q-series, w the weight of F and F|w_N = (f|w_N)^power.
+
+    For power >= 2, (f|w_N)^power is A * B with B = (f|w_N)^(power // 2),
+    and that last product is formed on the exponents U_N reads only
+    (_sieved_product with step N); f_fricke must then be rational.
+    """
     N = _require_prime(level)
-    w = f.weight
+    F = f**power
+    w = F.weight
     if w is None or w % 2:
         raise InputError("trace needs an even integer weight")
-    u = op_U(f_fricke, N)
-    t = f.truncate(min(f.trunc, u.trunc)) + u.scale(Fraction(N) ** (1 - w // 2))
+    if power == 1:
+        u = op_U(f_fricke, N)
+    else:
+        b = f_fricke ** (power // 2)
+        u = _sieved_product(b * f_fricke if power % 2 else b, b, N)
+    t = F.truncate(min(F.trunc, u.trunc)) + u.scale(Fraction(N) ** (1 - w // 2))
     return t._with_values(t._values(), t.trunc, level=1)
 
 
@@ -399,10 +413,8 @@ def verify_theorem(level, eta_pairs, eis_weight, power, order=64):
     _require_newform_dim(W)
     reach = max(order, dim_modular_level1(w * (N + 1)), dim_cusp_level1(W) + 8)
     h, hfr = product_inputs(N, spec, eis_weight, reach)
-    H = h**power
-    Hfr = hfr**power
 
-    route1 = trace_to_level1(H, Hfr, N)
+    route1 = trace_to_level1(h, hfr, N, power)
     sym = transformation_polynomial(h, hfr, N, validate=True)
     route2 = power_sums_from_elementary(sym, power)[power - 1]
     through = min(route1.trunc, route2.trunc)

@@ -12,7 +12,9 @@ a_1 pairing, `real_root_count` (a Sturm sequence over Q) for the trace-form
 test of total reality, `mult_matrix` (whose Faddeev-LeVerrier charpoly and
 determinant gave a field element's charpoly and norm) for the power-sum
 route, `lattice_sum_ref` / `eval_qseries_ref`, the former mpmath loops of
-the numeric layer, for its fixed-point kernels, and
+the numeric layer, for its fixed-point kernels, `lattice_kernel_ref`, the
+coset-sum kernel that raised conj(W)^2 to k // 2 one product at a time,
+for the kernel that powers by squaring, and
 `twisted_translate_power_sum`, Q(zeta_N) arithmetic by plain convolution in
 place of the former cyclotomic fields, for the root-of-unity sieve that
 builds the transformation polynomial over Q.  Slow is fine.
@@ -286,6 +288,44 @@ def lattice_sum_ref(weight, level, tau, bound, prec):
                 if math.gcd(c, abs(d)) == 1:
                     total += 1 / (c * tau + d) ** weight
         return total
+
+
+def lattice_kernel_ref(k, N, B, X, Y, s, P):
+    """Fixed-point coset sum for tau = (X + iY)/2^s, in units of 2^-P.
+
+    With W = (cX + d 2^s) + i cY, a Gaussian integer, the term is
+    (c tau + d)^-k = 2^(ks) conj(W)^k / |W|^(2k); each component is floored
+    by one integer division, an error below 1 unit.  Returns (re, im,
+    number of terms), the c = 0 term 1 included.
+    """
+    half, odd = divmod(k, 2)
+    shift = P + k * s
+    row_d = [(d, d << s) for d in range(-B, B + 1)]
+    sx, sy, n = 1 << P, 0, 1
+    for c in range(N, B * N + 1, N):
+        cx = c * X
+        b = c * Y
+        b2 = b * b
+        rx = ry = 0
+        for d, d2s in row_d:
+            if math.gcd(c, d) != 1:
+                continue
+            a = cx + d2s
+            a2 = a * a
+            # conj(W)^2, raised to k // 2, times conj(W) when k is odd
+            ux, uy = a2 - b2, -2 * a * b
+            vx, vy = ux, uy
+            for _ in range(half - 1):
+                vx, vy = vx * ux - vy * uy, vx * uy + vy * ux
+            if odd:
+                vx, vy = vx * a + vy * b, vy * a - vx * b
+            den = (a2 + b2) ** k
+            rx += (vx << shift) // den
+            ry += (vy << shift) // den
+            n += 1
+        sx += rx
+        sy += ry
+    return sx, sy, n
 
 
 # -- Q(zeta_N), N prime: an element is N Fractions, entry i the coefficient of

@@ -1,11 +1,20 @@
+import os
 import time
 
 import pytest
 
+import mtv
 from mtv.elliptic import CurveQ, verify_corollary
 from mtv.qexp import EtaQuotientSpec
 from mtv.spaces import newform_basis_level1
 from mtv.trace import verify_theorem
+
+# the CLI tests run `python -m mtv` in child processes: have them import
+# the package this session imports
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [os.path.dirname(os.path.dirname(os.path.abspath(mtv.__file__)))]
+    + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+)
 
 # the inputs exercised end to end: (level, eta pairs, eisenstein weight, power)
 THEOREM_CONFIGS = (

@@ -15,10 +15,18 @@ from mtv.numerics import (
     to_mpc,
 )
 from mtv.polynomial import UniPoly
-from mtv.qexp import QSeries, eisenstein_level1, eisenstein_prime_level
+from mtv.qexp import (
+    _GATE_ORDER,
+    _GATE_PREC,
+    _GATE_TAUS,
+    QSeries,
+    _eisenstein_prime_level_raw,
+    eisenstein_level1,
+    eisenstein_prime_level,
+)
 from mtv.spaces import delta_series
 
-from _oracles import eval_qseries_ref, lattice_sum_ref
+from _oracles import eval_qseries_ref, lattice_kernel_ref, lattice_sum_ref
 
 F = Fraction
 X = UniPoly.x()
@@ -67,14 +75,14 @@ def test_eval_e6_vanishes_at_i():
 
 def test_eval_large_weight_gate_series_is_finite():
     # the level-2 Eisenstein gate series at weight 274 (order 64): its
-    # rounding sum outgrows a float, and must still give a finite bound
-    from mtv.qexp import _GATE_ORDER, _GATE_PREC, _eisenstein_prime_level_raw
-
+    # rounding sum outgrows a float, and must still give a finite bound, at
+    # a decimal point and at the gate's own points
     ser = _eisenstein_prime_level_raw(274, 2, _GATE_ORDER)
     with mpmath.workprec(_GATE_PREC):
-        r = eval_qseries(ser, mpc("0.21", "1.13"), _GATE_PREC)
-        assert mpmath.isfinite(r.value) and mpmath.isfinite(r.err)
-        assert abs(r.value - 1) < mpf(10) ** -90 and 0 < r.err < mpf(10) ** -40
+        for tau in (mpc("0.21", "1.13"), *_GATE_TAUS):
+            r = eval_qseries(ser, tau, _GATE_PREC)
+            assert mpmath.isfinite(r.value) and mpmath.isfinite(r.err)
+            assert abs(r.value - 1) < mpf(10) ** -90 and 0 < r.err < mpf(10) ** -40
 
 
 def test_eval_rejects_low_imag_with_short_series():
@@ -191,6 +199,38 @@ def test_lattice_kernel_matches_reference(monkeypatch, weight, level, tau, bound
     assert rounding.value == got.value
     with mpmath.workprec(prec + 64):
         assert diff <= rounding.err
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8, 12, 13, 24, 100])
+def test_lattice_kernel_is_bit_identical_to_the_product_loop(k):
+    # powering by squaring must give the very integers of the loop of k/2 - 1
+    # products, so the proven rounding bound carries over unchanged; B runs
+    # over a Latin square on (N, s), and X alternates in sign
+    rng = random.Random(k)
+    i = 0
+    for j, N in enumerate((1, 2, 3, 5, 7)):
+        for si, s in enumerate((0, 7, 55, 176)):
+            B = (1, 2, 5, 32)[(si + j) % 4]
+            X = (-1) ** i * rng.getrandbits(s + 1)
+            Y = rng.getrandbits(s + 1) | 1 << s
+            P = rng.randint(40, 200)
+            i += 1
+            # the reference's 49 products per term take seconds in this corner
+            if (k, B, s) == (100, 32, 176):
+                continue
+            want = lattice_kernel_ref(k, N, B, X, Y, s, P)
+            assert numerics._lattice_kernel(k, N, B, X, Y, s, P) == want, (N, B, s, X)
+
+
+@pytest.mark.parametrize("weight, level, tau, bound, prec", [
+    (12, 1, _GATE_TAUS[0], 32, _GATE_PREC),
+    (6, 5, TAU_53_POS, 120, 256),
+])
+def test_lattice_sum_is_unchanged_by_the_kernel(monkeypatch, weight, level, tau, bound, prec):
+    got = lattice_sum_eisenstein(weight, level, tau, bound, None, prec)
+    monkeypatch.setattr(numerics, "_lattice_kernel", lattice_kernel_ref)
+    want = lattice_sum_eisenstein(weight, level, tau, bound, None, prec)
+    assert (got.value, got.err) == (want.value, want.err)
 
 
 class _CoeffsOnly:

@@ -382,6 +382,59 @@ def test_fricke_gate_catches_corruption(monkeypatch):
         qexp_mod._GATE_DONE.update(saved)
 
 
+@pytest.fixture
+def fresh_gates():
+    """No gate counted as done during the test; the set is restored after."""
+    saved = set(qexp_mod._GATE_DONE)
+    qexp_mod._GATE_DONE.clear()
+    yield
+    qexp_mod._GATE_DONE.clear()
+    qexp_mod._GATE_DONE.update(saved)
+
+
+def _double_q1(f):
+    num = list(f._num)
+    num[1] *= 2
+    return QSeries._from_ints(num, f._den, f.e, f.trunc, f.weight, f.level)
+
+
+# a +1 on a_1 at weight 4 lies below the gate's tolerance, so it is not one
+EISENSTEIN_CORRUPTIONS = {
+    "scale2": lambda real, w, N, T: real(w, N, T).scale(2),
+    "weight+2": lambda real, w, N, T: real(w + 2, N, T),
+    "q1x2": lambda real, w, N, T: _double_q1(real(w, N, T)),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(EISENSTEIN_CORRUPTIONS))
+@pytest.mark.parametrize("weight,level", [(4, 1), (6, 1), (4, 2), (6, 3), (8, 5), (12, 1)])
+def test_eisenstein_gate_catches_corruption(monkeypatch, fresh_gates, corruption, weight, level):
+    real, corrupt = qexp_mod._eisenstein_prime_level_raw, EISENSTEIN_CORRUPTIONS[corruption]
+    monkeypatch.setattr(qexp_mod, "_eisenstein_prime_level_raw",
+                        lambda w, N, T: corrupt(real, w, N, T))
+    with pytest.raises(VerificationError):
+        eisenstein_prime_level(weight, level, 8)
+
+
+def test_eisenstein_gate_points_are_short_dyadics():
+    # exact at 53 bits, so no working precision moves them, and at most 8
+    # fractional bits, so the coset-sum kernel's integers stay small
+    assert len(qexp_mod._GATE_TAUS) == 2
+    for tau in qexp_mod._GATE_TAUS:
+        for part in (tau.real, tau.imag):
+            # part = man 2^exp with man odd
+            man, exp = part.man_exp
+            assert abs(man).bit_length() <= 53 and -8 <= exp <= 0
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 5])
+def test_eisenstein_gate_passes_at_even_weights(fresh_gates, level):
+    weights = list(range(4, 42, 2)) + {2: [274], 5: [278]}.get(level, [])
+    for w in weights:
+        qexp_mod._gate_eisenstein(w, level)
+        assert (w, level) in qexp_mod._GATE_DONE
+
+
 # -- eta quotients -----------------------------------------------------------
 
 def test_eta_24_is_discriminant_series():

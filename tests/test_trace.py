@@ -20,6 +20,7 @@ from mtv import (
     fricke_eta_series,
     main_constant,
     newform_basis_level1,
+    op_U,
     trace_to_level1,
     transformation_polynomial,
     verify_theorem,
@@ -177,6 +178,23 @@ def test_product_inputs_match_the_full_length_construction(level, pairs, lam, or
     assert h == h_full.truncate(T_in // level)
     for got, want in ((h, h_full), (hfr, hfr_full)):
         assert (got.weight, got.level) == (want.weight, want.level)
+
+
+@pytest.mark.parametrize("level,pairs,lam,order", [
+    (2, {1: 8, 2: 8}, 4, 20),
+    (3, {1: 6, 3: 6}, 6, 16),
+    (5, {1: 4, 5: 4}, 8, 12),
+])
+@pytest.mark.parametrize("power", [2, 3])
+def test_fricke_power_is_sieved_on_the_exponents_U_reads(level, pairs, lam, order, power):
+    h, hfr = trace.product_inputs(level, pairs, lam, order)
+    u = _sieved_product(hfr ** (power - 1), hfr, level)
+    want = op_U(hfr**power, level)
+    assert u == want
+    assert (u.e, u.trunc, u.weight, u.level) == (1, want.trunc, want.weight, want.level)
+    got = trace_to_level1(h, hfr, level, power)
+    assert got == trace_to_level1(h**power, hfr**power, level)
+    assert got.trunc == h.trunc
 
 
 def test_non_self_partner_theorem_routes_agree():
