@@ -68,18 +68,9 @@ class CurveQ:
 
 # -- numeric j-inversion ---------------------------------------------------
 
-_SERIES_CACHE = {}
-
-
 def _level1_series(trunc):
-    key = int(trunc)
-    if key not in _SERIES_CACHE:
-        _SERIES_CACHE[key] = (
-            eisenstein_level1(4, key),
-            eisenstein_level1(6, key),
-            delta_series(key),
-        )
-    return _SERIES_CACHE[key]
+    """E4, E6 and Delta through q^trunc, read as prefixes of the series store."""
+    return eisenstein_level1(4, trunc), eisenstein_level1(6, trunc), delta_series(trunc)
 
 
 def _order_for(im_tau, prec_bits):
@@ -94,7 +85,7 @@ def j_invariant_numeric(tau, prec_bits=256):
     if tau.imag <= 0:
         raise InputError("tau must be in the upper half plane")
     T = _order_for(float(tau.imag), prec_bits)
-    E4, _, D = _level1_series(T)
+    E4, D = eisenstein_level1(4, T), delta_series(T)
     with mpmath.workprec(prec_bits + 16):
         e4 = eval_qseries(E4, tau, prec_bits + 16)
         dd = eval_qseries(D, tau, prec_bits + 16)

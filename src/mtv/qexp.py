@@ -21,6 +21,15 @@ the field's power relations.  Eta quotients expand each Euler factor with
 the power rule for series, so an exponent r costs one pass, not |r|, and
 factors that share r share that pass.
 
+Eisenstein series and eta quotients read one process-wide, grow-only store
+of integer arrays: the sigma_(k-1) list per k and the power-rule pass per
+eta exponent r (spaces adds the Miller basis per weight and the E6^(2m)
+ladder).  It holds one array per key, the longest built so far, so no key
+holds more than the largest call for it already held at its peak; a read
+returns a fresh list of the first T + 1 entries, and a longer request
+rebuilds that key.  Each process, hence each CLI call, starts with it
+empty.  The gates run above the store.
+
 The Eisenstein constructors are closed forms; each (weight, level) is gated
 once per process against the independent numeric coset-sum oracle before its
 series is handed out, and the Fricke image is additionally gated against a
@@ -420,6 +429,24 @@ def _kron_mul(a, b, out_len):
     return out
 
 
+# -- the series store --------------------------------------------------------
+
+# process-wide and grow-only: key -> the longest array built so far for it
+_SERIES_STORE = {}
+
+
+def _stored(key, n, build):
+    """A fresh list of the first n entries of build(n); build runs only when
+    the stored array for key is shorter than n, and replaces it.  Each call
+    slices the array it read or built, so a racing call never reads short."""
+    if n < 1:
+        raise InputError("negative truncation order")
+    arr = _SERIES_STORE.get(key)
+    if arr is None or len(arr) < n:
+        arr = _SERIES_STORE[key] = build(n)
+    return arr[:n]
+
+
 # -- standard series -----------------------------------------------------
 
 _BERNOULLI = {0: Fraction(1)}
@@ -441,12 +468,16 @@ def bernoulli(n):
 
 
 def _sigma_list(power, T):
-    s = [0] * (T + 1)
-    for d in range(1, T + 1):
-        dp = d**power
-        for m in range(d, T + 1, d):
-            s[m] += dp
-    return s
+    """[sigma_power(m) for m <= T], with sigma_power(0) read as 0."""
+    def build(n):
+        s = [0] * n
+        for d in range(1, n):
+            dp = d**power
+            for m in range(d, n, d):
+                s[m] += dp
+        return s
+
+    return _stored(("sigma", power), T + 1, build)
 
 
 def _eisenstein_level1_raw(weight, trunc):
@@ -705,8 +736,9 @@ def _unit_series_power(terms, r, L):
 
 
 def _euler_power(d, r, L):
-    """prod_n (1 - q^(d n))^r through q^L as an integer array."""
-    power = _unit_series_power(_pentagonal(L // d), r, L // d)
+    """prod_n (1 - q^(d n))^r through q^L: a prefix of the stored d = 1 pass, regridded."""
+    power = _stored(("euler", r), L // d + 1,
+                    lambda n: _unit_series_power(_pentagonal(n - 1), r, n - 1))
     return _on_grid(power, d, L + 1)
 
 
@@ -721,18 +753,9 @@ def eta_quotient(spec, trunc, level=None):
     if trunc < v:
         raise InputError("truncation order below the leading exponent %d" % v)
     L = trunc - v
-    # one power-rule pass per distinct exponent r, at its smallest d (pairs
-    # are sorted by d, so the longest run comes first); each larger d with
-    # that r reads a prefix of it
-    runs = {}
     acc = None
     for d, r in spec.pairs:
-        if r in runs:
-            d0, run = runs[r]
-            factor = _on_grid(run[::d0], d, L + 1)
-        else:
-            factor = _euler_power(d, r, L)
-            runs[r] = (d, factor)
+        factor = _euler_power(d, r, L)
         acc = factor if acc is None else _kron_mul(acc, factor, L + 1)
     if acc is None:
         acc = [1] + [0] * L

@@ -33,7 +33,8 @@ from .errors import InputError, ResourceLimitError, TruncationError, Verificatio
 from .linalg import MatQ, bareiss_inverse
 from .numfield import NumberField, NumberFieldElem
 from .polynomial import UniPoly, poly_factor_q
-from .qexp import QSeries, _is_prime, _kron_mul, eisenstein_level1, eta_quotient, hecke_T
+from .qexp import (QSeries, _gate_eisenstein, _is_prime, _kron_mul, _stored,
+                   eisenstein_level1, eta_quotient, hecke_T)
 
 # 4a + 6b = r, minimal (a, b)
 _RESIDUAL_AB = {0: (0, 0), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1), 14: (2, 1)}
@@ -95,8 +96,37 @@ def miller_exponents(weight):
     return d, a, b
 
 
+def _e6sq_power(m, n):
+    """E6^(2m) through q^(n-1), m >= 1, a prefix of the stored ladder; the
+    caller has gated E6."""
+    def build(n):
+        if m > 1:
+            return _kron_mul(_e6sq_power(m - 1, n), _e6sq_power(1, n), n)
+        E6 = eisenstein_level1(6, n - 1)._num
+        return _kron_mul(E6, E6, n)
+
+    return _stored(("e6sq", m), n, build)
+
+
+def _miller_rows(k, n):
+    """Rows (h_1[m], ..., h_d[m]), m < n, of the weight-k Miller basis
+    h_j = E4^a E6^b E6^(2(d-j)) Delta^(j-1); E4, E6 and Delta are integral."""
+    d, a, b = miller_exponents(k)
+    h = [1] + [0] * (n - 1)  # E4^a E6^b Delta^(j-1)
+    for w in [4] * a + [6] * b:
+        h = _kron_mul(h, eisenstein_level1(w, n - 1)._num, n)
+    delta = delta_series(n - 1)._num if d > 1 else None
+    cols = []
+    for j in range(1, d):
+        cols.append(_kron_mul(h, _e6sq_power(d - j, n), n))
+        h = _kron_mul(h, delta, n)
+    cols.append(h)
+    return list(zip(*cols))
+
+
 def miller_basis(weight, trunc):
-    """Triangular basis h_1..h_d of the full weight-k space, h_j = q^(j-1)+O(q^j)."""
+    """Triangular basis h_1..h_d of the full weight-k space, h_j = q^(j-1)+O(q^j),
+    read as a prefix of the series store after the E4 and E6 gates have run."""
     k = int(weight)
     if k < 0 or k % 2:
         raise InputError("weight must be a nonnegative even integer")
@@ -104,26 +134,12 @@ def miller_basis(weight, trunc):
         return []
     d, a, b = miller_exponents(k)
     trunc = int(trunc)
-    one = QSeries([1], trunc=trunc, weight=0)
-    base = eisenstein_level1(4, trunc) ** a if a else one
-    E6 = eisenstein_level1(6, trunc) if (b or d > 1) else None
-
-    # h_j = base * E6^(b + 2(d-j)) * Delta^(j-1)
-    e6pows = [E6**b if b else one]
-    dpows = [one]
-    if d > 1:
-        E6sq = E6 * E6
-        delta = delta_series(trunc)
-        for _ in range(d - 1):
-            e6pows.append(e6pows[-1] * E6sq)
-            dpows.append(dpows[-1] * delta)
-    basis = []
-    for j in range(1, d + 1):
-        h = base * e6pows[d - j] * dpows[j - 1]
-        if h.weight != k:
-            raise VerificationError("basis element weight bookkeeping failed")
-        basis.append(h)
-    return basis
+    if a:
+        _gate_eisenstein(4, 1)
+    if b or d > 1:
+        _gate_eisenstein(6, 1)
+    rows = _stored(("miller", k), trunc + 1, lambda n: _miller_rows(k, n))
+    return [QSeries._from_ints(list(col), 1, 1, trunc, k, 1) for col in zip(*rows)]
 
 
 class Newform:
@@ -212,8 +228,8 @@ def level1_coordinates(forms):
 
         E4^a E6^b (c_1 X^(d-1) + Delta (c_2 X^(d-2) + Delta (...))),  X = E6^2,
 
-    from one ladder of E4, E6, Delta and the powers of X shared by all the
-    forms, and f minus it must vanish exactly.  A series over a number field
+    from E4, E6, Delta and the powers of X (stored per power, read as
+    prefixes), and f minus it must vanish exactly.  A series over a number field
     is solved and certified one power-basis component at a time, and its
     coordinates are field elements.  A form outside the span raises
     VerificationError whose ``index`` attribute is its position in forms.
@@ -239,11 +255,7 @@ def level1_coordinates(forms):
     E4 = eisenstein_level1(4, T)._num if any(a for _, a, _ in shapes) else None
     E6 = eisenstein_level1(6, T)._num if D > 1 or any(b for _, _, b in shapes) else None
     delta = delta_series(T)._num if D > 1 else None
-    X = [[1] + [0] * T]  # X^m = E6^(2m), m < D
-    if D > 1:
-        X.append(_kron_mul(E6, E6, T + 1))
-    while len(X) < D:
-        X.append(_kron_mul(X[-1], X[1], T + 1))
+    X = [[1] + [0] * T] + [_e6sq_power(m, T + 1) for m in range(1, D)]  # X^m = E6^(2m)
     out = []
     for i, (f, (d, a, b)) in enumerate(zip(forms, shapes)):
         k = f.weight

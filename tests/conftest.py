@@ -4,6 +4,7 @@ import time
 import pytest
 
 import mtv
+from mtv import qexp
 from mtv.elliptic import CurveQ, verify_corollary
 from mtv.qexp import EtaQuotientSpec
 from mtv.spaces import newform_basis_level1
@@ -27,6 +28,20 @@ THEOREM_CONFIGS = (
 
 def eta_of(flat):
     return EtaQuotientSpec({flat[0]: flat[1], flat[2]: flat[3]})
+
+
+@pytest.fixture
+def fresh_gates():
+    """No gate counted as done and an empty series store during the test, so
+    a corrupted builder is always reached; both are restored after."""
+    gates, store = set(qexp._GATE_DONE), dict(qexp._SERIES_STORE)
+    qexp._GATE_DONE.clear()
+    qexp._SERIES_STORE.clear()
+    yield
+    qexp._GATE_DONE.clear()
+    qexp._GATE_DONE.update(gates)
+    qexp._SERIES_STORE.clear()
+    qexp._SERIES_STORE.update(store)
 
 
 @pytest.fixture(scope="session")

@@ -30,7 +30,7 @@ from mtv.numfield import NumberField
 from mtv.polynomial import UniPoly
 import mtv.qexp as qexp_mod
 
-from _oracles import delta_ref, eis_ref, eta_power_ref, euler_power_ref, mul_trunc
+from _oracles import delta_ref, eis_ref, eta_power_ref, euler_power_ref, mul_trunc, sigma
 
 
 # -- QSeries semantics -------------------------------------------------------
@@ -232,6 +232,67 @@ def test_eta_quotient_matches_repeated_products(pairs):
     assert list(f.coeffs) == [Fraction(0)] * v + acc[: T - v + 1]
 
 
+# -- the series store -----------------------------------------------------------
+
+# key -> (read through q^T from the store, independent reference through q^T)
+STORE_KEYS = {
+    ("sigma", 3): (lambda T: qexp_mod._sigma_list(3, T),
+                   lambda T: [0] + [sigma(n, 3) for n in range(1, T + 1)]),
+    ("sigma", 11): (lambda T: qexp_mod._sigma_list(11, T),
+                    lambda T: [0] + [sigma(n, 11) for n in range(1, T + 1)]),
+    ("euler", 24): (lambda T: qexp_mod._euler_power(1, 24, T),
+                    lambda T: euler_power_ref(1, 24, T)),
+    ("euler", -8): (lambda T: qexp_mod._euler_power(1, -8, T),
+                    lambda T: euler_power_ref(1, -8, T)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(STORE_KEYS), ids=str)
+def test_store_reads_equal_fresh_builds(fresh_gates, key):
+    read, ref = STORE_KEYS[key]
+    store = qexp_mod._SERIES_STORE
+    T = 40
+    fresh = read(T)
+    assert fresh == ref(T) and len(store[key]) == T + 1
+    for before in (2 * T, T, T // 2):
+        store.clear()
+        read(before)
+        assert read(T) == fresh
+        assert len(store[key]) == max(before, T) + 1
+
+
+def test_store_reads_are_fresh_lists(fresh_gates):
+    for key, (read, _) in STORE_KEYS.items():
+        want = read(12)
+        got = read(12)
+        got[3] += 1
+        got.append(7)
+        assert read(12) == want
+        assert read(20)[:13] == want
+
+
+def test_store_holds_one_array_per_key(fresh_gates):
+    lengths = [(37 * i) % 61 + 8 for i in range(20)]
+    for T in lengths:
+        eisenstein_level1(4, T)
+        eta_quotient({1: 8, 2: 8}, T)  # eta(z)^8 eta(2z)^8 = q (1 + ...)
+        eta_quotient({1: 24}, T)
+    store = qexp_mod._SERIES_STORE
+    assert sorted(store) == [("euler", 8), ("euler", 24), ("sigma", 3)]
+    # the longest read sets each length: sigma through q^T, the Euler
+    # powers through q^(T - 1) past the leading q
+    top = max(lengths)
+    assert [len(store[k]) for k in sorted(store)] == [top, top, top + 1]
+
+
+def test_eta_factors_sharing_an_exponent_share_one_pass(fresh_gates):
+    # eta(z)^4 eta(5z)^4: the d = 5 factor regrids a prefix of the d = 1 pass
+    f = eta_quotient({1: 4, 5: 4}, 40)
+    assert list(qexp_mod._SERIES_STORE) == [("euler", 4)]
+    acc = mul_trunc(euler_power_ref(1, 4, 39), euler_power_ref(5, 4, 39), 39)
+    assert list(f.coeffs) == [0] + acc
+
+
 def test_power_rule_remainder_raises():
     # a half-integral power of 1 + 2q is not integral at q^2
     with pytest.raises(VerificationError):
@@ -366,30 +427,14 @@ def test_prime_predicate_refuses_past_its_proven_range():
     assert not is_prime(41 * p)
 
 
-def test_fricke_gate_catches_corruption(monkeypatch):
-    saved = set(qexp_mod._GATE_DONE)
-    qexp_mod._GATE_DONE.clear()
+def test_fricke_gate_catches_corruption(monkeypatch, fresh_gates):
     real = qexp_mod._fricke_eisenstein_raw
     monkeypatch.setattr(
         qexp_mod, "_fricke_eisenstein_raw",
         lambda w, N, T: real(w, N, T).scale(2),
     )
-    try:
-        with pytest.raises(VerificationError):
-            fricke_eisenstein(4, 2, 8)
-    finally:
-        qexp_mod._GATE_DONE.clear()
-        qexp_mod._GATE_DONE.update(saved)
-
-
-@pytest.fixture
-def fresh_gates():
-    """No gate counted as done during the test; the set is restored after."""
-    saved = set(qexp_mod._GATE_DONE)
-    qexp_mod._GATE_DONE.clear()
-    yield
-    qexp_mod._GATE_DONE.clear()
-    qexp_mod._GATE_DONE.update(saved)
+    with pytest.raises(VerificationError):
+        fricke_eisenstein(4, 2, 8)
 
 
 def _double_q1(f):

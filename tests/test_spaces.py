@@ -22,8 +22,9 @@ from mtv import (
     miller_basis,
     newform_basis_level1,
     validate_external_newform,
+    verify_theorem,
 )
-from mtv import polynomial, spaces
+from mtv import polynomial, qexp, spaces
 from mtv.linalg import MatQ
 from mtv.numfield import NumberField
 from mtv.polynomial import UniPoly, poly_factor_q
@@ -65,6 +66,127 @@ def test_miller_rejects_odd_weight():
     with pytest.raises(InputError):
         miller_basis(11, 8)
     assert miller_basis(2, 8) == []
+
+
+# -- Miller bases in the series store ---------------------------------------------
+
+def miller_ref(k, T):
+    """h_j = E4^a E6^(b + 2(d-j)) Delta^(j-1) by plain series products."""
+    d, a, b = spaces.miller_exponents(k)
+    E4, E6, D = eisenstein_level1(4, T), eisenstein_level1(6, T), delta_series(T)
+    return [E4**a * E6 ** (b + 2 * (d - j)) * D ** (j - 1) for j in range(1, d + 1)]
+
+
+@pytest.mark.parametrize("weight", [4, 24, 38, 96])
+def test_stored_miller_basis_equals_a_fresh_build(fresh_gates, weight):
+    store = qexp._SERIES_STORE
+    key = ("miller", weight)
+    T = 30
+    fresh = miller_basis(weight, T)
+    assert fresh == miller_ref(weight, T)
+    assert {h.weight for h in fresh} == {weight} and len(store[key]) == T + 1
+    for before in (2 * T, T, T // 2):
+        del store[key]
+        miller_basis(weight, before)
+        assert miller_basis(weight, T) == fresh
+        assert len(store[key]) == max(before, T) + 1
+
+
+def test_stored_miller_basis_reads_are_fresh(fresh_gates):
+    want = miller_basis(28, 12)
+    got = miller_basis(28, 12)
+    got[0]._num[0] += 5
+    got.pop()
+    assert miller_basis(28, 12) == want == miller_ref(28, 12)
+    assert [h.truncate(12) for h in miller_basis(28, 20)] == want
+
+
+def test_store_holds_one_miller_basis_per_weight(fresh_gates):
+    lengths = [(29 * i) % 53 + 4 for i in range(20)]
+    for T in lengths:
+        miller_basis(24, T)  # E6^4, E6^2 Delta, Delta^2
+    store = qexp._SERIES_STORE
+    ladder = [("e6sq", 1), ("e6sq", 2), ("miller", 24)]
+    assert set(store) == {("sigma", 5), ("euler", 24)} | set(ladder)
+    assert [len(store[key]) for key in ladder] == [max(lengths) + 1] * 3
+
+
+def test_stored_e6_square_ladder_equals_a_fresh_build(fresh_gates):
+    store = qexp._SERIES_STORE
+    T = 30
+    fresh = {m: (eisenstein_level1(6, T) ** (2 * m))._num for m in (1, 2, 3)}
+    for before in (2 * T, T, T // 2, None):
+        store.clear()
+        if before is not None:
+            spaces._e6sq_power(2, before + 1)
+        got = {m: spaces._e6sq_power(m, T + 1) for m in (3, 1, 2)}
+        assert got == fresh
+        got[3][0] += 1
+        assert spaces._e6sq_power(3, T + 1) == fresh[3]
+    # forms through q^T at 20 lengths leave one array per power, of the longest
+    store.clear()
+    lengths = [(31 * i) % 47 + 5 for i in range(20)]
+    for t in lengths:
+        level1_coordinates([miller_basis(36, t)[-1]])  # dimension 4: X^1 .. X^3
+    assert sorted(k for k in store if k[0] == "e6sq") == [("e6sq", 1), ("e6sq", 2), ("e6sq", 3)]
+    assert {len(store[("e6sq", m)]) for m in (1, 2, 3)} == {max(lengths) + 1}
+
+
+def test_a_warm_store_still_runs_the_gates(monkeypatch, fresh_gates):
+    miller_basis(28, 40)  # E4 E6^4, E4 E6^2 Delta, E4 Delta^2
+    eisenstein_level1(4, 40)
+    qexp._GATE_DONE.clear()
+    real = qexp._eisenstein_prime_level_raw
+    monkeypatch.setattr(qexp, "_eisenstein_prime_level_raw",
+                        lambda w, N, T: real(w, N, T).scale(2))
+    with pytest.raises(VerificationError):
+        eisenstein_level1(4, 20)
+    for done, left in (((6, 1), (4, 1)), ((4, 1), (6, 1))):  # each gate runs on its own
+        qexp._GATE_DONE.clear()
+        qexp._GATE_DONE.add(done)
+        with pytest.raises(VerificationError):
+            miller_basis(28, 20)
+        assert left not in qexp._GATE_DONE
+
+
+def grown_store_run(run):
+    """run() from an empty series store, then again once every key it built
+    has been rebuilt at twice its length; the second run must read prefixes
+    only.  Returns both results."""
+    store = qexp._SERIES_STORE
+    store.clear()
+    cold = run()
+    readers = {"sigma": qexp._sigma_list, "miller": miller_basis,
+               "euler": lambda r, T: qexp._euler_power(1, r, T),
+               "e6sq": lambda m, T: spaces._e6sq_power(m, T + 1)}
+    for (kind, x), arr in list(store.items()):
+        readers[kind](x, 2 * len(arr) - 1)
+    grown = {key: len(arr) for key, arr in store.items()}
+    warm = run()
+    assert {key: len(arr) for key, arr in store.items()} == grown
+    return cold, warm
+
+
+def test_newform_basis_is_the_same_from_an_empty_and_a_grown_store(fresh_gates):
+    cold, warm = grown_store_run(
+        lambda: [nf.qexp.serialize() for nf in newform_basis_level1(84, 64)])
+    assert cold == warm
+
+
+def test_certified_s_i_are_the_same_from_an_empty_and_a_grown_store(fresh_gates):
+    def run():
+        sym = verify_theorem(5, {1: 4, 5: 4}, 10, 1, order=164).phi_symmetric
+        return [s.serialize() for s in sym], level1_coordinates(sym)
+
+    cold, warm = grown_store_run(run)
+    assert cold == warm
+
+
+def test_theorem_report_is_the_same_from_an_empty_and_a_grown_store(fresh_gates):
+    cold, warm = grown_store_run(
+        lambda: json.dumps(verify_theorem(3, {1: 6, 3: 6}, 6, 2, order=48).to_dict(),
+                           sort_keys=True))
+    assert cold == warm
 
 
 def test_expand_in_triangular_exact():
@@ -367,7 +489,7 @@ def planted_t2(monkeypatch, rows):
                         lambda weight, n, trunc=None: (M, basis))
 
 
-def test_newform_basis_refuses_bad_t2_matrices(monkeypatch):
+def test_newform_basis_refuses_bad_t2_matrices(monkeypatch, fresh_gates):
     planted_t2(monkeypatch, [[2, 0], [1, 2]])
     with pytest.raises(VerificationError) as exc:
         newform_basis_level1(36, 12)
@@ -378,7 +500,7 @@ def test_newform_basis_refuses_bad_t2_matrices(monkeypatch):
     assert "not integral" in str(exc.value)
 
 
-def test_eigenvector_check_catches_a_wrong_inverse(monkeypatch):
+def test_eigenvector_check_catches_a_wrong_inverse(monkeypatch, fresh_gates):
     real = spaces.bareiss_inverse
 
     def off_by_one(rows):

@@ -253,7 +253,8 @@ TAIL_INPUTS = {
 
 
 @pytest.mark.parametrize("level", sorted(TAIL_INPUTS))
-def test_validation_catches_one_unit_at_the_tail_and_past_the_head(level, monkeypatch):
+def test_validation_catches_one_unit_at_the_tail_and_past_the_head(level, monkeypatch,
+                                                                  fresh_gates):
     """Adding 1 to one numerator of one s_i at q^T, q^(d-1) or q^d (d the
     dimension of its weight) is caught, and the error names that s_i."""
     h, hfr = _translate_inputs(*TAIL_INPUTS[level])
