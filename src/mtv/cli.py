@@ -60,6 +60,12 @@ MAX_ORACLE_TERMS = 10**7
 # length, so the cap stops unbounded runs at about three times that.
 MAX_SERIES_TERMS = 2**15
 
+# cap on the working precision in bits, from --prec or MTV_PREC_BITS.
+# specialize --curve=1,2 takes about 1.2 s at 2048 bits, 4.6 s at 4096 and
+# 34 s at 8192 on a 2-vCPU VM with CPython 3.11 (corollary: 5.9 s and 29 s);
+# the time grows about sevenfold per doubling, so the cap is 4096.
+MAX_PREC_BITS = 4096
+
 
 def parse_eta(text):
     """"1:8,2:8" -> EtaQuotientSpec."""
@@ -373,6 +379,9 @@ def main(argv=None):
     try:
         if args.prec is None:
             args.prec = _default_prec()
+        if args.prec > MAX_PREC_BITS:
+            raise ResourceLimitError("precision of %d bits is above the cap of %d"
+                                     % (args.prec, MAX_PREC_BITS))
         return args.func(args)
     except MtvError as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -49,7 +49,9 @@ def to_mpc(x):
 
 
 class BigComplex:
-    """Complex value plus a heuristic absolute error magnitude."""
+    """Complex value plus an absolute error bound: proven as eval_qseries and
+    lattice_sum_eisenstein attach it, except eval_qseries' fitted tail past
+    the truncation (see the module docstring), and carried through + and *."""
 
     __slots__ = ("value", "err")
 

@@ -2,12 +2,12 @@
 
 The basis for weight k is h_j = E4^a * E6^(b + 2(d-j)) * Delta^(j-1) with
 4a + 6b = k - 12(d-1), which makes h_j = q^(j-1) + O(q^j): upper triangular,
-so expansion in the basis is forward substitution.  level1_coordinates
-certifies a form level 1 without building the basis at full length: the
-head of d coefficients fixes the only candidate coordinates (solved against
-the basis through q^(d-1)), one Horner rebuild in Delta over a shared ladder
-of E6^2 powers gives that candidate at full length, and the form must equal
-it exactly.
+so expansion in the basis is forward substitution.  h_j is E4^a E6^b times
+g_j, the j-th basis form of weight 12(d-1), so level1_coordinates certifies
+a form level 1 from two stored bases: the head of d coefficients fixes the
+only candidate coordinates (solved against the basis through q^(d-1)), the
+candidate is their combination of the core g_1..g_d times the factor
+E4^a E6^b, and the form must equal it exactly.
 
 Newforms are cut out as eigenvectors of T_2; Strong Multiplicity One at
 level 1 means each irreducible factor g of the T_2 characteristic polynomial
@@ -97,8 +97,8 @@ def miller_exponents(weight):
 
 
 def _e6sq_power(m, n):
-    """E6^(2m) through q^(n-1), m >= 1, a prefix of the stored ladder; the
-    caller has gated E6."""
+    """E6^(2m) through q^(n-1), m >= 1, a prefix of the stored ladder that
+    the Miller bases of every dimension share; the caller has gated E6."""
     def build(n):
         if m > 1:
             return _kron_mul(_e6sq_power(m - 1, n), _e6sq_power(1, n), n)
@@ -110,18 +110,27 @@ def _e6sq_power(m, n):
 
 def _miller_rows(k, n):
     """Rows (h_1[m], ..., h_d[m]), m < n, of the weight-k Miller basis
-    h_j = E4^a E6^b E6^(2(d-j)) Delta^(j-1); E4, E6 and Delta are integral."""
+    h_j = E4^a E6^b E6^(2(d-j)) Delta^(j-1); E4, E6 and Delta are integral.
+    No product is taken by the unit series."""
     d, a, b = miller_exponents(k)
-    h = [1] + [0] * (n - 1)  # E4^a E6^b Delta^(j-1)
+    h = None  # E4^a E6^b Delta^(j-1), None for 1
     for w in [4] * a + [6] * b:
-        h = _kron_mul(h, eisenstein_level1(w, n - 1)._num, n)
+        E = eisenstein_level1(w, n - 1)._num
+        h = E if h is None else _kron_mul(h, E, n)
     delta = delta_series(n - 1)._num if d > 1 else None
     cols = []
     for j in range(1, d):
-        cols.append(_kron_mul(h, _e6sq_power(d - j, n), n))
-        h = _kron_mul(h, delta, n)
-    cols.append(h)
+        X = _e6sq_power(d - j, n)
+        cols.append(X if h is None else _kron_mul(h, X, n))
+        h = delta if h is None else _kron_mul(h, delta, n)
+    cols.append([1] + [0] * (n - 1) if h is None else h)
     return list(zip(*cols))
+
+
+def _miller_store(k, n):
+    """The first n rows of the stored weight-k Miller basis; the caller has
+    run the E4 and E6 gates."""
+    return _stored(("miller", k), n, lambda n: _miller_rows(k, n))
 
 
 def miller_basis(weight, trunc):
@@ -138,7 +147,7 @@ def miller_basis(weight, trunc):
         _gate_eisenstein(4, 1)
     if b or d > 1:
         _gate_eisenstein(6, 1)
-    rows = _stored(("miller", k), trunc + 1, lambda n: _miller_rows(k, n))
+    rows = _miller_store(k, trunc + 1)
     return [QSeries._from_ints(list(col), 1, 1, trunc, k, 1) for col in zip(*rows)]
 
 
@@ -224,46 +233,37 @@ def level1_coordinates(forms):
     from its first d coefficients, solved against miller_basis(k, d - 1).
     The basis is triangular, so f lies in the span through q^T exactly when
     it equals the one candidate sum_j c_j h_j that its head determines.  The
-    candidate is rebuilt once at full length by Horner in Delta,
+    weight-k basis is h_j = E4^a E6^b g_j, where g_1..g_d is the Miller basis
+    of weight 12(d - 1), so the candidate is
 
-        E4^a E6^b (c_1 X^(d-1) + Delta (c_2 X^(d-2) + Delta (...))),  X = E6^2,
+        E4^a E6^b (sum_j c_j g_j):
 
-    from E4, E6, Delta and the powers of X (stored per power, read as
-    prefixes), and f minus it must vanish exactly.  A series over a number field
+    one linear combination of the stored core columns g_j and at most one
+    product by the stored factor E4^a E6^b (none when 12 | k), both read as
+    prefixes, and f minus it must vanish exactly.  A series over a number field
     is solved and certified one power-basis component at a time, and its
     coordinates are field elements.  A form outside the span raises
     VerificationError whose ``index`` attribute is its position in forms.
     """
     forms = list(forms)
-    shapes = []
     for f in forms:
         if f.weight is None or f.e != 1:
             raise InputError("level-1 coordinates need a weighted series in powers of q")
-        d, a, b = miller_exponents(f.weight)
+        d, _, _ = miller_exponents(f.weight)
         if f.trunc < d - 1:
             raise TruncationError(
                 "basis element %d vanishes through q^%d; raise the order"
                 % (f.trunc + 2, f.trunc)
             )
-        shapes.append((d, a, b))
-    if not forms:
-        return []
-    T = max(f.trunc for f in forms)
-    D = max(d for d, _, _ in shapes)
-    # build only what some form uses: the first E4 or E6 of a process pays a
-    # one-time numeric gate
-    E4 = eisenstein_level1(4, T)._num if any(a for _, a, _ in shapes) else None
-    E6 = eisenstein_level1(6, T)._num if D > 1 or any(b for _, _, b in shapes) else None
-    delta = delta_series(T)._num if D > 1 else None
-    X = [[1] + [0] * T] + [_e6sq_power(m, T + 1) for m in range(1, D)]  # X^m = E6^(2m)
     out = []
-    for i, (f, (d, a, b)) in enumerate(zip(forms, shapes)):
+    for i, f in enumerate(forms):
         k = f.weight
         n = f.trunc + 1
-        head_basis = miller_basis(k, d - 1)
-        base = None  # E4^a E6^b, None for 1
-        for g in [E4] * a + [E6] * b:
-            base = g if base is None else _kron_mul(base, g, n)
+        d = dim_modular_level1(k)
+        head_basis = miller_basis(k, d - 1)  # runs the gates the stored reads rely on
+        core = _miller_store(12 * (d - 1), n)
+        r = k - 12 * (d - 1)
+        factor = [row[0] for row in _miller_store(r, n)] if r else None
         comps, den = f._components(1, n)
         coords = []
         miss = n
@@ -272,14 +272,9 @@ def level1_coordinates(forms):
             c, _ = expand_in_triangular(head, head_basis)
             L = lcm(*[x.denominator for x in c])
             C = [x.numerator * (L // x.denominator) for x in c]
-            # L * sum_j c_j h_j, Horner in Delta from the top coordinate down
-            acc = [C[-1]] + [0] * (n - 1)
-            for j in range(d - 2, -1, -1):
-                acc = _kron_mul(delta, acc, n)
-                if C[j]:
-                    acc = [s + C[j] * x for s, x in zip(acc, X[d - 1 - j])]
-            if base is not None:
-                acc = _kron_mul(base, acc, n)
+            acc = [sum(map(operator.mul, C, row)) for row in core]  # L * sum_j c_j g_j
+            if factor is not None:
+                acc = _kron_mul(factor, acc, n)
             # comp / den == acc / L, coefficient by coefficient
             miss = next((m for m in range(miss) if comp[m] * L != acc[m] * den), miss)
             coords.append(c)

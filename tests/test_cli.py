@@ -236,6 +236,37 @@ def test_series_length_over_the_cap_exits4_before_any_work(argv, admitted, refus
     assert "cap of 32768" in err and "reached" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["specialize", "--curve=1,2"],
+    ["corollary", "--level", "2", "--eis-weight", "4", "--curve=1,2"],
+    ["oracle", "--eis-weight", "4", "--level", "1", "--tau", "0.1,1.1", "--bound", "4"],
+])
+@pytest.mark.parametrize("via_env", [False, True])
+def test_precision_over_the_cap_exits4_before_any_gate(argv, via_env, monkeypatch, capsys):
+    # the planted gate and curve inversion show where a run would start its
+    # numerics; --prec and MTV_PREC_BITS share the cap
+    def reached(*a, **kw):
+        raise VerificationError("reached the numerics")
+
+    monkeypatch.setattr(qexp, "_gate_eisenstein", reached)
+    monkeypatch.setattr(cli, "tau_from_curve", reached)
+
+    def run(bits):
+        if via_env:
+            monkeypatch.setenv("MTV_PREC_BITS", bits)
+            return cli.main(argv)
+        monkeypatch.delenv("MTV_PREC_BITS", raising=False)
+        return cli.main(["--prec", bits] + argv)
+
+    assert cli.MAX_PREC_BITS == 4096
+    assert run("4096") == 2
+    assert "reached the numerics" in capsys.readouterr().err
+    for bits in ("4097", "1000000"):
+        assert run(bits) == 4
+        err = capsys.readouterr().err
+        assert "above the cap of 4096" in err and "reached" not in err
+
+
 def test_newforms_over_the_dimension_cap_exits4(monkeypatch, capsys):
     # dim S_278 = 22 is the last dimension the cap admits, dim S_276 = 23;
     # the planted basis shows where a run would start

@@ -132,8 +132,48 @@ def test_stored_e6_square_ladder_equals_a_fresh_build(fresh_gates):
     assert {len(store[("e6sq", m)]) for m in (1, 2, 3)} == {max(lengths) + 1}
 
 
+# every dimension class mod 12, and the weights at and next to the newform cap
+FACTOR_WEIGHTS = list(range(0, 132, 2)) + [200, 264, 278]
+
+
+@pytest.mark.parametrize("weight", FACTOR_WEIGHTS)
+def test_miller_basis_is_its_factor_times_the_core(weight):
+    """h_j(k) = E4^a E6^b g_j with g_1..g_d the Miller basis of weight
+    12(d - 1), the identity level1_coordinates certifies against."""
+    T = 30
+    if dim_modular_level1(weight) == 0:
+        assert miller_basis(weight, T) == []
+        return
+    d, a, b = spaces.miller_exponents(weight)
+    factor = QSeries([1], trunc=T, weight=0)
+    for w in [4] * a + [6] * b:
+        factor = factor * eisenstein_level1(w, T)
+    core = miller_basis(12 * (d - 1), T)
+    assert len(core) == d
+    assert miller_basis(weight, T) == [(factor * g).truncate(T) for g in core]
+
+
+def test_the_certificate_stores_cores_and_factors_only(fresh_gates):
+    """After theorem runs at levels 2, 3 and 5, a Miller basis is stored past
+    its own dimension only as a core (12 | k), as a factor E4^a E6^b
+    (k in 4, 6, 8, 10, 14), or as the basis of a trace weight with cusp
+    forms, which newform_basis_level1 reads at full length for T_2."""
+    hecke = set()
+    for level, eta in ((2, {1: 8, 2: 8}), (3, {1: 6, 3: 6}), (5, {1: 4, 5: 4})):
+        for w in (4, 6, 8, 10):
+            W = verify_theorem(level, eta, w, 1, order=32).trace.weight
+            if dim_cusp_level1(W):
+                hecke.add(W)
+    long = {k for (kind, k), arr in qexp._SERIES_STORE.items()
+            if kind == "miller" and len(arr) > dim_modular_level1(k)}
+    assert hecke == {12, 16, 18}
+    assert {24, 36, 48} <= long
+    assert all(k % 12 == 0 or k in (4, 6, 8, 10, 14) for k in long - hecke), sorted(long)
+
+
 def test_a_warm_store_still_runs_the_gates(monkeypatch, fresh_gates):
-    miller_basis(28, 40)  # E4 E6^4, E4 E6^2 Delta, E4 Delta^2
+    f = miller_basis(28, 40)[-1]  # E4 E6^4, E4 E6^2 Delta, E4 Delta^2
+    level1_coordinates([f])  # the weight-24 core and the factor E4
     eisenstein_level1(4, 40)
     qexp._GATE_DONE.clear()
     real = qexp._eisenstein_prime_level_raw
@@ -146,6 +186,11 @@ def test_a_warm_store_still_runs_the_gates(monkeypatch, fresh_gates):
         qexp._GATE_DONE.add(done)
         with pytest.raises(VerificationError):
             miller_basis(28, 20)
+        assert left not in qexp._GATE_DONE
+        qexp._GATE_DONE.clear()
+        qexp._GATE_DONE.add(done)
+        with pytest.raises(VerificationError, match="coset-sum oracle"):
+            level1_coordinates([f])
         assert left not in qexp._GATE_DONE
 
 

@@ -19,6 +19,7 @@ from mtv import (
     fricke_eisenstein,
     fricke_eta_series,
     main_constant,
+    miller_basis,
     newform_basis_level1,
     op_U,
     trace_to_level1,
@@ -27,7 +28,7 @@ from mtv import (
 )
 from mtv.polynomial import elementary_from_power_sums, power_sums_from_elementary
 from mtv.qexp import EtaQuotientSpec, QSeries
-from mtv import trace
+from mtv import qexp, trace
 from mtv.trace import _integral_exponent_part, _sieved_product, fricke_eta_data
 
 from _oracles import cyclo_equal, twisted_translate_power_sum
@@ -256,30 +257,40 @@ TAIL_INPUTS = {
 def test_validation_catches_one_unit_at_the_tail_and_past_the_head(level, monkeypatch,
                                                                   fresh_gates):
     """Adding 1 to one numerator of one s_i at q^T, q^(d-1) or q^d (d the
-    dimension of its weight) is caught, and the error names that s_i."""
+    dimension of its weight) is caught, and the error names that s_i: from
+    an empty series store, and again once every stored Miller basis (the
+    cores and factors of the certificate) is longer than the forms."""
     h, hfr = _translate_inputs(*TAIL_INPUTS[level])
     w = h.weight
     sym = transformation_polynomial(h, hfr, level)
     certify = trace.level1_coordinates
-    for i, si in enumerate(sym, start=1):
-        d = dim_modular_level1(w * i)
-        for m in sorted({si.trunc, d - 1, d}):
-            num = list(si._num)
-            num[m] += 1
-            bumped = QSeries._from_ints(num, si._den, 1, si.trunc, si.weight, si.level)
+    T = max(si.trunc for si in sym)
+    for grown in (False, True):
+        if grown:
+            for kind, k in [key for key in qexp._SERIES_STORE if key[0] == "miller"]:
+                miller_basis(k, 2 * T)
+        for i, si in enumerate(sym, start=1):
+            d = dim_modular_level1(w * i)
+            for m in sorted({si.trunc, d - 1, d}):
+                num = list(si._num)
+                num[m] += 1
+                bumped = QSeries._from_ints(num, si._den, 1, si.trunc, si.weight, si.level)
 
-            def planted(forms, i=i, bumped=bumped):
-                forms = list(forms)
-                forms[i - 1] = bumped
-                return certify(forms)
+                def planted(forms, i=i, bumped=bumped):
+                    forms = list(forms)
+                    forms[i - 1] = bumped
+                    return certify(forms)
 
-            monkeypatch.setattr(trace, "level1_coordinates", planted)
-            with pytest.raises(VerificationError,
-                               match=r"^s_%d is not a level-1 form of weight %d: "
-                                     % (i, w * i)):
-                transformation_polynomial(h, hfr, level)
-    monkeypatch.undo()
-    assert transformation_polynomial(h, hfr, level) == sym
+                monkeypatch.setattr(trace, "level1_coordinates", planted)
+                with pytest.raises(VerificationError,
+                                   match=r"^s_%d is not a level-1 form of weight %d: "
+                                         % (i, w * i)):
+                    transformation_polynomial(h, hfr, level)
+        monkeypatch.undo()
+        assert transformation_polynomial(h, hfr, level) == sym
+    store = qexp._SERIES_STORE
+    cores = [("miller", 12 * (dim_modular_level1(w * i) - 1)) for i in range(1, len(sym) + 1)]
+    assert all(len(store[key]) > T + 1 for key in cores)
 
 
 # -- traces and the main constant -------------------------------------------------
