@@ -243,30 +243,33 @@ def eval_qseries(f, tau, prec_bits=None):
         return BigComplex(value, tail + rounding)
 
 
-def _lattice_tail_bound(lam, N, X, Y, B):
-    """Upper bound for the truncated coset-sum defect, via integral comparison.
+def _lattice_tail_bound(lam, N, X, Y, s, B, W):
+    """Upper bound for the truncated coset-sum defect at tau = (X + iY)/2^s,
+    via integral comparison.
 
     Coprimality can only remove terms, so bounding the unrestricted
-    absolute tail is valid.  O(B^(2-lam)) in the bound B.
+    absolute tail is valid.  O(B^(2-lam)) in the bound B.  Row c has a = A/t
+    and v = V/t, t = 2^s, so each term is a quotient of integers, rounded up
+    to a multiple of 2^-F (W bits below the c-tail); isqrt bounds an odd
+    power of sqrt(v^2 + a^2).  The result is never below the exact formula.
     """
-    lam = mpf(lam)
-    Y = mpf(Y)
-    X = abs(mpf(X))
-    c_tail = 3 * (N * Y) ** (1 - lam) * mpf(B) ** (2 - lam) / (lam - 2)
-    d_tail = mpf(0)
+    t, X, (half, odd) = 1 << s, abs(X), divmod(lam, 2)
+    num, den = 3 * t ** (lam - 1), (lam - 2) * (N * Y) ** (lam - 1) * B ** (lam - 2)
+    F = W + B.bit_length() + 2 + max(0, den.bit_length() - num.bit_length())
+    terms, two_tl = [(num, den)], 2 * t ** (lam - 1)  # each term is n/d
     for c in range(N, B * N + 1, N):
-        a = c * Y
-        v = B - c * X
-        if v >= 1:
+        A, V = c * Y, B * t - c * X
+        if V >= t:
             # |c tau + d| >= max(t, a) with t the distance to the window edge
-            if v >= a:
-                integral = v ** (1 - lam) / (lam - 1)
-            else:
-                integral = a ** (1 - lam) * lam / (lam - 1)
-            d_tail += 2 * (integral + (v * v + a * a) ** (-lam / 2))
+            C, k = (V, 1) if V >= A else (A, lam)
+            S = V * V + A * A  # 2 (v^2 + a^2)^(-lam/2) = 2 t^lam / S^(lam/2)
+            root = math.isqrt(S << 2 * F) if odd else 1 << F
+            terms += [(k * two_tl, (lam - 1) * C ** (lam - 1)),
+                      (two_tl * t << F, S ** half * root)]
         else:
-            d_tail += 2 * (2 * a ** (1 - lam) + a ** (-lam))
-    return c_tail + d_tail
+            # 2 (2 a^(1-lam) + a^(-lam)) = 2 t^(lam-1) (2A + t) / A^lam
+            terms.append((two_tl * (2 * A + t), A ** lam))
+    return mpf((sum(-((-n << F) // d) for n, d in terms), -F), rounding="u")
 
 
 def _lattice_kernel(k, N, B, X, Y, s, P):
@@ -341,7 +344,7 @@ def lattice_sum_eisenstein(weight, level, tau, bound, character=None, prec_bits=
         P = W + ((2 * B + 1) * B + 1).bit_length() + 2
         sx, sy, nterms = _lattice_kernel(lam, N, B, X, Y, s, P)
         total = mpc(mpmath.ldexp(mpf(sx), -P), mpmath.ldexp(mpf(sy), -P))
-        tail = _lattice_tail_bound(lam, N, tau.real, tau.imag, B)
+        tail = _lattice_tail_bound(lam, N, X, Y, s, B, W)
         rounding = math.sqrt(2) * nterms * mpf(2) ** -P + abs(total) * mpf(2) ** (1 - W)
         return BigComplex(total, tail + rounding)
 

@@ -282,11 +282,12 @@ def power_sums_from_elementary(sym, count):
 # The sieve's primes.  Modulo p below the weight, the T_2 polynomial of a
 # level-1 cusp space rarely stays squarefree or splits into few factors
 # (eigenforms mod p come from weights up to about p), so certificates come
-# from primes just above the weight.  Measured on the T_2 polynomials of
-# every even weight 24..260: the certifying prime is 1.0 to 1.4 times the
-# weight, at most 281 (weight 232), and every tier-1 test and benchmark input
-# certifies by 137.  The list stops at 293, the last prime below 300; a part
-# it cannot certify goes to the numeric search, which stays correct.
+# from primes just above the weight, and _factor_degrees tries the largest
+# first.  Measured on the T_2 polynomials of every even weight 24..264: from
+# 293 down a certificate takes 1 to 13 distinct-degree runs, against 7 to 38
+# from 2 up (where the prime that completes it is 1.0 to 1.4 times the
+# weight, at most 281).  The list stops at 293, the last prime below 300; a
+# part it cannot certify goes to the numeric search, which stays correct.
 _SIEVE_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
     71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
@@ -299,14 +300,6 @@ def _fp_trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _fp_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    for i, c in enumerate(b):
-        a[i] = (a[i] - c) % p
-    return _fp_trim(a)
 
 
 def _fp_divmod(a, b, p):
@@ -345,15 +338,27 @@ def _fp_ddf_degrees(f, p):
     """Degrees of the irreducible factors of a monic squarefree f over F_p.
 
     Distinct-degree factorization: gcd(f, x^(p^d) - x) is the product of the
-    irreducible factors of degree d once those of lower degree are divided out.
+    irreducible factors of degree d once those of lower degree are divided
+    out.  x^p mod f comes from one square-and-multiply; from d = 2 on, x^(p^d)
+    is the previous one times the Frobenius matrix, row i x^(ip) mod f as f
+    stands at d = 2 ((sum a_i x^i)^p = sum a_i x^(ip) over F_p), reduced by
+    the cofactor f has since shrunk to, a divisor of that modulus.
     """
     degrees = []
     d = 0
     xp = [0, 1]  # x^(p^d) mod f
     while 2 * (d + 1) <= len(f) - 1:
         d += 1
-        xp = _power(xp, p, lambda a, b: _fp_mulmod(a, b, f, p))
-        g = _fp_gcd(f, _fp_sub(xp, [0, 1], p), p)
+        if d == 2:  # the Frobenius matrix, by columns
+            rows = [[1], xp]
+            while len(rows) < len(f) - 1:
+                rows.append(_fp_mulmod(rows[-1], xp, f, p))
+            cols = list(zip(*[r + [0] * (len(f) - 1 - len(r)) for r in rows]))
+        xp = (_power(xp, p, lambda a, b: _fp_mulmod(a, b, f, p)) if d == 1 else
+              _fp_divmod([sum(map(operator.mul, xp, c)) % p for c in cols], f, p)[1])
+        y = xp + [0] * (2 - len(xp))  # y = xp - x
+        y[1] = (y[1] - 1) % p
+        g = _fp_gcd(f, _fp_trim(y), p)
         if len(g) > 1:
             degrees += [d] * ((len(g) - 1) // d)
             f = _fp_divmod(f, g, p)[0]
@@ -363,22 +368,27 @@ def _fp_ddf_degrees(f, p):
     return degrees
 
 
-def _squarefree_prime(P):
-    """A sieve prime certifying that the integer polynomial P is squarefree, or None.
+def _squarefree_reductions(P, primes):
+    """(p, P mod p made monic) for each p in primes that keeps the degree of
+    the integer polynomial P and leaves it squarefree.
 
-    Modulo a prime p that does not divide lc(P), gcd(P, P') = 1 over F_p
-    means the resultant of P and P' is nonzero mod p, hence nonzero: P and
-    P' are coprime over Q.  A P with a repeated factor has no such prime.
+    gcd(P, P') = 1 over F_p, p not dividing lc(P), means the resultant of P
+    and P' is nonzero mod p, hence nonzero: P and P' are coprime over Q.
     """
     ints = [int(c) for c in P.coeffs]
-    for p in _SIEVE_PRIMES:
-        if ints[-1] % p == 0:
-            continue
-        f = [c % p for c in ints]
-        df = _fp_trim([i * c % p for i, c in enumerate(f)][1:])
-        if df and len(_fp_gcd(f, df, p)) == 1:
-            return p
-    return None
+    for p in primes:
+        if ints[-1] % p:
+            inv = pow(ints[-1], -1, p)
+            f = [c * inv % p for c in ints]
+            df = _fp_trim([i * c % p for i, c in enumerate(f)][1:])
+            if df and len(_fp_gcd(f, df, p)) == 1:
+                yield p, f
+
+
+def _squarefree_prime(P):
+    """A sieve prime certifying that the integer polynomial P is squarefree
+    (a P with a repeated factor has none), or None."""
+    return next((p for p, _ in _squarefree_reductions(P, _SIEVE_PRIMES)), None)
 
 
 def _factor_degrees(P):
@@ -388,18 +398,11 @@ def _factor_degrees(P):
     lc(P), to a product of some of the irreducible factors of P mod p, so k
     is a subset sum of their degrees.  Primes that divide lc(P) or leave the
     reduction non-squarefree are skipped.  An empty set proves P irreducible.
+    The order of the primes changes only how soon the intersection can come
+    out empty; largest first, as T_2 polynomials certify just above the weight.
     """
-    n = P.degree
-    ints = [int(c) for c in P.coeffs]
-    possible = set(range(1, n))
-    for p in _SIEVE_PRIMES:
-        if ints[-1] % p == 0:
-            continue
-        inv = pow(ints[-1], -1, p)
-        f = [c * inv % p for c in ints]
-        df = _fp_trim([i * c % p for i, c in enumerate(f)][1:])
-        if not df or len(_fp_gcd(f, df, p)) > 1:
-            continue
+    possible = set(range(1, P.degree))
+    for p, f in _squarefree_reductions(P, reversed(_SIEVE_PRIMES)):
         sums = {0}
         for d in _fp_ddf_degrees(f, p):
             sums |= {s + d for s in sums}

@@ -203,21 +203,40 @@ def _is_zero(x):
 def expand_in_triangular(f, basis, strict=True):
     """Coordinates of f in a q^(i)-triangular basis by forward substitution.
 
-    With strict=True the residual must vanish through the common truncation
-    order, i.e. f must lie in the span as far as the series can see.
+    The basis is rational series on the grid of f with leading coefficient 1,
+    as a Miller basis is; a coordinate is the residual's coefficient at the
+    element's lead.  The residual is one integer array per power-basis
+    component of f over one denominator D, and subtracting x/D times B/l is
+    R <- l R - x B over l D.  With strict=True the residual must vanish
+    through the common truncation order: f lies in the span as far as seen.
     """
+    e, T, w, level, field = f.e, f.trunc, f.weight, f.level, f.field
+    comps, den = f._components(e, e * T + 1)
     coords = []
-    rem = f
     for i, b in enumerate(basis):
-        lead = b.valuation()
-        if lead is None:
+        if b.field is not None or e % b.e:
+            raise InputError("a triangular basis is rational series on the grid of the form")
+        m = next((m * (e // b.e) for m, x in enumerate(b._num) if x), None)  # lead on f's grid
+        if m is None:
             raise TruncationError(
                 "basis element %d vanishes through q^%d; raise the order" % (i + 1, b.trunc)
             )
-        c = rem.coeff(lead)
-        coords.append(c)
-        if not _is_zero(c):
-            rem = rem - b.scale(c)
+        if m > e * T:
+            raise TruncationError("coefficient of q^%s requested beyond truncation order %d"
+                                  % (Fraction(m, e), T))
+        xs = [comp[m] for comp in comps]
+        coords.append(Fraction(xs[0], den) if field is None
+                      else NumberFieldElem._from_ints(field, xs, den))
+        if any(xs):
+            if None not in (w, b.weight) and w != b.weight:
+                raise InputError("adding series of different weights")
+            w, level, T = b.weight if w is None else w, lcm(level, b.level), min(T, b.trunc)
+            (B,), ell = b._components(e, e * T + 1)
+            comps = [[ell * r - x * y for r, y in zip(comp, B)] for comp, x in zip(comps, xs)]
+            den *= ell
+    rem = (QSeries._from_ints(comps[0], den, e, T, w, level) if field is None else
+           QSeries([NumberFieldElem._from_ints(field, list(v), den) for v in zip(*comps)],
+                   e=e, trunc=T, weight=w, level=level, field=field))
     if strict and not rem.is_zero():
         v = rem.valuation()
         raise VerificationError(
@@ -264,12 +283,10 @@ def level1_coordinates(forms):
         core = _miller_store(12 * (d - 1), n)
         r = k - 12 * (d - 1)
         factor = [row[0] for row in _miller_store(r, n)] if r else None
+        coords, _ = expand_in_triangular(f.truncate(d - 1), head_basis)
         comps, den = f._components(1, n)
-        coords = []
         miss = n
-        for comp in comps:
-            head = QSeries._from_ints(comp[:d], den, 1, d - 1, k, 1)
-            c, _ = expand_in_triangular(head, head_basis)
+        for comp, c in zip(comps, zip(*[[x] if f.field is None else x.coords for x in coords])):
             L = lcm(*[x.denominator for x in c])
             C = [x.numerator * (L // x.denominator) for x in c]
             acc = [sum(map(operator.mul, C, row)) for row in core]  # L * sum_j c_j g_j
@@ -277,15 +294,13 @@ def level1_coordinates(forms):
                 acc = _kron_mul(factor, acc, n)
             # comp / den == acc / L, coefficient by coefficient
             miss = next((m for m in range(miss) if comp[m] * L != acc[m] * den), miss)
-            coords.append(c)
         if miss < n:
             exc = VerificationError(
                 "series is not in the span of the basis: residual starts at q^%d" % miss
             )
             exc.index = i
             raise exc
-        out.append(coords[0] if f.field is None
-                   else [f.field.elem(col) for col in zip(*coords)])
+        out.append(coords)
     return out
 
 
@@ -302,9 +317,8 @@ def hecke_matrix_level1(weight, n, trunc=None):
         img = hecke_T(bj, n)
         if img.trunc < s:
             raise TruncationError("Hecke image truncated below the basis length")
-        coords, _ = expand_in_triangular(img, basis)
-        cols.append(coords)
-    M = MatQ([[cols[j][i] for j in range(s)] for i in range(s)])
+        cols.append(expand_in_triangular(img, basis)[0])
+    M = MatQ([list(r) for r in zip(*cols)])
     return M, basis
 
 

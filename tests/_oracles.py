@@ -17,11 +17,21 @@ coset-sum kernel that raised conj(W)^2 to k // 2 one product at a time,
 for the kernel that powers by squaring, and
 `twisted_translate_power_sum`, Q(zeta_N) arithmetic by plain convolution in
 place of the former cyclotomic fields, for the root-of-unity sieve that
-builds the transformation polynomial over Q.  Slow is fine.
+builds the transformation polynomial over Q, `ddf_degrees_ref`, the
+distinct-degree factorization that raised each x^(p^d) by square-and-multiply,
+for the Frobenius-matrix one, `factor_degrees_ascending`, the degree sieve
+from the smallest prime up, for the one from the largest down,
+`expand_in_triangular_ref`, forward substitution on Fraction series, for the
+integer one, and `lattice_tail_formula`, the former mpmath loop of the
+coset-sum tail bound, for the integer bound.  `charpoly_multimodular` gives
+T_2 polynomials by Krylov rows modulo large primes, sharing nothing with the
+package's fraction-free inversion.  Slow is fine.
 """
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -392,3 +402,157 @@ def eval_qseries_ref(coeffs, e, tau, prec):
             c = Fraction(c)
             acc = acc * q + mpmath.mpf(c.numerator) / c.denominator
         return acc
+
+
+def ddf_degrees_ref(f, p):
+    """Degrees of the irreducible factors of a monic squarefree f over F_p by
+    distinct-degree factorization, each x^(p^d) raised from x^(p^(d-1)) by
+    square-and-multiply (the package's former route, before the Frobenius
+    matrix)."""
+    from mtv.polynomial import _fp_divmod, _fp_gcd, _fp_mulmod, _fp_trim, _power
+
+    degrees = []
+    d = 0
+    xp = [0, 1]  # x^(p^d) mod f
+    while 2 * (d + 1) <= len(f) - 1:
+        d += 1
+        xp = _power(xp, p, lambda a, b: _fp_mulmod(a, b, f, p))
+        h = xp + [0] * (2 - len(xp))  # x^(p^d) - x
+        h[1] -= 1
+        g = _fp_gcd(f, _fp_trim([c % p for c in h]), p)
+        if len(g) > 1:
+            degrees += [d] * ((len(g) - 1) // d)
+            f = _fp_divmod(f, g, p)[0]
+            xp = _fp_divmod(xp, f, p)[1]
+    if len(f) > 1:
+        degrees.append(len(f) - 1)
+    return degrees
+
+
+def factor_degrees_ascending(P):
+    """The mod-p degree sieve of `polynomial._factor_degrees` with the sieve
+    primes tried from the smallest up (the package's former order)."""
+    from mtv.polynomial import _SIEVE_PRIMES, _fp_ddf_degrees, _squarefree_reductions
+
+    possible = set(range(1, P.degree))
+    for p, f in _squarefree_reductions(P, _SIEVE_PRIMES):
+        sums = {0}
+        for d in _fp_ddf_degrees(f, p):
+            sums |= {s + d for s in sums}
+        possible &= sums
+        if not possible:
+            break
+    return possible
+
+
+def expand_in_triangular_ref(f, basis, strict=True):
+    """Forward substitution on QSeries arithmetic, one Fraction (or field
+    element) coordinate and one series subtraction per basis element (the
+    package's former `expand_in_triangular`)."""
+    from mtv.errors import TruncationError, VerificationError
+
+    coords = []
+    rem = f
+    for i, b in enumerate(basis):
+        lead = b.valuation()
+        if lead is None:
+            raise TruncationError(
+                "basis element %d vanishes through q^%d; raise the order" % (i + 1, b.trunc)
+            )
+        c = rem.coeff(lead)
+        coords.append(c)
+        if not _is_zero(c):
+            rem = rem - b.scale(c)
+    if strict and not rem.is_zero():
+        v = rem.valuation()
+        raise VerificationError(
+            "series is not in the span of the basis: residual starts at q^%s" % v
+        )
+    return coords, rem
+
+
+def lattice_tail_formula(lam, N, x, y, B):
+    """The coset-sum tail bound of `numerics._lattice_tail_bound` at
+    tau = x + iy, term by term in the arithmetic of x and y: exact for
+    Fractions and even lam, mpmath at its working precision for mpf inputs
+    (the package's former mpmath loop)."""
+    x = abs(x)
+    B = y * 0 + B
+    if isinstance(y, Fraction):
+        if lam % 2:
+            raise ValueError("odd weight needs a square root; pass mpf values")
+        root_power = lambda S: S ** -(lam // 2)
+    else:
+        root_power = lambda S: S ** (mpmath.mpf(-lam) / 2)
+    total = 3 * (N * y) ** (1 - lam) * B ** (2 - lam) / (lam - 2)
+    for c in range(N, int(B) * N + 1, N):
+        a = c * y
+        v = B - c * x
+        if v >= 1:
+            if v >= a:
+                integral = v ** (1 - lam) / (lam - 1)
+            else:
+                integral = a ** (1 - lam) * lam / (lam - 1)
+            total += 2 * (integral + root_power(v * v + a * a))
+        else:
+            total += 2 * (2 * a ** (1 - lam) + a ** (-lam))
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def _crt_prime(k):
+    """The k-th prime below 2^256, counting down from 0."""
+    return sympy.prevprime(_crt_prime(k - 1) if k else 1 << 256)
+
+
+def _solve_mod_p(A, b, p):
+    """x with A x = b over F_p by Gaussian elimination, or None if A is singular."""
+    n = len(A)
+    rows = [[v % p for v in r] + [c % p] for r, c in zip(A, b)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            return None
+        rows[k], rows[piv] = rows[piv], rows[k]
+        inv = pow(rows[k][k], -1, p)
+        rk = rows[k] = [v * inv % p for v in rows[k][k:]]
+        for i in range(k + 1, n):
+            u = rows[i][k]
+            if u:
+                rows[i][k:] = [(v - u * w) % p for v, w in zip(rows[i][k:], rk)]
+    x = [0] * n
+    for k in range(n - 1, -1, -1):
+        rk = rows[k]  # rk[j - k] is the entry of column j
+        x[k] = (rk[-1] - sum(rk[j - k] * x[j] for j in range(k + 1, n))) % p
+    return x
+
+
+def charpoly_multimodular(M):
+    """Characteristic polynomial (constant-first integers) of a square integer
+    matrix M whose eigenvalues are real, as a Hecke operator's are.
+
+    Modulo each of a run of 256-bit primes, the Krylov rows e_1^T M^j give
+    chi from x R = e_1^T M^n (e_1 must be cyclic mod p); the residues are
+    joined by the Chinese remainder theorem.  Every eigenvalue is at most
+    sqrt(Tr M^2) in size, so a coefficient of chi is at most (1 + that)^n,
+    which fixes how many primes are needed.  Nothing is shared with the
+    package's Krylov inversion.
+    """
+    n = len(M)
+    tr2 = sum(M[i][j] * M[j][i] for i in range(n) for j in range(n))
+    bound = (math.isqrt(tr2) + 2) ** n
+    mod, res = 1, [0] * n
+    k = 0
+    while mod <= 2 * bound:
+        p = _crt_prime(k)
+        k += 1
+        cols = [[v % p for v in c] for c in zip(*M)]
+        rows = [[1] + [0] * (n - 1)]
+        for _ in range(n):
+            rows.append([sum(map(operator.mul, rows[-1], c)) % p for c in cols])
+        x = _solve_mod_p([list(c) for c in zip(*rows[:n])], rows[n], p)
+        assert x is not None, "e_1 is not cyclic for M modulo p"
+        inv = pow(mod, -1, p)
+        res = [r + mod * ((-v - r) * inv % p) for r, v in zip(res, x)]
+        mod *= p
+    return [r - mod if 2 * r > mod else r for r in res] + [1]

@@ -62,6 +62,34 @@ def test_corollary_identity_and_exit0():
     assert doc["theorem"]["orbits"][0]["ratio"] == "16384/14175"
 
 
+LEVEL11 = ["--level", "11", "--eta", "1:2,11:2", "--eis-weight", "10"]
+
+
+def test_theorem_level11_in_process(capsys):
+    # eta(z)^2 eta(11z)^2 times the weight-10 Eisenstein series: weight 12,
+    # so the trace lands on Delta, one rational orbit
+    assert cli.main(["theorem", *LEVEL11]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["level"], doc["weight"], doc["order"]) == (11, 12, 64)
+    assert doc["conductor"] == 1 and doc["admissible_levels"] == [1, 11]
+    assert doc["orbit_count"] == 1 and doc["single_orbit"] is True
+    assert doc["orbits"][0]["coefficients_head"][:4] == ["0", "1", "-24", "252"]
+    assert doc["route_agree_through"] == 64
+    assert doc["trace_head"][1] == "125411328/43229041"
+
+
+def test_corollary_level11_in_process(capsys):
+    # Phi_E has degree N + 1 = 12 and is irreducible at this curve: the
+    # sieve's distinct-degree factorizations step the Frobenius matrix on
+    # a degree-12 polynomial, up to d = 6
+    assert cli.main(["corollary", *LEVEL11, "--curve", "4,1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["identity_holds"] is True
+    assert doc["phi_factor_degrees"] == [12]
+    assert doc["condition_a_irreducible"] is True
+    assert doc["specialized_trace_lhs"] == doc["newform_side_rhs"] == "4640219136/43229041"
+
+
 def test_phi_specialized_factorization():
     doc = run_json(["phi", "--level", "2", "--eis-weight", "4",
                     "--order", "12", "--curve", "4,1"])

@@ -26,7 +26,8 @@ from mtv.qexp import (
 )
 from mtv.spaces import delta_series
 
-from _oracles import eval_qseries_ref, lattice_kernel_ref, lattice_sum_ref
+from _oracles import (eval_qseries_ref, lattice_kernel_ref, lattice_sum_ref,
+                      lattice_tail_formula)
 
 F = Fraction
 X = UniPoly.x()
@@ -231,6 +232,36 @@ def test_lattice_sum_is_unchanged_by_the_kernel(monkeypatch, weight, level, tau,
     monkeypatch.setattr(numerics, "_lattice_kernel", lattice_kernel_ref)
     want = lattice_sum_eisenstein(weight, level, tau, bound, None, prec)
     assert (got.value, got.err) == (want.value, want.err)
+
+
+def _tail_points(B):
+    """(X, Y, s) for tau = (X + iY)/2^s: a gate-like point, one with negative
+    real part, tau = i, and one so far left that v = B - c|Re tau| < 1 in
+    every row."""
+    return ((27, 145, 7), (-47, 222, 7), (0, 1, 0), (-(B << 3) - 5, 9, 3))
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 5])
+@pytest.mark.parametrize("weight", range(3, 11))
+def test_lattice_tail_bound_never_below_the_formula(weight, level):
+    # the integer bound against the formula evaluated exactly (even weight)
+    # or in mpmath at twice the working precision (odd weight); it may exceed
+    # the formula only by its own rounding, a few units of 2^-W relative
+    for i, B in enumerate((1, 2, 13, 224 if (weight + level) % 4 == 0 else 57)):
+        W = (80, 144, 272)[(i + weight) % 3]
+        for X, Y, s in _tail_points(B):
+            with mpmath.workprec(W):
+                got = numerics._lattice_tail_bound(weight, level, X, Y, s, B, W)
+            got = F(got.man) * F(2) ** got.exp
+            if weight % 2 == 0:
+                want = lattice_tail_formula(weight, level, F(X, 2**s), F(Y, 2**s), B)
+                assert want <= got, (B, X, Y, s)
+            else:
+                with mpmath.workprec(2 * W):
+                    w = lattice_tail_formula(weight, level, mpf(X) / 2**s, mpf(Y) / 2**s, B)
+                    want = F(w.man) * F(2) ** w.exp
+                assert want * (1 - F(1, 2 ** (2 * W - 16))) <= got, (B, X, Y, s)
+            assert got <= want * (1 + F(1, 2 ** (W - 4))), (B, X, Y, s)
 
 
 class _CoeffsOnly:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -16,7 +17,8 @@ from mtv.polynomial import (
     squarefree_parts,
 )
 
-from _oracles import factor_mod_p, real_root_count
+from _oracles import (charpoly_multimodular, ddf_degrees_ref, factor_degrees_ascending,
+                      factor_mod_p, real_root_count)
 
 X = UniPoly.x()
 
@@ -136,6 +138,56 @@ def test_ddf_degrees_match_brute_force(p):
         checked += 1
 
 
+def test_ddf_degrees_match_the_repeated_squaring_route():
+    # two seeded squarefree monic polynomials per sieve prime, their degrees
+    # running over 1..22 as the primes go up
+    x = sympy.Symbol("x")
+    for i, p in enumerate(polynomial._SIEVE_PRIMES):
+        rng = random.Random(7000 + p)
+        for n in (1 + i % 22, 22 - i % 22):
+            while True:
+                f = [rng.randrange(p) for _ in range(n)] + [1]
+                if sympy.Poly(f[::-1], x, modulus=p).is_sqf:
+                    break
+            assert polynomial._fp_ddf_degrees(f, p) == ddf_degrees_ref(f, p), (f, p)
+
+
+@functools.lru_cache(maxsize=None)
+def _t2_polynomial(weight):
+    """The T_2 polynomial of the weight-k level-1 cusp space, the matrix from
+    the package and its characteristic polynomial from the multimodular oracle."""
+    from mtv.spaces import dim_cusp_level1, hecke_matrix_level1
+
+    s = dim_cusp_level1(weight)
+    M, _ = hecke_matrix_level1(weight, 2, 2 * s + 2)
+    assert all(c.denominator == 1 for r in M.rows for c in r), weight
+    return UniPoly(charpoly_multimodular([[c.numerator for c in r] for r in M.rows]))
+
+
+def test_sieve_order_leaves_t2_certificates_unchanged():
+    # largest prime first changes how soon the sieve stops, never its answer:
+    # every T_2 polynomial here is irreducible either way
+    for weight in range(24, 265, 2):
+        P = _t2_polynomial(weight)
+        assert polynomial._factor_degrees(P) == factor_degrees_ascending(P) == set(), weight
+
+
+# the level-1 weights of the newform bases and theorems of the hecke-wide
+# benchmark: cusp dimensions 5, 6, 7 and 8
+HECKE_WIDE_WEIGHTS = (60, 70, 72, 84, 88, 90, 92, 94, 96, 98, 100, 102, 104, 106)
+
+
+@pytest.mark.parametrize("weight", HECKE_WIDE_WEIGHTS)
+def test_sieve_certifies_t2_within_twelve_primes(weight, monkeypatch):
+    # from the largest prime down, the primes just above the weight come
+    # early; from the smallest up, these took 14 to 23 distinct-degree runs
+    calls = []
+    ddf = polynomial._fp_ddf_degrees
+    monkeypatch.setattr(polynomial, "_fp_ddf_degrees", lambda f, p: calls.append(p) or ddf(f, p))
+    assert polynomial._factor_degrees(_t2_polynomial(weight)) == set()
+    assert 1 <= len(calls) <= 12, calls
+
+
 def test_sieve_primes_are_the_primes_below_300():
     assert polynomial._SIEVE_PRIMES == tuple(sympy.primerange(2, 300))
 
@@ -146,8 +198,11 @@ def test_sieve_never_certifies_a_product():
         a = random_int_poly(rng, rng.randint(1, 4), 30)
         b = random_int_poly(rng, rng.randint(1, 4), 30)
         _, P = (a * b).primitive_int()
-        # a true factor degree never leaves the candidate set
-        assert a.degree in polynomial._factor_degrees(P), (a, b)
+        # a true factor degree never leaves the candidate set, so every prime
+        # is scanned, and the order the primes are tried in changes nothing
+        got = polynomial._factor_degrees(P)
+        assert a.degree in got, (a, b)
+        assert got == factor_degrees_ascending(P), (a, b)
 
 
 def test_numeric_search_tries_only_sieve_degrees(monkeypatch):

@@ -28,11 +28,12 @@ from mtv import polynomial, qexp, spaces
 from mtv.linalg import MatQ
 from mtv.numfield import NumberField
 from mtv.polynomial import UniPoly, poly_factor_q
-from mtv.qexp import QSeries
+from mtv.qexp import QSeries, hecke_T
 from mtv.rational import format_rational
 from mtv.spaces import krylov_charpoly
 
-from _oracles import elimination_eigenvector, krylov_eigenvector, t2_charpoly_weight24
+from _oracles import (elimination_eigenvector, expand_in_triangular_ref, krylov_eigenvector,
+                      t2_charpoly_weight24)
 
 
 DIM_MODULAR = {0: 1, 2: 0, 4: 1, 6: 1, 8: 1, 10: 1, 12: 2, 14: 1, 16: 2,
@@ -251,6 +252,68 @@ def test_expand_in_triangular_strict_failure():
     assert "q^1" in str(exc.value)
     coords, rem = expand_in_triangular(delta_series(T), [e6sq], strict=False)
     assert coords == [Fraction(0)] and rem.valuation() == 1
+
+
+def _expansion_outcome(expand, f, basis, strict):
+    """(coordinates, residual) of an expansion, or the type and text of its error."""
+    try:
+        return expand(f, basis, strict)
+    except (InputError, TruncationError, VerificationError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_expands_as_reference(f, basis):
+    for strict in (True, False):
+        want = _expansion_outcome(expand_in_triangular_ref, f, basis, strict)
+        got = _expansion_outcome(expand_in_triangular, f, basis, strict)
+        assert got == want, strict
+
+
+def test_expand_in_triangular_matches_the_series_loop_on_rational_forms():
+    rng = random.Random(13)
+    for k in (12, 24, 38, 66, 96):
+        T = dim_modular_level1(k) + rng.randrange(2, 9)
+        basis = miller_basis(k, T)
+        f = None
+        for h in basis:
+            c = Fraction(rng.randrange(-10**9, 10**9), rng.choice((1, 1, 5, 691)))
+            f = h.scale(c) if f is None else f + h.scale(c)
+        _assert_expands_as_reference(f, basis)
+        # outside the span: the strict error names the residual's valuation
+        m = rng.randrange(len(basis), T + 1)
+        bad = f + QSeries([0] * m + [Fraction(1, 7)], trunc=T, weight=k)
+        _assert_expands_as_reference(bad, basis)
+        # a Hecke image is shorter than the basis it is expanded in
+        _assert_expands_as_reference(hecke_T(basis[-1], 2), basis[1:])
+        # with a non-unit leading coefficient the coordinate is still the
+        # residual's coefficient at the lead, and R <- l R - x B carries l
+        scaled = [h.scale(Fraction(rng.randrange(2, 9), rng.randrange(1, 9))) for h in basis]
+        _assert_expands_as_reference(f, scaled)
+
+
+@pytest.mark.parametrize("weight", [24, 36])
+def test_expand_in_triangular_matches_the_series_loop_over_a_number_field(weight):
+    T = 16
+    (nf,) = newform_basis_level1(weight, T).orbits
+    basis = miller_basis(weight, T)
+    _assert_expands_as_reference(nf.qexp, basis)
+    _assert_expands_as_reference(nf.qexp, basis[1:])
+    theta = nf.field.gen()
+    bad = nf.qexp + QSeries([0] * 9 + [theta], trunc=T, weight=weight, field=nf.field)
+    _assert_expands_as_reference(bad, basis)
+
+
+def test_expand_in_triangular_refusals_match_the_series_loop():
+    T = 10
+    basis = miller_basis(24, T)
+    f = basis[0] + basis[2]
+    zero = QSeries([0], trunc=T, weight=24)
+    with pytest.raises(TruncationError, match="basis element 2 vanishes through q\\^10"):
+        expand_in_triangular(f, [basis[0], zero])
+    _assert_expands_as_reference(f, [basis[0], zero, basis[2]])
+    # a lead beyond the form's truncation, and an element of another weight
+    _assert_expands_as_reference(f.truncate(1), basis)
+    _assert_expands_as_reference(basis[0] + basis[1], [basis[0], miller_basis(12, T)[1]])
 
 
 # weights 4 and 14 have dimension 1; with 24 to 120 every class mod 12 occurs
