@@ -48,7 +48,6 @@ from .spaces import (
 from .trace import (
     TheoremResult,
     expand_in_newforms,
-    fricke_eta_series,
     main_constant,
     trace_to_level1,
     transformation_polynomial,
@@ -101,7 +100,6 @@ __all__ = [
     "expand_in_newforms",
     "expand_in_triangular",
     "fricke_eisenstein",
-    "fricke_eta_series",
     "hecke_T",
     "hecke_matrix_level1",
     "j_invariant_numeric",

@@ -89,25 +89,18 @@ class NumberField:
             return self.elem([-self.modulus.coeffs[0]])
         return self.elem([0, 1])
 
-    def _reduce(self, conv):
-        """_red_den times the coordinates of the integer power list conv
-        (c_t x^t, t <= 2*degree - 2), as integers."""
+    def _reduce(self, raw):
+        """_red_den times the coordinates of sum_t raw[t] x^t, t <= 2*degree - 2,
+        for integer arrays raw[t] of one length (one power list per position):
+        one integer array per coordinate."""
         d = self.degree
         rd = self._red_den
-        out = [c * rd for c in conv[:d]] if rd != 1 else list(conv[:d])
-        out += [0] * (d - len(out))
-        for t in range(d, len(conv)):
-            c = conv[t]
-            if c:
-                for i, r in enumerate(self._red[t - d]):
-                    out[i] += c * r
+        out = [[x * rd for x in c] for c in raw[:d]]
+        for row, c in zip(self._red, raw[d:]):
+            for i, r in enumerate(row):
+                if r:
+                    out[i] = [x + r * y for x, y in zip(out[i], c)]
         return out
-
-    def reduce_powers(self, conv):
-        """Coordinates from a raw power list c_t x^t, t <= 2*degree - 2."""
-        num, den = _ints_over_den(conv)
-        den *= self._red_den
-        return [Fraction(v, den) for v in self._reduce(num)]
 
     def power_sums(self):
         """Tr(theta^j) for j = 0 .. 2*degree - 2, theta the generator.
@@ -269,8 +262,9 @@ class NumberFieldElem:
                 for j, b in enumerate(other._num):
                     if b:
                         conv[i + j] += a * b
+        coords = field._reduce([[c] for c in conv])
         return NumberFieldElem._from_ints(
-            field, field._reduce(conv), self._den * other._den * field._red_den
+            field, [c[0] for c in coords], self._den * other._den * field._red_den
         )
 
     __rmul__ = __mul__
@@ -314,16 +308,6 @@ def nf_trace(elem):
     if isinstance(elem, (int, Fraction)):
         return Fraction(elem)
     return sum(map(operator.mul, elem._num, elem.field.power_sums()), Fraction(0)) / elem._den
-
-
-def trace_form(elem):
-    """Vector w with Tr(elem * y) = sum_k w_k * y.coords[k] for every y in the field."""
-    ps = elem.field.power_sums()
-    den = elem._den
-    return [
-        sum((c * ps[j + k] for j, c in enumerate(elem._num) if c), Fraction(0)) / den
-        for k in range(elem.field.degree)
-    ]
 
 
 def nf_charpoly(elem):

@@ -3,23 +3,26 @@
 QSeries holds a truncated expansion in q^(1/e) with exact coefficients:
 rationals or number-field elements.
 
-A rational series stores one list of integer numerators over one positive
-common denominator, kept canonical: the denominator is coprime to the
-numerators taken together, and it is 1 for the zero series.  Equal series
-therefore have equal arrays, and sums, scalings, truncations and
-comparisons work on the integers directly.  The public ``coeffs`` tuple of
-reduced Fractions is built on first access and cached.  Series over a
-number field keep a tuple of field elements.
+There is one layout for Q and for Hecke fields.  A series stores d integer
+component arrays, the power-basis coordinates of its coefficients (d = 1
+over Q, where ``_num`` is the one array), over one positive common
+denominator, kept canonical: the denominator is coprime to all numerators of
+all components taken together, and it is 1 for the zero series.  Equal
+series therefore have equal arrays, and sums, scalings, truncations,
+operators and comparisons work on the integers directly, one code path for
+both cases.  The public ``coeffs`` tuple of reduced Fractions or field
+elements is built on first access and cached.
 
 Every product of integer arrays goes through ``_kron_mul`` (Kronecker
 substitution): each array is packed into one big integer, in slots wide
 enough that no product coefficient spills into its neighbour, one big-int
 multiply does the whole convolution in CPython's C core (Karatsuba), and the
 coefficients are cut back out of the product's bytes.  A field-valued
-product convolves pairs of integer component arrays this way and reduces by
-the field's power relations.  Eta quotients expand each Euler factor with
-the power rule for series, so an exponent r costs one pass, not |r|, and
-factors that share r share that pass.
+product convolves pairs of component arrays this way and reduces the powers
+of the generator past the field degree with the field's integer table.  Eta
+quotients expand each Euler factor with the power rule for series, so an
+exponent r costs one pass, not |r|, and factors that share r share that
+pass.
 
 Eisenstein series and eta quotients read one process-wide, grow-only store
 of integer arrays: the sigma_(k-1) list per k and the power-rule pass per
@@ -40,7 +43,7 @@ import json
 import math
 import operator
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat, zip_longest
 
 from mpmath import mp, mpc
 
@@ -66,9 +69,15 @@ def _merge_fields(fa, fb):
 
 
 class QSeries:
-    """Truncated q-expansion; coeffs[m] multiplies q^(m/e), known through q^trunc."""
+    """Truncated q-expansion; coeffs[m] multiplies q^(m/e), known through q^trunc.
 
-    __slots__ = ("_num", "_den", "_coeffs", "e", "trunc", "weight", "level", "field")
+    Stored as d integer component arrays over one positive denominator:
+    ``_comps[i][m] / _den`` is the theta^i coordinate of coeffs[m], theta the
+    generator of ``field`` (d = 1 over Q, where ``_num`` is the one array).
+    """
+
+    __slots__ = ("_comps", "_num", "_den", "_coeffs", "e", "trunc", "weight", "level",
+                 "field")
 
     def __init__(self, coeffs, e=1, trunc=None, weight=None, level=1, field=None):
         e = int(e)
@@ -82,72 +91,70 @@ class QSeries:
             raise InputError("negative truncation order")
         want = e * trunc + 1
         coeffs = coeffs[:want]
-        self._init_meta(e, trunc, weight, level, field)
         if field is None:
             fr = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-            den = math.lcm(*[c.denominator for c in fr])
-            num = [c.numerator * (den // c.denominator) for c in fr]
-            num.extend([0] * (want - len(num)))
-            self._set_ints(num, den)
+            dens = [c.denominator for c in fr]
+            rows = [[c.numerator for c in fr]]
         else:
-            coeffs = [field.coerce(c) for c in coeffs]
-            coeffs.extend([field.zero()] * (want - len(coeffs)))
-            self._num = self._den = None
-            self._coeffs = tuple(coeffs)
+            els = [field.coerce(c) for c in coeffs]
+            dens = [c._den for c in els]
+            rows = [[c._num[i] for c in els] for i in range(field.degree)]
+        den = math.lcm(*dens)
+        pad = [0] * (want - len(dens))
+        comps = [[x * (den // dx) for x, dx in zip(row, dens)] + pad for row in rows]
+        self._set(comps, den, e, trunc, weight, level, field)
 
-    def _init_meta(self, e, trunc, weight, level, field):
+    def _set(self, comps, den, e, trunc, weight, level, field):
+        g = math.gcd(den, *chain.from_iterable(comps))
+        if g > 1:
+            comps = [[x // g for x in c] for c in comps]
+            den //= g
+        self._comps = comps
+        self._num = comps[0] if field is None else None
+        self._den = den
+        self._coeffs = None
         self.e = e
         self.trunc = trunc
         self.weight = weight if weight is None else int(weight)
         self.level = int(level)
         self.field = field
+        return self
 
-    def _set_ints(self, num, den):
-        g = math.gcd(den, *num)
-        if g > 1:
-            num = [x // g for x in num]
-            den //= g
-        self._num = num
-        self._den = den
-        self._coeffs = None
+    @classmethod
+    def _from_comps(cls, comps, den, e, trunc, weight, level, field):
+        """Series with component arrays comps (each of length e*trunc + 1) over den > 0."""
+        return cls.__new__(cls)._set(comps, den, e, trunc, weight, level, field)
 
     @classmethod
     def _from_ints(cls, num, den, e, trunc, weight, level):
         """Rational series num[m]/den on the q^(1/e) grid; len(num) == e*trunc + 1."""
-        self = cls.__new__(cls)
-        self._init_meta(e, trunc, weight, level, None)
-        self._set_ints(num, den)
-        return self
+        return cls.__new__(cls)._set([num], den, e, trunc, weight, level, None)
+
+    def _value(self, xs, den):
+        """The coefficient whose component numerators are xs over den."""
+        if self.field is None:
+            return Fraction(xs[0], den)
+        return NumberFieldElem._from_ints(self.field, list(xs), den)
 
     @property
     def coeffs(self):
         """Coefficient tuple: reduced Fractions, or elements of ``field``."""
         if self._coeffs is None:
-            den = self._den
-            if den == 1:
-                self._coeffs = tuple(map(Fraction, self._num))
-            else:
-                self._coeffs = tuple([Fraction(n, den) for n in self._num])
+            self._coeffs = tuple(map(self._value, zip(*self._comps), repeat(self._den)))
         return self._coeffs
 
-    def _values(self):
-        """Stored coefficients: numerators over the shared denominator, or field elements."""
-        return self._num if self.field is None else self._coeffs
-
-    def _with_values(self, values, trunc, level=None):
-        """A series on this grid and weight from values in ``_values()`` form."""
-        level = self.level if level is None else level
-        if self.field is None:
-            return QSeries._from_ints(values, self._den, self.e, trunc, self.weight, level)
-        return QSeries(values, e=self.e, trunc=trunc, weight=self.weight, level=level,
-                       field=self.field)
+    def _with_values(self, comps, trunc, level=None, den=None):
+        """A series on this grid, weight and field from component arrays over
+        den (by default this series' denominator)."""
+        return QSeries._from_comps(
+            comps, self._den if den is None else den, self.e, trunc, self.weight,
+            self.level if level is None else level, self.field,
+        )
 
     # -- inspection ----------------------------------------------------
 
     def is_zero(self):
-        if self.field is None:
-            return not any(self._num)
-        return all(c.is_zero() for c in self._coeffs)
+        return not any(map(any, self._comps))
 
     def constant_term(self):
         return self.coeff(0)
@@ -161,43 +168,29 @@ class QSeries:
             )
         m = n * self.e
         if m.denominator != 1 or m < 0:
-            return Fraction(0) if self.field is None else self.field.zero()
-        if self.field is None:
-            return Fraction(self._num[int(m)], self._den)
-        return self._coeffs[int(m)]
+            return self._value([0] * len(self._comps), 1)
+        return self._value([c[int(m)] for c in self._comps], self._den)
 
     def valuation(self):
         """Exponent of the first nonzero term, or None for the zero series."""
-        if self.field is None:
-            nonzero = (m for m, x in enumerate(self._num) if x)
-        else:
-            nonzero = (m for m, c in enumerate(self._coeffs) if not c.is_zero())
-        m = next(nonzero, None)
+        m = next((m for m, xs in enumerate(zip(*self._comps)) if any(xs)), None)
         return None if m is None else Fraction(m, self.e)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        if (self.e, self.trunc) != (other.e, other.trunc) or self.field != other.field:
-            return False
-        if self.field is None:
-            return self._den == other._den and self._num == other._num
-        return self._coeffs == other._coeffs
+        return ((self.e, self.trunc, self.field, self._den, self._comps)
+                == (other.e, other.trunc, other.field, other._den, other._comps))
 
     def __hash__(self):
-        if self.field is None:
-            return hash((self.e, self.trunc, self._den, tuple(self._num)))
-        return hash((self.e, self.trunc, self._coeffs))
+        return hash((self.e, self.trunc, self._den, tuple(map(tuple, self._comps))))
 
     def __repr__(self):
         head = []
-        shown = 0
         for m, c in enumerate(self.coeffs):
-            nz = (c != 0) if self.field is None else (not c.is_zero())
-            if nz:
+            if c != 0:
                 head.append("%s*q^(%d/%d)" % (c, m, self.e) if self.e > 1 else "%s*q^%d" % (c, m))
-                shown += 1
-                if shown == 4:
+                if len(head) == 4:
                     head.append("...")
                     break
         return "QSeries(%s; trunc=%d)" % (" + ".join(head) or "0", self.trunc)
@@ -208,24 +201,23 @@ class QSeries:
             raise TruncationError("cannot extend a series by truncation")
         if T == self.trunc:
             return self
-        return self._with_values(self._values()[: self.e * T + 1], T)
+        return self._with_values([c[: self.e * T + 1] for c in self._comps], T)
 
     def agrees_through(self, other, T):
-        """Exact coefficient agreement through q^T (grids may differ)."""
+        """Exact coefficient agreement through q^T (grids may differ).
+
+        Both truncations are canonical and stay so on a finer grid, and a
+        rational series is a field series whose other components vanish, so
+        agreement is equality of denominators and of zero-padded arrays.
+        """
         if self.trunc < T or other.trunc < T:
             raise TruncationError("agreement order exceeds a truncation order")
-        if self.field is None and other.field is None and self.e == other.e:
-            return self.truncate(T) == other.truncate(T)
+        _merge_fields(self.field, other.field)
         e = math.lcm(self.e, other.e)
-        for m in range(e * T + 1):
-            n = Fraction(m, e)
-            a = self.coeff(n)
-            b = other.coeff(n)
-            if isinstance(a, NumberFieldElem) != isinstance(b, NumberFieldElem):
-                a, b = _match_values(a, b)
-            if a != b:
-                return False
-        return True
+        n = e * T + 1
+        A, da = self.truncate(T)._components(e, n)
+        B, db = other.truncate(T)._components(e, n)
+        return da == db and all(a == b for a, b in zip_longest(A, B, fillvalue=[0] * n))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -236,35 +228,22 @@ class QSeries:
         return w, math.lcm(self.level, other.level)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QSeries(
-                [other], e=1, trunc=self.trunc, level=self.level, field=None
-            )
-        elif isinstance(other, NumberFieldElem):
-            other = QSeries(
-                [other], e=1, trunc=self.trunc, level=self.level, field=other.field
-            )
+        if isinstance(other, (int, Fraction, NumberFieldElem)):
+            other = QSeries([other], e=1, trunc=self.trunc, level=self.level,
+                            field=getattr(other, "field", None))
         if not isinstance(other, QSeries):
             return NotImplemented
         field = _merge_fields(self.field, other.field)
         w, lev = self._meta_add(other)
         e = math.lcm(self.e, other.e)
         T = min(self.trunc, other.trunc)
-        if field is None:
-            n = e * T + 1
-            den = math.lcm(self._den, other._den)
-            a = _on_grid(self._num, e // self.e, n)
-            b = _on_grid(other._num, e // other.e, n)
-            if den != self._den:
-                a = [x * (den // self._den) for x in a]
-            if den != other._den:
-                b = [x * (den // other._den) for x in b]
-            return QSeries._from_ints(list(map(operator.add, a, b)), den, e, T, w, lev)
-        out = []
-        for m in range(e * T + 1):
-            n = Fraction(m, e)
-            out.append(field.coerce(self.coeff(n)) + field.coerce(other.coeff(n)))
-        return QSeries(out, e=e, trunc=T, weight=w, level=lev, field=field)
+        n = e * T + 1
+        A, da = self._components(e, n)
+        B, db = other._components(e, n)
+        den = math.lcm(da, db)
+        comps = [list(map(operator.add, a, b)) for a, b in
+                 zip_longest(_scaled(A, den // da), _scaled(B, den // db), fillvalue=[0] * n)]
+        return QSeries._from_comps(comps, den, e, T, w, lev, field)
 
     __radd__ = __add__
 
@@ -281,32 +260,20 @@ class QSeries:
 
     def scale(self, c):
         """Multiply by an exact scalar (rational or coefficient-field element)."""
-        if self.field is None and isinstance(c, (int, Fraction)):
-            c = Fraction(c)
-            p = c.numerator
-            return QSeries._from_ints(
-                [x * p for x in self._num], self._den * c.denominator,
-                self.e, self.trunc, self.weight, self.level,
-            )
-        field = _merge_fields(self.field, getattr(c, "field", None))
-        coeffs = [c * a for a in self.coeffs]
-        return QSeries(
-            coeffs, e=self.e, trunc=self.trunc, weight=self.weight,
-            level=self.level, field=field,
-        )
+        if isinstance(c, NumberFieldElem):
+            field = _merge_fields(self.field, c.field)
+            comps, den = _field_mul(field, self._comps, [[x] for x in c._num],
+                                    self._den * c._den, len(self._comps[0]))
+            return QSeries._from_comps(comps, den, self.e, self.trunc, self.weight,
+                                       self.level, field)
+        c = Fraction(c)
+        return self._with_values(_scaled(self._comps, c.numerator), self.trunc,
+                                 den=self._den * c.denominator)
 
     def _components(self, e_out, out_len):
         """Integer component arrays on the q^(1/e_out) grid plus their denominator."""
         stride = e_out // self.e
-        if self.field is None:
-            return [_on_grid(self._num, stride, out_len)], self._den
-        den = math.lcm(*[v.denominator for c in self._coeffs for v in c.coords])
-        comps = []
-        for i in range(self.field.degree):
-            arr = [v.numerator * (den // v.denominator)
-                   for v in (c.coords[i] for c in self._coeffs)]
-            comps.append(_on_grid(arr, stride, out_len))
-        return comps, den
+        return [_on_grid(c, stride, out_len) for c in self._comps], self._den
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, NumberFieldElem)):
@@ -321,23 +288,10 @@ class QSeries:
         e = math.lcm(self.e, other.e)
         T = min(self.trunc, other.trunc)
         out_len = e * T + 1
-        # convolve component arrays into a power list in the field generator
         A, da = self._components(e, out_len)
         B, db = other._components(e, out_len)
-        raw = [None] * (len(A) + len(B) - 1)
-        for i, ai in enumerate(A):
-            for j, bj in enumerate(B):
-                c = _kron_mul(ai, bj, out_len)
-                raw[i + j] = c if raw[i + j] is None else list(map(operator.add, raw[i + j], c))
-        den = da * db
-        if field is None:
-            return QSeries._from_ints(raw[0], den, e, T, w, lev)
-        # reduce each coefficient by the field's power relations
-        coeffs = [
-            field.elem(field.reduce_powers([Fraction(r[m], den) for r in raw]))
-            for m in range(out_len)
-        ]
-        return QSeries(coeffs, e=e, trunc=T, weight=w, level=lev, field=field)
+        comps, den = _field_mul(field, A, B, da * db, out_len)
+        return QSeries._from_comps(comps, den, e, T, w, lev, field)
 
     __rmul__ = __mul__
 
@@ -346,11 +300,9 @@ class QSeries:
         if n < 0:
             raise InputError("negative series power")
         if n == 0:
-            one = Fraction(1) if self.field is None else self.field.one()
-            return QSeries(
-                [one], e=1, trunc=self.trunc, weight=0, level=self.level,
-                field=self.field,
-            )
+            L = self.trunc + 1
+            comps = [[1] + [0] * (L - 1)] + [[0] * L for _ in self._comps[1:]]
+            return QSeries._from_comps(comps, 1, 1, self.trunc, 0, self.level, self.field)
         return _power(self, n, operator.mul)
 
     # -- serialization ---------------------------------------------------
@@ -371,12 +323,27 @@ class QSeries:
         return d
 
 
-def _match_values(a, b):
-    if isinstance(a, Fraction):
-        a = b.field.coerce(a) if not isinstance(b, Fraction) else a
-    elif isinstance(b, Fraction):
-        b = a.field.coerce(b)
-    return a, b
+def _scaled(comps, k):
+    """Every array of comps times the integer k."""
+    return comps if k == 1 else [[x * k for x in c] for c in comps]
+
+
+def _field_mul(field, A, B, den, out_len):
+    """Component arrays, and their denominator, of (sum_i A_i theta^i) *
+    (sum_j B_j theta^j) / den through out_len coefficients.
+
+    Each pair of arrays convolves with _kron_mul into the array of
+    theta^(i+j).  When both factors have several components, the powers
+    past the field degree then reduce by the field's integer table.
+    """
+    raw = [None] * (len(A) + len(B) - 1)
+    for i, a in enumerate(A):
+        for j, b in enumerate(B):
+            c = _kron_mul(a, b, out_len)
+            raw[i + j] = c if raw[i + j] is None else list(map(operator.add, raw[i + j], c))
+    if len(raw) == max(len(A), len(B)):
+        return raw, den
+    return field._reduce(raw), den * field._red_den
 
 
 def _on_grid(values, stride, out_len):
@@ -774,7 +741,7 @@ def op_U(f, t):
     if f.e != 1:
         raise InputError("U_t acts on integral q-power series")
     T = f.trunc // t
-    return f._with_values(f._values()[: t * T + 1 : t], T)
+    return f._with_values([c[: t * T + 1 : t] for c in f._comps], T)
 
 
 def op_V(f, t):
@@ -785,9 +752,7 @@ def op_V(f, t):
     if f.e != 1:
         raise InputError("V_t acts on integral q-power series")
     T = f.trunc * t
-    values = [0 if f.field is None else f.field.zero()] * (T + 1)
-    values[::t] = f._values()
-    return f._with_values(values, T, level=f.level * t)
+    return f._with_values([_on_grid(c, t, T + 1) for c in f._comps], T, level=f.level * t)
 
 
 def _hecke_p(f, p):
@@ -798,11 +763,13 @@ def _hecke_p(f, p):
             "series order %d too small for T_%d; need order >= %d" % (f.trunc, p, p)
         )
     pk = p ** (k - 1)
-    vals = f._values()
-    out = list(vals[: p * T + 1 : p])
-    for m in range(0, T + 1, p):
-        out[m] = out[m] + pk * vals[m // p]
-    return f._with_values(out, T)
+    comps = []
+    for c in f._comps:
+        out = c[: p * T + 1 : p]
+        for m in range(0, T + 1, p):
+            out[m] += pk * c[m // p]
+        comps.append(out)
+    return f._with_values(comps, T)
 
 
 def hecke_T(f, n):

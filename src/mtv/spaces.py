@@ -31,7 +31,7 @@ from math import gcd, lcm
 
 from .errors import InputError, ResourceLimitError, TruncationError, VerificationError
 from .linalg import MatQ, bareiss_inverse
-from .numfield import NumberField, NumberFieldElem
+from .numfield import NumberField
 from .polynomial import UniPoly, poly_factor_q
 from .qexp import (QSeries, _gate_eisenstein, _is_prime, _kron_mul, _stored,
                    eisenstein_level1, eta_quotient, hecke_T)
@@ -210,7 +210,7 @@ def expand_in_triangular(f, basis, strict=True):
     R <- l R - x B over l D.  With strict=True the residual must vanish
     through the common truncation order: f lies in the span as far as seen.
     """
-    e, T, w, level, field = f.e, f.trunc, f.weight, f.level, f.field
+    e, T, w, level = f.e, f.trunc, f.weight, f.level
     comps, den = f._components(e, e * T + 1)
     coords = []
     for i, b in enumerate(basis):
@@ -225,8 +225,7 @@ def expand_in_triangular(f, basis, strict=True):
             raise TruncationError("coefficient of q^%s requested beyond truncation order %d"
                                   % (Fraction(m, e), T))
         xs = [comp[m] for comp in comps]
-        coords.append(Fraction(xs[0], den) if field is None
-                      else NumberFieldElem._from_ints(field, xs, den))
+        coords.append(f._value(xs, den))
         if any(xs):
             if None not in (w, b.weight) and w != b.weight:
                 raise InputError("adding series of different weights")
@@ -234,9 +233,7 @@ def expand_in_triangular(f, basis, strict=True):
             (B,), ell = b._components(e, e * T + 1)
             comps = [[ell * r - x * y for r, y in zip(comp, B)] for comp, x in zip(comps, xs)]
             den *= ell
-    rem = (QSeries._from_ints(comps[0], den, e, T, w, level) if field is None else
-           QSeries([NumberFieldElem._from_ints(field, list(v), den) for v in zip(*comps)],
-                   e=e, trunc=T, weight=w, level=level, field=field))
+    rem = QSeries._from_comps(comps, den, e, T, w, level, f.field)
     if strict and not rem.is_zero():
         v = rem.valuation()
         raise VerificationError(
@@ -392,7 +389,8 @@ def newform_basis_level1(weight, trunc):
                 "repeated factor in the T_2 characteristic polynomial at weight %d" % k
             )
     bden = lcm(*[b._den for b in basis])
-    bnum = [[x * (bden // b._den) for x in b.truncate(trunc)._num] for b in basis]
+    # row n holds the q^n coefficients of the basis over bden
+    brows = list(zip(*[[x * (bden // b._den) for x in b.truncate(trunc)._num] for b in basis]))
     orbits = []
     for g, _ in factors:
         d = g.degree
@@ -412,18 +410,11 @@ def newform_basis_level1(weight, trunc):
                 raise VerificationError(
                     "pairing solution is not a T_2 eigenvector at weight %d" % k
                 )
-        # sum_i c_i b_i, one integer array per coordinate of K
-        comps = [[sum(ci[t] * bn[n] for ci, bn in zip(C, bnum)) for n in range(trunc + 1)]
-                 for t in range(d)]
-        den = D * bden
-        if d == 1:
-            field = None
-            f = QSeries._from_ints(comps[0], den, 1, trunc, k, 1)
-        else:
-            # poly_factor_q has just certified g irreducible
-            field = NumberField(g, check_irreducible=False)
-            coeffs = [NumberFieldElem._from_ints(field, list(v), den) for v in zip(*comps)]
-            f = QSeries(coeffs, e=1, trunc=trunc, weight=k, level=1, field=field)
+        # sum_i c_i b_i, one integer array per coordinate of K, row by row
+        comps = [[sum(map(operator.mul, ct, row)) for row in brows] for ct in zip(*C)]
+        # poly_factor_q has just certified g irreducible
+        field = None if d == 1 else NumberField(g, check_irreducible=False)
+        f = QSeries._from_comps(comps, D * bden, 1, trunc, k, 1, field)
         orbits.append(Newform(weight=k, field=field, modulus=g, qexp=f))
     return GaloisOrbitSet(k, orbits, s)
 

@@ -23,10 +23,10 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpc
 
-from .errors import InputError, UnsupportedScopeError, VerificationError
-from .linalg import MatQ
+from .errors import InputError, TruncationError, UnsupportedScopeError, VerificationError
+from .linalg import bareiss_inverse
 from .numerics import eval_qseries, to_mpf
-from .numfield import nf_charpoly, nf_trace, trace_form
+from .numfield import nf_charpoly, nf_trace
 from .polynomial import elementary_from_power_sums, power_sums_from_elementary
 from .qexp import (
     EtaQuotientSpec,
@@ -117,12 +117,6 @@ def _check_fricke_eta(spec, partner, scalar, level, weight):
                 "Fricke eta scalar %s fails the numeric slash check for %r at level %d"
                 % (scalar, spec, level)
             )
-
-
-def fricke_eta_series(spec, level, trunc):
-    """q-expansion of the Fricke image of the eta quotient, exact."""
-    partner, scalar = fricke_eta_data(spec, level)
-    return eta_quotient(partner, trunc, level=level).scale(scalar)
 
 
 def product_inputs(level, eta_spec, eis_weight, order):
@@ -248,7 +242,7 @@ def trace_to_level1(f, f_fricke, level, power=1):
         b = f_fricke ** (power // 2)
         u = _sieved_product(b * f_fricke if power % 2 else b, b, N)
     t = F.truncate(min(F.trunc, u.trunc)) + u.scale(Fraction(N) ** (1 - w // 2))
-    return t._with_values(t._values(), t.trunc, level=1)
+    return t._with_values(t._comps, t.trunc, level=1)
 
 
 def main_constant(weight, target_level=1):
@@ -286,47 +280,54 @@ def expand_in_newforms(f, orbit_set):
                 % orbit_set.weight
             )
         return []
-    # Tr(y * a_n) is linear in a_n's coordinates: one trace-form vector per
-    # field element y, from the field's power sums
+    # Tr(y * f_i) = sum_k w_k comp_k(f_i) / den_i with w_k = sum_j y_j p_(j+k),
+    # where y = sum_j y_j theta^j and p_m = Tr(theta^m); for y = theta^j this
+    # is an integer column over den_i, the power sums of a monic integral T_2
+    # factor being integers.  Each column is reduced by its content, so the
+    # system is as small as the traces Tr(theta^j a_n) themselves.
+    T = min(f.trunc, min(nf.qexp.trunc for nf in orbit_set.orbits))
+    if T < r:
+        raise TruncationError(
+            "coefficient of q^%d requested beyond truncation order %d" % (r, T)
+        )
+    n = T + 1
+    blocks = []
     cols = []
     for nf in orbit_set.orbits:
-        if nf.field is None:
-            cols.append([nf.a(n) for n in range(1, r + 1)])
-            continue
-        coords = [nf.a(n).coords for n in range(1, r + 1)]
-        theta = nf.field.gen()
-        for j in range(nf.degree):
-            w = trace_form(theta**j)
-            cols.append([sum(map(operator.mul, w, c)) for c in coords])
-    A = MatQ([[cols[c][n] for c in range(r)] for n in range(r)])
-    b = [f.coeff(n) for n in range(1, r + 1)]
-    x = A.solve(b)
-    out = []
-    pos = 0
-    for nf in orbit_set.orbits:
-        d = nf.degree
-        block = x[pos : pos + d]
-        pos += d
-        if nf.field is None:
-            out.append(block[0])
-        else:
-            out.append(nf.field.elem(block))
-    # certify: rebuild the series from the solution and compare everywhere,
-    # as integer arrays over one common denominator
-    T = min(f.trunc, min(nf.qexp.trunc for nf in orbit_set.orbits))
-    n = T + 1
-    parts = []
-    for c, nf in zip(out, orbit_set.orbits):
         comps, den = nf.qexp._components(1, n)
-        ws = [c] if nf.field is None else trace_form(c)
-        parts.extend((wj, comp, den) for wj, comp in zip(ws, comps) if wj)
-    D = math.lcm(*[wj.denominator * den for wj, _, den in parts])
-    acc = [0] * n
-    for wj, comp, den in parts:
-        k = wj.numerator * (D // (wj.denominator * den))
-        acc = [s + k * x for s, x in zip(acc, comp)]
+        ps = nf.field.power_sums() if nf.field else (Fraction(1),)
+        pden = math.lcm(*[p.denominator for p in ps])
+        den *= pden
+        hankel = [[int(p * pden) for p in ps[j : j + len(comps)]] for j in range(len(comps))]
+        rows = list(zip(*[c[1 : r + 1] for c in comps]))
+        scales = []
+        for hj in hankel:
+            col = [sum(map(operator.mul, hj, row)) for row in rows]
+            g = math.gcd(den, *col)
+            cols.append([v // g for v in col])
+            scales.append(den // g)
+        blocks.append((nf, comps, den, hankel, scales))
+    # with A X = D I for the reduced columns, x_c = scale_c (X b)_c / D
+    D, X = bareiss_inverse([list(row) for row in zip(*cols)])
     fnum, fden = f._num, f._den
-    miss = next((m for m in range(n) if fnum[m] * D != acc[m] * fden), None)
+    Y = [sum(map(operator.mul, row, fnum[1 : r + 1])) for row in X]
+    out = []
+    parts = []
+    for nf, comps, den, hankel, scales in blocks:
+        num = [s * y for s, y in zip(scales, Y)]
+        Y = Y[len(scales) :]
+        out.append(nf.qexp._value(num, D * fden))
+        # Tr(c_i f_i) = sum_k W_k comp_k / (D * fden * den)
+        parts.append(([sum(map(operator.mul, num, hk)) for hk in hankel], comps, den))
+    # certify: rebuild f from the solution and compare everywhere, in integers
+    L = math.lcm(*[den for _, _, den in parts])
+    acc = [0] * n
+    for W, comps, den in parts:
+        for w, comp in zip(W, comps):
+            if w:
+                w *= L // den
+                acc = [a + w * x for a, x in zip(acc, comp)]
+    miss = next((m for m in range(n) if fnum[m] * D * L != acc[m]), None)
     if miss is not None:
         raise VerificationError(
             "newform expansion residual is nonzero first at q^%d" % miss

@@ -23,7 +23,10 @@ for the Frobenius-matrix one, `factor_degrees_ascending`, the degree sieve
 from the smallest prime up, for the one from the largest down,
 `expand_in_triangular_ref`, forward substitution on Fraction series, for the
 integer one, and `lattice_tail_formula`, the former mpmath loop of the
-coset-sum tail bound, for the integer bound.  `charpoly_multimodular` gives
+coset-sum tail bound, for the integer bound.  `expand_in_newforms_ref`, one
+Fraction solve over the trace forms (`trace_form`) of the powers of theta,
+is the reference for the integer solve of `expand_in_newforms`, and
+`fricke_eta_series` is the former public Fricke image of an eta quotient.  `charpoly_multimodular` gives
 T_2 polynomials by Krylov rows modulo large primes, sharing nothing with the
 package's fraction-free inversion.  Slow is fine.
 """
@@ -556,3 +559,56 @@ def charpoly_multimodular(M):
         res = [r + mod * ((-v - r) * inv % p) for r, v in zip(res, x)]
         mod *= p
     return [r - mod if 2 * r > mod else r for r in res] + [1]
+
+
+def trace_form(elem):
+    """Vector w with Tr(elem * y) = sum_k w_k * y.coords[k] for every y in the
+    field (the package's former `numfield.trace_form`)."""
+    ps = elem.field.power_sums()
+    den = elem._den
+    return [
+        sum((c * ps[j + k] for j, c in enumerate(elem._num) if c), Fraction(0)) / den
+        for k in range(elem.field.degree)
+    ]
+
+
+def fricke_eta_series(spec, level, trunc):
+    """q-expansion of the Fricke image of an eta quotient: the partner quotient
+    times the Fricke scalar (the package's former `trace.fricke_eta_series`)."""
+    from mtv.qexp import eta_quotient
+    from mtv.trace import fricke_eta_data
+
+    partner, scalar = fricke_eta_data(spec, level)
+    return eta_quotient(partner, trunc, level=level).scale(scalar)
+
+
+def expand_in_newforms_ref(f, orbit_set):
+    """Coefficients c_i of f = sum_i Tr_(K_i/Q)(c_i * f_i) by one Fraction
+    solve on the first dim coefficients, its columns the trace forms of the
+    powers theta^j dotted with each a_n (the package's former route)."""
+    from mtv.linalg import MatQ
+
+    r = orbit_set.dim_cusp
+    cols = []
+    for nf in orbit_set.orbits:
+        if nf.field is None:
+            cols.append([nf.a(n) for n in range(1, r + 1)])
+            continue
+        theta = nf.field.gen()
+        for j in range(nf.degree):
+            w = trace_form(theta**j)
+            cols.append([sum(map(operator.mul, w, nf.a(n).coords)) for n in range(1, r + 1)])
+    x = MatQ([[cols[c][n] for c in range(r)] for n in range(r)]).solve(
+        [f.coeff(n) for n in range(1, r + 1)])
+    out = []
+    for nf in orbit_set.orbits:
+        block, x = x[: nf.degree], x[nf.degree :]
+        out.append(block[0] if nf.field is None else nf.field.elem(block))
+    return out
+
+
+def hecke_p_ref(coeffs, p, weight):
+    """a_n(T_p f) = a_(p n) + p^(weight-1) a_(n/p), one coefficient at a time."""
+    T = (len(coeffs) - 1) // p
+    pk = p ** (weight - 1)
+    return [coeffs[p * n] + (pk * coeffs[n // p] if n % p == 0 else 0) for n in range(T + 1)]

@@ -11,7 +11,6 @@ from mtv.numfield import (
     nf_charpoly,
     nf_norm,
     nf_trace,
-    trace_form,
 )
 from mtv.polynomial import UniPoly, poly_factor_q
 
@@ -22,6 +21,7 @@ from _oracles import (
     cyclo_zeta_power,
     mult_matrix,
     real_root_count,
+    trace_form,
 )
 
 F = Fraction

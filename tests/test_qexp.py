@@ -23,6 +23,7 @@ from mtv import (
     fricke_eisenstein,
     hecke_T,
     load_form,
+    newform_basis_level1,
     op_U,
     op_V,
 )
@@ -30,7 +31,8 @@ from mtv.numfield import NumberField
 from mtv.polynomial import UniPoly
 import mtv.qexp as qexp_mod
 
-from _oracles import delta_ref, eis_ref, eta_power_ref, euler_power_ref, mul_trunc, sigma
+from _oracles import (delta_ref, eis_ref, eta_power_ref, euler_power_ref, hecke_p_ref, mul_trunc,
+                      sigma)
 
 
 # -- QSeries semantics -------------------------------------------------------
@@ -645,3 +647,79 @@ def test_form_file_character_enforced():
     del d["trunc"]
     with pytest.raises((InputError, UnsupportedScopeError)):
         load_form(d)
+
+
+# -- one layout for Q and for Hecke fields -----------------------------------
+
+def _layout_field(name):
+    if name == "sqrt2":
+        return NumberField(UniPoly([-2, 0, 1]))
+    (nf,) = newform_basis_level1(60, 8).orbits  # the degree-5 Hecke field
+    return nf.field
+
+
+def _canonical_layout(f):
+    """d component arrays on the grid over a denominator coprime to all of
+    them (hence 1 for zero); _num is the one array of a rational series."""
+    d = 1 if f.field is None else f.field.degree
+    flat = [x for c in f._comps for x in c]
+    return (len(f._comps) == d and f._den > 0 and math.gcd(f._den, *flat) == 1
+            and all(len(c) == f.e * f.trunc + 1 for c in f._comps)
+            and (f._num is None) == (f.field is not None))
+
+
+@pytest.mark.parametrize("name", ["sqrt2", "hecke60"])
+def test_field_layout_matches_elementwise_arithmetic(name):
+    field = _layout_field(name)
+    rng = random.Random("layout:" + name)
+    T = 12
+
+    def elem():
+        return field.elem(_random_fractions(rng, field.degree, bits=20))
+
+    a = [elem() for _ in range(T + 1)]
+    b = [elem() for _ in range(T + 1)]
+    a[3] = field.zero()
+    q = _random_fractions(rng, T + 1)
+    f = QSeries(a, trunc=T, weight=60, field=field)
+    g = QSeries(b, trunc=T, weight=60, field=field)
+    r = QSeries(q, trunc=T, weight=60)
+    c, s = elem(), Fraction(-7, 9)
+    dilated = [field.zero()] * (2 * T + 1)
+    dilated[::2] = a
+    cases = [
+        (f + g, [x + y for x, y in zip(a, b)]),
+        (f - g, [x - y for x, y in zip(a, b)]),
+        (f + r, [x + y for x, y in zip(a, q)]),
+        (r - f, [y - x for x, y in zip(a, q)]),
+        (f - f, [0] * (T + 1)),
+        (f.scale(s), [x * s for x in a]),
+        (f.scale(c), [c * x for x in a]),
+        (r.scale(c), [c * y for y in q]),
+        (f * g, mul_trunc(a, b, T)),
+        (f * r, mul_trunc(a, q, T)),
+        (r * f, mul_trunc(q, a, T)),
+        (f.truncate(5), a[:6]),
+        (op_U(f, 3), a[::3]),
+        (op_V(f, 2), dilated),
+        (hecke_T(f, 2), hecke_p_ref(a, 2, 60)),
+        (hecke_T(f, 3), hecke_p_ref(a, 3, 60)),
+        (load_form(dump_form(f)), a),
+    ]
+    for got, ref in cases:
+        assert got.field == field and _canonical_layout(got)
+        assert list(got.coeffs) == [field.coerce(x) for x in ref]
+    assert load_form(dump_form(f)) == f
+    assert (f - f).is_zero() and (f - f)._den == 1 and (f - f).valuation() is None
+
+
+@pytest.mark.parametrize("name", ["sqrt2", "hecke60"])
+def test_rational_series_agrees_with_its_field_image(name):
+    field = _layout_field(name)
+    q = _random_fractions(random.Random("agree:" + name), 10)
+    r = QSeries(q, trunc=9)
+    image = QSeries(q, trunc=9, field=field)
+    assert image.field == field and _canonical_layout(image)
+    assert r.agrees_through(image, 9) and image.agrees_through(r, 9)
+    bumped = image + QSeries([0] * 5 + [field.gen()], trunc=9, field=field)
+    assert r.agrees_through(bumped, 4) and not bumped.agrees_through(r, 5)

@@ -1,5 +1,7 @@
 """Level lowering: Fricke data, the translate sieve, both trace routes, ratios."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -17,7 +19,6 @@ from mtv import (
     eta_quotient,
     expand_in_newforms,
     fricke_eisenstein,
-    fricke_eta_series,
     main_constant,
     miller_basis,
     newform_basis_level1,
@@ -31,7 +32,8 @@ from mtv.qexp import EtaQuotientSpec, QSeries
 from mtv import qexp, trace
 from mtv.trace import _integral_exponent_part, _sieved_product, fricke_eta_data
 
-from _oracles import cyclo_equal, twisted_translate_power_sum
+from _oracles import (cyclo_equal, expand_in_newforms_ref, fricke_eta_series,
+                      twisted_translate_power_sum)
 
 
 # -- Fricke data on eta quotients ---------------------------------------------
@@ -360,6 +362,75 @@ def test_expand_in_newforms_rejects_noncuspidal():
         expand_in_newforms(eisenstein_level1(12, 20), orbs)
     with pytest.raises(InputError):
         expand_in_newforms(delta_series(20), newform_basis_level1(16, 20))
+
+
+@pytest.mark.parametrize("weight", [12, 24, 60, 72, 192])
+def test_integer_expansion_matches_the_fraction_solve(weight):
+    """Fields of degree 1, 2, 5, 6 and 16: a random rational cusp form
+    expands to the same coefficients as one Fraction solve over the trace
+    forms of theta^j."""
+    T = dim_cusp_level1(weight) + 8
+    orbs = newform_basis_level1(weight, T)
+    rng = random.Random("expand:%d" % weight)
+    f = None
+    for b in miller_basis(weight, T)[1:]:
+        term = b.scale(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 999)))
+        f = term if f is None else f + term
+    got = expand_in_newforms(f, orbs)
+    assert got == expand_in_newforms_ref(f, orbs)
+    assert [getattr(c, "field", None) for c in got] == [nf.field for nf in orbs]
+
+
+def test_expansion_over_orbits_with_their_own_denominators():
+    """Every level-1 orbit set computed so far is one orbit, so several orbits,
+    each over its own denominator, are checked on an artificial set: a
+    rational series over 7 and a series over Q(sqrt 2) over 5."""
+    from mtv import GaloisOrbitSet, Newform
+    from mtv.numfield import NumberField
+    from mtv.polynomial import UniPoly
+
+    weight, T = 36, 12
+    b = miller_basis(weight, T)[1:]
+    K = NumberField(UniPoly([-2, 0, 1]))
+    g = (b[1] + b[2].scale(K.gen())).scale(Fraction(1, 5))
+    orbs = GaloisOrbitSet(weight, [Newform(weight, None, None, b[0].scale(Fraction(1, 7))),
+                                   Newform(weight, K, K.modulus, g)], 3)
+    # Tr((x + y sqrt 2) g) = (2x b_2 + 4y b_3) / 5
+    f = b[0].scale(3) + b[1].scale(Fraction(-2, 9)) + b[2].scale(11)
+    want = [Fraction(21), K.elem([Fraction(-5, 9), Fraction(55, 4)])]
+    assert expand_in_newforms(f, orbs) == want == expand_in_newforms_ref(f, orbs)
+    num = list(f._num)
+    num[7] += 1
+    bumped = QSeries._from_ints(num, f._den, 1, T, weight, 1)
+    with pytest.raises(VerificationError, match=r"nonzero first at q\^7$"):
+        expand_in_newforms(bumped, orbs)
+
+
+# sha256 of the sorted-key JSON of each report, recorded with the Fraction
+# solve over per-coefficient field elements that the integer layout replaced
+THEOREM_DIGESTS = {
+    (4, 5): "dc9dc470c6e41c60c8cae8971e62044fad0bc4556cfb0aecf2bd329e934c50c6",
+    (6, 5): "b521bd2dbcebf3949c1927f9eb23ee4339f3a1333d3547bbc0451a8120363d9e",
+    (4, 6): "a5a6e1014dcdc0735272179c36975c5eda2df3513947154c907c77fd0dc93c40",
+}
+COROLLARY_DIGEST = "2e3c9d76e09f649e47f7efbcd917a9801f77b97d5ef2fef7db821f2abd8a3af5"
+
+
+def _digest(report):
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("eis_weight,power", sorted(THEOREM_DIGESTS))
+def test_theorem_reports_are_pinned(eis_weight, power):
+    res = verify_theorem(2, {1: 8, 2: 8}, eis_weight, power, order=16)
+    assert _digest(res.to_dict()) == THEOREM_DIGESTS[eis_weight, power]
+
+
+def test_corollary_report_is_pinned():
+    from mtv import CurveQ, verify_corollary
+
+    res = verify_corollary(2, {1: 8, 2: 8}, 4, 2, CurveQ(4, 1))
+    assert _digest(res.to_dict()) == COROLLARY_DIGEST
 
 
 # -- the full theorem runs -----------------------------------------------------------
