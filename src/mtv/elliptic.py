@@ -1,8 +1,12 @@
 """Elliptic-curve side: period lattice recovery and exact specialization.
 
 A curve y^2 = 4x^3 - g2 x - g3 over Q with nonzero discriminant has a lattice
-tau via inversion of the j-function (Newton on numeric q-expansions, seeded
-by the reciprocal of j - 744, certified afterwards).  Specialization sends
+tau = omega2/omega1 from two real AGMs (Cohen, GTM 138, Alg. 7.4.7) on the
+closed-form roots of x^3 - (g2/4) x - g3/4, in forms that do not cancel near
+a singular curve (so with no guard bits), then certified through E4, E6 and
+Delta.  j fixes where tau lies: Re tau = 0 for j >= 1728, the edge
+|Re tau| = 1/2 for j <= 0, the arc |tau| = 1 between; the representative
+reported is the one with Re tau >= 0.  Specialization sends
 E4 -> 12 g2, E6 -> 216 g3, Delta -> g2^3 - 27 g3^2 after the (2 pi / w2)^k
 rescaling, which on the triangular level-1 basis is a ring homomorphism we
 can apply exactly to any level-1 form.
@@ -15,7 +19,7 @@ import mpmath
 from mpmath import mpc, mpf
 
 from .errors import InputError, PrecisionError, VerificationError
-from .numerics import BigComplex, _qseries_value, eval_qseries, to_mpc
+from .numerics import BigComplex, eval_qseries, to_mpc, to_mpf
 from .numfield import nf_trace
 from .polynomial import UniPoly, _power, poly_factor_q
 from .qexp import eisenstein_level1
@@ -66,7 +70,7 @@ class CurveQ:
         return "CurveQ(g2=%s, g3=%s)" % (self.g2, self.g3)
 
 
-# -- numeric j-inversion ---------------------------------------------------
+# -- numeric lattice -------------------------------------------------------
 
 def _level1_series(trunc):
     """E4, E6 and Delta through q^trunc, read as prefixes of the series store."""
@@ -97,15 +101,6 @@ def j_invariant_numeric(tau, prec_bits=256):
         # |A/B| error: (errA + |A/B| errB) / (|B| - errB)
         err = (num.err + abs(val) * dd.err) / (abs(dv) - dd.err)
         return BigComplex(val, err)
-
-
-def _reduce_fundamental(tau):
-    for _ in range(256):
-        tau = tau - mpmath.floor(tau.real + mpf("0.5"))
-        if abs(tau) >= 1:
-            return tau
-        tau = -1 / tau
-    raise PrecisionError("fundamental-domain reduction did not settle")
 
 
 class CurvePair:
@@ -143,11 +138,56 @@ class CurvePair:
         }
 
 
-def tau_from_curve(curve, prec_bits=256):
-    """Invert j to a fundamental-domain tau and fix the period branch.
+def _period_tau(curve):
+    """tau = omega2/omega1 from the real AGM at the working precision, on
+    the boundary of the fundamental domain with Re tau >= 0 (j not 0, 1728).
 
-    The returned pair satisfies scale^4 E4(tau) = 12 g2 and
-    scale^6 E6(tau) = 216 g3 to the certified working precision.
+    Cohen, GTM 138, Alg. 7.4.7, on the roots of x^3 - (g2/4) x - g3/4 in
+    closed form: for disc > 0 their differences, sqrt(g2) times the sines of
+    the trigonometric form, and for disc < 0 the real root e1 by real
+    Cardano.  tau depends on g3 only through g3^2, so both forms run at
+    |g3|.  There no step cancels below the size of the roots: the smallest
+    difference is the sine of an angle from atan2, and 2b - a is
+    -disc / (16 b^4 (2b + a)).  So a near-singular curve needs no guard
+    bits: tau holds the working precision at |disc| / g2^3 = 2e-200 as at 1.
+    """
+    g2, g3, disc = to_mpf(curve.g2), to_mpf(abs(curve.g3)), curve.discriminant
+    sqrt, agm = mpmath.sqrt, mpmath.agm
+    if disc > 0:  # j > 1728: a rectangular lattice, Re tau = 0
+        phi = mpmath.atan2(sqrt(to_mpf(disc)), sqrt(27) * g3) / 3
+        third = mpmath.pi / 3
+        r = sqrt(mpmath.sin(2 * third - phi))  # sqrt(e1 - e3), scaled
+        m1 = agm(r, sqrt(mpmath.sin(third - phi)))
+        m2 = agm(r, sqrt(mpmath.sin(phi)))
+        return mpc(0, max(m1, m2) / min(m1, m2))
+    # a rhombic lattice; Cohen's tau is -1/2 + i m1 / (2 m2)
+    u = mpmath.cbrt(g3 / 8 + sqrt(to_mpf(-disc / 1728)))
+    e1 = u + g2 / (12 * u)
+    b = sqrt(3 * e1**2 - g2 / 4)
+    s = 2 * b + 3 * e1  # 2b + a
+    r = 2 * sqrt(b)
+    m1 = agm(r, sqrt(s))
+    m2 = agm(r, sqrt(to_mpf(-disc) / (16 * b**4 * s)))
+    if curve.j < 0:  # the edge
+        return mpc(0.5, max(m1, m2) / (2 * min(m1, m2)))
+    # the arc, through the basis of the rhombus' two sides
+    n = m1**2 + m2**2
+    return mpc(abs(m1**2 - m2**2) / n, 2 * m1 * m2 / n)
+
+
+def tau_from_curve(curve, prec_bits=256):
+    """The period-lattice point tau of the curve and the scale 2 pi / w2.
+
+    tau comes in closed form from the real AGM (`_period_tau`), or is
+    rho = (1 + sqrt(-3))/2 at j = 0 and i at j = 1728.  It lies on the
+    boundary of the fundamental domain, with Re tau >= 0: Re tau = 0 for
+    j >= 1728, Re tau = 1/2 for j <= 0, |tau| = 1 between, whatever the
+    precision.  Three certificates, all through the E4, E6 and Delta
+    series at tau, are the proof: |E4^3 - j Delta| is small relative to
+    |Delta|, the scale's branch reproduces g3, and scale^12 Delta(tau)
+    reproduces the discriminant.  So the returned pair satisfies
+    scale^4 E4(tau) = 12 g2 and scale^6 E6(tau) = 216 g3 to the certified
+    working precision.
     """
     prec_bits = int(prec_bits)
     if prec_bits < 64:
@@ -159,8 +199,7 @@ def tau_from_curve(curve, prec_bits=256):
         elif jv == 1728:
             tau = mpc(0, 1)
         else:
-            tau = _invert_j_newton(jv, prec_bits)
-        tau = _reduce_fundamental(tau)
+            tau = _period_tau(curve)
         T = _order_for(float(tau.imag), prec_bits)
         E4s, E6s, Ds = _level1_series(T)
         # certify |E4^3 - j Delta| relative to |Delta|
@@ -199,47 +238,6 @@ def tau_from_curve(curve, prec_bits=256):
         if abs(got - dE) > tol:
             raise PrecisionError("lattice certificate failed on the discriminant")
         return CurvePair(curve, tau, scale, prec_bits, T)
-
-
-def _invert_j_newton(jv, prec_bits):
-    jc = to_mpc(jv)
-    seeds = []
-    if abs(jc - 744) > 1:
-        q0 = 1 / (jc - 744)
-        if abs(q0) < mpf("0.05"):
-            seeds.append(mpmath.log(q0) / (2j * mpmath.pi))
-    seeds += [
-        mpc("0.0", "1.2"), mpc("0.25", "1.1"), mpc("-0.25", "1.1"),
-        mpc("0.45", "0.95"), mpc("0.1", "2.0"),
-    ]
-    two_pi_i = 2j * mpmath.pi
-    stop = mpf(2) ** (-prec_bits - 8)
-    for seed in seeds:
-        tau = seed
-        ok = False
-        for _ in range(200):
-            if tau.imag < mpf("0.05"):
-                break
-            tau_r = _reduce_fundamental(tau)
-            if tau_r.imag > tau.imag:
-                tau = tau_r
-            T = _order_for(float(tau.imag), prec_bits)
-            E4s, E6s, Ds = _level1_series(T)
-            e4 = _qseries_value(E4s, tau, prec_bits + 16)
-            e6 = _qseries_value(E6s, tau, prec_bits + 16)
-            dd = _qseries_value(Ds, tau, prec_bits + 16)
-            jval = e4**3 / dd
-            jder = -two_pi_i * e4**2 * e6 / dd
-            if jder == 0:
-                break
-            step = (jval - jc) / jder
-            tau = tau - step
-            if abs(step) < stop * max(1, abs(tau)):
-                ok = True
-                break
-        if ok and tau.imag > 0:
-            return tau
-    raise PrecisionError("j-inversion did not converge from any seed")
 
 
 # -- exact specialization ----------------------------------------------------

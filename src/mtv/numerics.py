@@ -165,14 +165,6 @@ def _horner(num, den, e, tau, prec):
         return value, W, P, v, q, (qx, qy)
 
 
-def _qseries_value(f, tau, prec_bits=None):
-    """The value eval_qseries returns, without its error bound."""
-    num, den, e = _series_ints(f)
-    if not num:
-        return mpc(0)
-    return _horner(num, den, e, tau, _check_prec(prec_bits))[0]
-
-
 def _upper_sum(vals, rho64):
     """An integer >= sum_j vals[j] (rho64 / 2^64)^j, for nonnegative ints vals."""
     acc = 0

@@ -25,8 +25,10 @@ from the smallest prime up, for the one from the largest down,
 integer one, and `lattice_tail_formula`, the former mpmath loop of the
 coset-sum tail bound, for the integer bound.  `expand_in_newforms_ref`, one
 Fraction solve over the trace forms (`trace_form`) of the powers of theta,
-is the reference for the integer solve of `expand_in_newforms`, and
-`fricke_eta_series` is the former public Fricke image of an eta quotient.  `charpoly_multimodular` gives
+is the reference for the integer solve of `expand_in_newforms`,
+`fricke_eta_series` is the former public Fricke image of an eta quotient,
+and `invert_j_newton_ref`, Newton's method on j, is the reference for the
+AGM period lattice.  `charpoly_multimodular` gives
 T_2 polynomials by Krylov rows modulo large primes, sharing nothing with the
 package's fraction-free inversion.  Slow is fine.
 """
@@ -612,3 +614,55 @@ def hecke_p_ref(coeffs, p, weight):
     T = (len(coeffs) - 1) // p
     pk = p ** (weight - 1)
     return [coeffs[p * n] + (pk * coeffs[n // p] if n % p == 0 else 0) for n in range(T + 1)]
+
+
+def _reduce_fundamental_ref(tau):
+    for _ in range(256):
+        tau = tau - mpmath.floor(tau.real + mpmath.mpf("0.5"))
+        if abs(tau) >= 1:
+            return tau
+        tau = -1 / tau
+    raise ArithmeticError("fundamental-domain reduction did not settle")
+
+
+def invert_j_newton_ref(jv, prec_bits):
+    """A fundamental-domain tau with j(tau) = jv by Newton's method on the
+    numeric q-expansions, from the reciprocal of j - 744 and then fixed seeds
+    (the package's former j-inversion).  Call it inside a working precision
+    of about prec_bits + 32."""
+    from mtv.elliptic import _level1_series, _order_for
+    from mtv.numerics import eval_qseries, to_mpc
+
+    mpc, mpf = mpmath.mpc, mpmath.mpf
+    jc = to_mpc(jv)
+    seeds = []
+    if abs(jc - 744) > 1:
+        q0 = 1 / (jc - 744)
+        if abs(q0) < mpf("0.05"):
+            seeds.append(mpmath.log(q0) / (2j * mpmath.pi))
+    seeds += [
+        mpc("0.0", "1.2"), mpc("0.25", "1.1"), mpc("-0.25", "1.1"),
+        mpc("0.45", "0.95"), mpc("0.1", "2.0"),
+    ]
+    two_pi_i = 2j * mpmath.pi
+    stop = mpf(2) ** (-prec_bits - 8)
+    for tau in seeds:
+        for _ in range(200):
+            if tau.imag < mpf("0.05"):
+                break
+            tau_r = _reduce_fundamental_ref(tau)
+            if tau_r.imag > tau.imag:
+                tau = tau_r
+            E4s, E6s, Ds = _level1_series(_order_for(float(tau.imag), prec_bits))
+            e4, e6, dd = (eval_qseries(f, tau, prec_bits + 16).value
+                          for f in (E4s, E6s, Ds))
+            jder = -two_pi_i * e4**2 * e6 / dd
+            if jder == 0:
+                break
+            step = (e4**3 / dd - jc) / jder
+            tau = tau - step
+            if abs(step) < stop * max(1, abs(tau)):
+                if tau.imag > 0:
+                    return _reduce_fundamental_ref(tau)
+                break
+    raise ArithmeticError("j-inversion did not converge from any seed")

@@ -1,14 +1,18 @@
 """End-to-end command line checks through real subprocesses plus in-process
 exit-code paths for the failure branches that are awkward to reach for real."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mtv.cli as cli
 import mtv.qexp as qexp
@@ -381,3 +385,40 @@ def test_oracle_tau_is_parsed_at_the_working_precision(monkeypatch, capsys):
     bound = Fraction(1, 2**250)
     assert abs(exact_fraction(tau.real) - Fraction(21, 100)) < bound
     assert abs(exact_fraction(tau.imag) - Fraction(113, 100)) < bound
+
+
+# -- fuzzing specialize --curve ------------------------------------------------
+
+_INVARIANT = st.one_of(
+    st.integers(-12, 12),
+    st.fractions(min_value=-12, max_value=12, max_denominator=12),
+)
+
+
+@st.composite
+def _near_singular(draw):
+    """(3 t^2, t^3 + e): discriminant -27 e (2 t^3 + e), singular at e = 0."""
+    t = draw(st.integers(-10**4, 10**4))
+    e = draw(st.sampled_from((-1, 0, 1)))
+    return 3 * t * t, t**3 + e
+
+
+def _refuse_constant(name):
+    raise AssertionError("non-finite JSON constant %s" % name)
+
+
+@given(curve=st.one_of(st.tuples(_INVARIANT, _INVARIANT), _near_singular()),
+       prec=st.sampled_from((64, 128)), level=st.sampled_from((0, 2, 3)))
+@settings(max_examples=40, deadline=None)
+def test_fuzz_specialize_curve_exits_cleanly(curve, prec, level):
+    argv = ["--prec", str(prec), "specialize", "--curve=%s,%s" % curve,
+            "--level", str(level)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    if code:
+        assert out.getvalue() == "", argv
+        return
+    json.loads(out.getvalue(), parse_constant=_refuse_constant)
+    assert not re.search(r"\b(nan|inf)\b", out.getvalue(), re.IGNORECASE), argv

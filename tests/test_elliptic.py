@@ -1,5 +1,6 @@
 """Curves, period lattices, exact specialization, and the corollary run."""
 
+import random
 from fractions import Fraction
 
 import mpmath
@@ -20,9 +21,12 @@ from mtv import (
     tau_from_curve,
     verify_corollary,
 )
+import mtv.elliptic as elliptic
 from mtv.elliptic import j_invariant_numeric
-from mtv.numerics import BigComplex
+from mtv.numerics import BigComplex, to_mpc
 from mtv.qexp import QSeries
+
+from _oracles import invert_j_newton_ref
 
 
 # -- curve bookkeeping --------------------------------------------------------
@@ -126,6 +130,127 @@ def test_tau_negative_discriminant_curve():
 def test_tau_rejects_low_precision():
     with pytest.raises(InputError):
         tau_from_curve(CurveQ(4, 1), 32)
+
+
+# -- the AGM lattice: Newton oracle, branch rule, round trip ---------------------
+
+POOL = [(a, b) for a in range(-9, 10) for b in range(-9, 10) if a**3 - 27 * b * b]
+
+
+def _tau_class(curve):
+    j = curve.j
+    if j in (0, 1728):
+        return "special"
+    return "edge" if j < 0 else ("arc" if j < 1728 else "axis")
+
+
+def _follows_rule(tau, curve):
+    """tau on the boundary piece that j fixes, with Re tau >= 0."""
+    j = curve.j
+    if j >= 1728 and tau.real != 0:
+        return False
+    if j <= 0 and tau.real != Fraction(1, 2):
+        return False
+    if 0 <= j <= 1728 and abs(abs(tau) - 1) > mpmath.mpf(2) ** -100:
+        return False
+    return tau.real >= 0
+
+
+def _boundary_distance(tau, ref):
+    """Distance from tau to ref up to the boundary identifications."""
+    return min(abs(tau - t) for t in (ref, -ref.conjugate(), ref + 1, ref - 1))
+
+
+def test_agm_tau_matches_newton_oracle():
+    by_class = {}
+    for c in POOL:
+        by_class.setdefault(_tau_class(CurveQ(*c)), []).append(c)
+    rng = random.Random(16)
+    sample = [c for cls, n in (("special", 2), ("edge", 7), ("axis", 7), ("arc", 8))
+              for c in rng.sample(by_class[cls], n)]
+    for g2, g3 in sample:
+        curve = CurveQ(g2, g3)
+        tau = tau_from_curve(curve, 128).tau
+        assert _follows_rule(tau, curve), (g2, g3)
+        with mpmath.workprec(160):
+            if curve.j == 0:
+                ref = (1 + mpmath.sqrt(-3)) / 2
+            elif curve.j == 1728:
+                ref = mpmath.mpc(0, 1)
+            else:
+                ref = invert_j_newton_ref(curve.j, 128)
+            assert _boundary_distance(tau, ref) < mpmath.mpf(2) ** -100, (g2, g3)
+            jn = j_invariant_numeric(tau, 128)
+            # err covers the series at tau, not the rounding of the quotient
+            # E4^3 / Delta at 144 bits: at tau = i that is 9e-41 against an
+            # err of 5e-46
+            slack = (1 + abs(to_mpc(curve.j))) * mpmath.mpf(2) ** -140
+            assert abs(jn.value - to_mpc(curve.j)) <= jn.err + slack, (g2, g3)
+
+
+def test_every_pool_curve_round_trips_at_128_bits():
+    for g2, g3 in POOL:
+        curve = CurveQ(g2, g3)
+        pair = tau_from_curve(curve, 128)
+        assert _follows_rule(pair.tau, curve), (g2, g3)
+        T = pair.order
+        got = [_specialized_exact(pair, ser, wt) for ser, wt in (
+            (eisenstein_level1(4, T), 4),
+            (eisenstein_level1(6, T), 6),
+            (delta_series(T), 12),
+        )]
+        assert got == [12 * g2, 216 * g3, curve.discriminant], (g2, g3)
+
+
+@pytest.mark.parametrize("g2, g3", [(-2, -5), (-3, 1), (-5, -1), (1, 1), (3, -4)])
+def test_tau_is_one_representative_at_every_precision(g2, g3):
+    # Newton returned tau or -conj(tau) depending on the precision: at
+    # (-3, 1), Re tau was -0.2114 at 300 bits and +0.2114 at 1024 bits
+    curve = CurveQ(g2, g3)
+    taus = [tau_from_curve(curve, prec).tau for prec in (128, 300, 1024)]
+    for tau in taus:
+        assert _follows_rule(tau, curve)
+    with mpmath.workprec(1100):
+        assert all(abs(t - taus[-1]) < mpmath.mpf(2) ** -100 for t in taus)
+
+
+@pytest.mark.parametrize("g2, g3", [
+    (3 * 10**6, 10**9 + 1),   # disc = -54000000027: the edge
+    (3 * 10**6, 10**9 - 1),   # disc = 53999999973: the axis
+    (-3 * 10**6, 10**9),      # j = 864: the arc
+])
+def test_near_singular_curves_reconstruct(g2, g3):
+    curve = CurveQ(g2, g3)
+    pair = tau_from_curve(curve, 128)
+    T = pair.order
+    assert _specialized_exact(pair, eisenstein_level1(4, T), 4) == 12 * g2
+    assert _specialized_exact(pair, eisenstein_level1(6, T), 6) == 216 * g3
+    assert _specialized_exact(pair, delta_series(T), 12) == curve.discriminant
+
+
+@pytest.mark.parametrize("g2, g3", [
+    (3 * 10**20, 10**30 + 1),
+    (3 * 10**20, 10**30 - 1),
+    (-3 * 10**20, 10**30),
+])
+def test_near_singular_curves_pass_the_certificates(g2, g3):
+    curve = CurveQ(g2, g3)
+    pair = tau_from_curve(curve, 128)
+    assert _follows_rule(pair.tau, curve)
+
+
+@pytest.mark.parametrize("g2, g3", [
+    (3 * 10**100, 10**150 + Fraction(1, 10**50)),  # |disc| / g2^3 = 2e-200, edge
+    (3 * 10**100, 10**150 - Fraction(1, 10**50)),  # the same on the axis
+    (-3 * 10**40, 1),  # the arc 2e-117 from j = 1728: e1 = u + g2 / (12 u) cancels
+])
+def test_period_tau_holds_the_working_precision_without_guard_bits(g2, g3):
+    curve = CurveQ(g2, g3)
+    with mpmath.workprec(160):
+        tau = elliptic._period_tau(curve)
+    with mpmath.workprec(1024):
+        ref = elliptic._period_tau(curve)
+        assert abs(tau - ref) <= abs(ref) * mpmath.mpf(2) ** -150
 
 
 # -- exact specialization --------------------------------------------------------

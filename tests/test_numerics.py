@@ -300,7 +300,6 @@ def test_eval_kernel_matches_reference(monkeypatch, name, build, tau, prec):
     f = build()
     coeffs, e = list(f.coeffs), f.e
     got = eval_qseries(f, tau, prec)
-    assert numerics._qseries_value(f, tau, prec) == got.value
     # the kernel evaluates at the point tau rounds to at its working precision
     with mpmath.workprec(prec + 16 + (len(coeffs) + 1).bit_length()):
         point = mpc(tau)
