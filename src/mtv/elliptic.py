@@ -98,8 +98,11 @@ def j_invariant_numeric(tau, prec_bits=256):
         if abs(dv) <= 2 * dd.err:
             raise PrecisionError("discriminant series vanishes to working precision")
         val = num.value / dv
-        # |A/B| error: (errA + |A/B| errB) / (|B| - errB)
+        # |A/B| error: (errA + |A/B| errB) / (|B| - errB), plus the roundings of
+        # two products and a quotient (each component within 2^(-15-prec) of
+        # its size), under 3.2 * 2^(-15-prec) |val| in all
         err = (num.err + abs(val) * dd.err) / (abs(dv) - dd.err)
+        err += abs(val) * mpf(2) ** (-13 - prec_bits)
         return BigComplex(val, err)
 
 

@@ -1,4 +1,8 @@
-"""Exact dense matrices over Q (or any exact field with true division)."""
+"""Exact linear algebra.  The pipeline runs one integer kernel, bareiss_solve.
+MatQ, dense matrices over Q or another exact field, serves the tests as an
+oracle; it stays here while the benchmark's tracer wraps its nullspace,
+charpoly and solve by name.
+"""
 
 from fractions import Fraction
 
@@ -154,27 +158,25 @@ class MatQ:
         return c0 if self.nrows % 2 == 0 else -c0
 
 
-def bareiss_inverse(rows):
-    """Fraction-free Gauss-Jordan on a square integer matrix A.
+def bareiss_solve(A, B):
+    """Fraction-free Gauss-Jordan on [A | B], A square, all entries integers.
 
-    Returns (D, X) with D > 0 and A X = D I, all in integers: every
-    intermediate entry is a minor of [A | I] (Sylvester's identity), so each
+    Returns (D, X) with D = |det A| and A X = D B, all in integers: every
+    intermediate entry is a minor of [A | B] (Sylvester's identity), so each
     division by the previous pivot is exact and nothing grows beyond
     determinant size.  Raises VerificationError if A is singular.
     """
-    n = len(rows)
-    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    n = len(A)
+    a = [list(r) + list(b) for r, b in zip(A, B)]
     prev = 1
     for k in range(n):
         piv = next((r for r in range(k, n) if a[r][k]), None)
         if piv is None:
             raise VerificationError("singular integer matrix")
         a[k], a[piv] = a[piv], a[k]
-        rk = a[k]
-        p = rk[k]
-        for i in range(n):
+        rk, p = a[k], a[k][k]
+        for i, ri in enumerate(a):
             if i != k:
-                ri = a[i]
                 f = ri[k]
                 a[i] = [(p * x - f * y) // prev for x, y in zip(ri, rk)]
         prev = p

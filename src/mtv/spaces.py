@@ -18,11 +18,11 @@ cusp part of this basis, whose first coordinate is a_1, and at level 1 the
 pairing (T, f) -> a_1(T f) between the Hecke algebra and the cusp space is
 perfect (W. Stein, Modular Forms, A Computational Approach, AMS GSM 79,
 2007).  So the Krylov rows e_1^T M^j, j < dim, form an invertible integer
-matrix R exactly when chi is squarefree; one fraction-free inversion of R
-gives chi (from the next row) and, for a root theta of each factor g, the
-normalized eigenvector c = R^(-1) (1, theta, theta^2, ...) with entries in
-Q[theta]/(g).  M c = theta c is checked exactly before an orbit is returned.
-Nothing is inverted in a Hecke field.
+matrix R exactly when chi is squarefree.  One fraction-free solve R X = D I
+(linalg.bareiss_solve) gives chi (from the next row) and, for a root theta
+of each factor g, the normalized eigenvector c = X (1, theta, ...) / D over
+Q[theta]/(g).  M, R and X are integer rows; M c = theta c is checked exactly
+before an orbit is returned, and nothing is inverted in a Hecke field.
 """
 
 import operator
@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError, ResourceLimitError, TruncationError, VerificationError
-from .linalg import MatQ, bareiss_inverse
+from .linalg import bareiss_solve
 from .numfield import NumberField
 from .polynomial import UniPoly, poly_factor_q
 from .qexp import (QSeries, _gate_eisenstein, _is_prime, _kron_mul, _stored,
@@ -196,10 +196,6 @@ class GaloisOrbitSet:
         return len(self.orbits)
 
 
-def _is_zero(x):
-    return (x == 0) if isinstance(x, Fraction) else x.is_zero()
-
-
 def expand_in_triangular(f, basis, strict=True):
     """Coordinates of f in a q^(i)-triangular basis by forward substitution.
 
@@ -302,21 +298,25 @@ def level1_coordinates(forms):
 
 
 def hecke_matrix_level1(weight, n, trunc=None):
-    """Matrix of T_n on the cusp space in the triangular basis (columns = images)."""
+    """(rows, basis): the integer matrix of T_n on the cusp space in the
+    triangular basis, columns = images.  The basis is unitriangular and
+    integral and T_n keeps coefficients integral, so a fraction is refused."""
     s = dim_cusp_level1(weight)
     if s == 0:
-        return MatQ([]), []
-    need = n * s + 2
-    T_int = max(int(trunc or 0), need)
+        return [], []
+    T_int = max(int(trunc or 0), n * s + 2)
     basis = miller_basis(weight, T_int)[1:]
     cols = []
     for bj in basis:
         img = hecke_T(bj, n)
         if img.trunc < s:
             raise TruncationError("Hecke image truncated below the basis length")
-        cols.append(expand_in_triangular(img, basis)[0])
-    M = MatQ([list(r) for r in zip(*cols)])
-    return M, basis
+        col = expand_in_triangular(img, basis)[0]
+        if any(c.denominator != 1 for c in col):
+            raise VerificationError("T_%d matrix is not integral in the Miller basis at weight %d"
+                                    % (n, weight))
+        cols.append([c.numerator for c in col])
+    return [list(r) for r in zip(*cols)], basis
 
 
 def krylov_charpoly(M):
@@ -326,8 +326,9 @@ def krylov_charpoly(M):
     The rows r_j = e_1^T M^j (j < s) form the integer matrix R.  Solving
     r_s = sum_j x_j r_j gives chi(x) = x^s - sum_j x_j x^j, since e_1^T chi(M)
     vanishes and, R being invertible, no lower-degree polynomial does.
-    Returns (chi, D, X) with R X = D I in integers (Bareiss).  A singular R,
-    i.e. e_1 is not cyclic, raises VerificationError.
+    Returns (chi, D, X) with R X = D I (bareiss_solve, B = I: the roots of
+    chi meet X only after chi is factored).  A singular R, i.e. e_1 is not
+    cyclic, raises VerificationError.
     """
     s = len(M)
     cols = list(zip(*M))
@@ -336,7 +337,7 @@ def krylov_charpoly(M):
         r = rows[-1]
         rows.append([sum(c * m for c, m in zip(r, col) if c) for col in cols])
     try:
-        D, X = bareiss_inverse(rows[:s])
+        D, X = bareiss_solve(rows[:s], [[int(i == j) for j in range(s)] for i in range(s)])
     except VerificationError:
         raise VerificationError("e_1 is not cyclic: the Krylov rows are singular") from None
     top = rows[s]
@@ -368,15 +369,9 @@ def newform_basis_level1(weight, trunc):
     s = dim_cusp_level1(k)
     if s == 0:
         return GaloisOrbitSet(k, (), 0)
-    T_int = max(trunc, 2 * s + 2)
-    M, basis = hecke_matrix_level1(k, 2, T_int)
-    if any(c.denominator != 1 for r in M.rows for c in r):
-        raise VerificationError(
-            "T_2 matrix is not integral in the Miller basis at weight %d" % k
-        )
-    Mi = [[c.numerator for c in r] for r in M.rows]
+    M, basis = hecke_matrix_level1(k, 2, trunc)
     try:
-        chi, D, X = krylov_charpoly(Mi)
+        chi, D, X = krylov_charpoly(M)
     except VerificationError:
         # a perfect pairing makes R singular exactly when chi is not squarefree
         raise VerificationError(
@@ -388,9 +383,8 @@ def newform_basis_level1(weight, trunc):
             raise VerificationError(
                 "repeated factor in the T_2 characteristic polynomial at weight %d" % k
             )
-    bden = lcm(*[b._den for b in basis])
-    # row n holds the q^n coefficients of the basis over bden
-    brows = list(zip(*[[x * (bden // b._den) for x in b.truncate(trunc)._num] for b in basis]))
+    # row n holds the q^n coefficients of the integral basis
+    brows = list(zip(*[b.truncate(trunc)._num for b in basis]))
     orbits = []
     for g, _ in factors:
         d = g.degree
@@ -404,7 +398,7 @@ def newform_basis_level1(weight, trunc):
              for row in X]
         if C[0] != [D] + [0] * (d - 1):
             raise VerificationError("eigenvector with a_1 != 1 at weight %d" % k)
-        for row, ci in zip(Mi, C):
+        for row, ci in zip(M, C):
             Mc = [sum(m * cl[t] for m, cl in zip(row, C) if m) for t in range(d)]
             if Mc != _times_gen(ci, gi):
                 raise VerificationError(
@@ -414,7 +408,7 @@ def newform_basis_level1(weight, trunc):
         comps = [[sum(map(operator.mul, ct, row)) for row in brows] for ct in zip(*C)]
         # poly_factor_q has just certified g irreducible
         field = None if d == 1 else NumberField(g, check_irreducible=False)
-        f = QSeries._from_comps(comps, D * bden, 1, trunc, k, 1, field)
+        f = QSeries._from_comps(comps, D, 1, trunc, k, 1, field)
         orbits.append(Newform(weight=k, field=field, modulus=g, qexp=f))
     return GaloisOrbitSet(k, orbits, s)
 
@@ -441,16 +435,16 @@ def validate_external_newform(f):
     T = f.trunc
     if T < 2:
         raise InputError("need at least two coefficients to validate")
-    if not _is_zero(f.coeff(0)):
+    if f.coeff(0) != 0:
         raise VerificationError("constant term is %s, expected 0" % (f.coeff(0),))
-    if not _is_zero(f.coeff(1) - 1):
+    if f.coeff(1) != 1:
         raise VerificationError("q^1 coefficient is %s, expected 1" % (f.coeff(1),))
     # multiplicativity on coprime pairs
     for m in range(2, T + 1):
         for n in range(m + 1, T // m + 1):
             if gcd(m, n) != 1:
                 continue
-            if not _is_zero(f.coeff(m * n) - f.coeff(m) * f.coeff(n)):
+            if f.coeff(m * n) != f.coeff(m) * f.coeff(n):
                 raise VerificationError(
                     "multiplicativity fails first at a_%d * a_%d != a_%d"
                     % (m, n, m * n)
@@ -464,7 +458,7 @@ def validate_external_newform(f):
             while q <= T:
                 lhs = f.coeff(q)
                 rhs = f.coeff(p) * f.coeff(q // p) - pk * f.coeff(q // (p * p))
-                if not _is_zero(lhs - rhs):
+                if lhs != rhs:
                     raise VerificationError(
                         "Hecke recursion fails first at a_%d (p=%d)" % (q, p)
                     )

@@ -24,7 +24,7 @@ import mpmath
 from mpmath import mpc
 
 from .errors import InputError, TruncationError, UnsupportedScopeError, VerificationError
-from .linalg import bareiss_inverse
+from .linalg import bareiss_solve
 from .numerics import eval_qseries, to_mpf
 from .numfield import nf_charpoly, nf_trace
 from .polynomial import elementary_from_power_sums, power_sums_from_elementary
@@ -307,15 +307,14 @@ def expand_in_newforms(f, orbit_set):
             cols.append([v // g for v in col])
             scales.append(den // g)
         blocks.append((nf, comps, den, hankel, scales))
-    # with A X = D I for the reduced columns, x_c = scale_c (X b)_c / D
-    D, X = bareiss_inverse([list(row) for row in zip(*cols)])
+    # with A X = D (f_1, ..., f_r) for the reduced columns, x_c = scale_c X_c / D
     fnum, fden = f._num, f._den
-    Y = [sum(map(operator.mul, row, fnum[1 : r + 1])) for row in X]
+    D, X = bareiss_solve([list(row) for row in zip(*cols)], [[v] for v in fnum[1 : r + 1]])
     out = []
     parts = []
     for nf, comps, den, hankel, scales in blocks:
-        num = [s * y for s, y in zip(scales, Y)]
-        Y = Y[len(scales) :]
+        num = [s * y for s, (y,) in zip(scales, X)]
+        X = X[len(scales) :]
         out.append(nf.qexp._value(num, D * fden))
         # Tr(c_i f_i) = sum_k W_k comp_k / (D * fden * den)
         parts.append(([sum(map(operator.mul, num, hk)) for hk in hankel], comps, den))

@@ -23,7 +23,7 @@ from mtv import (
 )
 import mtv.elliptic as elliptic
 from mtv.elliptic import j_invariant_numeric
-from mtv.numerics import BigComplex, to_mpc
+from mtv.numerics import BigComplex, eval_qseries, to_mpc
 from mtv.qexp import QSeries
 
 from _oracles import invert_j_newton_ref
@@ -65,6 +65,14 @@ def test_j_at_cm_points():
         assert abs(j_rho.value) <= j_rho.err + mpmath.mpf(2) ** -150
     j_2i = j_invariant_numeric(mpmath.mpc(0, 2), 192)
     assert abs(j_2i.value - 287496) <= j_2i.err + mpmath.mpf(2) ** -150
+
+
+@pytest.mark.parametrize("prec", [128, 192])
+def test_j_err_covers_the_rounding_of_the_quotient(prec):
+    # tau = i is exact, so the whole defect is the series tail and the
+    # rounding of E4^3 / Delta at prec + 16 bits (9.2e-41 at 128 bits)
+    j_i = j_invariant_numeric(mpmath.mpc(0, 1), prec)
+    assert abs(j_i.value - 1728) <= j_i.err
 
 
 def test_j_rejects_lower_half_plane():
@@ -161,6 +169,19 @@ def _boundary_distance(tau, ref):
     return min(abs(tau - t) for t in (ref, -ref.conjugate(), ref + 1, ref - 1))
 
 
+def _tau_error_term(pair):
+    """About |j(tau) - j(tau*)| for the tau of a pair at prec bits, which
+    tau_from_curve computes at prec + 32 bits, so within delta = 2^-(prec+28)
+    of the true tau*: twice the first-order term |j'(tau)| delta, with
+    j' = -2 pi i E4^2 E6 / Delta.  j's own err covers the evaluation at tau,
+    not this; it matters only where j is flat, at j = 0 (cubic at rho)."""
+    T, tau, W = pair.order, pair.tau, pair.prec_bits + 16
+    e4, e6, dd = (eval_qseries(f, tau, W).value for f in (
+        eisenstein_level1(4, T), eisenstein_level1(6, T), delta_series(T)))
+    jprime = 2 * mpmath.pi * abs(e4) ** 2 * abs(e6) / abs(dd)
+    return 2 * jprime * mpmath.mpf(2) ** -(pair.prec_bits + 28)
+
+
 def test_agm_tau_matches_newton_oracle():
     by_class = {}
     for c in POOL:
@@ -170,7 +191,8 @@ def test_agm_tau_matches_newton_oracle():
               for c in rng.sample(by_class[cls], n)]
     for g2, g3 in sample:
         curve = CurveQ(g2, g3)
-        tau = tau_from_curve(curve, 128).tau
+        pair = tau_from_curve(curve, 128)
+        tau = pair.tau
         assert _follows_rule(tau, curve), (g2, g3)
         with mpmath.workprec(160):
             if curve.j == 0:
@@ -181,11 +203,7 @@ def test_agm_tau_matches_newton_oracle():
                 ref = invert_j_newton_ref(curve.j, 128)
             assert _boundary_distance(tau, ref) < mpmath.mpf(2) ** -100, (g2, g3)
             jn = j_invariant_numeric(tau, 128)
-            # err covers the series at tau, not the rounding of the quotient
-            # E4^3 / Delta at 144 bits: at tau = i that is 9e-41 against an
-            # err of 5e-46
-            slack = (1 + abs(to_mpc(curve.j))) * mpmath.mpf(2) ** -140
-            assert abs(jn.value - to_mpc(curve.j)) <= jn.err + slack, (g2, g3)
+            assert abs(jn.value - to_mpc(curve.j)) <= jn.err + _tau_error_term(pair), (g2, g3)
 
 
 def test_every_pool_curve_round_trips_at_128_bits():

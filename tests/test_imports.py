@@ -5,6 +5,9 @@ Unused imports: every name a module of mtv imports is read by that module.
 A name listed in ``__all__`` or imported on a line that carries
 ``# noqa: F401`` (a re-export kept on purpose) is exempt.
 
+MatQ: the pipeline's linear algebra is the integer kernel of linalg.py, so
+no other module of mtv imports or names the Fraction matrix class.
+
 Run-time module state: a module-level dict or set that a function mutates
 is process-wide state, such as a cache.  Only the ones on an allowlist may
 exist, so a new cache (say, one keyed by each series length) cannot arrive
@@ -59,6 +62,32 @@ def test_unused_import_check_flags_only_unread_names():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def names_matq(source):
+    """True when source imports MatQ or names it, bare or as an attribute."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(alias.name.split(".")[-1] == "MatQ" for alias in node.names):
+                return True
+        elif isinstance(node, ast.Name) and node.id == "MatQ":
+            return True
+        elif isinstance(node, ast.Attribute) and node.attr == "MatQ":
+            return True
+    return False
+
+
+def test_matq_check_flags_imports_and_names():
+    assert names_matq("from .linalg import MatQ\n")
+    assert names_matq("from . import linalg\nm = linalg.MatQ([])\n")
+    assert names_matq("def f(MatQ=None):\n    return MatQ\n")
+    assert not names_matq("from .linalg import bareiss_solve\n# MatQ in a comment\n")
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "linalg.py"),
+                         ids=lambda p: p.name)
+def test_only_linalg_names_matq(path):
+    assert not names_matq(path.read_text())
 
 
 # module -> its module-level dicts and sets that functions mutate: the

@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from mtv.errors import VerificationError
-from mtv.linalg import MatQ, bareiss_inverse
+from mtv.linalg import MatQ, bareiss_solve
 from mtv.numfield import NumberField
 from mtv.polynomial import UniPoly
 
@@ -82,27 +82,58 @@ def test_solve_over_number_field():
     assert (th * x[0] + x[1]).is_zero()
 
 
-def test_bareiss_inverse_is_exact_and_fraction_free():
+def random_rows(rng, m, n):
+    return [[rng.randint(-9, 9) * 10**rng.randint(0, 30) for _ in range(n)] for _ in range(m)]
+
+
+def times(A, X):
+    return [[sum(a * x for a, x in zip(row, col)) for col in zip(*X)] for row in A]
+
+
+def test_bareiss_solve_with_the_identity_is_the_scaled_inverse():
     rng = random.Random(3)
     for n in range(1, 8):
         for _ in range(20):
-            rows = [[rng.randint(-9, 9) * 10**rng.randint(0, 30) for _ in range(n)]
-                    for _ in range(n)]
+            rows = random_rows(rng, n, n)
+            det = frac_rows(rows).det()
+            eye = [[int(i == j) for j in range(n)] for i in range(n)]
+            if det == 0:
+                with pytest.raises(VerificationError):
+                    bareiss_solve(rows, eye)
+                continue
+            D, X = bareiss_solve(rows, eye)
+            assert D == abs(det)
+            assert all(type(x) is int for r in X for x in r)
+            assert times(rows, X) == [[D * x for x in r] for r in eye]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_bareiss_solve_random_right_hand_sides(k):
+    rng = random.Random(k)
+    for n in range(1, 8):
+        for _ in range(10):
+            rows, B = random_rows(rng, n, n), random_rows(rng, n, k)
             det = frac_rows(rows).det()
             if det == 0:
                 with pytest.raises(VerificationError):
-                    bareiss_inverse(rows)
+                    bareiss_solve(rows, B)
                 continue
-            D, X = bareiss_inverse(rows)
-            assert D == abs(det)
+            D, X = bareiss_solve(rows, B)
+            assert D == abs(det) and len(X) == n and all(len(r) == k for r in X)
             assert all(type(x) is int for r in X for x in r)
-            for i in range(n):
-                for j in range(n):
-                    assert sum(rows[i][k] * X[k][j] for k in range(n)) == D * (i == j)
+            assert times(rows, X) == [[D * b for b in r] for r in B]
 
 
-def test_bareiss_inverse_pivots_past_zeros():
-    D, X = bareiss_inverse([[0, 1, 0], [0, 0, 2], [3, 0, 0]])
+def test_bareiss_solve_refuses_a_singular_matrix():
+    with pytest.raises(VerificationError, match="singular"):
+        bareiss_solve([[1, 2], [2, 4]], [[1], [0]])
+    with pytest.raises(VerificationError, match="singular"):
+        bareiss_solve([[0, 0, 1], [0, 3, 5], [0, 7, 2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_bareiss_solve_pivots_past_zeros():
+    A = [[0, 1, 0], [0, 0, 2], [3, 0, 0]]
+    D, X = bareiss_solve(A, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert D == 6 and X == [[0, 0, 2], [6, 0, 0], [0, 3, 0]]
-    with pytest.raises(VerificationError):
-        bareiss_inverse([[1, 2], [2, 4]])
+    D, X = bareiss_solve(A, [[5], [4], [9]])
+    assert D == 6 and X == [[18], [30], [12]]

@@ -364,15 +364,22 @@ def test_level1_coordinates_refusals():
     assert level1_coordinates([]) == []
 
 
+def fraction_matrix(rows):
+    """The integer rows of a Hecke matrix as a Fraction MatQ, for the oracles."""
+    return MatQ([[Fraction(x) for x in r] for r in rows])
+
+
 def test_hecke_matrix_weight12():
     M, basis = hecke_matrix_level1(12, 2)
     assert len(basis) == 1
-    assert M.rows[0][0] == -24
+    assert M == [[-24]] and type(M[0][0]) is int
+    assert hecke_matrix_level1(10, 2) == ([], [])
 
 
 def test_hecke_matrix_weight24_charpoly():
     M, _ = hecke_matrix_level1(24, 2)
-    chi = M.charpoly()
+    assert all(type(x) is int for r in M for x in r)
+    chi = fraction_matrix(M).charpoly()
     assert list(chi.coeffs) == t2_charpoly_weight24()
 
 
@@ -454,7 +461,7 @@ def krylov_against_elimination(M):
 @pytest.mark.parametrize("weight", [12, 24, 36, 48, 60])
 def test_krylov_eigenvector_matches_elimination_on_t2(weight):
     M, _ = hecke_matrix_level1(weight, 2)
-    krylov_against_elimination(M)
+    krylov_against_elimination(fraction_matrix(M))
 
 
 def companion(g):
@@ -547,6 +554,7 @@ def test_pairing_orbits_pinned(weight):
 
 
 def integer_rows(M):
+    """The rows of a Fraction MatQ with integer entries, as ints."""
     assert all(c.denominator == 1 for r in M.rows for c in r)
     return [[int(c) for c in r] for r in M.rows]
 
@@ -554,15 +562,15 @@ def integer_rows(M):
 @pytest.mark.parametrize("weight", [24, 96, 144, 192, 240])
 def test_krylov_charpoly_matches_faddeev_leverrier(weight):
     M, _ = hecke_matrix_level1(weight, 2)
-    chi, D, X = krylov_charpoly(integer_rows(M))
-    assert chi == M.charpoly()
+    chi, D, X = krylov_charpoly(M)
+    assert chi == fraction_matrix(M).charpoly()
     assert D > 0
 
 
 @pytest.mark.parametrize("weight", [12, 24, 36, 48, 60])
 def test_pairing_eigenforms_match_krylov_oracle(weight):
     T = 24
-    M, _ = hecke_matrix_level1(weight, 2)
+    M = fraction_matrix(hecke_matrix_level1(weight, 2)[0])
     basis = [b.truncate(T) for b in miller_basis(weight, T)[1:]]
     chi = M.charpoly()
     orbits = newform_basis_level1(weight, T).orbits
@@ -592,9 +600,8 @@ def test_non_cyclic_e1_raises():
 
 def planted_t2(monkeypatch, rows):
     basis = miller_basis(36, 12)[1:]
-    M = MatQ([[Fraction(x) for x in r] for r in rows])
     monkeypatch.setattr(spaces, "hecke_matrix_level1",
-                        lambda weight, n, trunc=None: (M, basis))
+                        lambda weight, n, trunc=None: (rows, basis))
 
 
 def test_newform_basis_refuses_bad_t2_matrices(monkeypatch, fresh_gates):
@@ -602,21 +609,29 @@ def test_newform_basis_refuses_bad_t2_matrices(monkeypatch, fresh_gates):
     with pytest.raises(VerificationError) as exc:
         newform_basis_level1(36, 12)
     assert "repeated factor in the T_2 characteristic polynomial" in str(exc.value)
-    planted_t2(monkeypatch, [[Fraction(1, 2), 0], [1, 2]])
+
+
+def test_hecke_matrix_refuses_a_fractional_image(monkeypatch, fresh_gates):
+    # a halved T_2 image has odd entries over 2 in the Miller basis at weight 36
+    real = spaces.hecke_T
+    monkeypatch.setattr(spaces, "hecke_T", lambda f, n: real(f, n).scale(Fraction(1, 2)))
+    with pytest.raises(VerificationError) as exc:
+        hecke_matrix_level1(36, 2)
+    assert "T_2 matrix is not integral in the Miller basis at weight 36" in str(exc.value)
     with pytest.raises(VerificationError) as exc:
         newform_basis_level1(36, 12)
     assert "not integral" in str(exc.value)
 
 
 def test_eigenvector_check_catches_a_wrong_inverse(monkeypatch, fresh_gates):
-    real = spaces.bareiss_inverse
+    real = spaces.bareiss_solve
 
-    def off_by_one(rows):
-        D, X = real(rows)
+    def off_by_one(A, B):
+        D, X = real(A, B)
         X[-1][-1] += 1
         return D, X
 
-    monkeypatch.setattr(spaces, "bareiss_inverse", off_by_one)
+    monkeypatch.setattr(spaces, "bareiss_solve", off_by_one)
     with pytest.raises(VerificationError) as exc:
         newform_basis_level1(96, 12)
     assert "not a T_2 eigenvector" in str(exc.value)
