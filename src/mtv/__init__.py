@@ -38,7 +38,6 @@ from .spaces import (
     delta_series,
     dim_cusp_level1,
     dim_modular_level1,
-    expand_in_triangular,
     hecke_matrix_level1,
     level1_coordinates,
     miller_basis,
@@ -98,7 +97,6 @@ __all__ = [
     "eta_quotient",
     "eval_qseries",
     "expand_in_newforms",
-    "expand_in_triangular",
     "fricke_eisenstein",
     "hecke_T",
     "hecke_matrix_level1",

@@ -104,20 +104,6 @@ class BigComplex:
         }
 
 
-def _series_ints(f):
-    """(numerators, common denominator, e) of a rational series on the q^(1/e) grid."""
-    e = int(getattr(f, "e", 1))
-    num = getattr(f, "_num", None)
-    if num is not None:
-        return num, f._den, e
-    coeffs = list(f.coeffs)
-    for c in coeffs:
-        if not isinstance(c, (int, Fraction)):
-            raise InputError("eval_qseries handles rational-coefficient series only")
-    den = math.lcm(*[Fraction(c).denominator for c in coeffs])
-    return [int(c * den) for c in coeffs], den, e
-
-
 def _man_exp(x):
     """(m, e) with x = m 2^e exactly, m signed (mpf.man_exp drops the sign)."""
     sign, man, exp, _ = x._mpf_
@@ -201,19 +187,19 @@ def _fitted_tail(num, den, ln_r):
 
 
 def eval_qseries(f, tau, prec_bits=None):
-    """Evaluate a rational-coefficient q-expansion at tau in the upper half-plane.
+    """Evaluate a rational QSeries at tau in the upper half-plane.
 
-    f is a rational QSeries, or any object with .coeffs (index m = coefficient
-    of q^(m/e), ints or Fractions) and .e.  The error is the proven bound on
-    the fixed-point rounding (see _horner) and on the error of q itself,
-    propagated through sum m |c_m| rho^(m-1), plus the fitted tail majorant
-    of _fitted_tail for the unknown coefficients past the truncation, which
-    is a heuristic.
+    The sum runs over the series' integer numerators on its q^(1/e) grid; a
+    series over a number field raises InputError.  The error is the proven
+    bound on the fixed-point rounding (see _horner) and on the error of q
+    itself, propagated through sum m |c_m| rho^(m-1), plus the fitted tail
+    majorant of _fitted_tail for the unknown coefficients past the
+    truncation, which is a heuristic.
     """
     prec = _check_prec(prec_bits)
-    num, den, e = _series_ints(f)
-    if not num:
-        return BigComplex(0, 0)
+    if f.field is not None:
+        raise InputError("eval_qseries handles rational-coefficient series only")
+    num, den, e = f._num, f._den, f.e
     value, W, P, v, q, (qx, qy) = _horner(num, den, e, tau, prec)
     with mp.workprec(W):
         tau = to_mpc(tau)

@@ -419,7 +419,7 @@ def _round_to_int(x, slack):
     return n
 
 
-def _factor_squarefree_monic_int(H, prec0, degrees):
+def _factor_squarefree_monic_int(H, degrees):
     """Irreducible monic integer factors of a squarefree monic integer polynomial.
 
     Only subsets whose size is in degrees (every irreducible factor's degree
@@ -431,7 +431,7 @@ def _factor_squarefree_monic_int(H, prec0, degrees):
     if n <= 1:
         return [H]
     maxcoeff = max(abs(int(c)) for c in H.coeffs)
-    prec = max(prec0, 128 + 16 * n + 2 * maxcoeff.bit_length())
+    prec = max(256, 128 + 16 * n + 2 * maxcoeff.bit_length())
     while True:
         if prec > 1 << 16:
             raise PrecisionError("factorization assist exhausted precision")
@@ -497,7 +497,7 @@ def _factor_squarefree_monic_int(H, prec0, degrees):
         return found
 
 
-def poly_factor_q(p, prec_bits=None):
+def poly_factor_q(p):
     """Factor p over Q into monic irreducibles.
 
     Returns [(factor, multiplicity), ...] sorted by (degree, coefficients).
@@ -511,7 +511,6 @@ def poly_factor_q(p, prec_bits=None):
         raise InputError("cannot factor the zero polynomial")
     if p.degree == 0:
         return []
-    prec0 = 256 if prec_bits is None else int(prec_bits)
     work = p.monic()
     result = {}
     # peel the power of x so the squarefree machinery sees nonzero constant terms
@@ -540,7 +539,7 @@ def poly_factor_q(p, prec_bits=None):
                 H = UniPoly([int(P.coeffs[i]) * lcP ** (d - 1 - i) for i in range(d)] + [1])
                 # map each factor back to a monic rational factor of the part
                 found = [G.scale_arg(lcP).monic()
-                         for G in _factor_squarefree_monic_int(H, prec0, degrees)]
+                         for G in _factor_squarefree_monic_int(H, degrees)]
             for f in found:
                 result[f.coeffs] = result.get(f.coeffs, 0) + mult
     factors = sorted(

@@ -54,7 +54,7 @@ from .errors import (
     UnsupportedScopeError,
     VerificationError,
 )
-from .numerics import eval_qseries, lattice_sum_eisenstein
+from .numerics import eval_qseries, lattice_sum_eisenstein, to_mpf
 from .numfield import NumberField, NumberFieldElem
 from .polynomial import UniPoly, _power
 from .rational import format_rational, parse_rational
@@ -558,27 +558,39 @@ def _gate_eisenstein(weight, level):
     _GATE_DONE.add(key)
 
 
+def _slash_agrees(f, g, c, weight, level, tau, prec):
+    """Numeric check of f|w_N = c g at tau, N = level and c rational, at
+    prec bits.
+
+    The slash side is f at -1/(N tau) times N^(k/2) (N tau)^(-k); each side
+    carries the error of its evaluation, scaled with it, and the rounding of
+    the scalings is allowed 2^-(prec-16) (1 + |lhs| + |rhs|).
+    """
+    with mp.workprec(prec):
+        s = level ** (weight // 2) * (level * tau) ** (-weight)
+        lhs = eval_qseries(f, -1 / (level * tau), prec)
+        rhs = eval_qseries(g, tau, prec)
+        c = to_mpf(c)
+        lv, rv = lhs.value * s, rhs.value * c
+        tol = lhs.err * abs(s) + rhs.err * abs(c) + mp.ldexp(1 + abs(lv) + abs(rv), 16 - prec)
+        return abs(lv - rv) <= tol
+
+
 def _gate_fricke(weight, level):
     """One-time numeric check of the Fricke image closed form via the slash action."""
     key = (weight, level, "fricke")
     if key in _GATE_DONE:
         return
     # -1/(N tau) has small imaginary part, so the slash side needs a long
-    # series; order 256 keeps its tail far below the 1e-20 gate
+    # series; order 256 keeps its tail far below the rounding allowance
     E = _eisenstein_prime_level_raw(weight, level, 256)
     F = _fricke_eisenstein_raw(weight, level, 256)
-    with mp.workprec(_GATE_PREC):
-        for tau in (mpc("0.13", "1.07"), mpc("-0.29", "1.04")):
-            w = -1 / (level * tau)
-            lhs = eval_qseries(E, w, _GATE_PREC).value
-            lhs = lhs * level ** (weight // 2) * (level * tau) ** (-weight)
-            rhs = eval_qseries(F, tau, _GATE_PREC).value
-            tol = 1e-20 * (1 + abs(lhs) + abs(rhs))
-            if abs(lhs - rhs) > tol:
-                raise VerificationError(
-                    "Fricke Eisenstein closed form (weight %d, level %d) fails "
-                    "the slash-action check at tau=%s" % (weight, level, tau)
-                )
+    for tau in (mpc("0.13", "1.07"), mpc("-0.29", "1.04")):
+        if not _slash_agrees(E, F, 1, weight, level, tau, _GATE_PREC):
+            raise VerificationError(
+                "Fricke Eisenstein closed form (weight %d, level %d) fails "
+                "the slash-action check at tau=%s" % (weight, level, tau)
+            )
     _GATE_DONE.add(key)
 
 

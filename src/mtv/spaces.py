@@ -1,13 +1,14 @@
 """Level-1 modular form spaces: dimensions, triangular bases, newform orbits.
 
 The basis for weight k is h_j = E4^a * E6^(b + 2(d-j)) * Delta^(j-1) with
-4a + 6b = k - 12(d-1), which makes h_j = q^(j-1) + O(q^j): upper triangular,
-so expansion in the basis is forward substitution.  h_j is E4^a E6^b times
-g_j, the j-th basis form of weight 12(d-1), so level1_coordinates certifies
-a form level 1 from two stored bases: the head of d coefficients fixes the
-only candidate coordinates (solved against the basis through q^(d-1)), the
-candidate is their combination of the core g_1..g_d times the factor
-E4^a E6^b, and the form must equal it exactly.
+4a + 6b = k - 12(d-1), which makes h_j = q^(j-1) + O(q^j): unitriangular
+with integer entries, so the coordinates of an integer array in it come from
+one forward substitution in integers (_miller_solve).  h_j is E4^a E6^b
+times g_j, the j-th basis form of weight 12(d-1), so level1_coordinates
+certifies a form level 1 from two stored bases: the head of d coefficients
+fixes the only candidate coordinates (solved against the basis through
+q^(d-1)), the candidate is their combination of the core g_1..g_d times the
+factor E4^a E6^b, and the form must equal it exactly.
 
 Newforms are cut out as eigenvectors of T_2; Strong Multiplicity One at
 level 1 means each irreducible factor g of the T_2 characteristic polynomial
@@ -27,7 +28,7 @@ before an orbit is returned, and nothing is inverted in a Hecke field.
 
 import operator
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import InputError, ResourceLimitError, TruncationError, VerificationError
 from .linalg import bareiss_solve
@@ -196,65 +197,42 @@ class GaloisOrbitSet:
         return len(self.orbits)
 
 
-def expand_in_triangular(f, basis, strict=True):
-    """Coordinates of f in a q^(i)-triangular basis by forward substitution.
+def _miller_solve(a, cols, v=0):
+    """Integer coordinates x of the integer array a in unitriangular integer
+    columns, and the residual a - sum_j x_j cols[j].
 
-    The basis is rational series on the grid of f with leading coefficient 1,
-    as a Miller basis is; a coordinate is the residual's coefficient at the
-    element's lead.  The residual is one integer array per power-basis
-    component of f over one denominator D, and subtracting x/D times B/l is
-    R <- l R - x B over l D.  With strict=True the residual must vanish
-    through the common truncation order: f lies in the span as far as seen.
+    Column j has leading coefficient 1 at index v + j and no term below it
+    (the Miller columns h_j with v = 0, their cusp part with v = 1), so x_j
+    is the residual's entry there: forward substitution, all in integers.
+    Each column is at least as long as a.
     """
-    e, T, w, level = f.e, f.trunc, f.weight, f.level
-    comps, den = f._components(e, e * T + 1)
-    coords = []
-    for i, b in enumerate(basis):
-        if b.field is not None or e % b.e:
-            raise InputError("a triangular basis is rational series on the grid of the form")
-        m = next((m * (e // b.e) for m, x in enumerate(b._num) if x), None)  # lead on f's grid
-        if m is None:
-            raise TruncationError(
-                "basis element %d vanishes through q^%d; raise the order" % (i + 1, b.trunc)
-            )
-        if m > e * T:
-            raise TruncationError("coefficient of q^%s requested beyond truncation order %d"
-                                  % (Fraction(m, e), T))
-        xs = [comp[m] for comp in comps]
-        coords.append(f._value(xs, den))
-        if any(xs):
-            if None not in (w, b.weight) and w != b.weight:
-                raise InputError("adding series of different weights")
-            w, level, T = b.weight if w is None else w, lcm(level, b.level), min(T, b.trunc)
-            (B,), ell = b._components(e, e * T + 1)
-            comps = [[ell * r - x * y for r, y in zip(comp, B)] for comp, x in zip(comps, xs)]
-            den *= ell
-    rem = QSeries._from_comps(comps, den, e, T, w, level, f.field)
-    if strict and not rem.is_zero():
-        v = rem.valuation()
-        raise VerificationError(
-            "series is not in the span of the basis: residual starts at q^%s" % v
-        )
-    return coords, rem
+    x = []
+    for j, h in enumerate(cols):
+        c = a[v + j]
+        x.append(c)
+        if c:
+            a = [r - c * y for r, y in zip(a, h)]
+    return x, a
 
 
 def level1_coordinates(forms):
     """Miller coordinates of level-1 forms, each certified through its own truncation.
 
-    A form f of weight k and dimension d = dim M_k gets its coordinates c_j
-    from its first d coefficients, solved against miller_basis(k, d - 1).
-    The basis is triangular, so f lies in the span through q^T exactly when
-    it equals the one candidate sum_j c_j h_j that its head determines.  The
-    weight-k basis is h_j = E4^a E6^b g_j, where g_1..g_d is the Miller basis
-    of weight 12(d - 1), so the candidate is
+    A form f = F / D of weight k and dimension d = dim M_k, F the integer
+    arrays of its power-basis components, gets its coordinates X_j / D from
+    the first d entries of F, solved in integers against the Miller columns
+    through q^(d-1).  The basis is triangular, so f lies in the span through
+    q^T exactly when F equals the one candidate sum_j X_j h_j that its head
+    determines.  The weight-k basis is h_j = E4^a E6^b g_j, where g_1..g_d
+    is the Miller basis of weight 12(d - 1), so the candidate is
 
-        E4^a E6^b (sum_j c_j g_j):
+        E4^a E6^b (sum_j X_j g_j):
 
     one linear combination of the stored core columns g_j and at most one
     product by the stored factor E4^a E6^b (none when 12 | k), both read as
-    prefixes, and f minus it must vanish exactly.  A series over a number field
-    is solved and certified one power-basis component at a time, and its
-    coordinates are field elements.  A form outside the span raises
+    prefixes, and F minus it must vanish exactly.  A series over a number
+    field is solved and certified one power-basis component at a time, and
+    its coordinates are field elements.  A form outside the span raises
     VerificationError whose ``index`` attribute is its position in forms.
     """
     forms = list(forms)
@@ -272,50 +250,53 @@ def level1_coordinates(forms):
         k = f.weight
         n = f.trunc + 1
         d = dim_modular_level1(k)
-        head_basis = miller_basis(k, d - 1)  # runs the gates the stored reads rely on
+        # miller_basis runs the gates the stored reads rely on
+        head = [h._num for h in miller_basis(k, d - 1)]
         core = _miller_store(12 * (d - 1), n)
         r = k - 12 * (d - 1)
         factor = [row[0] for row in _miller_store(r, n)] if r else None
-        coords, _ = expand_in_triangular(f.truncate(d - 1), head_basis)
         comps, den = f._components(1, n)
+        X = []
         miss = n
-        for comp, c in zip(comps, zip(*[[x] if f.field is None else x.coords for x in coords])):
-            L = lcm(*[x.denominator for x in c])
-            C = [x.numerator * (L // x.denominator) for x in c]
-            acc = [sum(map(operator.mul, C, row)) for row in core]  # L * sum_j c_j g_j
+        for comp in comps:
+            x, _ = _miller_solve(comp[:d], head)
+            acc = [sum(map(operator.mul, x, row)) for row in core]
             if factor is not None:
                 acc = _kron_mul(factor, acc, n)
-            # comp / den == acc / L, coefficient by coefficient
-            miss = next((m for m in range(miss) if comp[m] * L != acc[m] * den), miss)
+            miss = next((m for m in range(miss) if comp[m] != acc[m]), miss)
+            X.append(x)
         if miss < n:
             exc = VerificationError(
                 "series is not in the span of the basis: residual starts at q^%d" % miss
             )
             exc.index = i
             raise exc
-        out.append(coords)
+        out.append([f._value(xs, den) for xs in zip(*X)])
     return out
 
 
 def hecke_matrix_level1(weight, n, trunc=None):
     """(rows, basis): the integer matrix of T_n on the cusp space in the
     triangular basis, columns = images.  The basis is unitriangular and
-    integral and T_n keeps coefficients integral, so a fraction is refused."""
+    integral and T_n keeps coefficients integral, so a fraction is refused;
+    each image must equal the combination its coordinates give, through
+    the image's truncation."""
     s = dim_cusp_level1(weight)
     if s == 0:
         return [], []
-    T_int = max(int(trunc or 0), n * s + 2)
-    basis = miller_basis(weight, T_int)[1:]
+    basis = miller_basis(weight, max(int(trunc or 0), n * s + 2))[1:]
+    cusp = [b._num for b in basis]
     cols = []
     for bj in basis:
         img = hecke_T(bj, n)
-        if img.trunc < s:
-            raise TruncationError("Hecke image truncated below the basis length")
-        col = expand_in_triangular(img, basis)[0]
-        if any(c.denominator != 1 for c in col):
+        if img._den != 1:
             raise VerificationError("T_%d matrix is not integral in the Miller basis at weight %d"
                                     % (n, weight))
-        cols.append([c.numerator for c in col])
+        x, res = _miller_solve(img._num, cusp, 1)
+        if any(res):
+            raise VerificationError("T_%d image is not in the cusp span at weight %d"
+                                    % (n, weight))
+        cols.append(x)
     return [list(r) for r in zip(*cols)], basis
 
 

@@ -20,12 +20,10 @@ import math
 import operator
 from fractions import Fraction
 
-import mpmath
 from mpmath import mpc
 
 from .errors import InputError, TruncationError, UnsupportedScopeError, VerificationError
 from .linalg import bareiss_solve
-from .numerics import eval_qseries, to_mpf
 from .numfield import nf_charpoly, nf_trace
 from .polynomial import elementary_from_power_sums, power_sums_from_elementary
 from .qexp import (
@@ -34,6 +32,7 @@ from .qexp import (
     _kron_mul,
     _require_even_weight,
     _require_prime,
+    _slash_agrees,
     eisenstein_prime_level,
     eta_quotient,
     fricke_eisenstein,
@@ -71,11 +70,11 @@ def fricke_eta_data(spec, level):
     l = spec.weight
     if l % 2:
         raise UnsupportedScopeError("odd-weight Fricke eta scalar out of scope")
-    # c = (-i)^l * N^(-l/2) * prod (N/d)^(r_d/2); for prime N the product is
-    # N^(r_1/2 + ... over d=1 terms), so track the N-exponent as a fraction
+    # c = (-i)^l * N^(-l/2) * prod (N/d)^(r_d/2), and N/d is N for d = 1
+    # and 1 for d = N: the N-exponent is -l/2, plus r_1/2 when N > 1
     nexp = Fraction(-l, 2)
-    for d, r in spec.pairs:
-        nexp += Fraction(r, 2) * _int_log(level, level // d)
+    if level > 1:
+        nexp += Fraction(dict(spec.pairs).get(1, 0), 2)
     if nexp.denominator != 1:
         raise UnsupportedScopeError("irrational Fricke eta scalar")
     scalar = Fraction((-1) ** (l // 2)) * Fraction(level) ** int(nexp)
@@ -86,37 +85,15 @@ def fricke_eta_data(spec, level):
     return partner, scalar
 
 
-def _int_log(base, value):
-    """Exponent e with base^e = value (base prime or 1, value a power of it)."""
-    if value == 1:
-        return 0
-    e = 0
-    while value > 1:
-        if value % base:
-            raise InputError("%d is not a power of %d" % (value, base))
-        value //= base
-        e += 1
-    return e
-
-
 def _check_fricke_eta(spec, partner, scalar, level, weight):
     T = 128
-    prec = 160
     f = eta_quotient(spec, T)
     g = eta_quotient(partner, T)
-    with mpmath.workprec(prec):
-        tau = mpc(0, 1)
-        w = -1 / (level * tau)
-        lhs = eval_qseries(f, w, prec)
-        rhs = eval_qseries(g, tau, prec)
-        lv = lhs.value * level ** (weight // 2) * (level * tau) ** (-weight)
-        rv = rhs.value * to_mpf(scalar)
-        tol = lhs.err + rhs.err + to_mpf(Fraction(1, 10**18)) * (1 + abs(lv) + abs(rv))
-        if abs(lv - rv) > tol:
-            raise VerificationError(
-                "Fricke eta scalar %s fails the numeric slash check for %r at level %d"
-                % (scalar, spec, level)
-            )
+    if not _slash_agrees(f, g, scalar, weight, level, mpc(0, 1), 160):
+        raise VerificationError(
+            "Fricke eta scalar %s fails the numeric slash check for %r at level %d"
+            % (scalar, spec, level)
+        )
 
 
 def product_inputs(level, eta_spec, eis_weight, order):

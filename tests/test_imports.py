@@ -8,6 +8,13 @@ A name listed in ``__all__`` or imported on a line that carries
 MatQ: the pipeline's linear algebra is the integer kernel of linalg.py, so
 no other module of mtv imports or names the Fraction matrix class.
 
+Unnamed definitions: every module-level function and class of mtv is named
+by some module of mtv (as a name, an attribute or an import), is exported
+in ``mtv.__all__``, or is imported by the acceptance tests, so code the
+package no longer reaches cannot stay in src/ unnoticed.  A module's own
+reads count, its own body included: the Fraction ``MatQ`` that only its own
+methods name stays, since the benchmark tracer wraps it by name.
+
 Run-time module state: a module-level dict or set that a function mutates
 is process-wide state, such as a cache.  Only the ones on an allowlist may
 exist, so a new cache (say, one keyed by each series length) cannot arrive
@@ -88,6 +95,69 @@ def test_matq_check_flags_imports_and_names():
                          ids=lambda p: p.name)
 def test_only_linalg_names_matq(path):
     assert not names_matq(path.read_text())
+
+
+def definitions_and_names(source):
+    """(module-level function and class names, every name source reads,
+    imports or reads as an attribute)."""
+    tree = ast.parse(source)
+    defs = {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name.split(".")[-1] for alias in n.names}
+    return defs, names
+
+
+def unnamed_definitions(sources, exempt=()):
+    """(module, name) of each module-level function or class in sources
+    (module -> text) that no source names and that exempt does not list, sorted."""
+    scanned = {mod: definitions_and_names(text) for mod, text in sources.items()}
+    named = set(exempt).union(*[names for _, names in scanned.values()])
+    return sorted((mod, d) for mod, (defs, _) in scanned.items() for d in defs - named)
+
+
+def test_unnamed_definition_check_flags_only_unreached_code():
+    sources = {
+        "a.py": (
+            "from .b import used\n"
+            "def helper():\n"
+            "    return used()\n"
+            "def dead():\n"
+            "    return helper()\n"
+            "class Exported:\n"
+            "    pass\n"
+        ),
+        "b.py": (
+            "import math\n"
+            "def used():\n"
+            "    return math.pi\n"
+            "def by_attribute():\n"
+            "    pass\n"
+            "class Node:\n"
+            "    def child(self):\n"
+            "        return Node()\n"
+            "def other():\n"
+            "    from . import b\n"
+            "    return b.by_attribute\n"
+        ),
+    }
+    assert unnamed_definitions(sources, {"Exported"}) == [("a.py", "dead"), ("b.py", "other")]
+
+
+def test_every_definition_is_named_exported_or_accepted():
+    import mtv
+
+    acceptance = Path(__file__).with_name("test_acceptance.py").read_text()
+    accepted = {alias.asname or alias.name for node in ast.walk(ast.parse(acceptance))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    assert unnamed_definitions(sources, set(mtv.__all__) | accepted) == []
 
 
 # module -> its module-level dicts and sets that functions mutate: the

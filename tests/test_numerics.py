@@ -264,14 +264,6 @@ def test_lattice_tail_bound_never_below_the_formula(weight, level):
             assert got <= want * (1 + F(1, 2 ** (W - 4))), (B, X, Y, s)
 
 
-class _CoeffsOnly:
-    """A series given only by .coeffs and .e."""
-
-    def __init__(self, coeffs, e):
-        self.coeffs = coeffs
-        self.e = e
-
-
 def _seeded_fractions(seed, n):
     rng = random.Random(seed)
     return [F(rng.randint(-10**6, 10**6), rng.randint(1, 999)) for _ in range(n)]
@@ -289,8 +281,9 @@ EVAL_CASES = [
      TAU_53_NEG, 200),
     ("grid e=2 valuation 3", lambda: QSeries([0, 0, 0] + _seeded_fractions(2, 78),
                                              e=2, trunc=40), TAU_300_POS, 128),
-    ("coeffs only", lambda: _CoeffsOnly([3, F(-1, 7), 0, 5, F(22, 9)]
-                                        + _seeded_fractions(3, 60), 2),
+    # a series given by its coefficient list alone, on e = 2
+    ("coeffs only", lambda: QSeries([3, F(-1, 7), 0, 5, F(22, 9)] + _seeded_fractions(3, 60),
+                                    e=2),
      TAU_53_NEG, 128),
 ]
 

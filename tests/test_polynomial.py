@@ -239,7 +239,7 @@ def test_sieve_certifies_without_roots(monkeypatch):
 
 def test_failed_multiply_back_raises_verification_error(monkeypatch):
     monkeypatch.setattr(polynomial, "_factor_squarefree_monic_int",
-                        lambda H, prec, degrees: [H + 1])
+                        lambda H, degrees: [H + 1])
     with pytest.raises(VerificationError):
         poly_factor_q((X - 1) * (X - 2))
 

@@ -16,7 +16,6 @@ from mtv import (
     dim_cusp_level1,
     dim_modular_level1,
     eisenstein_level1,
-    expand_in_triangular,
     hecke_matrix_level1,
     level1_coordinates,
     miller_basis,
@@ -235,87 +234,6 @@ def test_theorem_report_is_the_same_from_an_empty_and_a_grown_store(fresh_gates)
     assert cold == warm
 
 
-def test_expand_in_triangular_exact():
-    T = 20
-    basis = miller_basis(12, T)
-    f = eisenstein_level1(4, T) ** 3
-    coords, rem = expand_in_triangular(f, basis)
-    assert coords == [Fraction(1), Fraction(1728)]
-    assert rem.is_zero()
-
-
-def test_expand_in_triangular_strict_failure():
-    T = 12
-    e6sq = eisenstein_level1(6, T) ** 2
-    with pytest.raises(VerificationError) as exc:
-        expand_in_triangular(delta_series(T), [e6sq])
-    assert "q^1" in str(exc.value)
-    coords, rem = expand_in_triangular(delta_series(T), [e6sq], strict=False)
-    assert coords == [Fraction(0)] and rem.valuation() == 1
-
-
-def _expansion_outcome(expand, f, basis, strict):
-    """(coordinates, residual) of an expansion, or the type and text of its error."""
-    try:
-        return expand(f, basis, strict)
-    except (InputError, TruncationError, VerificationError) as exc:
-        return type(exc), str(exc)
-
-
-def _assert_expands_as_reference(f, basis):
-    for strict in (True, False):
-        want = _expansion_outcome(expand_in_triangular_ref, f, basis, strict)
-        got = _expansion_outcome(expand_in_triangular, f, basis, strict)
-        assert got == want, strict
-
-
-def test_expand_in_triangular_matches_the_series_loop_on_rational_forms():
-    rng = random.Random(13)
-    for k in (12, 24, 38, 66, 96):
-        T = dim_modular_level1(k) + rng.randrange(2, 9)
-        basis = miller_basis(k, T)
-        f = None
-        for h in basis:
-            c = Fraction(rng.randrange(-10**9, 10**9), rng.choice((1, 1, 5, 691)))
-            f = h.scale(c) if f is None else f + h.scale(c)
-        _assert_expands_as_reference(f, basis)
-        # outside the span: the strict error names the residual's valuation
-        m = rng.randrange(len(basis), T + 1)
-        bad = f + QSeries([0] * m + [Fraction(1, 7)], trunc=T, weight=k)
-        _assert_expands_as_reference(bad, basis)
-        # a Hecke image is shorter than the basis it is expanded in
-        _assert_expands_as_reference(hecke_T(basis[-1], 2), basis[1:])
-        # with a non-unit leading coefficient the coordinate is still the
-        # residual's coefficient at the lead, and R <- l R - x B carries l
-        scaled = [h.scale(Fraction(rng.randrange(2, 9), rng.randrange(1, 9))) for h in basis]
-        _assert_expands_as_reference(f, scaled)
-
-
-@pytest.mark.parametrize("weight", [24, 36])
-def test_expand_in_triangular_matches_the_series_loop_over_a_number_field(weight):
-    T = 16
-    (nf,) = newform_basis_level1(weight, T).orbits
-    basis = miller_basis(weight, T)
-    _assert_expands_as_reference(nf.qexp, basis)
-    _assert_expands_as_reference(nf.qexp, basis[1:])
-    theta = nf.field.gen()
-    bad = nf.qexp + QSeries([0] * 9 + [theta], trunc=T, weight=weight, field=nf.field)
-    _assert_expands_as_reference(bad, basis)
-
-
-def test_expand_in_triangular_refusals_match_the_series_loop():
-    T = 10
-    basis = miller_basis(24, T)
-    f = basis[0] + basis[2]
-    zero = QSeries([0], trunc=T, weight=24)
-    with pytest.raises(TruncationError, match="basis element 2 vanishes through q\\^10"):
-        expand_in_triangular(f, [basis[0], zero])
-    _assert_expands_as_reference(f, [basis[0], zero, basis[2]])
-    # a lead beyond the form's truncation, and an element of another weight
-    _assert_expands_as_reference(f.truncate(1), basis)
-    _assert_expands_as_reference(basis[0] + basis[1], [basis[0], miller_basis(12, T)[1]])
-
-
 # weights 4 and 14 have dimension 1; with 24 to 120 every class mod 12 occurs
 LADDER_WEIGHTS = (4, 14, 24, 38, 52, 66, 80, 94, 120)
 
@@ -337,7 +255,7 @@ def test_level1_coordinates_match_full_basis_expansion():
         forms.append(f)
     got = level1_coordinates(forms)
     for f, coords in zip(forms, got):
-        want, _ = expand_in_triangular(f, miller_basis(f.weight, f.trunc))
+        want, _ = expand_in_triangular_ref(f, miller_basis(f.weight, f.trunc))
         assert coords == want, f.weight
 
 
@@ -346,7 +264,7 @@ def test_level1_coordinates_of_hecke_field_newforms(weight):
     T = 20
     (nf,) = newform_basis_level1(weight, T).orbits
     assert nf.degree == dim_cusp_level1(weight)
-    want, _ = expand_in_triangular(nf.qexp, miller_basis(weight, T))
+    want, _ = expand_in_triangular_ref(nf.qexp, miller_basis(weight, T))
     assert level1_coordinates([nf.qexp]) == [want]
     bad = nf.qexp + QSeries([0] * T + [1], trunc=T, weight=weight)
     with pytest.raises(VerificationError, match=r"residual starts at q\^%d" % T) as exc:
@@ -374,6 +292,18 @@ def test_hecke_matrix_weight12():
     assert len(basis) == 1
     assert M == [[-24]] and type(M[0][0]) is int
     assert hecke_matrix_level1(10, 2) == ([], [])
+
+
+@pytest.mark.parametrize("weight, n", [(24, 2), (96, 2), (192, 2), (96, 3)])
+def test_hecke_matrix_matches_the_series_expansion_of_the_images(weight, n):
+    """Column j is the expansion of T_n b_j in the cusp basis by forward
+    substitution on Fraction series, through the matrix's own order."""
+    M, basis = hecke_matrix_level1(weight, n)
+    s = dim_cusp_level1(weight)
+    assert basis == miller_basis(weight, n * s + 2)[1:]
+    cols = [expand_in_triangular_ref(hecke_T(b, n), basis)[0] for b in basis]
+    assert all(c.denominator == 1 for col in cols for c in col)
+    assert M == [[int(c) for c in r] for r in zip(*cols)]
 
 
 def test_hecke_matrix_weight24_charpoly():
@@ -621,6 +551,14 @@ def test_hecke_matrix_refuses_a_fractional_image(monkeypatch, fresh_gates):
     with pytest.raises(VerificationError) as exc:
         newform_basis_level1(36, 12)
     assert "not integral" in str(exc.value)
+
+
+def test_hecke_matrix_refuses_an_image_outside_the_cusp_span(monkeypatch, fresh_gates):
+    # an integral image with a constant term has a residual at q^0
+    real = spaces.hecke_T
+    monkeypatch.setattr(spaces, "hecke_T", lambda f, n: real(f, n) + 1)
+    with pytest.raises(VerificationError, match="T_2 image is not in the cusp span at weight 36"):
+        hecke_matrix_level1(36, 2)
 
 
 def test_eigenvector_check_catches_a_wrong_inverse(monkeypatch, fresh_gates):

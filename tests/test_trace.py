@@ -59,6 +59,18 @@ def test_discriminant_fricke_scalar_level2():
     assert scalar * scalar2 == 1
 
 
+@pytest.mark.parametrize("pairs, level", [({1: 8, 2: 8}, 2), ({1: 24}, 2), ({1: 4, 5: 4}, 5)])
+def test_fricke_eta_check_refuses_a_slightly_wrong_scalar(pairs, level):
+    """The slash check holds at the true scalar and refuses it scaled by
+    1 + 2^-120, which the rounding allowance at 160 bits does not cover."""
+    spec = EtaQuotientSpec(pairs)
+    partner, scalar = fricke_eta_data(spec, level)
+    trace._check_fricke_eta(spec, partner, scalar, level, spec.weight)
+    with pytest.raises(VerificationError, match="fails the numeric slash check"):
+        trace._check_fricke_eta(spec, partner, scalar * (1 + Fraction(1, 2**120)), level,
+                                spec.weight)
+
+
 def test_fricke_eta_series_is_scaled_dilation():
     T = 20
     f = fricke_eta_series({1: 24}, 2, T)
