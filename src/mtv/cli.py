@@ -8,6 +8,7 @@ reconstruction, a size cap) was hit.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .numerics import lattice_sum_eisenstein, eval_qseries
 from .qexp import EtaQuotientSpec, eisenstein_level1, eisenstein_prime_level
-from .rational import format_rational, parse_rational
+from .rational import exact_fraction, format_rational, parse_rational
 from .spaces import (
     MAX_NEWFORM_DIM,  # noqa: F401 -- the CLI's caps stay readable as cli.MAX_*
     _require_newform_dim,
@@ -278,8 +279,12 @@ def cmd_specialize(args):
         ("Delta", delta_series(T), 12),
     ):
         bc = pair.specialize_numeric(ser, wt)
+        # the largest denominator bound B whose separation radius 1/(2 B^2)
+        # exceeds the value's error, at most 10^8
+        err = exact_fraction(bc.err)
+        B = math.isqrt((err.denominator - 1) // (2 * err.numerator)) if err else 10**8
         try:
-            val = format_rational(reconstruct_real(bc, 10**8))
+            val = format_rational(reconstruct_real(bc, max(1, min(B, 10**8))))
         except (ReconstructionError, VerificationError) as exc:
             val = "unrecognized (%s)" % exc
         rows.append({"series": name, "numeric": bc.serialize(), "rational": val})

@@ -8,8 +8,8 @@ its Horner rounding and on the error of q, plus a tail for the coefficients
 past the truncation that is a fitted majorant (a heuristic, since those
 coefficients are unknown to it).  Both bounds take mpmath's elementary
 functions at their working precision as correct to a few ulps.  All
-load-bearing identities elsewhere in the package are exact; this layer only
-cross-checks them and supports root isolation for factorization.
+load-bearing identities elsewhere in the package, factorization included,
+are exact; this layer only cross-checks them.
 """
 
 import math
@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp, mpc, mpf
 
-from .errors import InputError, PrecisionError, UnsupportedScopeError
+from .errors import InputError, UnsupportedScopeError
 
 DEFAULT_PREC_BITS = 256
 MIN_PREC_BITS = 64
@@ -325,38 +325,3 @@ def lattice_sum_eisenstein(weight, level, tau, bound, character=None, prec_bits=
         tail = _lattice_tail_bound(lam, N, X, Y, s, B, W)
         rounding = math.sqrt(2) * nterms * mpf(2) ** -P + abs(total) * mpf(2) ** (1 - W)
         return BigComplex(total, tail + rounding)
-
-
-def root_cluster(p, prec_bits=None):
-    """All complex roots of a rational polynomial, deterministically ordered.
-
-    Accepts a UniPoly or a constant-first coefficient sequence.  Roots must
-    separate cleanly at the working precision (inputs here are squarefree);
-    otherwise a PrecisionError asks the caller to refine.
-    """
-    prec = _check_prec(prec_bits)
-    coeffs = list(getattr(p, "coeffs", p))
-    if not coeffs or all(c == 0 for c in coeffs):
-        raise InputError("root_cluster needs a nonzero polynomial")
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    deg = len(coeffs) - 1
-    if deg == 0:
-        return []
-    with mp.workprec(prec):
-        poly = [to_mpf(Fraction(c)) for c in reversed(coeffs)]
-        try:
-            roots, err = mpmath.polyroots(poly, maxsteps=200, extraprec=prec, error=True)
-        except mpmath.libmp.NoConvergence as exc:
-            raise PrecisionError("root finding did not converge; raise the precision") from exc
-        roots = [mpc(r) for r in roots]
-        roots.sort(key=lambda z: (z.real, z.imag))
-        scale = max([abs(r) for r in roots] + [mpf(1)])
-        floor = max(mpf(err), scale * mpf(2) ** (-prec + 8))
-        for i in range(len(roots) - 1):
-            for j in range(i + 1, len(roots)):
-                if abs(roots[i] - roots[j]) <= 4 * floor:
-                    raise PrecisionError(
-                        "root separation not certified at %d bits; refine" % prec
-                    )
-        return [BigComplex(r, floor) for r in roots]

@@ -1,31 +1,28 @@
 """Dense univariate polynomials over Q and factorization into irreducibles.
 
-Factorization strategy: a squarefree certificate (a sieve prime that keeps
-the degree and leaves p coprime to p'), or else squarefree decomposition
-(Yun); then for each squarefree part an irreducibility certificate first.
-Distinct-degree factorization modulo a fixed list of small primes gives,
-for each prime that
-keeps the part squarefree and its degree, the degrees a proper factor over Q
-could have (the subset sums of the mod-p factor degrees); an empty
-intersection over the primes proves the part irreducible.  Only a part the
-sieve cannot certify goes to the numeric assist: cluster the roots at high
-precision, try subsets of roots as candidate factors (only of the sizes the
-sieve left possible), round the candidate's coefficients to integers, and
-certify by exact division.  A failed numeric candidate never produces a
-wrong answer, only a retry at doubled precision; the final multiply-back
-identity is checked unconditionally and raises VerificationError if it
-fails.
+Factorization is exact throughout.  A squarefree certificate (a sieve prime
+that keeps the degree and leaves p coprime to p'), or else squarefree
+decomposition (Yun); then for each squarefree part an irreducibility
+certificate first.  Distinct-degree factorization modulo a fixed list of
+small primes gives, for each prime that keeps the part squarefree and its
+degree, the degrees a proper factor over Q could have (the subset sums of
+the mod-p factor degrees); an empty intersection over the primes proves the
+part irreducible.  A part the sieve cannot certify is factored by
+Zassenhaus's method at the odd sieve prime with the fewest modular factors:
+Cantor-Zassenhaus splitting (seeded by the prime, so runs are
+deterministic), Hensel lifting past the Mignotte bound, and recombination of
+the lifted factors, each candidate accepted only by exact division.  The
+final multiply-back identity is checked unconditionally and raises
+VerificationError if it fails.
 """
 
 import itertools
 import math
 import operator
+import random
 from fractions import Fraction
 
-import mpmath
-
-from .errors import InputError, PrecisionError, VerificationError
-from .numerics import root_cluster
+from .errors import InputError, ResourceLimitError, VerificationError
 
 
 class UniPoly:
@@ -277,7 +274,44 @@ def power_sums_from_elementary(sym, count):
     return ps
 
 
-# -- arithmetic in F_p[x]: int lists, constant first, no trailing zeros ------
+# -- primes ------------------------------------------------------------------
+
+# Miller-Rabin with the prime bases 2 .. 41 is exact below this bound
+# (J. Sorenson and J. Webster, Math. Comp. 86 (2017))
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic primality by Miller-Rabin over _MR_BASES.
+
+    An n below _MR_LIMIT gets an exact answer, as does any n with a base
+    as a factor; any other n raises ResourceLimitError.
+    """
+    n = int(n)
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_LIMIT:
+        raise ResourceLimitError(
+            "%d is beyond the deterministic prime test (n < %d)" % (n, _MR_LIMIT)
+        )
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 # The sieve's primes.  Modulo p below the weight, the T_2 polynomial of a
 # level-1 cusp space rarely stays squarefree or splits into few factors
@@ -287,14 +321,12 @@ def power_sums_from_elementary(sym, count):
 # 293 down a certificate takes 1 to 13 distinct-degree runs, against 7 to 38
 # from 2 up (where the prime that completes it is 1.0 to 1.4 times the
 # weight, at most 281).  The list stops at 293, the last prime below 300; a
-# part it cannot certify goes to the numeric search, which stays correct.
-_SIEVE_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
-    151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229,
-    233, 239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293,
-)
+# part it cannot certify is factored by Zassenhaus's method, which is exact
+# for any squarefree input.
+_SIEVE_PRIMES = tuple(filter(_is_prime, range(300)))
 
+
+# -- arithmetic in F_p[x]: int lists, constant first, no trailing zeros ------
 
 def _fp_trim(a):
     while a and a[-1] == 0:
@@ -303,7 +335,10 @@ def _fp_trim(a):
 
 
 def _fp_divmod(a, b, p):
-    """Quotient and remainder of a by a nonzero b over F_p."""
+    """Quotient and remainder of a by a nonzero b over F_p.
+
+    For a monic b the same steps divide over Z/m for any modulus m.
+    """
     rem = list(a)
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
@@ -317,34 +352,43 @@ def _fp_divmod(a, b, p):
     return _fp_trim(quo), _fp_trim(rem[:db])
 
 
-def _fp_mulmod(a, b, f, p):
-    if not a or not b:
-        return []
+def _int_mul(a, b):
+    """Product of two nonempty int lists."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    return _fp_divmod([c % p for c in out], f, p)[1]
+    return out
+
+
+def _fp_mulmod(a, b, f, p):
+    if not a or not b:
+        return []
+    return _fp_divmod([c % p for c in _int_mul(a, b)], f, p)[1]
 
 
 def _fp_gcd(a, b, p):
+    """Monic gcd over F_p of a nonzero a and any b."""
     while b:
         a, b = b, _fp_divmod(a, b, p)[1]
-    return a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
-def _fp_ddf_degrees(f, p):
-    """Degrees of the irreducible factors of a monic squarefree f over F_p.
+def _fp_ddf(f, p):
+    """Distinct-degree factorization of a monic squarefree f over F_p: the
+    pairs (g, d), g monic and the product of the irreducible factors of f of
+    degree d, over the degrees d that occur.
 
-    Distinct-degree factorization: gcd(f, x^(p^d) - x) is the product of the
-    irreducible factors of degree d once those of lower degree are divided
-    out.  x^p mod f comes from one square-and-multiply; from d = 2 on, x^(p^d)
-    is the previous one times the Frobenius matrix, row i x^(ip) mod f as f
-    stands at d = 2 ((sum a_i x^i)^p = sum a_i x^(ip) over F_p), reduced by
-    the cofactor f has since shrunk to, a divisor of that modulus.
+    gcd(f, x^(p^d) - x) is the product of the irreducible factors of degree d
+    once those of lower degree are divided out.  x^p mod f comes from one
+    square-and-multiply; from d = 2 on, x^(p^d) is the previous one times the
+    Frobenius matrix, row i x^(ip) mod f as f stands at d = 2
+    ((sum a_i x^i)^p = sum a_i x^(ip) over F_p), reduced by the cofactor f
+    has since shrunk to, a divisor of that modulus.
     """
-    degrees = []
+    parts = []
     d = 0
     xp = [0, 1]  # x^(p^d) mod f
     while 2 * (d + 1) <= len(f) - 1:
@@ -360,12 +404,30 @@ def _fp_ddf_degrees(f, p):
         y[1] = (y[1] - 1) % p
         g = _fp_gcd(f, _fp_trim(y), p)
         if len(g) > 1:
-            degrees += [d] * ((len(g) - 1) // d)
+            parts.append((g, d))
             f = _fp_divmod(f, g, p)[0]
             xp = _fp_divmod(xp, f, p)[1]
     if len(f) > 1:
-        degrees.append(len(f) - 1)
-    return degrees
+        parts.append((f, len(f) - 1))
+    return parts
+
+
+def _fp_edf(g, d, p, rng):
+    """Monic irreducible factors over F_p, p odd, of a monic g whose
+    irreducible factors all have degree d (Cantor-Zassenhaus).
+
+    For a of degree below deg g, a^((p^d - 1)/2) is 1 modulo about half of
+    the factors that a is coprime to, so gcd(g, a^((p^d - 1)/2) - 1) splits g
+    for about half the draws of a from rng.
+    """
+    if len(g) - 1 == d:
+        return [g]
+    while True:
+        a = [rng.randrange(p) for _ in range(len(g) - 2)] + [1]
+        b = _power(a, (p ** d - 1) // 2, lambda u, v: _fp_mulmod(u, v, g, p))
+        h = _fp_gcd(g, _fp_trim([(b[0] - 1) % p] + b[1:]), p)
+        if 1 < len(h) < len(g):
+            return _fp_edf(h, d, p, rng) + _fp_edf(_fp_divmod(g, h, p)[0], d, p, rng)
 
 
 def _squarefree_reductions(P, primes):
@@ -392,7 +454,10 @@ def _squarefree_prime(P):
 
 
 def _factor_degrees(P):
-    """Degrees a proper factor over Q of the integer polynomial P may have.
+    """(degrees, p): the degrees a proper factor over Q of the integer
+    polynomial P may have and, when there are any, the odd sieve prime at
+    which P has the fewest irreducible factors (None if no odd sieve prime
+    keeps P squarefree).
 
     A factor of P over Q of degree k reduces, modulo any prime p not dividing
     lc(P), to a product of some of the irreducible factors of P mod p, so k
@@ -402,99 +467,98 @@ def _factor_degrees(P):
     out empty; largest first, as T_2 polynomials certify just above the weight.
     """
     possible = set(range(1, P.degree))
+    best, fewest = None, P.degree + 1
     for p, f in _squarefree_reductions(P, reversed(_SIEVE_PRIMES)):
+        degrees = [d for g, d in _fp_ddf(f, p) for _ in range((len(g) - 1) // d)]
         sums = {0}
-        for d in _fp_ddf_degrees(f, p):
+        for d in degrees:
             sums |= {s + d for s in sums}
         possible &= sums
         if not possible:
             break
-    return possible
+        if p > 2 and len(degrees) < fewest:
+            best, fewest = p, len(degrees)
+    return possible, best
 
 
-def _round_to_int(x, slack):
-    n = int(round(float(x)))
-    if abs(x - n) > slack:
-        return None
-    return n
+def _hensel_lift(H, f, p, q):
+    """The monic factor mod q, a power of p, of the monic integer H (int
+    list) that reduces to f, a monic irreducible factor of H over F_p
+    coprime to H / f.
 
-
-def _factor_squarefree_monic_int(H, degrees):
-    """Irreducible monic integer factors of a squarefree monic integer polynomial.
-
-    Only subsets whose size is in degrees (every irreducible factor's degree
-    must be, see _factor_degrees) are tried.  Returns factors in discovery
-    order; the caller sorts.  Raises PrecisionError if root accuracy can
-    never support a trustworthy verdict.
+    Linear lifting.  With F | H mod m = p^k, the remainder of H by F is
+    R = 0 mod m, and F + m dF divides H mod mp for dF = (R / m) g^(-1) mod f,
+    g = H / f over F_p.  The inverse is g^(p^d - 2) in F_p[x]/(f), the field
+    of p^d elements.
     """
-    n = H.degree
-    if n <= 1:
-        return [H]
-    maxcoeff = max(abs(int(c)) for c in H.coeffs)
-    prec = max(256, 128 + 16 * n + 2 * maxcoeff.bit_length())
-    while True:
-        if prec > 1 << 16:
-            raise PrecisionError("factorization assist exhausted precision")
-        try:
-            roots = root_cluster(H, prec)
-        except PrecisionError:
-            prec *= 2
-            continue
-        R = max([abs(r.value) for r in roots] + [mpmath.mpf(1)])
-        err = max(r.err for r in roots)
-        # worst-case coefficient error of a subset product
-        margin = len(roots) * (2 * (R + 1)) ** (max(1, n // 2)) * err
-        if margin > mpmath.mpf("0.05"):
-            prec *= 2
-            continue
-        rvals = [r.value for r in roots]
-        remaining = list(range(n))
-        rem_poly = H
-        found = []
-        size = 1
-        while 2 * size <= len(remaining):
-            if size not in degrees:
-                size += 1
+    g = _fp_divmod([c % p for c in H], f, p)[0]
+    ginv = _power(_fp_divmod(g, f, p)[1], p ** (len(f) - 1) - 2,
+                  lambda u, v: _fp_mulmod(u, v, f, p))
+    F, m = f, p
+    while m < q:
+        e = [c // m % p for c in _fp_divmod(H, F, m * p)[1]]
+        F = [c + m * dc for c, dc in itertools.zip_longest(F, _fp_mulmod(e, ginv, f, p),
+                                                           fillvalue=0)]
+        m *= p
+    return F
+
+
+def _int_divexact(a, b, limit):
+    """a / b for int lists, b monic, or None when b does not divide a or a
+    quotient coefficient exceeds limit in absolute value."""
+    rem = list(a)
+    db = len(b) - 1
+    quo = [0] * (len(a) - db)
+    for i in range(len(quo) - 1, -1, -1):
+        c = quo[i] = rem[i + db]
+        if abs(c) > limit:
+            return None
+        if c:
+            for j in range(db):
+                rem[i + j] -= c * b[j]
+    return None if any(rem[:db]) else quo
+
+
+def _factor_squarefree_monic_int(H, degrees, p):
+    """Irreducible monic integer factors of a squarefree monic integer
+    polynomial H, by Zassenhaus's method, in discovery order.
+
+    p is an odd prime that keeps H squarefree, or None to take the first
+    prime above the sieve's that does (finitely many primes divide the
+    discriminant, so one exists).  The factors of H mod p, from Cantor-
+    Zassenhaus splitting seeded by p, are lifted to p^a past twice the
+    Mignotte bound 2^n ||H||_2 on the coefficients of any factor of H.
+    Products of subsets of the lifts, smallest subsets first and only those
+    whose degree is in degrees (every irreducible factor's degree is, see
+    _factor_degrees), taken with coefficients in (-p^a/2, p^a/2), are
+    accepted by exact division.
+    """
+    primes = itertools.chain([p] if p else [], filter(_is_prime, itertools.count(300)))
+    p, f = next(_squarefree_reductions(H, primes))
+    rng = random.Random(p)
+    rest = [int(c) for c in H.coeffs]
+    bound = 2 ** len(rest) * (math.isqrt(sum(c * c for c in rest)) + 1)  # > 2^(n+1) ||H||_2
+    q = p ** next(a for a in itertools.count(1) if p ** a > bound)
+    lifts = [_hensel_lift(rest, h, p, q) for g, d in _fp_ddf(f, p) for h in _fp_edf(g, d, p, rng)]
+    found = []
+    size = 1
+    while 2 * size <= len(lifts):
+        for subset in itertools.combinations(range(len(lifts)), size):
+            if sum(len(lifts[i]) - 1 for i in subset) not in degrees:
                 continue
-            hit = None
-            for subset in itertools.combinations(remaining, size):
-                # monic product of the chosen linear factors
-                cs = [mpmath.mpc(1)]
-                for idx in subset:
-                    r = rvals[idx]
-                    cs = [mpmath.mpc(0)] + cs
-                    for t in range(len(cs) - 1):
-                        cs[t] -= r * cs[t + 1]
-                cand = []
-                ok = True
-                for v in cs:
-                    if abs(v.imag) > 0.25:
-                        ok = False
-                        break
-                    m = _round_to_int(v.real, 0.25)
-                    if m is None:
-                        ok = False
-                        break
-                    cand.append(m)
-                if not ok:
-                    continue
-                G = UniPoly(cand)
-                q, r = divmod(rem_poly, G)
-                if r.is_zero():
-                    hit = (subset, G, q)
-                    break
-            if hit is None:
-                size += 1
-                continue
-            subset, G, q = hit
-            found.append(G)
-            rem_poly = q
-            remaining = [t for t in remaining if t not in subset]
-        if rem_poly.degree > 0:
-            found.append(rem_poly)
-        if sum(f.degree for f in found) != n:
-            raise VerificationError("numeric factor search lost degrees")
-        return found
+            G = [1]
+            for i in subset:
+                G = [c % q for c in _int_mul(G, lifts[i])]
+            G = [c - q if 2 * c > q else c for c in G]
+            quo = _int_divexact(rest, G, q // 2)
+            if quo is not None:
+                found.append(G)
+                rest = quo
+                lifts = [F for i, F in enumerate(lifts) if i not in subset]
+                break
+        else:
+            size += 1
+    return [UniPoly(G) for G in found + [rest]]
 
 
 def poly_factor_q(p):
@@ -502,8 +566,8 @@ def poly_factor_q(p):
 
     Returns [(factor, multiplicity), ...] sorted by (degree, coefficients).
     Each factor is irreducible: certified by the mod-p degree sieve, or found
-    by the numeric subset search.  lc(p) * product(factor^mult) == p is
-    checked before returning (VerificationError otherwise).
+    by Zassenhaus's method.  lc(p) * product(factor^mult) == p is checked
+    before returning (VerificationError otherwise).
     """
     if not isinstance(p, UniPoly):
         p = UniPoly(p)
@@ -529,7 +593,7 @@ def poly_factor_q(p):
         for part, mult in parts:
             _, P = part.primitive_int()
             d = P.degree
-            degrees = _factor_degrees(P) if d > 1 else ()
+            degrees, prime = _factor_degrees(P) if d > 1 else ((), None)
             if not degrees:
                 found = [part.monic()]
             else:
@@ -539,7 +603,7 @@ def poly_factor_q(p):
                 H = UniPoly([int(P.coeffs[i]) * lcP ** (d - 1 - i) for i in range(d)] + [1])
                 # map each factor back to a monic rational factor of the part
                 found = [G.scale_arg(lcP).monic()
-                         for G in _factor_squarefree_monic_int(H, degrees)]
+                         for G in _factor_squarefree_monic_int(H, degrees, prime)]
             for f in found:
                 result[f.coeffs] = result.get(f.coeffs, 0) + mult
     factors = sorted(

@@ -49,14 +49,13 @@ from mpmath import mp, mpc
 
 from .errors import (
     InputError,
-    ResourceLimitError,
     TruncationError,
     UnsupportedScopeError,
     VerificationError,
 )
 from .numerics import eval_qseries, lattice_sum_eisenstein, to_mpf
 from .numfield import NumberField, NumberFieldElem
-from .polynomial import UniPoly, _power
+from .polynomial import UniPoly, _is_prime, _power
 from .rational import format_rational, parse_rational
 
 
@@ -488,43 +487,6 @@ def _require_even_weight(weight):
     if weight < 4 or weight % 2:
         raise InputError("Eisenstein weight must be even and >= 4")
     return weight
-
-
-# Miller-Rabin with the prime bases 2 .. 41 is exact below this bound
-# (J. Sorenson and J. Webster, Math. Comp. 86 (2017))
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981
-
-
-def _is_prime(n):
-    """Deterministic primality by Miller-Rabin over _MR_BASES.
-
-    An n below _MR_LIMIT gets an exact answer, as does any n with a base
-    as a factor; any other n raises ResourceLimitError.
-    """
-    n = int(n)
-    if n < 2:
-        return False
-    for a in _MR_BASES:
-        if n % a == 0:
-            return n == a
-    if n >= _MR_LIMIT:
-        raise ResourceLimitError(
-            "%d is beyond the deterministic prime test (n < %d)" % (n, _MR_LIMIT)
-        )
-    s = ((n - 1) & (1 - n)).bit_length() - 1
-    d = (n - 1) >> s
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _require_prime(level):

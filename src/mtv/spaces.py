@@ -33,8 +33,8 @@ from math import gcd
 from .errors import InputError, ResourceLimitError, TruncationError, VerificationError
 from .linalg import bareiss_solve
 from .numfield import NumberField
-from .polynomial import UniPoly, poly_factor_q
-from .qexp import (QSeries, _gate_eisenstein, _is_prime, _kron_mul, _stored,
+from .polynomial import UniPoly, _is_prime, poly_factor_q
+from .qexp import (QSeries, _gate_eisenstein, _kron_mul, _stored,
                    eisenstein_level1, eta_quotient, hecke_T)
 
 # 4a + 6b = r, minimal (a, b)
@@ -42,11 +42,10 @@ _RESIDUAL_AB = {0: (0, 0), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1), 14: (2, 
 
 # cap on the cusp dimension of a newform basis that a command builds.  The
 # basis takes about 0.4 s at dimension 16 (weight 192), 2 s at 20 (weight
-# 240) and 5 s at 22 (weights 264 and 278) on a 2-vCPU VM with CPython
-# 3.11.  At dimension 23 the mod-p sieve's primes (up to 293) first fail to
-# certify the T_2 polynomial irreducible (weight 276; weights 288-298 fail
-# too), and the numeric subset search that takes over has no useful bound
-# on its run time.
+# 240), 2 to 5 s at 22 (weights 264 and 278) and 6 s at 24 (weight 288) on
+# a 2-vCPU VM with CPython 3.11.  Most of it, 4.6 s of the 5.9 s at weight
+# 288, is the fraction-free Krylov solve (linalg.bareiss_solve), whose cost
+# grows with the dimension and with the bit size of the Hecke matrix.
 MAX_NEWFORM_DIM = 22
 
 
@@ -61,10 +60,7 @@ def dim_modular_level1(weight):
 
 
 def dim_cusp_level1(weight):
-    k = int(weight)
-    if k < 12:
-        return 0
-    return dim_modular_level1(k) - 1
+    return max(0, dim_modular_level1(weight) - 1)
 
 
 def _require_newform_dim(weight):
@@ -347,6 +343,10 @@ def newform_basis_level1(weight, trunc):
     """
     k = int(weight)
     trunc = int(trunc)
+    if k < 0 or k % 2:
+        raise InputError("weight must be a nonnegative even integer")
+    if trunc < 0:
+        raise InputError("truncation order must be nonnegative")
     s = dim_cusp_level1(k)
     if s == 0:
         return GaloisOrbitSet(k, (), 0)

@@ -437,13 +437,14 @@ def ddf_degrees_ref(f, p):
 def factor_degrees_ascending(P):
     """The mod-p degree sieve of `polynomial._factor_degrees` with the sieve
     primes tried from the smallest up (the package's former order)."""
-    from mtv.polynomial import _SIEVE_PRIMES, _fp_ddf_degrees, _squarefree_reductions
+    from mtv.polynomial import _SIEVE_PRIMES, _fp_ddf, _squarefree_reductions
 
     possible = set(range(1, P.degree))
     for p, f in _squarefree_reductions(P, _SIEVE_PRIMES):
         sums = {0}
-        for d in _fp_ddf_degrees(f, p):
-            sums |= {s + d for s in sums}
+        for g, d in _fp_ddf(f, p):
+            for _ in range((len(g) - 1) // d):
+                sums |= {s + d for s in sums}
         possible &= sums
         if not possible:
             break

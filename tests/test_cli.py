@@ -129,6 +129,39 @@ def test_specialize_reconstructs_targets():
     assert "j_at_level_tau" not in doc0
 
 
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("prec", [64, 80])
+@pytest.mark.parametrize("curve", ["4,1", "1,-5", "2,0", "-2,-5"])
+def test_specialize_at_low_precision_recognizes_targets(prec, curve):
+    # the denominator bound shrinks with the error: at 64 bits it is 1.4e7
+    # to 2.7e7 here, as 10^8 has a radius 1/(2 10^16) below the error
+    code, out, _ = run_in_process(["--prec", str(prec), "specialize", "--curve=" + curve])
+    assert code == 0
+    doc = json.loads(out)
+    assert {r["series"]: r["rational"] for r in doc["specialized"]} == doc["exact_targets"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["newforms", "--weight", "24", "--order", "-1"],
+    ["newforms", "--weight", "-2"],
+    ["newforms", "--weight", "-24"],
+    ["newforms", "--weight", "11"],
+    ["newforms", "--weight", "13"],
+])
+def test_newforms_refuses_negative_order_and_odd_or_negative_weight(argv):
+    code, out, err = run_in_process(argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_newforms_weight24():
     doc = run_json(["newforms", "--weight", "24", "--order", "12"])
     assert doc["cusp_dimension"] == 2

@@ -388,8 +388,7 @@ def test_corollary_report_names_the_missing_lattice(monkeypatch):
 
 
 @pytest.mark.parametrize("level, eta, weight, curve, degrees", [
-    # Phi_E = x (x^3 + (4320/41)^3): the numeric factor search on a
-    # non-monic part
+    # Phi_E = x (x^3 + (4320/41)^3): Zassenhaus's method on a non-monic part
     (3, {1: 6, 3: 6}, 8, (0, 1), [1, 1, 2]),
     (5, {1: 4, 5: 4}, 6, (-2, -5), [6]),
 ])
@@ -398,6 +397,17 @@ def test_corollary_at_levels_3_and_5(level, eta, weight, curve, degrees):
     assert res.equal and res.lhs == res.rhs
     assert res.phi_factor_degrees == degrees
     assert res.condition_a is (degrees == [level + 1])
+
+
+@pytest.mark.parametrize("curve", [(6, -4), (60000, -4000000)])
+def test_corollary_on_a_scaled_curve_sees_the_split(curve):
+    # (60000, -4000000) is (6, -4) with g2 scaled by 10^4 and g3 by 10^6, the
+    # same j; its Phi_E splits as that of (6, -4) does, into two quadratics,
+    # here with coefficients past 2^53
+    res = verify_corollary(3, {1: 6, 3: 6}, 6, 1, CurveQ(*curve), order=16)
+    assert res.equal
+    assert res.condition_a is False
+    assert res.phi_factor_degrees == [2, 2]
 
 
 def test_corollary_rejects_singular_curve():

@@ -15,6 +15,9 @@ package no longer reaches cannot stay in src/ unnoticed.  A module's own
 reads count, its own body included: the Fraction ``MatQ`` that only its own
 methods name stays, since the benchmark tracer wraps it by name.
 
+Exact factorization: polynomial.py imports neither mpmath nor numerics, so
+no path of poly_factor_q can reach floating point.
+
 Run-time module state: a module-level dict or set that a function mutates
 is process-wide state, such as a cache.  Only the ones on an allowlist may
 exist, so a new cache (say, one keyed by each series length) cannot arrive
@@ -95,6 +98,31 @@ def test_matq_check_flags_imports_and_names():
                          ids=lambda p: p.name)
 def test_only_linalg_names_matq(path):
     assert not names_matq(path.read_text())
+
+
+def imported_parts(source):
+    """Each dotted part of every module path and name that source imports."""
+    parts = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            parts.update(node.module.split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                parts.update(alias.name.split("."))
+    return parts
+
+
+def test_imported_parts_sees_every_import_form():
+    assert imported_parts("from .errors import InputError\n") == {"errors", "InputError"}
+    for source in ("import mpmath.libmp\n", "from mpmath import mp\n",
+                   "def f():\n    import mpmath\n",
+                   "from .numerics import to_mpf\n", "from . import numerics as num\n"):
+        assert {"mpmath", "numerics"} & imported_parts(source), source
+
+
+def test_polynomial_imports_no_floating_point():
+    parts = imported_parts((SRC / "polynomial.py").read_text())
+    assert not {"mpmath", "numerics"} & parts
 
 
 def definitions_and_names(source):

@@ -6,12 +6,11 @@ import pytest
 from mpmath import mpc, mpf
 
 import mtv.numerics as numerics
-from mtv.errors import InputError, PrecisionError, UnsupportedScopeError
+from mtv.errors import InputError, UnsupportedScopeError
 from mtv.numerics import (
     BigComplex,
     eval_qseries,
     lattice_sum_eisenstein,
-    root_cluster,
     to_mpc,
 )
 from mtv.polynomial import UniPoly
@@ -133,21 +132,6 @@ def test_lattice_sum_quadratic_character():
     for character in (-4, 1, 5):
         with pytest.raises(UnsupportedScopeError):
             lattice_sum_eisenstein(5, 1, mpc("0.2", "1.1"), 12, character, 160)
-
-
-def test_root_cluster_simple():
-    roots = root_cluster(X**2 - 2, 128)
-    assert len(roots) == 2
-    vals = sorted(float(r.value.real) for r in roots)
-    assert abs(vals[0] + 2**0.5) < 1e-15
-    assert abs(vals[1] - 2**0.5) < 1e-15
-    for r in roots:
-        assert float(abs(r.value**2 - 2)) < 1e-15
-
-
-def test_root_cluster_rejects_repeated_roots():
-    with pytest.raises(PrecisionError):
-        root_cluster((X - 1) ** 2, 128)
 
 
 def test_to_mpc_fraction_exact():

@@ -1,6 +1,7 @@
 import functools
-import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -96,7 +97,7 @@ FACTOR_CASES = [
     (X - 1) * (X**2 + 1) * (2 * X + 3),     # mixed degrees, non-monic
     X**5 - X - 1,                           # irreducible quintic
     # Phi_E of the level-3 corollary at y^2 = 4x^3 - 1: x (x^3 + (4320/41)^3),
-    # whose part x^3 + c needs the numeric search with a non-monic P
+    # whose part x^3 + c needs Zassenhaus's method with a non-monic P
     X**4 + Fraction(80621568000, 68921) * X,
     (41 * X + 4320) * (X**2 - 7),           # non-monic linear factor
 ]
@@ -123,19 +124,39 @@ def random_int_poly(rng, degree, size):
     return UniPoly(cs + [rng.choice([-1, 1]) * rng.randint(1, size)])
 
 
+def ddf_degrees(f, p):
+    """Degrees of the irreducible factors of f over F_p, from its distinct-degree parts."""
+    return [d for g, d in polynomial._fp_ddf(f, p) for _ in range((len(g) - 1) // d)]
+
+
+def squarefree_mod_p(rng, p, n):
+    """A seeded monic squarefree f of degree n over F_p and its factors, by brute force."""
+    while True:
+        f = [rng.randrange(p) for _ in range(n)] + [1]
+        factors = factor_mod_p(f, p)
+        if len(set(factors)) == len(factors):
+            return f, factors
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_ddf_degrees_match_brute_force(p):
     rng = random.Random(1000 + p)
-    checked = 0
-    while checked < 30:
-        n = rng.randint(1, 7)
-        f = [rng.randrange(p) for _ in range(n)] + [1]
-        factors = factor_mod_p(f, p)
-        if len(set(factors)) != len(factors):
-            continue  # distinct-degree factorization needs squarefree input
-        want = sorted(len(g) - 1 for g in factors)
-        assert sorted(polynomial._fp_ddf_degrees(f, p)) == want, (f, p)
-        checked += 1
+    for _ in range(30):
+        f, factors = squarefree_mod_p(rng, p, rng.randint(1, 7))
+        # each part is the product of the irreducible factors of its degree
+        for g, d in polynomial._fp_ddf(f, p):
+            assert factor_mod_p(g, p) == [h for h in factors if len(h) - 1 == d], (f, p)
+        assert sorted(ddf_degrees(f, p)) == sorted(len(h) - 1 for h in factors), (f, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_equal_degree_splitting_matches_brute_force(p):
+    rng = random.Random(2000 + p)
+    for _ in range(30):
+        f, factors = squarefree_mod_p(rng, p, rng.randint(1, 8))
+        got = [h for g, d in polynomial._fp_ddf(f, p)
+               for h in polynomial._fp_edf(g, d, p, random.Random(p))]
+        assert sorted(map(tuple, got)) == factors, (f, p)
 
 
 def test_ddf_degrees_match_the_repeated_squaring_route():
@@ -149,7 +170,7 @@ def test_ddf_degrees_match_the_repeated_squaring_route():
                 f = [rng.randrange(p) for _ in range(n)] + [1]
                 if sympy.Poly(f[::-1], x, modulus=p).is_sqf:
                     break
-            assert polynomial._fp_ddf_degrees(f, p) == ddf_degrees_ref(f, p), (f, p)
+            assert ddf_degrees(f, p) == ddf_degrees_ref(f, p), (f, p)
 
 
 @functools.lru_cache(maxsize=None)
@@ -169,7 +190,7 @@ def test_sieve_order_leaves_t2_certificates_unchanged():
     # every T_2 polynomial here is irreducible either way
     for weight in range(24, 265, 2):
         P = _t2_polynomial(weight)
-        assert polynomial._factor_degrees(P) == factor_degrees_ascending(P) == set(), weight
+        assert polynomial._factor_degrees(P)[0] == factor_degrees_ascending(P) == set(), weight
 
 
 # the level-1 weights of the newform bases and theorems of the hecke-wide
@@ -182,9 +203,9 @@ def test_sieve_certifies_t2_within_twelve_primes(weight, monkeypatch):
     # from the largest prime down, the primes just above the weight come
     # early; from the smallest up, these took 14 to 23 distinct-degree runs
     calls = []
-    ddf = polynomial._fp_ddf_degrees
-    monkeypatch.setattr(polynomial, "_fp_ddf_degrees", lambda f, p: calls.append(p) or ddf(f, p))
-    assert polynomial._factor_degrees(_t2_polynomial(weight)) == set()
+    ddf = polynomial._fp_ddf
+    monkeypatch.setattr(polynomial, "_fp_ddf", lambda f, p: calls.append(p) or ddf(f, p))
+    assert polynomial._factor_degrees(_t2_polynomial(weight))[0] == set()
     assert 1 <= len(calls) <= 12, calls
 
 
@@ -200,48 +221,120 @@ def test_sieve_never_certifies_a_product():
         _, P = (a * b).primitive_int()
         # a true factor degree never leaves the candidate set, so every prime
         # is scanned, and the order the primes are tried in changes nothing
-        got = polynomial._factor_degrees(P)
+        got, prime = polynomial._factor_degrees(P)
         assert a.degree in got, (a, b)
         assert got == factor_degrees_ascending(P), (a, b)
+        # the reported prime is an odd one with the fewest modular factors
+        counts = {p: len(ddf_degrees(f, p))
+                  for p, f in polynomial._squarefree_reductions(P, polynomial._SIEVE_PRIMES[1:])}
+        assert counts[prime] == min(counts.values()), (a, b)
 
 
-def test_numeric_search_tries_only_sieve_degrees(monkeypatch):
+def test_recombination_tries_only_sieve_degrees(monkeypatch):
     p = (X**2 - 2) * (X**2 - 3) * (X**2 - 5)
     _, P = p.primitive_int()
-    assert polynomial._factor_degrees(P) == {2, 4}
+    assert polynomial._factor_degrees(P)[0] == {2, 4}
     sizes = []
+    divexact = polynomial._int_divexact
 
-    class SpyItertools:
-        @staticmethod
-        def combinations(pool, r):
-            sizes.append(r)
-            return itertools.combinations(pool, r)
+    def spy(a, b, limit):
+        sizes.append(len(b) - 1)
+        return divexact(a, b, limit)
 
-    monkeypatch.setattr(polynomial, "itertools", SpyItertools)
+    monkeypatch.setattr(polynomial, "_int_divexact", spy)
     got = [f for f, _ in poly_factor_q(p)]
     assert got == [X**2 - 5, X**2 - 3, X**2 - 2]
-    assert set(sizes) == {2}
+    assert sizes and set(sizes) <= {2, 4}
+
+
+def no_fallback(*args, **kwargs):
+    raise AssertionError("the Zassenhaus fallback ran")
 
 
 def test_sieve_certifies_without_roots(monkeypatch):
-    def no_roots(*args, **kwargs):
-        raise AssertionError("the numeric factor search ran")
-
-    monkeypatch.setattr(polynomial, "root_cluster", no_roots)
+    monkeypatch.setattr(polynomial, "_factor_squarefree_monic_int", no_fallback)
     for p in (X**5 - X - 1, X**2 - 1080 * X - 20468736, 3 * X**3 - 7 * X + 2):
         ((f, m),) = poly_factor_q(p)
         assert f == p.monic() and m == 1
     # irreducible over Q yet reducible modulo every prime: not certified, so
-    # the numeric search is the route that proves it
-    _, P = (X**4 - 10 * X**2 + 1).primitive_int()
-    assert polynomial._factor_degrees(P) == {2}
+    # Zassenhaus's method is the route that proves it
+    p = X**4 - 10 * X**2 + 1
+    assert polynomial._factor_degrees(p.primitive_int()[1])[0] == {2}
+    with pytest.raises(AssertionError, match="fallback ran"):
+        poly_factor_q(p)
+    monkeypatch.undo()
+    assert poly_factor_q(p) == [(p, 1)]
 
 
 def test_failed_multiply_back_raises_verification_error(monkeypatch):
     monkeypatch.setattr(polynomial, "_factor_squarefree_monic_int",
-                        lambda H, degrees: [H + 1])
+                        lambda H, degrees, p: [H + 1])
     with pytest.raises(VerificationError):
         poly_factor_q((X - 1) * (X - 2))
+
+
+def seeded_big_factor(rng, degree):
+    """A primitive integer polynomial with coefficients of 54 to 80 bits."""
+    cs = [rng.choice([-1, 1]) * rng.getrandbits(rng.randint(54, 80)) for _ in range(degree)]
+    return UniPoly(cs + [rng.randint(1, 9)]).primitive_int()[1]
+
+
+def test_factor_matches_sympy_past_double_precision():
+    rng = random.Random(20261019)
+    for _ in range(12):
+        p = UniPoly([rng.randint(1, 5)])
+        for _ in range(rng.randint(2, 3)):
+            p = p * seeded_big_factor(rng, rng.randint(1, 4)) ** rng.choice([1, 1, 2])
+        got = poly_factor_q(p)
+        assert got == from_sympy_factors(p), p
+        assert any(abs(c) > 2**53 for f, _ in got for c in f.coeffs), p
+
+
+def swinnerton_dyer(primes):
+    """prod (x - (+-sqrt p1 +- ... +- sqrt pk)), built one sqrt at a time:
+    S_p(x) = S(x - sqrt p) S(x + sqrt p), an even function of sqrt p."""
+    x, r = sympy.symbols("x r")
+    s = sympy.Poly(x, x)
+    for p in primes:
+        shifted = sympy.Poly(s.as_expr().subs(x, x - r), x, r)
+        prod = (shifted * shifted.as_expr().subs(r, -r)).as_expr()
+        s = sympy.Poly(sympy.expand(prod).subs(r**2, p), x)
+    return UniPoly([int(c) for c in reversed(s.all_coeffs())])
+
+
+@pytest.mark.parametrize("primes", [(2, 3, 5), (2, 3, 5, 7)], ids=["S235", "S2357"])
+def test_factor_swinnerton_dyer(primes):
+    # irreducible over Q, yet a product of factors of degree <= 2 mod every prime
+    p = swinnerton_dyer(primes)
+    assert p.degree == 2 ** len(primes)
+    assert poly_factor_q(p) == from_sympy_factors(p) == [(p, 1)]
+
+
+def test_zassenhaus_proves_the_weight_276_t2_polynomial_irreducible():
+    # the first T_2 polynomial the sieve leaves uncertified: factors of
+    # degree 3 or 20 stay possible; the fallback takes about 1 s on a 2-vCPU
+    # VM, and the bound only catches a search that runs away
+    P = _t2_polynomial(276)
+    assert polynomial._factor_degrees(P) == ({3, 20}, 281)
+    start = time.perf_counter()
+    assert poly_factor_q(P) == [(P, 1)]
+    assert time.perf_counter() - start < 30
+
+
+# the product of the odd primes below 300: every sieve prime divides the
+# discriminant of the two products below, so the fallback takes a prime past 293
+ODD_PRIMORIAL_293 = math.prod(sympy.primerange(3, 294))
+
+
+@pytest.mark.parametrize("p", [
+    (X - ODD_PRIMORIAL_293) * (X + ODD_PRIMORIAL_293),
+    (X**2 - ODD_PRIMORIAL_293) * (X**2 - 3 * ODD_PRIMORIAL_293),
+], ids=["linear", "quadratic"])
+def test_factor_past_the_sieve_primes(p):
+    P = p.primitive_int()[1]
+    assert polynomial._squarefree_prime(P) is None
+    assert polynomial._factor_degrees(P) == (set(range(1, p.degree)), None)
+    assert poly_factor_q(p) == from_sympy_factors(p)
 
 
 def test_repeated_factors_are_never_certified_squarefree():

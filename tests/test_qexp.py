@@ -29,6 +29,7 @@ from mtv import (
 )
 from mtv.numfield import NumberField
 from mtv.polynomial import UniPoly
+import mtv.polynomial as polynomial
 import mtv.qexp as qexp_mod
 
 from _oracles import (delta_ref, eis_ref, eta_power_ref, euler_power_ref, hecke_p_ref, mul_trunc,
@@ -401,7 +402,7 @@ def test_eisenstein_rejects_bad_arguments():
 def test_prime_predicate_matches_sympy():
     import sympy
 
-    is_prime = qexp_mod._is_prime
+    is_prime = polynomial._is_prime
     assert all(is_prime(n) == sympy.isprime(n) for n in range(-5, 10**4))
     rng = random.Random(20)
     for _ in range(100):
@@ -417,8 +418,8 @@ def test_prime_predicate_matches_sympy():
 def test_prime_predicate_refuses_past_its_proven_range():
     import sympy
 
-    is_prime = qexp_mod._is_prime
-    limit = qexp_mod._MR_LIMIT
+    is_prime = polynomial._is_prime
+    limit = polynomial._MR_LIMIT
     p = sympy.nextprime(10**39)
     assert is_prime(sympy.prevprime(limit))
     # the limit is the least strong pseudoprime to all the bases

@@ -47,6 +47,15 @@ def test_dimension_tables():
     assert dim_cusp_level1(10) == 0
     assert dim_modular_level1(7) == 0
     assert dim_modular_level1(-4) == 0
+    # M_k = 0 for odd and for negative k, so S_k = 0 too
+    for k in (-24, -12, -2, 1, 11, 13, 15, 25, 27, 277):
+        assert dim_cusp_level1(k) == 0, k
+
+
+@pytest.mark.parametrize("weight, trunc", [(-2, 8), (-24, 8), (11, 8), (13, 8), (24, -1)])
+def test_newform_basis_refuses_bad_weight_or_order(weight, trunc):
+    with pytest.raises(InputError):
+        newform_basis_level1(weight, trunc)
 
 
 @pytest.mark.parametrize("weight", [0, 4, 12, 24, 28])
@@ -437,10 +446,11 @@ def test_krylov_eigenvector_mixed_degrees():
 
 
 def test_newform_basis_needs_no_numeric_roots(monkeypatch):
-    def no_roots(*args, **kwargs):
-        raise AssertionError("the numeric factor search ran")
+    # the sieve certifies the T_2 polynomial, so no factor search runs
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("the Zassenhaus fallback ran")
 
-    monkeypatch.setattr(polynomial, "root_cluster", no_roots)
+    monkeypatch.setattr(polynomial, "_factor_squarefree_monic_int", no_fallback)
     orbs = newform_basis_level1(96, 16)
     assert [f.degree for f in orbs] == [8]
     assert orbs.orbits[0].field.is_totally_real()
