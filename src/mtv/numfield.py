@@ -38,10 +38,10 @@ class NumberField:
         # the one denominator _red_den (1 for an integral modulus)
         table = []
         d = self.degree
-        cur = [-c for c in modulus.coeffs[:d]]
+        cur = [-c for c in _ints_if_integral(modulus.coeffs[:d])]
         table.append(cur)
         for _ in range(d - 2):
-            nxt = [Fraction(0)] + cur[: d - 1]
+            nxt = [0] + cur[: d - 1]
             top = cur[d - 1]
             if top:
                 for i in range(d):
@@ -110,10 +110,10 @@ class NumberField:
         """
         if self._power_sums is None:
             d = self.degree
-            cs = self.modulus.coeffs
+            cs = _ints_if_integral(self.modulus.coeffs)
             sym = [cs[d - i] if i % 2 == 0 else -cs[d - i] for i in range(1, d + 1)]
-            self._power_sums = (Fraction(d),) + tuple(
-                power_sums_from_elementary(sym, 2 * d - 2)
+            self._power_sums = tuple(
+                map(Fraction, [d] + power_sums_from_elementary(sym, 2 * d - 2))
             )
         return self._power_sums
 
@@ -145,6 +145,14 @@ class NumberField:
                 ]
             prev = p
         return True
+
+
+def _ints_if_integral(values):
+    """The Fractions as ints when all are integers, else unchanged: an
+    integral modulus sets up its field in integer arithmetic."""
+    if all(v.denominator == 1 for v in values):
+        return [v.numerator for v in values]
+    return values
 
 
 def _ints_over_den(values):

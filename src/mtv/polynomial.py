@@ -10,16 +10,21 @@ the mod-p factor degrees); an empty intersection over the primes proves the
 part irreducible.  A part the sieve cannot certify is factored by
 Zassenhaus's method at the odd sieve prime with the fewest modular factors:
 Cantor-Zassenhaus splitting (seeded by the prime, so runs are
-deterministic), Hensel lifting past the Mignotte bound, and recombination of
+deterministic), Hensel lifting past the Mignotte bound (the largest
+modular factor's lift is the quotient by the others), and recombination of
 the lifted factors, each candidate accepted only by exact division.  The
 final multiply-back identity is checked unconditionally and raises
-VerificationError if it fails.
+VerificationError if it fails.  Every product modulo a polynomial over F_p
+is a Kronecker-packed integer product reduced by a table packed once per
+modulus (_fp_ring).
 """
 
 import itertools
 import math
 import operator
 import random
+import sys
+from array import array
 from fractions import Fraction
 
 from .errors import InputError, ResourceLimitError, VerificationError
@@ -266,7 +271,7 @@ def power_sums_from_elementary(sym, count):
                     term = -term
                 acc = term if acc is None else acc + term
         if m <= len(sym):
-            tail = sym[m - 1] * Fraction(m if m % 2 else -m)
+            tail = sym[m - 1] * (m if m % 2 else -m)
             acc = tail if acc is None else acc + tail
         if acc is None:
             raise InputError("all symmetric functions vanish below index %d" % m)
@@ -334,46 +339,112 @@ def _fp_trim(a):
     return a
 
 
-def _fp_divmod(a, b, p):
-    """Quotient and remainder of a by a nonzero b over F_p.
+def _fp_rem(a, b, p):
+    """Remainder of a by a nonzero b over F_p; for a monic b, over Z/m for
+    any modulus m.
 
-    For a monic b the same steps divide over Z/m for any modulus m.
+    Reduction is lazy: an entry is taken mod p only when it leads, and the
+    remainder once at the end.
     """
     rem = list(a)
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
-    quo = [0] * max(0, len(rem) - db)
-    for i in range(len(rem) - 1 - db, -1, -1):
-        c = rem[i + db] * inv % p
-        quo[i] = c
+    low = b[:db]
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] * inv % p
         if c:
-            for j, bj in enumerate(b):
-                rem[i + j] = (rem[i + j] - c * bj) % p
-    return _fp_trim(quo), _fp_trim(rem[:db])
+            rem[i - db:i] = [r - c * bj for r, bj in zip(rem[i - db:i], low)]
+    return _fp_trim([c % p for c in rem[:db]])
 
 
-def _int_mul(a, b):
-    """Product of two nonempty int lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _fp_mulmod(a, b, f, p):
-    if not a or not b:
-        return []
-    return _fp_divmod([c % p for c in _int_mul(a, b)], f, p)[1]
+def _fp_quo(a, b, p):
+    """Quotient of a by a nonzero b over F_p (Z/m for a monic b), reduced
+    lazily as in _fp_rem."""
+    rem = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    low = b[:db]
+    quo = [0] * max(0, len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = quo[i - db] = rem[i] * inv % p
+        if c:
+            rem[i - db:i] = [r - c * bj for r, bj in zip(rem[i - db:i], low)]
+    return _fp_trim(quo)
 
 
 def _fp_gcd(a, b, p):
     """Monic gcd over F_p of a nonzero a and any b."""
     while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
+        a, b = b, _fp_rem(a, b, p)
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
+
+
+def _fp_ring(f, p):
+    """(mul, xpow): products modulo the monic f of degree n over F_p.
+
+    mul(a, b) is a b mod f for a and b reduced (degree below n, entries in
+    [0, p)).  Kronecker substitution: each operand packs, through
+    array("Q"), into one integer with a 64-bit slot per coefficient, so one
+    integer product holds every coefficient of a b, each at most
+    n (p - 1)^2, in its own slot.  x^(n + j) mod f for j < n - 1 is packed
+    once, so the n - 1 high coefficients of a b reduce by one sum of n - 1
+    integer products, each slot then at most (2n - 1) (p - 1)^2.
+    ResourceLimitError when that bound does not fit a slot: a carry would
+    cross into the next coefficient.
+
+    xpow(e) is x^e mod f for e >= 1, left to right: one squaring per bit of
+    e after the first, and on each one bit a shift by x, reduced by one
+    multiple of f.
+    """
+    n = len(f) - 1
+    if (2 * n - 1) * (p - 1) ** 2 >> 64:
+        raise ResourceLimitError(
+            "F_%d products modulo a degree-%d polynomial overflow a 64-bit slot" % (p, n))
+    order = sys.byteorder
+
+    def pack(a):
+        return int.from_bytes(array("Q", a), order)
+
+    def unpack(c, k):
+        return array("Q", c.to_bytes(8 * k, order))
+
+    red = []
+    low = [-c % p for c in f[:n]]  # x^n mod f
+    r = low
+    for _ in range(n - 1):
+        red.append(pack(r))
+        r = [(c + r[-1] * t) % p for c, t in zip([0] + r, low)]
+    mask = (1 << 64 * n) - 1
+
+    def mul(a, b):
+        if not a or not b:
+            return []
+        c = pack(a)
+        c *= c if a is b else pack(b)
+        k = len(a) + len(b) - 1
+        if k > n:
+            high = unpack(c, k)[n:]
+            c = (c & mask) + sum(map(operator.mul, [v % p for v in high], red))
+            k = n
+        return _fp_trim([v % p for v in unpack(c, k)])
+
+    def times_x(a):
+        a = [0] + a
+        if len(a) > n:
+            top = a.pop()
+            a = [(c + top * t) % p for c, t in zip(a, low)]
+        return _fp_trim(a)
+
+    def xpow(e):
+        r = times_x([1])
+        for bit in bin(e)[3:]:
+            r = mul(r, r)
+            if bit == "1":
+                r = times_x(r)
+        return r
+
+    return mul, xpow
 
 
 def _fp_ddf(f, p):
@@ -382,31 +453,36 @@ def _fp_ddf(f, p):
     degree d, over the degrees d that occur.
 
     gcd(f, x^(p^d) - x) is the product of the irreducible factors of degree d
-    once those of lower degree are divided out.  x^p mod f comes from one
-    square-and-multiply; from d = 2 on, x^(p^d) is the previous one times the
-    Frobenius matrix, row i x^(ip) mod f as f stands at d = 2
+    once those of lower degree are divided out.  x^p mod f comes from the
+    ring's left-to-right power; from d = 2 on, x^(p^d) is the previous one
+    times the Frobenius matrix, row i x^(ip) mod f as f stands at d = 2
     ((sum a_i x^i)^p = sum a_i x^(ip) over F_p), reduced by the cofactor f
     has since shrunk to, a divisor of that modulus.
     """
+    mul, xpow = _fp_ring(f, p)
     parts = []
     d = 0
     xp = [0, 1]  # x^(p^d) mod f
     while 2 * (d + 1) <= len(f) - 1:
         d += 1
-        if d == 2:  # the Frobenius matrix, by columns
-            rows = [[1], xp]
-            while len(rows) < len(f) - 1:
-                rows.append(_fp_mulmod(rows[-1], xp, f, p))
-            cols = list(zip(*[r + [0] * (len(f) - 1 - len(r)) for r in rows]))
-        xp = (_power(xp, p, lambda a, b: _fp_mulmod(a, b, f, p)) if d == 1 else
-              _fp_divmod([sum(map(operator.mul, xp, c)) % p for c in cols], f, p)[1])
+        if d == 1:
+            xp = xpow(p)
+        else:
+            if d == 2:  # the Frobenius matrix, by columns
+                if parts:  # f shrank at d = 1
+                    mul = _fp_ring(f, p)[0]
+                rows = [[1], xp]
+                while len(rows) < len(f) - 1:
+                    rows.append(mul(rows[-1], xp))
+                cols = list(zip(*[r + [0] * (len(f) - 1 - len(r)) for r in rows]))
+            xp = _fp_rem([sum(map(operator.mul, xp, c)) for c in cols], f, p)
         y = xp + [0] * (2 - len(xp))  # y = xp - x
         y[1] = (y[1] - 1) % p
         g = _fp_gcd(f, _fp_trim(y), p)
         if len(g) > 1:
             parts.append((g, d))
-            f = _fp_divmod(f, g, p)[0]
-            xp = _fp_divmod(xp, f, p)[1]
+            f = _fp_quo(f, g, p)
+            xp = _fp_rem(xp, f, p)
     if len(f) > 1:
         parts.append((f, len(f) - 1))
     return parts
@@ -422,12 +498,13 @@ def _fp_edf(g, d, p, rng):
     """
     if len(g) - 1 == d:
         return [g]
+    mul = _fp_ring(g, p)[0]
     while True:
         a = [rng.randrange(p) for _ in range(len(g) - 2)] + [1]
-        b = _power(a, (p ** d - 1) // 2, lambda u, v: _fp_mulmod(u, v, g, p))
+        b = _power(a, (p ** d - 1) // 2, mul)
         h = _fp_gcd(g, _fp_trim([(b[0] - 1) % p] + b[1:]), p)
         if 1 < len(h) < len(g):
-            return _fp_edf(h, d, p, rng) + _fp_edf(_fp_divmod(g, h, p)[0], d, p, rng)
+            return _fp_edf(h, d, p, rng) + _fp_edf(_fp_quo(g, h, p), d, p, rng)
 
 
 def _squarefree_reductions(P, primes):
@@ -489,18 +566,30 @@ def _hensel_lift(H, f, p, q):
     Linear lifting.  With F | H mod m = p^k, the remainder of H by F is
     R = 0 mod m, and F + m dF divides H mod mp for dF = (R / m) g^(-1) mod f,
     g = H / f over F_p.  The inverse is g^(p^d - 2) in F_p[x]/(f), the field
-    of p^d elements.
+    of p^d elements; it and each correction are products in _fp_ring(f, p).
     """
-    g = _fp_divmod([c % p for c in H], f, p)[0]
-    ginv = _power(_fp_divmod(g, f, p)[1], p ** (len(f) - 1) - 2,
-                  lambda u, v: _fp_mulmod(u, v, f, p))
+    mul = _fp_ring(f, p)[0]
+    g = _fp_quo([c % p for c in H], f, p)
+    ginv = _power(_fp_rem(g, f, p), p ** (len(f) - 1) - 2, mul)
     F, m = f, p
     while m < q:
-        e = [c // m % p for c in _fp_divmod(H, F, m * p)[1]]
-        F = [c + m * dc for c, dc in itertools.zip_longest(F, _fp_mulmod(e, ginv, f, p),
-                                                           fillvalue=0)]
+        e = [c // m % p for c in _fp_rem(H, F, m * p)]
+        F = [c + m * dc for c, dc in itertools.zip_longest(F, mul(e, ginv), fillvalue=0)]
         m *= p
     return F
+
+
+def _zq_prod(polys, q):
+    """Product mod q of nonempty int lists, constant first, entries in [0, q)."""
+    out = [1]
+    for b in polys:
+        prod = [0] * (len(out) + len(b) - 1)
+        for i, a in enumerate(out):
+            if a:
+                for j, c in enumerate(b):
+                    prod[i + j] += a * c
+        out = [c % q for c in prod]
+    return out
 
 
 def _int_divexact(a, b, limit):
@@ -527,7 +616,9 @@ def _factor_squarefree_monic_int(H, degrees, p):
     prime above the sieve's that does (finitely many primes divide the
     discriminant, so one exists).  The factors of H mod p, from Cantor-
     Zassenhaus splitting seeded by p, are lifted to p^a past twice the
-    Mignotte bound 2^n ||H||_2 on the coefficients of any factor of H.
+    Mignotte bound 2^n ||H||_2 on the coefficients of any factor of H: each
+    by Hensel lifting but the largest, which is the quotient of H by the
+    product of the other lifts mod p^a.
     Products of subsets of the lifts, smallest subsets first and only those
     whose degree is in degrees (every irreducible factor's degree is, see
     _factor_degrees), taken with coefficients in (-p^a/2, p^a/2), are
@@ -539,17 +630,17 @@ def _factor_squarefree_monic_int(H, degrees, p):
     rest = [int(c) for c in H.coeffs]
     bound = 2 ** len(rest) * (math.isqrt(sum(c * c for c in rest)) + 1)  # > 2^(n+1) ||H||_2
     q = p ** next(a for a in itertools.count(1) if p ** a > bound)
-    lifts = [_hensel_lift(rest, h, p, q) for g, d in _fp_ddf(f, p) for h in _fp_edf(g, d, p, rng)]
+    modular = [h for g, d in _fp_ddf(f, p) for h in _fp_edf(g, d, p, rng)]
+    big = max(range(len(modular)), key=lambda i: len(modular[i]))
+    lifts = [None if i == big else _hensel_lift(rest, h, p, q) for i, h in enumerate(modular)]
+    lifts[big] = _fp_quo(rest, _zq_prod([F for F in lifts if F], q), q)
     found = []
     size = 1
     while 2 * size <= len(lifts):
         for subset in itertools.combinations(range(len(lifts)), size):
             if sum(len(lifts[i]) - 1 for i in subset) not in degrees:
                 continue
-            G = [1]
-            for i in subset:
-                G = [c % q for c in _int_mul(G, lifts[i])]
-            G = [c - q if 2 * c > q else c for c in G]
+            G = [c - q if 2 * c > q else c for c in _zq_prod([lifts[i] for i in subset], q)]
             quo = _int_divexact(rest, G, q // 2)
             if quo is not None:
                 found.append(G)

@@ -409,29 +409,103 @@ def eval_qseries_ref(coeffs, e, tau, prec):
         return acc
 
 
+def _fp_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def fp_monic_ref(a, p):
+    """a over F_p scaled to leading coefficient 1 (a nonzero)."""
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def fp_mul_ref(a, b, p):
+    """Schoolbook product over F_p, trimmed."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return _fp_trim(out)
+
+
+def fp_rem_ref(a, b, p):
+    """Remainder of a by a nonzero b over F_p, trimmed (through the monic b)."""
+    return _fp_trim(_fp_rem(a, fp_monic_ref(_fp_trim([c % p for c in b]), p), p))
+
+
+def fp_mulmod_ref(a, b, f, p):
+    """a b mod f over F_p, schoolbook."""
+    return fp_rem_ref(fp_mul_ref(a, b, p), f, p)
+
+
+def fp_powmod_ref(a, e, f, p):
+    """a^e mod f over F_p by right-to-left square-and-multiply, e >= 0."""
+    out = fp_rem_ref([1], f, p)
+    while e:
+        if e & 1:
+            out = fp_mulmod_ref(out, a, f, p)
+        a = fp_mulmod_ref(a, a, f, p)
+        e >>= 1
+    return out
+
+
+def fp_gcd_ref(a, b, p):
+    """Monic gcd over F_p of a nonzero a and any b, by Euclid on fp_rem_ref."""
+    a, b = _fp_trim([c % p for c in a]), _fp_trim([c % p for c in b])
+    while b:
+        a, b = b, fp_rem_ref(a, b, p)
+    return fp_monic_ref(a, p)
+
+
 def ddf_degrees_ref(f, p):
     """Degrees of the irreducible factors of a monic squarefree f over F_p by
     distinct-degree factorization, each x^(p^d) raised from x^(p^(d-1)) by
     square-and-multiply (the package's former route, before the Frobenius
-    matrix)."""
-    from mtv.polynomial import _fp_divmod, _fp_gcd, _fp_mulmod, _fp_trim, _power
-
+    matrix), on the schoolbook F_p routines above."""
     degrees = []
     d = 0
     xp = [0, 1]  # x^(p^d) mod f
     while 2 * (d + 1) <= len(f) - 1:
         d += 1
-        xp = _power(xp, p, lambda a, b: _fp_mulmod(a, b, f, p))
+        xp = fp_powmod_ref(xp, p, f, p)
         h = xp + [0] * (2 - len(xp))  # x^(p^d) - x
         h[1] -= 1
-        g = _fp_gcd(f, _fp_trim([c % p for c in h]), p)
+        g = fp_gcd_ref(f, h, p)
         if len(g) > 1:
             degrees += [d] * ((len(g) - 1) // d)
-            f = _fp_divmod(f, g, p)[0]
-            xp = _fp_divmod(xp, f, p)[1]
+            f = _fp_quo(f, g, p)
+            xp = fp_rem_ref(xp, f, p)
     if len(f) > 1:
         degrees.append(len(f) - 1)
     return degrees
+
+
+def factor_degrees_ref(P, primes):
+    """(degrees, p) of `polynomial._factor_degrees` on the schoolbook F_p
+    routines: the mod-p degree sieve over primes, largest first, and the odd
+    prime with the fewest modular factors."""
+    ints = [int(c) for c in P.coeffs]
+    possible = set(range(1, P.degree))
+    best, fewest = None, P.degree + 1
+    for p in sorted(primes, reverse=True):
+        if ints[-1] % p == 0:
+            continue
+        f = fp_monic_ref([c % p for c in ints], p)
+        df = _fp_trim([i * c % p for i, c in enumerate(f)][1:])
+        if not df or len(fp_gcd_ref(f, df, p)) > 1:
+            continue
+        degrees = ddf_degrees_ref(f, p)
+        sums = {0}
+        for d in degrees:
+            sums |= {s + d for s in sums}
+        possible &= sums
+        if not possible:
+            break
+        if p > 2 and len(degrees) < fewest:
+            best, fewest = p, len(degrees)
+    return possible, best
 
 
 def factor_degrees_ascending(P):

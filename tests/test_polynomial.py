@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtv import polynomial
-from mtv.errors import VerificationError
+from mtv.errors import ResourceLimitError, VerificationError
 from mtv.polynomial import (
     UniPoly,
     poly_factor_q,
@@ -19,7 +19,8 @@ from mtv.polynomial import (
 )
 
 from _oracles import (charpoly_multimodular, ddf_degrees_ref, factor_degrees_ascending,
-                      factor_mod_p, real_root_count)
+                      factor_degrees_ref, factor_mod_p, fp_gcd_ref, fp_mul_ref, fp_mulmod_ref,
+                      fp_powmod_ref, fp_rem_ref, real_root_count)
 
 X = UniPoly.x()
 
@@ -173,6 +174,57 @@ def test_ddf_degrees_match_the_repeated_squaring_route():
             assert ddf_degrees(f, p) == ddf_degrees_ref(f, p), (f, p)
 
 
+def reduced_mod_p(rng, p, length):
+    """A seeded list of length entries in [0, p), trimmed (so maybe shorter)."""
+    a = [rng.randrange(p) for _ in range(length)]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+# the sieve primes and the first three past them, where Zassenhaus's
+# fallback looks when no sieve prime keeps its input squarefree
+RING_PRIMES = tuple(sympy.primerange(2, 300)) + (307, 311, 313)
+
+
+@pytest.mark.parametrize("p", RING_PRIMES)
+def test_packed_ring_matches_schoolbook(p):
+    rng = random.Random(3000 + p)
+    for n in range(1, 25):
+        f = [rng.randrange(p) for _ in range(n)] + [1]
+        mul, xpow = polynomial._fp_ring(f, p)
+        # operands of unequal length, one of them maybe zero
+        a = reduced_mod_p(rng, p, rng.randint(0, n))
+        b = reduced_mod_p(rng, p, n)
+        assert mul(a, b) == mul(b, a) == fp_mulmod_ref(a, b, f, p), (f, a, b)
+        assert mul(b, b) == fp_mulmod_ref(b, b, f, p), (f, b)
+        assert mul(a, []) == mul([], b) == []
+        for e in (1, 2, rng.randrange(3, 64), p):
+            assert xpow(e) == fp_powmod_ref([0, 1], e, f, p), (f, e)
+        # remainders of unreduced dividends by a monic and a non-monic divisor
+        c = [rng.randrange(-p * p, p * p) for _ in range(rng.randint(0, 2 * n + 1))]
+        assert polynomial._fp_rem(c, f, p) == fp_rem_ref(c, f, p), (c, f)
+        if b:
+            assert polynomial._fp_rem(c, b, p) == fp_rem_ref(c, b, p), (c, b)
+        # gcds, coprime and with a common factor of degree up to n
+        h = reduced_mod_p(rng, p, rng.randint(1, n)) or [1]
+        u, v = fp_mul_ref(h, f, p), fp_mul_ref(h, b or [1], p)
+        for x, y in ((f, b), (u, v), (v, u)):
+            assert polynomial._fp_gcd(x, y, p) == fp_gcd_ref(x, y, p), (x, y)
+
+
+def test_packed_ring_refuses_a_slot_overflow():
+    # each slot holds up to (2n - 1)(p - 1)^2, below 2^64 at p = 2^31 - 1 only
+    # for n <= 2; the largest operands put 2(p - 1)^2 in a product slot
+    p = 2**31 - 1
+    f = [5, 7, 1]
+    mul, _ = polynomial._fp_ring(f, p)
+    a = [p - 1, p - 1]
+    assert mul(a, a) == fp_mulmod_ref(a, a, f, p)
+    with pytest.raises(ResourceLimitError, match="64-bit slot"):
+        polynomial._fp_ring([5, 7, 11, 1], p)
+
+
 @functools.lru_cache(maxsize=None)
 def _t2_polynomial(weight):
     """The T_2 polynomial of the weight-k level-1 cusp space, the matrix from
@@ -207,6 +259,14 @@ def test_sieve_certifies_t2_within_twelve_primes(weight, monkeypatch):
     monkeypatch.setattr(polynomial, "_fp_ddf", lambda f, p: calls.append(p) or ddf(f, p))
     assert polynomial._factor_degrees(_t2_polynomial(weight))[0] == set()
     assert 1 <= len(calls) <= 12, calls
+
+
+@pytest.mark.parametrize("weight", HECKE_WIDE_WEIGHTS)
+def test_sieve_matches_a_schoolbook_sieve_on_t2(weight):
+    # the same degrees and the same prime as the sieve on schoolbook F_p
+    # products, remainders and gcds
+    P = _t2_polynomial(weight)
+    assert polynomial._factor_degrees(P) == factor_degrees_ref(P, sympy.primerange(2, 300))
 
 
 def test_sieve_primes_are_the_primes_below_300():
@@ -312,8 +372,8 @@ def test_factor_swinnerton_dyer(primes):
 
 def test_zassenhaus_proves_the_weight_276_t2_polynomial_irreducible():
     # the first T_2 polynomial the sieve leaves uncertified: factors of
-    # degree 3 or 20 stay possible; the fallback takes about 1 s on a 2-vCPU
-    # VM, and the bound only catches a search that runs away
+    # degree 3 or 20 stay possible; the fallback takes about 0.5 s on a
+    # 2-vCPU VM, and the bound only catches a search that runs away
     P = _t2_polynomial(276)
     assert polynomial._factor_degrees(P) == ({3, 20}, 281)
     start = time.perf_counter()
