@@ -22,15 +22,12 @@ from .errors import (
 from .qexp import (
     EtaQuotientSpec,
     QSeries,
-    dump_form,
     eisenstein_level1,
     eisenstein_prime_level,
     eta_quotient,
     fricke_eisenstein,
     hecke_T,
-    load_form,
     op_U,
-    op_V,
 )
 from .spaces import (
     GaloisOrbitSet,
@@ -92,7 +89,6 @@ __all__ = [
     "delta_series",
     "dim_cusp_level1",
     "dim_modular_level1",
-    "dump_form",
     "eisenstein_level1",
     "eisenstein_prime_level",
     "eta_quotient",
@@ -104,12 +100,10 @@ __all__ = [
     "j_invariant_numeric",
     "lattice_sum_eisenstein",
     "level1_coordinates",
-    "load_form",
     "main_constant",
     "miller_basis",
     "newform_basis_level1",
     "op_U",
-    "op_V",
     "reconstruct_real",
     "specialize_level1_exact",
     "specialize_phi",

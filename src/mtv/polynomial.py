@@ -1,19 +1,23 @@
 """Dense univariate polynomials over Q and factorization into irreducibles.
 
-Factorization is exact throughout.  A squarefree certificate (a sieve prime
-that keeps the degree and leaves p coprime to p'), or else squarefree
-decomposition (Yun); then for each squarefree part an irreducibility
-certificate first.  Distinct-degree factorization modulo a fixed list of
-small primes gives, for each prime that keeps the part squarefree and its
-degree, the degrees a proper factor over Q could have (the subset sums of
-the mod-p factor degrees); an empty intersection over the primes proves the
-part irreducible.  A part the sieve cannot certify is factored by
-Zassenhaus's method at the odd sieve prime with the fewest modular factors:
-Cantor-Zassenhaus splitting (seeded by the prime, so runs are
-deterministic), Hensel lifting past the Mignotte bound (the largest
-modular factor's lift is the quotient by the others), and recombination of
-the lifted factors, each candidate accepted only by exact division.  The
-final multiply-back identity is checked unconditionally and raises
+Factorization is exact throughout.  The input is normalized once, to a
+primitive integer polynomial P, and from there until the final multiply-back
+every polynomial is an int list.  Distinct-degree factorization modulo a
+fixed list of small primes, largest first, runs at each prime that keeps the
+degree of P and leaves P squarefree; the first such prime is the certificate
+that P is squarefree.  Only when there is none does squarefree decomposition
+(Yun) run, and each of its parts is made primitive and sieved once.  Each
+prime gives the degrees a proper factor over Q could have (the subset sums
+of the mod-p factor degrees); an empty intersection over the primes proves
+the part irreducible.  A part the sieve cannot certify is factored by
+Zassenhaus's method, at the odd sieve prime with the fewest modular factors
+(past the sieve's primes when none keeps the part squarefree), on the monic
+transform lc^(d-1) P(x/lc), whose factors G map back to the primitive parts
+of G(lc x): Cantor-Zassenhaus splitting (seeded by the prime, so runs are
+deterministic), Hensel lifting past the Mignotte bound (the largest modular
+factor's lift is the quotient by the others), and recombination of the
+lifted factors, each candidate accepted only by exact division.  The final
+multiply-back identity is checked unconditionally and raises
 VerificationError if it fails.  Every product modulo a polynomial over F_p
 is a Kronecker-packed integer product reduced by a table packed once per
 modulus (_fp_ring).
@@ -149,28 +153,12 @@ class UniPoly:
             return Fraction(0)
         return acc
 
-    def scale_arg(self, a):
-        """p(a*x)."""
-        a = Fraction(a)
-        pw = Fraction(1)
-        out = []
-        for c in self.coeffs:
-            out.append(c * pw)
-            pw *= a
-        return UniPoly(out)
-
     def primitive_int(self):
         """Write p = unit * P with P integer-coefficient, primitive, lc > 0."""
         if self.is_zero():
             return Fraction(0), UniPoly()
-        den = math.lcm(*[c.denominator for c in self.coeffs])
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, abs(v))
-        if ints[-1] < 0:
-            g = -g
-        return Fraction(g, den), UniPoly([v // g for v in ints])
+        P = _primitive(self.coeffs)
+        return self.lc() / P[-1], UniPoly(P)
 
     def serialize(self):
         from .rational import format_rational
@@ -194,6 +182,15 @@ class UniPoly:
         return "UniPoly(%s)" % " + ".join(parts).replace("+ -", "- ")
 
 
+def _primitive(cs):
+    """The int list of content 1 and positive last entry that is a rational
+    multiple of the nonzero list cs of ints or Fractions."""
+    den = math.lcm(*[c.denominator for c in cs])
+    ints = [c.numerator * (den // c.denominator) for c in cs]
+    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return [v // g for v in ints]
+
+
 def poly_gcd(a, b):
     """Monic gcd over Q."""
     while not b.is_zero():
@@ -204,7 +201,7 @@ def poly_gcd(a, b):
 
 
 def squarefree_parts(p):
-    """Yun's algorithm on a monic polynomial: list of (g_i, i), product g_i^i = p."""
+    """Yun's algorithm: list of (g_i, i), g_i monic, product g_i^i = p / lc(p)."""
     out = []
     a = poly_gcd(p, p.derivative())
     b = p // a
@@ -509,32 +506,26 @@ def _fp_edf(g, d, p, rng):
 
 def _squarefree_reductions(P, primes):
     """(p, P mod p made monic) for each p in primes that keeps the degree of
-    the integer polynomial P and leaves it squarefree.
+    the integer polynomial P (int list) and leaves it squarefree.
 
     gcd(P, P') = 1 over F_p, p not dividing lc(P), means the resultant of P
     and P' is nonzero mod p, hence nonzero: P and P' are coprime over Q.
     """
-    ints = [int(c) for c in P.coeffs]
     for p in primes:
-        if ints[-1] % p:
-            inv = pow(ints[-1], -1, p)
-            f = [c * inv % p for c in ints]
+        if P[-1] % p:
+            inv = pow(P[-1], -1, p)
+            f = [c * inv % p for c in P]
             df = _fp_trim([i * c % p for i, c in enumerate(f)][1:])
             if df and len(_fp_gcd(f, df, p)) == 1:
                 yield p, f
 
 
-def _squarefree_prime(P):
-    """A sieve prime certifying that the integer polynomial P is squarefree
-    (a P with a repeated factor has none), or None."""
-    return next((p for p, _ in _squarefree_reductions(P, _SIEVE_PRIMES)), None)
-
-
 def _factor_degrees(P):
-    """(degrees, p): the degrees a proper factor over Q of the integer
-    polynomial P may have and, when there are any, the odd sieve prime at
-    which P has the fewest irreducible factors (None if no odd sieve prime
-    keeps P squarefree).
+    """(degrees, p) for the integer polynomial P (int list): the degrees a
+    proper factor of P over Q may have and, when there are any, the odd sieve
+    prime at which P has the fewest irreducible factors (None if there is no
+    such prime).  None when no sieve prime keeps P squarefree: the first
+    prime that does is the certificate that P is squarefree.
 
     A factor of P over Q of degree k reduces, modulo any prime p not dividing
     lc(P), to a product of some of the irreducible factors of P mod p, so k
@@ -543,19 +534,19 @@ def _factor_degrees(P):
     The order of the primes changes only how soon the intersection can come
     out empty; largest first, as T_2 polynomials certify just above the weight.
     """
-    possible = set(range(1, P.degree))
-    best, fewest = None, P.degree + 1
+    possible = None  # until a prime keeps P squarefree
+    best, fewest = None, len(P)
     for p, f in _squarefree_reductions(P, reversed(_SIEVE_PRIMES)):
         degrees = [d for g, d in _fp_ddf(f, p) for _ in range((len(g) - 1) // d)]
         sums = {0}
         for d in degrees:
             sums |= {s + d for s in sums}
-        possible &= sums
+        possible = sums.intersection(range(1, len(P) - 1)) if possible is None else possible & sums
         if not possible:
             break
         if p > 2 and len(degrees) < fewest:
             best, fewest = p, len(degrees)
-    return possible, best
+    return None if possible is None else (possible, best)
 
 
 def _hensel_lift(H, f, p, q):
@@ -609,8 +600,9 @@ def _int_divexact(a, b, limit):
 
 
 def _factor_squarefree_monic_int(H, degrees, p):
-    """Irreducible monic integer factors of a squarefree monic integer
-    polynomial H, by Zassenhaus's method, in discovery order.
+    """Irreducible monic integer factors (int lists) of a squarefree monic
+    integer polynomial H (int list), by Zassenhaus's method, in discovery
+    order.
 
     p is an odd prime that keeps H squarefree, or None to take the first
     prime above the sieve's that does (finitely many primes divide the
@@ -624,10 +616,12 @@ def _factor_squarefree_monic_int(H, degrees, p):
     _factor_degrees), taken with coefficients in (-p^a/2, p^a/2), are
     accepted by exact division.
     """
-    primes = itertools.chain([p] if p else [], filter(_is_prime, itertools.count(300)))
-    p, f = next(_squarefree_reductions(H, primes))
+    if p is None:
+        p, f = next(_squarefree_reductions(H, filter(_is_prime, itertools.count(300))))
+    else:
+        f = [c % p for c in H]
     rng = random.Random(p)
-    rest = [int(c) for c in H.coeffs]
+    rest = H
     bound = 2 ** len(rest) * (math.isqrt(sum(c * c for c in rest)) + 1)  # > 2^(n+1) ||H||_2
     q = p ** next(a for a in itertools.count(1) if p ** a > bound)
     modular = [h for g, d in _fp_ddf(f, p) for h in _fp_edf(g, d, p, rng)]
@@ -649,7 +643,7 @@ def _factor_squarefree_monic_int(H, degrees, p):
                 break
         else:
             size += 1
-    return [UniPoly(G) for G in found + [rest]]
+    return found + [rest]
 
 
 def poly_factor_q(p):
@@ -658,7 +652,9 @@ def poly_factor_q(p):
     Returns [(factor, multiplicity), ...] sorted by (degree, coefficients).
     Each factor is irreducible: certified by the mod-p degree sieve, or found
     by Zassenhaus's method.  lc(p) * product(factor^mult) == p is checked
-    before returning (VerificationError otherwise).
+    before returning (VerificationError otherwise).  Between the one
+    normalization of p to a primitive integer polynomial P and that check,
+    every factor is a primitive int list.
     """
     if not isinstance(p, UniPoly):
         p = UniPoly(p)
@@ -666,39 +662,39 @@ def poly_factor_q(p):
         raise InputError("cannot factor the zero polynomial")
     if p.degree == 0:
         return []
-    work = p.monic()
+    P = _primitive(p.coeffs)
     result = {}
     # peel the power of x so the squarefree machinery sees nonzero constant terms
-    v = 0
-    while work.coeffs[0] == 0:
-        work = UniPoly(work.coeffs[1:])
-        v += 1
+    v = next(i for i, c in enumerate(P) if c)
     if v:
-        result[UniPoly((0, 1)).coeffs] = v
-    if work.degree > 0:
-        # Yun's decomposition only when no sieve prime certifies squarefree
-        if _squarefree_prime(work.primitive_int()[1]) is not None:
-            parts = [(work, 1)]
+        result[(0, 1)] = v
+        P = P[v:]
+    if len(P) > 1:
+        sieve = _factor_degrees(P)
+        if sieve is not None:
+            parts = [(P, 1, sieve)]
         else:
-            parts = squarefree_parts(work)
-        for part, mult in parts:
-            _, P = part.primitive_int()
-            d = P.degree
-            degrees, prime = _factor_degrees(P) if d > 1 else ((), None)
+            # P has a repeated factor or no sieve prime shows it has none:
+            # Yun's parts, each made primitive and sieved once (P, if
+            # squarefree, is its one part and has been sieved already)
+            yun = [(_primitive(g.coeffs), m) for g, m in squarefree_parts(UniPoly(P))]
+            parts = [(Q, m, None if Q == P else _factor_degrees(Q)) for Q, m in yun]
+        for Q, mult, sieve in parts:
+            d = len(Q) - 1
+            degrees, prime = sieve or (set(range(1, d)), None)
             if not degrees:
-                found = [part.monic()]
+                found = [Q]
             else:
-                # monic integer transform: H(x) = lc^(d-1) * P(x/lc), so the
-                # top coefficient is exactly 1
-                lcP = int(P.lc())
-                H = UniPoly([int(P.coeffs[i]) * lcP ** (d - 1 - i) for i in range(d)] + [1])
-                # map each factor back to a monic rational factor of the part
-                found = [G.scale_arg(lcP).monic()
+                # a factor G of the monic H(x) = lc^(d-1) Q(x/lc) gives the
+                # factor of Q that is the primitive part of G(lc x)
+                lc = Q[-1]
+                H = [c * lc ** (d - 1 - i) for i, c in enumerate(Q[:d])] + [1]
+                found = [_primitive([c * lc ** i for i, c in enumerate(G)])
                          for G in _factor_squarefree_monic_int(H, degrees, prime)]
-            for f in found:
-                result[f.coeffs] = result.get(f.coeffs, 0) + mult
+            for F in found:
+                result[tuple(F)] = result.get(tuple(F), 0) + mult
     factors = sorted(
-        ((UniPoly(cs), m) for cs, m in result.items()),
+        ((UniPoly([Fraction(c, F[-1]) for c in F]), m) for F, m in result.items()),
         key=lambda fm: (fm[0].degree, fm[0].coeffs),
     )
     check = UniPoly((p.lc(),))

@@ -39,7 +39,6 @@ series is handed out, and the Fricke image is additionally gated against a
 direct numeric evaluation of the slash action.
 """
 
-import json
 import math
 import operator
 from fractions import Fraction
@@ -54,9 +53,8 @@ from .errors import (
     VerificationError,
 )
 from .numerics import eval_qseries, lattice_sum_eisenstein, to_mpf
-from .numfield import NumberField, NumberFieldElem
-from .polynomial import UniPoly, _is_prime, _power
-from .rational import format_rational, parse_rational
+from .numfield import NumberFieldElem
+from .polynomial import _is_prime, _power
 
 
 def _merge_fields(fa, fb):
@@ -303,23 +301,6 @@ class QSeries:
             comps = [[1] + [0] * (L - 1)] + [[0] * L for _ in self._comps[1:]]
             return QSeries._from_comps(comps, 1, 1, self.trunc, 0, self.level, self.field)
         return _power(self, n, operator.mul)
-
-    # -- serialization ---------------------------------------------------
-
-    def serialize(self):
-        d = {
-            "weight": self.weight,
-            "level": self.level,
-            "character": "trivial",
-            "qdenom": self.e,
-            "trunc": self.trunc,
-        }
-        if self.field is None:
-            d["coeffs"] = [format_rational(c) for c in self.coeffs]
-        else:
-            d["field_modulus"] = self.field.modulus.serialize()
-            d["coeffs"] = [[format_rational(v) for v in c.coords] for c in self.coeffs]
-        return d
 
 
 def _scaled(comps, k):
@@ -718,17 +699,6 @@ def op_U(f, t):
     return f._with_values([c[: t * T + 1 : t] for c in f._comps], T)
 
 
-def op_V(f, t):
-    """Dilate exponents: (V_t f)(q) = f(q^t)."""
-    t = int(t)
-    if t < 1:
-        raise InputError("V_t needs t >= 1")
-    if f.e != 1:
-        raise InputError("V_t acts on integral q-power series")
-    T = f.trunc * t
-    return f._with_values([_on_grid(c, t, T + 1) for c in f._comps], T, level=f.level * t)
-
-
 def _hecke_p(f, p):
     k = f.weight
     T = f.trunc // p
@@ -793,37 +763,3 @@ def _factorize(n):
     if n > 1:
         out.append((n, 1))
     return out
-
-
-# -- form files --------------------------------------------------------------
-
-def dump_form(f, fp=None):
-    d = f.serialize()
-    if fp is None:
-        return json.dumps(d, sort_keys=True, indent=1)
-    json.dump(d, fp, sort_keys=True, indent=1)
-    return None
-
-
-def load_form(data):
-    """Rebuild a QSeries from the JSON form-file dict (or JSON text)."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    try:
-        e = int(data.get("qdenom", 1))
-        trunc = int(data["trunc"])
-        level = int(data.get("level", 1))
-        weight = data.get("weight")
-        character = data.get("character", "trivial")
-        raw = data["coeffs"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("malformed form file: %s" % exc) from exc
-    if character != "trivial":
-        raise UnsupportedScopeError("only trivial character form files are supported")
-    field = None
-    if "field_modulus" in data:
-        field = NumberField(UniPoly([parse_rational(c) for c in data["field_modulus"]]))
-        coeffs = [field.elem([parse_rational(v) for v in c]) for c in raw]
-    else:
-        coeffs = [parse_rational(c) for c in raw]
-    return QSeries(coeffs, e=e, trunc=trunc, weight=weight, level=level, field=field)

@@ -483,16 +483,16 @@ def ddf_degrees_ref(f, p):
 
 
 def factor_degrees_ref(P, primes):
-    """(degrees, p) of `polynomial._factor_degrees` on the schoolbook F_p
-    routines: the mod-p degree sieve over primes, largest first, and the odd
-    prime with the fewest modular factors."""
-    ints = [int(c) for c in P.coeffs]
-    possible = set(range(1, P.degree))
-    best, fewest = None, P.degree + 1
+    """`polynomial._factor_degrees` on the schoolbook F_p routines, for the
+    integer polynomial P (int list, constant first): the mod-p degree sieve
+    over primes, largest first, and the odd prime with the fewest modular
+    factors; None when no prime keeps P squarefree."""
+    possible = None
+    best, fewest = None, len(P)
     for p in sorted(primes, reverse=True):
-        if ints[-1] % p == 0:
+        if P[-1] % p == 0:
             continue
-        f = fp_monic_ref([c % p for c in ints], p)
+        f = fp_monic_ref([c % p for c in P], p)
         df = _fp_trim([i * c % p for i, c in enumerate(f)][1:])
         if not df or len(fp_gcd_ref(f, df, p)) > 1:
             continue
@@ -500,20 +500,21 @@ def factor_degrees_ref(P, primes):
         sums = {0}
         for d in degrees:
             sums |= {s + d for s in sums}
-        possible &= sums
+        possible = (set(range(1, len(P) - 1)) if possible is None else possible) & sums
         if not possible:
             break
         if p > 2 and len(degrees) < fewest:
             best, fewest = p, len(degrees)
-    return possible, best
+    return None if possible is None else (possible, best)
 
 
 def factor_degrees_ascending(P):
-    """The mod-p degree sieve of `polynomial._factor_degrees` with the sieve
-    primes tried from the smallest up (the package's former order)."""
+    """The degrees of the mod-p degree sieve of `polynomial._factor_degrees`
+    on the integer polynomial P (int list), with the sieve primes tried from
+    the smallest up (the package's former order)."""
     from mtv.polynomial import _SIEVE_PRIMES, _fp_ddf, _squarefree_reductions
 
-    possible = set(range(1, P.degree))
+    possible = set(range(1, len(P) - 1))
     for p, f in _squarefree_reductions(P, _SIEVE_PRIMES):
         sums = {0}
         for g, d in _fp_ddf(f, p):

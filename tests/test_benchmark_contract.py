@@ -1,8 +1,9 @@
 """The names the benchmark in perfbench/ reaches inside mtv still exist.
 
 The benchmark's tracer wraps the methods it lists in METHODS, read from
-each class's vars(), and its workloads call mtv through module attributes.
-A deletion in the package that removes one of those names would break a
+each class's vars(), observes the calls of the functions it keys in
+OBSERVERS, and its workloads call mtv through module attributes.  A
+deletion in the package that removes one of those names would break a
 traced benchmark run without failing any other test.  perfbench/ is only
 parsed here, never imported or written to.
 """
@@ -23,18 +24,47 @@ def _tree(name):
     return ast.parse((PERFBENCH / name).read_text(), filename=name)
 
 
-def test_traced_methods_are_in_their_class_vars():
-    (methods,) = [
-        ast.literal_eval(node.value)
-        for node in _tree("tracer.py").body
+def _assigned(tree, name):
+    """The value node of the one module-level assignment to name in tree."""
+    (value,) = [
+        node.value
+        for node in tree.body
         if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "METHODS" for t in node.targets)
+        and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
     ]
+    return value
+
+
+def test_traced_methods_are_in_their_class_vars():
+    methods = ast.literal_eval(_assigned(_tree("tracer.py"), "METHODS"))
     assert methods
     for layer, entries in methods.items():
         module = importlib.import_module("mtv." + layer)
         for cls_name, method, _ in entries:
             assert method in vars(getattr(module, cls_name)), (layer, cls_name, method)
+
+
+def test_observed_functions_resolve():
+    tree = _tree("tracer.py")
+    keys = {ast.literal_eval(k) for k in _assigned(tree, "OBSERVERS").keys}
+    # OBSERVERS.update(... for name in EISENSTEIN) adds every name of that tuple
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "update" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "OBSERVERS"):
+            (gen,) = node.args
+            keys |= set(ast.literal_eval(_assigned(tree, gen.generators[0].iter.id)))
+    methods = {"%s.%s" % (layer, short)
+               for layer, entries in ast.literal_eval(_assigned(tree, "METHODS")).items()
+               for _, _, short in entries}
+    functions = sorted(keys - methods)
+    assert "polynomial.poly_factor_q" in functions and "qexp.eisenstein_level1" in functions
+    for key in functions:
+        module, name = key.split(".")
+        assert inspect.isfunction(getattr(importlib.import_module("mtv." + module), name)), key
+    # the factoring observer reads the degree of the first argument
+    p = mtv.polynomial.UniPoly([-2, 0, 1])
+    assert mtv.polynomial.poly_factor_q(p) == [(p, 1)] and p.degree == 2
 
 
 def test_workload_calls_resolve():

@@ -16,7 +16,10 @@ reads count, its own body included: the Fraction ``MatQ`` that only its own
 methods name stays, since the benchmark tracer wraps it by name.
 
 Exact factorization: polynomial.py imports neither mpmath nor numerics, so
-no path of poly_factor_q can reach floating point.
+no path of poly_factor_q can reach floating point.  The helpers of its
+certified path (every ``_fp_*`` function, the sieve, the Hensel lift and
+Zassenhaus's recombination) name neither Fraction nor UniPoly: they work on
+int lists, and poly_factor_q converts only at its entry and its result.
 
 Run-time module state: a module-level dict or set that a function mutates
 is process-wide state, such as a cache.  Only the ones on an allowlist may
@@ -123,6 +126,51 @@ def test_imported_parts_sees_every_import_form():
 def test_polynomial_imports_no_floating_point():
     parts = imported_parts((SRC / "polynomial.py").read_text())
     assert not {"mpmath", "numerics"} & parts
+
+
+# the certified-path helpers of polynomial.py besides the _fp_* functions
+INT_HELPERS = ("_squarefree_reductions", "_factor_degrees", "_hensel_lift", "_zq_prod",
+               "_int_divexact", "_factor_squarefree_monic_int")
+
+
+def int_helpers_naming_rationals(source):
+    """(helpers, offenders): the module-level _fp_* functions and
+    INT_HELPERS that source defines, and those among them that name Fraction
+    or UniPoly, bare or as an attribute, anywhere in their bodies; sorted."""
+    helpers, offenders = set(), set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and (node.name.startswith("_fp_")
+                                                  or node.name in INT_HELPERS):
+            helpers.add(node.name)
+            for n in ast.walk(node):
+                if (getattr(n, "id", None) or getattr(n, "attr", None)) in ("Fraction", "UniPoly"):
+                    offenders.add(node.name)
+    return sorted(helpers), sorted(offenders)
+
+
+def test_int_helper_check_flags_rational_names_only():
+    source = (
+        "from fractions import Fraction\n"
+        "def _fp_a(f, p):\n"
+        "    def inner(x):\n"
+        "        return Fraction(x)\n"
+        "    return inner\n"
+        "def _factor_degrees(P):\n"
+        "    return polynomial.UniPoly(P)\n"
+        "def _zq_prod(polys, q):\n"
+        "    # a Fraction here would be a rational coefficient\n"
+        "    return [1]\n"
+        "def _primitive(cs):\n"
+        "    return Fraction(cs[0])\n"
+    )
+    assert int_helpers_naming_rationals(source) == (["_factor_degrees", "_fp_a", "_zq_prod"],
+                                                    ["_factor_degrees", "_fp_a"])
+
+
+def test_certified_factoring_helpers_name_no_rationals():
+    helpers, offenders = int_helpers_naming_rationals((SRC / "polynomial.py").read_text())
+    assert set(INT_HELPERS) <= set(helpers) and len(helpers) > len(INT_HELPERS)
+    assert offenders == []
 
 
 def definitions_and_names(source):

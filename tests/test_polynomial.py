@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 import random
@@ -70,12 +71,6 @@ def test_monic_and_primitive():
     assert [c * scale for c in prim.coeffs] == list(p.coeffs)
 
 
-def test_scale_arg():
-    p = X**2 + 3 * X + 1
-    q = p.scale_arg(Fraction(2))
-    assert q.eval(Fraction(5)) == p.eval(Fraction(10))
-
-
 def test_gcd_and_squarefree():
     a = (X - 1) ** 2 * (X + 3)
     b = (X - 1) * (X + 5)
@@ -101,6 +96,11 @@ FACTOR_CASES = [
     # whose part x^3 + c needs Zassenhaus's method with a non-monic P
     X**4 + Fraction(80621568000, 68921) * X,
     (41 * X + 4320) * (X**2 - 7),           # non-monic linear factor
+    # every normalization branch at once: rational content, a negative
+    # leading coefficient, x^3, a repeated non-monic factor, and a Yun part
+    # (x^3 + (4320/41)^3)(6x^2 - 1) that needs Zassenhaus's method at lc != 1
+    Fraction(-3, 7) * X**3 * (3 * X**2 - 5) ** 2 * (X**3 + Fraction(4320, 41) ** 3)
+    * (6 * X**2 - 1),
 ]
 
 
@@ -118,6 +118,11 @@ def test_factor_certifies_product():
     for fac, mult in poly_factor_q(p):
         acc = acc * fac**mult
     assert acc == p.monic()
+
+
+def ints(p):
+    """The coefficients of an integer UniPoly as an int list, constant first."""
+    return [int(c) for c in p.coeffs]
 
 
 def random_int_poly(rng, degree, size):
@@ -241,7 +246,7 @@ def test_sieve_order_leaves_t2_certificates_unchanged():
     # largest prime first changes how soon the sieve stops, never its answer:
     # every T_2 polynomial here is irreducible either way
     for weight in range(24, 265, 2):
-        P = _t2_polynomial(weight)
+        P = ints(_t2_polynomial(weight))
         assert polynomial._factor_degrees(P)[0] == factor_degrees_ascending(P) == set(), weight
 
 
@@ -257,7 +262,7 @@ def test_sieve_certifies_t2_within_twelve_primes(weight, monkeypatch):
     calls = []
     ddf = polynomial._fp_ddf
     monkeypatch.setattr(polynomial, "_fp_ddf", lambda f, p: calls.append(p) or ddf(f, p))
-    assert polynomial._factor_degrees(_t2_polynomial(weight))[0] == set()
+    assert polynomial._factor_degrees(ints(_t2_polynomial(weight)))[0] == set()
     assert 1 <= len(calls) <= 12, calls
 
 
@@ -265,7 +270,7 @@ def test_sieve_certifies_t2_within_twelve_primes(weight, monkeypatch):
 def test_sieve_matches_a_schoolbook_sieve_on_t2(weight):
     # the same degrees and the same prime as the sieve on schoolbook F_p
     # products, remainders and gcds
-    P = _t2_polynomial(weight)
+    P = ints(_t2_polynomial(weight))
     assert polynomial._factor_degrees(P) == factor_degrees_ref(P, sympy.primerange(2, 300))
 
 
@@ -278,7 +283,7 @@ def test_sieve_never_certifies_a_product():
     for _ in range(60):
         a = random_int_poly(rng, rng.randint(1, 4), 30)
         b = random_int_poly(rng, rng.randint(1, 4), 30)
-        _, P = (a * b).primitive_int()
+        P = ints((a * b).primitive_int()[1])
         # a true factor degree never leaves the candidate set, so every prime
         # is scanned, and the order the primes are tried in changes nothing
         got, prime = polynomial._factor_degrees(P)
@@ -292,8 +297,7 @@ def test_sieve_never_certifies_a_product():
 
 def test_recombination_tries_only_sieve_degrees(monkeypatch):
     p = (X**2 - 2) * (X**2 - 3) * (X**2 - 5)
-    _, P = p.primitive_int()
-    assert polynomial._factor_degrees(P)[0] == {2, 4}
+    assert polynomial._factor_degrees(ints(p))[0] == {2, 4}
     sizes = []
     divexact = polynomial._int_divexact
 
@@ -319,7 +323,7 @@ def test_sieve_certifies_without_roots(monkeypatch):
     # irreducible over Q yet reducible modulo every prime: not certified, so
     # Zassenhaus's method is the route that proves it
     p = X**4 - 10 * X**2 + 1
-    assert polynomial._factor_degrees(p.primitive_int()[1])[0] == {2}
+    assert polynomial._factor_degrees(ints(p))[0] == {2}
     with pytest.raises(AssertionError, match="fallback ran"):
         poly_factor_q(p)
     monkeypatch.undo()
@@ -328,7 +332,7 @@ def test_sieve_certifies_without_roots(monkeypatch):
 
 def test_failed_multiply_back_raises_verification_error(monkeypatch):
     monkeypatch.setattr(polynomial, "_factor_squarefree_monic_int",
-                        lambda H, degrees, p: [H + 1])
+                        lambda H, degrees, p: [[H[0] + 1] + H[1:]])
     with pytest.raises(VerificationError):
         poly_factor_q((X - 1) * (X - 2))
 
@@ -375,7 +379,7 @@ def test_zassenhaus_proves_the_weight_276_t2_polynomial_irreducible():
     # degree 3 or 20 stay possible; the fallback takes about 0.5 s on a
     # 2-vCPU VM, and the bound only catches a search that runs away
     P = _t2_polynomial(276)
-    assert polynomial._factor_degrees(P) == ({3, 20}, 281)
+    assert polynomial._factor_degrees(ints(P)) == ({3, 20}, 281)
     start = time.perf_counter()
     assert poly_factor_q(P) == [(P, 1)]
     assert time.perf_counter() - start < 30
@@ -391,9 +395,8 @@ ODD_PRIMORIAL_293 = math.prod(sympy.primerange(3, 294))
     (X**2 - ODD_PRIMORIAL_293) * (X**2 - 3 * ODD_PRIMORIAL_293),
 ], ids=["linear", "quadratic"])
 def test_factor_past_the_sieve_primes(p):
-    P = p.primitive_int()[1]
-    assert polynomial._squarefree_prime(P) is None
-    assert polynomial._factor_degrees(P) == (set(range(1, p.degree)), None)
+    # no sieve prime certifies p squarefree, so no sieve degrees either
+    assert polynomial._factor_degrees(ints(p)) is None
     assert poly_factor_q(p) == from_sympy_factors(p)
 
 
@@ -403,7 +406,7 @@ def test_repeated_factors_are_never_certified_squarefree():
         g = random_int_poly(rng, rng.randint(1, 3), 9)
         h = random_int_poly(rng, rng.randint(0, 4), 9)
         p = g * g * h
-        assert polynomial._squarefree_prime(p.primitive_int()[1]) is None
+        assert polynomial._factor_degrees(ints(p.primitive_int()[1])) is None
         # Yun still runs and reports g with multiplicity 2 (or more, if g
         # shares a factor with h)
         factors = dict((f.coeffs, m) for f, m in poly_factor_q(p))
@@ -419,18 +422,40 @@ def test_squarefree_certificate_skips_yun(monkeypatch):
     rng = random.Random(12)
     for _ in range(40):
         p = random_int_poly(rng, rng.randint(1, 8), 9)
-        P = p.primitive_int()[1]
-        if sympy.discriminant(sympy.Poly(list(reversed([int(c) for c in P.coeffs])),
-                                          sympy.Symbol("x"))) == 0:
+        P = ints(p.primitive_int()[1])
+        if sympy.discriminant(sympy.Poly(P[::-1], sympy.Symbol("x"))) == 0:
             continue
-        assert polynomial._squarefree_prime(P) is not None
+        assert polynomial._factor_degrees(P) is not None
         assert all(m == 1 for _, m in poly_factor_q(p))
 
 
 def test_squarefree_certificate_on_a_prime_that_divides_the_degree():
     # x^3 - 2 mod 3 is (x + 1)^3 and its derivative vanishes there; mod 2
-    # it is x^3 and its derivative x^2: the first certificate is 5
-    assert polynomial._squarefree_prime(X**3 - 2) == 5
+    # it is x^3 and its derivative x^2: of 2, 3 and 5 only 5 certifies
+    primes = polynomial._SIEVE_PRIMES[:3]
+    assert [p for p, _ in polynomial._squarefree_reductions([-2, 0, 0, 1], primes)] == [5]
+
+
+def test_squarefree_inputs_take_one_derivative_gcd_per_prime(monkeypatch):
+    # the sieve's first accepted prime is the squarefree certificate, so no
+    # prime runs gcd(f, f') twice: not for inputs the sieve certifies
+    # irreducible, nor for those that go on to Zassenhaus's method at a sieve
+    # prime or (the primorial product) past the sieve's primes
+    gcd = polynomial._fp_gcd
+    calls = collections.Counter()
+
+    def spy(a, b, p):
+        if b == polynomial._fp_trim([i * c % p for i, c in enumerate(a)][1:]):
+            calls[p] += 1
+        return gcd(a, b, p)
+
+    monkeypatch.setattr(polynomial, "_fp_gcd", spy)
+    for p in (X**2 - 1080 * X - 20468736, 3 * X**3 - 7 * X + 2, X**4 - 10 * X**2 + 1,
+              (X**2 - 2) * (X**2 - 3) * (X**2 - 5), (41 * X + 4320) * (X**2 - 7),
+              (X - ODD_PRIMORIAL_293) * (X + ODD_PRIMORIAL_293)):
+        calls.clear()
+        assert all(m == 1 for _, m in poly_factor_q(p))
+        assert calls and max(calls.values()) == 1, (p, calls)
 
 
 def test_real_root_count_by_sturm():
