@@ -33,9 +33,9 @@ from .errors import (
     UnsupportedScopeError,
     VerificationError,
 )
-from .numerics import lattice_sum_eisenstein, eval_qseries
+from .numerics import MIN_PREC_BITS, eval_qseries, lattice_sum_eisenstein
 from .qexp import EtaQuotientSpec, eisenstein_level1, eisenstein_prime_level
-from .rational import exact_fraction, format_rational, parse_rational
+from .rational import exact_fraction, format_exact, format_rational, parse_rational
 from .spaces import (
     MAX_NEWFORM_DIM,  # noqa: F401 -- the CLI's caps stay readable as cli.MAX_*
     _require_newform_dim,
@@ -116,12 +116,9 @@ def _default_prec():
     if v is None:
         return 256
     try:
-        n = int(v)
+        return int(v)
     except ValueError as exc:
         raise InputError("MTV_PREC_BITS must be an integer") from exc
-    if n < 64:
-        raise InputError("MTV_PREC_BITS must be >= 64")
-    return n
 
 
 def _eta_for(level, eta_text):
@@ -157,11 +154,7 @@ def cmd_newforms(args):
         orbits.append({
             "degree": nf.degree,
             "hecke_minpoly": nf.modulus.serialize(),
-            "coefficients": [
-                format_rational(nf.a(n)) if nf.field is None
-                else [format_rational(c) for c in nf.a(n).coords]
-                for n in range(min(args.order, 16) + 1)
-            ],
+            "coefficients": [format_exact(nf.a(n)) for n in range(min(args.order, 16) + 1)],
             "totally_real": True if nf.field is None else nf.field.is_totally_real(),
         })
     _emit({
@@ -206,7 +199,7 @@ def cmd_phi(args):
     if args.power != 1:
         h = h ** args.power
         hfr = hfr ** args.power
-    sym = transformation_polynomial(h, hfr, N, validate=True)
+    sym = transformation_polynomial(h, hfr, N)
     doc = {
         "level": N,
         "eta": spec.serialize(),
@@ -384,6 +377,9 @@ def main(argv=None):
     try:
         if args.prec is None:
             args.prec = _default_prec()
+        if args.prec < MIN_PREC_BITS:
+            raise InputError("precision of %d bits is below the floor of %d"
+                             % (args.prec, MIN_PREC_BITS))
         if args.prec > MAX_PREC_BITS:
             raise ResourceLimitError("precision of %d bits is above the cap of %d"
                                      % (args.prec, MAX_PREC_BITS))

@@ -19,7 +19,7 @@ import mpmath
 from mpmath import mpc, mpf
 
 from .errors import InputError, PrecisionError, VerificationError
-from .numerics import BigComplex, eval_qseries, to_mpc, to_mpf
+from .numerics import BigComplex, _check_prec, eval_qseries, to_mpc, to_mpf
 from .numfield import nf_trace
 from .polynomial import UniPoly, _power, poly_factor_q
 from .qexp import eisenstein_level1
@@ -192,9 +192,7 @@ def tau_from_curve(curve, prec_bits=256):
     scale^4 E4(tau) = 12 g2 and scale^6 E6(tau) = 216 g3 to the certified
     working precision.
     """
-    prec_bits = int(prec_bits)
-    if prec_bits < 64:
-        raise InputError("precision below 64 bits")
+    prec_bits = _check_prec(prec_bits)
     jv = curve.j
     with mpmath.workprec(prec_bits + 32):
         if jv == 0:

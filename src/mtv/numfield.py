@@ -1,7 +1,9 @@
-"""Number fields Q[x]/(p) in the power basis.
+"""Number fields Q[x]/(p) in the power basis, p monic with integer coefficients.
 
-A number field element is one integer coordinate vector over one positive
-denominator.
+The pipeline's fields are Hecke fields, generated by a T_2 eigenvalue, an
+algebraic integer, so the reduction of powers past the degree and the power
+sums Tr(theta^j) are integer tables.  A number field element is one integer
+coordinate vector over one positive denominator.
 """
 
 import math
@@ -13,33 +15,27 @@ from .polynomial import (
     UniPoly,
     _power,
     elementary_from_power_sums,
-    poly_factor_q,
     power_sums_from_elementary,
 )
 
 
 class NumberField:
-    """Q[x]/(modulus) with modulus monic irreducible over Q."""
+    """Q[x]/(modulus) with modulus monic, integral and irreducible over Q.
 
-    def __init__(self, modulus, check_irreducible=True):
-        if not isinstance(modulus, UniPoly):
-            modulus = UniPoly(modulus)
+    Irreducibility is the caller's to certify: the pipeline builds a field
+    only on a factor that poly_factor_q has just returned.
+    """
+
+    def __init__(self, modulus):
         if modulus.degree < 1:
             raise InputError("modulus must have degree >= 1")
-        if modulus.lc() != 1:
-            modulus = modulus.monic()
-        if check_irreducible:
-            fs = poly_factor_q(modulus)
-            if len(fs) != 1 or fs[0][1] != 1:
-                raise InputError("modulus is reducible over Q")
+        if modulus.lc() != 1 or any(c.denominator != 1 for c in modulus.coeffs):
+            raise InputError("modulus must be monic with integer coefficients")
         self.modulus = modulus
-        self.degree = modulus.degree
-        # x^t mod modulus for t = degree .. 2*degree-2, as integer rows over
-        # the one denominator _red_den (1 for an integral modulus)
-        table = []
-        d = self.degree
-        cur = [-c for c in _ints_if_integral(modulus.coeffs[:d])]
-        table.append(cur)
+        self.degree = d = modulus.degree
+        # x^t mod modulus for t = degree .. 2*degree-2, as integer rows
+        cur = [-int(c) for c in modulus.coeffs[:d]]
+        table = [cur]
         for _ in range(d - 2):
             nxt = [0] + cur[: d - 1]
             top = cur[d - 1]
@@ -48,9 +44,7 @@ class NumberField:
                     nxt[i] += top * table[0][i]
             cur = nxt
             table.append(cur)
-        den = math.lcm(*[c.denominator for row in table for c in row])
-        self._red_den = den
-        self._red = tuple(tuple(int(c * den) for c in row) for row in table)
+        self._red = tuple(map(tuple, table))
         self._power_sums = None
 
     def __eq__(self, other):
@@ -78,24 +72,15 @@ class NumberField:
             return v
         return self.elem([Fraction(v)])
 
-    def zero(self):
-        return self.elem([])
-
     def one(self):
         return self.elem([1])
 
-    def gen(self):
-        if self.degree == 1:
-            return self.elem([-self.modulus.coeffs[0]])
-        return self.elem([0, 1])
-
     def _reduce(self, raw):
-        """_red_den times the coordinates of sum_t raw[t] x^t, t <= 2*degree - 2,
-        for integer arrays raw[t] of one length (one power list per position):
-        one integer array per coordinate."""
+        """The coordinates of sum_t raw[t] x^t, t <= 2*degree - 2, for integer
+        arrays raw[t] of one length (one power list per position): one
+        integer array per coordinate."""
         d = self.degree
-        rd = self._red_den
-        out = [[x * rd for x in c] for c in raw[:d]]
+        out = raw[:d]
         for row, c in zip(self._red, raw[d:]):
             for i, r in enumerate(row):
                 if r:
@@ -103,18 +88,17 @@ class NumberField:
         return out
 
     def power_sums(self):
-        """Tr(theta^j) for j = 0 .. 2*degree - 2, theta the generator.
+        """Tr(theta^j) for j = 0 .. 2*degree - 2, theta the generator: integers,
+        theta being an algebraic integer.
 
         Computed once per field from the modulus by Newton's identities; the
         trace form Tr(y*z) of two elements only needs these.
         """
         if self._power_sums is None:
             d = self.degree
-            cs = _ints_if_integral(self.modulus.coeffs)
+            cs = [int(c) for c in self.modulus.coeffs]
             sym = [cs[d - i] if i % 2 == 0 else -cs[d - i] for i in range(1, d + 1)]
-            self._power_sums = tuple(
-                map(Fraction, [d] + power_sums_from_elementary(sym, 2 * d - 2))
-            )
+            self._power_sums = tuple([d] + power_sums_from_elementary(sym, 2 * d - 2))
         return self._power_sums
 
     def is_totally_real(self):
@@ -128,8 +112,6 @@ class NumberField:
         """
         d = self.degree
         ps = self.power_sums()
-        den = math.lcm(*[v.denominator for v in ps])
-        ps = [int(v * den) for v in ps]
         a = [ps[i : i + d] for i in range(d)]
         prev = 1
         for k in range(d):
@@ -145,14 +127,6 @@ class NumberField:
                 ]
             prev = p
         return True
-
-
-def _ints_if_integral(values):
-    """The Fractions as ints when all are integers, else unchanged: an
-    integral modulus sets up its field in integer arithmetic."""
-    if all(v.denominator == 1 for v in values):
-        return [v.numerator for v in values]
-    return values
 
 
 def _ints_over_den(values):
@@ -221,14 +195,6 @@ class NumberFieldElem:
     def is_zero(self):
         return not any(self._num)
 
-    def is_rational(self):
-        return not any(self._num[1:])
-
-    def rational_part(self):
-        if not self.is_rational():
-            raise InputError("element is not rational")
-        return Fraction(self._num[0], self._den)
-
     def _coerce(self, other):
         return self.field.coerce(other)
 
@@ -271,9 +237,8 @@ class NumberFieldElem:
                     if b:
                         conv[i + j] += a * b
         coords = field._reduce([[c] for c in conv])
-        return NumberFieldElem._from_ints(
-            field, [c[0] for c in coords], self._den * other._den * field._red_den
-        )
+        return NumberFieldElem._from_ints(field, [c[0] for c in coords],
+                                          self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -315,7 +280,7 @@ def nf_trace(elem):
     """Field trace K -> Q: the coordinates dotted with the power sums Tr(theta^j)."""
     if isinstance(elem, (int, Fraction)):
         return Fraction(elem)
-    return sum(map(operator.mul, elem._num, elem.field.power_sums()), Fraction(0)) / elem._den
+    return Fraction(sum(map(operator.mul, elem._num, elem.field.power_sums())), elem._den)
 
 
 def nf_charpoly(elem):

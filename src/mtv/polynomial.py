@@ -45,10 +45,6 @@ class UniPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def x(cls):
-        return cls((0, 1))
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -152,13 +148,6 @@ class UniPoly:
         if acc is None:
             return Fraction(0)
         return acc
-
-    def primitive_int(self):
-        """Write p = unit * P with P integer-coefficient, primitive, lc > 0."""
-        if self.is_zero():
-            return Fraction(0), UniPoly()
-        P = _primitive(self.coeffs)
-        return self.lc() / P[-1], UniPoly(P)
 
     def serialize(self):
         from .rational import format_rational

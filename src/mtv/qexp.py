@@ -153,9 +153,6 @@ class QSeries:
     def is_zero(self):
         return not any(map(any, self._comps))
 
-    def constant_term(self):
-        return self.coeff(0)
-
     def coeff(self, n):
         """Coefficient of q^n; n may be a Fraction on a fractional-power grid."""
         n = Fraction(n)
@@ -167,11 +164,6 @@ class QSeries:
         if m.denominator != 1 or m < 0:
             return self._value([0] * len(self._comps), 1)
         return self._value([c[int(m)] for c in self._comps], self._den)
-
-    def valuation(self):
-        """Exponent of the first nonzero term, or None for the zero series."""
-        m = next((m for m, xs in enumerate(zip(*self._comps)) if any(xs)), None)
-        return None if m is None else Fraction(m, self.e)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -323,7 +315,7 @@ def _field_mul(field, A, B, den, out_len):
             raw[i + j] = c if raw[i + j] is None else list(map(operator.add, raw[i + j], c))
     if len(raw) == max(len(A), len(B)):
         return raw, den
-    return field._reduce(raw), den * field._red_den
+    return field._reduce(raw), den
 
 
 def _on_grid(values, stride, out_len):
@@ -459,7 +451,7 @@ _GATE_DONE = set()
 _GATE_ORDER = 64
 _GATE_PREC = 160
 # 27/128 + 145/128 i and -47/128 + 219/128 i: exact at any precision, with
-# 7 fractional bits (see _gate_eisenstein)
+# 7 fractional bits (see _check_eisenstein)
 _GATE_TAUS = (mpc("0.2109375", "1.1328125"), mpc("-0.3671875", "1.7109375"))
 
 
@@ -477,17 +469,27 @@ def _require_prime(level):
     return level
 
 
-def _gate_eisenstein(weight, level):
-    """One-time cross-check of the closed form against the coset-sum oracle.
+def _gate_once(key, check, *args):
+    """Run check(*args) unless key has passed in this process: a check that
+    returns records key in _GATE_DONE, one that raises records nothing."""
+    if key not in _GATE_DONE:
+        check(*args)
+        _GATE_DONE.add(key)
 
-    The points _GATE_TAUS are short dyadics: the coset-sum kernel works on
-    tau scaled to Gaussian integers, whose terms grow like the weight times
-    the fractional bits of tau, so 7 bits keep them small where a decimal
-    point held at _GATE_PREC bits would carry about 160.
+
+def _gate_eisenstein(weight, level):
+    """One-time cross-check of the closed form against the coset-sum oracle."""
+    _gate_once((weight, level), _check_eisenstein, weight, level)
+
+
+def _check_eisenstein(weight, level):
+    """The closed form agrees with the coset-sum oracle at _GATE_TAUS.
+
+    The points are short dyadics: the coset-sum kernel works on tau scaled
+    to Gaussian integers, whose terms grow like the weight times the
+    fractional bits of tau, so 7 bits keep them small where a decimal point
+    held at _GATE_PREC bits would carry about 160.
     """
-    key = (weight, level)
-    if key in _GATE_DONE:
-        return
     ser = _eisenstein_prime_level_raw(weight, level, _GATE_ORDER)
     with mp.workprec(_GATE_PREC):
         for tau in _GATE_TAUS:
@@ -498,7 +500,6 @@ def _gate_eisenstein(weight, level):
                     "Eisenstein closed form (weight %d, level %d) disagrees with "
                     "the coset-sum oracle at tau=%s" % (weight, level, tau)
                 )
-    _GATE_DONE.add(key)
 
 
 def _slash_agrees(f, g, c, weight, level, tau, prec):
@@ -521,9 +522,10 @@ def _slash_agrees(f, g, c, weight, level, tau, prec):
 
 def _gate_fricke(weight, level):
     """One-time numeric check of the Fricke image closed form via the slash action."""
-    key = (weight, level, "fricke")
-    if key in _GATE_DONE:
-        return
+    _gate_once((weight, level, "fricke"), _check_fricke, weight, level)
+
+
+def _check_fricke(weight, level):
     # -1/(N tau) has small imaginary part, so the slash side needs a long
     # series; order 256 keeps its tail far below the rounding allowance
     E = _eisenstein_prime_level_raw(weight, level, 256)
@@ -534,7 +536,6 @@ def _gate_fricke(weight, level):
                 "Fricke Eisenstein closed form (weight %d, level %d) fails "
                 "the slash-action check at tau=%s" % (weight, level, tau)
             )
-    _GATE_DONE.add(key)
 
 
 def eisenstein_level1(weight, trunc):

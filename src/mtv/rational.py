@@ -51,6 +51,14 @@ def format_rational(x):
     return text + "/" + _decimal(x.denominator)
 
 
+def format_exact(x):
+    """A rational as format_rational's string, a number-field element as the
+    list of those strings for its power-basis coordinates."""
+    if isinstance(x, Fraction):
+        return format_rational(x)
+    return [format_rational(v) for v in x.coords]
+
+
 def parse_rational(s):
     """Inverse of format_rational. Accepts "p/q" and "n" forms of any size,
     and whatever else ``Fraction`` parses (decimals, exponents)."""

@@ -151,14 +151,13 @@ def miller_basis(weight, trunc):
 class Newform:
     """A normalized level-1 Hecke eigenform with its coefficient field."""
 
-    __slots__ = ("weight", "field", "modulus", "qexp", "level")
+    __slots__ = ("weight", "field", "modulus", "qexp")
 
-    def __init__(self, weight, field, modulus, qexp, level=1):
+    def __init__(self, weight, field, modulus, qexp):
         self.weight = int(weight)
         self.field = field
         self.modulus = modulus
         self.qexp = qexp
-        self.level = int(level)
 
     @property
     def degree(self):
@@ -388,7 +387,7 @@ def newform_basis_level1(weight, trunc):
         # sum_i c_i b_i, one integer array per coordinate of K, row by row
         comps = [[sum(map(operator.mul, ct, row)) for row in brows] for ct in zip(*C)]
         # poly_factor_q has just certified g irreducible
-        field = None if d == 1 else NumberField(g, check_irreducible=False)
+        field = None if d == 1 else NumberField(g)
         f = QSeries._from_comps(comps, D, 1, trunc, k, 1, field)
         orbits.append(Newform(weight=k, field=field, modulus=g, qexp=f))
     return GaloisOrbitSet(k, orbits, s)

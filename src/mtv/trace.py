@@ -29,6 +29,7 @@ from .polynomial import elementary_from_power_sums, power_sums_from_elementary
 from .qexp import (
     EtaQuotientSpec,
     QSeries,
+    _gate_once,
     _kron_mul,
     _require_even_weight,
     _require_prime,
@@ -38,6 +39,7 @@ from .qexp import (
     fricke_eisenstein,
     op_U,
 )
+from .rational import format_exact, format_rational
 from .spaces import (
     _require_newform_dim,
     conductor_of_space,
@@ -51,15 +53,13 @@ from .spaces import (
 
 # -- Fricke action on eta quotients ---------------------------------------
 
-_FRICKE_ETA_OK = set()
-
-
 def fricke_eta_data(spec, level):
     """Partner spec and exact scalar c with (prod eta(dz)^r_d)|w_N = c * partner.
 
     Scope: every d divides the (prime or 1) level and the scalar must come out
     rational; otherwise UnsupportedScopeError.  The first use of each (spec,
-    level) pair is validated numerically against the slash action at tau = i.
+    level) pair is validated numerically against the slash action at tau = i,
+    and recorded with the Eisenstein gates (qexp._gate_once).
     """
     if not isinstance(spec, EtaQuotientSpec):
         spec = EtaQuotientSpec(spec)
@@ -78,10 +78,7 @@ def fricke_eta_data(spec, level):
     if nexp.denominator != 1:
         raise UnsupportedScopeError("irrational Fricke eta scalar")
     scalar = Fraction((-1) ** (l // 2)) * Fraction(level) ** int(nexp)
-    key = (spec.pairs, level)
-    if key not in _FRICKE_ETA_OK:
-        _check_fricke_eta(spec, partner, scalar, level, l)
-        _FRICKE_ETA_OK.add(key)
+    _gate_once((spec.pairs, level, "eta"), _check_fricke_eta, spec, partner, scalar, level, l)
     return partner, scalar
 
 
@@ -143,14 +140,13 @@ def _sieved_product(a, b, step=None):
                               math.lcm(a.level, b.level))
 
 
-def transformation_polynomial(h, h_fricke, level, validate=True):
+def transformation_polynomial(h, h_fricke, level):
     """Signed coefficients s_1..s_(N+1) of prod over cosets (X - h|gamma).
 
     Phi(X) = X^mu - s_1 X^(mu-1) + s_2 X^(mu-2) - ...; each s_i is returned
-    as a level-1 rational q-series of weight w*i.  With validate=True every
-    s_i is also certified a level-1 form through its whole truncation by one
-    level1_coordinates call, which fails loudly naming the first s_i that
-    is not.
+    as a level-1 rational q-series of weight w*i, certified a level-1 form
+    through its whole truncation by one level1_coordinates call, which fails
+    loudly naming the first s_i that is not.
     """
     N = _require_prime(level)
     w = h.weight
@@ -182,19 +178,18 @@ def transformation_polynomial(h, h_fricke, level, validate=True):
         term = hT if prev is None else hT * prev
         si = term if ei is None else ei + term
         sym.append(si)
-    if validate:
-        for i, si in enumerate(sym, start=1):
-            if si.weight != w * i:
-                raise VerificationError("weight bookkeeping failed for s_%d" % i)
-        try:
-            level1_coordinates(sym)
-        except VerificationError as exc:
-            if not hasattr(exc, "index"):
-                raise
-            i = exc.index + 1
-            raise VerificationError(
-                "s_%d is not a level-1 form of weight %d: %s" % (i, w * i, exc)
-            ) from exc
+    for i, si in enumerate(sym, start=1):
+        if si.weight != w * i:
+            raise VerificationError("weight bookkeeping failed for s_%d" % i)
+    try:
+        level1_coordinates(sym)
+    except VerificationError as exc:
+        if not hasattr(exc, "index"):
+            raise
+        i = exc.index + 1
+        raise VerificationError(
+            "s_%d is not a level-1 form of weight %d: %s" % (i, w * i, exc)
+        ) from exc
     return sym
 
 
@@ -222,18 +217,12 @@ def trace_to_level1(f, f_fricke, level, power=1):
     return t._with_values(t._comps, t.trunc, level=1)
 
 
-def main_constant(weight, target_level=1):
-    """c_M = 3 * 4^(1-w) * (w-2)! / [index of the target-level group]."""
+def main_constant(weight):
+    """c = 3 * 4^(1-w) * (w-2)!, the constant of the trace to level 1."""
     w = int(weight)
     if w < 4 or w % 2:
         raise InputError("constant defined for even weight >= 4")
-    M = int(target_level)
-    if M == 1:
-        index = 1
-    else:
-        _require_prime(M)
-        index = M + 1
-    return Fraction(3) * Fraction(4) ** (1 - w) * math.factorial(w - 2) / index
+    return Fraction(3) * Fraction(4) ** (1 - w) * math.factorial(w - 2)
 
 
 def expand_in_newforms(f, orbit_set):
@@ -272,10 +261,8 @@ def expand_in_newforms(f, orbit_set):
     cols = []
     for nf in orbit_set.orbits:
         comps, den = nf.qexp._components(1, n)
-        ps = nf.field.power_sums() if nf.field else (Fraction(1),)
-        pden = math.lcm(*[p.denominator for p in ps])
-        den *= pden
-        hankel = [[int(p * pden) for p in ps[j : j + len(comps)]] for j in range(len(comps))]
+        ps = nf.field.power_sums() if nf.field else (1,)
+        hankel = [ps[j : j + len(comps)] for j in range(len(comps))]
         rows = list(zip(*[c[1 : r + 1] for c in comps]))
         scales = []
         for hj in hankel:
@@ -326,13 +313,6 @@ class TheoremResult:
             setattr(self, k, kw[k])
 
     def to_dict(self):
-        from .rational import format_rational
-
-        def fmt_elem(x):
-            if isinstance(x, Fraction):
-                return format_rational(x)
-            return [format_rational(v) for v in x.coords]
-
         orbits = []
         for nf, c, xi in zip(self.orbit_set.orbits, self.components, self.ratios):
             cp = nf_charpoly(xi)
@@ -341,9 +321,9 @@ class TheoremResult:
             orbits.append({
                 "degree": nf.degree,
                 "hecke_minpoly": nf.modulus.serialize() if nf.modulus is not None else None,
-                "coefficients_head": [fmt_elem(nf.a(n)) for n in range(8)],
-                "component": fmt_elem(c),
-                "ratio": fmt_elem(xi),
+                "coefficients_head": [format_exact(nf.a(n)) for n in range(8)],
+                "component": format_exact(c),
+                "ratio": format_exact(xi),
                 "ratio_trace": format_rational(nf_trace(xi)),
                 "ratio_norm": format_rational(norm),
                 "ratio_charpoly": cp.serialize(),
@@ -392,7 +372,7 @@ def verify_theorem(level, eta_pairs, eis_weight, power, order=64):
     h, hfr = product_inputs(N, spec, eis_weight, reach)
 
     route1 = trace_to_level1(h, hfr, N, power)
-    sym = transformation_polynomial(h, hfr, N, validate=True)
+    sym = transformation_polynomial(h, hfr, N)
     route2 = power_sums_from_elementary(sym, power)[power - 1]
     through = min(route1.trunc, route2.trunc)
     if not route1.agrees_through(route2, through):
@@ -402,7 +382,7 @@ def verify_theorem(level, eta_pairs, eis_weight, power, order=64):
 
     trace = route1.truncate(through)
     orbit_set = newform_basis_level1(W, trace.trunc)
-    cm = main_constant(W, 1)
+    cm = main_constant(W)
     comps = expand_in_newforms(trace, orbit_set)
     ratios = [c / cm for c in comps]
     conductor, admissible = conductor_of_space(W, N)

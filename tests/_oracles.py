@@ -215,8 +215,8 @@ def elimination_eigenvector(M, g):
                 for i in range(s)]
     else:
         field = NumberField(g)
-        theta = field.gen()
-        rows = [[field.coerce(M.rows[i][j]) - (theta if i == j else field.zero())
+        theta = field.elem([0, 1])
+        rows = [[field.coerce(M.rows[i][j]) - (theta if i == j else field.elem([]))
                  for j in range(s)] for i in range(s)]
     null = MatQ(rows).nullspace()
     assert len(null) == 1
@@ -232,7 +232,7 @@ def mult_matrix(elem):
     cur = elem
     for _ in range(elem.field.degree):
         cols.append(cur.coords)
-        cur = cur * elem.field.gen()
+        cur = cur * elem.field.elem([0, 1])
     return MatQ(list(zip(*cols)))
 
 
@@ -526,6 +526,11 @@ def factor_degrees_ascending(P):
     return possible
 
 
+def _valuation(f):
+    """Exponent of the first nonzero term of the series f, None when f is zero."""
+    return next((Fraction(m, f.e) for m, c in enumerate(f.coeffs) if not _is_zero(c)), None)
+
+
 def expand_in_triangular_ref(f, basis, strict=True):
     """Forward substitution on QSeries arithmetic, one Fraction (or field
     element) coordinate and one series subtraction per basis element (the
@@ -535,7 +540,7 @@ def expand_in_triangular_ref(f, basis, strict=True):
     coords = []
     rem = f
     for i, b in enumerate(basis):
-        lead = b.valuation()
+        lead = _valuation(b)
         if lead is None:
             raise TruncationError(
                 "basis element %d vanishes through q^%d; raise the order" % (i + 1, b.trunc)
@@ -545,7 +550,7 @@ def expand_in_triangular_ref(f, basis, strict=True):
         if not _is_zero(c):
             rem = rem - b.scale(c)
     if strict and not rem.is_zero():
-        v = rem.valuation()
+        v = _valuation(rem)
         raise VerificationError(
             "series is not in the span of the basis: residual starts at q^%s" % v
         )
@@ -672,7 +677,7 @@ def expand_in_newforms_ref(f, orbit_set):
         if nf.field is None:
             cols.append([nf.a(n) for n in range(1, r + 1)])
             continue
-        theta = nf.field.gen()
+        theta = nf.field.elem([0, 1])
         for j in range(nf.degree):
             w = trace_form(theta**j)
             cols.append([sum(map(operator.mul, w, nf.a(n).coords)) for n in range(1, r + 1)])

@@ -205,6 +205,27 @@ def test_bad_env_precision_exit3():
     assert "MTV_PREC_BITS" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["newforms", "--weight", "24"],
+    ["theorem", "--level", "2", "--eis-weight", "4", "--order", "8"],
+    ["corollary", "--level", "2", "--eis-weight", "4", "--order", "8", "--curve=4,1"],
+    ["phi", "--level", "2", "--eis-weight", "4", "--order", "8"],
+    ["oracle", "--eis-weight", "4", "--level", "2", "--tau=0.21,1.13", "--bound", "8",
+     "--series-order", "32"],
+    ["specialize", "--curve=-2,-5", "--level", "2"],
+], ids=lambda argv: argv[0])
+def test_every_subcommand_refuses_a_precision_below_64_bits(argv, monkeypatch, capsys):
+    # the floor holds for --prec and MTV_PREC_BITS alike, also in the
+    # subcommands whose exact work reads no precision
+    monkeypatch.setenv("MTV_PREC_BITS", "63")
+    for args in (["--prec", "63"] + argv, argv):
+        assert cli.main(args) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "below the floor of 64" in err
+    assert cli.main(["--prec", "64"] + argv) == 0
+    assert json.loads(capsys.readouterr().out)
+
+
 def test_verification_failure_exits2(monkeypatch, capsys):
     def boom(*a, **kw):
         raise VerificationError("planted failure")

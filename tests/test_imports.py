@@ -15,6 +15,12 @@ package no longer reaches cannot stay in src/ unnoticed.  A module's own
 reads count, its own body included: the Fraction ``MatQ`` that only its own
 methods name stays, since the benchmark tracer wraps it by name.
 
+Unread methods: every method of a module-level class of mtv, dunders aside,
+is read as an attribute by some module of mtv or by the acceptance tests.
+The (class, method) pairs that the benchmark tracer wraps by name (its
+METHODS, parsed from perfbench/tracer.py) and the oracle class ``MatQ`` are
+exempt.
+
 Exact factorization: polynomial.py imports neither mpmath nor numerics, so
 no path of poly_factor_q can reach floating point.  The helpers of its
 certified path (every ``_fp_*`` function, the sieve, the Hensel lift and
@@ -32,7 +38,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mtv"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mtv"
 
 
 def unused_imports(source):
@@ -236,11 +243,90 @@ def test_every_definition_is_named_exported_or_accepted():
     assert unnamed_definitions(sources, set(mtv.__all__) | accepted) == []
 
 
+def methods_and_reads(source):
+    """((class, method) for each method of a module-level class of source,
+    dunders aside; every attribute name that source reads)."""
+    tree = ast.parse(source)
+    methods = {(node.name, fn.name) for node in tree.body if isinstance(node, ast.ClassDef)
+               for fn in node.body
+               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (fn.name.startswith("__") and fn.name.endswith("__"))}
+    reads = {n.attr for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return methods, reads
+
+
+def unread_methods(sources, readers=(), exempt=()):
+    """(module, class, method) of each method in sources (module -> text)
+    whose name neither a source nor a text in readers reads as an attribute,
+    and whose class or (class, method) pair exempt does not list; sorted."""
+    scanned = {mod: methods_and_reads(text) for mod, text in sources.items()}
+    read = set().union(*[reads for _, reads in scanned.values()],
+                       *[methods_and_reads(text)[1] for text in readers])
+    return sorted((mod, cls, name) for mod, (methods, _) in scanned.items()
+                  for cls, name in methods
+                  if name not in read and cls not in exempt and (cls, name) not in exempt)
+
+
+def test_method_check_flags_only_unread_methods():
+    sources = {
+        "a.py": (
+            "class Poly:\n"
+            "    def __add__(self, other):\n"
+            "        return self.lead()\n"
+            "    def lead(self):\n"
+            "        return 1\n"
+            "    @property\n"
+            "    def degree(self):\n"
+            "        return 0\n"
+            "    def dead(self):\n"
+            "        pass\n"
+            "    def stored(self):\n"
+            "        pass\n"
+            "    def traced(self):\n"
+            "        pass\n"
+            "def helper(p):\n"
+            "    p.stored = None  # a store, not a read\n"
+            "    return dead  # a bare name, not an attribute\n"
+        ),
+        "b.py": (
+            "class Oracle:\n"
+            "    def solve(self):\n"
+            "        pass\n"
+            "class Helper:\n"
+            "    def used(self):\n"
+            "        return 1\n"
+        ),
+    }
+    exempt = {"Oracle", ("Poly", "traced")}
+    reader = "from a import Poly\nPoly().degree\nHelper().used()\n"
+    assert unread_methods(sources, [reader], exempt) == [("a.py", "Poly", "dead"),
+                                                         ("a.py", "Poly", "stored")]
+    assert unread_methods(sources, [], exempt) == [
+        ("a.py", "Poly", "dead"), ("a.py", "Poly", "degree"), ("a.py", "Poly", "stored"),
+        ("b.py", "Helper", "used")]
+
+
+def traced_methods():
+    """The (class, method) pairs in the METHODS table of perfbench/tracer.py."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "METHODS" for t in node.targets)]
+    return {(cls, meth) for entries in ast.literal_eval(value).values()
+            for cls, meth, _ in entries}
+
+
+def test_every_method_is_read_by_the_package_or_accepted():
+    assert ("NumberFieldElem", "inverse") in traced_methods()
+    sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text()
+    assert unread_methods(sources, [acceptance], traced_methods() | {"MatQ"}) == []
+
+
 # module -> its module-level dicts and sets that functions mutate: the
 # one-time gate records, the Bernoulli table and the grow-only series store
 RUN_TIME_STATE = {
     "qexp.py": ["_BERNOULLI", "_GATE_DONE", "_SERIES_STORE"],
-    "trace.py": ["_FRICKE_ETA_OK"],
 }
 MUTATORS = {"add", "clear", "difference_update", "discard", "intersection_update", "pop",
             "popitem", "remove", "setdefault", "symmetric_difference_update", "update"}

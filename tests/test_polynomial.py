@@ -23,7 +23,7 @@ from _oracles import (charpoly_multimodular, ddf_degrees_ref, factor_degrees_asc
                       factor_degrees_ref, factor_mod_p, fp_gcd_ref, fp_mul_ref, fp_mulmod_ref,
                       fp_powmod_ref, fp_rem_ref, real_root_count)
 
-X = UniPoly.x()
+X = UniPoly([0, 1])
 
 
 def from_sympy_factors(p):
@@ -67,8 +67,12 @@ def test_basic_arithmetic_and_eval():
 def test_monic_and_primitive():
     p = UniPoly([Fraction(2), Fraction(0), Fraction(4)])
     assert p.monic().coeffs == (Fraction(1, 2), Fraction(0), Fraction(1))
-    scale, prim = p.primitive_int()
-    assert [c * scale for c in prim.coeffs] == list(p.coeffs)
+    # poly_factor_q's one normalization: content 1, positive lead, a
+    # rational multiple of the input
+    for cs in (p.coeffs, [Fraction(-3, 2), Fraction(1, 6), Fraction(-9, 4)]):
+        P = polynomial._primitive(cs)
+        assert P[-1] > 0 and math.gcd(*P) == 1
+        assert [c * P[-1] for c in cs] == [v * cs[-1] for v in P]
 
 
 def test_gcd_and_squarefree():
@@ -283,7 +287,7 @@ def test_sieve_never_certifies_a_product():
     for _ in range(60):
         a = random_int_poly(rng, rng.randint(1, 4), 30)
         b = random_int_poly(rng, rng.randint(1, 4), 30)
-        P = ints((a * b).primitive_int()[1])
+        P = polynomial._primitive((a * b).coeffs)
         # a true factor degree never leaves the candidate set, so every prime
         # is scanned, and the order the primes are tried in changes nothing
         got, prime = polynomial._factor_degrees(P)
@@ -340,7 +344,7 @@ def test_failed_multiply_back_raises_verification_error(monkeypatch):
 def seeded_big_factor(rng, degree):
     """A primitive integer polynomial with coefficients of 54 to 80 bits."""
     cs = [rng.choice([-1, 1]) * rng.getrandbits(rng.randint(54, 80)) for _ in range(degree)]
-    return UniPoly(cs + [rng.randint(1, 9)]).primitive_int()[1]
+    return UniPoly(polynomial._primitive(cs + [rng.randint(1, 9)]))
 
 
 def test_factor_matches_sympy_past_double_precision():
@@ -406,7 +410,7 @@ def test_repeated_factors_are_never_certified_squarefree():
         g = random_int_poly(rng, rng.randint(1, 3), 9)
         h = random_int_poly(rng, rng.randint(0, 4), 9)
         p = g * g * h
-        assert polynomial._factor_degrees(ints(p.primitive_int()[1])) is None
+        assert polynomial._factor_degrees(polynomial._primitive(p.coeffs)) is None
         # Yun still runs and reports g with multiplicity 2 (or more, if g
         # shares a factor with h)
         factors = dict((f.coeffs, m) for f, m in poly_factor_q(p))
@@ -422,7 +426,7 @@ def test_squarefree_certificate_skips_yun(monkeypatch):
     rng = random.Random(12)
     for _ in range(40):
         p = random_int_poly(rng, rng.randint(1, 8), 9)
-        P = ints(p.primitive_int()[1])
+        P = polynomial._primitive(p.coeffs)
         if sympy.discriminant(sympy.Poly(P[::-1], sympy.Symbol("x"))) == 0:
             continue
         assert polynomial._factor_degrees(P) is not None
