@@ -33,8 +33,9 @@ from .errors import (
     UnsupportedScopeError,
     VerificationError,
 )
-from .numerics import MIN_PREC_BITS, eval_qseries, lattice_sum_eisenstein
-from .qexp import EtaQuotientSpec, eisenstein_level1, eisenstein_prime_level
+from .numerics import DEFAULT_PREC_BITS, MIN_PREC_BITS, eval_qseries, lattice_sum_eisenstein
+from .qexp import (EtaQuotientSpec, _require_even_weight, eisenstein_level1,
+                   eisenstein_prime_level)
 from .rational import exact_fraction, format_exact, format_rational, parse_rational
 from .spaces import (
     MAX_NEWFORM_DIM,  # noqa: F401 -- the CLI's caps stay readable as cli.MAX_*
@@ -114,7 +115,7 @@ def parse_tau(text, prec_bits):
 def _default_prec():
     v = os.environ.get("MTV_PREC_BITS")
     if v is None:
-        return 256
+        return DEFAULT_PREC_BITS
     try:
         return int(v)
     except ValueError as exc:
@@ -192,6 +193,9 @@ def cmd_phi(args):
     _require_series_terms(args.level * args.order * args.power + 8, "--order", args.order)
     _require_newform_dim(args.eis_weight)
     spec = _eta_for(args.level, args.eta)
+    if args.power > 1:
+        # h^power has the weight whose cusp dimension theorem --power caps
+        _require_newform_dim((spec.weight + _require_even_weight(args.eis_weight)) * args.power)
     N = args.level
     # s_i of h^power has weight w*power*i: its Miller basis grows with the
     # power, and so must the inputs
@@ -306,8 +310,8 @@ def build_parser():
         "from prime level to level 1, with newform decompositions and "
         "elliptic specializations.",
     )
-    p.add_argument("--prec", type=int, default=None,
-                   help="working precision in bits (default 256 or MTV_PREC_BITS)")
+    p.add_argument("--prec", type=int, default=None, help="working precision in bits "
+                   "(default %d or MTV_PREC_BITS)" % DEFAULT_PREC_BITS)
     sub = p.add_subparsers(dest="command", required=True)
 
     np_ = sub.add_parser("newforms", help="level-1 Galois orbits at a weight")

@@ -19,7 +19,7 @@ import mpmath
 from mpmath import mpc, mpf
 
 from .errors import InputError, PrecisionError, VerificationError
-from .numerics import BigComplex, _check_prec, eval_qseries, to_mpc, to_mpf
+from .numerics import DEFAULT_PREC_BITS, BigComplex, _check_prec, eval_qseries, to_mpc, to_mpf
 from .numfield import nf_trace
 from .polynomial import UniPoly, _power, poly_factor_q
 from .qexp import eisenstein_level1
@@ -83,7 +83,7 @@ def _order_for(im_tau, prec_bits):
     return max(48, T)
 
 
-def j_invariant_numeric(tau, prec_bits=256):
+def j_invariant_numeric(tau, prec_bits=DEFAULT_PREC_BITS):
     """j(tau) = E4^3/Delta as a BigComplex with the series tail accounted."""
     tau = to_mpc(tau)
     if tau.imag <= 0:
@@ -178,7 +178,7 @@ def _period_tau(curve):
     return mpc(abs(m1**2 - m2**2) / n, 2 * m1 * m2 / n)
 
 
-def tau_from_curve(curve, prec_bits=256):
+def tau_from_curve(curve, prec_bits=DEFAULT_PREC_BITS):
     """The period-lattice point tau of the curve and the scale 2 pi / w2.
 
     tau comes in closed form from the real AGM (`_period_tau`), or is

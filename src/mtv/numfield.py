@@ -11,6 +11,7 @@ import operator
 from fractions import Fraction
 
 from .errors import InputError
+from .linalg import bareiss_solve
 from .polynomial import (
     UniPoly,
     _power,
@@ -129,6 +130,15 @@ class NumberField:
         return True
 
 
+def _times_gen(v, g):
+    """theta * v for the coordinate vector v of Q[theta]/(g), g monic integral."""
+    top = v[-1]
+    out = [0] + v[:-1]
+    if top:
+        out = [a - top * c for a, c in zip(out, g)]
+    return out
+
+
 def _ints_over_den(values):
     """Integer numerators of rationals over their least common denominator."""
     fr = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
@@ -245,19 +255,14 @@ class NumberFieldElem:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("number field division by zero")
-        # extended Euclid in Q[x] against the modulus
-        a = UniPoly(self.coords)
-        b = self.field.modulus
-        s0, s1 = UniPoly((1,)), UniPoly()
-        r0, r1 = a, b
-        while not r1.is_zero():
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-        assert r0.degree == 0, "modulus not irreducible or element not invertible"
-        inv = s0 * UniPoly((1 / r0.coeffs[0],))
-        inv = inv % self.field.modulus
-        return self.field.elem(list(inv.coeffs))
+        # one integer solve N y = D e_1, column j of N the coordinates of
+        # num * theta^j: then (num / den)^(-1) = den y / D
+        g = [int(c) for c in self.field.modulus.coeffs[:-1]]
+        cols = [list(self._num)]
+        while len(cols) < len(g):
+            cols.append(_times_gen(cols[-1], g))
+        D, y = bareiss_solve(list(zip(*cols)), [[1]] + [[0]] * (len(g) - 1))
+        return NumberFieldElem._from_ints(self.field, [self._den * v for v, in y], D)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

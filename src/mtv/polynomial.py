@@ -1,26 +1,27 @@
-"""Dense univariate polynomials over Q and factorization into irreducibles.
+"""Polynomials over Q as values, and exact factorization into irreducibles.
 
-Factorization is exact throughout.  The input is normalized once, to a
-primitive integer polynomial P, and from there until the final multiply-back
-every polynomial is an int list.  Distinct-degree factorization modulo a
-fixed list of small primes, largest first, runs at each prime that keeps the
-degree of P and leaves P squarefree; the first such prime is the certificate
-that P is squarefree.  Only when there is none does squarefree decomposition
-(Yun) run, and each of its parts is made primitive and sieved once.  Each
-prime gives the degrees a proper factor over Q could have (the subset sums
-of the mod-p factor degrees); an empty intersection over the primes proves
-the part irreducible.  A part the sieve cannot certify is factored by
-Zassenhaus's method, at the odd sieve prime with the fewest modular factors
-(past the sieve's primes when none keeps the part squarefree), on the monic
-transform lc^(d-1) P(x/lc), whose factors G map back to the primitive parts
-of G(lc x): Cantor-Zassenhaus splitting (seeded by the prime, so runs are
-deterministic), Hensel lifting past the Mignotte bound (the largest modular
-factor's lift is the quotient by the others), and recombination of the
-lifted factors, each candidate accepted only by exact division.  The final
-multiply-back identity is checked unconditionally and raises
-VerificationError if it fails.  Every product modulo a polynomial over F_p
-is a Kronecker-packed integer product reduced by a table packed once per
-modulus (_fp_ring).
+A UniPoly carries inputs and results; the factorization computes on int
+lists.  The input is normalized once, to a primitive integer polynomial P,
+and from there until the monic factors are returned every polynomial is an
+int list.  Distinct-degree factorization modulo a fixed list of small
+primes, largest first, runs at each prime that keeps the degree of P and
+leaves P squarefree; the first such prime is the certificate that P is
+squarefree.  Only when there is none does squarefree decomposition (Yun over
+Z: primitive remainder sequences, exact divisions) run, and each of its
+parts is sieved once.  Each prime gives the degrees a proper factor over Q
+could have (the subset sums of the mod-p factor degrees); an empty
+intersection over the primes proves the part irreducible.  A part the sieve
+cannot certify is factored by Zassenhaus's method, at the odd sieve prime
+with the fewest modular factors (past the sieve's primes when none keeps the
+part squarefree), on the monic transform lc^(d-1) P(x/lc), whose factors G
+map back to the primitive parts of G(lc x): Cantor-Zassenhaus splitting
+(seeded by the prime, so runs are deterministic), Hensel lifting past the
+Mignotte bound (the largest modular factor's lift is the quotient by the
+others), and recombination of the lifted factors, each candidate accepted
+only by exact division.  The result is certified unconditionally, by exact
+division of P by every factor, and VerificationError is raised if it fails.
+Every product modulo a polynomial over F_p is a Kronecker-packed integer
+product reduced by a table packed once per modulus (_fp_ring).
 """
 
 import itertools
@@ -35,7 +36,8 @@ from .errors import InputError, ResourceLimitError, VerificationError
 
 
 class UniPoly:
-    """Polynomial over Q, coefficients stored constant-first."""
+    """Polynomial over Q as a value, coefficients stored constant-first: it
+    carries inputs and results, and the package computes on int lists."""
 
     __slots__ = ("coeffs",)
 
@@ -58,95 +60,15 @@ class UniPoly:
     def __eq__(self, other):
         if isinstance(other, UniPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == UniPoly((other,))
         return NotImplemented
 
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __neg__(self):
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            a[i] += c
-        return UniPoly(a)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if self.is_zero() or other.is_zero():
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise InputError("negative polynomial power")
-        return _power(self, n, operator.mul) if n else UniPoly((1,))
-
-    def _coerce(self, other):
-        if isinstance(other, UniPoly):
-            return other
-        return UniPoly((Fraction(other),))
-
-    def __divmod__(self, other):
-        other = self._coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return UniPoly(), self
-        quo = [Fraction(0)] * (dq + 1)
-        inv_lc = 1 / other.lc()
-        for i in range(dq, -1, -1):
-            c = rem[i + other.degree] * inv_lc
-            quo[i] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b
-        return UniPoly(quo), UniPoly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def monic(self):
-        if self.is_zero():
-            raise InputError("zero polynomial has no monic form")
-        inv = 1 / self.lc()
-        return UniPoly(tuple(c * inv for c in self.coeffs))
-
-    def derivative(self):
-        return UniPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
     def eval(self, x):
-        acc = None
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        if acc is None:
-            return Fraction(0)
+            acc = acc * x + c
         return acc
 
     def serialize(self):
@@ -178,34 +100,6 @@ def _primitive(cs):
     ints = [c.numerator * (den // c.denominator) for c in cs]
     g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
     return [v // g for v in ints]
-
-
-def poly_gcd(a, b):
-    """Monic gcd over Q."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
-
-
-def squarefree_parts(p):
-    """Yun's algorithm: list of (g_i, i), g_i monic, product g_i^i = p / lc(p)."""
-    out = []
-    a = poly_gcd(p, p.derivative())
-    b = p // a
-    c = p.derivative() // a
-    d = c - b.derivative()
-    i = 1
-    while b.degree > 0:
-        g = poly_gcd(b, d)
-        if g.degree > 0:
-            out.append((g, i))
-        b = b // g
-        c = d // g
-        d = c - b.derivative()
-        i += 1
-    return out
 
 
 # -- ring-generic routines: Newton's identities for any elements that add,
@@ -572,20 +466,63 @@ def _zq_prod(polys, q):
     return out
 
 
-def _int_divexact(a, b, limit):
-    """a / b for int lists, b monic, or None when b does not divide a or a
-    quotient coefficient exceeds limit in absolute value."""
+def _int_divexact(a, b, limit=None):
+    """a / b for int lists, b nonzero, or None when b does not divide a in
+    Z[x] or, given a limit, a quotient coefficient exceeds it in absolute
+    value."""
     rem = list(a)
     db = len(b) - 1
+    lc = b[-1]
     quo = [0] * (len(a) - db)
     for i in range(len(quo) - 1, -1, -1):
-        c = quo[i] = rem[i + db]
-        if abs(c) > limit:
+        c, r = divmod(rem[i + db], lc)
+        if r or limit is not None and abs(c) > limit:
             return None
+        quo[i] = c
         if c:
-            for j in range(db):
-                rem[i + j] -= c * b[j]
+            rem[i:i + db] = [v - c * w for v, w in zip(rem[i:i + db], b)]
     return None if any(rem[:db]) else quo
+
+
+def _int_gcd(a, b):
+    """The primitive gcd, leading coefficient positive, of the int lists a
+    and b, not both zero: the last nonzero entry of their primitive
+    remainder sequence (pseudo-remainders, each made primitive)."""
+    while b:
+        r = list(a)
+        lc, db = b[-1], len(b) - 1
+        while len(r) > db:
+            c = r.pop()
+            if c:
+                k = len(r) - db
+                r = [lc * v for v in r[:k]] + [lc * v - c * w for v, w in zip(r[k:], b)]
+        a, b = b, _fp_trim(r) and _primitive(r)
+    return _primitive(a)
+
+
+def _int_yun(P):
+    """Yun's squarefree decomposition of a primitive integer polynomial P
+    (int list) of degree >= 1 and positive leading coefficient: the pairs
+    (G, i), G primitive of degree >= 1 with positive leading coefficient, i
+    increasing, whose product of G^i is P.
+
+    Every gcd is primitive, so by Gauss's lemma each division is exact in
+    Z[x]: no coefficient leaves the integers.  The pass at i = 0 divides P
+    and P' by gcd(P, P'), Yun's set-up.
+    """
+    def diff(f):
+        return [i * c for i, c in enumerate(f)][1:]
+
+    out, b, d = [], P, diff(P)
+    for i in itertools.count():
+        if len(b) == 1:
+            return out
+        g = _int_gcd(b, d)
+        if i and len(g) > 1:
+            out.append((g, i))
+        b = _int_divexact(b, g)
+        d = [u - v for u, v in itertools.zip_longest(_int_divexact(d, g), diff(b), fillvalue=0)]
+        d = _fp_trim(d)
 
 
 def _factor_squarefree_monic_int(H, degrees, p):
@@ -640,10 +577,11 @@ def poly_factor_q(p):
 
     Returns [(factor, multiplicity), ...] sorted by (degree, coefficients).
     Each factor is irreducible: certified by the mod-p degree sieve, or found
-    by Zassenhaus's method.  lc(p) * product(factor^mult) == p is checked
-    before returning (VerificationError otherwise).  Between the one
-    normalization of p to a primitive integer polynomial P and that check,
-    every factor is a primitive int list.
+    by Zassenhaus's method.  Between the one normalization of p to a
+    primitive integer polynomial P and the monic factors returned, every
+    polynomial is an int list, and the certificate is exact division: P
+    divided by each primitive factor F, mult times, leaves [1], which proves
+    lc(p) * product(factor^mult) == p (VerificationError otherwise).
     """
     if not isinstance(p, UniPoly):
         p = UniPoly(p)
@@ -651,7 +589,7 @@ def poly_factor_q(p):
         raise InputError("cannot factor the zero polynomial")
     if p.degree == 0:
         return []
-    P = _primitive(p.coeffs)
+    P = whole = _primitive(p.coeffs)
     result = {}
     # peel the power of x so the squarefree machinery sees nonzero constant terms
     v = next(i for i, c in enumerate(P) if c)
@@ -664,10 +602,9 @@ def poly_factor_q(p):
             parts = [(P, 1, sieve)]
         else:
             # P has a repeated factor or no sieve prime shows it has none:
-            # Yun's parts, each made primitive and sieved once (P, if
-            # squarefree, is its one part and has been sieved already)
-            yun = [(_primitive(g.coeffs), m) for g, m in squarefree_parts(UniPoly(P))]
-            parts = [(Q, m, None if Q == P else _factor_degrees(Q)) for Q, m in yun]
+            # Yun's parts, each sieved once (P, if squarefree, is its one
+            # part and has been sieved already)
+            parts = [(Q, m, None if Q == P else _factor_degrees(Q)) for Q, m in _int_yun(P)]
         for Q, mult, sieve in parts:
             d = len(Q) - 1
             degrees, prime = sieve or (set(range(1, d)), None)
@@ -682,13 +619,13 @@ def poly_factor_q(p):
                          for G in _factor_squarefree_monic_int(H, degrees, prime)]
             for F in found:
                 result[tuple(F)] = result.get(tuple(F), 0) + mult
-    factors = sorted(
+    rest = whole
+    for F, m in result.items():
+        for _ in range(m):
+            rest = rest and _int_divexact(rest, F)  # None once a division fails
+    if rest != [1]:
+        raise VerificationError("factorization certification failed")
+    return sorted(
         ((UniPoly([Fraction(c, F[-1]) for c in F]), m) for F, m in result.items()),
         key=lambda fm: (fm[0].degree, fm[0].coeffs),
     )
-    check = UniPoly((p.lc(),))
-    for f, m in factors:
-        check = check * f ** m
-    if check != p:
-        raise VerificationError("factorization certification failed")
-    return factors

@@ -32,7 +32,7 @@ from math import gcd
 
 from .errors import InputError, ResourceLimitError, TruncationError, VerificationError
 from .linalg import bareiss_solve
-from .numfield import NumberField
+from .numfield import NumberField, _times_gen
 from .polynomial import UniPoly, _is_prime, poly_factor_q
 from .qexp import (QSeries, _gate_eisenstein, _kron_mul, _stored,
                    eisenstein_level1, eta_quotient, hecke_T)
@@ -319,15 +319,6 @@ def krylov_charpoly(M):
     top = rows[s]
     chi = UniPoly([-Fraction(sum(map(operator.mul, top, col)), D) for col in zip(*X)] + [1])
     return chi, D, X
-
-
-def _times_gen(v, g):
-    """theta * v for the coordinate vector v of Q[theta]/(g), g monic integral."""
-    top = v[-1]
-    out = [0] + v[:-1]
-    if top:
-        out = [a - top * c for a, c in zip(out, g)]
-    return out
 
 
 def newform_basis_level1(weight, trunc):

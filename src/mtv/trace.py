@@ -320,7 +320,7 @@ class TheoremResult:
             norm = cp.coeffs[0] if cp.degree % 2 == 0 else -cp.coeffs[0]
             orbits.append({
                 "degree": nf.degree,
-                "hecke_minpoly": nf.modulus.serialize() if nf.modulus is not None else None,
+                "hecke_minpoly": nf.modulus.serialize(),
                 "coefficients_head": [format_exact(nf.a(n)) for n in range(8)],
                 "component": format_exact(c),
                 "ratio": format_exact(xi),

@@ -30,7 +30,11 @@ is the reference for the integer solve of `expand_in_newforms`,
 and `invert_j_newton_ref`, Newton's method on j, is the reference for the
 AGM period lattice.  `charpoly_multimodular` gives
 T_2 polynomials by Krylov rows modulo large primes, sharing nothing with the
-package's fraction-free inversion.  Slow is fine.
+package's fraction-free inversion.  `Poly` is a `UniPoly` with the Fraction
+ring arithmetic the package's value type no longer carries; the tests build
+their polynomials with it.  `poly_gcd_ref` and `squarefree_parts_ref`, Euclid
+and Yun over Q, are the references for the integer gcd and Yun of the
+factorization.  Slow is fine.
 """
 
 import functools
@@ -41,6 +45,115 @@ from fractions import Fraction
 
 import mpmath
 import sympy
+
+from mtv.polynomial import UniPoly
+
+
+class Poly(UniPoly):
+    """A UniPoly with ring arithmetic over Q: the package's former operators,
+    by schoolbook Fraction loops.  Tests build polynomials as X**2 - 2 with
+    X = Poly([0, 1]), and the package takes them as the UniPolys they are."""
+
+    __slots__ = ()
+
+    def __neg__(self):
+        return Poly([-c for c in self.coeffs])
+
+    def __add__(self, other):
+        other = _as_poly(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
+        for i, c in enumerate(other.coeffs):
+            a[i] += c
+        return Poly(a)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-_as_poly(other))
+
+    def __rsub__(self, other):
+        return _as_poly(other) - self
+
+    def __mul__(self, other):
+        other = _as_poly(other)
+        if self.is_zero() or other.is_zero():
+            return Poly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative polynomial power")
+        out = Poly([1])
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __divmod__(self, other):
+        other = _as_poly(other)
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dq = len(rem) - len(other.coeffs)
+        if dq < 0:
+            return Poly(), self
+        quo = [Fraction(0)] * (dq + 1)
+        for i in range(dq, -1, -1):
+            c = quo[i] = rem[i + other.degree] / other.lc()
+            for j, b in enumerate(other.coeffs):
+                rem[i + j] -= c * b
+        return Poly(quo), Poly(rem)
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def monic(self):
+        return self * (1 / self.lc())
+
+    def derivative(self):
+        return Poly([i * c for i, c in enumerate(self.coeffs) if i])
+
+
+def _as_poly(v):
+    """v as a Poly: a UniPoly's coefficients, or a rational constant."""
+    return Poly(v.coeffs if isinstance(v, UniPoly) else (v,))
+
+
+def poly_gcd_ref(a, b):
+    """Monic gcd over Q by Euclid on Polys (the package's former poly_gcd)."""
+    a, b = _as_poly(a), _as_poly(b)
+    while not b.is_zero():
+        a, b = b, a % b
+    return a if a.is_zero() else a.monic()
+
+
+def squarefree_parts_ref(p):
+    """Yun's algorithm over Q (the package's former squarefree_parts): the
+    pairs (g_i, i), g_i monic of degree >= 1, product g_i^i = p / lc(p)."""
+    p = _as_poly(p)
+    out = []
+    a = poly_gcd_ref(p, p.derivative())
+    b = p // a
+    d = p.derivative() // a - b.derivative()
+    i = 1
+    while b.degree > 0:
+        g = poly_gcd_ref(b, d)
+        if g.degree > 0:
+            out.append((g, i))
+        b = b // g
+        d = d // g - b.derivative()
+        i += 1
+    return out
 
 
 def bernoulli_ref(n):
@@ -279,6 +392,7 @@ def krylov_eigenvector(M, chi, theta):
 def real_root_count(p):
     """Number of distinct real roots of a nonzero UniPoly p, by a Sturm
     sequence over Q (the package's former `is_totally_real` route)."""
+    p = _as_poly(p)
     seq = [p, p.derivative()]
     while not seq[-1].is_zero():
         seq.append(-(seq[-2] % seq[-1]))

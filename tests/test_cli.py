@@ -390,6 +390,26 @@ def test_eisenstein_weight_over_the_dimension_cap_exits4_before_any_gate(
         assert "above the cap of 22" in err and "reached" not in err
 
 
+def test_phi_power_over_the_dimension_cap_exits4_before_any_series(monkeypatch, capsys):
+    # at level 2, h^power has weight (8 + 4) * power, the envelope of
+    # theorem --power: dim S_264 = 22 (power 22) passes, dim S_276 = 23
+    # (power 23) is refused; the planted builder shows where a run would start
+    def reached(*a, **kw):
+        raise VerificationError("reached the inputs")
+
+    monkeypatch.setattr(cli, "product_inputs", reached)
+    argv = ["phi", "--level", "2", "--eis-weight", "4", "--order", "8", "--power"]
+    assert cli.main(argv + ["22"]) == 2
+    assert "reached the inputs" in capsys.readouterr().err
+    for power in ("23", "60"):
+        assert cli.main(argv + [power]) == 4
+        err = capsys.readouterr().err
+        assert "above the cap of 22" in err and "reached" not in err
+    # a malformed weight is refused as such first
+    assert cli.main(["phi", "--level", "2", "--eis-weight", "5", "--power", "60"]) == 3
+    assert "must be even" in capsys.readouterr().err
+
+
 def test_theorem_and_corollary_over_the_dimension_cap_exit4(monkeypatch, capsys):
     # at level 2, W = (8 + 4) * power: dim S_264 = 22 (power 22) passes the
     # guard, dim S_288 = 24 (power 24) is refused before any input is built

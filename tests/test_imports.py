@@ -24,8 +24,9 @@ exempt.
 Exact factorization: polynomial.py imports neither mpmath nor numerics, so
 no path of poly_factor_q can reach floating point.  The helpers of its
 certified path (every ``_fp_*`` function, the sieve, the Hensel lift and
-Zassenhaus's recombination) name neither Fraction nor UniPoly: they work on
-int lists, and poly_factor_q converts only at its entry and its result.
+Zassenhaus's recombination, the integer gcd and Yun's decomposition) name
+neither Fraction nor UniPoly: they work on int lists, and poly_factor_q
+converts only at its entry and its result.
 
 Run-time module state: a module-level dict or set that a function mutates
 is process-wide state, such as a cache.  Only the ones on an allowlist may
@@ -137,7 +138,7 @@ def test_polynomial_imports_no_floating_point():
 
 # the certified-path helpers of polynomial.py besides the _fp_* functions
 INT_HELPERS = ("_squarefree_reductions", "_factor_degrees", "_hensel_lift", "_zq_prod",
-               "_int_divexact", "_factor_squarefree_monic_int")
+               "_int_divexact", "_int_gcd", "_int_yun", "_factor_squarefree_monic_int")
 
 
 def int_helpers_naming_rationals(source):

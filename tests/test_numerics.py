@@ -13,7 +13,6 @@ from mtv.numerics import (
     lattice_sum_eisenstein,
     to_mpc,
 )
-from mtv.polynomial import UniPoly
 from mtv.qexp import (
     _GATE_ORDER,
     _GATE_PREC,
@@ -25,11 +24,11 @@ from mtv.qexp import (
 )
 from mtv.spaces import delta_series
 
-from _oracles import (eval_qseries_ref, lattice_kernel_ref, lattice_sum_ref,
+from _oracles import (Poly, eval_qseries_ref, lattice_kernel_ref, lattice_sum_ref,
                       lattice_tail_formula)
 
 F = Fraction
-X = UniPoly([0, 1])
+X = Poly([0, 1])
 
 
 def test_bigcomplex_error_propagation():

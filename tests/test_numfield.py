@@ -15,6 +15,7 @@ from mtv.numfield import (
 from mtv.polynomial import UniPoly, poly_factor_q
 
 from _oracles import (
+    Poly,
     cyclo_add,
     cyclo_equal,
     cyclo_mul,
@@ -25,7 +26,7 @@ from _oracles import (
 )
 
 F = Fraction
-X = UniPoly([0, 1])
+X = Poly([0, 1])
 
 
 def golden():
@@ -88,6 +89,25 @@ def test_cubic_field_inverse_and_power():
     assert ((c**3) - K.coerce(2)).is_zero()
     inv = K.one() / (K.one() + c)
     assert ((K.one() + c) * inv - K.one()).is_zero()
+
+
+def test_inverse_in_the_weight_60_hecke_field():
+    # the degree-5 field of the T_2 eigenvalue at weight 60; after theta
+    # itself, elements over denominators above 1
+    from mtv.spaces import newform_basis_level1
+
+    (nf,) = newform_basis_level1(60, 8).orbits
+    K = nf.field
+    assert K.degree == 5
+    rng = random.Random(60)
+    elems = [nf.a(2), nf.a(3) / 7, K.elem([F(1, 3)] + [F(0)] * 4)]
+    for _ in range(6):
+        elems.append(K.elem([F(rng.randint(-50, 50), rng.randint(2, 30)) for _ in range(5)]))
+    for x in elems:
+        inv = x.inverse()
+        assert x * inv == K.one() == inv * x, x
+        assert inv.inverse() == x
+    assert all(x._den > 1 for x in elems[1:])
 
 
 # the reference Q(zeta_N) arithmetic of the translate sieve test (test_trace)
@@ -178,10 +198,10 @@ def test_totally_real_agrees_with_sturm():
     checked = {True: 0, False: 0}
     for _ in range(200):
         d = rng.randint(1, 7)
-        p = UniPoly([1])
+        p = Poly([1])
         for _ in range(d):
-            p = p * UniPoly([rng.randint(-9, 9), 1])
-        p = p + UniPoly([rng.randint(-30, 30)])
+            p = p * (X + rng.randint(-9, 9))
+        p = p + rng.randint(-30, 30)
         fs = poly_factor_q(p)
         if len(fs) != 1 or fs[0][1] != 1:
             continue

@@ -12,18 +12,14 @@ from hypothesis import strategies as st
 
 from mtv import polynomial
 from mtv.errors import ResourceLimitError, VerificationError
-from mtv.polynomial import (
-    UniPoly,
-    poly_factor_q,
-    poly_gcd,
-    squarefree_parts,
-)
+from mtv.polynomial import UniPoly, poly_factor_q
 
-from _oracles import (charpoly_multimodular, ddf_degrees_ref, factor_degrees_ascending,
+from _oracles import (Poly, charpoly_multimodular, ddf_degrees_ref, factor_degrees_ascending,
                       factor_degrees_ref, factor_mod_p, fp_gcd_ref, fp_mul_ref, fp_mulmod_ref,
-                      fp_powmod_ref, fp_rem_ref, real_root_count)
+                      fp_powmod_ref, fp_rem_ref, poly_gcd_ref, real_root_count,
+                      squarefree_parts_ref)
 
-X = UniPoly([0, 1])
+X = Poly([0, 1])
 
 
 def from_sympy_factors(p):
@@ -35,7 +31,7 @@ def from_sympy_factors(p):
     out = []
     for fac, mult in factors:
         cs = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(fac, x).all_coeffs())]
-        mon = UniPoly(cs).monic()
+        mon = Poly(cs).monic()
         out.append((mon, mult))
     return sorted(out, key=lambda t: (t[0].degree, t[0].coeffs))
 
@@ -47,7 +43,8 @@ small_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
        st.lists(small_fracs, min_size=2, max_size=5))
 @settings(max_examples=80)
 def test_divmod_invariant(a, b):
-    pa, pb = UniPoly(a), UniPoly(b)
+    # the oracle's arithmetic, which the tests build their inputs with
+    pa, pb = Poly(a), Poly(b)
     if pb.is_zero():
         return
     q, r = divmod(pa, pb)
@@ -62,10 +59,12 @@ def test_basic_arithmetic_and_eval():
     assert p.derivative().coeffs == (Fraction(1), Fraction(2))
     assert (X**3).degree == 3
     assert UniPoly([0, 0]).is_zero()
+    # the package's value type has no ring arithmetic
+    assert not hasattr(UniPoly, "__add__") and not hasattr(UniPoly, "monic")
 
 
 def test_monic_and_primitive():
-    p = UniPoly([Fraction(2), Fraction(0), Fraction(4)])
+    p = Poly([Fraction(2), Fraction(0), Fraction(4)])
     assert p.monic().coeffs == (Fraction(1, 2), Fraction(0), Fraction(1))
     # poly_factor_q's one normalization: content 1, positive lead, a
     # rational multiple of the input
@@ -78,14 +77,29 @@ def test_monic_and_primitive():
 def test_gcd_and_squarefree():
     a = (X - 1) ** 2 * (X + 3)
     b = (X - 1) * (X + 5)
-    g = poly_gcd(a, b).monic()
-    assert g == (X - 1).monic()
-    parts = squarefree_parts((X - 1) ** 2 * (X + 2))
+    assert poly_gcd_ref(a, b) == X - 1
+    # the primitive remainder sequence gives the same gcd, made primitive
+    assert polynomial._int_gcd(ints(15 * a), ints(6 * b)) == [-1, 1]
+    assert polynomial._int_gcd(ints(a), []) == ints(a)
+    parts = squarefree_parts_ref((X - 1) ** 2 * (X + 2))
     # Yun output: list of (factor, multiplicity) with product reassembling
-    acc = UniPoly([1])
+    acc = Poly([1])
     for fac, mult in parts:
         acc = acc * fac**mult
     assert acc.monic() == ((X - 1) ** 2 * (X + 2)).monic()
+    assert polynomial._int_yun(ints(3 * (X - 1) ** 2 * (X + 2))) == [([2, 1], 1), ([-1, 1], 2)]
+
+
+def test_integer_yun_matches_the_fraction_yun():
+    # g^a h^b with g and h maybe sharing a factor, so parts of every
+    # multiplicity up to 6 and gaps between them
+    rng = random.Random(20261019)
+    for _ in range(40):
+        g = random_int_poly(rng, rng.randint(1, 3), 9)
+        h = random_int_poly(rng, rng.randint(1, 3), 9)
+        P = polynomial._primitive((g ** rng.randint(1, 3) * h ** rng.randint(1, 3)).coeffs)
+        want = [(polynomial._primitive(f.coeffs), m) for f, m in squarefree_parts_ref(Poly(P))]
+        assert polynomial._int_yun(P) == want, P
 
 
 FACTOR_CASES = [
@@ -116,11 +130,12 @@ def test_factor_matches_sympy(p):
 
 
 def test_factor_certifies_product():
-    # multiply the factors back and compare against the monic input
+    # multiply the factors back through the oracle and compare against the
+    # monic input
     p = (X**2 - 2) * (X - 7) ** 2
-    acc = UniPoly([1])
+    acc = Poly([1])
     for fac, mult in poly_factor_q(p):
-        acc = acc * fac**mult
+        acc = acc * Poly(fac.coeffs) ** mult
     assert acc == p.monic()
 
 
@@ -131,7 +146,7 @@ def ints(p):
 
 def random_int_poly(rng, degree, size):
     cs = [rng.randint(-size, size) for _ in range(degree)]
-    return UniPoly(cs + [rng.choice([-1, 1]) * rng.randint(1, size)])
+    return Poly(cs + [rng.choice([-1, 1]) * rng.randint(1, size)])
 
 
 def ddf_degrees(f, p):
@@ -243,7 +258,7 @@ def _t2_polynomial(weight):
     s = dim_cusp_level1(weight)
     M, _ = hecke_matrix_level1(weight, 2, 2 * s + 2)
     assert all(type(x) is int for r in M for x in r), weight
-    return UniPoly(charpoly_multimodular(M))
+    return Poly(charpoly_multimodular(M))
 
 
 def test_sieve_order_leaves_t2_certificates_unchanged():
@@ -305,8 +320,9 @@ def test_recombination_tries_only_sieve_degrees(monkeypatch):
     sizes = []
     divexact = polynomial._int_divexact
 
-    def spy(a, b, limit):
-        sizes.append(len(b) - 1)
+    def spy(a, b, limit=None):
+        if limit is not None:  # a recombination candidate, not the certificate
+            sizes.append(len(b) - 1)
         return divexact(a, b, limit)
 
     monkeypatch.setattr(polynomial, "_int_divexact", spy)
@@ -335,6 +351,7 @@ def test_sieve_certifies_without_roots(monkeypatch):
 
 
 def test_failed_multiply_back_raises_verification_error(monkeypatch):
+    # a wrong factor fails the certificate, the exact division of P
     monkeypatch.setattr(polynomial, "_factor_squarefree_monic_int",
                         lambda H, degrees, p: [[H[0] + 1] + H[1:]])
     with pytest.raises(VerificationError):
@@ -344,13 +361,13 @@ def test_failed_multiply_back_raises_verification_error(monkeypatch):
 def seeded_big_factor(rng, degree):
     """A primitive integer polynomial with coefficients of 54 to 80 bits."""
     cs = [rng.choice([-1, 1]) * rng.getrandbits(rng.randint(54, 80)) for _ in range(degree)]
-    return UniPoly(polynomial._primitive(cs + [rng.randint(1, 9)]))
+    return Poly(polynomial._primitive(cs + [rng.randint(1, 9)]))
 
 
 def test_factor_matches_sympy_past_double_precision():
     rng = random.Random(20261019)
     for _ in range(12):
-        p = UniPoly([rng.randint(1, 5)])
+        p = Poly([rng.randint(1, 5)])
         for _ in range(rng.randint(2, 3)):
             p = p * seeded_big_factor(rng, rng.randint(1, 4)) ** rng.choice([1, 1, 2])
         got = poly_factor_q(p)
@@ -367,7 +384,7 @@ def swinnerton_dyer(primes):
         shifted = sympy.Poly(s.as_expr().subs(x, x - r), x, r)
         prod = (shifted * shifted.as_expr().subs(r, -r)).as_expr()
         s = sympy.Poly(sympy.expand(prod).subs(r**2, p), x)
-    return UniPoly([int(c) for c in reversed(s.all_coeffs())])
+    return Poly([int(c) for c in reversed(s.all_coeffs())])
 
 
 @pytest.mark.parametrize("primes", [(2, 3, 5), (2, 3, 5, 7)], ids=["S235", "S2357"])
@@ -419,10 +436,10 @@ def test_repeated_factors_are_never_certified_squarefree():
 
 
 def test_squarefree_certificate_skips_yun(monkeypatch):
-    def no_yun(p):
+    def no_yun(P):
         raise AssertionError("Yun ran")
 
-    monkeypatch.setattr(polynomial, "squarefree_parts", no_yun)
+    monkeypatch.setattr(polynomial, "_int_yun", no_yun)
     rng = random.Random(12)
     for _ in range(40):
         p = random_int_poly(rng, rng.randint(1, 8), 9)

@@ -31,7 +31,7 @@ from mtv.qexp import QSeries, hecke_T
 from mtv.rational import format_rational
 from mtv.spaces import krylov_charpoly
 
-from _oracles import (elimination_eigenvector, expand_in_triangular_ref, krylov_eigenvector,
+from _oracles import (Poly, elimination_eigenvector, expand_in_triangular_ref, krylov_eigenvector,
                       t2_charpoly_weight24)
 
 
@@ -444,7 +444,7 @@ def conjugate(rows, rng, upper):
 
 
 def test_krylov_eigenvector_mixed_degrees():
-    X = UniPoly([0, 1])
+    X = Poly([0, 1])
     blocks = [companion(X - 3), companion(X**2 - X - 1), companion(X**3 - 2)]
     rng = random.Random(7)
     for upper in (True, False):
@@ -534,8 +534,8 @@ def test_pairing_eigenforms_match_krylov_oracle(weight):
 
 def test_non_cyclic_e1_raises():
     # a repeated eigenvalue: no vector is cyclic
-    rows = conjugate(block_diagonal([companion(UniPoly([0, 1]) - 2)] * 2
-                                    + [companion(UniPoly([0, 1]) - 3)]),
+    rows = conjugate(block_diagonal([companion(Poly([0, 1]) - 2)] * 2
+                                    + [companion(Poly([0, 1]) - 3)]),
                      random.Random(5), upper=False)
     with pytest.raises(VerificationError) as exc:
         krylov_charpoly(integer_rows(rows))

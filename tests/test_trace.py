@@ -426,7 +426,8 @@ def test_expansion_over_orbits_with_their_own_denominators():
     b = miller_basis(weight, T)[1:]
     K = NumberField(UniPoly([-2, 0, 1]))
     g = (b[1] + b[2].scale(K.elem([0, 1]))).scale(Fraction(1, 5))
-    orbs = GaloisOrbitSet(weight, [Newform(weight, None, None, b[0].scale(Fraction(1, 7))),
+    f7 = b[0].scale(Fraction(1, 7))
+    orbs = GaloisOrbitSet(weight, [Newform(weight, None, UniPoly([-f7.coeff(2), 1]), f7),
                                    Newform(weight, K, K.modulus, g)], 3)
     # Tr((x + y sqrt 2) g) = (2x b_2 + 4y b_3) / 5
     f = b[0].scale(3) + b[1].scale(Fraction(-2, 9)) + b[2].scale(11)
