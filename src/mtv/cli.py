@@ -42,6 +42,7 @@ from .spaces import (
     _require_newform_dim,
     delta_series,
     dim_cusp_level1,
+    dim_modular_level1,
     newform_basis_level1,
 )
 from .trace import product_inputs, transformation_polynomial, verify_theorem
@@ -67,6 +68,15 @@ MAX_SERIES_TERMS = 2**15
 # 34 s at 8192 on a 2-vCPU VM with CPython 3.11 (corollary: 5.9 s and 29 s);
 # the time grows about sevenfold per doubling, so the cap is 4096.
 MAX_PREC_BITS = 4096
+
+# cap on the Miller dimension of phi's top s_i, dim M_((N + 1) W) for h^power
+# of weight W, past power 1: that basis and the inputs it needs set phi's
+# cost.  From the CLI on a 2-vCPU VM with CPython 3.11, level 2 power 22
+# (dim 67) takes 3.17 s, level 3 power 20 (dim 67) 3.26 s, level 5 power 16
+# (dim 65) 1.88 s and power 17 (dim 69) 3.35 s.  67 is the largest
+# dimension the cusp-dimension cap admits at level 2, and it keeps every
+# level near the time of that run.
+MAX_PHI_MILLER_DIM = 67
 
 
 def parse_eta(text):
@@ -193,10 +203,17 @@ def cmd_phi(args):
     _require_series_terms(args.level * args.order * args.power + 8, "--order", args.order)
     _require_newform_dim(args.eis_weight)
     spec = _eta_for(args.level, args.eta)
+    N = args.level
     if args.power > 1:
         # h^power has the weight whose cusp dimension theorem --power caps
-        _require_newform_dim((spec.weight + _require_even_weight(args.eis_weight)) * args.power)
-    N = args.level
+        W = (spec.weight + _require_even_weight(args.eis_weight)) * args.power
+        _require_newform_dim(W)
+        dim = dim_modular_level1((N + 1) * W)
+        if dim > MAX_PHI_MILLER_DIM:
+            raise ResourceLimitError(
+                "s_%d has weight %d, whose Miller basis has dimension %d, above the cap of %d"
+                % (N + 1, (N + 1) * W, dim, MAX_PHI_MILLER_DIM)
+            )
     # s_i of h^power has weight w*power*i: its Miller basis grows with the
     # power, and so must the inputs
     h, hfr = product_inputs(N, spec, args.eis_weight, args.order * args.power)

@@ -116,10 +116,10 @@ def _fixed(x, P):
     return man << (exp + P) if exp + P >= 0 else man >> -(exp + P)
 
 
-def _horner(num, den, e, tau, prec):
-    """sum_m num[m]/den q^(m/e) at tau by fixed-point Horner.
+def _horner(num, den, tau, prec):
+    """sum_m num[m]/den q^m at tau by fixed-point Horner.
 
-    q = e(tau/e) comes from mpmath once, at W = prec + 16 + bitlen(M + 2)
+    q = e(tau) comes from mpmath once, at W = prec + 16 + bitlen(M + 2)
     bits, and is floored to the Gaussian integer Q = (qx, qy) in units of
     2^-P, where P = W + log2(1/|q|) keeps the W-bit relative accuracy of q
     (at most 2W: a smaller q moves the sum by less than its rounding).
@@ -136,7 +136,7 @@ def _horner(num, den, e, tau, prec):
         tau = to_mpc(tau)
         if not mpmath.isfinite(tau) or tau.imag <= 0:
             raise InputError("tau must lie in the upper half-plane")
-        q = mpmath.expjpi(2 * tau / e)
+        q = mpmath.expjpi(2 * tau)
         if abs(q) >= 1:
             raise InputError("tau must lie in the upper half-plane")
         P = W + min(W, max(0, -mpmath.mag(q)))
@@ -189,24 +189,24 @@ def _fitted_tail(num, den, ln_r):
 def eval_qseries(f, tau, prec_bits=None):
     """Evaluate a rational QSeries at tau in the upper half-plane.
 
-    The sum runs over the series' integer numerators on its q^(1/e) grid; a
-    series over a number field raises InputError.  The error is the proven
-    bound on the fixed-point rounding (see _horner) and on the error of q
-    itself, propagated through sum m |c_m| rho^(m-1), plus the fitted tail
-    majorant of _fitted_tail for the unknown coefficients past the
-    truncation, which is a heuristic.
+    The sum runs over the series' integer numerators, q = e(tau); a series
+    over a number field raises InputError.  The error is the proven bound
+    on the fixed-point rounding (see _horner) and on the error of q itself,
+    propagated through sum m |c_m| rho^(m-1), plus the fitted tail majorant
+    of _fitted_tail for the unknown coefficients past the truncation, which
+    is a heuristic.
     """
     prec = _check_prec(prec_bits)
     if f.field is not None:
         raise InputError("eval_qseries handles rational-coefficient series only")
-    num, den, e = f._num, f._den, f.e
-    value, W, P, v, q, (qx, qy) = _horner(num, den, e, tau, prec)
+    num, den = f._num, f._den
+    value, W, P, v, q, (qx, qy) = _horner(num, den, tau, prec)
     with mp.workprec(W):
         tau = to_mpc(tau)
-        tail = _fitted_tail(num, den, float(-2 * mpmath.pi * tau.imag / e))
+        tail = _fitted_tail(num, den, float(-2 * mpmath.pi * tau.imag))
         # |Q 2^-P - q| <= D 2^-P: the floor of q, plus mpmath's q taken as
-        # correct to 8 ulps of W bits after the 2 pi |tau| / e amplification
-        # of the rounding of 2 tau / e
+        # correct to 8 ulps of W bits after the 2 pi |tau| amplification of
+        # the rounding of 2 tau
         D = int(mpmath.ldexp(abs(q), P - W) * (8 + 8 * abs(tau))) + 3
         # rho bounds |q|, |Q| 2^-P and the mpmath q, in units of 2^-64
         rho64 = ((math.isqrt(qx * qx + qy * qy) + 1 + D) >> (P - 64)) + 1

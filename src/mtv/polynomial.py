@@ -219,27 +219,13 @@ def _fp_trim(a):
     return a
 
 
-def _fp_rem(a, b, p):
-    """Remainder of a by a nonzero b over F_p; for a monic b, over Z/m for
-    any modulus m.
+def _fp_divmod(a, b, p):
+    """Quotient and remainder of a by a nonzero b over F_p; for a monic b,
+    over Z/m for any modulus m.
 
     Reduction is lazy: an entry is taken mod p only when it leads, and the
     remainder once at the end.
     """
-    rem = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    low = b[:db]
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] * inv % p
-        if c:
-            rem[i - db:i] = [r - c * bj for r, bj in zip(rem[i - db:i], low)]
-    return _fp_trim([c % p for c in rem[:db]])
-
-
-def _fp_quo(a, b, p):
-    """Quotient of a by a nonzero b over F_p (Z/m for a monic b), reduced
-    lazily as in _fp_rem."""
     rem = list(a)
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
@@ -249,13 +235,13 @@ def _fp_quo(a, b, p):
         c = quo[i - db] = rem[i] * inv % p
         if c:
             rem[i - db:i] = [r - c * bj for r, bj in zip(rem[i - db:i], low)]
-    return _fp_trim(quo)
+    return _fp_trim(quo), _fp_trim([c % p for c in rem[:db]])
 
 
 def _fp_gcd(a, b, p):
     """Monic gcd over F_p of a nonzero a and any b."""
     while b:
-        a, b = b, _fp_rem(a, b, p)
+        a, b = b, _fp_divmod(a, b, p)[1]
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
 
@@ -355,14 +341,14 @@ def _fp_ddf(f, p):
                 while len(rows) < len(f) - 1:
                     rows.append(mul(rows[-1], xp))
                 cols = list(zip(*[r + [0] * (len(f) - 1 - len(r)) for r in rows]))
-            xp = _fp_rem([sum(map(operator.mul, xp, c)) for c in cols], f, p)
+            xp = _fp_divmod([sum(map(operator.mul, xp, c)) for c in cols], f, p)[1]
         y = xp + [0] * (2 - len(xp))  # y = xp - x
         y[1] = (y[1] - 1) % p
         g = _fp_gcd(f, _fp_trim(y), p)
         if len(g) > 1:
             parts.append((g, d))
-            f = _fp_quo(f, g, p)
-            xp = _fp_rem(xp, f, p)
+            f = _fp_divmod(f, g, p)[0]
+            xp = _fp_divmod(xp, f, p)[1]
     if len(f) > 1:
         parts.append((f, len(f) - 1))
     return parts
@@ -384,7 +370,7 @@ def _fp_edf(g, d, p, rng):
         b = _power(a, (p ** d - 1) // 2, mul)
         h = _fp_gcd(g, _fp_trim([(b[0] - 1) % p] + b[1:]), p)
         if 1 < len(h) < len(g):
-            return _fp_edf(h, d, p, rng) + _fp_edf(_fp_quo(g, h, p), d, p, rng)
+            return _fp_edf(h, d, p, rng) + _fp_edf(_fp_divmod(g, h, p)[0], d, p, rng)
 
 
 def _squarefree_reductions(P, primes):
@@ -443,11 +429,11 @@ def _hensel_lift(H, f, p, q):
     of p^d elements; it and each correction are products in _fp_ring(f, p).
     """
     mul = _fp_ring(f, p)[0]
-    g = _fp_quo([c % p for c in H], f, p)
-    ginv = _power(_fp_rem(g, f, p), p ** (len(f) - 1) - 2, mul)
+    g = _fp_divmod([c % p for c in H], f, p)[0]
+    ginv = _power(_fp_divmod(g, f, p)[1], p ** (len(f) - 1) - 2, mul)
     F, m = f, p
     while m < q:
-        e = [c // m % p for c in _fp_rem(H, F, m * p)]
+        e = [c // m % p for c in _fp_divmod(H, F, m * p)[1]]
         F = [c + m * dc for c, dc in itertools.zip_longest(F, mul(e, ginv), fillvalue=0)]
         m *= p
     return F
@@ -553,7 +539,7 @@ def _factor_squarefree_monic_int(H, degrees, p):
     modular = [h for g, d in _fp_ddf(f, p) for h in _fp_edf(g, d, p, rng)]
     big = max(range(len(modular)), key=lambda i: len(modular[i]))
     lifts = [None if i == big else _hensel_lift(rest, h, p, q) for i, h in enumerate(modular)]
-    lifts[big] = _fp_quo(rest, _zq_prod([F for F in lifts if F], q), q)
+    lifts[big] = _fp_divmod(rest, _zq_prod([F for F in lifts if F], q), q)[0]
     found = []
     size = 1
     while 2 * size <= len(lifts):

@@ -1,7 +1,9 @@
 """Exact q-expansion engine.
 
-QSeries holds a truncated expansion in q^(1/e) with exact coefficients:
-rationals or number-field elements.
+QSeries holds a truncated expansion in integral powers of q with exact
+coefficients: rationals or number-field elements.  A series in a fractional
+power q^(1/N) is a QSeries in t = q^(1/N); trace.transformation_polynomial,
+the one place that needs one, reads it so.
 
 There is one layout for Q and for Hecke fields.  A series stores d integer
 component arrays, the power-basis coordinates of its coefficients (d = 1
@@ -66,28 +68,21 @@ def _merge_fields(fa, fb):
 
 
 class QSeries:
-    """Truncated q-expansion; coeffs[m] multiplies q^(m/e), known through q^trunc.
+    """Truncated q-expansion; coeffs[m] multiplies q^m, known through q^trunc.
 
     Stored as d integer component arrays over one positive denominator:
     ``_comps[i][m] / _den`` is the theta^i coordinate of coeffs[m], theta the
     generator of ``field`` (d = 1 over Q, where ``_num`` is the one array).
     """
 
-    __slots__ = ("_comps", "_num", "_den", "_coeffs", "e", "trunc", "weight", "level",
-                 "field")
+    __slots__ = ("_comps", "_num", "_den", "_coeffs", "trunc", "weight", "level", "field")
 
-    def __init__(self, coeffs, e=1, trunc=None, weight=None, level=1, field=None):
-        e = int(e)
-        if e < 1:
-            raise InputError("q-power denominator must be >= 1")
+    def __init__(self, coeffs, trunc=None, weight=None, level=1, field=None):
         coeffs = list(coeffs)
-        if trunc is None:
-            trunc = (len(coeffs) - 1) // e if coeffs else 0
-        trunc = int(trunc)
+        trunc = int(max(len(coeffs) - 1, 0) if trunc is None else trunc)
         if trunc < 0:
             raise InputError("negative truncation order")
-        want = e * trunc + 1
-        coeffs = coeffs[:want]
+        coeffs = coeffs[: trunc + 1]
         if field is None:
             fr = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
             dens = [c.denominator for c in fr]
@@ -97,11 +92,11 @@ class QSeries:
             dens = [c._den for c in els]
             rows = [[c._num[i] for c in els] for i in range(field.degree)]
         den = math.lcm(*dens)
-        pad = [0] * (want - len(dens))
+        pad = [0] * (trunc + 1 - len(dens))
         comps = [[x * (den // dx) for x, dx in zip(row, dens)] + pad for row in rows]
-        self._set(comps, den, e, trunc, weight, level, field)
+        self._set(comps, den, trunc, weight, level, field)
 
-    def _set(self, comps, den, e, trunc, weight, level, field):
+    def _set(self, comps, den, trunc, weight, level, field):
         g = math.gcd(den, *chain.from_iterable(comps))
         if g > 1:
             comps = [[x // g for x in c] for c in comps]
@@ -110,7 +105,6 @@ class QSeries:
         self._num = comps[0] if field is None else None
         self._den = den
         self._coeffs = None
-        self.e = e
         self.trunc = trunc
         self.weight = weight if weight is None else int(weight)
         self.level = int(level)
@@ -118,14 +112,14 @@ class QSeries:
         return self
 
     @classmethod
-    def _from_comps(cls, comps, den, e, trunc, weight, level, field):
-        """Series with component arrays comps (each of length e*trunc + 1) over den > 0."""
-        return cls.__new__(cls)._set(comps, den, e, trunc, weight, level, field)
+    def _from_comps(cls, comps, den, trunc, weight, level, field):
+        """Series with component arrays comps (each of length trunc + 1) over den > 0."""
+        return cls.__new__(cls)._set(comps, den, trunc, weight, level, field)
 
     @classmethod
-    def _from_ints(cls, num, den, e, trunc, weight, level):
-        """Rational series num[m]/den on the q^(1/e) grid; len(num) == e*trunc + 1."""
-        return cls.__new__(cls)._set([num], den, e, trunc, weight, level, None)
+    def _from_ints(cls, num, den, trunc, weight, level):
+        """Rational series num[m]/den; len(num) == trunc + 1."""
+        return cls.__new__(cls)._set([num], den, trunc, weight, level, None)
 
     def _value(self, xs, den):
         """The coefficient whose component numerators are xs over den."""
@@ -141,10 +135,10 @@ class QSeries:
         return self._coeffs
 
     def _with_values(self, comps, trunc, level=None, den=None):
-        """A series on this grid, weight and field from component arrays over
-        den (by default this series' denominator)."""
+        """A series of this weight and field from component arrays over den
+        (by default this series' denominator)."""
         return QSeries._from_comps(
-            comps, self._den if den is None else den, self.e, trunc, self.weight,
+            comps, self._den if den is None else den, trunc, self.weight,
             self.level if level is None else level, self.field,
         )
 
@@ -154,31 +148,29 @@ class QSeries:
         return not any(map(any, self._comps))
 
     def coeff(self, n):
-        """Coefficient of q^n; n may be a Fraction on a fractional-power grid."""
-        n = Fraction(n)
+        """Coefficient of q^n for an integer 0 <= n <= trunc."""
+        if n < 0:
+            raise InputError("negative q-exponent %s" % n)
         if n > self.trunc:
             raise TruncationError(
                 "coefficient of q^%s requested beyond truncation order %d" % (n, self.trunc)
             )
-        m = n * self.e
-        if m.denominator != 1 or m < 0:
-            return self._value([0] * len(self._comps), 1)
-        return self._value([c[int(m)] for c in self._comps], self._den)
+        return self._value([c[n] for c in self._comps], self._den)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return ((self.e, self.trunc, self.field, self._den, self._comps)
-                == (other.e, other.trunc, other.field, other._den, other._comps))
+        return ((self.trunc, self.field, self._den, self._comps)
+                == (other.trunc, other.field, other._den, other._comps))
 
     def __hash__(self):
-        return hash((self.e, self.trunc, self._den, tuple(map(tuple, self._comps))))
+        return hash((self.trunc, self._den, tuple(map(tuple, self._comps))))
 
     def __repr__(self):
         head = []
         for m, c in enumerate(self.coeffs):
             if c != 0:
-                head.append("%s*q^(%d/%d)" % (c, m, self.e) if self.e > 1 else "%s*q^%d" % (c, m))
+                head.append("%s*q^%d" % (c, m))
                 if len(head) == 4:
                     head.append("...")
                     break
@@ -190,23 +182,21 @@ class QSeries:
             raise TruncationError("cannot extend a series by truncation")
         if T == self.trunc:
             return self
-        return self._with_values([c[: self.e * T + 1] for c in self._comps], T)
+        return self._with_values([c[: T + 1] for c in self._comps], T)
 
     def agrees_through(self, other, T):
-        """Exact coefficient agreement through q^T (grids may differ).
+        """Exact coefficient agreement through q^T.
 
-        Both truncations are canonical and stay so on a finer grid, and a
-        rational series is a field series whose other components vanish, so
-        agreement is equality of denominators and of zero-padded arrays.
+        Both truncations are canonical, and a rational series is a field
+        series whose other components vanish, so agreement is equality of
+        denominators and of zero-padded arrays.
         """
         if self.trunc < T or other.trunc < T:
             raise TruncationError("agreement order exceeds a truncation order")
         _merge_fields(self.field, other.field)
-        e = math.lcm(self.e, other.e)
-        n = e * T + 1
-        A, da = self.truncate(T)._components(e, n)
-        B, db = other.truncate(T)._components(e, n)
-        return da == db and all(a == b for a, b in zip_longest(A, B, fillvalue=[0] * n))
+        a, b = self.truncate(T), other.truncate(T)
+        return a._den == b._den and all(
+            x == y for x, y in zip_longest(a._comps, b._comps, fillvalue=[0] * (T + 1)))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -217,52 +207,37 @@ class QSeries:
         return w, math.lcm(self.level, other.level)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, NumberFieldElem)):
-            other = QSeries([other], e=1, trunc=self.trunc, level=self.level,
-                            field=getattr(other, "field", None))
         if not isinstance(other, QSeries):
             return NotImplemented
         field = _merge_fields(self.field, other.field)
         w, lev = self._meta_add(other)
-        e = math.lcm(self.e, other.e)
         T = min(self.trunc, other.trunc)
-        n = e * T + 1
-        A, da = self._components(e, n)
-        B, db = other._components(e, n)
+        da, db = self._den, other._den
         den = math.lcm(da, db)
-        comps = [list(map(operator.add, a, b)) for a, b in
-                 zip_longest(_scaled(A, den // da), _scaled(B, den // db), fillvalue=[0] * n)]
-        return QSeries._from_comps(comps, den, e, T, w, lev, field)
-
-    __radd__ = __add__
+        A = _scaled([c[: T + 1] for c in self._comps], den // da)
+        B = _scaled([c[: T + 1] for c in other._comps], den // db)
+        comps = [list(map(operator.add, a, b))
+                 for a, b in zip_longest(A, B, fillvalue=[0] * (T + 1))]
+        return QSeries._from_comps(comps, den, T, w, lev, field)
 
     def __neg__(self):
         return self.scale(-1)
 
     def __sub__(self, other):
-        if isinstance(other, QSeries):
-            return self + other.scale(-1)
-        return self + (-Fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + Fraction(other)
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        return self + other.scale(-1)
 
     def scale(self, c):
         """Multiply by an exact scalar (rational or coefficient-field element)."""
         if isinstance(c, NumberFieldElem):
             field = _merge_fields(self.field, c.field)
             comps, den = _field_mul(field, self._comps, [[x] for x in c._num],
-                                    self._den * c._den, len(self._comps[0]))
-            return QSeries._from_comps(comps, den, self.e, self.trunc, self.weight,
-                                       self.level, field)
+                                    self._den * c._den, self.trunc + 1)
+            return QSeries._from_comps(comps, den, self.trunc, self.weight, self.level, field)
         c = Fraction(c)
         return self._with_values(_scaled(self._comps, c.numerator), self.trunc,
                                  den=self._den * c.denominator)
-
-    def _components(self, e_out, out_len):
-        """Integer component arrays on the q^(1/e_out) grid plus their denominator."""
-        stride = e_out // self.e
-        return [_on_grid(c, stride, out_len) for c in self._comps], self._den
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, NumberFieldElem)):
@@ -274,24 +249,16 @@ class QSeries:
         if self.weight is not None and other.weight is not None:
             w = self.weight + other.weight
         lev = math.lcm(self.level, other.level)
-        e = math.lcm(self.e, other.e)
         T = min(self.trunc, other.trunc)
-        out_len = e * T + 1
-        A, da = self._components(e, out_len)
-        B, db = other._components(e, out_len)
-        comps, den = _field_mul(field, A, B, da * db, out_len)
-        return QSeries._from_comps(comps, den, e, T, w, lev, field)
+        comps, den = _field_mul(field, self._comps, other._comps, self._den * other._den, T + 1)
+        return QSeries._from_comps(comps, den, T, w, lev, field)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         n = int(n)
-        if n < 0:
-            raise InputError("negative series power")
-        if n == 0:
-            L = self.trunc + 1
-            comps = [[1] + [0] * (L - 1)] + [[0] * L for _ in self._comps[1:]]
-            return QSeries._from_comps(comps, 1, 1, self.trunc, 0, self.level, self.field)
+        if n < 1:
+            raise InputError("series power must be >= 1")
         return _power(self, n, operator.mul)
 
 
@@ -316,15 +283,6 @@ def _field_mul(field, A, B, den, out_len):
     if len(raw) == max(len(A), len(B)):
         return raw, den
     return field._reduce(raw), den
-
-
-def _on_grid(values, stride, out_len):
-    """values[m] moved to index m*stride of a zero array of length out_len."""
-    if stride == 1:
-        return values[:out_len]
-    out = [0] * out_len
-    out[::stride] = values[: (out_len - 1) // stride + 1]
-    return out
 
 
 def _slot_bias(count, nbytes, half):
@@ -423,7 +381,7 @@ def _eisenstein_level1_raw(weight, trunc):
     mult = Fraction(-2 * weight) / bernoulli(weight)
     p, q = mult.numerator, mult.denominator
     num = [q] + [p * s for s in _sigma_list(weight - 1, trunc)[1:]]
-    return QSeries._from_ints(num, q, 1, trunc, weight, 1)
+    return QSeries._from_ints(num, q, trunc, weight, 1)
 
 
 def _eisenstein_prime_level_raw(weight, level, trunc):
@@ -434,7 +392,7 @@ def _eisenstein_prime_level_raw(weight, level, trunc):
     num = [-x for x in E._num]
     for m in range(0, trunc + 1, level):
         num[m] += Npow * E._num[m // level]
-    return QSeries._from_ints(num, E._den * (Npow - 1), 1, trunc, weight, level)
+    return QSeries._from_ints(num, E._den * (Npow - 1), trunc, weight, level)
 
 
 def _fricke_eisenstein_raw(weight, level, trunc):
@@ -444,7 +402,7 @@ def _fricke_eisenstein_raw(weight, level, trunc):
         num[m] -= E._num[m // level]
     scale = level ** (weight // 2)
     num = [x * scale for x in num]
-    return QSeries._from_ints(num, E._den * (level**weight - 1), 1, trunc, weight, level)
+    return QSeries._from_ints(num, E._den * (level**weight - 1), trunc, weight, level)
 
 
 _GATE_DONE = set()
@@ -659,10 +617,13 @@ def _unit_series_power(terms, r, L):
 
 
 def _euler_power(d, r, L):
-    """prod_n (1 - q^(d n))^r through q^L: a prefix of the stored d = 1 pass, regridded."""
+    """prod_n (1 - q^(d n))^r through q^L: a prefix of the stored d = 1 pass, spread to
+    every d-th place."""
     power = _stored(("euler", r), L // d + 1,
                     lambda n: _unit_series_power(_pentagonal(n - 1), r, n - 1))
-    return _on_grid(power, d, L + 1)
+    out = [0] * (L + 1)
+    out[::d] = power
+    return out
 
 
 def eta_quotient(spec, trunc, level=None):
@@ -684,18 +645,16 @@ def eta_quotient(spec, trunc, level=None):
         acc = [1] + [0] * L
     if level is None:
         level = math.lcm(*[d for d, _ in spec.pairs])
-    return QSeries._from_ints([0] * v + acc, 1, 1, trunc, spec.weight, int(level))
+    return QSeries._from_ints([0] * v + acc, 1, trunc, spec.weight, int(level))
 
 
 # -- operators -------------------------------------------------------------
 
 def op_U(f, t):
-    """Pick every t-th coefficient: (U_t f)_n = f_(t n). Integral grid only."""
+    """Pick every t-th coefficient: (U_t f)_n = f_(t n)."""
     t = int(t)
     if t < 1:
         raise InputError("U_t needs t >= 1")
-    if f.e != 1:
-        raise InputError("U_t acts on integral q-power series")
     T = f.trunc // t
     return f._with_values([c[: t * T + 1 : t] for c in f._comps], T)
 
@@ -724,8 +683,8 @@ def hecke_T(f, n):
         raise InputError("Hecke index must be >= 1")
     if f.level != 1:
         raise UnsupportedScopeError("Hecke operators implemented at level 1 only")
-    if f.weight is None or f.e != 1:
-        raise InputError("Hecke operators need weight metadata on an integral grid")
+    if f.weight is None:
+        raise InputError("Hecke operators need weight metadata")
     if f.trunc < n:
         raise TruncationError(
             "series order %d too small for T_%d; need order >= %d" % (f.trunc, n, n)

@@ -145,7 +145,7 @@ def miller_basis(weight, trunc):
     if b or d > 1:
         _gate_eisenstein(6, 1)
     rows = _miller_store(k, trunc + 1)
-    return [QSeries._from_ints(list(col), 1, 1, trunc, k, 1) for col in zip(*rows)]
+    return [QSeries._from_ints(list(col), 1, trunc, k, 1) for col in zip(*rows)]
 
 
 class Newform:
@@ -232,8 +232,8 @@ def level1_coordinates(forms):
     """
     forms = list(forms)
     for f in forms:
-        if f.weight is None or f.e != 1:
-            raise InputError("level-1 coordinates need a weighted series in powers of q")
+        if f.weight is None:
+            raise InputError("level-1 coordinates need a weighted series")
         d, _, _ = miller_exponents(f.weight)
         if f.trunc < d - 1:
             raise TruncationError(
@@ -250,7 +250,7 @@ def level1_coordinates(forms):
         core = _miller_store(12 * (d - 1), n)
         r = k - 12 * (d - 1)
         factor = [row[0] for row in _miller_store(r, n)] if r else None
-        comps, den = f._components(1, n)
+        comps, den = f._comps, f._den
         X = []
         miss = n
         for comp in comps:
@@ -379,7 +379,7 @@ def newform_basis_level1(weight, trunc):
         comps = [[sum(map(operator.mul, ct, row)) for row in brows] for ct in zip(*C)]
         # poly_factor_q has just certified g irreducible
         field = None if d == 1 else NumberField(g)
-        f = QSeries._from_comps(comps, D, 1, trunc, k, 1, field)
+        f = QSeries._from_comps(comps, D, trunc, k, 1, field)
         orbits.append(Newform(weight=k, field=field, modulus=g, qexp=f))
     return GaloisOrbitSet(k, orbits, s)
 
@@ -400,7 +400,7 @@ def validate_external_newform(f):
     """Check Hecke coefficient relations on a claimed level-1 eigenform expansion."""
     if isinstance(f, Newform):
         f = f.qexp
-    if f.level != 1 or f.weight is None or f.e != 1:
+    if f.level != 1 or f.weight is None:
         raise InputError("expected a level-1 integral-weight expansion")
     k = f.weight
     T = f.trunc

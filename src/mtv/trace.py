@@ -9,11 +9,13 @@ them into the power sum p_mu = Tr(h^mu).  The two routes share only the
 Fricke image of h and must agree coefficient by coefficient, exactly.
 
 The non-identity translates are (h|w_N)((z+j)/N) scaled by N^(-w/2): the
-q^(1/N)-series F of the scaled Fricke image with its q^(m/N) coefficient
-twisted by zeta^(j m), zeta a primitive N-th root of unity.  Summed over j,
-their m-th powers keep N times the integral exponents of F^m and nothing
-else (the root-of-unity sieve), so Phi is built over Q without ever
-forming Q(zeta).
+scaled Fricke image read as a series F in t = q^(1/N), with its t^m
+coefficient twisted by zeta^(j m), zeta a primitive N-th root of unity.
+Summed over j, their m-th powers keep N times the coefficients of F^m at
+the powers of t divisible by N, that is N U_N(F^m) in q, and nothing else
+(the root-of-unity sieve), so Phi is built over Q without ever forming
+Q(zeta).  This is the one place that reads a series in a fractional power
+of q.
 """
 
 import math
@@ -97,9 +99,10 @@ def product_inputs(level, eta_spec, eis_weight, order):
     """h = (eta quotient) * (Eisenstein row) and its Fricke image h|w_N.
 
     h|w_N is known through q^T_in, T_in = N*order + 8, and h through
-    q^(T_in // N): both trace routes read the Fricke image on the q^(1/N)
-    grid, so they reach q^(T_in // N) and read h no further.  An eta
-    quotient that is its own Fricke partner is expanded once, at T_in.
+    q^(T_in // N): route 1 reads the Fricke image through U_N and route 2
+    as a series in t = q^(1/N), so both reach q^(T_in // N) and read h no
+    further.  An eta quotient that is its own Fricke partner is expanded
+    once, at T_in.
     """
     spec = eta_spec if isinstance(eta_spec, EtaQuotientSpec) else EtaQuotientSpec(eta_spec)
     T_in = level * order + 8
@@ -114,29 +117,19 @@ def product_inputs(level, eta_spec, eis_weight, order):
 
 # -- the transformation polynomial ----------------------------------------
 
-def _integral_exponent_part(s):
-    """Restrict a q^(1/e) expansion to its integral exponents."""
-    if s.e == 1:
-        return s
-    return QSeries._from_ints(s._num[:: s.e], s._den, 1, s.trunc, s.weight, s.level)
+def _sieved_product(a, b, step):
+    """op_U(a * b, step) for rational series a, b, without forming a * b.
 
-
-def _sieved_product(a, b, step=None):
-    """Every step-th coefficient of a * b, for rational series on one q^(1/e) grid.
-
-    With step = e (the default) this is _integral_exponent_part(a * b); with
-    integral a, b and step = N it is op_U(a * b, N).  With the polyphase
-    parts A_r = a[r::step] and B_r alike, the kept coefficients are
-    A_0 B_0 + q * sum_(r>=1) A_r B_(step-r): step products of the output's
-    length in place of one of step times that length.
+    With the polyphase parts A_r = a[r::step] and B_r alike, the kept
+    coefficients are A_0 B_0 + q * sum_(r>=1) A_r B_(step-r): step products
+    of the output's length in place of one of step times that length.
     """
-    step = a.e if step is None else step
-    T = a.e * min(a.trunc, b.trunc) // step
+    T = min(a.trunc, b.trunc) // step
     x, y = a._num, b._num
     acc = _kron_mul(x[::step], y[::step], T + 1)
     for r in range(1, step):
         acc[1:] = map(operator.add, acc[1:], _kron_mul(x[r::step], y[step - r :: step], T))
-    return QSeries._from_ints(acc, a._den * b._den, 1, T, a.weight + b.weight,
+    return QSeries._from_ints(acc, a._den * b._den, T, a.weight + b.weight,
                               math.lcm(a.level, b.level))
 
 
@@ -150,25 +143,25 @@ def transformation_polynomial(h, h_fricke, level):
     """
     N = _require_prime(level)
     w = h.weight
-    if w is None or w % 2 or h.e != 1 or h_fricke.e != 1:
-        raise InputError("transformation polynomial needs even-weight integral series")
+    if w is None or w % 2:
+        raise InputError("transformation polynomial needs even-weight series")
     Tq = h_fricke.trunc // N
     if Tq < 1:
         raise InputError("Fricke image truncated below one full period")
-    # base translate as a q^(1/N)-series; its j-th twist shares all power sums
-    # with exponent sieved to multiples of N, so sums over j stay rational
-    F = QSeries._from_ints(
-        h_fricke._num[: N * Tq + 1], h_fricke._den * N ** (w // 2), N, Tq, w, N
-    )
-    # F^m at full length for m <= ceil(N/2); past that only the integral
-    # exponents of F^top * F^(m - top) are read, so only they are formed
+    # base translate as a series in t = q^(1/N); its j-th twist shares all
+    # power sums with exponent sieved to multiples of N, so sums over j stay
+    # rational: the q^n coefficient of a sum is N times the t^(N n) one
+    F = QSeries._from_ints(h_fricke._num[: N * Tq + 1], h_fricke._den * N ** (w // 2),
+                           N * Tq, w, N)
+    # F^m at full length for m <= ceil(N/2); past that only the powers of t
+    # divisible by N in F^top * F^(m - top) are read, so only they are formed
     top = (N + 1) // 2
     pows = [F]
     while len(pows) < top:
         pows.append(pows[-1] * F)
-    qs = [_integral_exponent_part(p).scale(N) for p in pows]
+    qs = [op_U(p, N).scale(N) for p in pows]
     for m in range(top + 1, N + 1):
-        qs.append(_sieved_product(pows[-1], pows[m - top - 1]).scale(N))
+        qs.append(_sieved_product(pows[-1], pows[m - top - 1], N).scale(N))
     es = elementary_from_power_sums(qs)
     hT = h.truncate(min(h.trunc, Tq))
     sym = []
@@ -260,7 +253,7 @@ def expand_in_newforms(f, orbit_set):
     blocks = []
     cols = []
     for nf in orbit_set.orbits:
-        comps, den = nf.qexp._components(1, n)
+        comps, den = [c[:n] for c in nf.qexp._comps], nf.qexp._den
         ps = nf.field.power_sums() if nf.field else (1,)
         hankel = [ps[j : j + len(comps)] for j in range(len(comps))]
         rows = list(zip(*[c[1 : r + 1] for c in comps]))

@@ -640,9 +640,19 @@ def factor_degrees_ascending(P):
     return possible
 
 
+def series_pow(f, n):
+    """f ** n for n >= 0: the package's power for n >= 1 and, for n = 0, the
+    unit series of weight 0 at f's truncation, level and field."""
+    from mtv.qexp import QSeries
+
+    if n == 0:
+        return QSeries([1], trunc=f.trunc, weight=0, level=f.level, field=f.field)
+    return f ** n
+
+
 def _valuation(f):
     """Exponent of the first nonzero term of the series f, None when f is zero."""
-    return next((Fraction(m, f.e) for m, c in enumerate(f.coeffs) if not _is_zero(c)), None)
+    return next((m for m, c in enumerate(f.coeffs) if not _is_zero(c)), None)
 
 
 def expand_in_triangular_ref(f, basis, strict=True):

@@ -410,6 +410,27 @@ def test_phi_power_over_the_dimension_cap_exits4_before_any_series(monkeypatch, 
     assert "must be even" in capsys.readouterr().err
 
 
+def test_phi_power_over_the_miller_cap_exits4_before_any_series(monkeypatch, capsys):
+    # phi builds the Miller basis of its top s_(N+1), of weight (N + 1) W:
+    # dim M_768 = 65 (level 5, power 16) and dim M_800 = 67 (level 3, power
+    # 20) pass, dim M_816 = 69 (level 5, power 17) is refused, and so is
+    # level 5 power 33, whose W = 264 passes the cusp-dimension cap
+    def reached(*a, **kw):
+        raise VerificationError("reached the inputs")
+
+    monkeypatch.setattr(cli, "product_inputs", reached)
+    assert cli.MAX_PHI_MILLER_DIM == 67
+    for level, power in (("5", "16"), ("3", "20")):
+        argv = ["phi", "--level", level, "--eis-weight", "4", "--order", "8", "--power", power]
+        assert cli.main(argv) == 2
+        assert "reached the inputs" in capsys.readouterr().err
+    for power in ("17", "33"):
+        argv = ["phi", "--level", "5", "--eis-weight", "4", "--order", "8", "--power", power]
+        assert cli.main(argv) == 4
+        err = capsys.readouterr().err
+        assert "above the cap of 67" in err and "reached" not in err
+
+
 def test_theorem_and_corollary_over_the_dimension_cap_exit4(monkeypatch, capsys):
     # at level 2, W = (8 + 4) * power: dim S_264 = 22 (power 22) passes the
     # guard, dim S_288 = 24 (power 24) is refused before any input is built

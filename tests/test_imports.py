@@ -32,9 +32,14 @@ Run-time module state: a module-level dict or set that a function mutates
 is process-wide state, such as a cache.  Only the ones on an allowlist may
 exist, so a new cache (say, one keyed by each series length) cannot arrive
 unnoticed.
+
+One q-grid: a QSeries is a series in integral powers of q.  No constructor
+takes an exponent grid and no slot holds one; the one q^(1/N)-series of the
+pipeline, route 2's Fricke image, is read as a series in t = q^(1/N).
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -390,3 +395,11 @@ def test_mutated_state_check_flags_run_time_mutation_only():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_allowlisted_module_state_is_mutated(path):
     assert mutated_module_containers(path.read_text()) == RUN_TIME_STATE.get(path.name, [])
+
+
+def test_qseries_carries_no_exponent_grid():
+    from mtv.qexp import QSeries
+
+    for build in (QSeries, QSeries._from_ints, QSeries._from_comps):
+        assert "e" not in inspect.signature(build).parameters, build
+    assert "e" not in QSeries.__slots__

@@ -47,7 +47,7 @@ def test_bigcomplex_error_propagation():
 
 def test_eval_geometric_series_certified():
     T = 120
-    f = QSeries([F(1)] * (T + 1), e=1, trunc=T, weight=None, level=1)
+    f = QSeries([F(1)] * (T + 1), trunc=T, weight=None, level=1)
     with mpmath.workprec(150):
         tau = mpc("0.1", "0.9")
         got = eval_qseries(f, tau, 128)
@@ -94,7 +94,7 @@ def test_eval_rejects_nonrational_coeffs():
     from mtv.numfield import NumberField
 
     K = NumberField(X**2 - 2)
-    f = QSeries([K.one(), K.elem([0, 1])], e=1, trunc=1, weight=None, level=1, field=K)
+    f = QSeries([K.one(), K.elem([0, 1])], trunc=1, weight=None, level=1, field=K)
     with pytest.raises(InputError):
         eval_qseries(f, mpc(0, 2), 128)
 
@@ -253,35 +253,36 @@ def _seeded_fractions(seed, n):
 
 
 EVAL_CASES = [
-    # series, tau, prec
-    ("E4", lambda: eisenstein_level1(4, 128), TAU_53_NEG, 256),
-    ("E6 at i", lambda: eisenstein_level1(6, 200), mpc(0, 1), 192),
-    ("Delta", lambda: delta_series(120), TAU_300_NEG, 256),
-    ("Delta low", lambda: delta_series(289), TAU_53_LOW, 128),
-    ("E4 level 3", lambda: eisenstein_prime_level(4, 3, 100), TAU_300_POS, 300),
-    ("E6 level 5", lambda: eisenstein_prime_level(6, 5, 128), TAU_53_POS, 64),
-    ("grid e=3", lambda: QSeries(_seeded_fractions(1, 121), e=3, trunc=40),
-     TAU_53_NEG, 200),
-    ("grid e=2 valuation 3", lambda: QSeries([0, 0, 0] + _seeded_fractions(2, 78),
-                                             e=2, trunc=40), TAU_300_POS, 128),
-    # a series given by its coefficient list alone, on e = 2
-    ("coeffs only", lambda: QSeries([3, F(-1, 7), 0, 5, F(22, 9)] + _seeded_fractions(3, 60),
-                                    e=2),
-     TAU_53_NEG, 128),
+    # series, e, tau, prec: the series' coefficients read as a series in
+    # q^(1/e), evaluated as a series in q at tau / e
+    ("E4", lambda: eisenstein_level1(4, 128), 1, TAU_53_NEG, 256),
+    ("E6 at i", lambda: eisenstein_level1(6, 200), 1, mpc(0, 1), 192),
+    ("Delta", lambda: delta_series(120), 1, TAU_300_NEG, 256),
+    ("Delta low", lambda: delta_series(289), 1, TAU_53_LOW, 128),
+    ("E4 level 3", lambda: eisenstein_prime_level(4, 3, 100), 1, TAU_300_POS, 300),
+    ("E6 level 5", lambda: eisenstein_prime_level(6, 5, 128), 1, TAU_53_POS, 64),
+    ("grid e=3", lambda: QSeries(_seeded_fractions(1, 121)), 3, TAU_53_NEG, 200),
+    ("grid e=2 valuation 3", lambda: QSeries([0, 0, 0] + _seeded_fractions(2, 78)), 2,
+     TAU_300_POS, 128),
+    # a series given by its coefficient list alone
+    ("coeffs only", lambda: QSeries([3, F(-1, 7), 0, 5, F(22, 9)] + _seeded_fractions(3, 60)),
+     2, TAU_53_NEG, 128),
 ]
 
 
-@pytest.mark.parametrize("name, build, tau, prec", EVAL_CASES, ids=[c[0] for c in EVAL_CASES])
-def test_eval_kernel_matches_reference(monkeypatch, name, build, tau, prec):
+@pytest.mark.parametrize("name, build, e, tau, prec", EVAL_CASES,
+                         ids=[c[0] for c in EVAL_CASES])
+def test_eval_kernel_matches_reference(monkeypatch, name, build, e, tau, prec):
     f = build()
-    coeffs, e = list(f.coeffs), f.e
-    got = eval_qseries(f, tau, prec)
-    # the kernel evaluates at the point tau rounds to at its working precision
+    coeffs = list(f.coeffs)
+    # the kernel evaluates at the point tau / e rounds to at its working
+    # precision; e times that point is exact at the reference's precision
     with mpmath.workprec(prec + 16 + (len(coeffs) + 1).bit_length()):
-        point = mpc(tau)
-    want = eval_qseries_ref(coeffs, e, point, prec + 64)
+        point = mpc(tau) / e
+    got = eval_qseries(f, point, prec)
     with mpmath.workprec(prec + 64):
-        q = abs(mpmath.expjpi(2 * point / e))
+        want = eval_qseries_ref(coeffs, e, point * e, prec + 64)
+        q = abs(mpmath.expjpi(2 * point))
         scale = sum(abs(mpf(c.numerator) / c.denominator) * q**m
                     for m, c in enumerate(map(F, coeffs)))
         diff = abs(got.value - want)
@@ -289,7 +290,7 @@ def test_eval_kernel_matches_reference(monkeypatch, name, build, tau, prec):
         assert diff <= got.err
     # without the fitted tail, what is left is the proven rounding bound
     monkeypatch.setattr(numerics, "_fitted_tail", lambda *a: mpf(0))
-    rounding = eval_qseries(f, tau, prec)
+    rounding = eval_qseries(f, point, prec)
     assert rounding.value == got.value
     with mpmath.workprec(prec + 64):
         assert diff <= rounding.err

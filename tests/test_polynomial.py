@@ -4,6 +4,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 import sympy
@@ -225,11 +226,14 @@ def test_packed_ring_matches_schoolbook(p):
         assert mul(a, []) == mul([], b) == []
         for e in (1, 2, rng.randrange(3, 64), p):
             assert xpow(e) == fp_powmod_ref([0, 1], e, f, p), (f, e)
-        # remainders of unreduced dividends by a monic and a non-monic divisor
+        # quotients and remainders of unreduced dividends by a monic and a
+        # non-monic divisor: c = quo * div + rem over F_p
         c = [rng.randrange(-p * p, p * p) for _ in range(rng.randint(0, 2 * n + 1))]
-        assert polynomial._fp_rem(c, f, p) == fp_rem_ref(c, f, p), (c, f)
-        if b:
-            assert polynomial._fp_rem(c, b, p) == fp_rem_ref(c, b, p), (c, b)
+        for div in (f, b) if b else (f,):
+            quo, rem = polynomial._fp_divmod(c, div, p)
+            assert rem == fp_rem_ref(c, div, p), (c, div)
+            back = zip_longest(fp_mul_ref(quo, div, p), rem, c, fillvalue=0)
+            assert not any((x + y - z) % p for x, y, z in back), (c, div)
         # gcds, coprime and with a common factor of degree up to n
         h = reduced_mod_p(rng, p, rng.randint(1, n)) or [1]
         u, v = fp_mul_ref(h, f, p), fp_mul_ref(h, b or [1], p)

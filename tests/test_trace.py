@@ -30,7 +30,7 @@ from mtv import (
 from mtv.polynomial import elementary_from_power_sums, power_sums_from_elementary
 from mtv.qexp import EtaQuotientSpec, QSeries
 from mtv import qexp, trace
-from mtv.trace import _integral_exponent_part, _sieved_product, fricke_eta_data
+from mtv.trace import _sieved_product, fricke_eta_data
 
 from _oracles import (cyclo_equal, expand_in_newforms_ref, fricke_eta_series,
                       twisted_translate_power_sum)
@@ -125,20 +125,19 @@ def test_translate_sum_sieves(level, pairs, lam, m):
     not divisible by the level and multiplies the survivors by the level.
 
     The translates are formed over Q(zeta_N) by the reference convolution;
-    the package's side is N times the integral-exponent part of F^m, F the
-    scaled Fricke image on the q^(1/N) grid, as transformation_polynomial
-    builds it."""
+    the package's side is N U_N(F^m), F the scaled Fricke image read as a
+    series in t = q^(1/N), as transformation_polynomial builds it."""
     T = 6 * level
     h, hfr = _translate_inputs(level, pairs, lam, T)
     w = h.weight
     Tq = hfr.trunc // level
     b = [c * Fraction(1, level ** (w // 2)) for c in hfr.coeffs[: level * Tq + 1]]
-    F = QSeries(b, e=level, trunc=Tq, weight=w, level=level)
-    sieved = _integral_exponent_part(F**m).scale(level)
+    F = QSeries(b, trunc=level * Tq, weight=w, level=level)
+    sieved = op_U(F**m, level).scale(level)
     total = twisted_translate_power_sum(b, level, m)
     assert len(total) == level * sieved.trunc + 1
     for k, t in enumerate(total):
-        want = sieved.coeff(Fraction(k, level))
+        want = sieved.coeff(k // level) if k % level == 0 else 0
         assert cyclo_equal(t, [want] + [Fraction(0)] * (level - 1)), k
 
 
@@ -149,15 +148,16 @@ def test_translates_reject_odd_weight():
 
 
 def _random_grid_series(rng, e, T, weight):
-    """Signed 1- to 400-bit numerators on the q^(1/e) grid, some polyphase
-    parts num[r::e] zeroed, over a random denominator."""
+    """A series in t = q^(1/e) through t^(e T): signed 1- to 400-bit
+    numerators, some polyphase parts num[r::e] zeroed, over a random
+    denominator."""
     num = []
     for _ in range(e * T + 1):
         bits = rng.randint(1, 400)
         num.append(rng.choice((-1, 1)) * (rng.getrandbits(bits - 1) | 1 << (bits - 1)))
     for r in rng.sample(range(e), rng.randint(0, e - 1)):
         num[r::e] = [0] * len(num[r::e])
-    return QSeries._from_ints(num, rng.randint(1, 10**9), e, T, weight, e)
+    return QSeries._from_ints(num, rng.randint(1, 10**9), e * T, weight, e)
 
 
 @pytest.mark.parametrize("e", [2, 3, 5, 7])
@@ -168,12 +168,12 @@ def test_sieved_product_is_the_integral_part_of_the_full_product(e, seed):
     a = _random_grid_series(rng, e, T, 4)
     b = _random_grid_series(rng, e, T + rng.randint(0, 2), 6)
     for x, y in ((a, b), (b, a), (a, a)):
-        want = _integral_exponent_part(x * y)
-        got = _sieved_product(x, y)
+        want = op_U(x * y, e)
+        got = _sieved_product(x, y, e)
         assert got == want
-        assert (got.e, got.trunc, got.weight, got.level) == (1, T, x.weight + y.weight, e)
-    zero = QSeries._from_ints([0] * (e * T + 1), 1, e, T, 6, e)
-    assert _sieved_product(a, zero).is_zero()
+        assert (got.trunc, got.weight, got.level) == (T, x.weight + y.weight, e)
+    zero = QSeries._from_ints([0] * (e * T + 1), 1, e * T, 6, e)
+    assert _sieved_product(a, zero, e).is_zero()
 
 
 @pytest.mark.parametrize("level,pairs,lam,order", [
@@ -207,7 +207,7 @@ def test_fricke_power_is_sieved_on_the_exponents_U_reads(level, pairs, lam, orde
     u = _sieved_product(hfr ** (power - 1), hfr, level)
     want = op_U(hfr**power, level)
     assert u == want
-    assert (u.e, u.trunc, u.weight, u.level) == (1, want.trunc, want.weight, want.level)
+    assert (u.trunc, u.weight, u.level) == (want.trunc, want.weight, want.level)
     got = trace_to_level1(h, hfr, level, power)
     assert got == trace_to_level1(h**power, hfr**power, level)
     assert got.trunc == h.trunc
@@ -289,7 +289,7 @@ def test_validation_catches_one_unit_at_the_tail_and_past_the_head(level, monkey
             for m in sorted({si.trunc, d - 1, d}):
                 num = list(si._num)
                 num[m] += 1
-                bumped = QSeries._from_ints(num, si._den, 1, si.trunc, si.weight, si.level)
+                bumped = QSeries._from_ints(num, si._den, si.trunc, si.weight, si.level)
 
                 def planted(forms, i=i, bumped=bumped):
                     forms = list(forms)
@@ -358,7 +358,7 @@ def test_expand_in_newforms_names_the_first_residual(weight):
     for m in (3, 11, T):
         num = list(f._num)
         num[m] += 1
-        bumped = QSeries._from_ints(num, f._den, 1, T, weight, 1)
+        bumped = QSeries._from_ints(num, f._den, T, weight, 1)
         with pytest.raises(VerificationError,
                            match=r"^newform expansion residual is nonzero first at q\^%d$" % m):
             expand_in_newforms(bumped, orbs)
@@ -435,7 +435,7 @@ def test_expansion_over_orbits_with_their_own_denominators():
     assert expand_in_newforms(f, orbs) == want == expand_in_newforms_ref(f, orbs)
     num = list(f._num)
     num[7] += 1
-    bumped = QSeries._from_ints(num, f._den, 1, T, weight, 1)
+    bumped = QSeries._from_ints(num, f._den, T, weight, 1)
     with pytest.raises(VerificationError, match=r"nonzero first at q\^7$"):
         expand_in_newforms(bumped, orbs)
 
