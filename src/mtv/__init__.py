@@ -1,7 +1,7 @@
 """mtv: exact trace identities for eta-quotient and Eisenstein products.
 
-The engine works with q-expansions over Q and over number fields, all
-arithmetic exact, factorization over Q included (a mod-p sieve and
+The engine works with q-expansions over Q and newforms over number fields,
+all arithmetic exact, factorization over Q included (a mod-p sieve and
 Zassenhaus's method).  Floating point appears only in two places: oracle
 comparisons against lattice sums, and period recovery for elliptic
 specializations.  Both carry error bounds.  The lattice-sum error (truncation

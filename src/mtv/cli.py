@@ -34,7 +34,7 @@ from .errors import (
     VerificationError,
 )
 from .numerics import DEFAULT_PREC_BITS, MIN_PREC_BITS, eval_qseries, lattice_sum_eisenstein
-from .qexp import (EtaQuotientSpec, _require_even_weight, eisenstein_level1,
+from .qexp import (EtaQuotientSpec, _require_even_weight, _require_prime, eisenstein_level1,
                    eisenstein_prime_level)
 from .rational import exact_fraction, format_exact, format_rational, parse_rational
 from .spaces import (
@@ -70,7 +70,7 @@ MAX_SERIES_TERMS = 2**15
 MAX_PREC_BITS = 4096
 
 # cap on the Miller dimension of phi's top s_i, dim M_((N + 1) W) for h^power
-# of weight W, past power 1: that basis and the inputs it needs set phi's
+# of weight W, at every power: that basis and the inputs it needs set phi's
 # cost.  From the CLI on a 2-vCPU VM with CPython 3.11, level 2 power 22
 # (dim 67) takes 3.17 s, level 3 power 20 (dim 67) 3.26 s, level 5 power 16
 # (dim 65) 1.88 s and power 17 (dim 69) 3.35 s.  67 is the largest
@@ -200,23 +200,26 @@ def cmd_corollary(args):
 def cmd_phi(args):
     if args.power < 1:
         raise InputError("power must be >= 1")
-    _require_series_terms(args.level * args.order * args.power + 8, "--order", args.order)
+    if args.order < 0:
+        raise InputError("order must be nonnegative")
     _require_newform_dim(args.eis_weight)
     spec = _eta_for(args.level, args.eta)
-    N = args.level
-    if args.power > 1:
-        # h^power has the weight whose cusp dimension theorem --power caps
-        W = (spec.weight + _require_even_weight(args.eis_weight)) * args.power
-        _require_newform_dim(W)
-        dim = dim_modular_level1((N + 1) * W)
-        if dim > MAX_PHI_MILLER_DIM:
-            raise ResourceLimitError(
-                "s_%d has weight %d, whose Miller basis has dimension %d, above the cap of %d"
-                % (N + 1, (N + 1) * W, dim, MAX_PHI_MILLER_DIM)
-            )
-    # s_i of h^power has weight w*power*i: its Miller basis grows with the
-    # power, and so must the inputs
-    h, hfr = product_inputs(N, spec, args.eis_weight, args.order * args.power)
+    N = _require_prime(args.level)
+    # h^power has the weight whose cusp dimension theorem --power caps
+    W = (spec.weight + _require_even_weight(args.eis_weight)) * args.power
+    _require_newform_dim(W)
+    dim = dim_modular_level1((N + 1) * W)
+    if dim > MAX_PHI_MILLER_DIM:
+        raise ResourceLimitError(
+            "s_%d has weight %d, whose Miller basis has dimension %d, above the cap of %d"
+            % (N + 1, (N + 1) * W, dim, MAX_PHI_MILLER_DIM)
+        )
+    # the s_i of h^power reach q^(order + 8 // N) (product_inputs), and the
+    # top one needs the dim leads of its Miller basis: the order grows with
+    # the power, and past that only as far as those leads need
+    order = max(args.order * args.power, dim - 1 - 8 // N)
+    _require_series_terms(N * order + 8, "--order", args.order)
+    h, hfr = product_inputs(N, spec, args.eis_weight, order)
     if args.power != 1:
         h = h ** args.power
         hfr = hfr ** args.power
@@ -364,7 +367,8 @@ def build_parser():
     pp.add_argument("--eis-weight", "--lambda", dest="eis_weight", type=int,
                     required=True)
     pp.add_argument("--power", type=int, default=1)
-    pp.add_argument("--order", type=int, default=32)
+    pp.add_argument("--order", type=int, default=32,
+                    help="series order, raised as far as the top s_i needs")
     pp.add_argument("--curve", type=str, default=None)
     pp.set_defaults(func=cmd_phi)
 

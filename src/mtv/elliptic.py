@@ -243,13 +243,22 @@ def tau_from_curve(curve, prec_bits=DEFAULT_PREC_BITS):
 
 # -- exact specialization ----------------------------------------------------
 
+def _specialize_coordinates(weight, coords, curve):
+    """sum_j coords[j-1] h_j(curve): the basis monomials map through
+    E4 -> 12 g2, E6 -> 216 g3, Delta -> discriminant.  The value lies where
+    the coordinates do: in Q, or in the Hecke field of an orbit."""
+    d, a, b = miller_exponents(weight)
+    A, B, D = 12 * curve.g2, 216 * curve.g3, curve.discriminant
+    return sum((c * (A**a * B ** (b + 2 * (d - j)) * D ** (j - 1))
+                for j, c in enumerate(coords, start=1)), Fraction(0))
+
+
 def _specialize_all(forms, curve):
-    """Exact specialized values of level-1 forms of even weight.
+    """Exact specialized values of rational level-1 forms of even weight.
 
     One level1_coordinates call certifies every form and gives its
-    coordinates in the triangular basis; the basis monomials map through
-    E4 -> 12 g2, E6 -> 216 g3, Delta -> discriminant.  Coefficients may lie
-    in a number field; the value then lies in the same field.
+    coordinates in the triangular basis, which _specialize_coordinates maps
+    to a rational value.
     """
     for f in forms:
         k = f.weight
@@ -258,19 +267,8 @@ def _specialize_all(forms, curve):
         d = dim_modular_level1(k)
         if f.trunc < d:
             raise InputError("series order %d below basis length %d" % (f.trunc, d))
-    A = 12 * curve.g2
-    B = 216 * curve.g3
-    D = curve.discriminant
-    values = []
-    for f, coords in zip(forms, level1_coordinates(forms)):
-        d, a, b = miller_exponents(f.weight)
-        total = None
-        for j in range(1, d + 1):
-            mono = A**a * B ** (b + 2 * (d - j)) * D ** (j - 1)
-            term = coords[j - 1] * mono
-            total = term if total is None else total + term
-        values.append(total)
-    return values
+    return [_specialize_coordinates(f.weight, coords, curve)
+            for f, coords in zip(forms, level1_coordinates(forms))]
 
 
 def specialize_level1_exact(f, curve):
@@ -286,8 +284,6 @@ def specialize_phi(symmetric, curve):
     coeffs[mu] = Fraction(1)
     sign = -1
     for i, v in enumerate(_specialize_all(symmetric, curve), start=1):
-        if not isinstance(v, Fraction):
-            raise InputError("transformation coefficients must be rational")
         coeffs[mu - i] = sign * v
         sign = -sign
     return UniPoly(coeffs)
@@ -361,7 +357,7 @@ def verify_corollary(level, eta_pairs, eis_weight, power, curve, order=64,
     lhs = specialize_level1_exact(res.trace, curve)
     acc = Fraction(0)
     for nf, xi in zip(res.orbit_set.orbits, res.ratios):
-        sv = specialize_level1_exact(nf.qexp, curve)
+        sv = _specialize_coordinates(nf.weight, nf.coordinates(), curve)
         acc += nf_trace(xi * sv) if nf.field is not None else xi * sv
     rhs = res.constant * acc
     if lhs != rhs:

@@ -187,18 +187,15 @@ def _fitted_tail(num, den, ln_r):
 
 
 def eval_qseries(f, tau, prec_bits=None):
-    """Evaluate a rational QSeries at tau in the upper half-plane.
+    """Evaluate a QSeries, a series over Q, at tau in the upper half-plane.
 
-    The sum runs over the series' integer numerators, q = e(tau); a series
-    over a number field raises InputError.  The error is the proven bound
-    on the fixed-point rounding (see _horner) and on the error of q itself,
-    propagated through sum m |c_m| rho^(m-1), plus the fitted tail majorant
-    of _fitted_tail for the unknown coefficients past the truncation, which
-    is a heuristic.
+    The sum runs over the series' integer numerators, q = e(tau).  The error
+    is the proven bound on the fixed-point rounding (see _horner) and on the
+    error of q itself, propagated through sum m |c_m| rho^(m-1), plus the
+    fitted tail majorant of _fitted_tail for the unknown coefficients past
+    the truncation, which is a heuristic.
     """
     prec = _check_prec(prec_bits)
-    if f.field is not None:
-        raise InputError("eval_qseries handles rational-coefficient series only")
     num, den = f._num, f._den
     value, W, P, v, q, (qx, qy) = _horner(num, den, tau, prec)
     with mp.workprec(W):

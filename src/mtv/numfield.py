@@ -76,16 +76,12 @@ class NumberField:
     def one(self):
         return self.elem([1])
 
-    def _reduce(self, raw):
-        """The coordinates of sum_t raw[t] x^t, t <= 2*degree - 2, for integer
-        arrays raw[t] of one length (one power list per position): one
-        integer array per coordinate."""
-        d = self.degree
-        out = raw[:d]
-        for row, c in zip(self._red, raw[d:]):
-            for i, r in enumerate(row):
-                if r:
-                    out[i] = [x + r * y for x, y in zip(out[i], c)]
+    def _reduce(self, conv):
+        """The integer coordinates of sum_t conv[t] x^t, t <= 2*degree - 2."""
+        out = conv[: self.degree]
+        for row, c in zip(self._red, conv[self.degree :]):
+            if c:
+                out = [x + r * c for x, r in zip(out, row)]
         return out
 
     def power_sums(self):
@@ -246,9 +242,7 @@ class NumberFieldElem:
                 for j, b in enumerate(other._num):
                     if b:
                         conv[i + j] += a * b
-        coords = field._reduce([[c] for c in conv])
-        return NumberFieldElem._from_ints(field, [c[0] for c in coords],
-                                          self._den * other._den)
+        return NumberFieldElem._from_ints(field, field._reduce(conv), self._den * other._den)
 
     __rmul__ = __mul__
 

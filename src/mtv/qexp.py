@@ -1,30 +1,25 @@
 """Exact q-expansion engine.
 
-QSeries holds a truncated expansion in integral powers of q with exact
-coefficients: rationals or number-field elements.  A series in a fractional
-power q^(1/N) is a QSeries in t = q^(1/N); trace.transformation_polynomial,
-the one place that needs one, reads it so.
+QSeries holds a truncated expansion in integral powers of q with rational
+coefficients.  A series in a fractional power q^(1/N) is a QSeries in
+t = q^(1/N); trace.transformation_polynomial, the one place that needs one,
+reads it so.  A newform orbit over its Hecke field is no series here: it is
+its coordinates in the Miller basis (spaces.Newform).
 
-There is one layout for Q and for Hecke fields.  A series stores d integer
-component arrays, the power-basis coordinates of its coefficients (d = 1
-over Q, where ``_num`` is the one array), over one positive common
-denominator, kept canonical: the denominator is coprime to all numerators of
-all components taken together, and it is 1 for the zero series.  Equal
-series therefore have equal arrays, and sums, scalings, truncations,
-operators and comparisons work on the integers directly, one code path for
-both cases.  The public ``coeffs`` tuple of reduced Fractions or field
-elements is built on first access and cached.
+A series stores one integer array over one positive common denominator,
+kept canonical: the denominator is coprime to all the numerators taken
+together, and it is 1 for the zero series.  Equal series therefore have
+equal arrays, and sums, scalings, truncations, operators and comparisons
+work on the integers directly.  The public ``coeffs`` tuple of reduced
+Fractions is built on first access and cached.
 
 Every product of integer arrays goes through ``_kron_mul`` (Kronecker
 substitution): each array is packed into one big integer, in slots wide
 enough that no product coefficient spills into its neighbour, one big-int
 multiply does the whole convolution in CPython's C core (Karatsuba), and the
-coefficients are cut back out of the product's bytes.  A field-valued
-product convolves pairs of component arrays this way and reduces the powers
-of the generator past the field degree with the field's integer table.  Eta
-quotients expand each Euler factor with the power rule for series, so an
-exponent r costs one pass, not |r|, and factors that share r share that
-pass.
+coefficients are cut back out of the product's bytes.  Eta quotients expand
+each Euler factor with the power rule for series, so an exponent r costs
+one pass, not |r|, and factors that share r share that pass.
 
 Eisenstein series and eta quotients read one process-wide, grow-only store
 of integer arrays: the sigma_(k-1) list per k and the power-rule pass per
@@ -44,7 +39,7 @@ direct numeric evaluation of the slash action.
 import math
 import operator
 from fractions import Fraction
-from itertools import chain, repeat, zip_longest
+from itertools import repeat
 
 from mpmath import mp, mpc
 
@@ -55,97 +50,63 @@ from .errors import (
     VerificationError,
 )
 from .numerics import eval_qseries, lattice_sum_eisenstein, to_mpf
-from .numfield import NumberFieldElem
 from .polynomial import _is_prime, _power
 
 
-def _merge_fields(fa, fb):
-    if fa is None:
-        return fb
-    if fb is None or fa == fb:
-        return fa
-    raise InputError("coefficient domain mismatch: %r vs %r" % (fa, fb))
-
-
 class QSeries:
-    """Truncated q-expansion; coeffs[m] multiplies q^m, known through q^trunc.
+    """Truncated q-expansion over Q; coeffs[m] multiplies q^m, known through q^trunc.
 
-    Stored as d integer component arrays over one positive denominator:
-    ``_comps[i][m] / _den`` is the theta^i coordinate of coeffs[m], theta the
-    generator of ``field`` (d = 1 over Q, where ``_num`` is the one array).
+    Stored as one integer array over one positive denominator:
+    coeffs[m] = _num[m] / _den.
     """
 
-    __slots__ = ("_comps", "_num", "_den", "_coeffs", "trunc", "weight", "level", "field")
+    __slots__ = ("_num", "_den", "_coeffs", "trunc", "weight", "level")
 
-    def __init__(self, coeffs, trunc=None, weight=None, level=1, field=None):
+    def __init__(self, coeffs, trunc=None, weight=None, level=1):
         coeffs = list(coeffs)
         trunc = int(max(len(coeffs) - 1, 0) if trunc is None else trunc)
         if trunc < 0:
             raise InputError("negative truncation order")
-        coeffs = coeffs[: trunc + 1]
-        if field is None:
-            fr = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-            dens = [c.denominator for c in fr]
-            rows = [[c.numerator for c in fr]]
-        else:
-            els = [field.coerce(c) for c in coeffs]
-            dens = [c._den for c in els]
-            rows = [[c._num[i] for c in els] for i in range(field.degree)]
-        den = math.lcm(*dens)
-        pad = [0] * (trunc + 1 - len(dens))
-        comps = [[x * (den // dx) for x, dx in zip(row, dens)] + pad for row in rows]
-        self._set(comps, den, trunc, weight, level, field)
+        fr = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs[: trunc + 1]]
+        den = math.lcm(*[c.denominator for c in fr])
+        num = [c.numerator * (den // c.denominator) for c in fr]
+        self._set(num + [0] * (trunc + 1 - len(num)), den, trunc, weight, level)
 
-    def _set(self, comps, den, trunc, weight, level, field):
-        g = math.gcd(den, *chain.from_iterable(comps))
+    def _set(self, num, den, trunc, weight, level):
+        g = math.gcd(den, *num)
         if g > 1:
-            comps = [[x // g for x in c] for c in comps]
+            num = [x // g for x in num]
             den //= g
-        self._comps = comps
-        self._num = comps[0] if field is None else None
+        self._num = num
         self._den = den
         self._coeffs = None
         self.trunc = trunc
         self.weight = weight if weight is None else int(weight)
         self.level = int(level)
-        self.field = field
         return self
 
     @classmethod
-    def _from_comps(cls, comps, den, trunc, weight, level, field):
-        """Series with component arrays comps (each of length trunc + 1) over den > 0."""
-        return cls.__new__(cls)._set(comps, den, trunc, weight, level, field)
-
-    @classmethod
     def _from_ints(cls, num, den, trunc, weight, level):
-        """Rational series num[m]/den; len(num) == trunc + 1."""
-        return cls.__new__(cls)._set([num], den, trunc, weight, level, None)
-
-    def _value(self, xs, den):
-        """The coefficient whose component numerators are xs over den."""
-        if self.field is None:
-            return Fraction(xs[0], den)
-        return NumberFieldElem._from_ints(self.field, list(xs), den)
+        """Series num[m]/den; len(num) == trunc + 1, den > 0."""
+        return cls.__new__(cls)._set(num, den, trunc, weight, level)
 
     @property
     def coeffs(self):
-        """Coefficient tuple: reduced Fractions, or elements of ``field``."""
+        """Coefficient tuple of reduced Fractions."""
         if self._coeffs is None:
-            self._coeffs = tuple(map(self._value, zip(*self._comps), repeat(self._den)))
+            self._coeffs = tuple(map(Fraction, self._num, repeat(self._den)))
         return self._coeffs
 
-    def _with_values(self, comps, trunc, level=None, den=None):
-        """A series of this weight and field from component arrays over den
-        (by default this series' denominator)."""
-        return QSeries._from_comps(
-            comps, self._den if den is None else den, trunc, self.weight,
-            self.level if level is None else level, self.field,
-        )
+    def _with_values(self, num, trunc, level=None, den=None):
+        """A series of this weight from the array num over den (by default
+        this series' denominator)."""
+        return QSeries._from_ints(num, self._den if den is None else den, trunc,
+                                  self.weight, self.level if level is None else level)
 
     # -- inspection ----------------------------------------------------
 
     def is_zero(self):
-        return not any(map(any, self._comps))
+        return not any(self._num)
 
     def coeff(self, n):
         """Coefficient of q^n for an integer 0 <= n <= trunc."""
@@ -155,16 +116,15 @@ class QSeries:
             raise TruncationError(
                 "coefficient of q^%s requested beyond truncation order %d" % (n, self.trunc)
             )
-        return self._value([c[n] for c in self._comps], self._den)
+        return Fraction(self._num[n], self._den)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return ((self.trunc, self.field, self._den, self._comps)
-                == (other.trunc, other.field, other._den, other._comps))
+        return (self.trunc, self._den, self._num) == (other.trunc, other._den, other._num)
 
     def __hash__(self):
-        return hash((self.trunc, self._den, tuple(map(tuple, self._comps))))
+        return hash((self.trunc, self._den, tuple(self._num)))
 
     def __repr__(self):
         head = []
@@ -182,21 +142,15 @@ class QSeries:
             raise TruncationError("cannot extend a series by truncation")
         if T == self.trunc:
             return self
-        return self._with_values([c[: T + 1] for c in self._comps], T)
+        return self._with_values(self._num[: T + 1], T)
 
     def agrees_through(self, other, T):
-        """Exact coefficient agreement through q^T.
-
-        Both truncations are canonical, and a rational series is a field
-        series whose other components vanish, so agreement is equality of
-        denominators and of zero-padded arrays.
-        """
+        """Exact coefficient agreement through q^T: both truncations are
+        canonical, so it is equality of their denominators and arrays."""
         if self.trunc < T or other.trunc < T:
             raise TruncationError("agreement order exceeds a truncation order")
-        _merge_fields(self.field, other.field)
         a, b = self.truncate(T), other.truncate(T)
-        return a._den == b._den and all(
-            x == y for x, y in zip_longest(a._comps, b._comps, fillvalue=[0] * (T + 1)))
+        return a._den == b._den and a._num == b._num
 
     # -- arithmetic ----------------------------------------------------
 
@@ -209,16 +163,13 @@ class QSeries:
     def __add__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        field = _merge_fields(self.field, other.field)
         w, lev = self._meta_add(other)
         T = min(self.trunc, other.trunc)
         da, db = self._den, other._den
         den = math.lcm(da, db)
-        A = _scaled([c[: T + 1] for c in self._comps], den // da)
-        B = _scaled([c[: T + 1] for c in other._comps], den // db)
-        comps = [list(map(operator.add, a, b))
-                 for a, b in zip_longest(A, B, fillvalue=[0] * (T + 1))]
-        return QSeries._from_comps(comps, den, T, w, lev, field)
+        num = list(map(operator.add, _scaled(self._num[: T + 1], den // da),
+                       _scaled(other._num[: T + 1], den // db)))
+        return QSeries._from_ints(num, den, T, w, lev)
 
     def __neg__(self):
         return self.scale(-1)
@@ -229,29 +180,23 @@ class QSeries:
         return self + other.scale(-1)
 
     def scale(self, c):
-        """Multiply by an exact scalar (rational or coefficient-field element)."""
-        if isinstance(c, NumberFieldElem):
-            field = _merge_fields(self.field, c.field)
-            comps, den = _field_mul(field, self._comps, [[x] for x in c._num],
-                                    self._den * c._den, self.trunc + 1)
-            return QSeries._from_comps(comps, den, self.trunc, self.weight, self.level, field)
+        """Multiply by an exact rational scalar."""
         c = Fraction(c)
-        return self._with_values(_scaled(self._comps, c.numerator), self.trunc,
+        return self._with_values(_scaled(self._num, c.numerator), self.trunc,
                                  den=self._den * c.denominator)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, NumberFieldElem)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, QSeries):
             return NotImplemented
-        field = _merge_fields(self.field, other.field)
         w = None
         if self.weight is not None and other.weight is not None:
             w = self.weight + other.weight
-        lev = math.lcm(self.level, other.level)
         T = min(self.trunc, other.trunc)
-        comps, den = _field_mul(field, self._comps, other._comps, self._den * other._den, T + 1)
-        return QSeries._from_comps(comps, den, T, w, lev, field)
+        return QSeries._from_ints(_kron_mul(self._num, other._num, T + 1),
+                                  self._den * other._den, T, w,
+                                  math.lcm(self.level, other.level))
 
     __rmul__ = __mul__
 
@@ -262,27 +207,9 @@ class QSeries:
         return _power(self, n, operator.mul)
 
 
-def _scaled(comps, k):
-    """Every array of comps times the integer k."""
-    return comps if k == 1 else [[x * k for x in c] for c in comps]
-
-
-def _field_mul(field, A, B, den, out_len):
-    """Component arrays, and their denominator, of (sum_i A_i theta^i) *
-    (sum_j B_j theta^j) / den through out_len coefficients.
-
-    Each pair of arrays convolves with _kron_mul into the array of
-    theta^(i+j).  When both factors have several components, the powers
-    past the field degree then reduce by the field's integer table.
-    """
-    raw = [None] * (len(A) + len(B) - 1)
-    for i, a in enumerate(A):
-        for j, b in enumerate(B):
-            c = _kron_mul(a, b, out_len)
-            raw[i + j] = c if raw[i + j] is None else list(map(operator.add, raw[i + j], c))
-    if len(raw) == max(len(A), len(B)):
-        return raw, den
-    return field._reduce(raw), den
+def _scaled(num, k):
+    """The array num times the integer k."""
+    return num if k == 1 else [x * k for x in num]
 
 
 def _slot_bias(count, nbytes, half):
@@ -656,7 +583,7 @@ def op_U(f, t):
     if t < 1:
         raise InputError("U_t needs t >= 1")
     T = f.trunc // t
-    return f._with_values([c[: t * T + 1 : t] for c in f._comps], T)
+    return f._with_values(f._num[: t * T + 1 : t], T)
 
 
 def _hecke_p(f, p):
@@ -667,13 +594,11 @@ def _hecke_p(f, p):
             "series order %d too small for T_%d; need order >= %d" % (f.trunc, p, p)
         )
     pk = p ** (k - 1)
-    comps = []
-    for c in f._comps:
-        out = c[: p * T + 1 : p]
-        for m in range(0, T + 1, p):
-            out[m] += pk * c[m // p]
-        comps.append(out)
-    return f._with_values(comps, T)
+    num = f._num
+    out = num[: p * T + 1 : p]
+    for m in range(0, T + 1, p):
+        out[m] += pk * num[m // p]
+    return f._with_values(out, T)
 
 
 def hecke_T(f, n):

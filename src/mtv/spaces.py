@@ -24,15 +24,22 @@ matrix R exactly when chi is squarefree.  One fraction-free solve R X = D I
 of each factor g, the normalized eigenvector c = X (1, theta, ...) / D over
 Q[theta]/(g).  M, R and X are integer rows; M c = theta c is checked exactly
 before an orbit is returned, and nothing is inverted in a Hecke field.
+
+An orbit is its Miller coordinates (Newform): the integer rows of D c and
+the cusp basis they refer to.  No series over a Hecke field is formed: a(n)
+reads the basis, trace.expand_in_newforms matches the trace's Miller
+coordinates, and a specialization maps the coordinates through the basis
+monomials.
 """
 
 import operator
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 from .errors import InputError, ResourceLimitError, TruncationError, VerificationError
 from .linalg import bareiss_solve
-from .numfield import NumberField, _times_gen
+from .numfield import NumberField, NumberFieldElem, _times_gen
 from .polynomial import UniPoly, _is_prime, poly_factor_q
 from .qexp import (QSeries, _gate_eisenstein, _kron_mul, _stored,
                    eisenstein_level1, eta_quotient, hecke_T)
@@ -149,22 +156,50 @@ def miller_basis(weight, trunc):
 
 
 class Newform:
-    """A normalized level-1 Hecke eigenform with its coefficient field."""
+    """A Galois orbit of normalized level-1 eigenforms over its Hecke field
+    K = Q[theta]/(modulus), held as its Miller coordinates.
 
-    __slots__ = ("weight", "field", "modulus", "qexp")
+    The orbit is sum_i c_i b_i over the cusp part b_1..b_s of the Miller
+    basis, with c_i = sum_t rows[i][t] theta^t / den: integer rows over one
+    positive denominator, kept coprime to them.  The integral basis, which
+    the orbits of one space share, is held through q^trunc; a(n) reads it.
+    """
 
-    def __init__(self, weight, field, modulus, qexp):
+    __slots__ = ("weight", "field", "modulus", "rows", "den", "basis")
+
+    def __init__(self, weight, field, modulus, rows, den, basis):
+        if any(b._den != 1 for b in basis):
+            raise InputError("the cusp basis of a newform must be integral")
+        g = gcd(den, *chain.from_iterable(rows))
         self.weight = int(weight)
         self.field = field
         self.modulus = modulus
-        self.qexp = qexp
+        self.rows = [[x // g for x in row] for row in rows]
+        self.den = den // g
+        self.basis = basis
 
     @property
     def degree(self):
         return 1 if self.field is None else self.field.degree
 
+    @property
+    def trunc(self):
+        return self.basis[0].trunc
+
+    def element(self, xs, den):
+        """sum_t xs[t] theta^t / den in K, a Fraction when K = Q."""
+        if self.field is None:
+            return Fraction(xs[0], den)
+        return NumberFieldElem._from_ints(self.field, list(xs), den)
+
     def a(self, n):
-        return self.qexp.coeff(n)
+        """The q^n coefficient, an element of K."""
+        col = [int(b.coeff(n)) for b in self.basis]
+        return self.element([sum(map(operator.mul, col, ct)) for ct in zip(*self.rows)], self.den)
+
+    def coordinates(self):
+        """(0, c_1, ..., c_s): the coordinates in the full Miller basis h_1..h_(s+1)."""
+        return [self.element(r, self.den) for r in [[0] * self.degree] + self.rows]
 
     def __repr__(self):
         return "Newform(weight=%d, degree=%d)" % (self.weight, self.degree)
@@ -211,24 +246,24 @@ def _miller_solve(a, cols, v=0):
 
 
 def level1_coordinates(forms):
-    """Miller coordinates of level-1 forms, each certified through its own truncation.
+    """Miller coordinates of rational level-1 forms, each certified through
+    its own truncation.
 
-    A form f = F / D of weight k and dimension d = dim M_k, F the integer
-    arrays of its power-basis components, gets its coordinates X_j / D from
-    the first d entries of F, solved in integers against the Miller columns
-    through q^(d-1).  The basis is triangular, so f lies in the span through
-    q^T exactly when F equals the one candidate sum_j X_j h_j that its head
-    determines.  The weight-k basis is h_j = E4^a E6^b g_j, where g_1..g_d
-    is the Miller basis of weight 12(d - 1), so the candidate is
+    A form f = F / D of weight k and dimension d = dim M_k, F its integer
+    array, gets its coordinates X_j / D from the first d entries of F,
+    solved in integers against the Miller columns through q^(d-1).  The
+    basis is triangular, so f lies in the span through q^T exactly when F
+    equals the one candidate sum_j X_j h_j that its head determines.  The
+    weight-k basis is h_j = E4^a E6^b g_j, where g_1..g_d is the Miller
+    basis of weight 12(d - 1), so the candidate is
 
         E4^a E6^b (sum_j X_j g_j):
 
     one linear combination of the stored core columns g_j and at most one
     product by the stored factor E4^a E6^b (none when 12 | k), both read as
-    prefixes, and F minus it must vanish exactly.  A series over a number
-    field is solved and certified one power-basis component at a time, and
-    its coordinates are field elements.  A form outside the span raises
-    VerificationError whose ``index`` attribute is its position in forms.
+    prefixes, and F minus it must vanish exactly.  A form outside the span
+    raises VerificationError whose ``index`` attribute is its position in
+    forms and whose ``start`` is the q-power where its residual starts.
     """
     forms = list(forms)
     for f in forms:
@@ -249,24 +284,19 @@ def level1_coordinates(forms):
         head = [h._num for h in miller_basis(k, d - 1)]
         core = _miller_store(12 * (d - 1), n)
         r = k - 12 * (d - 1)
-        factor = [row[0] for row in _miller_store(r, n)] if r else None
-        comps, den = f._comps, f._den
-        X = []
-        miss = n
-        for comp in comps:
-            x, _ = _miller_solve(comp[:d], head)
-            acc = [sum(map(operator.mul, x, row)) for row in core]
-            if factor is not None:
-                acc = _kron_mul(factor, acc, n)
-            miss = next((m for m in range(miss) if comp[m] != acc[m]), miss)
-            X.append(x)
-        if miss < n:
+        num = f._num
+        x, _ = _miller_solve(num[:d], head)
+        acc = [sum(map(operator.mul, x, row)) for row in core]
+        if r:
+            acc = _kron_mul([row[0] for row in _miller_store(r, n)], acc, n)
+        miss = next((m for m in range(n) if num[m] != acc[m]), None)
+        if miss is not None:
             exc = VerificationError(
                 "series is not in the span of the basis: residual starts at q^%d" % miss
             )
-            exc.index = i
+            exc.index, exc.start = i, miss
             raise exc
-        out.append([f._value(xs, den) for xs in zip(*X)])
+        out.append([Fraction(v, f._den) for v in x])
     return out
 
 
@@ -329,7 +359,8 @@ def newform_basis_level1(weight, trunc):
     theta has e_1^T M^j c = a_1(T_2^j f) = theta^j: c = R^(-1) (theta^j)_j
     with R the Krylov rows of krylov_charpoly.  Each orbit costs integer
     matrix-vector products over Q[theta]/(g), no inverse in the field, and
-    M c = theta c is checked exactly before the orbit is returned.
+    M c = theta c is checked exactly before the orbit is returned as its
+    coordinates c over the cusp basis through q^trunc.
     """
     k = int(weight)
     trunc = int(trunc)
@@ -354,8 +385,7 @@ def newform_basis_level1(weight, trunc):
             raise VerificationError(
                 "repeated factor in the T_2 characteristic polynomial at weight %d" % k
             )
-    # row n holds the q^n coefficients of the integral basis
-    brows = list(zip(*[b.truncate(trunc)._num for b in basis]))
+    cusp = [b.truncate(trunc) for b in basis]
     orbits = []
     for g, _ in factors:
         d = g.degree
@@ -375,12 +405,9 @@ def newform_basis_level1(weight, trunc):
                 raise VerificationError(
                     "pairing solution is not a T_2 eigenvector at weight %d" % k
                 )
-        # sum_i c_i b_i, one integer array per coordinate of K, row by row
-        comps = [[sum(map(operator.mul, ct, row)) for row in brows] for ct in zip(*C)]
         # poly_factor_q has just certified g irreducible
         field = None if d == 1 else NumberField(g)
-        f = QSeries._from_comps(comps, D, trunc, k, 1, field)
-        orbits.append(Newform(weight=k, field=field, modulus=g, qexp=f))
+        orbits.append(Newform(k, field, g, C, D, cusp))
     return GaloisOrbitSet(k, orbits, s)
 
 
@@ -397,25 +424,28 @@ def conductor_of_space(weight, level):
 
 
 def validate_external_newform(f):
-    """Check Hecke coefficient relations on a claimed level-1 eigenform expansion."""
+    """Check Hecke coefficient relations on a claimed level-1 eigenform: a
+    Newform or a level-1 expansion."""
     if isinstance(f, Newform):
-        f = f.qexp
-    if f.level != 1 or f.weight is None:
+        coeff = f.a
+    elif f.level != 1 or f.weight is None:
         raise InputError("expected a level-1 integral-weight expansion")
+    else:
+        coeff = f.coeff
     k = f.weight
     T = f.trunc
     if T < 2:
         raise InputError("need at least two coefficients to validate")
-    if f.coeff(0) != 0:
-        raise VerificationError("constant term is %s, expected 0" % (f.coeff(0),))
-    if f.coeff(1) != 1:
-        raise VerificationError("q^1 coefficient is %s, expected 1" % (f.coeff(1),))
+    if coeff(0) != 0:
+        raise VerificationError("constant term is %s, expected 0" % (coeff(0),))
+    if coeff(1) != 1:
+        raise VerificationError("q^1 coefficient is %s, expected 1" % (coeff(1),))
     # multiplicativity on coprime pairs
     for m in range(2, T + 1):
         for n in range(m + 1, T // m + 1):
             if gcd(m, n) != 1:
                 continue
-            if f.coeff(m * n) != f.coeff(m) * f.coeff(n):
+            if coeff(m * n) != coeff(m) * coeff(n):
                 raise VerificationError(
                     "multiplicativity fails first at a_%d * a_%d != a_%d"
                     % (m, n, m * n)
@@ -427,8 +457,8 @@ def validate_external_newform(f):
             pk = p ** (k - 1)
             q = p * p
             while q <= T:
-                lhs = f.coeff(q)
-                rhs = f.coeff(p) * f.coeff(q // p) - pk * f.coeff(q // (p * p))
+                lhs = coeff(q)
+                rhs = coeff(p) * coeff(q // p) - pk * coeff(q // (p * p))
                 if lhs != rhs:
                     raise VerificationError(
                         "Hecke recursion fails first at a_%d (p=%d)" % (q, p)

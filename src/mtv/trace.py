@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from mpmath import mpc
 
-from .errors import InputError, TruncationError, UnsupportedScopeError, VerificationError
+from .errors import InputError, UnsupportedScopeError, VerificationError
 from .linalg import bareiss_solve
 from .numfield import nf_charpoly, nf_trace
 from .polynomial import elementary_from_power_sums, power_sums_from_elementary
@@ -207,7 +207,7 @@ def trace_to_level1(f, f_fricke, level, power=1):
         b = f_fricke ** (power // 2)
         u = _sieved_product(b * f_fricke if power % 2 else b, b, N)
     t = F.truncate(min(F.trunc, u.trunc)) + u.scale(Fraction(N) ** (1 - w // 2))
-    return t._with_values(t._comps, t.trunc, level=1)
+    return t._with_values(t._num, t.trunc, level=1)
 
 
 def main_constant(weight):
@@ -221,73 +221,63 @@ def main_constant(weight):
 def expand_in_newforms(f, orbit_set):
     """Exact coefficients c_i in f = sum_i Tr_(K_i/Q)(c_i * f_i), one per orbit.
 
-    f must be cuspidal of the orbit set's weight; the residual is checked to
-    vanish through the full common truncation order.
+    f must be cuspidal of the orbit set's weight.  level1_coordinates
+    certifies f through its whole truncation and gives its Miller cusp
+    coordinates y; each orbit f_i is its coordinates C_i over K_i, so the
+    c_i solve sum_i Tr(c_i C_i) = y, and the integer solve is checked
+    exactly.  The cusp basis form b_k is q^k + O(q^(k+1)), so a residual
+    whose first nonzero coordinate is the k-th starts at q^k.
     """
     if f.weight != orbit_set.weight:
         raise InputError("weight mismatch between series and orbit set")
-    if f.field is not None:
-        raise InputError("expansion target must have rational coefficients")
     zero_f = f.coeff(0)
     if zero_f != 0:
         raise VerificationError("series has constant term %s; not cuspidal" % zero_f)
-    r = orbit_set.dim_cusp
-    if r == 0:
+    if orbit_set.dim_cusp == 0:
         if not f.is_zero():
             raise VerificationError(
                 "trace should vanish identically (no cusp forms at weight %d)"
                 % orbit_set.weight
             )
         return []
-    # Tr(y * f_i) = sum_k w_k comp_k(f_i) / den_i with w_k = sum_j y_j p_(j+k),
-    # where y = sum_j y_j theta^j and p_m = Tr(theta^m); for y = theta^j this
+    try:
+        (y,) = level1_coordinates([f])
+    except VerificationError as exc:
+        raise VerificationError(
+            "newform expansion residual is nonzero first at q^%d" % exc.start
+        ) from exc
+    fden = f._den
+    Y = [v.numerator * (fden // v.denominator) for v in y[1:]]
+    # Tr(z * c_ik) = sum_t w_t C_i[k][t] / den_i with w_t = sum_j z_j p_(j+t),
+    # where z = sum_j z_j theta^j and p_m = Tr(theta^m); for z = theta^j this
     # is an integer column over den_i, the power sums of a monic integral T_2
     # factor being integers.  Each column is reduced by its content, so the
-    # system is as small as the traces Tr(theta^j a_n) themselves.
-    T = min(f.trunc, min(nf.qexp.trunc for nf in orbit_set.orbits))
-    if T < r:
-        raise TruncationError(
-            "coefficient of q^%d requested beyond truncation order %d" % (r, T)
-        )
-    n = T + 1
+    # system is as small as the traces Tr(theta^j c_ik) themselves.
     blocks = []
     cols = []
     for nf in orbit_set.orbits:
-        comps, den = [c[:n] for c in nf.qexp._comps], nf.qexp._den
         ps = nf.field.power_sums() if nf.field else (1,)
-        hankel = [ps[j : j + len(comps)] for j in range(len(comps))]
-        rows = list(zip(*[c[1 : r + 1] for c in comps]))
+        d, den = nf.degree, nf.den
         scales = []
-        for hj in hankel:
-            col = [sum(map(operator.mul, hj, row)) for row in rows]
+        for j in range(d):
+            col = [sum(map(operator.mul, ps[j : j + d], row)) for row in nf.rows]
             g = math.gcd(den, *col)
             cols.append([v // g for v in col])
             scales.append(den // g)
-        blocks.append((nf, comps, den, hankel, scales))
-    # with A X = D (f_1, ..., f_r) for the reduced columns, x_c = scale_c X_c / D
-    fnum, fden = f._num, f._den
-    D, X = bareiss_solve([list(row) for row in zip(*cols)], [[v] for v in fnum[1 : r + 1]])
-    out = []
-    parts = []
-    for nf, comps, den, hankel, scales in blocks:
-        num = [s * y for s, (y,) in zip(scales, X)]
-        X = X[len(scales) :]
-        out.append(nf.qexp._value(num, D * fden))
-        # Tr(c_i f_i) = sum_k W_k comp_k / (D * fden * den)
-        parts.append(([sum(map(operator.mul, num, hk)) for hk in hankel], comps, den))
-    # certify: rebuild f from the solution and compare everywhere, in integers
-    L = math.lcm(*[den for _, _, den in parts])
-    acc = [0] * n
-    for W, comps, den in parts:
-        for w, comp in zip(W, comps):
-            if w:
-                w *= L // den
-                acc = [a + w * x for a, x in zip(acc, comp)]
-    miss = next((m for m in range(n) if fnum[m] * D * L != acc[m]), None)
+        blocks.append((nf, scales))
+    # with A X = D Y for the reduced columns, z_c = scale_c X_c / (D * fden)
+    A = [list(row) for row in zip(*cols)]
+    D, X = bareiss_solve(A, [[v] for v in Y])
+    AX = [sum(a * x for a, (x,) in zip(row, X)) for row in A]
+    miss = next((k for k, (u, v) in enumerate(zip(AX, Y), start=1) if u != D * v), None)
     if miss is not None:
         raise VerificationError(
             "newform expansion residual is nonzero first at q^%d" % miss
         )
+    out = []
+    for nf, scales in blocks:
+        out.append(nf.element([s * x for s, (x,) in zip(scales, X)], D * fden))
+        X = X[len(scales) :]
     return out
 
 

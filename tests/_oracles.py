@@ -642,11 +642,11 @@ def factor_degrees_ascending(P):
 
 def series_pow(f, n):
     """f ** n for n >= 0: the package's power for n >= 1 and, for n = 0, the
-    unit series of weight 0 at f's truncation, level and field."""
+    unit series of weight 0 at f's truncation and level."""
     from mtv.qexp import QSeries
 
     if n == 0:
-        return QSeries([1], trunc=f.trunc, weight=0, level=f.level, field=f.field)
+        return QSeries([1], trunc=f.trunc, weight=0, level=f.level)
     return f ** n
 
 
@@ -656,9 +656,9 @@ def _valuation(f):
 
 
 def expand_in_triangular_ref(f, basis, strict=True):
-    """Forward substitution on QSeries arithmetic, one Fraction (or field
-    element) coordinate and one series subtraction per basis element (the
-    package's former `expand_in_triangular`)."""
+    """Forward substitution on QSeries arithmetic, one Fraction coordinate
+    and one series subtraction per basis element (the package's former
+    `expand_in_triangular`)."""
     from mtv.errors import TruncationError, VerificationError
 
     coords = []
@@ -679,6 +679,20 @@ def expand_in_triangular_ref(f, basis, strict=True):
             "series is not in the span of the basis: residual starts at q^%s" % v
         )
     return coords, rem
+
+
+def miller_coordinates_ref(coeffs, basis):
+    """(coordinates, residual) of the coefficient list coeffs, rationals or
+    elements of one number field, against the triangular basis h_j =
+    q^(j-1) + O(q^j): forward substitution, one coefficient list
+    subtraction per basis element."""
+    rest = list(coeffs)
+    coords = []
+    for j, h in enumerate(basis):
+        c = rest[j]
+        coords.append(c)
+        rest = [r - c * h.coeff(n) for n, r in enumerate(rest)]
+    return coords, rest
 
 
 def lattice_tail_formula(lam, N, x, y, B):

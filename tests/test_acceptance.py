@@ -131,7 +131,7 @@ def test_criterion_3_trace_structure(theorem_runs):
         tr = res.trace
         assert tr.coeff(0) == 0, (level, lam, mu)
         # rebuild the series from the decomposition; exact match everywhere
-        T = min(tr.trunc, min(nf.qexp.trunc for nf in res.orbit_set.orbits))
+        T = min(tr.trunc, min(nf.trunc for nf in res.orbit_set.orbits))
         for n in range(T + 1):
             acc = Fraction(0)
             for c, nf in zip(res.components, res.orbit_set.orbits):
@@ -221,7 +221,7 @@ def test_criterion_7_newform_machinery(newform_sets):
     for k, orbs in newform_sets.items():
         assert sum(nf.degree for nf in orbs) == dim_cusp_level1(k), k
         for nf in orbs:
-            assert nf.qexp.trunc >= 64
+            assert nf.trunc >= 64
             assert validate_external_newform(nf)
     d = delta_series(64)
     t2 = hecke_T(d, 2)

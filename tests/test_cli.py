@@ -190,6 +190,8 @@ def test_reports_are_deterministic():
     ["oracle", "--eis-weight", "4", "--level", "2", "--tau", "nan,1"],
     ["oracle", "--eis-weight", "4", "--level", "2", "--tau", "0.1,inf"],
     ["theorem", "--level", "1", "--eis-weight", "4"],
+    # phi raises a short order to what its s_i need, but not a negative one
+    ["phi", "--level", "2", "--eis-weight", "4", "--order", "-1"],
 ])
 def test_malformed_requests_exit3(args):
     proc = run_cli(args)
@@ -236,17 +238,23 @@ def test_verification_failure_exits2(monkeypatch, capsys):
     assert "planted failure" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args", [
-    # the weight-84 s_6 needs 8 basis elements, the series reach q^2
-    ["phi", "--level", "5", "--eis-weight", "10", "--order", "1"],
-    # the weight-108 s_3 of h^3 needs 10 basis elements, the series reach q^7
-    ["phi", "--level", "2", "--eis-weight", "4", "--power", "3", "--order", "1"],
+@pytest.mark.parametrize("short,enough", [
+    # the weight-84 s_6 needs 8 basis elements; order 1 inputs reach q^2,
+    # order 6 inputs q^7, which is all they need (and the report shows)
+    (["phi", "--level", "5", "--eis-weight", "10", "--order", "1"], "6"),
+    # the weight-108 s_3 of h^3 needs 10 basis elements; order 1 inputs reach q^7
+    (["phi", "--level", "2", "--eis-weight", "4", "--power", "3", "--order", "1"], "4"),
+    # the weight-324 s_3 needs 28 basis elements; order 8 inputs reach q^12
+    (["phi", "--level", "2", "--eis-weight", "100", "--order", "8"], "30"),
 ])
-def test_too_short_phi_exits4(args):
-    proc = run_cli(args)
-    assert proc.returncode == 4
-    assert proc.stdout == ""
-    assert "raise the order" in proc.stderr
+def test_short_phi_order_is_raised_to_the_top_basis(short, enough):
+    # phi raises its order only as far as the Miller basis of the top s_i
+    # needs, so the report is the one a long enough order gives, byte for
+    # byte (the heads show at most 10 coefficients)
+    raised = run_cli(short)
+    long = run_cli(short[:-1] + [enough])
+    assert raised.returncode == long.returncode == 0, raised.stderr
+    assert raised.stdout == long.stdout
 
 
 def test_phi_inputs_grow_with_power():
@@ -376,14 +384,19 @@ def test_newforms_over_the_dimension_cap_exits4(monkeypatch, capsys):
 def test_eisenstein_weight_over_the_dimension_cap_exits4_before_any_gate(
         argv, monkeypatch, capsys):
     # dim S_274 = dim S_278 = 22 pass the guard, dim S_276 = dim S_280 = 23
-    # are refused; the planted gate shows where a run would start
+    # are refused; the planted gate shows where a run would start.  At level
+    # 2 phi's h then has weight 8 + 274 = 282 (286 at 278), of cusp
+    # dimension 23, and its s_3 a Miller basis of dimension 71 (72), above
+    # the caps of 22 and 67: phi refuses those at every power
     def reached(*a, **kw):
         raise VerificationError("reached the gate")
 
     monkeypatch.setattr(qexp, "_gate_eisenstein", reached)
+    code, message = ((4, "cusp dimension 23, above the cap of 22") if argv[0] == "phi"
+                     else (2, "reached the gate"))
     for weight in ("274", "278"):
-        assert cli.main(argv + [weight]) == 2
-        assert "reached the gate" in capsys.readouterr().err
+        assert cli.main(argv + [weight]) == code
+        assert message in capsys.readouterr().err
     for weight in ("276", "280", "4000"):
         assert cli.main(argv + [weight]) == 4
         err = capsys.readouterr().err

@@ -33,9 +33,11 @@ is process-wide state, such as a cache.  Only the ones on an allowlist may
 exist, so a new cache (say, one keyed by each series length) cannot arrive
 unnoticed.
 
-One q-grid: a QSeries is a series in integral powers of q.  No constructor
-takes an exponent grid and no slot holds one; the one q^(1/N)-series of the
-pipeline, route 2's Fricke image, is read as a series in t = q^(1/N).
+One q-grid, one coefficient ring: a QSeries is a series in integral powers
+of q over Q.  No constructor takes an exponent grid or a coefficient field,
+and no slot holds one or a field's component arrays; the one q^(1/N)-series
+of the pipeline, route 2's Fricke image, is read as a series in t = q^(1/N),
+and a newform orbit over its Hecke field is its Miller coordinates.
 """
 
 import ast
@@ -400,6 +402,9 @@ def test_only_allowlisted_module_state_is_mutated(path):
 def test_qseries_carries_no_exponent_grid():
     from mtv.qexp import QSeries
 
-    for build in (QSeries, QSeries._from_ints, QSeries._from_comps):
-        assert "e" not in inspect.signature(build).parameters, build
-    assert "e" not in QSeries.__slots__
+    builds = [QSeries] + [v.__func__ for v in vars(QSeries).values() if isinstance(v, classmethod)]
+    assert QSeries._from_ints.__func__ in builds
+    for build in builds:
+        params = inspect.signature(build).parameters
+        assert "e" not in params and "field" not in params, build
+    assert not {"e", "field", "_comps"} & set(QSeries.__slots__)

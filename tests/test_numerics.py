@@ -24,11 +24,9 @@ from mtv.qexp import (
 )
 from mtv.spaces import delta_series
 
-from _oracles import (Poly, eval_qseries_ref, lattice_kernel_ref, lattice_sum_ref,
-                      lattice_tail_formula)
+from _oracles import eval_qseries_ref, lattice_kernel_ref, lattice_sum_ref, lattice_tail_formula
 
 F = Fraction
-X = Poly([0, 1])
 
 
 def test_bigcomplex_error_propagation():
@@ -88,15 +86,6 @@ def test_eval_rejects_low_imag_with_short_series():
     f = delta_series(8)
     with pytest.raises(InputError):
         eval_qseries(f, mpc("0.0", "0.001"), 128)
-
-
-def test_eval_rejects_nonrational_coeffs():
-    from mtv.numfield import NumberField
-
-    K = NumberField(X**2 - 2)
-    f = QSeries([K.one(), K.elem([0, 1])], trunc=1, weight=None, level=1, field=K)
-    with pytest.raises(InputError):
-        eval_qseries(f, mpc(0, 2), 128)
 
 
 def test_lattice_sum_certified_against_closed_form():

@@ -32,7 +32,7 @@ from mtv.rational import format_rational
 from mtv.spaces import krylov_charpoly
 
 from _oracles import (Poly, elimination_eigenvector, expand_in_triangular_ref, krylov_eigenvector,
-                      series_pow, t2_charpoly_weight24)
+                      miller_coordinates_ref, series_pow, t2_charpoly_weight24)
 
 
 DIM_MODULAR = {0: 1, 2: 0, 4: 1, 6: 1, 8: 1, 10: 1, 12: 2, 14: 1, 16: 2,
@@ -223,16 +223,14 @@ def grown_store_run(run):
 
 
 def series_state(f):
-    """What a QSeries holds: weight, level, truncation, the field modulus
-    (None over Q) and the coefficients (field coordinates)."""
-    field = None if f.field is None else f.field.modulus.coeffs
-    return (f.weight, f.level, f.trunc, field,
-            [getattr(c, "coords", c) for c in f.coeffs])
+    """What a QSeries holds: weight, level, truncation and coefficients."""
+    return (f.weight, f.level, f.trunc, list(f.coeffs))
 
 
 def test_newform_basis_is_the_same_from_an_empty_and_a_grown_store(fresh_gates):
     cold, warm = grown_store_run(
-        lambda: [series_state(nf.qexp) for nf in newform_basis_level1(84, 64)])
+        lambda: [(nf.trunc, nf.coordinates(), orbit_digest([nf]))
+                 for nf in newform_basis_level1(84, 64)])
     assert cold == warm
 
 
@@ -277,17 +275,21 @@ def test_level1_coordinates_match_full_basis_expansion():
         assert coords == want, f.weight
 
 
-@pytest.mark.parametrize("weight", [24, 36])
+@pytest.mark.parametrize("weight", [24, 36, 60])
 def test_level1_coordinates_of_hecke_field_newforms(weight):
+    """Each orbit's coordinates are those that forward substitution of its
+    coefficients a(n) against the Miller basis gives, with no residual; a
+    rational form bumped at q^T is refused by index and q-power."""
     T = 20
     (nf,) = newform_basis_level1(weight, T).orbits
-    assert nf.degree == dim_cusp_level1(weight)
-    want, _ = expand_in_triangular_ref(nf.qexp, miller_basis(weight, T))
-    assert level1_coordinates([nf.qexp]) == [want]
-    bad = nf.qexp + QSeries([0] * T + [1], trunc=T, weight=weight)
+    assert nf.degree == dim_cusp_level1(weight) and nf.trunc == T
+    want, rest = miller_coordinates_ref([nf.a(n) for n in range(T + 1)], miller_basis(weight, T))
+    assert nf.coordinates() == want and all(r == 0 for r in rest)
+    ok = delta_series(T) * eisenstein_level1(weight - 12, T)
+    bad = ok + QSeries([0] * T + [1], trunc=T, weight=weight)
     with pytest.raises(VerificationError, match=r"residual starts at q\^%d" % T) as exc:
-        level1_coordinates([nf.qexp, bad])
-    assert exc.value.index == 1
+        level1_coordinates([ok, bad])
+    assert exc.value.index == 1 and exc.value.start == T
 
 
 def test_level1_coordinates_refusals():
@@ -349,14 +351,15 @@ def test_weight24_orbit_pinned():
     assert f.modulus.serialize() == ["-20468736", "-1080", "1"]
     a2 = f.a(2)
     assert a2.coords == (Fraction(0), Fraction(1))  # a_2 is the T_2 root itself
-    assert f.qexp.coeff(1).coords == (Fraction(1), Fraction(0))
+    assert f.a(1).coords == (Fraction(1), Fraction(0))
 
 
 def test_newforms_validate_and_match_delta():
     orbs = newform_basis_level1(12, 40)
     (f,) = list(orbs)
     assert f.degree == 1
-    assert f.qexp.agrees_through(delta_series(40), 40)
+    assert f.trunc == 40
+    assert [f.a(n) for n in range(41)] == list(delta_series(40).coeffs)
     assert validate_external_newform(f)
 
 
@@ -469,8 +472,8 @@ def orbit_digest(orbit_set):
     doc = [
         [nf.modulus.serialize(),
          [[format_rational(c) for c in getattr(nf.a(n), "coords", (nf.a(n),))]
-          for n in range(nf.qexp.trunc + 1)]]
-        for nf in orbit_set.orbits
+          for n in range(nf.trunc + 1)]]
+        for nf in orbit_set
     ]
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16]
 
