@@ -4,6 +4,10 @@ Every subcommand prints one deterministic JSON document to stdout.  Exit
 codes: 0 success, 2 a verified identity failed, 3 the request is malformed
 or out of scope, 4 a numeric resource limit (precision, truncation,
 reconstruction, a size cap) was hit.
+
+The front end only parses, calls the library and emits: every size of a
+request and every cap on it is worked out in the library function that
+pays for it, which refuses before any work (see the README's caps list).
 """
 
 import argparse
@@ -23,60 +27,15 @@ from .elliptic import (
     tau_from_curve,
     verify_corollary,
 )
-from .errors import (
-    InputError,
-    MtvError,
-    PrecisionError,
-    ReconstructionError,
-    ResourceLimitError,
-    TruncationError,
-    UnsupportedScopeError,
-    VerificationError,
-)
-from .numerics import DEFAULT_PREC_BITS, MIN_PREC_BITS, eval_qseries, lattice_sum_eisenstein
-from .qexp import (EtaQuotientSpec, _require_even_weight, _require_prime, eisenstein_level1,
-                   eisenstein_prime_level)
+from .errors import InputError, MtvError, ReconstructionError, VerificationError
+from .numerics import DEFAULT_PREC_BITS, check_prec, eval_qseries, lattice_sum_eisenstein
+from .qexp import EtaQuotientSpec, eisenstein_level1, eisenstein_prime_level
 from .rational import exact_fraction, format_exact, format_rational, parse_rational
-from .spaces import (
-    MAX_NEWFORM_DIM,  # noqa: F401 -- the CLI's caps stay readable as cli.MAX_*
-    _require_newform_dim,
-    delta_series,
-    dim_cusp_level1,
-    dim_modular_level1,
-    newform_basis_level1,
-)
-from .trace import product_inputs, transformation_polynomial, verify_theorem
+from .spaces import delta_series, dim_cusp_level1, newform_basis_level1
+from .trace import phi, verify_theorem
 
 # cusp inputs shipped with the engine, keyed by prime level
-BUNDLED_ETA = {
-    2: {1: 8, 2: 8},
-    3: {1: 6, 3: 6},
-    5: {1: 4, 5: 4},
-}
-
-# cap on the lattice points of one oracle sum: (2B + 1) B at bound B
-MAX_ORACLE_TERMS = 10**7
-
-# cap on the coefficients of the longest exact series a command builds.
-# Level 5 at --order 2048 builds 10,248 and takes about 6.4 s on a 2-vCPU
-# VM with CPython 3.11; a series product grows faster than linearly in the
-# length, so the cap stops unbounded runs at about three times that.
-MAX_SERIES_TERMS = 2**15
-
-# cap on the working precision in bits, from --prec or MTV_PREC_BITS.
-# specialize --curve=1,2 takes about 1.2 s at 2048 bits, 4.6 s at 4096 and
-# 34 s at 8192 on a 2-vCPU VM with CPython 3.11 (corollary: 5.9 s and 29 s);
-# the time grows about sevenfold per doubling, so the cap is 4096.
-MAX_PREC_BITS = 4096
-
-# cap on the Miller dimension of phi's top s_i, dim M_((N + 1) W) for h^power
-# of weight W, at every power: that basis and the inputs it needs set phi's
-# cost.  From the CLI on a 2-vCPU VM with CPython 3.11, level 2 power 22
-# (dim 67) takes 3.17 s, level 3 power 20 (dim 67) 3.26 s, level 5 power 16
-# (dim 65) 1.88 s and power 17 (dim 69) 3.35 s.  67 is the largest
-# dimension the cusp-dimension cap admits at level 2, and it keeps every
-# level near the time of that run.
-MAX_PHI_MILLER_DIM = 67
+BUNDLED_ETA = {2: {1: 8, 2: 8}, 3: {1: 6, 3: 6}, 5: {1: 4, 5: 4}}
 
 
 def parse_eta(text):
@@ -123,11 +82,8 @@ def parse_tau(text, prec_bits):
 
 
 def _default_prec():
-    v = os.environ.get("MTV_PREC_BITS")
-    if v is None:
-        return DEFAULT_PREC_BITS
     try:
-        return int(v)
+        return int(os.environ.get("MTV_PREC_BITS", DEFAULT_PREC_BITS))
     except ValueError as exc:
         raise InputError("MTV_PREC_BITS must be an integer") from exc
 
@@ -137,18 +93,7 @@ def _eta_for(level, eta_text):
         return parse_eta(eta_text)
     if level in BUNDLED_ETA:
         return EtaQuotientSpec(BUNDLED_ETA[level])
-    raise InputError(
-        "no bundled cusp form at level %d; pass --eta explicitly" % level
-    )
-
-
-def _require_series_terms(terms, flag, value):
-    """Refuse, before any work, a flag value whose longest series is past the cap."""
-    if terms > MAX_SERIES_TERMS:
-        raise ResourceLimitError(
-            "%s %d would build series of %d terms, above the cap of %d"
-            % (flag, value, terms, MAX_SERIES_TERMS)
-        )
+    raise InputError("no bundled cusp form at level %d; pass --eta explicitly" % level)
 
 
 def _emit(doc):
@@ -156,9 +101,7 @@ def _emit(doc):
 
 
 def cmd_newforms(args):
-    _require_series_terms(2 * args.order + 2, "--order", args.order)
     k = args.weight
-    _require_newform_dim(k)
     orbit_set = newform_basis_level1(k, args.order)
     orbits = []
     for nf in orbit_set.orbits:
@@ -179,7 +122,6 @@ def cmd_newforms(args):
 
 
 def cmd_theorem(args):
-    _require_series_terms(args.level * args.order + 8, "--order", args.order)
     spec = _eta_for(args.level, args.eta)
     res = verify_theorem(args.level, spec, args.eis_weight, args.power,
                          order=args.order)
@@ -188,7 +130,6 @@ def cmd_theorem(args):
 
 
 def cmd_corollary(args):
-    _require_series_terms(args.level * args.order + 8, "--order", args.order)
     spec = _eta_for(args.level, args.eta)
     curve = parse_curve(args.curve)
     res = verify_corollary(args.level, spec, args.eis_weight, args.power,
@@ -198,46 +139,17 @@ def cmd_corollary(args):
 
 
 def cmd_phi(args):
-    if args.power < 1:
-        raise InputError("power must be >= 1")
-    if args.order < 0:
-        raise InputError("order must be nonnegative")
-    _require_newform_dim(args.eis_weight)
     spec = _eta_for(args.level, args.eta)
-    N = _require_prime(args.level)
-    # h^power has the weight whose cusp dimension theorem --power caps
-    W = (spec.weight + _require_even_weight(args.eis_weight)) * args.power
-    _require_newform_dim(W)
-    dim = dim_modular_level1((N + 1) * W)
-    if dim > MAX_PHI_MILLER_DIM:
-        raise ResourceLimitError(
-            "s_%d has weight %d, whose Miller basis has dimension %d, above the cap of %d"
-            % (N + 1, (N + 1) * W, dim, MAX_PHI_MILLER_DIM)
-        )
-    # the s_i of h^power reach q^(order + 8 // N) (product_inputs), and the
-    # top one needs the dim leads of its Miller basis: the order grows with
-    # the power, and past that only as far as those leads need
-    order = max(args.order * args.power, dim - 1 - 8 // N)
-    _require_series_terms(N * order + 8, "--order", args.order)
-    h, hfr = product_inputs(N, spec, args.eis_weight, order)
-    if args.power != 1:
-        h = h ** args.power
-        hfr = hfr ** args.power
-    sym = transformation_polynomial(h, hfr, N)
+    sym = phi(args.level, spec, args.eis_weight, args.power, args.order)
     doc = {
-        "level": N,
+        "level": args.level,
         "eta": spec.serialize(),
         "eisenstein_weight": args.eis_weight,
-        "weight": h.weight,
-        "degree": N + 1,
-        "symmetric": [
-            {
-                "index": i,
-                "weight": s.weight,
-                "head": [format_rational(c) for c in s.coeffs[:10]],
-            }
-            for i, s in enumerate(sym, start=1)
-        ],
+        "weight": sym[0].weight,
+        "degree": len(sym),
+        "symmetric": [{"index": i, "weight": s.weight,
+                       "head": [format_rational(c) for c in s.coeffs[:10]]}
+                      for i, s in enumerate(sym, start=1)],
     }
     if args.curve:
         curve = parse_curve(args.curve)
@@ -247,31 +159,20 @@ def cmd_phi(args):
             "curve": curve.serialize(),
             "polynomial": phiE.serialize(),
             "irreducible": irr,
-            "factors": [
-                {"poly": g_.serialize(), "multiplicity": m} for g_, m in factors
-            ],
+            "factors": [{"poly": g_.serialize(), "multiplicity": m} for g_, m in factors],
         }
     _emit(doc)
     return 0
 
 
 def cmd_oracle(args):
-    bound = max(args.bound, 0)  # a bound below 1 is refused as malformed later
-    terms = (2 * bound + 1) * bound
-    if terms > MAX_ORACLE_TERMS:
-        raise ResourceLimitError(
-            "oracle --bound %d would sum %d lattice terms, above the cap of %d"
-            % (args.bound, terms, MAX_ORACLE_TERMS)
-        )
-    T = args.series_order
-    _require_series_terms(T, "--series-order", T)
-    _require_newform_dim(args.eis_weight)
-    prec = args.prec
-    tau = parse_tau(args.tau, prec)
-    ser = eisenstein_prime_level(args.eis_weight, args.level, T)
-    closed = eval_qseries(ser, tau, prec)
+    # the coset sum first: it refuses a bound past its work cap before the
+    # series and its one-time numeric gate are built
+    tau = parse_tau(args.tau, args.prec)
     lat = lattice_sum_eisenstein(args.eis_weight, args.level, tau, args.bound,
-                                 None, prec)
+                                 None, args.prec)
+    ser = eisenstein_prime_level(args.eis_weight, args.level, args.series_order)
+    closed = eval_qseries(ser, tau, args.prec)
     _emit({
         "weight": args.eis_weight,
         "level": args.level,
@@ -389,32 +290,19 @@ def build_parser():
     return p
 
 
-_EXIT_BY_ERROR = (
-    (VerificationError, 2),
-    ((InputError, UnsupportedScopeError), 3),
-    ((PrecisionError, ReconstructionError, TruncationError, ResourceLimitError), 4),
-)
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.prec is None:
-            args.prec = _default_prec()
-        if args.prec < MIN_PREC_BITS:
-            raise InputError("precision of %d bits is below the floor of %d"
-                             % (args.prec, MIN_PREC_BITS))
-        if args.prec > MAX_PREC_BITS:
-            raise ResourceLimitError("precision of %d bits is above the cap of %d"
-                                     % (args.prec, MAX_PREC_BITS))
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, a malformed request here
+        return 3 if exc.code == 2 else exc.code
+    try:
+        # every subcommand, also one whose exact work reads no precision
+        args.prec = check_prec(_default_prec() if args.prec is None else args.prec)
         return args.func(args)
     except MtvError as exc:
         sys.stderr.write("error: %s\n" % exc)
-        for kinds, code in _EXIT_BY_ERROR:
-            if isinstance(exc, kinds):
-                return code
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import mpmath
 from mpmath import mpc, mpf
 
 from .errors import InputError, PrecisionError, VerificationError
-from .numerics import DEFAULT_PREC_BITS, BigComplex, _check_prec, eval_qseries, to_mpc, to_mpf
+from .numerics import DEFAULT_PREC_BITS, BigComplex, check_prec, eval_qseries, to_mpc, to_mpf
 from .numfield import nf_trace
 from .polynomial import UniPoly, _power, poly_factor_q
 from .qexp import eisenstein_level1
@@ -192,7 +192,7 @@ def tau_from_curve(curve, prec_bits=DEFAULT_PREC_BITS):
     scale^4 E4(tau) = 12 g2 and scale^6 E6(tau) = 216 g3 to the certified
     working precision.
     """
-    prec_bits = _check_prec(prec_bits)
+    prec_bits = check_prec(prec_bits)
     jv = curve.j
     with mpmath.workprec(prec_bits + 32):
         if jv == 0:
@@ -352,7 +352,9 @@ def verify_corollary(level, eta_pairs, eis_weight, power, curve, order=64,
     LHS: specialize Tr(h^power) through the basis homomorphism.
     RHS: c * sum_i Tr_(K_i/Q)(ratio_i * specialize(f_i)).
     Both sides are rational numbers; they must be equal, not just close.
+    The precision cap and every cap of verify_theorem refuse before any work.
     """
+    check_prec(prec_bits)
     res = verify_theorem(level, eta_pairs, eis_weight, power, order=order)
     lhs = specialize_level1_exact(res.trace, curve)
     acc = Fraction(0)

@@ -18,16 +18,24 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp, mpc, mpf
 
-from .errors import InputError, UnsupportedScopeError
+from .errors import InputError, UnsupportedScopeError, require_within
 
 DEFAULT_PREC_BITS = 256
 MIN_PREC_BITS = 64
+# cap on the working precision of a request.  specialize --curve=1,2 takes
+# about 1.2 s at 2048 bits, 4.6 s at 4096 and 34 s at 8192 on a 2-vCPU VM
+# with CPython 3.11 (corollary: 5.9 s and 29 s); the time grows about
+# sevenfold per doubling, so the cap is 4096.
+MAX_PREC_BITS = 4096
 
 
-def _check_prec(prec_bits):
+def check_prec(prec_bits, cap=MAX_PREC_BITS):
+    """The working precision in bits, DEFAULT_PREC_BITS for None: refused
+    below MIN_PREC_BITS as malformed, and above cap, before any work."""
     p = DEFAULT_PREC_BITS if prec_bits is None else int(prec_bits)
     if p < MIN_PREC_BITS:
-        raise InputError("working precision below %d bits" % MIN_PREC_BITS)
+        raise InputError("precision of %d bits is below the floor of %d" % (p, MIN_PREC_BITS))
+    require_within(p, cap, "the precision in bits")
     return p
 
 
@@ -195,7 +203,7 @@ def eval_qseries(f, tau, prec_bits=None):
     fitted tail majorant of _fitted_tail for the unknown coefficients past
     the truncation, which is a heuristic.
     """
-    prec = _check_prec(prec_bits)
+    prec = check_prec(prec_bits, math.inf)
     num, den = f._num, f._den
     value, W, P, v, q, (qx, qy) = _horner(num, den, tau, prec)
     with mp.workprec(W):
@@ -287,6 +295,19 @@ def _lattice_kernel(k, N, B, X, Y, s, P):
     return sx, sy, n
 
 
+# cap on the work of one coset sum: its (2B + 1) B terms at bound B, each
+# weighted by n^1.58, where n = weight * log2 max|W| + P is about the bit
+# size of the integers a term of _lattice_kernel powers and divides (W =
+# (c tau + d) 2^s, P the fixed-point precision) and 1.58 is Karatsuba's
+# exponent.  On a 2-vCPU VM with CPython 3.11 a unit took 2.3e-11 to 8e-11 s:
+# weight 4 at 256 bits and tau = 0.1 + 1.2i took 1.2 s at bound 400 (2.9e10
+# units) and 4.1 s at 800 (1.2e11), weight 274 0.3 s at bound 10 (1.0e10)
+# and 1.5 s at 20 (4.0e10), weight 4 at 4096 bits 1.4 s at bound 40 (2.1e10)
+# and criterion 1's sum (weight 6, level 5, bound 400) 0.8 s (9.9e9).  The
+# cap keeps a sum near 10 s: B <= 1277 at weight 4 and 55 at weight 274.
+MAX_LATTICE_WORK = 3 * 10**11
+
+
 def lattice_sum_eisenstein(weight, level, tau, bound, character=None, prec_bits=None):
     """Truncated coset sum 1 + sum (c tau + d)^(-weight) over the
     Gamma_infinity orbit representatives with 0 < c <= bound*level, level | c,
@@ -308,7 +329,7 @@ def lattice_sum_eisenstein(weight, level, tau, bound, character=None, prec_bits=
         raise InputError("level and bound must be positive")
     if character is not None:
         raise UnsupportedScopeError("the coset sum supports the trivial character only")
-    prec = _check_prec(prec_bits)
+    prec = check_prec(prec_bits)
     W = prec + 16
     with mp.workprec(W):
         tau = to_mpc(tau)
@@ -317,6 +338,9 @@ def lattice_sum_eisenstein(weight, level, tau, bound, character=None, prec_bits=
         s = max(0, -_man_exp(tau.real)[1], -_man_exp(tau.imag)[1])
         X, Y = _fixed(tau.real, s), _fixed(tau.imag, s)
         P = W + ((2 * B + 1) * B + 1).bit_length() + 2
+        n = lam * (B * N * (abs(X) + Y) + (B << s)).bit_length() + P
+        require_within((2 * B + 1) * B * n**1.58, MAX_LATTICE_WORK,
+                       "the work of the coset sum at weight %d and bound %d", lam, B)
         sx, sy, nterms = _lattice_kernel(lam, N, B, X, Y, s, P)
         total = mpc(mpmath.ldexp(mpf(sx), -P), mpmath.ldexp(mpf(sy), -P))
         tail = _lattice_tail_bound(lam, N, X, Y, s, B, W)

@@ -48,6 +48,7 @@ from .errors import (
     TruncationError,
     UnsupportedScopeError,
     VerificationError,
+    require_within,
 )
 from .numerics import eval_qseries, lattice_sum_eisenstein, to_mpf
 from .polynomial import _is_prime, _power
@@ -340,10 +341,45 @@ _GATE_PREC = 160
 _GATE_TAUS = (mpc("0.2109375", "1.1328125"), mpc("-0.3671875", "1.7109375"))
 
 
-def _require_even_weight(weight):
+# cap on the coefficients of the longest exact series a request builds.
+# Level 5 at --order 2048 builds 10,248 and takes about 6.4 s on a 2-vCPU
+# VM with CPython 3.11; a series product grows faster than linearly in the
+# length, so the cap stops unbounded runs at about three times that.
+MAX_SERIES_TERMS = 2**15
+
+# cap on the cusp dimension of a newform basis, of the weight of a trace and
+# of an Eisenstein weight before its numeric gate.  The basis takes about
+# 0.4 s at dimension 16, 2 s at 20, 2 to 5 s at 22 and 6 s at 24 on a 2-vCPU
+# VM with CPython 3.11, 4.6 s of the 5.9 s at weight 288 in the Krylov solve
+# (linalg.bareiss_solve), whose cost grows with the dimension and the bits.
+MAX_NEWFORM_DIM = 22
+
+
+def dim_modular_level1(weight):
+    """Dimension of the full weight-k space on the modular group."""
+    k = int(weight)
+    if k < 0 or k % 2:
+        return 0
+    if k % 12 == 2:
+        return k // 12
+    return k // 12 + 1
+
+
+def dim_cusp_level1(weight):
+    return max(0, dim_modular_level1(weight) - 1)
+
+
+def _require_newform_dim(weight):
+    require_within(dim_cusp_level1(weight), MAX_NEWFORM_DIM, "the cusp dimension of weight %d",
+                   weight)
+
+
+def _require_eisenstein_weight(weight):
+    """An Eisenstein weight: even, at least 4, and within the cusp-dimension cap."""
     weight = int(weight)
     if weight < 4 or weight % 2:
         raise InputError("Eisenstein weight must be even and >= 4")
+    _require_newform_dim(weight)
     return weight
 
 
@@ -425,7 +461,7 @@ def _check_fricke(weight, level):
 
 def eisenstein_level1(weight, trunc):
     """E_weight = 1 - (2*weight/B_weight) sum sigma_(weight-1)(n) q^n."""
-    weight = _require_even_weight(weight)
+    weight = _require_eisenstein_weight(weight)
     _gate_eisenstein(weight, 1)
     return _eisenstein_level1_raw(weight, int(trunc))
 
@@ -435,7 +471,8 @@ def eisenstein_prime_level(weight, level, trunc):
 
     Closed form (level^w E(level z) - E(z)) / (level^w - 1); constant term 1.
     """
-    weight = _require_even_weight(weight)
+    weight = _require_eisenstein_weight(weight)
+    require_within(int(trunc), MAX_SERIES_TERMS, "the series length at order %d", int(trunc))
     level = int(level)
     if level == 1:
         return eisenstein_level1(weight, trunc)
@@ -446,7 +483,7 @@ def eisenstein_prime_level(weight, level, trunc):
 
 def fricke_eisenstein(weight, level, trunc):
     """Image of eisenstein_prime_level under the Fricke involution; vanishes at infinity."""
-    weight = _require_even_weight(weight)
+    weight = _require_eisenstein_weight(weight)
     level = _require_prime(level)
     _gate_eisenstein(weight, level)
     _gate_fricke(weight, level)

@@ -37,47 +37,16 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd
 
-from .errors import InputError, ResourceLimitError, TruncationError, VerificationError
+from .errors import InputError, TruncationError, VerificationError, require_within
 from .linalg import bareiss_solve
 from .numfield import NumberField, NumberFieldElem, _times_gen
 from .polynomial import UniPoly, _is_prime, poly_factor_q
-from .qexp import (QSeries, _gate_eisenstein, _kron_mul, _stored,
+from .qexp import (MAX_SERIES_TERMS, QSeries, _gate_eisenstein, _kron_mul,
+                   _require_newform_dim, _stored, dim_cusp_level1, dim_modular_level1,
                    eisenstein_level1, eta_quotient, hecke_T)
 
 # 4a + 6b = r, minimal (a, b)
 _RESIDUAL_AB = {0: (0, 0), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1), 14: (2, 1)}
-
-# cap on the cusp dimension of a newform basis that a command builds.  The
-# basis takes about 0.4 s at dimension 16 (weight 192), 2 s at 20 (weight
-# 240), 2 to 5 s at 22 (weights 264 and 278) and 6 s at 24 (weight 288) on
-# a 2-vCPU VM with CPython 3.11.  Most of it, 4.6 s of the 5.9 s at weight
-# 288, is the fraction-free Krylov solve (linalg.bareiss_solve), whose cost
-# grows with the dimension and with the bit size of the Hecke matrix.
-MAX_NEWFORM_DIM = 22
-
-
-def dim_modular_level1(weight):
-    """Dimension of the full weight-k space on the modular group."""
-    k = int(weight)
-    if k < 0 or k % 2:
-        return 0
-    if k % 12 == 2:
-        return k // 12
-    return k // 12 + 1
-
-
-def dim_cusp_level1(weight):
-    return max(0, dim_modular_level1(weight) - 1)
-
-
-def _require_newform_dim(weight):
-    """Refuse, before any work, a weight whose cusp dimension exceeds MAX_NEWFORM_DIM."""
-    dim = dim_cusp_level1(weight)
-    if dim > MAX_NEWFORM_DIM:
-        raise ResourceLimitError(
-            "weight %d has cusp dimension %d, above the cap of %d"
-            % (weight, dim, MAX_NEWFORM_DIM)
-        )
 
 
 def delta_series(trunc):
@@ -360,10 +329,13 @@ def newform_basis_level1(weight, trunc):
     with R the Krylov rows of krylov_charpoly.  Each orbit costs integer
     matrix-vector products over Q[theta]/(g), no inverse in the field, and
     M c = theta c is checked exactly before the orbit is returned as its
-    coordinates c over the cusp basis through q^trunc.
+    coordinates c over the cusp basis through q^trunc.  The series and
+    cusp-dimension caps refuse before any work.
     """
     k = int(weight)
     trunc = int(trunc)
+    require_within(2 * trunc + 2, MAX_SERIES_TERMS, "the series length at order %d", trunc)
+    _require_newform_dim(k)
     if k < 0 or k % 2:
         raise InputError("weight must be a nonnegative even integer")
     if trunc < 0:

@@ -24,18 +24,22 @@ from fractions import Fraction
 
 from mpmath import mpc
 
-from .errors import InputError, UnsupportedScopeError, VerificationError
+from .errors import InputError, UnsupportedScopeError, VerificationError, require_within
 from .linalg import bareiss_solve
 from .numfield import nf_charpoly, nf_trace
 from .polynomial import elementary_from_power_sums, power_sums_from_elementary
 from .qexp import (
+    MAX_SERIES_TERMS,
     EtaQuotientSpec,
     QSeries,
     _gate_once,
     _kron_mul,
-    _require_even_weight,
+    _require_eisenstein_weight,
+    _require_newform_dim,
     _require_prime,
     _slash_agrees,
+    dim_cusp_level1,
+    dim_modular_level1,
     eisenstein_prime_level,
     eta_quotient,
     fricke_eisenstein,
@@ -43,10 +47,7 @@ from .qexp import (
 )
 from .rational import format_exact, format_rational
 from .spaces import (
-    _require_newform_dim,
     conductor_of_space,
-    dim_cusp_level1,
-    dim_modular_level1,
     level1_coordinates,
     miller_basis,  # noqa: F401 -- perfbench's harness checks its tracer rebinds it here
     newform_basis_level1,
@@ -113,6 +114,40 @@ def product_inputs(level, eta_spec, eis_weight, order):
     E = eisenstein_prime_level(eis_weight, level, T_h)
     Efr = fricke_eisenstein(eis_weight, level, T_in)
     return g * E, gfr.scale(scalar) * Efr
+
+
+# -- the size of a request ------------------------------------------------
+
+# cap on the Miller dimension d = dim M_((N + 1) W) of the top s_(N+1) of
+# Phi(h), h of weight W: that basis and its inputs set Phi's cost.  From the
+# CLI on a 2-vCPU VM with CPython 3.11, phi --order 8 takes 3.2 s at level 2
+# power 22 (d = 67, the most the cusp-dimension cap admits there), 1.9 s at
+# level 5 power 16 (d = 65) and 3.4 s at power 17 (d = 69); theorem --level 5
+# --eis-weight 264 (d = 135) took 83 s.
+MAX_PHI_MILLER_DIM = 67
+
+# cap on route 2's work at level N and input order T, counted as N^2 T: it
+# forms about N/2 powers of the Fricke image, each N T + 8 long, and O(N^2)
+# Newton products of length T, and its time grows like (N^2 T)^1.5.  On the
+# same VM, phi with eta(z)^2 eta(N z)^2 and E_4 at its least order takes
+# 1.7 s at level 47 (N^2 T = 53,016), 3.9 s at 59 (104,430), 9.1 s at 71
+# (181,476), 23 s at 83 (289,338) and 86 s at 107 (618,246).
+MAX_ROUTE2_WORK = 200000
+
+
+def _input_order(N, weight, order, lead):
+    """The order T >= order of the inputs of Phi(h), h of the given weight at
+    prime level N, at which the top s_(N+1) reaches d - lead leads of its
+    Miller basis (the s_i reach q^(T + 8 // N)); d, N^2 T and the series
+    length N T + 8 are refused past their caps before any work."""
+    d = dim_modular_level1((N + 1) * weight)
+    require_within(d, MAX_PHI_MILLER_DIM, "the Miller dimension of s_%d, of weight %d,",
+                   N + 1, (N + 1) * weight)
+    T = max(order, d - lead)
+    require_within(N * T + 8, MAX_SERIES_TERMS, "the series length at level %d, order %d", N, T)
+    require_within(N * N * T, MAX_ROUTE2_WORK, "the route-2 work N^2 T at level %d, order %d",
+                   N, T)
+    return T
 
 
 # -- the transformation polynomial ----------------------------------------
@@ -184,6 +219,29 @@ def transformation_polynomial(h, h_fricke, level):
             "s_%d is not a level-1 form of weight %d: %s" % (i, w * i, exc)
         ) from exc
     return sym
+
+
+def phi(level, eta_pairs, eis_weight, power=1, order=32):
+    """The signed coefficients s_1..s_(N+1) of Phi(h^power) for
+    h = (eta quotient) * (Eisenstein row) at prime level N.  The inputs
+    reach order * power, raised only as far as the top s_(N+1) needs, so a
+    longer order builds the same series; every cap refuses before any."""
+    power, order = int(power), int(order)
+    if power < 1:
+        raise InputError("power must be >= 1")
+    if order < 0:
+        raise InputError("order must be nonnegative")
+    eis_weight = _require_eisenstein_weight(eis_weight)
+    N = _require_prime(level)
+    spec = eta_pairs if isinstance(eta_pairs, EtaQuotientSpec) else EtaQuotientSpec(eta_pairs)
+    # h^power has the weight whose cusp dimension verify_theorem caps
+    W = (spec.weight + eis_weight) * power
+    _require_newform_dim(W)
+    order = _input_order(N, W, order * power, 1 + 8 // N)
+    h, hfr = product_inputs(N, spec, eis_weight, order)
+    if power != 1:
+        h, hfr = h ** power, hfr ** power
+    return transformation_polynomial(h, hfr, N)
 
 
 # -- traces ----------------------------------------------------------------
@@ -336,7 +394,7 @@ def verify_theorem(level, eta_pairs, eis_weight, power, order=64):
     exactly, and decompose the trace against the level-1 newform orbits."""
     N = _require_prime(level)
     spec = eta_pairs if isinstance(eta_pairs, EtaQuotientSpec) else EtaQuotientSpec(eta_pairs)
-    eis_weight = _require_even_weight(eis_weight)
+    eis_weight = _require_eisenstein_weight(eis_weight)
     power = int(power)
     if power < 1:
         raise InputError("power must be >= 1")
@@ -351,7 +409,10 @@ def verify_theorem(level, eta_pairs, eis_weight, power, order=64):
     w = spec.weight + eis_weight
     W = w * power
     _require_newform_dim(W)
-    reach = max(order, dim_modular_level1(w * (N + 1)), dim_cusp_level1(W) + 8)
+    reach = _input_order(N, w, max(order, dim_cusp_level1(W) + 8), 0)
+    # both routes reach q^(reach + 8 // N) (product_inputs); the basis comes
+    # first, so that its own series cap refuses before any input is built
+    orbit_set = newform_basis_level1(W, reach + 8 // N)
     h, hfr = product_inputs(N, spec, eis_weight, reach)
 
     route1 = trace_to_level1(h, hfr, N, power)
@@ -364,7 +425,6 @@ def verify_theorem(level, eta_pairs, eis_weight, power, order=64):
         )
 
     trace = route1.truncate(through)
-    orbit_set = newform_basis_level1(W, trace.trunc)
     cm = main_constant(W)
     comps = expand_in_newforms(trace, orbit_set)
     ratios = [c / cm for c in comps]

@@ -15,9 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mtv.cli as cli
+import mtv.elliptic as elliptic
+import mtv.numerics as numerics
 import mtv.qexp as qexp
+import mtv.spaces as spaces
 import mtv.trace as trace
-from mtv import PrecisionError, VerificationError
+from mtv import PrecisionError, ResourceLimitError, VerificationError
 
 
 def run_cli(args, env_extra=None):
@@ -278,31 +281,35 @@ def test_resource_failure_exits4(monkeypatch, capsys):
 
 
 def test_oracle_bound_over_the_term_cap_exits4(monkeypatch, capsys):
-    # (2B + 1) B = 9,992,685 at B = 2235 and 10,001,628 at B = 2236; the
-    # planted series constructor shows where the run would start summing
+    # the coset sum's work, (2B + 1) B terms weighted by the bits of their
+    # integers, grows with the weight: at 256 bits and tau = 0.1 + 1.2i it
+    # admits B = 1277 at weight 4 and B = 55 at weight 274; the planted
+    # kernel shows where the run would start summing
     def reached(*a, **kw):
-        raise VerificationError("reached the series")
+        raise VerificationError("reached the sum")
 
-    monkeypatch.setattr(cli, "eisenstein_prime_level", reached)
-    monkeypatch.setattr(cli, "lattice_sum_eisenstein", reached)
-    argv = ["oracle", "--eis-weight", "4", "--level", "2", "--tau", "0.1,1.2",
-            "--bound"]
-    assert cli.main(argv + ["2235"]) == 2
-    assert "reached the series" in capsys.readouterr().err
-    assert cli.main(argv + ["2236"]) == 4
-    err = capsys.readouterr().err
-    assert "10000000" in err and "reached" not in err
+    monkeypatch.setattr(numerics, "_lattice_kernel", reached)
+    assert numerics.MAX_LATTICE_WORK == 3 * 10**11
+    argv = ["oracle", "--level", "2", "--tau", "0.1,1.2", "--eis-weight"]
+    for weight, admitted, refused in (("4", "1277", "1278"), ("274", "55", "56"),
+                                      ("274", "55", "400")):
+        assert cli.main(argv + [weight, "--bound", admitted]) == 2
+        assert "reached the sum" in capsys.readouterr().err
+        assert cli.main(argv + [weight, "--bound", refused]) == 4
+        err = capsys.readouterr().err
+        assert "above the cap of 300000000000" in err and "reached" not in err
 
-    proc = run_cli(argv + ["100000"])
+    proc = run_cli(argv + ["4", "--bound", "100000"])
     assert proc.returncode == 4
     assert proc.stdout == ""
-    assert "cap of %d" % cli.MAX_ORACLE_TERMS in proc.stderr
+    assert "above the cap of 300000000000" in proc.stderr
 
 
 @pytest.mark.parametrize("argv,admitted,refused", [
     # N * order + 8 terms: level 5 at order 2048 builds 10,248
     (["theorem", "--level", "5", "--eis-weight", "4", "--order"], "2048", "1000000000"),
-    (["theorem", "--level", "2", "--eis-weight", "4", "--order"], "16380", "16381"),
+    # at level 2 the newform basis, built first, needs 2 (order + 4) + 2
+    (["theorem", "--level", "2", "--eis-weight", "4", "--order"], "16379", "16380"),
     (["corollary", "--level", "5", "--eis-weight", "4", "--curve", "4,1", "--order"],
      "6552", "6553"),
     # N * order * power + 8
@@ -319,10 +326,10 @@ def test_series_length_over_the_cap_exits4_before_any_work(argv, admitted, refus
     def reached(*a, **kw):
         raise VerificationError("reached the inputs")
 
-    for mod, name in ((cli, "product_inputs"), (trace, "product_inputs"),
-                      (cli, "newform_basis_level1"), (cli, "eisenstein_prime_level")):
+    for mod, name in ((trace, "product_inputs"), (spaces, "hecke_matrix_level1"),
+                      (qexp, "_gate_eisenstein")):
         monkeypatch.setattr(mod, name, reached)
-    assert cli.MAX_SERIES_TERMS == 2**15
+    assert qexp.MAX_SERIES_TERMS == 2**15
     assert cli.main(argv + [admitted]) == 2
     assert "reached the inputs" in capsys.readouterr().err
     assert cli.main(argv + [refused]) == 4
@@ -352,7 +359,7 @@ def test_precision_over_the_cap_exits4_before_any_gate(argv, via_env, monkeypatc
         monkeypatch.delenv("MTV_PREC_BITS", raising=False)
         return cli.main(["--prec", bits] + argv)
 
-    assert cli.MAX_PREC_BITS == 4096
+    assert numerics.MAX_PREC_BITS == 4096
     assert run("4096") == 2
     assert "reached the numerics" in capsys.readouterr().err
     for bits in ("4097", "1000000"):
@@ -367,8 +374,8 @@ def test_newforms_over_the_dimension_cap_exits4(monkeypatch, capsys):
     def reached(*a, **kw):
         raise VerificationError("reached the basis")
 
-    monkeypatch.setattr(cli, "newform_basis_level1", reached)
-    assert cli.MAX_NEWFORM_DIM == 22
+    monkeypatch.setattr(spaces, "hecke_matrix_level1", reached)
+    assert qexp.MAX_NEWFORM_DIM == 22
     assert cli.main(["newforms", "--weight", "278"]) == 2
     assert "reached the basis" in capsys.readouterr().err
     for weight in ("276", "100000"):
@@ -387,12 +394,13 @@ def test_eisenstein_weight_over_the_dimension_cap_exits4_before_any_gate(
     # are refused; the planted gate shows where a run would start.  At level
     # 2 phi's h then has weight 8 + 274 = 282 (286 at 278), of cusp
     # dimension 23, and its s_3 a Miller basis of dimension 71 (72), above
-    # the caps of 22 and 67: phi refuses those at every power
+    # the caps of 22 and 67: phi refuses those at every power.  The oracle
+    # sums its coset sum first, whose work cap refuses weight 4000 at once
     def reached(*a, **kw):
         raise VerificationError("reached the gate")
 
     monkeypatch.setattr(qexp, "_gate_eisenstein", reached)
-    code, message = ((4, "cusp dimension 23, above the cap of 22") if argv[0] == "phi"
+    code, message = ((4, "is 23, above the cap of 22") if argv[0] == "phi"
                      else (2, "reached the gate"))
     for weight in ("274", "278"):
         assert cli.main(argv + [weight]) == code
@@ -400,7 +408,8 @@ def test_eisenstein_weight_over_the_dimension_cap_exits4_before_any_gate(
     for weight in ("276", "280", "4000"):
         assert cli.main(argv + [weight]) == 4
         err = capsys.readouterr().err
-        assert "above the cap of 22" in err and "reached" not in err
+        cap = "300000000000" if (argv[0], weight) == ("oracle", "4000") else "22"
+        assert "above the cap of " + cap in err and "reached" not in err
 
 
 def test_phi_power_over_the_dimension_cap_exits4_before_any_series(monkeypatch, capsys):
@@ -410,7 +419,7 @@ def test_phi_power_over_the_dimension_cap_exits4_before_any_series(monkeypatch, 
     def reached(*a, **kw):
         raise VerificationError("reached the inputs")
 
-    monkeypatch.setattr(cli, "product_inputs", reached)
+    monkeypatch.setattr(trace, "product_inputs", reached)
     argv = ["phi", "--level", "2", "--eis-weight", "4", "--order", "8", "--power"]
     assert cli.main(argv + ["22"]) == 2
     assert "reached the inputs" in capsys.readouterr().err
@@ -431,8 +440,8 @@ def test_phi_power_over_the_miller_cap_exits4_before_any_series(monkeypatch, cap
     def reached(*a, **kw):
         raise VerificationError("reached the inputs")
 
-    monkeypatch.setattr(cli, "product_inputs", reached)
-    assert cli.MAX_PHI_MILLER_DIM == 67
+    monkeypatch.setattr(trace, "product_inputs", reached)
+    assert trace.MAX_PHI_MILLER_DIM == 67
     for level, power in (("5", "16"), ("3", "20")):
         argv = ["phi", "--level", level, "--eis-weight", "4", "--order", "8", "--power", power]
         assert cli.main(argv) == 2
@@ -446,12 +455,12 @@ def test_phi_power_over_the_miller_cap_exits4_before_any_series(monkeypatch, cap
 
 def test_theorem_and_corollary_over_the_dimension_cap_exit4(monkeypatch, capsys):
     # at level 2, W = (8 + 4) * power: dim S_264 = 22 (power 22) passes the
-    # guard, dim S_288 = 24 (power 24) is refused before any input is built
-    import mtv.trace as trace
-
+    # guard, dim S_288 = 24 (power 24) is refused before the newform basis
+    # and the inputs are built
     def reached(*a, **kw):
         raise VerificationError("reached the inputs")
 
+    monkeypatch.setattr(trace, "newform_basis_level1", reached)
     monkeypatch.setattr(trace, "product_inputs", reached)
     argv = ["theorem", "--level", "2", "--eis-weight", "4", "--power"]
     assert cli.main(argv + ["22"]) == 2
@@ -466,8 +475,96 @@ def test_theorem_and_corollary_over_the_dimension_cap_exit4(monkeypatch, capsys)
     assert "Eisenstein weight must be even" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["theorem", "corollary", "phi"])
+def test_route2_at_a_high_level_exits4_before_any_input(command, monkeypatch, capsys):
+    # with eta(z)^2 eta(N z)^2 and E_4, h has weight 6 and the top s_(N+1)
+    # of Phi(h) a Miller basis of dimension d = dim M_(6 (N + 1)); the inputs
+    # reach order T = d (theorem) or d - 1 (phi).  Level 71 (d = 37, N^2 T
+    # at most 186,517) passes; levels 83, 107 and 131 (d = 43, 55, 67) are
+    # refused by the route-2 cap of 200,000, and levels 167 and 311 (d = 85,
+    # 157) by the Miller cap of 67; the planted builders show where a run
+    # would start
+    def reached(*a, **kw):
+        raise VerificationError("reached the inputs")
+
+    monkeypatch.setattr(trace, "newform_basis_level1", reached)
+    monkeypatch.setattr(trace, "product_inputs", reached)
+    assert trace.MAX_ROUTE2_WORK == 200000
+
+    def argv(level):
+        extra = ["--curve", "4,1"] if command == "corollary" else []
+        return [command, "--level", str(level), "--eta", "1:2,%d:2" % level,
+                "--eis-weight", "4", "--order", "8"] + extra
+
+    assert cli.main(argv(71)) == 2
+    assert "reached the inputs" in capsys.readouterr().err
+    for level, cap in ((83, "200000"), (107, "200000"), (131, "200000"),
+                       (167, "67"), (311, "67")):
+        assert cli.main(argv(level)) == 4
+        err = capsys.readouterr().err
+        assert "above the cap of %s" % cap in err and "reached" not in err
+
+
+_TAU = cli.parse_tau("0.1,1.2", 256)
+_CURVE = cli.parse_curve("4,1")
+
+
+@pytest.mark.parametrize("argv,entry,args", [
+    (["newforms", "--weight", "276"], spaces.newform_basis_level1, (276, 16)),
+    (["newforms", "--weight", "24", "--order", "16384"],
+     spaces.newform_basis_level1, (24, 16384)),
+    (["theorem", "--level", "2", "--eis-weight", "4", "--order", "16381"],
+     trace.verify_theorem, (2, {1: 8, 2: 8}, 4, 1, 16381)),
+    (["theorem", "--level", "2", "--eis-weight", "4", "--power", "24"],
+     trace.verify_theorem, (2, {1: 8, 2: 8}, 4, 24)),
+    (["theorem", "--level", "5", "--eis-weight", "264", "--order", "8"],
+     trace.verify_theorem, (5, {1: 4, 5: 4}, 264, 1, 8)),
+    (["theorem", "--level", "167", "--eta", "1:2,167:2", "--eis-weight", "4", "--order", "8"],
+     trace.verify_theorem, (167, {1: 2, 167: 2}, 4, 1, 8)),
+    (["corollary", "--level", "311", "--eta", "1:2,311:2", "--eis-weight", "4",
+      "--order", "8", "--curve", "4,1"],
+     elliptic.verify_corollary, (311, {1: 2, 311: 2}, 4, 1, _CURVE, 8)),
+    (["--prec", "4097", "corollary", "--level", "2", "--eis-weight", "4", "--curve", "4,1"],
+     elliptic.verify_corollary, (2, {1: 8, 2: 8}, 4, 1, _CURVE, 64, 4097)),
+    (["phi", "--level", "131", "--eta", "1:2,131:2", "--eis-weight", "4", "--order", "8"],
+     trace.phi, (131, {1: 2, 131: 2}, 4, 1, 8)),
+    (["phi", "--level", "5", "--eis-weight", "4", "--order", "8", "--power", "17"],
+     trace.phi, (5, {1: 4, 5: 4}, 4, 17, 8)),
+    (["phi", "--level", "5", "--eis-weight", "4", "--power", "3", "--order", "2185"],
+     trace.phi, (5, {1: 4, 5: 4}, 4, 3, 2185)),
+    (["oracle", "--eis-weight", "274", "--level", "2", "--tau", "0.1,1.2", "--bound", "400"],
+     numerics.lattice_sum_eisenstein, (274, 2, _TAU, 400, None, 256)),
+    (["--prec", "4097", "oracle", "--eis-weight", "4", "--level", "2", "--tau", "0.1,1.2"],
+     numerics.lattice_sum_eisenstein, (4, 2, _TAU, 100, None, 4097)),
+    (["oracle", "--eis-weight", "4", "--level", "2", "--tau", "0.1,1.2", "--bound", "1",
+      "--series-order", "32769"], qexp.eisenstein_prime_level, (4, 2, 32769)),
+    (["oracle", "--eis-weight", "276", "--level", "2", "--tau", "0.1,1.2", "--bound", "1"],
+     qexp.eisenstein_prime_level, (276, 2, 128)),
+    (["--prec", "4097", "specialize", "--curve", "4,1"],
+     elliptic.tau_from_curve, (_CURVE, 4097)),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_each_library_entry_point_refuses_what_its_subcommand_refuses(argv, entry, args,
+                                                                      monkeypatch, capsys):
+    # the planted builders and gate show where a run would start; oracle
+    # sums its coset sum before it builds the closed form, so the kernel is
+    # planted only where the coset sum is the entry point that refuses
+    def reached(*a, **kw):
+        raise VerificationError("reached the work")
+
+    for mod, name in ((trace, "product_inputs"), (spaces, "hecke_matrix_level1"),
+                      (qexp, "_gate_eisenstein"), (elliptic, "_period_tau")):
+        monkeypatch.setattr(mod, name, reached)
+    if entry is numerics.lattice_sum_eisenstein:
+        monkeypatch.setattr(numerics, "_lattice_kernel", reached)
+    assert cli.main(argv) == 4
+    assert "reached" not in capsys.readouterr().err
+    with pytest.raises(ResourceLimitError):
+        entry(*args)
+
+
 def test_oracle_at_a_40_digit_prime_level_exits4(capsys):
-    # past the range where the prime test is proven exact: refused at once
+    # past the range where the prime test is proven exact: the closed form
+    # refuses it before its series and gate
     level = 10**39 + 3
     argv = ["oracle", "--eis-weight", "4", "--level", str(level), "--tau", "0.21,1.13"]
     assert cli.main(argv) == 4
@@ -530,3 +627,72 @@ def test_fuzz_specialize_curve_exits_cleanly(curve, prec, level):
         return
     json.loads(out.getvalue(), parse_constant=_refuse_constant)
     assert not re.search(r"\b(nan|inf)\b", out.getvalue(), re.IGNORECASE), argv
+
+
+# -- fuzzing the other subcommands ---------------------------------------------
+
+# Each draw is a cheap admitted request (levels 2, 3, 5 and 11 at short
+# orders, small bounds and series orders) with at most two of its values
+# replaced by a malformed one or one just past a cap: the refused power is
+# the least whose weight passes the cusp-dimension cap.  Where the coset-sum
+# cap falls depends on the weight, tau and precision, so the refused bound
+# lies past it at every draw.
+_ETA_WEIGHT = {2: 8, 3: 6, 5: 4, 11: 2}
+_BAD = {
+    "--prec": ("63", "4097"),
+    "--level": ("1", "4", "83", "131", "167", str(10**39 + 3)),
+    "--eis-weight": ("3", "5", "264", "276", "280"),
+    "--curve": ("3,1", "1,2,3", "x,1"),
+    "--eta": ("", "1", "1:x", "1:2:3", ",", "0:24", "1:12,2:-12", "1:-8,2:16", "1:2,2:8"),
+    "--tau": ("0.1,-1", "nan,1", "0.1", "0.5,0.05", "1e3,2"),
+    "--bound": ("-1", "0", "20000"),
+    "--series-order": ("0", "32769"),
+    "--weight": ("-2", "11", "276", "280"),
+}
+_GOOD = {
+    "newforms": {"--weight": ("12", "24", "26"), "--order": ("0", "8", "16")},
+    "oracle": {"--eis-weight": ("4", "6", "278"), "--level": ("1", "2", "3", "5"),
+               "--tau": ("0.21,1.13", "-0.37,1.71"), "--bound": ("1", "2"),
+               "--series-order": ("16", "32")},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(("newforms", "theorem", "corollary", "phi", "oracle")))
+    prec = draw(st.sampled_from(("64", "128", "256")))
+    if command in _GOOD:
+        flags = {f: draw(st.sampled_from(v)) for f, v in _GOOD[command].items()}
+    else:
+        level = draw(st.sampled_from((2, 3, 5, 11)))
+        flags = {"--level": str(level), "--eis-weight": draw(st.sampled_from(("4", "6", "8"))),
+                 "--power": draw(st.sampled_from(("1", "2"))),
+                 "--order": draw(st.sampled_from(("1", "8") if command == "phi" else ("8", "12")))}
+        if level == 11:
+            flags["--eta"] = "1:2,11:2"
+        if command == "corollary":
+            flags["--curve"] = draw(st.sampled_from(("4,1", "0,1", "-3,2")))
+    flags["--prec"] = prec
+    bad = {f: v for f, v in _BAD.items() if f in flags}
+    if "--order" in flags:
+        bad["--order"] = {"newforms": ("-1", "16384"), "phi": ("-1",)}.get(command, ("7", "16381"))
+    if "--power" in flags:
+        w = _ETA_WEIGHT[int(flags["--level"])] + int(flags["--eis-weight"])
+        past = next(p for p in range(1, 100) if qexp.dim_cusp_level1(w * p) > qexp.MAX_NEWFORM_DIM)
+        bad["--power"] = ("0", str(past))
+    for flag in draw(st.lists(st.sampled_from(sorted(bad)), max_size=2, unique=True)):
+        flags[flag] = draw(st.sampled_from(bad[flag]))
+    return ["--prec", flags.pop("--prec"), command] + ["%s=%s" % kv for kv in flags.items()]
+
+
+@given(argv=_argv())
+@settings(max_examples=60, deadline=None)
+def test_fuzz_subcommands_exit_cleanly(argv):
+    # every draw exits 0, 2, 3 or 4, never 1, and a report holds no NaN or Inf
+    code, out, err = run_in_process(argv)
+    assert code in (0, 2, 3, 4), (argv, err)
+    if code:
+        assert out == "", argv
+        return
+    json.loads(out, parse_constant=_refuse_constant)
+    assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), argv

@@ -38,6 +38,11 @@ of q over Q.  No constructor takes an exponent grid or a coefficient field,
 and no slot holds one or a field's component arrays; the one q^(1/N)-series
 of the pipeline, route 2's Fricke image, is read as a series in t = q^(1/N),
 and a newform orbit over its Hecke field is its Miller coordinates.
+
+One request layer: the command line front end (cli.py) only parses, calls
+and emits.  It defines no cap (no module-level ``MAX_*`` name), imports no
+underscore-prefixed name from mtv and calls no ``_require_*`` helper, so
+every size and cap of a request is worked out in the library.
 """
 
 import ast
@@ -408,3 +413,37 @@ def test_qseries_carries_no_exponent_grid():
         params = inspect.signature(build).parameters
         assert "e" not in params and "field" not in params, build
     assert not {"e", "field", "_comps"} & set(QSeries.__slots__)
+
+
+def front_end_offenders(source):
+    """Caps that source defines at module level (MAX_* names), the
+    underscore-prefixed names it imports from mtv, and the _require_*
+    helpers it reads as attributes, sorted."""
+    tree = ast.parse(source)
+    out = [t.id for node in tree.body if isinstance(node, ast.Assign)
+           for t in node.targets if isinstance(t, ast.Name) and t.id.startswith("MAX_")]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "mtv"):
+            out += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_require"):
+            out.append(node.attr)
+    return sorted(out)
+
+
+def test_front_end_check_flags_caps_and_private_names():
+    source = (
+        "from .qexp import EtaQuotientSpec, _require_prime\n"
+        "from mtv.spaces import _stored\n"
+        "from os import _exit\n"
+        "import mtv.trace as trace\n"
+        "MAX_TERMS = 10\n"
+        "trace._require_series_terms(1, 'order 1')\n"
+        "def f():\n"
+        "    MAX_LOCAL = 1\n"
+    )
+    assert front_end_offenders(source) == [
+        "MAX_TERMS", "_require_prime", "_require_series_terms", "_stored"]
+
+
+def test_cli_defines_no_cap_and_reads_no_private_name():
+    assert front_end_offenders((SRC / "cli.py").read_text()) == []
