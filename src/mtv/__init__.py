@@ -6,7 +6,9 @@ Zassenhaus's method).  Floating point appears only in two places: oracle
 comparisons against lattice sums, and period recovery for elliptic
 specializations.  Both carry error bounds.  The lattice-sum error (truncation
 tail plus rounding) and the rounding of q-series evaluation are proven; the
-tail of a q-series evaluation past its truncation is a fitted majorant.
+tail of a q-series evaluation past its truncation is proven for the
+Eisenstein rows the gates and the oracle evaluate, and a fitted majorant
+otherwise.
 """
 
 from .errors import (
@@ -23,6 +25,7 @@ from .qexp import (
     EtaQuotientSpec,
     QSeries,
     eisenstein_level1,
+    eisenstein_oracle,
     eisenstein_prime_level,
     eta_quotient,
     fricke_eisenstein,
@@ -90,6 +93,7 @@ __all__ = [
     "dim_cusp_level1",
     "dim_modular_level1",
     "eisenstein_level1",
+    "eisenstein_oracle",
     "eisenstein_prime_level",
     "eta_quotient",
     "eval_qseries",

@@ -28,8 +28,8 @@ from .elliptic import (
     verify_corollary,
 )
 from .errors import InputError, MtvError, ReconstructionError, VerificationError
-from .numerics import DEFAULT_PREC_BITS, check_prec, eval_qseries, lattice_sum_eisenstein
-from .qexp import EtaQuotientSpec, eisenstein_level1, eisenstein_prime_level
+from .numerics import DEFAULT_PREC_BITS, check_prec
+from .qexp import EtaQuotientSpec, eisenstein_level1, eisenstein_oracle
 from .rational import exact_fraction, format_exact, format_rational, parse_rational
 from .spaces import delta_series, dim_cusp_level1, newform_basis_level1
 from .trace import phi, verify_theorem
@@ -166,13 +166,9 @@ def cmd_phi(args):
 
 
 def cmd_oracle(args):
-    # the coset sum first: it refuses a bound past its work cap before the
-    # series and its one-time numeric gate are built
     tau = parse_tau(args.tau, args.prec)
-    lat = lattice_sum_eisenstein(args.eis_weight, args.level, tau, args.bound,
-                                 None, args.prec)
-    ser = eisenstein_prime_level(args.eis_weight, args.level, args.series_order)
-    closed = eval_qseries(ser, tau, args.prec)
+    closed, lat = eisenstein_oracle(args.eis_weight, args.level, tau, args.bound,
+                                    args.series_order, args.prec)
     _emit({
         "weight": args.eis_weight,
         "level": args.level,

@@ -5,11 +5,13 @@ exact integer fixed point, so their rounding is bounded by proof, not by a
 fit: the coset sum of lattice_sum_eisenstein reports its truncation tail
 plus its rounding, both proven, and eval_qseries reports a proven bound on
 its Horner rounding and on the error of q, plus a tail for the coefficients
-past the truncation that is a fitted majorant (a heuristic, since those
-coefficients are unknown to it).  Both bounds take mpmath's elementary
-functions at their working precision as correct to a few ulps.  All
-load-bearing identities elsewhere in the package, factorization included,
-are exact; this layer only cross-checks them.
+past the truncation.  That tail is proven when the caller knows a bound
+|c_m| <= C m^alpha on those coefficients (the Eisenstein rows and their
+Fricke images have one), and otherwise a fitted majorant (a heuristic,
+since those coefficients are unknown to it).  The bounds take mpmath's
+elementary functions at their working precision as correct to a few ulps.
+All load-bearing identities elsewhere in the package, factorization
+included, are exact; this layer only cross-checks them.
 """
 
 import math
@@ -194,21 +196,57 @@ def _fitted_tail(num, den, ln_r):
     return mpmath.exp(math.fsum(parts) + slack)
 
 
-def eval_qseries(f, tau, prec_bits=None):
+def _proven_tail(coeff_bound, M, ln_r):
+    """An upper bound for sum_(m > M) C m^alpha r^m, r = e^ln_r < 1, given
+    coeff_bound = (C, alpha) with C a positive Fraction and alpha >= 1.
+
+    Past M each term is at most rho = r (1 + 1/(M + 1))^alpha times the one
+    before, so when rho < 1 the sum is at most C (M + 1)^alpha r^(M + 1) /
+    (1 - rho).  In any case x^alpha e^(-lambda x), lambda = -ln r, is
+    unimodal: every term but the at most two next to the peak lies under
+    the integral over the unit interval on the peak's side of it, and those
+    two are at most the peak value, so the sum is at most C (alpha! /
+    lambda^(alpha+1) + 2 (alpha/lambda)^alpha e^(-alpha)).  The smaller
+    bound is taken.  The logarithms are floats of exact integers and of
+    ln_r; ln rho is raised before use (-ln(1 - rho) grows with it) and the
+    result by a slack that covers the rounding of the other terms.
+    """
+    C, alpha = coeff_bound
+    lam = -ln_r
+    whole = math.log(math.factorial(alpha)) - (alpha + 1) * math.log(lam)
+    peak = alpha * (math.log(alpha / lam) - 1) + math.log(2)
+    parts = [math.log(C.numerator), -math.log(C.denominator), math.log(2), max(whole, peak)]
+    grow = alpha * math.log1p(1 / (M + 1))
+    ln_rho = grow + ln_r + 2**-40 * (1 + grow + lam)
+    if ln_rho < 0:
+        geometric = parts[:2] + [alpha * math.log(M + 1), (M + 1) * ln_r,
+                                 -math.log(-math.expm1(ln_rho))]
+        parts = min(parts, geometric, key=math.fsum)
+    slack = 2**-40 * (1 + sum(map(abs, parts)))
+    return mpmath.exp(math.fsum(parts) + slack)
+
+
+def eval_qseries(f, tau, prec_bits=None, coeff_bound=None):
     """Evaluate a QSeries, a series over Q, at tau in the upper half-plane.
 
     The sum runs over the series' integer numerators, q = e(tau).  The error
     is the proven bound on the fixed-point rounding (see _horner) and on the
-    error of q itself, propagated through sum m |c_m| rho^(m-1), plus the
-    fitted tail majorant of _fitted_tail for the unknown coefficients past
-    the truncation, which is a heuristic.
+    error of q itself, propagated through sum m |c_m| rho^(m-1), plus a tail
+    for the coefficients past the truncation: proven by _proven_tail when
+    coeff_bound = (C, alpha) bounds them, |c_m| <= C m^alpha for every m
+    past the truncation, and otherwise the fitted majorant of _fitted_tail,
+    a heuristic.
     """
     prec = check_prec(prec_bits, math.inf)
     num, den = f._num, f._den
     value, W, P, v, q, (qx, qy) = _horner(num, den, tau, prec)
     with mp.workprec(W):
         tau = to_mpc(tau)
-        tail = _fitted_tail(num, den, float(-2 * mpmath.pi * tau.imag))
+        ln_r = float(-2 * mpmath.pi * tau.imag)
+        if coeff_bound is None:
+            tail = _fitted_tail(num, den, ln_r)
+        else:
+            tail = _proven_tail(coeff_bound, len(num) - 1, ln_r)
         # |Q 2^-P - q| <= D 2^-P: the floor of q, plus mpmath's q taken as
         # correct to 8 ulps of W bits after the 2 pi |tau| amplification of
         # the rounding of 2 tau
@@ -320,6 +358,12 @@ def lattice_sum_eisenstein(weight, level, tau, bound, character=None, prec_bits=
     attached error is proven: the explicit truncation bound, plus sqrt(2)
     2^-P per term for the floors, plus the final rounding to prec + 16 bits.
     """
+    return _coset_sum_request(weight, level, tau, bound, character, prec_bits)()
+
+
+def _coset_sum_request(weight, level, tau, bound, character, prec_bits):
+    """Every check of lattice_sum_eisenstein, its work cap included, before
+    any sum; returns the sum as a call with no arguments."""
     lam = int(weight)
     N = int(level)
     B = int(bound)
@@ -337,12 +381,17 @@ def lattice_sum_eisenstein(weight, level, tau, bound, character=None, prec_bits=
             raise InputError("tau must lie in the upper half-plane")
         s = max(0, -_man_exp(tau.real)[1], -_man_exp(tau.imag)[1])
         X, Y = _fixed(tau.real, s), _fixed(tau.imag, s)
-        P = W + ((2 * B + 1) * B + 1).bit_length() + 2
-        n = lam * (B * N * (abs(X) + Y) + (B << s)).bit_length() + P
-        require_within((2 * B + 1) * B * n**1.58, MAX_LATTICE_WORK,
-                       "the work of the coset sum at weight %d and bound %d", lam, B)
-        sx, sy, nterms = _lattice_kernel(lam, N, B, X, Y, s, P)
-        total = mpc(mpmath.ldexp(mpf(sx), -P), mpmath.ldexp(mpf(sy), -P))
-        tail = _lattice_tail_bound(lam, N, X, Y, s, B, W)
-        rounding = math.sqrt(2) * nterms * mpf(2) ** -P + abs(total) * mpf(2) ** (1 - W)
-        return BigComplex(total, tail + rounding)
+    P = W + ((2 * B + 1) * B + 1).bit_length() + 2
+    n = lam * (B * N * (abs(X) + Y) + (B << s)).bit_length() + P
+    require_within((2 * B + 1) * B * n**1.58, MAX_LATTICE_WORK,
+                   "the work of the coset sum at weight %d and bound %d", lam, B)
+
+    def coset_sum():
+        with mp.workprec(W):
+            sx, sy, nterms = _lattice_kernel(lam, N, B, X, Y, s, P)
+            total = mpc(mpmath.ldexp(mpf(sx), -P), mpmath.ldexp(mpf(sy), -P))
+            tail = _lattice_tail_bound(lam, N, X, Y, s, B, W)
+            rounding = math.sqrt(2) * nterms * mpf(2) ** -P + abs(total) * mpf(2) ** (1 - W)
+            return BigComplex(total, tail + rounding)
+
+    return coset_sum

@@ -23,17 +23,21 @@ one pass, not |r|, and factors that share r share that pass.
 
 Eisenstein series and eta quotients read one process-wide, grow-only store
 of integer arrays: the sigma_(k-1) list per k and the power-rule pass per
-eta exponent r (spaces adds the Miller basis per weight and the E6^(2m)
-ladder).  It holds one array per key, the longest built so far, so no key
-holds more than the largest call for it already held at its peak; a read
-returns a fresh list of the first T + 1 entries, and a longer request
-rebuilds that key.  Each process, hence each CLI call, starts with it
-empty.  The gates run above the store.
+eta exponent r (spaces adds the Miller basis per weight, the E6^(2m)
+ladder, and under ("orbits", k) the one-entry list of the weight's
+certified newform orbits, which depend on the weight alone).  It holds one
+array per key, the longest built so far, so no key holds more than the
+largest call for it already held at its peak; a read returns a fresh list
+of the first T + 1 entries, and a longer request rebuilds that key.  A
+build that raises stores nothing.  Each process, hence each CLI call,
+starts with it empty.  The gates run above the store.
 
 The Eisenstein constructors are closed forms; each (weight, level) is gated
 once per process against the independent numeric coset-sum oracle before its
 series is handed out, and the Fricke image is additionally gated against a
-direct numeric evaluation of the slash action.
+direct numeric evaluation of the slash action.  Both gates, and the oracle
+subcommand's closed form (eisenstein_oracle), evaluate these series with a
+proven tail from the coefficient bound of _eisenstein_coeff_bound.
 """
 
 import math
@@ -50,7 +54,7 @@ from .errors import (
     VerificationError,
     require_within,
 )
-from .numerics import eval_qseries, lattice_sum_eisenstein, to_mpf
+from .numerics import _coset_sum_request, eval_qseries, lattice_sum_eisenstein, to_mpf
 from .polynomial import _is_prime, _power
 
 
@@ -333,6 +337,28 @@ def _fricke_eisenstein_raw(weight, level, trunc):
     return QSeries._from_ints(num, E._den * (level**weight - 1), trunc, weight, level)
 
 
+def _eisenstein_coeff_bound(weight, level, fricke=False):
+    """(C, k - 1) with |a_n| <= C n^(k-1) for every n >= 1: a proven tail
+    bound for the level-N Eisenstein row (E_k itself at level 1) or, with
+    fricke, for its Fricke image.
+
+    a_n(E_k) = -(2k/B_k) sigma_(k-1)(n) and sigma_(k-1)(n) <= zeta(k-1)
+    n^(k-1), with zeta(s) <= 1 + 2^-s + 2^(1-s)/(s-1) (the terms past 2
+    under their integral).  The row (N^k E(Nz) - E(z))/(N^k - 1) adds
+    N^k (n/N)^(k-1) + n^(k-1) of those, and the image N^(k/2) (E(z) - E(Nz))
+    /(N^k - 1) adds n^(k-1) + (n/N)^(k-1).  Exact, so rounded up by nothing.
+    """
+    s = weight - 1
+    C = abs(Fraction(2 * weight) / bernoulli(weight)) * (1 + Fraction(s + 1, 2**s * (s - 1)))
+    if level == 1:
+        return C, s
+    if fricke:
+        C *= Fraction(level ** (weight // 2) * (level**s + 1), level**s)
+    else:
+        C *= level + 1
+    return C / (level**weight - 1), s
+
+
 _GATE_DONE = set()
 _GATE_ORDER = 64
 _GATE_PREC = 160
@@ -414,7 +440,7 @@ def _check_eisenstein(weight, level):
     ser = _eisenstein_prime_level_raw(weight, level, _GATE_ORDER)
     with mp.workprec(_GATE_PREC):
         for tau in _GATE_TAUS:
-            closed = eval_qseries(ser, tau, _GATE_PREC)
+            closed = eval_qseries(ser, tau, _GATE_PREC, _eisenstein_coeff_bound(weight, level))
             lat = lattice_sum_eisenstein(weight, level, tau, 32, None, _GATE_PREC)
             if closed.distance(lat) > closed.err + lat.err:
                 raise VerificationError(
@@ -423,18 +449,19 @@ def _check_eisenstein(weight, level):
                 )
 
 
-def _slash_agrees(f, g, c, weight, level, tau, prec):
+def _slash_agrees(f, g, c, weight, level, tau, prec, bounds=(None, None)):
     """Numeric check of f|w_N = c g at tau, N = level and c rational, at
     prec bits.
 
     The slash side is f at -1/(N tau) times N^(k/2) (N tau)^(-k); each side
     carries the error of its evaluation, scaled with it, and the rounding of
-    the scalings is allowed 2^-(prec-16) (1 + |lhs| + |rhs|).
+    the scalings is allowed 2^-(prec-16) (1 + |lhs| + |rhs|).  bounds are
+    the coefficient bounds of f and g for eval_qseries, None for a fitted tail.
     """
     with mp.workprec(prec):
         s = level ** (weight // 2) * (level * tau) ** (-weight)
-        lhs = eval_qseries(f, -1 / (level * tau), prec)
-        rhs = eval_qseries(g, tau, prec)
+        lhs = eval_qseries(f, -1 / (level * tau), prec, bounds[0])
+        rhs = eval_qseries(g, tau, prec, bounds[1])
         c = to_mpf(c)
         lv, rv = lhs.value * s, rhs.value * c
         tol = lhs.err * abs(s) + rhs.err * abs(c) + mp.ldexp(1 + abs(lv) + abs(rv), 16 - prec)
@@ -451,8 +478,10 @@ def _check_fricke(weight, level):
     # series; order 256 keeps its tail far below the rounding allowance
     E = _eisenstein_prime_level_raw(weight, level, 256)
     F = _fricke_eisenstein_raw(weight, level, 256)
+    bounds = (_eisenstein_coeff_bound(weight, level),
+              _eisenstein_coeff_bound(weight, level, fricke=True))
     for tau in (mpc("0.13", "1.07"), mpc("-0.29", "1.04")):
-        if not _slash_agrees(E, F, 1, weight, level, tau, _GATE_PREC):
+        if not _slash_agrees(E, F, 1, weight, level, tau, _GATE_PREC, bounds):
             raise VerificationError(
                 "Fricke Eisenstein closed form (weight %d, level %d) fails "
                 "the slash-action check at tau=%s" % (weight, level, tau)
@@ -466,19 +495,45 @@ def eisenstein_level1(weight, trunc):
     return _eisenstein_level1_raw(weight, int(trunc))
 
 
+def _eisenstein_request(weight, level, trunc):
+    """(weight, level, trunc) of eisenstein_prime_level after all its checks."""
+    weight = _require_eisenstein_weight(weight)
+    trunc = int(trunc)
+    require_within(trunc, MAX_SERIES_TERMS, "the series length at order %d", trunc)
+    if trunc < 0:
+        raise InputError("negative truncation order")
+    level = int(level)
+    if level != 1:
+        _require_prime(level)
+    return weight, level, trunc
+
+
 def eisenstein_prime_level(weight, level, trunc):
     """The Gamma_0(level) Eisenstein row at the infinity cusp, trivial character.
 
     Closed form (level^w E(level z) - E(z)) / (level^w - 1); constant term 1.
     """
-    weight = _require_eisenstein_weight(weight)
-    require_within(int(trunc), MAX_SERIES_TERMS, "the series length at order %d", int(trunc))
-    level = int(level)
+    weight, level, trunc = _eisenstein_request(weight, level, trunc)
     if level == 1:
         return eisenstein_level1(weight, trunc)
-    _require_prime(level)
     _gate_eisenstein(weight, level)
-    return _eisenstein_prime_level_raw(weight, level, int(trunc))
+    return _eisenstein_prime_level_raw(weight, level, trunc)
+
+
+def eisenstein_oracle(weight, level, tau, bound, trunc, prec_bits=None):
+    """(closed, lat): the closed form through q^trunc and the coset sum to
+    bound, both evaluated at tau as BigComplex values.
+
+    Every check of both sides, caps included, runs before either does any
+    work; then the coset sum runs, then the closed form, evaluated with the
+    proven tail of _eisenstein_coeff_bound.
+    """
+    coset_sum = _coset_sum_request(weight, level, tau, bound, None, prec_bits)
+    weight, level, trunc = _eisenstein_request(weight, level, trunc)
+    lat = coset_sum()
+    closed = eval_qseries(eisenstein_prime_level(weight, level, trunc), tau, prec_bits,
+                          _eisenstein_coeff_bound(weight, level))
+    return closed, lat
 
 
 def fricke_eisenstein(weight, level, trunc):

@@ -129,9 +129,10 @@ class Newform:
     K = Q[theta]/(modulus), held as its Miller coordinates.
 
     The orbit is sum_i c_i b_i over the cusp part b_1..b_s of the Miller
-    basis, with c_i = sum_t rows[i][t] theta^t / den: integer rows over one
-    positive denominator, kept coprime to them.  The integral basis, which
-    the orbits of one space share, is held through q^trunc; a(n) reads it.
+    basis, with c_i = sum_t rows[i][t] theta^t / den: integer rows, held as
+    tuples, over one positive denominator (newform_basis_level1 keeps it
+    coprime to them).  The integral basis, which the orbits of one space
+    share, is held through q^trunc; a(n) reads it.
     """
 
     __slots__ = ("weight", "field", "modulus", "rows", "den", "basis")
@@ -139,12 +140,11 @@ class Newform:
     def __init__(self, weight, field, modulus, rows, den, basis):
         if any(b._den != 1 for b in basis):
             raise InputError("the cusp basis of a newform must be integral")
-        g = gcd(den, *chain.from_iterable(rows))
         self.weight = int(weight)
         self.field = field
         self.modulus = modulus
-        self.rows = [[x // g for x in row] for row in rows]
-        self.den = den // g
+        self.rows = tuple(map(tuple, rows))
+        self.den = den
         self.basis = basis
 
     @property
@@ -168,7 +168,7 @@ class Newform:
 
     def coordinates(self):
         """(0, c_1, ..., c_s): the coordinates in the full Miller basis h_1..h_(s+1)."""
-        return [self.element(r, self.den) for r in [[0] * self.degree] + self.rows]
+        return [self.element(r, self.den) for r in ((0,) * self.degree,) + self.rows]
 
     def __repr__(self):
         return "Newform(weight=%d, degree=%d)" % (self.weight, self.degree)
@@ -320,30 +320,16 @@ def krylov_charpoly(M):
     return chi, D, X
 
 
-def newform_basis_level1(weight, trunc):
-    """Galois orbits of normalized eigenforms in the weight-k level-1 cusp space.
+def _certify_orbits(k, trunc):
+    """[(g, C, D)] for each irreducible factor g of the T_2 characteristic
+    polynomial at weight k: the eigenvector of its orbit is c = C / D over
+    Q[theta]/(g), with M c = theta c checked exactly, and C (integer rows,
+    as tuples) and D > 0 are reduced by their common gcd.
 
-    In the Miller cusp basis b_i = q^i + O(q^(i+1)) the first coordinate of
-    a form is its a_1, so an eigenform c with a_1 = 1 and T_2-eigenvalue
-    theta has e_1^T M^j c = a_1(T_2^j f) = theta^j: c = R^(-1) (theta^j)_j
-    with R the Krylov rows of krylov_charpoly.  Each orbit costs integer
-    matrix-vector products over Q[theta]/(g), no inverse in the field, and
-    M c = theta c is checked exactly before the orbit is returned as its
-    coordinates c over the cusp basis through q^trunc.  The series and
-    cusp-dimension caps refuse before any work.
+    Depends on the weight alone; trunc only sizes the first read of the
+    Miller basis, so that the caller's cusp basis is a prefix of it.
     """
-    k = int(weight)
-    trunc = int(trunc)
-    require_within(2 * trunc + 2, MAX_SERIES_TERMS, "the series length at order %d", trunc)
-    _require_newform_dim(k)
-    if k < 0 or k % 2:
-        raise InputError("weight must be a nonnegative even integer")
-    if trunc < 0:
-        raise InputError("truncation order must be nonnegative")
-    s = dim_cusp_level1(k)
-    if s == 0:
-        return GaloisOrbitSet(k, (), 0)
-    M, basis = hecke_matrix_level1(k, 2, trunc)
+    M, _ = hecke_matrix_level1(k, 2, trunc)
     try:
         chi, D, X = krylov_charpoly(M)
     except VerificationError:
@@ -357,14 +343,13 @@ def newform_basis_level1(weight, trunc):
             raise VerificationError(
                 "repeated factor in the T_2 characteristic polynomial at weight %d" % k
             )
-    cusp = [b.truncate(trunc) for b in basis]
     orbits = []
     for g, _ in factors:
         d = g.degree
         gi = [int(c) for c in g.coeffs[:d]]
         # theta^j mod g, j < s, as integer coordinate vectors
         pows = [[1] + [0] * (d - 1)]
-        for _ in range(s - 1):
+        for _ in range(len(M) - 1):
             pows.append(_times_gen(pows[-1], gi))
         # D * c_i = sum_j X_ij theta^j, coordinates over Q[theta]/(g)
         C = [[sum(x * p[t] for x, p in zip(row, pows) if x) for t in range(d)]
@@ -377,10 +362,42 @@ def newform_basis_level1(weight, trunc):
                 raise VerificationError(
                     "pairing solution is not a T_2 eigenvector at weight %d" % k
                 )
-        # poly_factor_q has just certified g irreducible
-        field = None if d == 1 else NumberField(g)
-        orbits.append(Newform(k, field, g, C, D, cusp))
-    return GaloisOrbitSet(k, orbits, s)
+        h = gcd(D, *chain.from_iterable(C))
+        orbits.append((g, tuple(tuple(x // h for x in row) for row in C), D // h))
+    return orbits
+
+
+def newform_basis_level1(weight, trunc):
+    """Galois orbits of normalized eigenforms in the weight-k level-1 cusp space.
+
+    In the Miller cusp basis b_i = q^i + O(q^(i+1)) the first coordinate of
+    a form is its a_1, so an eigenform c with a_1 = 1 and T_2-eigenvalue
+    theta has e_1^T M^j c = a_1(T_2^j f) = theta^j: c = R^(-1) (theta^j)_j
+    with R the Krylov rows of krylov_charpoly.  Each orbit costs integer
+    matrix-vector products over Q[theta]/(g), no inverse in the field, and
+    M c = theta c is checked exactly (_certify_orbits).  That certificate
+    depends on the weight alone, so it is built once per weight per process
+    and held in the series store under ("orbits", k); a build that raises
+    records nothing.  Each call reads it and attaches the cusp basis through
+    q^trunc, a prefix of the stored Miller basis read after the E4 and E6
+    gates.  The series and cusp-dimension caps refuse before any work.
+    """
+    k = int(weight)
+    trunc = int(trunc)
+    require_within(2 * trunc + 2, MAX_SERIES_TERMS, "the series length at order %d", trunc)
+    _require_newform_dim(k)
+    if k < 0 or k % 2:
+        raise InputError("weight must be a nonnegative even integer")
+    if trunc < 0:
+        raise InputError("truncation order must be nonnegative")
+    s = dim_cusp_level1(k)
+    if s == 0:
+        return GaloisOrbitSet(k, (), 0)
+    (orbits,) = _stored(("orbits", k), 1, lambda _: [_certify_orbits(k, trunc)])
+    cusp = miller_basis(k, trunc)[1:]
+    # poly_factor_q has certified each g irreducible
+    return GaloisOrbitSet(k, [Newform(k, NumberField(g) if g.degree > 1 else None, g, C, D, cusp)
+                              for g, C, D in orbits], s)
 
 
 def conductor_of_space(weight, level):

@@ -20,7 +20,7 @@ import mtv.numerics as numerics
 import mtv.qexp as qexp
 import mtv.spaces as spaces
 import mtv.trace as trace
-from mtv import PrecisionError, ResourceLimitError, VerificationError
+from mtv import InputError, PrecisionError, ResourceLimitError, VerificationError
 
 
 def run_cli(args, env_extra=None):
@@ -321,8 +321,9 @@ def test_oracle_bound_over_the_term_cap_exits4(monkeypatch, capsys):
       "--series-order"], "32768", "32769"),
 ])
 def test_series_length_over_the_cap_exits4_before_any_work(argv, admitted, refused,
-                                                           monkeypatch, capsys):
-    # the planted builders show where a run would start its first series
+                                                           monkeypatch, capsys, fresh_gates):
+    # the planted builders show where a run would start its first series;
+    # from an empty store, since a stored orbit certificate skips the T_2 matrix
     def reached(*a, **kw):
         raise VerificationError("reached the inputs")
 
@@ -368,9 +369,10 @@ def test_precision_over_the_cap_exits4_before_any_gate(argv, via_env, monkeypatc
         assert "above the cap of 4096" in err and "reached" not in err
 
 
-def test_newforms_over_the_dimension_cap_exits4(monkeypatch, capsys):
+def test_newforms_over_the_dimension_cap_exits4(monkeypatch, capsys, fresh_gates):
     # dim S_278 = 22 is the last dimension the cap admits, dim S_276 = 23;
-    # the planted basis shows where a run would start
+    # the planted basis shows where a run would start, also when an earlier
+    # test has stored the orbits of weight 278 (fresh_gates empties the store)
     def reached(*a, **kw):
         raise VerificationError("reached the basis")
 
@@ -540,26 +542,48 @@ _CURVE = cli.parse_curve("4,1")
       "--series-order", "32769"], qexp.eisenstein_prime_level, (4, 2, 32769)),
     (["oracle", "--eis-weight", "276", "--level", "2", "--tau", "0.1,1.2", "--bound", "1"],
      qexp.eisenstein_prime_level, (276, 2, 128)),
+    # refused by the closed form alone, before the coset sum runs
+    (["oracle", "--eis-weight", "4", "--level", "2", "--tau", "0.1,1.2", "--bound", "600",
+      "--series-order", "40000"], qexp.eisenstein_oracle, (4, 2, _TAU, 600, 40000, 256)),
+    (["oracle", "--eis-weight", "276", "--level", "2", "--tau", "0.1,1.2", "--bound", "1"],
+     qexp.eisenstein_oracle, (276, 2, _TAU, 1, 128, 256)),
+    (["oracle", "--eis-weight", "4", "--level", str(10**39 + 3), "--tau", "0.1,1.2",
+      "--bound", "600"], qexp.eisenstein_oracle, (4, 10**39 + 3, _TAU, 600, 128, 256)),
     (["--prec", "4097", "specialize", "--curve", "4,1"],
      elliptic.tau_from_curve, (_CURVE, 4097)),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
 def test_each_library_entry_point_refuses_what_its_subcommand_refuses(argv, entry, args,
                                                                       monkeypatch, capsys):
-    # the planted builders and gate show where a run would start; oracle
-    # sums its coset sum before it builds the closed form, so the kernel is
-    # planted only where the coset sum is the entry point that refuses
+    # the planted builders, gate and coset-sum kernel show where a run would
+    # start; oracle checks both of its sides before either does any work
     def reached(*a, **kw):
         raise VerificationError("reached the work")
 
     for mod, name in ((trace, "product_inputs"), (spaces, "hecke_matrix_level1"),
-                      (qexp, "_gate_eisenstein"), (elliptic, "_period_tau")):
+                      (qexp, "_gate_eisenstein"), (elliptic, "_period_tau"),
+                      (numerics, "_lattice_kernel")):
         monkeypatch.setattr(mod, name, reached)
-    if entry is numerics.lattice_sum_eisenstein:
-        monkeypatch.setattr(numerics, "_lattice_kernel", reached)
     assert cli.main(argv) == 4
     assert "reached" not in capsys.readouterr().err
     with pytest.raises(ResourceLimitError):
         entry(*args)
+
+
+def test_oracle_refuses_a_malformed_closed_form_before_the_coset_sum(monkeypatch, capsys):
+    # a level that is not prime is the closed form's to refuse; the planted
+    # kernel shows that the coset sum never starts
+    def reached(*a, **kw):
+        raise VerificationError("reached the sum")
+
+    monkeypatch.setattr(numerics, "_lattice_kernel", reached)
+    argv = ["oracle", "--eis-weight", "4", "--tau", "0.1,1.2", "--bound", "600", "--level"]
+    assert cli.main(argv + ["4"]) == 3
+    err = capsys.readouterr().err
+    assert "level must be prime" in err and "reached" not in err
+    with pytest.raises(InputError):
+        qexp.eisenstein_oracle(4, 4, _TAU, 600, 128, 256)
+    assert cli.main(argv + ["2"]) == 2
+    assert "reached the sum" in capsys.readouterr().err
 
 
 def test_oracle_at_a_40_digit_prime_level_exits4(capsys):
@@ -575,13 +599,13 @@ def test_oracle_tau_is_parsed_at_the_working_precision(monkeypatch, capsys):
     from mtv.rational import exact_fraction
 
     seen = []
-    real = cli.lattice_sum_eisenstein
+    real = cli.eisenstein_oracle
 
-    def recording(weight, level, tau, bound, character, prec):
+    def recording(weight, level, tau, bound, trunc, prec):
         seen.append(tau)
-        return real(weight, level, tau, bound, character, prec)
+        return real(weight, level, tau, bound, trunc, prec)
 
-    monkeypatch.setattr(cli, "lattice_sum_eisenstein", recording)
+    monkeypatch.setattr(cli, "eisenstein_oracle", recording)
     argv = ["--prec", "256", "oracle", "--eis-weight", "4", "--level", "2",
             "--tau", "0.21,1.13", "--bound", "4", "--series-order", "32"]
     assert cli.main(argv) == 0

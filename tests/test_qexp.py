@@ -5,6 +5,7 @@ from fractions import Fraction
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +24,7 @@ from mtv import (
     hecke_T,
     op_U,
 )
+import mtv.numerics as numerics
 import mtv.polynomial as polynomial
 import mtv.qexp as qexp_mod
 
@@ -424,10 +426,30 @@ def test_eisenstein_gate_points_are_short_dyadics():
 
 @pytest.mark.parametrize("level", [1, 2, 3, 5])
 def test_eisenstein_gate_passes_at_even_weights(fresh_gates, level):
-    weights = list(range(4, 42, 2)) + {2: [274], 5: [278]}.get(level, [])
+    # from weight 204 on the level-1 tail past q^64 outgrows a fitted
+    # majorant; the gate's proven tail covers it
+    weights = list(range(4, 42, 2)) + {1: [204, 240, 278], 2: [274], 5: [278]}.get(level, [])
     for w in weights:
         qexp_mod._gate_eisenstein(w, level)
         assert (w, level) in qexp_mod._GATE_DONE
+
+
+@pytest.mark.parametrize("weight", [4, 202, 204, 240, 278])
+@pytest.mark.parametrize("level,fricke", [(1, False), (2, False), (2, True), (5, False),
+                                          (5, True)])
+def test_proven_eisenstein_tail_covers_the_known_coefficients(weight, level, fricke):
+    # the tail of the gate's series past q^64, bounded from C n^(k-1), is
+    # never below the sum over the coefficients 65..400 at the gate's points
+    build = qexp_mod._fricke_eisenstein_raw if fricke else qexp_mod._eisenstein_prime_level_raw
+    ser = build(weight, level, 400)
+    bound = qexp_mod._eisenstein_coeff_bound(weight, level, fricke)
+    order = qexp_mod._GATE_ORDER
+    for tau in qexp_mod._GATE_TAUS:
+        with mpmath.workprec(256):
+            r = mpmath.exp(-2 * mpmath.pi * tau.imag)
+            known = sum(abs(mpmath.mpf(c)) * r**m
+                        for m, c in enumerate(ser._num) if m > order) / ser._den
+            assert known <= numerics._proven_tail(bound, order, float(mpmath.log(r)))
 
 
 # -- eta quotients -----------------------------------------------------------

@@ -211,9 +211,11 @@ def grown_store_run(run):
     store = qexp._SERIES_STORE
     store.clear()
     cold = run()
+    # an orbit certificate is one entry at any length: reading it again is all
     readers = {"sigma": qexp._sigma_list, "miller": miller_basis,
                "euler": lambda r, T: qexp._euler_power(1, r, T),
-               "e6sq": lambda m, T: spaces._e6sq_power(m, T + 1)}
+               "e6sq": lambda m, T: spaces._e6sq_power(m, T + 1),
+               "orbits": lambda k, T: newform_basis_level1(k, 0)}
     for (kind, x), arr in list(store.items()):
         readers[kind](x, 2 * len(arr) - 1)
     grown = {key: len(arr) for key, arr in store.items()}
@@ -232,6 +234,57 @@ def test_newform_basis_is_the_same_from_an_empty_and_a_grown_store(fresh_gates):
         lambda: [(nf.trunc, nf.coordinates(), orbit_digest([nf]))
                  for nf in newform_basis_level1(84, 64)])
     assert cold == warm
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_orbits_are_certified_once_per_weight(monkeypatch, fresh_gates):
+    factored = counting(monkeypatch, spaces, "poly_factor_q")
+    built = counting(monkeypatch, spaces, "_miller_rows")
+    long, short = newform_basis_level1(96, 40), newform_basis_level1(96, 12)
+    assert len(factored) == 1
+    # the cold call sizes the one Miller build at its own order, past 2s + 2
+    assert [args for args in built if args[0] == 96] == [(96, 41)]
+    assert qexp._SERIES_STORE[("orbits", 96)] and long.orbits[0].trunc == 40
+    for a, b in zip(long, short):
+        assert a.modulus == b.modulus and a.coordinates() == b.coordinates()
+        assert [a.a(n) for n in range(13)] == [b.a(n) for n in range(13)]
+    newform_basis_level1(98, 12)
+    assert len(factored) == 2
+
+
+def test_a_failed_certificate_records_nothing(monkeypatch, fresh_gates):
+    planted_t2(monkeypatch, [[2, 0], [1, 2]])
+    with pytest.raises(VerificationError, match="repeated factor"):
+        newform_basis_level1(36, 12)
+    assert ("orbits", 36) not in qexp._SERIES_STORE
+    monkeypatch.undo()
+    (nf,) = newform_basis_level1(36, 12)
+    assert nf.degree == 3 and ("orbits", 36) in qexp._SERIES_STORE
+
+
+def test_a_warm_orbit_store_still_runs_the_gates(monkeypatch, fresh_gates):
+    want = newform_basis_level1(96, 16)
+    qexp._GATE_DONE.clear()
+    real = qexp._eisenstein_prime_level_raw
+    monkeypatch.setattr(qexp, "_eisenstein_prime_level_raw",
+                        lambda w, N, T: real(w, N, T).scale(2))
+    with pytest.raises(VerificationError, match="coset-sum oracle"):
+        newform_basis_level1(96, 16)
+    monkeypatch.undo()
+    got = newform_basis_level1(96, 16)
+    assert [nf.coordinates() for nf in got] == [nf.coordinates() for nf in want]
 
 
 def test_certified_s_i_are_the_same_from_an_empty_and_a_grown_store(fresh_gates):
@@ -457,8 +510,9 @@ def test_krylov_eigenvector_mixed_degrees():
         krylov_against_elimination(conjugate(block_diagonal(blocks), rng, upper))
 
 
-def test_newform_basis_needs_no_numeric_roots(monkeypatch):
-    # the sieve certifies the T_2 polynomial, so no factor search runs
+def test_newform_basis_needs_no_numeric_roots(monkeypatch, fresh_gates):
+    # the sieve certifies the T_2 polynomial, so no factor search runs; from
+    # an empty store, so the certificate is built here and not read
     def no_fallback(*args, **kwargs):
         raise AssertionError("the Zassenhaus fallback ran")
 
