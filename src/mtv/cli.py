@@ -109,7 +109,7 @@ def cmd_newforms(args):
             "degree": nf.degree,
             "hecke_minpoly": nf.modulus.serialize(),
             "coefficients": [format_exact(nf.a(n)) for n in range(min(args.order, 16) + 1)],
-            "totally_real": True if nf.field is None else nf.field.is_totally_real(),
+            "totally_real": nf.field.is_totally_real(),
         })
     _emit({
         "weight": k,

@@ -360,7 +360,7 @@ def verify_corollary(level, eta_pairs, eis_weight, power, curve, order=64,
     acc = Fraction(0)
     for nf, xi in zip(res.orbit_set.orbits, res.ratios):
         sv = _specialize_coordinates(nf.weight, nf.coordinates(), curve)
-        acc += nf_trace(xi * sv) if nf.field is not None else xi * sv
+        acc += nf_trace(xi * sv)
     rhs = res.constant * acc
     if lhs != rhs:
         raise VerificationError(

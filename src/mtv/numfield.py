@@ -3,7 +3,9 @@
 The pipeline's fields are Hecke fields, generated by a T_2 eigenvalue, an
 algebraic integer, so the reduction of powers past the degree and the power
 sums Tr(theta^j) are integer tables.  A number field element is one integer
-coordinate vector over one positive denominator.
+coordinate vector over one positive denominator.  A rational newform orbit
+has the degree-1 field Q[x]/(x - theta), theta its integer T_2 eigenvalue,
+and its values are elements of that field like any other orbit's.
 """
 
 import math
@@ -34,18 +36,13 @@ class NumberField:
             raise InputError("modulus must be monic with integer coefficients")
         self.modulus = modulus
         self.degree = d = modulus.degree
-        # x^t mod modulus for t = degree .. 2*degree-2, as integer rows
-        cur = [-int(c) for c in modulus.coeffs[:d]]
-        table = [cur]
-        for _ in range(d - 2):
-            nxt = [0] + cur[: d - 1]
-            top = cur[d - 1]
-            if top:
-                for i in range(d):
-                    nxt[i] += top * table[0][i]
-            cur = nxt
-            table.append(cur)
-        self._red = tuple(map(tuple, table))
+        # the modulus below its leading 1, and x^t mod modulus for
+        # t = degree .. 2*degree-2, as integer rows
+        self._g = g = [int(c) for c in modulus.coeffs[:d]]
+        pows = [[0] * (d - 1) + [1]]
+        for _ in range(d - 1):
+            pows.append(_times_gen(pows[-1], g))
+        self._red = tuple(map(tuple, pows[1:]))
         self._power_sums = None
 
     def __eq__(self, other):
@@ -93,8 +90,8 @@ class NumberField:
         """
         if self._power_sums is None:
             d = self.degree
-            cs = [int(c) for c in self.modulus.coeffs]
-            sym = [cs[d - i] if i % 2 == 0 else -cs[d - i] for i in range(1, d + 1)]
+            g = self._g
+            sym = [g[d - i] if i % 2 == 0 else -g[d - i] for i in range(1, d + 1)]
             self._power_sums = tuple([d] + power_sums_from_elementary(sym, 2 * d - 2))
         return self._power_sums
 
@@ -251,7 +248,7 @@ class NumberFieldElem:
             raise ZeroDivisionError("number field division by zero")
         # one integer solve N y = D e_1, column j of N the coordinates of
         # num * theta^j: then (num / den)^(-1) = den y / D
-        g = [int(c) for c in self.field.modulus.coeffs[:-1]]
+        g = self.field._g
         cols = [list(self._num)]
         while len(cols) < len(g):
             cols.append(_times_gen(cols[-1], g))
@@ -277,8 +274,6 @@ class NumberFieldElem:
 
 def nf_trace(elem):
     """Field trace K -> Q: the coordinates dotted with the power sums Tr(theta^j)."""
-    if isinstance(elem, (int, Fraction)):
-        return Fraction(elem)
     return Fraction(sum(map(operator.mul, elem._num, elem.field.power_sums())), elem._den)
 
 
@@ -288,8 +283,6 @@ def nf_charpoly(elem):
     The traces Tr(elem^m), m = 1 .. degree, are the power sums of its
     conjugates; Newton's identities turn them into the coefficients.
     """
-    if isinstance(elem, (int, Fraction)):
-        return UniPoly((-Fraction(elem), 1))
     d = elem.field.degree
     ps = []
     cur = elem
@@ -304,8 +297,6 @@ def nf_charpoly(elem):
 
 def nf_norm(elem):
     """Field norm K -> Q: the signed constant term of the charpoly."""
-    if isinstance(elem, (int, Fraction)):
-        return Fraction(elem)
     cp = nf_charpoly(elem)
     c0 = cp.coeffs[0]
     return c0 if elem.field.degree % 2 == 0 else -c0

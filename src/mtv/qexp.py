@@ -455,7 +455,8 @@ def _slash_agrees(f, g, c, weight, level, tau, prec, bounds=(None, None)):
 
     The slash side is f at -1/(N tau) times N^(k/2) (N tau)^(-k); each side
     carries the error of its evaluation, scaled with it, and the rounding of
-    the scalings is allowed 2^-(prec-16) (1 + |lhs| + |rhs|).  bounds are
+    the scalings and of -1/(N tau) is allowed 2^-(prec-16) (|lhs| + |rhs|),
+    relative: an absolute one passes any image far below 1.  bounds are
     the coefficient bounds of f and g for eval_qseries, None for a fitted tail.
     """
     with mp.workprec(prec):
@@ -464,7 +465,7 @@ def _slash_agrees(f, g, c, weight, level, tau, prec, bounds=(None, None)):
         rhs = eval_qseries(g, tau, prec, bounds[1])
         c = to_mpf(c)
         lv, rv = lhs.value * s, rhs.value * c
-        tol = lhs.err * abs(s) + rhs.err * abs(c) + mp.ldexp(1 + abs(lv) + abs(rv), 16 - prec)
+        tol = lhs.err * abs(s) + rhs.err * abs(c) + mp.ldexp(abs(lv) + abs(rv), 16 - prec)
         return abs(lv - rv) <= tol
 
 
@@ -474,13 +475,19 @@ def _gate_fricke(weight, level):
 
 
 def _check_fricke(weight, level):
-    # -1/(N tau) has small imaginary part, so the slash side needs a long
-    # series; order 256 keeps its tail far below the rounding allowance
-    E = _eisenstein_prime_level_raw(weight, level, 256)
-    F = _fricke_eisenstein_raw(weight, level, 256)
+    # the slash side's tail terms n^(k-1) e^(-lam n), lam = 2 pi Im(-1/(N tau)),
+    # peak at n = (k-1)/lam; order (2(k-1) + 64)/lam, at least 256, kept the
+    # proven tail below 1e-20 of the value at weights 4-278, levels 2-311
+    # (order 256 left it 15 times the value at weight 200, level 5)
+    taus = (mpc("0.13", "1.07"), mpc("-0.29", "1.04"))
+    lam = 2 * math.pi * min(float((-1 / (level * tau)).imag) for tau in taus)
+    T = max(256, math.ceil((2 * (weight - 1) + 64) / lam))
+    require_within(T, MAX_SERIES_TERMS, "the Fricke gate's series length at level %d", level)
+    E = _eisenstein_prime_level_raw(weight, level, T)
+    F = _fricke_eisenstein_raw(weight, level, T)
     bounds = (_eisenstein_coeff_bound(weight, level),
               _eisenstein_coeff_bound(weight, level, fricke=True))
-    for tau in (mpc("0.13", "1.07"), mpc("-0.29", "1.04")):
+    for tau in taus:
         if not _slash_agrees(E, F, 1, weight, level, tau, _GATE_PREC, bounds):
             raise VerificationError(
                 "Fricke Eisenstein closed form (weight %d, level %d) fails "
@@ -488,15 +495,8 @@ def _check_fricke(weight, level):
             )
 
 
-def eisenstein_level1(weight, trunc):
-    """E_weight = 1 - (2*weight/B_weight) sum sigma_(weight-1)(n) q^n."""
-    weight = _require_eisenstein_weight(weight)
-    _gate_eisenstein(weight, 1)
-    return _eisenstein_level1_raw(weight, int(trunc))
-
-
 def _eisenstein_request(weight, level, trunc):
-    """(weight, level, trunc) of eisenstein_prime_level after all its checks."""
+    """(weight, level, trunc) of an Eisenstein constructor after all its checks."""
     weight = _require_eisenstein_weight(weight)
     trunc = int(trunc)
     require_within(trunc, MAX_SERIES_TERMS, "the series length at order %d", trunc)
@@ -514,10 +514,13 @@ def eisenstein_prime_level(weight, level, trunc):
     Closed form (level^w E(level z) - E(z)) / (level^w - 1); constant term 1.
     """
     weight, level, trunc = _eisenstein_request(weight, level, trunc)
-    if level == 1:
-        return eisenstein_level1(weight, trunc)
     _gate_eisenstein(weight, level)
     return _eisenstein_prime_level_raw(weight, level, trunc)
+
+
+def eisenstein_level1(weight, trunc):
+    """E_weight = 1 - (2*weight/B_weight) sum sigma_(weight-1)(n) q^n."""
+    return eisenstein_prime_level(weight, 1, trunc)
 
 
 def eisenstein_oracle(weight, level, tau, bound, trunc, prec_bits=None):
@@ -538,11 +541,11 @@ def eisenstein_oracle(weight, level, tau, bound, trunc, prec_bits=None):
 
 def fricke_eisenstein(weight, level, trunc):
     """Image of eisenstein_prime_level under the Fricke involution; vanishes at infinity."""
-    weight = _require_eisenstein_weight(weight)
-    level = _require_prime(level)
+    weight, level, trunc = _eisenstein_request(weight, level, trunc)
+    _require_prime(level)
     _gate_eisenstein(weight, level)
     _gate_fricke(weight, level)
-    return _fricke_eisenstein_raw(weight, level, int(trunc))
+    return _fricke_eisenstein_raw(weight, level, trunc)
 
 
 # -- eta quotients ---------------------------------------------------------

@@ -52,11 +52,10 @@ def format_rational(x):
 
 
 def format_exact(x):
-    """A rational as format_rational's string, a number-field element as the
-    list of those strings for its power-basis coordinates."""
-    if isinstance(x, Fraction):
-        return format_rational(x)
-    return [format_rational(v) for v in x.coords]
+    """A number-field element as the list of format_rational strings of its
+    power-basis coordinates; an element of degree 1 as its one rational's."""
+    out = [format_rational(v) for v in x.coords]
+    return out[0] if len(out) == 1 else out
 
 
 def parse_rational(s):

@@ -25,11 +25,11 @@ of each factor g, the normalized eigenvector c = X (1, theta, ...) / D over
 Q[theta]/(g).  M, R and X are integer rows; M c = theta c is checked exactly
 before an orbit is returned, and nothing is inverted in a Hecke field.
 
-An orbit is its Miller coordinates (Newform): the integer rows of D c and
-the cusp basis they refer to.  No series over a Hecke field is formed: a(n)
-reads the basis, trace.expand_in_newforms matches the trace's Miller
-coordinates, and a specialization maps the coordinates through the basis
-monomials.
+An orbit is its Hecke field, of degree 1 for a rational orbit, and its
+Miller coordinates (Newform): the integer rows of D c and the cusp basis
+they refer to.  No series over a Hecke field is formed: a(n) reads the
+basis, trace.expand_in_newforms matches the trace's Miller coordinates, and
+a specialization maps the coordinates through the basis monomials.
 """
 
 import operator
@@ -128,37 +128,39 @@ class Newform:
     """A Galois orbit of normalized level-1 eigenforms over its Hecke field
     K = Q[theta]/(modulus), held as its Miller coordinates.
 
-    The orbit is sum_i c_i b_i over the cusp part b_1..b_s of the Miller
-    basis, with c_i = sum_t rows[i][t] theta^t / den: integer rows, held as
-    tuples, over one positive denominator (newform_basis_level1 keeps it
-    coprime to them).  The integral basis, which the orbits of one space
-    share, is held through q^trunc; a(n) reads it.
+    K has degree 1 for a rational orbit, and a(n) and the coordinates are
+    elements of K at every degree.  The orbit is sum_i c_i b_i over the cusp
+    part b_1..b_s of the Miller basis, with c_i = sum_t rows[i][t] theta^t /
+    den: integer rows, held as tuples, over one positive denominator
+    (newform_basis_level1 keeps it coprime to them).  The integral basis,
+    which the orbits of one space share, is held through q^trunc.
     """
 
-    __slots__ = ("weight", "field", "modulus", "rows", "den", "basis")
+    __slots__ = ("weight", "field", "rows", "den", "basis")
 
-    def __init__(self, weight, field, modulus, rows, den, basis):
+    def __init__(self, weight, field, rows, den, basis):
         if any(b._den != 1 for b in basis):
             raise InputError("the cusp basis of a newform must be integral")
         self.weight = int(weight)
         self.field = field
-        self.modulus = modulus
         self.rows = tuple(map(tuple, rows))
         self.den = den
         self.basis = basis
 
     @property
+    def modulus(self):
+        return self.field.modulus
+
+    @property
     def degree(self):
-        return 1 if self.field is None else self.field.degree
+        return self.field.degree
 
     @property
     def trunc(self):
         return self.basis[0].trunc
 
     def element(self, xs, den):
-        """sum_t xs[t] theta^t / den in K, a Fraction when K = Q."""
-        if self.field is None:
-            return Fraction(xs[0], den)
+        """sum_t xs[t] theta^t / den in K."""
         return NumberFieldElem._from_ints(self.field, list(xs), den)
 
     def a(self, n):
@@ -321,10 +323,11 @@ def krylov_charpoly(M):
 
 
 def _certify_orbits(k, trunc):
-    """[(g, C, D)] for each irreducible factor g of the T_2 characteristic
+    """[(K, C, D)] for each irreducible factor g of the T_2 characteristic
     polynomial at weight k: the eigenvector of its orbit is c = C / D over
-    Q[theta]/(g), with M c = theta c checked exactly, and C (integer rows,
-    as tuples) and D > 0 are reduced by their common gcd.
+    K = Q[theta]/(g), with M c = theta c checked exactly before K is built,
+    and C (integer rows, as tuples) and D > 0 are reduced by their common
+    gcd.  A factor of degree 1 gives the field of degree 1.
 
     Depends on the weight alone; trunc only sizes the first read of the
     Miller basis, so that the caller's cusp basis is a prefix of it.
@@ -363,7 +366,8 @@ def _certify_orbits(k, trunc):
                     "pairing solution is not a T_2 eigenvector at weight %d" % k
                 )
         h = gcd(D, *chain.from_iterable(C))
-        orbits.append((g, tuple(tuple(x // h for x in row) for row in C), D // h))
+        # poly_factor_q has certified g irreducible
+        orbits.append((NumberField(g), tuple(tuple(x // h for x in row) for row in C), D // h))
     return orbits
 
 
@@ -376,11 +380,12 @@ def newform_basis_level1(weight, trunc):
     with R the Krylov rows of krylov_charpoly.  Each orbit costs integer
     matrix-vector products over Q[theta]/(g), no inverse in the field, and
     M c = theta c is checked exactly (_certify_orbits).  That certificate
-    depends on the weight alone, so it is built once per weight per process
-    and held in the series store under ("orbits", k); a build that raises
-    records nothing.  Each call reads it and attaches the cusp basis through
-    q^trunc, a prefix of the stored Miller basis read after the E4 and E6
-    gates.  The series and cusp-dimension caps refuse before any work.
+    and the orbits' Hecke fields depend on the weight alone, so they are
+    built once per weight per process, with the fields' power sums, and held
+    in the series store under ("orbits", k); a build that raises records
+    nothing.  Each call reads it and attaches the cusp basis through q^trunc,
+    a prefix of the stored Miller basis read after the E4 and E6 gates.  The
+    series and cusp-dimension caps refuse before any work.
     """
     k = int(weight)
     trunc = int(trunc)
@@ -395,9 +400,7 @@ def newform_basis_level1(weight, trunc):
         return GaloisOrbitSet(k, (), 0)
     (orbits,) = _stored(("orbits", k), 1, lambda _: [_certify_orbits(k, trunc)])
     cusp = miller_basis(k, trunc)[1:]
-    # poly_factor_q has certified each g irreducible
-    return GaloisOrbitSet(k, [Newform(k, NumberField(g) if g.degree > 1 else None, g, C, D, cusp)
-                              for g, C, D in orbits], s)
+    return GaloisOrbitSet(k, [Newform(k, K, C, D, cusp) for K, C, D in orbits], s)
 
 
 def conductor_of_space(weight, level):

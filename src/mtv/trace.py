@@ -314,7 +314,7 @@ def expand_in_newforms(f, orbit_set):
     blocks = []
     cols = []
     for nf in orbit_set.orbits:
-        ps = nf.field.power_sums() if nf.field else (1,)
+        ps = nf.field.power_sums()
         d, den = nf.degree, nf.den
         scales = []
         for j in range(d):
@@ -368,7 +368,7 @@ class TheoremResult:
                 "ratio_trace": format_rational(nf_trace(xi)),
                 "ratio_norm": format_rational(norm),
                 "ratio_charpoly": cp.serialize(),
-                "totally_real": True if nf.field is None else nf.field.is_totally_real(),
+                "totally_real": nf.field.is_totally_real(),
             })
         return {
             "level": self.level,

@@ -812,19 +812,16 @@ def expand_in_newforms_ref(f, orbit_set):
     r = orbit_set.dim_cusp
     cols = []
     for nf in orbit_set.orbits:
-        if nf.field is None:
-            cols.append([nf.a(n) for n in range(1, r + 1)])
-            continue
-        theta = nf.field.elem([0, 1])
         for j in range(nf.degree):
-            w = trace_form(theta**j)
+            # theta^j by its coordinate vector, so degree 1 needs no theta
+            w = trace_form(nf.field.elem([0] * j + [1]))
             cols.append([sum(map(operator.mul, w, nf.a(n).coords)) for n in range(1, r + 1)])
     x = MatQ([[cols[c][n] for c in range(r)] for n in range(r)]).solve(
         [f.coeff(n) for n in range(1, r + 1)])
     out = []
     for nf in orbit_set.orbits:
         block, x = x[: nf.degree], x[nf.degree :]
-        out.append(block[0] if nf.field is None else nf.field.elem(block))
+        out.append(nf.field.elem(block))
     return out
 
 

@@ -136,7 +136,7 @@ def test_criterion_3_trace_structure(theorem_runs):
             acc = Fraction(0)
             for c, nf in zip(res.components, res.orbit_set.orbits):
                 an = nf.a(n)
-                acc += c * an if nf.field is None else nf_trace(c * an)
+                acc += nf_trace(c * an)
             assert acc == tr.coeff(n), (level, lam, mu, n)
         if res.weight_total == 12:
             assert res.constant == Fraction(42525, 16384)

@@ -40,6 +40,22 @@ def run_json(args, env_extra=None):
     return json.loads(proc.stdout)
 
 
+def plant(monkeypatch, message, *targets):
+    """Replace each (module, name) target, in that module and in every other
+    module of the package that imported it, by a function that raises
+    VerificationError(message): a run that reaches any binding stops there."""
+    def reached(*a, **kw):
+        raise VerificationError(message)
+
+    package = [m for n, m in list(sys.modules.items()) if n == "mtv" or n.startswith("mtv.")]
+    for mod, name in targets:
+        real = getattr(mod, name)
+        bound = [m for m in package if getattr(m, name, None) is real]
+        assert mod in bound
+        for m in bound:
+            monkeypatch.setattr(m, name, reached)
+
+
 def test_theorem_level3_report():
     doc = run_json(["theorem", "--level", "3", "--eis-weight", "6",
                     "--order", "16"])
@@ -285,10 +301,7 @@ def test_oracle_bound_over_the_term_cap_exits4(monkeypatch, capsys):
     # integers, grows with the weight: at 256 bits and tau = 0.1 + 1.2i it
     # admits B = 1277 at weight 4 and B = 55 at weight 274; the planted
     # kernel shows where the run would start summing
-    def reached(*a, **kw):
-        raise VerificationError("reached the sum")
-
-    monkeypatch.setattr(numerics, "_lattice_kernel", reached)
+    plant(monkeypatch, "reached the sum", (numerics, "_lattice_kernel"))
     assert numerics.MAX_LATTICE_WORK == 3 * 10**11
     argv = ["oracle", "--level", "2", "--tau", "0.1,1.2", "--eis-weight"]
     for weight, admitted, refused in (("4", "1277", "1278"), ("274", "55", "56"),
@@ -322,14 +335,12 @@ def test_oracle_bound_over_the_term_cap_exits4(monkeypatch, capsys):
 ])
 def test_series_length_over_the_cap_exits4_before_any_work(argv, admitted, refused,
                                                            monkeypatch, capsys, fresh_gates):
-    # the planted builders show where a run would start its first series;
-    # from an empty store, since a stored orbit certificate skips the T_2 matrix
-    def reached(*a, **kw):
-        raise VerificationError("reached the inputs")
-
-    for mod, name in ((trace, "product_inputs"), (spaces, "hecke_matrix_level1"),
-                      (qexp, "_gate_eisenstein")):
-        monkeypatch.setattr(mod, name, reached)
+    # the planted builders and gate, every binding of each, show where a run
+    # would start its first series; from an empty store, since a stored orbit
+    # certificate skips the T_2 matrix
+    plant(monkeypatch, "reached the inputs", (trace, "product_inputs"),
+          (spaces, "hecke_matrix_level1"), (qexp, "_gate_eisenstein"))
+    assert spaces._gate_eisenstein is qexp._gate_eisenstein  # planted in both
     assert qexp.MAX_SERIES_TERMS == 2**15
     assert cli.main(argv + [admitted]) == 2
     assert "reached the inputs" in capsys.readouterr().err
@@ -347,11 +358,8 @@ def test_series_length_over_the_cap_exits4_before_any_work(argv, admitted, refus
 def test_precision_over_the_cap_exits4_before_any_gate(argv, via_env, monkeypatch, capsys):
     # the planted gate and curve inversion show where a run would start its
     # numerics; --prec and MTV_PREC_BITS share the cap
-    def reached(*a, **kw):
-        raise VerificationError("reached the numerics")
-
-    monkeypatch.setattr(qexp, "_gate_eisenstein", reached)
-    monkeypatch.setattr(cli, "tau_from_curve", reached)
+    plant(monkeypatch, "reached the numerics", (qexp, "_gate_eisenstein"),
+          (cli, "tau_from_curve"))
 
     def run(bits):
         if via_env:
@@ -373,10 +381,7 @@ def test_newforms_over_the_dimension_cap_exits4(monkeypatch, capsys, fresh_gates
     # dim S_278 = 22 is the last dimension the cap admits, dim S_276 = 23;
     # the planted basis shows where a run would start, also when an earlier
     # test has stored the orbits of weight 278 (fresh_gates empties the store)
-    def reached(*a, **kw):
-        raise VerificationError("reached the basis")
-
-    monkeypatch.setattr(spaces, "hecke_matrix_level1", reached)
+    plant(monkeypatch, "reached the basis", (spaces, "hecke_matrix_level1"))
     assert qexp.MAX_NEWFORM_DIM == 22
     assert cli.main(["newforms", "--weight", "278"]) == 2
     assert "reached the basis" in capsys.readouterr().err
@@ -398,10 +403,7 @@ def test_eisenstein_weight_over_the_dimension_cap_exits4_before_any_gate(
     # dimension 23, and its s_3 a Miller basis of dimension 71 (72), above
     # the caps of 22 and 67: phi refuses those at every power.  The oracle
     # sums its coset sum first, whose work cap refuses weight 4000 at once
-    def reached(*a, **kw):
-        raise VerificationError("reached the gate")
-
-    monkeypatch.setattr(qexp, "_gate_eisenstein", reached)
+    plant(monkeypatch, "reached the gate", (qexp, "_gate_eisenstein"))
     code, message = ((4, "is 23, above the cap of 22") if argv[0] == "phi"
                      else (2, "reached the gate"))
     for weight in ("274", "278"):
@@ -418,10 +420,7 @@ def test_phi_power_over_the_dimension_cap_exits4_before_any_series(monkeypatch, 
     # at level 2, h^power has weight (8 + 4) * power, the envelope of
     # theorem --power: dim S_264 = 22 (power 22) passes, dim S_276 = 23
     # (power 23) is refused; the planted builder shows where a run would start
-    def reached(*a, **kw):
-        raise VerificationError("reached the inputs")
-
-    monkeypatch.setattr(trace, "product_inputs", reached)
+    plant(monkeypatch, "reached the inputs", (trace, "product_inputs"))
     argv = ["phi", "--level", "2", "--eis-weight", "4", "--order", "8", "--power"]
     assert cli.main(argv + ["22"]) == 2
     assert "reached the inputs" in capsys.readouterr().err
@@ -439,10 +438,7 @@ def test_phi_power_over_the_miller_cap_exits4_before_any_series(monkeypatch, cap
     # dim M_768 = 65 (level 5, power 16) and dim M_800 = 67 (level 3, power
     # 20) pass, dim M_816 = 69 (level 5, power 17) is refused, and so is
     # level 5 power 33, whose W = 264 passes the cusp-dimension cap
-    def reached(*a, **kw):
-        raise VerificationError("reached the inputs")
-
-    monkeypatch.setattr(trace, "product_inputs", reached)
+    plant(monkeypatch, "reached the inputs", (trace, "product_inputs"))
     assert trace.MAX_PHI_MILLER_DIM == 67
     for level, power in (("5", "16"), ("3", "20")):
         argv = ["phi", "--level", level, "--eis-weight", "4", "--order", "8", "--power", power]
@@ -459,11 +455,8 @@ def test_theorem_and_corollary_over_the_dimension_cap_exit4(monkeypatch, capsys)
     # at level 2, W = (8 + 4) * power: dim S_264 = 22 (power 22) passes the
     # guard, dim S_288 = 24 (power 24) is refused before the newform basis
     # and the inputs are built
-    def reached(*a, **kw):
-        raise VerificationError("reached the inputs")
-
-    monkeypatch.setattr(trace, "newform_basis_level1", reached)
-    monkeypatch.setattr(trace, "product_inputs", reached)
+    plant(monkeypatch, "reached the inputs", (trace, "newform_basis_level1"),
+          (trace, "product_inputs"))
     argv = ["theorem", "--level", "2", "--eis-weight", "4", "--power"]
     assert cli.main(argv + ["22"]) == 2
     assert "reached the inputs" in capsys.readouterr().err
@@ -486,11 +479,8 @@ def test_route2_at_a_high_level_exits4_before_any_input(command, monkeypatch, ca
     # refused by the route-2 cap of 200,000, and levels 167 and 311 (d = 85,
     # 157) by the Miller cap of 67; the planted builders show where a run
     # would start
-    def reached(*a, **kw):
-        raise VerificationError("reached the inputs")
-
-    monkeypatch.setattr(trace, "newform_basis_level1", reached)
-    monkeypatch.setattr(trace, "product_inputs", reached)
+    plant(monkeypatch, "reached the inputs", (trace, "newform_basis_level1"),
+          (trace, "product_inputs"))
     assert trace.MAX_ROUTE2_WORK == 200000
 
     def argv(level):
@@ -542,6 +532,11 @@ _CURVE = cli.parse_curve("4,1")
       "--series-order", "32769"], qexp.eisenstein_prime_level, (4, 2, 32769)),
     (["oracle", "--eis-weight", "276", "--level", "2", "--tau", "0.1,1.2", "--bound", "1"],
      qexp.eisenstein_prime_level, (276, 2, 128)),
+    # the other two Eisenstein constructors refuse the same series length
+    (["oracle", "--eis-weight", "4", "--level", "1", "--tau", "0.1,1.2", "--bound", "1",
+      "--series-order", "32769"], qexp.eisenstein_level1, (4, 32769)),
+    (["phi", "--level", "2", "--eis-weight", "4", "--order", "16381"],
+     qexp.fricke_eisenstein, (4, 2, 32769)),
     # refused by the closed form alone, before the coset sum runs
     (["oracle", "--eis-weight", "4", "--level", "2", "--tau", "0.1,1.2", "--bound", "600",
       "--series-order", "40000"], qexp.eisenstein_oracle, (4, 2, _TAU, 600, 40000, 256)),
@@ -554,15 +549,12 @@ _CURVE = cli.parse_curve("4,1")
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
 def test_each_library_entry_point_refuses_what_its_subcommand_refuses(argv, entry, args,
                                                                       monkeypatch, capsys):
-    # the planted builders, gate and coset-sum kernel show where a run would
-    # start; oracle checks both of its sides before either does any work
-    def reached(*a, **kw):
-        raise VerificationError("reached the work")
-
-    for mod, name in ((trace, "product_inputs"), (spaces, "hecke_matrix_level1"),
-                      (qexp, "_gate_eisenstein"), (elliptic, "_period_tau"),
-                      (numerics, "_lattice_kernel")):
-        monkeypatch.setattr(mod, name, reached)
+    # the planted builders, gate and coset-sum kernel, every binding of each,
+    # show where a run would start; oracle checks both of its sides before
+    # either does any work
+    plant(monkeypatch, "reached the work", (trace, "product_inputs"),
+          (spaces, "hecke_matrix_level1"), (qexp, "_gate_eisenstein"),
+          (elliptic, "_period_tau"), (numerics, "_lattice_kernel"))
     assert cli.main(argv) == 4
     assert "reached" not in capsys.readouterr().err
     with pytest.raises(ResourceLimitError):
@@ -572,10 +564,7 @@ def test_each_library_entry_point_refuses_what_its_subcommand_refuses(argv, entr
 def test_oracle_refuses_a_malformed_closed_form_before_the_coset_sum(monkeypatch, capsys):
     # a level that is not prime is the closed form's to refuse; the planted
     # kernel shows that the coset sum never starts
-    def reached(*a, **kw):
-        raise VerificationError("reached the sum")
-
-    monkeypatch.setattr(numerics, "_lattice_kernel", reached)
+    plant(monkeypatch, "reached the sum", (numerics, "_lattice_kernel"))
     argv = ["oracle", "--eis-weight", "4", "--tau", "0.1,1.2", "--bound", "600", "--level"]
     assert cli.main(argv + ["4"]) == 3
     err = capsys.readouterr().err

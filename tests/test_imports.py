@@ -43,6 +43,11 @@ One request layer: the command line front end (cli.py) only parses, calls
 and emits.  It defines no cap (no module-level ``MAX_*`` name), imports no
 underscore-prefixed name from mtv and calls no ``_require_*`` helper, so
 every size and cap of a request is worked out in the library.
+
+One Hecke-field type: every newform orbit carries its Hecke field, a
+rational orbit the field of degree 1.  No module of mtv compares a
+``.field`` attribute with None or tests its truth, and the field functions
+``nf_*`` of numfield.py take no int or Fraction in place of an element.
 """
 
 import ast
@@ -447,3 +452,53 @@ def test_front_end_check_flags_caps_and_private_names():
 
 def test_cli_defines_no_cap_and_reads_no_private_name():
     assert front_end_offenders((SRC / "cli.py").read_text()) == []
+
+
+def field_absence_tests(source):
+    """Line numbers where source compares a ``.field`` attribute with None
+    or tests its truth, and the nf_* functions that call isinstance."""
+    def is_field(node):
+        return isinstance(node, ast.Attribute) and node.attr == "field"
+
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            sides = [node.left] + node.comparators
+            if any(map(is_field, sides)) and any(
+                    isinstance(n, ast.Constant) and n.value is None for n in sides):
+                out.append(node.lineno)
+        elif isinstance(node, (ast.If, ast.IfExp, ast.While)) and is_field(node.test):
+            out.append(node.lineno)
+        elif isinstance(node, ast.BoolOp) and any(map(is_field, node.values)):
+            out.append(node.lineno)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not) and is_field(node.operand):
+            out.append(node.lineno)
+        elif isinstance(node, ast.FunctionDef) and node.name.startswith("nf_") and any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "isinstance"
+                for n in ast.walk(node)):
+            out.append(node.name)
+    return out
+
+
+def test_field_absence_check_flags_none_and_truth_tests():
+    source = (
+        "a = 1 if nf.field is None else nf.field.degree\n"
+        "if f.field != None:\n"
+        "    pass\n"
+        "b = nf.field and nf.field.power_sums()\n"
+        "c = not x.field\n"
+        "if nf.field:\n"
+        "    pass\n"
+        "def nf_trace(e):\n"
+        "    return e if isinstance(e, int) else e.trace()\n"
+        "d = nf.field.degree == 1\n"
+        "e = nf.modulus is None\n"
+        "def trace(e):\n"
+        "    return isinstance(e, int)\n"
+    )
+    assert set(field_absence_tests(source)) == {1, 2, 4, 5, 6, "nf_trace"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_tests_for_an_absent_hecke_field(path):
+    assert field_absence_tests(path.read_text()) == []

@@ -66,9 +66,14 @@ def test_quadratic_trace_norm_by_hand():
 
 
 def test_rational_passthrough():
-    assert nf_trace(F(7, 2)) == F(7, 2)
-    assert nf_norm(F(-3)) == F(-3)
-    assert list(nf_charpoly(F(4)).coeffs) == [F(-4), F(1)]
+    # Q is the field of degree 1, here Q[x]/(x - 3): an element's trace and
+    # norm are its one coordinate, its charpoly x minus it
+    K = NumberField(X - 3)
+    assert nf_trace(K.coerce(F(7, 2))) == F(7, 2)
+    assert nf_norm(K.coerce(-3)) == F(-3)
+    assert list(nf_charpoly(K.coerce(4)).coeffs) == [F(-4), F(1)]
+    assert K.power_sums() == (1,) and K.is_totally_real() and K._red == ()
+    assert K.coerce(F(2, 3)).inverse() == F(3, 2)
 
 
 def test_totally_real_detection():

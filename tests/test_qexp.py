@@ -389,6 +389,20 @@ def test_fricke_gate_catches_corruption(monkeypatch, fresh_gates):
         fricke_eisenstein(4, 2, 8)
 
 
+@pytest.mark.parametrize("weight", [200, 278])
+def test_fricke_gate_catches_a_one_percent_error_at_high_weight(weight, monkeypatch):
+    # the slash side is evaluated at -1/(5 tau), where order 256 leaves a
+    # proven tail 15 (weight 200) and 117 (weight 278) times the value; the
+    # gate's order follows the weight, so the true image passes and one 1%
+    # off fails
+    real = qexp_mod._fricke_eisenstein_raw
+    qexp_mod._check_fricke(weight, 5)
+    monkeypatch.setattr(qexp_mod, "_fricke_eisenstein_raw",
+                        lambda w, N, T: real(w, N, T).scale(Fraction(101, 100)))
+    with pytest.raises(VerificationError):
+        qexp_mod._check_fricke(weight, 5)
+
+
 def _double_q1(f):
     num = list(f._num)
     num[1] *= 2

@@ -590,6 +590,24 @@ def test_pairing_eigenforms_match_krylov_oracle(weight):
             assert nf.a(n) == want
 
 
+def test_every_orbit_carries_its_hecke_field(newform_sets):
+    """Weights 12 to 30 have orbits of degree 1 and 2.  Each carries a
+    NumberField of its degree, a rational orbit the field of degree 1, and
+    format_exact prints a degree-1 value as its one rational."""
+    from mtv.rational import format_exact
+
+    degrees = set()
+    for orbs in newform_sets.values():
+        for nf in orbs:
+            assert isinstance(nf.field, NumberField) and nf.field.degree == nf.degree
+            assert nf.modulus is nf.field.modulus
+            degrees.add(nf.degree)
+            for x in (nf.a(n) for n in range(8)) if nf.degree == 1 else ():
+                (c,) = x.coords
+                assert format_exact(x) == format_rational(c)
+    assert degrees == {1, 2}
+
+
 def test_non_cyclic_e1_raises():
     # a repeated eigenvalue: no vector is cyclic
     rows = conjugate(block_diagonal([companion(Poly([0, 1]) - 2)] * 2

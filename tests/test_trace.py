@@ -411,29 +411,31 @@ def test_integer_expansion_matches_the_fraction_solve(weight):
         f = term if f is None else f + term
     got = expand_in_newforms(f, orbs)
     assert got == expand_in_newforms_ref(f, orbs)
-    assert [getattr(c, "field", None) for c in got] == [nf.field for nf in orbs]
+    assert [c.field for c in got] == [nf.field for nf in orbs]
 
 
 def test_expansion_over_orbits_with_their_own_denominators():
     """Every level-1 orbit set computed so far is one orbit, so several orbits,
-    each over its own denominator, are checked on an artificial set: a
-    rational orbit over 7 and an orbit over Q(sqrt 2) over 5, each given by
-    its Miller coordinates."""
+    each over its own denominator, are checked on an artificial set: an
+    orbit over the degree-1 field over 7 and an orbit over Q(sqrt 2) over 5,
+    each given by its Miller coordinates."""
     from mtv import GaloisOrbitSet, Newform
     from mtv.numfield import NumberField
     from mtv.polynomial import UniPoly
 
     weight, T = 36, 12
     b = miller_basis(weight, T)[1:]
-    K = NumberField(UniPoly([-2, 0, 1]))
+    # the orbits are artificial, so any degree-1 field serves: Q[x]/(x)
+    Q, K = NumberField(UniPoly([0, 1])), NumberField(UniPoly([-2, 0, 1]))
     # b_1 / 7 over Q and (b_2 + sqrt 2 b_3) / 5 over Q(sqrt 2), as Miller coordinates
-    f7 = Newform(weight, None, UniPoly([-b[0].coeff(2) / 7, 1]), [[1], [0], [0]], 7, b)
-    g = Newform(weight, K, K.modulus, [[0, 0], [1, 0], [0, 1]], 5, b)
-    assert f7.a(2) == b[0].coeff(2) / 7 and g.a(3) == K.elem([b[1].coeff(3) / 5, Fraction(1, 5)])
+    f7 = Newform(weight, Q, [[1], [0], [0]], 7, b)
+    g = Newform(weight, K, [[0, 0], [1, 0], [0, 1]], 5, b)
+    assert f7.a(2) == Q.elem([b[0].coeff(2) / 7])
+    assert g.a(3) == K.elem([b[1].coeff(3) / 5, Fraction(1, 5)])
     orbs = GaloisOrbitSet(weight, [f7, g], 3)
     # Tr((x + y sqrt 2) g) = (2x b_2 + 4y b_3) / 5
     f = b[0].scale(3) + b[1].scale(Fraction(-2, 9)) + b[2].scale(11)
-    want = [Fraction(21), K.elem([Fraction(-5, 9), Fraction(55, 4)])]
+    want = [Q.elem([21]), K.elem([Fraction(-5, 9), Fraction(55, 4)])]
     assert expand_in_newforms(f, orbs) == want == expand_in_newforms_ref(f, orbs)
     num = list(f._num)
     num[7] += 1
