@@ -16,8 +16,6 @@ import math
 import os
 import sys
 
-import mpmath
-
 from .elliptic import (
     CurveQ,
     condition_a,
@@ -66,6 +64,8 @@ def parse_curve(text):
 
 def parse_tau(text, prec_bits):
     """"re,im" -> mpc, rounded once at the working precision."""
+    import mpmath
+
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise InputError("tau must be re,im")
@@ -166,6 +166,8 @@ def cmd_phi(args):
 
 
 def cmd_oracle(args):
+    import mpmath
+
     tau = parse_tau(args.tau, args.prec)
     closed, lat = eisenstein_oracle(args.eis_weight, args.level, tau, args.bound,
                                     args.series_order, args.prec)
@@ -176,7 +178,7 @@ def cmd_oracle(args):
         "bound": args.bound,
         "closed_form": closed.serialize(),
         "lattice_sum": lat.serialize(),
-        "difference": mpmath.nstr(abs(closed.value - lat.value), 12),
+        "difference": mpmath.nstr(closed.distance(lat), 12),
         "certified_error_sum": mpmath.nstr(closed.err + lat.err, 8),
     })
     return 0

@@ -10,13 +10,14 @@ reported is the one with Re tau >= 0.  Specialization sends
 E4 -> 12 g2, E6 -> 216 g3, Delta -> g2^3 - 27 g3^2 after the (2 pi / w2)^k
 rescaling, which on the triangular level-1 basis is a ring homomorphism we
 can apply exactly to any level-1 form.
+
+The period lattice is computed in mpmath, trusted there and certified after
+the fact by the three series evaluations; only the functions that touch it
+load mpmath, so the exact specialization runs without it.
 """
 
 import operator
 from fractions import Fraction
-
-import mpmath
-from mpmath import mpc, mpf
 
 from .errors import InputError, PrecisionError, VerificationError
 from .numerics import DEFAULT_PREC_BITS, BigComplex, check_prec, eval_qseries, to_mpc, to_mpf
@@ -85,6 +86,8 @@ def _order_for(im_tau, prec_bits):
 
 def j_invariant_numeric(tau, prec_bits=DEFAULT_PREC_BITS):
     """j(tau) = E4^3/Delta as a BigComplex with the series tail accounted."""
+    import mpmath
+
     tau = to_mpc(tau)
     if tau.imag <= 0:
         raise InputError("tau must be in the upper half plane")
@@ -102,7 +105,7 @@ def j_invariant_numeric(tau, prec_bits=DEFAULT_PREC_BITS):
         # two products and a quotient (each component within 2^(-15-prec) of
         # its size), under 3.2 * 2^(-15-prec) |val| in all
         err = (num.err + abs(val) * dd.err) / (abs(dv) - dd.err)
-        err += abs(val) * mpf(2) ** (-13 - prec_bits)
+        err += abs(val) * mpmath.mpf(2) ** (-13 - prec_bits)
         return BigComplex(val, err)
 
 
@@ -112,6 +115,8 @@ class CurvePair:
     __slots__ = ("curve", "tau", "scale", "omega2", "prec_bits", "order")
 
     def __init__(self, curve, tau, scale, prec_bits, order):
+        import mpmath
+
         self.curve = curve
         self.tau = tau
         self.scale = scale
@@ -120,19 +125,25 @@ class CurvePair:
         self.order = order
 
     def scale_bc(self):
+        import mpmath
+
         s = abs(self.scale)
-        return BigComplex(self.scale, s * mpf(2) ** (-self.prec_bits + 8))
+        return BigComplex(self.scale, s * mpmath.mpf(2) ** (-self.prec_bits + 8))
 
     def specialize_numeric(self, series, weight):
         """(2 pi / w2)^weight * series(tau) as a BigComplex."""
+        import mpmath
+
         with mpmath.workprec(self.prec_bits + 16):
             v = eval_qseries(series, self.tau, self.prec_bits + 16)
             s = self.scale_bc()
             p = int(weight)
-            acc = _power(s, p, operator.mul) if p else BigComplex(mpc(1), mpf(0))
+            acc = _power(s, p, operator.mul) if p else BigComplex(mpmath.mpc(1), mpmath.mpf(0))
             return acc * v
 
     def serialize(self):
+        import mpmath
+
         return {
             "tau": mpmath.nstr(self.tau, 30),
             "omega2": mpmath.nstr(self.omega2, 30),
@@ -154,6 +165,8 @@ def _period_tau(curve):
     -disc / (16 b^4 (2b + a)).  So a near-singular curve needs no guard
     bits: tau holds the working precision at |disc| / g2^3 = 2e-200 as at 1.
     """
+    import mpmath
+
     g2, g3, disc = to_mpf(curve.g2), to_mpf(abs(curve.g3)), curve.discriminant
     sqrt, agm = mpmath.sqrt, mpmath.agm
     if disc > 0:  # j > 1728: a rectangular lattice, Re tau = 0
@@ -162,7 +175,7 @@ def _period_tau(curve):
         r = sqrt(mpmath.sin(2 * third - phi))  # sqrt(e1 - e3), scaled
         m1 = agm(r, sqrt(mpmath.sin(third - phi)))
         m2 = agm(r, sqrt(mpmath.sin(phi)))
-        return mpc(0, max(m1, m2) / min(m1, m2))
+        return mpmath.mpc(0, max(m1, m2) / min(m1, m2))
     # a rhombic lattice; Cohen's tau is -1/2 + i m1 / (2 m2)
     u = mpmath.cbrt(g3 / 8 + sqrt(to_mpf(-disc / 1728)))
     e1 = u + g2 / (12 * u)
@@ -172,10 +185,10 @@ def _period_tau(curve):
     m1 = agm(r, sqrt(s))
     m2 = agm(r, sqrt(to_mpf(-disc) / (16 * b**4 * s)))
     if curve.j < 0:  # the edge
-        return mpc(0.5, max(m1, m2) / (2 * min(m1, m2)))
+        return mpmath.mpc(0.5, max(m1, m2) / (2 * min(m1, m2)))
     # the arc, through the basis of the rhombus' two sides
     n = m1**2 + m2**2
-    return mpc(abs(m1**2 - m2**2) / n, 2 * m1 * m2 / n)
+    return mpmath.mpc(abs(m1**2 - m2**2) / n, 2 * m1 * m2 / n)
 
 
 def tau_from_curve(curve, prec_bits=DEFAULT_PREC_BITS):
@@ -192,13 +205,15 @@ def tau_from_curve(curve, prec_bits=DEFAULT_PREC_BITS):
     scale^4 E4(tau) = 12 g2 and scale^6 E6(tau) = 216 g3 to the certified
     working precision.
     """
+    import mpmath
+
     prec_bits = check_prec(prec_bits)
     jv = curve.j
     with mpmath.workprec(prec_bits + 32):
         if jv == 0:
             tau = (1 + mpmath.sqrt(-3)) / 2
         elif jv == 1728:
-            tau = mpc(0, 1)
+            tau = mpmath.mpc(0, 1)
         else:
             tau = _period_tau(curve)
         T = _order_for(float(tau.imag), prec_bits)
@@ -208,9 +223,9 @@ def tau_from_curve(curve, prec_bits=DEFAULT_PREC_BITS):
         e6 = eval_qseries(E6s, tau, prec_bits + 16)
         dd = eval_qseries(Ds, tau, prec_bits + 16)
         lhs = e4 * e4 * e4
-        rhs = dd * BigComplex(to_mpc(jv), mpf(0))
+        rhs = dd * BigComplex(to_mpc(jv), mpmath.mpf(0))
         diff = lhs - rhs
-        gate = (abs(dd.value) + dd.err) * (1 + abs(to_mpc(jv))) * mpf(2) ** (
+        gate = (abs(dd.value) + dd.err) * (1 + abs(to_mpc(jv))) * mpmath.mpf(2) ** (
             -(prec_bits // 2)
         )
         if abs(diff.value) + diff.err > gate:
@@ -225,9 +240,9 @@ def tau_from_curve(curve, prec_bits=DEFAULT_PREC_BITS):
                 want = to_mpc(curve.g3)
                 got = scale**6 * e6.value / 216
                 if abs(got - want) > abs(got + want):
-                    scale *= mpc(0, 1)
+                    scale *= mpmath.mpc(0, 1)
                 got = scale**6 * e6.value / 216
-                tol = mpf(2) ** (-(prec_bits // 3)) * (1 + abs(want))
+                tol = mpmath.mpf(2) ** (-(prec_bits // 3)) * (1 + abs(want))
                 if abs(got - want) > tol:
                     raise PrecisionError("period branch fix failed on g3")
         else:
@@ -235,7 +250,7 @@ def tau_from_curve(curve, prec_bits=DEFAULT_PREC_BITS):
         # final lattice certificate through the discriminant
         dE = to_mpc(curve.discriminant)
         got = scale**12 * dd.value
-        tol = mpf(2) ** (-(prec_bits // 3)) * (1 + abs(dE))
+        tol = mpmath.mpf(2) ** (-(prec_bits // 3)) * (1 + abs(dE))
         if abs(got - dE) > tol:
             raise PrecisionError("lattice certificate failed on the discriminant")
         return CurvePair(curve, tau, scale, prec_bits, T)
@@ -302,13 +317,15 @@ def condition_a(poly):
 
 def reconstruct_real(bc, denom_bound=10**6):
     """Recognize a certified BigComplex as a rational; error if ambiguous."""
-    if abs(bc.value.imag) > bc.err + mpf(2) ** -40:
+    import mpmath
+
+    if abs(bc.value.imag) > bc.err + mpmath.mpf(2) ** -40:
         raise VerificationError(
             "value has a nonreal part %s beyond its error bound"
             % mpmath.nstr(bc.value.imag, 8)
         )
     x = exact_fraction(bc.value.real)
-    return rational_reconstruct(x, denom_bound, err=exact_fraction(mpf(bc.err)))
+    return rational_reconstruct(x, denom_bound, err=exact_fraction(mpmath.mpf(bc.err)))
 
 
 # -- the specialization corollary -------------------------------------------

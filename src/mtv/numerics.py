@@ -1,26 +1,34 @@
-"""Arbitrary-precision numeric layer.
+"""Arbitrary-precision numeric layer, in integers.
 
-Every value carries an additive error magnitude.  The two hot loops run in
-exact integer fixed point, so their rounding is bounded by proof, not by a
-fit: the coset sum of lattice_sum_eisenstein reports its truncation tail
-plus its rounding, both proven, and eval_qseries reports a proven bound on
-its Horner rounding and on the error of q, plus a tail for the coefficients
-past the truncation.  That tail is proven when the caller knows a bound
-|c_m| <= C m^alpha on those coefficients (the Eisenstein rows and their
-Fricke images have one), and otherwise a fitted majorant (a heuristic,
-since those coefficients are unknown to it).  The bounds take mpmath's
-elementary functions at their working precision as correct to a few ulps.
-All load-bearing identities elsewhere in the package, factorization
-included, are exact; this layer only cross-checks them.
+Every value here is a ball: a Gaussian-integer midpoint (x + iy) 2^e and an
+integer radius r 2^e that contains the true value, each rounding of the
+midpoint widening the radius by what the rounding can lose (in the spirit of
+Johansson's Arb).  q = e(tau) comes from integer pi, exp, cos and sin with
+a proven error (_exp_ball), so eval_qseries' radius is proven for the
+Horner rounding, the error of q and the final scalings.  To that it adds a
+tail for the coefficients past the truncation: proven when the caller knows
+a bound |c_m| <= C m^alpha on them (the Eisenstein rows and their Fricke
+images have one), and otherwise a fitted majorant, a heuristic, since those
+coefficients are unknown to it.  The coset sum of lattice_sum_eisenstein
+reports its truncation tail plus its rounding, both proven.
+
+The one-time gates of qexp and trace compare these balls in integers, so
+newforms, theorem and phi (with or without --curve) never load mpmath.  It
+is imported only where a value leaves the integers: BigComplex, the value
+type that eval_qseries and lattice_sum_eisenstein return, holds mpmath
+numbers, and the elliptic layer computes the curve's period lattice in
+mpmath, trusted there and certified after the fact by three series
+evaluations; so corollary, oracle and specialize load it.  All
+load-bearing identities elsewhere in the package, factorization included,
+are exact; this layer only cross-checks them.
 """
 
 import math
 from fractions import Fraction
 
-import mpmath
-from mpmath import mp, mpc, mpf
-
 from .errors import InputError, UnsupportedScopeError, require_within
+from .polynomial import _power
+from .rational import exact_fraction
 
 DEFAULT_PREC_BITS = 256
 MIN_PREC_BITS = 64
@@ -43,33 +51,42 @@ def check_prec(prec_bits, cap=MAX_PREC_BITS):
 
 def to_mpf(x):
     """Fraction/int to mpf at the ambient precision."""
+    import mpmath
+
     if isinstance(x, Fraction):
         if x.denominator == 1:
-            return mpf(x.numerator)
-        return mpf(x.numerator) / x.denominator
-    return mpf(x)
+            return mpmath.mpf(x.numerator)
+        return mpmath.mpf(x.numerator) / x.denominator
+    return mpmath.mpf(x)
 
 
 def to_mpc(x):
+    import mpmath
+
     if isinstance(x, BigComplex):
         return x.value
     if isinstance(x, Fraction):
-        return mpc(to_mpf(x))
-    return mpc(x)
+        return mpmath.mpc(to_mpf(x))
+    return mpmath.mpc(x)
 
 
 class BigComplex:
-    """Complex value plus an absolute error bound: proven as eval_qseries and
-    lattice_sum_eisenstein attach it, except eval_qseries' fitted tail past
-    the truncation (see the module docstring), and carried through + and *."""
+    """Complex value (an mpmath mpc) plus an absolute error bound: proven as
+    eval_qseries and lattice_sum_eisenstein attach it, except eval_qseries'
+    fitted tail past the truncation (see the module docstring), and carried
+    through + and *."""
 
     __slots__ = ("value", "err")
 
     def __init__(self, value, err=0):
+        import mpmath
+
         self.value = to_mpc(value)
-        self.err = abs(mpf(err))
+        self.err = abs(mpmath.mpf(err))
 
     def __repr__(self):
+        import mpmath
+
         return "BigComplex(%s, err=%s)" % (mpmath.nstr(self.value, 17), mpmath.nstr(self.err, 3))
 
     def _coerce(self, other):
@@ -107,6 +124,8 @@ class BigComplex:
         return abs(self.value - to_mpc(other))
 
     def serialize(self, digits=30):
+        import mpmath
+
         return {
             "re": mpmath.nstr(self.value.real, digits),
             "im": mpmath.nstr(self.value.imag, digits),
@@ -114,51 +133,221 @@ class BigComplex:
         }
 
 
-def _man_exp(x):
-    """(m, e) with x = m 2^e exactly, m signed (mpf.man_exp drops the sign)."""
-    sign, man, exp, _ = x._mpf_
-    return (-man if sign else man), exp
+def _point(tau):
+    """(Re tau, Im tau) as exact Fractions.  tau is a pair of rationals, or
+    a number: an mpc or mpf is dyadic, read from its mantissa and exponent."""
+    if isinstance(tau, BigComplex):
+        tau = tau.value
+    if isinstance(tau, tuple):
+        re, im = tau
+    elif isinstance(tau, complex) or hasattr(tau, "_mpc_"):
+        re, im = tau.real, tau.imag
+    else:
+        re, im = tau, 0
+    try:
+        return exact_fraction(re), exact_fraction(im)
+    except (InputError, ValueError, OverflowError) as exc:
+        raise InputError("tau must lie in the upper half-plane") from exc
 
 
-def _fixed(x, P):
-    """floor(x * 2^P) for a finite mpf x, exactly."""
-    man, exp = _man_exp(x)
-    return man << (exp + P) if exp + P >= 0 else man >> -(exp + P)
+def _round_bits(x, bits):
+    """The Fraction x rounded to `bits` significant bits, to nearest with
+    ties to even, as mpmath rounds a number to a working precision."""
+    p, d = abs(x.numerator), x.denominator
+    if not p:
+        return x
+    e = p.bit_length() - d.bit_length() - bits
+    for e in (e, e + 1):
+        n, r = divmod(p << -e, d) if e < 0 else divmod(p, d << e)
+        if n.bit_length() <= bits:
+            break
+    den = d if e < 0 else d << e
+    if 2 * r > den or (2 * r == den and n & 1):
+        n += 1
+    v = Fraction(n, 1 << -e) if e < 0 else Fraction(n << e)
+    return v if x > 0 else -v
 
 
-def _horner(num, den, tau, prec):
-    """sum_m num[m]/den q^m at tau by fixed-point Horner.
+# -- balls: an integer midpoint and radius ------------------------------------
+#
+# A ball (x, y, r, e) is the disc of radius r 2^e about (x + iy) 2^e, all four
+# integers and r >= 0.  Each operation returns a ball that holds every result
+# of the exact operation on points of its inputs.
 
-    q = e(tau) comes from mpmath once, at W = prec + 16 + bitlen(M + 2)
-    bits, and is floored to the Gaussian integer Q = (qx, qy) in units of
-    2^-P, where P = W + log2(1/|q|) keeps the W-bit relative accuracy of q
-    (at most 2W: a smaller q moves the sum by less than its rounding).
-    The sum starts at the first nonzero numerator num[v], so the integer
-    numerators keep the partial sums >= 1 in size, and is multiplied by q^v
-    at the end.  Each step floors one complex product, an error below
-    sqrt(2) units of 2^-P that later steps multiply by |Q| 2^-P < 1.
 
-    Returns (value, W, P, v, q, (qx, qy)) with value an mpc at W bits.
+def _abs_up(x, y):
+    """An integer >= |x + iy|: its ceiling when x and y are below 2^64, else
+    within about 2^-60 of it relatively (the floors of the shift cost under
+    sqrt(2) units of 2^t).  The root of the full squares would be exact, but
+    made e(tau) about twice as slow at 200 and at 4,000 bits."""
+    t = max(0, max(abs(x), abs(y)).bit_length() - 64)
+    n = (abs(x) >> t) ** 2 + (abs(y) >> t) ** 2
+    s = math.isqrt(n)
+    return (s + (s * s < n) + (2 if t else 0)) << t
+
+
+def _abs_down(x, y):
+    """An integer <= |x + iy|."""
+    t = max(0, max(abs(x), abs(y)).bit_length() - 64)
+    return math.isqrt((abs(x) >> t) ** 2 + (abs(y) >> t) ** 2) << t
+
+
+def _ball_round(x, y, r, e, bits):
+    """The ball with its midpoint rounded to nearest at `bits` bits: each
+    component moves at most half a unit of the new exponent, under 1
+    together, so a part far below the other rounds to 0, not to -1."""
+    s = max(abs(x), abs(y)).bit_length() - bits
+    if s <= 0:
+        return x, y, r, e
+    h = 1 << (s - 1)
+    return (x + h) >> s, (y + h) >> s, -(-r >> s) + 1, e + s
+
+
+def _ball_mul(a, b, bits):
+    """a b, rounded to `bits` bits: |a b - a' b'| <= |a'| rb + |b'| ra + ra rb."""
+    ax, ay, ar, ae = a
+    bx, by, br, be = b
+    if a is b:
+        x, y = (ax + ay) * (ax - ay), 2 * ax * ay
+        r = (2 * _abs_up(ax, ay) + ar) * ar
+    else:
+        x, y = ax * bx - ay * by, ax * by + ay * bx
+        r = _abs_up(ax, ay) * br + (_abs_up(bx, by) + br) * ar
+    return _ball_round(x, y, r, ae + be, bits)
+
+
+def _ball_scale(a, nx, ny, d, bits):
+    """a (nx + i ny) / d for integers nx, ny and d > 0, rounded to `bits` bits."""
+    ax, ay, ar, ae = a
+    x, y = ax * nx - ay * ny, ax * ny + ay * nx
+    r = ar * _abs_up(nx, ny)
+    if d == 1:
+        return _ball_round(x, y, r, ae, bits)
+    # shifted so the quotient, rounded to nearest, keeps at least `bits` bits
+    t = max(0, bits + d.bit_length() + 1 - max(abs(x), abs(y)).bit_length())
+    x, y, d2 = (x << t + 1) + d, (y << t + 1) + d, 2 * d
+    return _ball_round(x // d2, y // d2, -(-(r << t) // d) + 1, ae - t, bits)
+
+
+def _ball_widen(a, t, te):
+    """a with t 2^te added to its radius, rounded up to a unit of a's exponent."""
+    x, y, r, e = a
+    s = te - e
+    return x, y, r + (t << s if s >= 0 else -(-t >> -s)), e
+
+
+def _balls_meet(a, b, rel=None):
+    """True when the discs a and b meet, their radii first widened by
+    2^-rel (|a| + |b|) when rel is given (by a lower bound of it)."""
+    ax, ay, ar, ae = a
+    bx, by, br, be = b
+    e = min(ae, be)
+    ax, ay, ar = ax << (ae - e), ay << (ae - e), ar << (ae - e)
+    bx, by, br = bx << (be - e), by << (be - e), br << (be - e)
+    tol = ar + br
+    if rel is not None:
+        tol += (_abs_down(ax, ay) + _abs_down(bx, by)) >> rel
+    dx, dy = ax - bx, ay - by
+    return dx * dx + dy * dy <= tol * tol
+
+
+def _to_big(ball, bits):
+    """The ball as a BigComplex: its midpoint rounded to nearest at `bits`
+    bits a component, the radius widened by that rounding and rounded up."""
+    import mpmath
+
+    x, y, r, e = ball
+    with mpmath.workprec(bits):
+        value = mpmath.mpc(mpmath.mpf((x, e)), mpmath.mpf((y, e)))
+    big = BigComplex.__new__(BigComplex)
+    big.value = value
+    big.err = mpmath.mpf((r + ((abs(x) + abs(y)) >> bits) + 1, e), prec=53, rounding="u")
+    return big
+
+
+# -- e(tau) in integers -------------------------------------------------------
+
+_PI = {}  # "fixed": (G, pi 2^G within 2 units), at the most bits asked for so far
+
+
+def _atan_inv(n, G):
+    """atan(1/n) 2^G within G + 4 units, for an integer n >= 5.
+
+    The series sum (-1)^k / ((2k + 1) n^(2k+1)), each power and term
+    floored: a power is within 1 + 1/24 units (a floor, plus the error
+    before it over n^2 >= 25), a term within 2.05, there are at most G/4 + 1
+    terms, and the series past the last nonzero power is below 1.05.
     """
-    M = len(num) - 1
-    W = prec + 16 + (M + 2).bit_length()
-    with mp.workprec(W):
-        tau = to_mpc(tau)
-        if not mpmath.isfinite(tau) or tau.imag <= 0:
-            raise InputError("tau must lie in the upper half-plane")
-        q = mpmath.expjpi(2 * tau)
-        if abs(q) >= 1:
-            raise InputError("tau must lie in the upper half-plane")
-        P = W + min(W, max(0, -mpmath.mag(q)))
-        qx, qy = _fixed(q.real, P), _fixed(q.imag, P)
-        v = next((m for m, c in enumerate(num) if c), M + 1)
-        ax = ay = 0
-        for m in range(M, v - 1, -1):
-            ax, ay = ((ax * qx - ay * qy) >> P) + (num[m] << P), (ax * qy + ay * qx) >> P
-        value = mpc(mpmath.ldexp(mpf(ax), -P), mpmath.ldexp(mpf(ay), -P)) / den
-        if v:
-            value *= q**v
-        return value, W, P, v, q, (qx, qy)
+    p, n2, total, k = (1 << G) // n, n * n, 0, 0
+    while p:
+        term = p // (2 * k + 1)
+        total += -term if k & 1 else term
+        p //= n2
+        k += 1
+    return total
+
+
+def _pi_fixed(G):
+    """pi 2^G within 2 units, by Machin's 16 atan(1/5) - 4 atan(1/239) at g
+    guard bits: its 20 (G + g + 4) units of error shift below 1."""
+    bits, value = _PI.get("fixed", (0, 0))
+    if bits < G:
+        g = G.bit_length() + 6
+        bits, value = G, (16 * _atan_inv(5, G + g) - 4 * _atan_inv(239, G + g)) >> g
+        _PI["fixed"] = bits, value
+    return value >> (bits - G)
+
+
+def _exp_ball(x, y, G):
+    """q = e(x + iy) = exp(2 pi i (x + iy)) for rationals x and y > 0, as a
+    ball with a G-bit midpoint (R. Brent and P. Zimmermann, Modern Computer
+    Arithmetic, ch. 4).
+
+    z = 2 pi i (x + iy), with x reduced to |x| <= 1/2, lies below 2^b.  It
+    is halved k = b + m times, m = isqrt(G), and held as the Gaussian
+    integer Z ~ z 2^(F-k); exp(z 2^-k) is summed by Taylor's series, each
+    term the one before times Z / n, and k squarings of that ball then give
+    exp(z).
+
+    Error of the series in units of 2^-F: Z is within 2 (pi within 2 units
+    at c guard bits, then one floor), which moves exp(Z 2^-F) by under 2.2.
+    A term's two floors cost under sqrt(2) (1/n + 1), the first term's
+    under sqrt(2), and the error of the term before shrinks by
+    |Z| 2^-F / n < 2^-m / n, so every term is within 2.2 of the exact term
+    at Z.  The terms past the N summed (N chosen so that
+    |z 2^-k|^N / N! < 2^-(F+1)) are under 1.  So the sum is within 3N.  The
+    squarings double the relative error, and F keeps bitlen(G) + 8 bits
+    beyond them, so the result rounded to G bits has a radius of about 2
+    units.
+    """
+    x -= math.floor(x + Fraction(1, 2))
+    b = (4 + 8 * math.ceil(y)).bit_length()  # |z| <= 2 pi (1/2 + y) < 2^b
+    m = math.isqrt(G)
+    k = b + m
+    F = G + k + G.bit_length() + 8
+    # Z = 2 pi (-y + ix) 2^(F-k) from pi at F - k + c + 1 bits: within
+    # 2 y 2^-c <= 1/4 before the floors
+    c = math.ceil(y).bit_length() + 3
+    pi = _pi_fixed(F - k + c + 1)
+    zr = -(((pi * y.numerator) >> c) // y.denominator)
+    zi = ((pi * x.numerator) >> c) // x.denominator
+    N, fact = 1, 1
+    while m * N + fact.bit_length() <= F + 1:
+        N += 1
+        fact *= N
+    sr = ar = 1 << F
+    si = ai = 0
+    for n in range(1, N):
+        ar, ai = ((ar * zr - ai * zi) >> F) // n, ((ar * zi + ai * zr) >> F) // n
+        sr += ar
+        si += ai
+    ball = (sr, si, 3 * N, -F)
+    for _ in range(k):
+        ball = _ball_mul(ball, ball, F)
+    return _ball_round(*ball, G)
+
+
+# -- q-series ---------------------------------------------------------------------
 
 
 def _upper_sum(vals, rho64):
@@ -169,8 +358,18 @@ def _upper_sum(vals, rho64):
     return acc
 
 
+def _exp_up(L):
+    """(t, e) with t 2^e >= e^L for a float L, t below 2^54: exact but for a
+    relative 2^-40 of slack, which covers the rounding of the floats."""
+    b = L / math.log(2)
+    b += 2**-40 * (1 + abs(b))
+    n = math.floor(b)
+    return math.ceil(math.ldexp(2.0 ** (b - n), 52)) + 1, n - 52
+
+
 def _fitted_tail(num, den, ln_r):
-    """Heuristic tail majorant for the coefficients past the truncation.
+    """Heuristic tail majorant for the coefficients past the truncation,
+    as (t, e), the bound t 2^e.
 
     Fits |c_m| <= C (m + 1)^alpha on the computed range (alpha from m >= 2)
     and sums that majorant past M: 4 C (M + 2)^alpha r^(M+1) / (1 - rho) with
@@ -193,12 +392,13 @@ def _fitted_tail(num, den, ln_r):
     parts = (math.log(4), ln_c, alpha * math.log(M + 2), (M + 1) * ln_r,
              -math.log1p(-rho))
     slack = 2**-40 * (1 + sum(map(abs, parts)) + max([abs(lc) for _, lc in logs], default=0))
-    return mpmath.exp(math.fsum(parts) + slack)
+    return _exp_up(math.fsum(parts) + slack)
 
 
 def _proven_tail(coeff_bound, M, ln_r):
     """An upper bound for sum_(m > M) C m^alpha r^m, r = e^ln_r < 1, given
-    coeff_bound = (C, alpha) with C a positive Fraction and alpha >= 1.
+    coeff_bound = (C, alpha) with C a positive Fraction and alpha >= 1, as
+    (t, e), the bound t 2^e.
 
     Past M each term is at most rho = r (1 + 1/(M + 1))^alpha times the one
     before, so when rho < 1 the sum is at most C (M + 1)^alpha r^(M + 1) /
@@ -223,50 +423,76 @@ def _proven_tail(coeff_bound, M, ln_r):
                                  -math.log(-math.expm1(ln_rho))]
         parts = min(parts, geometric, key=math.fsum)
     slack = 2**-40 * (1 + sum(map(abs, parts)))
-    return mpmath.exp(math.fsum(parts) + slack)
+    return _exp_up(math.fsum(parts) + slack)
+
+
+def _qseries_ball(f, tau, prec, coeff_bound=None):
+    """(ball, W): the QSeries f at tau as a ball with a W-bit midpoint,
+    W = prec + 16 + bitlen(M + 2) for the truncation M; see eval_qseries.
+
+    q is a ball at W + 8 bits, floored to the Gaussian integer Q = (qx, qy)
+    in units of 2^-P, |Q 2^-P - q| <= D 2^-P, where P = W + log2(1/|q|)
+    keeps the W-bit relative accuracy of q (at most 2W: a smaller q moves
+    the sum by less than its rounding).  Horner's rule starts at the first
+    nonzero numerator num[v], so the integer numerators keep the partial
+    sums >= 1 in size; each step floors one complex product, an error below
+    sqrt(2) units of 2^-P that later steps multiply by |Q| 2^-P, and the
+    sum at Q differs from the sum at q by at most D 2^-P times
+    sum_j j |num[v+j]| rho^(j-1).  The sum is then multiplied by the ball
+    q^v, divided by the denominator and widened by the tail.
+    """
+    x, y = _point(tau)
+    if y <= 0:
+        raise InputError("tau must lie in the upper half-plane")
+    num, den = f._num, f._den
+    M = len(num) - 1
+    W = prec + 16 + (M + 2).bit_length()
+    B = W + 8
+    q = _exp_ball(x, y, B)
+    qx, qy, qr, qe = q
+    P = W + min(W, max(0, -(max(abs(qx), abs(qy)).bit_length() + qe)))
+    s = qe + P
+    if s >= 0:
+        Qx, Qy, D = qx << s, qy << s, qr << s
+    else:
+        Qx, Qy, D = qx >> -s, qy >> -s, -(-qr >> -s) + 2
+    v = next((m for m, c in enumerate(num) if c), M + 1)
+    ax = ay = 0
+    for m in range(M, v - 1, -1):
+        ax, ay = ((ax * Qx - ay * Qy) >> P) + (num[m] << P), (ax * Qy + ay * Qx) >> P
+    # rho bounds |q| and |Q| 2^-P, in units of 2^-64
+    rho64 = ((math.isqrt(Qx * Qx + Qy * Qy) + 1 + D) >> (P - 64)) + 1
+    horner = _upper_sum([1] * (M + 1 - v), rho64)
+    dq = _upper_sum([j * abs(c) for j, c in enumerate(num[v:])][1:], rho64)
+    ball = (ax, ay, math.isqrt(2 * horner * horner) + 1 + D * dq, -P)
+    if v:
+        ball = _ball_mul(ball, _power(q, v, lambda a, b: _ball_mul(a, b, B)), B)
+    ball = _ball_scale(ball, 1, 0, den, B)
+    ln_r = -2 * math.pi * float(min(y, 2**20))
+    if coeff_bound is None:
+        tail = _fitted_tail(num, den, ln_r)
+    else:
+        tail = _proven_tail(coeff_bound, M, ln_r)
+    return _ball_widen(ball, *tail), W
 
 
 def eval_qseries(f, tau, prec_bits=None, coeff_bound=None):
     """Evaluate a QSeries, a series over Q, at tau in the upper half-plane.
 
-    The sum runs over the series' integer numerators, q = e(tau).  The error
-    is the proven bound on the fixed-point rounding (see _horner) and on the
-    error of q itself, propagated through sum m |c_m| rho^(m-1), plus a tail
-    for the coefficients past the truncation: proven by _proven_tail when
-    coeff_bound = (C, alpha) bounds them, |c_m| <= C m^alpha for every m
-    past the truncation, and otherwise the fitted majorant of _fitted_tail,
-    a heuristic.
+    The sum runs over the series' integer numerators, q = e(tau), with tau
+    taken exactly (an mpc is dyadic).  The error is the proven bound on the
+    integer evaluation and on the error of q (see _qseries_ball and
+    _exp_ball), plus a tail for the coefficients past the truncation:
+    proven by _proven_tail when coeff_bound = (C, alpha) bounds them,
+    |c_m| <= C m^alpha for every m past the truncation, and otherwise the
+    fitted majorant of _fitted_tail, a heuristic.
     """
-    prec = check_prec(prec_bits, math.inf)
-    num, den = f._num, f._den
-    value, W, P, v, q, (qx, qy) = _horner(num, den, tau, prec)
-    with mp.workprec(W):
-        tau = to_mpc(tau)
-        ln_r = float(-2 * mpmath.pi * tau.imag)
-        if coeff_bound is None:
-            tail = _fitted_tail(num, den, ln_r)
-        else:
-            tail = _proven_tail(coeff_bound, len(num) - 1, ln_r)
-        # |Q 2^-P - q| <= D 2^-P: the floor of q, plus mpmath's q taken as
-        # correct to 8 ulps of W bits after the 2 pi |tau| amplification of
-        # the rounding of 2 tau
-        D = int(mpmath.ldexp(abs(q), P - W) * (8 + 8 * abs(tau))) + 3
-        # rho bounds |q|, |Q| 2^-P and the mpmath q, in units of 2^-64
-        rho64 = ((math.isqrt(qx * qx + qy * qy) + 1 + D) >> (P - 64)) + 1
-        horner = _upper_sum([1] * (len(num) - v), rho64)
-        if v:
-            horner *= (mpf(rho64) / 2**64) ** v
-        dq = _upper_sum([m * abs(c) for m, c in enumerate(num)][1:], rho64)
-        # in mpf: dq outgrows a float at large weights; the double nearest
-        # sqrt(2) lies above it, so the factor stays an upper bound
-        rounding = (mpf(math.sqrt(2)) * horner + D * dq) / (den * mpf(2) ** P)
-        rounding += abs(value) * (8 + 8 * v) * mpf(2) ** -W
-        return BigComplex(value, tail + rounding)
+    return _to_big(*_qseries_ball(f, tau, check_prec(prec_bits, math.inf), coeff_bound))
 
 
 def _lattice_tail_bound(lam, N, X, Y, s, B, W):
     """Upper bound for the truncated coset-sum defect at tau = (X + iY)/2^s,
-    via integral comparison.
+    via integral comparison, as (t, e), the bound t 2^e.
 
     Coprimality can only remove terms, so bounding the unrestricted
     absolute tail is valid.  O(B^(2-lam)) in the bound B.  Row c has a = A/t
@@ -290,7 +516,7 @@ def _lattice_tail_bound(lam, N, X, Y, s, B, W):
         else:
             # 2 (2 a^(1-lam) + a^(-lam)) = 2 t^(lam-1) (2A + t) / A^lam
             terms.append((two_tl * (2 * A + t), A ** lam))
-    return mpf((sum(-((-n << F) // d) for n, d in terms), -F), rounding="u")
+    return sum(-((-n << F) // d) for n, d in terms), -F
 
 
 def _lattice_kernel(k, N, B, X, Y, s, P):
@@ -353,17 +579,19 @@ def lattice_sum_eisenstein(weight, level, tau, bound, character=None, prec_bits=
 
     The numeric oracle for the exact Eisenstein constructors.  character
     must be None, the trivial character; any other value raises
-    UnsupportedScopeError.  tau is taken as the dyadic point to_mpc gives at
-    prec + 16 bits and summed exactly in fixed point (_lattice_kernel).  The
-    attached error is proven: the explicit truncation bound, plus sqrt(2)
-    2^-P per term for the floors, plus the final rounding to prec + 16 bits.
+    UnsupportedScopeError.  tau is rounded to a dyadic point at prec + 16
+    bits, as mpmath would round it, and summed exactly in fixed point
+    (_lattice_kernel).  The attached error is proven: the explicit
+    truncation bound, plus sqrt(2) 2^-P per term for the floors, plus the
+    final rounding to prec + 16 bits.
     """
-    return _coset_sum_request(weight, level, tau, bound, character, prec_bits)()
+    return _to_big(*_coset_sum_request(weight, level, tau, bound, character, prec_bits)())
 
 
 def _coset_sum_request(weight, level, tau, bound, character, prec_bits):
     """Every check of lattice_sum_eisenstein, its work cap included, before
-    any sum; returns the sum as a call with no arguments."""
+    any sum; returns the sum as a call with no arguments, which gives
+    (ball, W) with W = prec + 16 the bits of the reported value."""
     lam = int(weight)
     N = int(level)
     B = int(bound)
@@ -375,23 +603,20 @@ def _coset_sum_request(weight, level, tau, bound, character, prec_bits):
         raise UnsupportedScopeError("the coset sum supports the trivial character only")
     prec = check_prec(prec_bits)
     W = prec + 16
-    with mp.workprec(W):
-        tau = to_mpc(tau)
-        if not mpmath.isfinite(tau) or tau.imag <= 0:
-            raise InputError("tau must lie in the upper half-plane")
-        s = max(0, -_man_exp(tau.real)[1], -_man_exp(tau.imag)[1])
-        X, Y = _fixed(tau.real, s), _fixed(tau.imag, s)
+    x, y = (_round_bits(v, W) for v in _point(tau))
+    if y <= 0:
+        raise InputError("tau must lie in the upper half-plane")
+    # the smallest s with x 2^s and y 2^s integers: both are dyadic now
+    s = max(x.denominator.bit_length(), y.denominator.bit_length()) - 1
+    X, Y = int(x * 2**s), int(y * 2**s)
     P = W + ((2 * B + 1) * B + 1).bit_length() + 2
     n = lam * (B * N * (abs(X) + Y) + (B << s)).bit_length() + P
     require_within((2 * B + 1) * B * n**1.58, MAX_LATTICE_WORK,
                    "the work of the coset sum at weight %d and bound %d", lam, B)
 
     def coset_sum():
-        with mp.workprec(W):
-            sx, sy, nterms = _lattice_kernel(lam, N, B, X, Y, s, P)
-            total = mpc(mpmath.ldexp(mpf(sx), -P), mpmath.ldexp(mpf(sy), -P))
-            tail = _lattice_tail_bound(lam, N, X, Y, s, B, W)
-            rounding = math.sqrt(2) * nterms * mpf(2) ** -P + abs(total) * mpf(2) ** (1 - W)
-            return BigComplex(total, tail + rounding)
+        sx, sy, nterms = _lattice_kernel(lam, N, B, X, Y, s, P)
+        ball = (sx, sy, math.isqrt(2 * nterms * nterms) + 1, -P)
+        return _ball_widen(ball, *_lattice_tail_bound(lam, N, X, Y, s, B, W)), W
 
     return coset_sum

@@ -193,6 +193,9 @@ class NumberFieldElem:
         return NotImplemented
 
     def __hash__(self):
+        if not any(self._num[1:]):
+            # a rational element equals its Fraction, so it hashes as one
+            return hash(Fraction(self._num[0], self._den))
         return hash((self.field, self._num, self._den))
 
     def is_zero(self):

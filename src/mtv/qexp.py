@@ -45,8 +45,6 @@ import operator
 from fractions import Fraction
 from itertools import repeat
 
-from mpmath import mp, mpc
-
 from .errors import (
     InputError,
     TruncationError,
@@ -54,7 +52,15 @@ from .errors import (
     VerificationError,
     require_within,
 )
-from .numerics import _coset_sum_request, eval_qseries, lattice_sum_eisenstein, to_mpf
+from .numerics import (
+    _ball_scale,
+    _balls_meet,
+    _coset_sum_request,
+    _point,
+    _qseries_ball,
+    _to_big,
+    eval_qseries,
+)
 from .polynomial import _is_prime, _power
 
 
@@ -362,9 +368,12 @@ def _eisenstein_coeff_bound(weight, level, fricke=False):
 _GATE_DONE = set()
 _GATE_ORDER = 64
 _GATE_PREC = 160
-# 27/128 + 145/128 i and -47/128 + 219/128 i: exact at any precision, with
-# 7 fractional bits (see _check_eisenstein)
-_GATE_TAUS = (mpc("0.2109375", "1.1328125"), mpc("-0.3671875", "1.7109375"))
+# 27/128 + 145/128 i and -47/128 + 219/128 i: exact as floats, with 7
+# fractional bits (see _check_eisenstein)
+_GATE_TAUS = (0.2109375 + 1.1328125j, -0.3671875 + 1.7109375j)
+# the Fricke gate's points tau, as floats; the slash side is read exactly at
+# -1/(N tau)
+_FRICKE_GATE_TAUS = (0.13 + 1.07j, -0.29 + 1.04j)
 
 
 # cap on the coefficients of the longest exact series a request builds.
@@ -438,35 +447,44 @@ def _check_eisenstein(weight, level):
     held at _GATE_PREC bits would carry about 160.
     """
     ser = _eisenstein_prime_level_raw(weight, level, _GATE_ORDER)
-    with mp.workprec(_GATE_PREC):
-        for tau in _GATE_TAUS:
-            closed = eval_qseries(ser, tau, _GATE_PREC, _eisenstein_coeff_bound(weight, level))
-            lat = lattice_sum_eisenstein(weight, level, tau, 32, None, _GATE_PREC)
-            if closed.distance(lat) > closed.err + lat.err:
-                raise VerificationError(
-                    "Eisenstein closed form (weight %d, level %d) disagrees with "
-                    "the coset-sum oracle at tau=%s" % (weight, level, tau)
-                )
+    bound = _eisenstein_coeff_bound(weight, level)
+    for tau in _GATE_TAUS:
+        closed, _ = _qseries_ball(ser, tau, _GATE_PREC, bound)
+        lat, _ = _coset_sum_request(weight, level, tau, 32, None, _GATE_PREC)()
+        if not _balls_meet(closed, lat):
+            raise VerificationError(
+                "Eisenstein closed form (weight %d, level %d) disagrees with "
+                "the coset-sum oracle at tau=%s" % (weight, level, tau)
+            )
 
 
 def _slash_agrees(f, g, c, weight, level, tau, prec, bounds=(None, None)):
     """Numeric check of f|w_N = c g at tau, N = level and c rational, at
-    prec bits.
+    prec bits, in integers.
 
-    The slash side is f at -1/(N tau) times N^(k/2) (N tau)^(-k); each side
-    carries the error of its evaluation, scaled with it, and the rounding of
-    the scalings and of -1/(N tau) is allowed 2^-(prec-16) (|lhs| + |rhs|),
-    relative: an absolute one passes any image far below 1.  bounds are
-    the coefficient bounds of f and g for eval_qseries, None for a fitted tail.
+    The slash side is f at -1/(N tau) times N^(k/2) (N tau)^(-k), both
+    exact for a rational tau; each side is a ball, the error of its
+    evaluation scaled with it, and the two must meet within a further
+    2^-(prec-16) (|lhs| + |rhs|), relative: an absolute one passes any
+    image far below 1.  bounds are the coefficient bounds of f and g for
+    eval_qseries, None for a fitted tail.
     """
-    with mp.workprec(prec):
-        s = level ** (weight // 2) * (level * tau) ** (-weight)
-        lhs = eval_qseries(f, -1 / (level * tau), prec, bounds[0])
-        rhs = eval_qseries(g, tau, prec, bounds[1])
-        c = to_mpf(c)
-        lv, rv = lhs.value * s, rhs.value * c
-        tol = lhs.err * abs(s) + rhs.err * abs(c) + mp.ldexp(abs(lv) + abs(rv), 16 - prec)
-        return abs(lv - rv) <= tol
+    x, y = _point(tau)
+    # N tau = (a + ib)/d, so -1/(N tau) = d (-a + ib)/n2, n2 = a^2 + b^2, and
+    # (N tau)^(-k) = d^k (a - ib)^k / n2^k
+    d = math.lcm(x.denominator, y.denominator)
+    a, b = int(level * x * d), int(level * y * d)
+    n2 = a * a + b * b
+    sx, sy = 1, 0
+    for _ in range(weight):
+        sx, sy = sx * a + sy * b, sy * a - sx * b
+    scale = level ** (weight // 2) * d**weight
+    lhs, _ = _qseries_ball(f, (Fraction(-a * d, n2), Fraction(b * d, n2)), prec, bounds[0])
+    rhs, _ = _qseries_ball(g, (x, y), prec, bounds[1])
+    c = Fraction(c)
+    lhs = _ball_scale(lhs, sx * scale, sy * scale, n2**weight, prec + 32)
+    rhs = _ball_scale(rhs, c.numerator, 0, c.denominator, prec + 32)
+    return _balls_meet(lhs, rhs, prec - 16)
 
 
 def _gate_fricke(weight, level):
@@ -479,15 +497,14 @@ def _check_fricke(weight, level):
     # peak at n = (k-1)/lam; order (2(k-1) + 64)/lam, at least 256, kept the
     # proven tail below 1e-20 of the value at weights 4-278, levels 2-311
     # (order 256 left it 15 times the value at weight 200, level 5)
-    taus = (mpc("0.13", "1.07"), mpc("-0.29", "1.04"))
-    lam = 2 * math.pi * min(float((-1 / (level * tau)).imag) for tau in taus)
+    lam = 2 * math.pi * min((-1 / (level * tau)).imag for tau in _FRICKE_GATE_TAUS)
     T = max(256, math.ceil((2 * (weight - 1) + 64) / lam))
     require_within(T, MAX_SERIES_TERMS, "the Fricke gate's series length at level %d", level)
     E = _eisenstein_prime_level_raw(weight, level, T)
     F = _fricke_eisenstein_raw(weight, level, T)
     bounds = (_eisenstein_coeff_bound(weight, level),
               _eisenstein_coeff_bound(weight, level, fricke=True))
-    for tau in taus:
+    for tau in _FRICKE_GATE_TAUS:
         if not _slash_agrees(E, F, 1, weight, level, tau, _GATE_PREC, bounds):
             raise VerificationError(
                 "Fricke Eisenstein closed form (weight %d, level %d) fails "
@@ -533,7 +550,7 @@ def eisenstein_oracle(weight, level, tau, bound, trunc, prec_bits=None):
     """
     coset_sum = _coset_sum_request(weight, level, tau, bound, None, prec_bits)
     weight, level, trunc = _eisenstein_request(weight, level, trunc)
-    lat = coset_sum()
+    lat = _to_big(*coset_sum())
     closed = eval_qseries(eisenstein_prime_level(weight, level, trunc), tau, prec_bits,
                           _eisenstein_coeff_bound(weight, level))
     return closed, lat

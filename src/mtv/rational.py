@@ -9,8 +9,6 @@ high-precision numeric values.
 import re
 from fractions import Fraction
 
-import mpmath
-
 from .errors import InputError, ReconstructionError
 
 
@@ -75,26 +73,31 @@ def parse_rational(s):
 
 
 def exact_fraction(x):
-    """Convert an exact-friendly numeric (int, Fraction, float, mpf) to Fraction.
+    """Convert an exact-friendly numeric (int, Fraction, float, mpf, or an
+    mpc with no imaginary part) to Fraction.
 
-    mpf values are dyadic, so the conversion is exact, not a decimal round-trip.
+    mpf values are dyadic, read from their mantissa and exponent, so the
+    conversion is exact, not a decimal round-trip, and imports no mpmath.
     """
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, float):
         return Fraction(x)
-    x = mpmath.mpmathify(x)
-    if hasattr(x, "imag"):
-        if getattr(x, "imag", 0) != 0:
+    if hasattr(x, "_mpc_"):
+        if x.imag != 0:
             raise InputError("cannot reconstruct a rational from a non-real value")
         x = x.real
-    if not mpmath.isfinite(x):
-        raise InputError("non-finite value")
+    if not hasattr(x, "_mpf_"):
+        import mpmath
+
+        return exact_fraction(mpmath.mpmathify(x))
     sign, man, exp, _ = x._mpf_
     man = int(man)  # the gmpy backend hands back mpz, which poisons Fraction
     if man == 0:
+        if exp:  # mpmath's infinities and nan have a zero mantissa
+            raise InputError("non-finite value")
         return Fraction(0)
-    v = Fraction(man) * Fraction(2) ** int(exp)
+    v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     return -v if sign else v
 
 

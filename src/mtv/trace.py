@@ -22,8 +22,6 @@ import math
 import operator
 from fractions import Fraction
 
-from mpmath import mpc
-
 from .errors import InputError, UnsupportedScopeError, VerificationError, require_within
 from .linalg import bareiss_solve
 from .numfield import nf_charpoly, nf_trace
@@ -86,10 +84,16 @@ def fricke_eta_data(spec, level):
 
 
 def _check_fricke_eta(spec, partner, scalar, level, weight):
-    T = 128
+    # the slash side reads f at -1/(N i) = i/N, where |q| = e^(-2 pi/N), and
+    # the value there is about e^(-2 pi v) for the partner's leading
+    # exponent v; order T puts the tail terms, n^(k-1) e^(-2 pi n/N) at most,
+    # past their peak and about e^-64 below that value
+    lam = 2 * math.pi / level
+    T = max(128, math.ceil((2 * (weight - 1) + 64 + 2 * math.pi * partner.leading_exponent) / lam))
+    require_within(T, MAX_SERIES_TERMS, "the Fricke eta gate's series length at level %d", level)
     f = eta_quotient(spec, T)
-    g = eta_quotient(partner, T)
-    if not _slash_agrees(f, g, scalar, weight, level, mpc(0, 1), 160):
+    g = f if partner == spec else eta_quotient(partner, T)
+    if not _slash_agrees(f, g, scalar, weight, level, 1j, 160):
         raise VerificationError(
             "Fricke eta scalar %s fails the numeric slash check for %r at level %d"
             % (scalar, spec, level)

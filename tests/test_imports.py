@@ -21,6 +21,11 @@ The (class, method) pairs that the benchmark tracer wraps by name (its
 METHODS, parsed from perfbench/tracer.py) and the oracle class ``MatQ`` are
 exempt.
 
+No mpmath at import: no module of mtv imports mpmath at module level, so
+only the functions that leave the integers load it, and the exact
+subcommands (newforms, theorem, phi with or without --curve) finish with
+mpmath absent from sys.modules.
+
 Exact factorization: polynomial.py imports neither mpmath nor numerics, so
 no path of poly_factor_q can reach floating point.  The helpers of its
 certified path (every ``_fp_*`` function, the sieve, the Hensel lift and
@@ -52,6 +57,8 @@ rational orbit the field of degree 1.  No module of mtv compares a
 
 import ast
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -151,6 +158,66 @@ def test_imported_parts_sees_every_import_form():
 def test_polynomial_imports_no_floating_point():
     parts = imported_parts((SRC / "polynomial.py").read_text())
     assert not {"mpmath", "numerics"} & parts
+
+
+def import_time_mpmath_imports(source):
+    """Line numbers of the imports of mpmath that run when source is
+    imported: every one outside a function body, class bodies and
+    module-level if and try blocks included."""
+    hits = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                if any(alias.name.split(".")[0] == "mpmath" for alias in child.names):
+                    hits.append(child.lineno)
+            elif isinstance(child, ast.ImportFrom):
+                if not child.level and (child.module or "").split(".")[0] == "mpmath":
+                    hits.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(source))
+    return hits
+
+
+def test_import_time_mpmath_check_flags_module_level_imports_only():
+    assert import_time_mpmath_imports("import mpmath\n") == [1]
+    assert import_time_mpmath_imports("import os, mpmath.libmp as lm\n") == [1]
+    assert import_time_mpmath_imports("from mpmath import mp, mpf\n") == [1]
+    assert import_time_mpmath_imports(
+        "try:\n    import mpmath\nexcept ImportError:\n    pass\n") == [2]
+    assert import_time_mpmath_imports("class A:\n    from mpmath import mpc\n") == [2]
+    assert import_time_mpmath_imports("def f():\n    import mpmath\n") == []
+    assert import_time_mpmath_imports(
+        "class A:\n    def f(self):\n        from mpmath import mpf\n") == []
+    assert import_time_mpmath_imports("from .numerics import to_mpf\nimport mpmathx\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_mpmath_at_module_level(path):
+    assert import_time_mpmath_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["newforms", "--weight", "24"], False),
+    (["theorem", "--level", "5", "--eis-weight", "8", "--order", "64"], False),
+    (["phi", "--level", "2", "--eis-weight", "4", "--order", "8", "--curve=0,1"], False),
+    # a numeric subcommand loads it, so the check can see it
+    (["--prec", "64", "specialize", "--curve=0,1"], True),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_exact_subcommands_never_load_mpmath(argv, loaded):
+    # a fresh interpreter (the test session has mpmath loaded); the child
+    # finds the package through the PYTHONPATH conftest.py sets
+    code = ("import contextlib, io, sys\n"
+            "import mtv.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = mtv.cli.main(sys.argv[1:])\n"
+            "print(code, 'mpmath' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.stdout.split() == ["0", str(loaded)], proc.stderr
 
 
 # the certified-path helpers of polynomial.py besides the _fp_* functions
@@ -342,8 +409,10 @@ def test_every_method_is_read_by_the_package_or_accepted():
 
 
 # module -> its module-level dicts and sets that functions mutate: the
-# one-time gate records, the Bernoulli table and the grow-only series store
+# one-time gate records, the Bernoulli table, the grow-only series store and
+# the integer pi at the most bits asked for
 RUN_TIME_STATE = {
+    "numerics.py": ["_PI"],
     "qexp.py": ["_BERNOULLI", "_GATE_DONE", "_SERIES_STORE"],
 }
 MUTATORS = {"add", "clear", "difference_update", "discard", "intersection_update", "pop",

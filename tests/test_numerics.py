@@ -167,7 +167,7 @@ def test_lattice_kernel_matches_reference(monkeypatch, weight, level, tau, bound
         assert diff <= mpf(2) ** -prec * max(1, abs(want))
         assert diff <= got.err
     # without the truncation tail, what is left is the proven rounding bound
-    monkeypatch.setattr(numerics, "_lattice_tail_bound", lambda *a: mpf(0))
+    monkeypatch.setattr(numerics, "_lattice_tail_bound", lambda *a: (0, 0))
     rounding = lattice_sum_eisenstein(weight, level, tau, bound, character, prec)
     assert rounding.value == got.value
     with mpmath.workprec(prec + 64):
@@ -198,7 +198,7 @@ def test_lattice_kernel_is_bit_identical_to_the_product_loop(k):
 @pytest.mark.parametrize("weight, level, tau, bound, prec", [
     (12, 1, _GATE_TAUS[0], 32, _GATE_PREC),
     (6, 5, TAU_53_POS, 120, 256),
-])
+], ids=["12-1-tau0-32-160", "6-5-tau1-120-256"])
 def test_lattice_sum_is_unchanged_by_the_kernel(monkeypatch, weight, level, tau, bound, prec):
     got = lattice_sum_eisenstein(weight, level, tau, bound, None, prec)
     monkeypatch.setattr(numerics, "_lattice_kernel", lattice_kernel_ref)
@@ -222,9 +222,8 @@ def test_lattice_tail_bound_never_below_the_formula(weight, level):
     for i, B in enumerate((1, 2, 13, 224 if (weight + level) % 4 == 0 else 57)):
         W = (80, 144, 272)[(i + weight) % 3]
         for X, Y, s in _tail_points(B):
-            with mpmath.workprec(W):
-                got = numerics._lattice_tail_bound(weight, level, X, Y, s, B, W)
-            got = F(got.man) * F(2) ** got.exp
+            t, e = numerics._lattice_tail_bound(weight, level, X, Y, s, B, W)
+            got = F(t) * F(2) ** e
             if weight % 2 == 0:
                 want = lattice_tail_formula(weight, level, F(X, 2**s), F(Y, 2**s), B)
                 assert want <= got, (B, X, Y, s)
@@ -278,8 +277,42 @@ def test_eval_kernel_matches_reference(monkeypatch, name, build, e, tau, prec):
         assert diff <= mpf(2) ** -prec * (1 + scale)
         assert diff <= got.err
     # without the fitted tail, what is left is the proven rounding bound
-    monkeypatch.setattr(numerics, "_fitted_tail", lambda *a: mpf(0))
+    monkeypatch.setattr(numerics, "_fitted_tail", lambda *a: (0, 0))
     rounding = eval_qseries(f, point, prec)
     assert rounding.value == got.value
     with mpmath.workprec(prec + 64):
         assert diff <= rounding.err
+
+
+# -- e(tau) in integers against mpmath at twice the bits ---------------------------
+
+def _exp_points():
+    """The Eisenstein gate points, -1/(N tau) of the Fricke gate points for
+    N in 2, 5, 47, 131, tau = i/131, and points with |Re tau| > 1/2."""
+    from mtv.qexp import _FRICKE_GATE_TAUS
+
+    pts = [(F(t.real), F(t.imag)) for t in _GATE_TAUS]
+    for N in (2, 5, 47, 131):
+        for t in _FRICKE_GATE_TAUS:
+            x, y = F(t.real), F(t.imag)
+            n2 = N * (x * x + y * y)
+            pts.append((-x / n2, y / n2))
+    return pts + [(F(0), F(1, 131)), (F(-7, 4), F(3, 5)), (F(23, 10), F(1, 7))]
+
+
+@pytest.mark.parametrize("bits", [64, 160, 272, 1024, 4096])
+def test_integer_e_of_tau_holds_its_proven_bound(bits):
+    # the ball's radius holds the true q at every point, and at 2 units of
+    # its last place is within a factor 4 of the largest error seen (the
+    # midpoint is rounded to nearest, so that error is about half a unit)
+    worst = 0
+    for x, y in _exp_points():
+        qx, qy, r, e = numerics._exp_ball(x, y, bits)
+        assert max(abs(qx), abs(qy)).bit_length() == bits and r <= 2
+        with mpmath.workprec(2 * bits):
+            q = mpmath.expjpi(2 * mpc(mpf(x.numerator) / x.denominator,
+                                      mpf(y.numerator) / y.denominator))
+            seen = abs(mpc(mpf(qx), mpf(qy)) - q * mpf(2) ** -e)
+        assert seen <= r, (x, y)
+        worst = max(worst, seen)
+    assert r <= 4 * worst

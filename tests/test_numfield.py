@@ -76,6 +76,20 @@ def test_rational_passthrough():
     assert K.coerce(F(2, 3)).inverse() == F(3, 2)
 
 
+@pytest.mark.parametrize("modulus", [X - 3, X**2 - 2])
+def test_a_rational_element_hashes_as_its_fraction(modulus):
+    # equal values hash equally, so a set or dict keyed by ratios holds a
+    # rational ratio once, whatever the degree of its field
+    K = NumberField(modulus)
+    for v in (F(1, 2), F(-7), F(0)):
+        assert K.coerce(v) == v and hash(K.coerce(v)) == hash(v)
+        assert len({K.coerce(v), v}) == 1
+    assert len({K.coerce(F(1, 2)), F(1, 2), K.coerce(F(1, 3))}) == 2
+    if K.degree == 2:
+        theta = K.elem([0, 1])
+        assert len({theta, K.elem([0, 1]), F(0)}) == 2
+
+
 def test_totally_real_detection():
     assert NumberField(X**2 - 2).is_totally_real()
     assert not NumberField(X**2 + 1).is_totally_real()

@@ -428,14 +428,12 @@ def test_eisenstein_gate_catches_corruption(monkeypatch, fresh_gates, corruption
 
 
 def test_eisenstein_gate_points_are_short_dyadics():
-    # exact at 53 bits, so no working precision moves them, and at most 8
+    # exact as floats, so no working precision moves them, and at most 8
     # fractional bits, so the coset-sum kernel's integers stay small
     assert len(qexp_mod._GATE_TAUS) == 2
     for tau in qexp_mod._GATE_TAUS:
         for part in (tau.real, tau.imag):
-            # part = man 2^exp with man odd
-            man, exp = part.man_exp
-            assert abs(man).bit_length() <= 53 and -8 <= exp <= 0
+            assert Fraction(part).denominator <= 2**8
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 5])
@@ -463,7 +461,8 @@ def test_proven_eisenstein_tail_covers_the_known_coefficients(weight, level, fri
             r = mpmath.exp(-2 * mpmath.pi * tau.imag)
             known = sum(abs(mpmath.mpf(c)) * r**m
                         for m, c in enumerate(ser._num) if m > order) / ser._den
-            assert known <= numerics._proven_tail(bound, order, float(mpmath.log(r)))
+            t, e = numerics._proven_tail(bound, order, float(mpmath.log(r)))
+            assert known <= mpmath.mpf((t, e))
 
 
 # -- eta quotients -----------------------------------------------------------

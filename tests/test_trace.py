@@ -71,6 +71,20 @@ def test_fricke_eta_check_refuses_a_slightly_wrong_scalar(pairs, level):
                                 spec.weight)
 
 
+@pytest.mark.parametrize("pairs, level", [({1: 8, 2: 8}, 2), ({1: 2, 11: 2}, 11),
+                                          ({1: 2, 47: 2}, 47), ({1: 2, 131: 2}, 131)])
+def test_fricke_eta_check_refuses_wrong_scalars_at_large_levels(pairs, level):
+    """The slash side is read at i/N, where |q| = e^(-2 pi/N); the gate's
+    order grows with N, so it holds at the true scalar and refuses it times
+    101/100, 2 and -1 at levels 47 and 131 as at 2 and 11."""
+    spec = EtaQuotientSpec(pairs)
+    partner, scalar = fricke_eta_data(spec, level)
+    trace._check_fricke_eta(spec, partner, scalar, level, spec.weight)
+    for wrong in (Fraction(101, 100), 2, -1):
+        with pytest.raises(VerificationError, match="fails the numeric slash check"):
+            trace._check_fricke_eta(spec, partner, scalar * wrong, level, spec.weight)
+
+
 def test_fricke_eta_series_is_scaled_dilation():
     T = 20
     f = fricke_eta_series({1: 24}, 2, T)
