@@ -2,13 +2,15 @@
 
 The engine works with q-expansions over Q and newforms over number fields,
 all arithmetic exact, factorization over Q included (a mod-p sieve and
-Zassenhaus's method).  Floating point appears only in two places: oracle
+Zassenhaus's method).  Numeric values appear in two places: oracle
 comparisons against lattice sums, and period recovery for elliptic
-specializations.  Both carry error bounds.  The lattice-sum error (truncation
-tail plus rounding) and the rounding of q-series evaluation are proven; the
-tail of a q-series evaluation past its truncation is proven for the
-Eisenstein rows the gates and the oracle evaluate, and a fitted majorant
-otherwise.
+specializations.  Each is an integer ball (BigComplex) with an error bound,
+and no subcommand loads mpmath.  The lattice-sum error (truncation tail plus
+rounding) and the rounding of q-series evaluation are proven; the tail of a
+q-series evaluation past its truncation is proven for the Eisenstein rows
+and for E4, E6 and Delta on the curve path, and a fitted majorant only for
+the arbitrary series that specialize scales and the eta-quotient Fricke
+gate.
 """
 
 from .errors import (

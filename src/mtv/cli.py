@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 
 from .elliptic import (
     CurveQ,
@@ -26,9 +27,9 @@ from .elliptic import (
     verify_corollary,
 )
 from .errors import InputError, MtvError, ReconstructionError, VerificationError
-from .numerics import DEFAULT_PREC_BITS, check_prec
+from .numerics import DEFAULT_PREC_BITS, BigComplex, check_prec
 from .qexp import EtaQuotientSpec, eisenstein_level1, eisenstein_oracle
-from .rational import exact_fraction, format_exact, format_rational, parse_rational
+from .rational import format_decimal, format_exact, format_rational, parse_rational, round_bits
 from .spaces import delta_series, dim_cusp_level1, newform_basis_level1
 from .trace import phi, verify_theorem
 
@@ -63,22 +64,19 @@ def parse_curve(text):
 
 
 def parse_tau(text, prec_bits):
-    """"re,im" -> mpc, rounded once at the working precision."""
-    import mpmath
-
+    """"re,im" -> a point, each part rounded once to prec_bits bits, to
+    nearest with ties to even."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise InputError("tau must be re,im")
     try:
-        with mpmath.workprec(prec_bits):
-            t = mpmath.mpc(parts[0], parts[1])
-    except ValueError as exc:
+        re, im = (round_bits(Fraction(p), prec_bits) for p in parts)
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError("bad tau %r" % text) from exc
-    if not mpmath.isfinite(t):
-        raise InputError("tau must be finite")
-    if t.imag <= 0:
+    if im <= 0:
         raise InputError("tau must have positive imaginary part")
-    return t
+    s = max(re.denominator, im.denominator).bit_length() - 1
+    return BigComplex(int(re * 2**s), int(im * 2**s), 0, -s)
 
 
 def _default_prec():
@@ -166,8 +164,6 @@ def cmd_phi(args):
 
 
 def cmd_oracle(args):
-    import mpmath
-
     tau = parse_tau(args.tau, args.prec)
     closed, lat = eisenstein_oracle(args.eis_weight, args.level, tau, args.bound,
                                     args.series_order, args.prec)
@@ -178,8 +174,8 @@ def cmd_oracle(args):
         "bound": args.bound,
         "closed_form": closed.serialize(),
         "lattice_sum": lat.serialize(),
-        "difference": mpmath.nstr(closed.distance(lat), 12),
-        "certified_error_sum": mpmath.nstr(closed.err + lat.err, 8),
+        "difference": format_decimal(closed.distance(lat), 12),
+        "certified_error_sum": format_decimal(closed.err + lat.err, 8, up=True),
     })
     return 0
 
@@ -197,7 +193,7 @@ def cmd_specialize(args):
         bc = pair.specialize_numeric(ser, wt)
         # the largest denominator bound B whose separation radius 1/(2 B^2)
         # exceeds the value's error, at most 10^8
-        err = exact_fraction(bc.err)
+        err = bc.err
         B = math.isqrt((err.denominator - 1) // (2 * err.numerator)) if err else 10**8
         try:
             val = format_rational(reconstruct_real(bc, max(1, min(B, 10**8))))

@@ -2,31 +2,42 @@
 
 A curve y^2 = 4x^3 - g2 x - g3 over Q with nonzero discriminant has a lattice
 tau = omega2/omega1 from two real AGMs (Cohen, GTM 138, Alg. 7.4.7) on the
-closed-form roots of x^3 - (g2/4) x - g3/4, in forms that do not cancel near
-a singular curve (so with no guard bits), then certified through E4, E6 and
-Delta.  j fixes where tau lies: Re tau = 0 for j >= 1728, the edge
-|Re tau| = 1/2 for j <= 0, the arc |tau| = 1 between; the representative
-reported is the one with Re tau >= 0.  Specialization sends
-E4 -> 12 g2, E6 -> 216 g3, Delta -> g2^3 - 27 g3^2 after the (2 pi / w2)^k
-rescaling, which on the triangular level-1 basis is a ring homomorphism we
-can apply exactly to any level-1 form.
+real roots of 4x^3 - g2 x - g3, then certified through E4, E6 and Delta.
+j fixes where tau lies: Re tau = 0 for j >= 1728, the edge |Re tau| = 1/2
+for j <= 0, the arc |tau| = 1 between; the representative reported is the
+one with Re tau >= 0.  Specialization sends E4 -> 12 g2, E6 -> 216 g3,
+Delta -> g2^3 - 27 g3^2 after the (2 pi / w2)^k rescaling, which on the
+triangular level-1 basis is a ring homomorphism we can apply exactly to any
+level-1 form.
 
-The period lattice is computed in mpmath, trusted there and certified after
-the fact by the three series evaluations; only the functions that touch it
-load mpmath, so the exact specialization runs without it.
+The period lattice is computed in integers (fixed-point roots, isqrt AGMs),
+trusted there and certified after the fact by three series evaluations
+with proven tails; every numeric value is a BigComplex ball, so no
+function here loads mpmath.
 """
 
-import operator
+import math
 from fractions import Fraction
 
 from .errors import InputError, PrecisionError, VerificationError
-from .numerics import DEFAULT_PREC_BITS, BigComplex, check_prec, eval_qseries, to_mpc, to_mpf
+from .numerics import (
+    DEFAULT_PREC_BITS,
+    BigComplex,
+    _ball_root,
+    _pi_fixed,
+    _point,
+    check_prec,
+    eval_qseries,
+)
 from .numfield import nf_trace
-from .polynomial import UniPoly, _power, poly_factor_q
-from .qexp import eisenstein_level1
-from .rational import exact_fraction, format_rational, rational_reconstruct
+from .polynomial import UniPoly, poly_factor_q
+from .qexp import _eisenstein_coeff_bound, eisenstein_level1
+from .rational import format_decimal, format_rational, rational_reconstruct
 from .spaces import delta_series, dim_modular_level1, level1_coordinates, miller_exponents
 from .trace import verify_theorem
+
+# Deligne: |tau(n)| <= d(n) n^(11/2) <= 2 n^6, a proven tail for Delta
+_DELTA_BOUND = (Fraction(2), 6)
 
 
 class CurveQ:
@@ -73,40 +84,27 @@ class CurveQ:
 
 # -- numeric lattice -------------------------------------------------------
 
-def _level1_series(trunc):
-    """E4, E6 and Delta through q^trunc, read as prefixes of the series store."""
-    return eisenstein_level1(4, trunc), eisenstein_level1(6, trunc), delta_series(trunc)
-
-
 def _order_for(im_tau, prec_bits):
     # |q|^T = exp(-2 pi Im(tau) T) must undercut 2^-prec with headroom
     T = int(0.80 * prec_bits / im_tau) + 24
     return max(48, T)
 
 
-def j_invariant_numeric(tau, prec_bits=DEFAULT_PREC_BITS):
-    """j(tau) = E4^3/Delta as a BigComplex with the series tail accounted."""
-    import mpmath
+def _level1_values(tau, T, bits, weights=(4, 6, 12)):
+    """E4, E6 and Delta (E_k for k in weights, Delta for 12) through q^T at
+    tau, as balls of `bits` bits with proven tails."""
+    return [eval_qseries(delta_series(T), tau, bits, _DELTA_BOUND) if k == 12 else
+            eval_qseries(eisenstein_level1(k, T), tau, bits, _eisenstein_coeff_bound(k, 1))
+            for k in weights]
 
-    tau = to_mpc(tau)
-    if tau.imag <= 0:
+
+def j_invariant_numeric(tau, prec_bits=DEFAULT_PREC_BITS):
+    """j(tau) = E4^3/Delta as a BigComplex, its radius proven."""
+    y = _point(tau)[1]
+    if y <= 0:
         raise InputError("tau must be in the upper half plane")
-    T = _order_for(float(tau.imag), prec_bits)
-    E4, D = eisenstein_level1(4, T), delta_series(T)
-    with mpmath.workprec(prec_bits + 16):
-        e4 = eval_qseries(E4, tau, prec_bits + 16)
-        dd = eval_qseries(D, tau, prec_bits + 16)
-        num = e4 * e4 * e4
-        dv = dd.value
-        if abs(dv) <= 2 * dd.err:
-            raise PrecisionError("discriminant series vanishes to working precision")
-        val = num.value / dv
-        # |A/B| error: (errA + |A/B| errB) / (|B| - errB), plus the roundings of
-        # two products and a quotient (each component within 2^(-15-prec) of
-        # its size), under 3.2 * 2^(-15-prec) |val| in all
-        err = (num.err + abs(val) * dd.err) / (abs(dv) - dd.err)
-        err += abs(val) * mpmath.mpf(2) ** (-13 - prec_bits)
-        return BigComplex(val, err)
+    e4, dd = _level1_values(tau, _order_for(float(y), prec_bits), prec_bits + 16, (4, 12))
+    return e4 * e4 * e4 / dd  # a PrecisionError when Delta's disc holds 0
 
 
 class CurvePair:
@@ -115,145 +113,136 @@ class CurvePair:
     __slots__ = ("curve", "tau", "scale", "omega2", "prec_bits", "order")
 
     def __init__(self, curve, tau, scale, prec_bits, order):
-        import mpmath
-
         self.curve = curve
         self.tau = tau
         self.scale = scale
-        self.omega2 = 2 * mpmath.pi / scale
+        # 2 pi, within 4 units of 2^-(prec + 32)
+        self.omega2 = BigComplex(_pi_fixed(prec_bits + 32) << 1, 0, 4, -prec_bits - 32) / scale
         self.prec_bits = prec_bits
         self.order = order
 
-    def scale_bc(self):
-        import mpmath
-
-        s = abs(self.scale)
-        return BigComplex(self.scale, s * mpmath.mpf(2) ** (-self.prec_bits + 8))
-
     def specialize_numeric(self, series, weight):
         """(2 pi / w2)^weight * series(tau) as a BigComplex."""
-        import mpmath
-
-        with mpmath.workprec(self.prec_bits + 16):
-            v = eval_qseries(series, self.tau, self.prec_bits + 16)
-            s = self.scale_bc()
-            p = int(weight)
-            acc = _power(s, p, operator.mul) if p else BigComplex(mpmath.mpc(1), mpmath.mpf(0))
-            return acc * v
+        return self.scale ** int(weight) * eval_qseries(series, self.tau, self.prec_bits + 16)
 
     def serialize(self):
-        import mpmath
-
         return {
-            "tau": mpmath.nstr(self.tau, 30),
-            "omega2": mpmath.nstr(self.omega2, 30),
-            "scale": mpmath.nstr(self.scale, 30),
+            "tau": self.tau.text(30),
+            "omega2": self.omega2.text(30),
+            "scale": self.scale.text(30),
             "prec_bits": self.prec_bits,
         }
 
 
-def _period_tau(curve):
-    """tau = omega2/omega1 from the real AGM at the working precision, on
-    the boundary of the fundamental domain with Re tau >= 0 (j not 0, 1728).
+def _agm(a, b):
+    """The AGM of two positive integers in one fixed-point scale, by isqrt."""
+    while abs(a - b) > 1:
+        a, b = (a + b) >> 1, math.isqrt(a * b)
+    return a
 
-    Cohen, GTM 138, Alg. 7.4.7, on the roots of x^3 - (g2/4) x - g3/4 in
-    closed form: for disc > 0 their differences, sqrt(g2) times the sines of
-    the trigonometric form, and for disc < 0 the real root e1 by real
-    Cardano.  tau depends on g3 only through g3^2, so both forms run at
-    |g3|.  There no step cancels below the size of the roots: the smallest
-    difference is the sine of an angle from atan2, and 2b - a is
-    -disc / (16 b^4 (2b + a)).  So a near-singular curve needs no guard
-    bits: tau holds the working precision at |disc| / g2^3 = 2e-200 as at 1.
+
+def _period_tau(curve, bits):
+    """tau = omega2/omega1 from the real AGM (Cohen, GTM 138, Alg. 7.4.7) at
+    `bits` fractional bits, on the boundary of the fundamental domain with
+    Re tau >= 0 (j not 0, 1728); tau depends on g3 only through g3^2.
+
+    x -> 2^k x brings the real roots of p = 4x^3 - g2 x - g3 below 2.  The
+    exact discriminant, 16 prod (e_i - e_j)^2, sets guard bits g that cover
+    every root gap and the squared imaginary part of a complex pair.  The
+    largest root comes from Newton's rule in fixed point from x = 2, where p
+    increases and is convex, so the steps fall to it; the smallest is minus
+    the largest of -p(-x).  For disc > 0 the AGMs run on the root
+    differences; for disc < 0 on b = |e1 - e2|, 2b + a and 2b - a =
+    -disc / (16 b^4 (2b + a)), a = 3 e1, which does not cancel.
     """
-    import mpmath
+    g2, g3 = curve.g2, abs(curve.g3)
+    lg = lambda v: abs(v.numerator).bit_length() - v.denominator.bit_length()  # noqa: E731
+    k = max((lg(g2) + 1) // 2, (lg(g3) + 2) // 3)
+    g2, g3 = g2 / Fraction(4) ** k, g3 / Fraction(8) ** k
+    disc = g2**3 - 27 * g3**2
+    g = 16 + max(0, -lg(disc))
+    F = bits + g
+    D = math.lcm(g2.denominator, g3.denominator)
+    A1, A0 = int(g2 * D), int(g3 * D)
 
-    g2, g3, disc = to_mpf(curve.g2), to_mpf(abs(curve.g3)), curve.discriminant
-    sqrt, agm = mpmath.sqrt, mpmath.agm
+    def top_root(A0):  # the largest root of D p in units of 2^-F
+        X, f0 = 2, 0
+        for f in (min(F, g + 64), F):  # the slow first steps at g + 64 bits
+            X <<= f - f0
+            for _ in range(4 * f):
+                step = ((4 * D * X * X - (A1 << 2 * f)) * X - (A0 << 3 * f)) // (
+                    12 * D * X * X - (A1 << 2 * f))
+                X -= step
+                if abs(step) <= 1:
+                    break
+            f0 = f
+        return X
+
+    e1 = top_root(A0)
     if disc > 0:  # j > 1728: a rectangular lattice, Re tau = 0
-        phi = mpmath.atan2(sqrt(to_mpf(disc)), sqrt(27) * g3) / 3
-        third = mpmath.pi / 3
-        r = sqrt(mpmath.sin(2 * third - phi))  # sqrt(e1 - e3), scaled
-        m1 = agm(r, sqrt(mpmath.sin(third - phi)))
-        m2 = agm(r, sqrt(mpmath.sin(phi)))
-        return mpmath.mpc(0, max(m1, m2) / min(m1, m2))
+        e3 = -top_root(-A0)
+        r = math.isqrt((e1 - e3) << F)
+        m1 = _agm(r, math.isqrt((2 * e1 + e3) << F))
+        m2 = _agm(r, math.isqrt((-e1 - 2 * e3) << F))
+        return BigComplex(0, (max(m1, m2) << bits) // min(m1, m2), 0, -bits)
     # a rhombic lattice; Cohen's tau is -1/2 + i m1 / (2 m2)
-    u = mpmath.cbrt(g3 / 8 + sqrt(to_mpf(-disc / 1728)))
-    e1 = u + g2 / (12 * u)
-    b = sqrt(3 * e1**2 - g2 / 4)
-    s = 2 * b + 3 * e1  # 2b + a
-    r = 2 * sqrt(b)
-    m1 = agm(r, sqrt(s))
-    m2 = agm(r, sqrt(to_mpf(-disc) / (16 * b**4 * s)))
+    B = math.isqrt(3 * e1 * e1 - (A1 << 2 * F) // (4 * D))
+    S = 2 * B + 3 * e1
+    U = (-disc.numerator << 6 * F) // (16 * disc.denominator * B**4 * S)
+    r = 2 * math.isqrt(B << F)
+    m1, m2 = _agm(r, math.isqrt(S << F)), _agm(r, math.isqrt(U << F))
     if curve.j < 0:  # the edge
-        return mpmath.mpc(0.5, max(m1, m2) / (2 * min(m1, m2)))
+        return BigComplex(1 << (bits - 1), (max(m1, m2) << bits) // (2 * min(m1, m2)), 0, -bits)
     # the arc, through the basis of the rhombus' two sides
-    n = m1**2 + m2**2
-    return mpmath.mpc(abs(m1**2 - m2**2) / n, 2 * m1 * m2 / n)
+    n = m1 * m1 + m2 * m2
+    return BigComplex((abs(m1 * m1 - m2 * m2) << bits) // n, (2 * m1 * m2 << bits) // n, 0, -bits)
 
 
 def tau_from_curve(curve, prec_bits=DEFAULT_PREC_BITS):
     """The period-lattice point tau of the curve and the scale 2 pi / w2.
 
-    tau comes in closed form from the real AGM (`_period_tau`), or is
-    rho = (1 + sqrt(-3))/2 at j = 0 and i at j = 1728.  It lies on the
-    boundary of the fundamental domain, with Re tau >= 0: Re tau = 0 for
+    tau comes from the real AGM in integers (`_period_tau`), or is
+    rho = (1 + sqrt(-3))/2 at j = 0 and i at j = 1728: Re tau = 0 for
     j >= 1728, Re tau = 1/2 for j <= 0, |tau| = 1 between, whatever the
-    precision.  Three certificates, all through the E4, E6 and Delta
-    series at tau, are the proof: |E4^3 - j Delta| is small relative to
-    |Delta|, the scale's branch reproduces g3, and scale^12 Delta(tau)
-    reproduces the discriminant.  So the returned pair satisfies
-    scale^4 E4(tau) = 12 g2 and scale^6 E6(tau) = 216 g3 to the certified
-    working precision.
+    precision.  The scale is the principal root of 12 g2 / E4(tau) (of
+    216 g3 / E6(tau) when g2 = 0), a ball with a proven radius.  Three
+    certificates through the E4, E6 and Delta series at tau, with proven
+    tails, are the proof: |E4^3 - j Delta| is small relative to |Delta|,
+    the scale's branch reproduces g3, and scale^12 Delta(tau) the
+    discriminant, so scale^4 E4(tau) = 12 g2 and scale^6 E6(tau) = 216 g3
+    to the certified working precision.
     """
-    import mpmath
-
     prec_bits = check_prec(prec_bits)
+    W = prec_bits + 32
     jv = curve.j
-    with mpmath.workprec(prec_bits + 32):
-        if jv == 0:
-            tau = (1 + mpmath.sqrt(-3)) / 2
-        elif jv == 1728:
-            tau = mpmath.mpc(0, 1)
-        else:
-            tau = _period_tau(curve)
-        T = _order_for(float(tau.imag), prec_bits)
-        E4s, E6s, Ds = _level1_series(T)
-        # certify |E4^3 - j Delta| relative to |Delta|
-        e4 = eval_qseries(E4s, tau, prec_bits + 16)
-        e6 = eval_qseries(E6s, tau, prec_bits + 16)
-        dd = eval_qseries(Ds, tau, prec_bits + 16)
-        lhs = e4 * e4 * e4
-        rhs = dd * BigComplex(to_mpc(jv), mpmath.mpf(0))
-        diff = lhs - rhs
-        gate = (abs(dd.value) + dd.err) * (1 + abs(to_mpc(jv))) * mpmath.mpf(2) ** (
-            -(prec_bits // 2)
-        )
-        if abs(diff.value) + diff.err > gate:
-            raise PrecisionError(
-                "j-inversion certificate failed: residual %s vs gate %s"
-                % (mpmath.nstr(abs(diff.value) + diff.err, 8), mpmath.nstr(gate, 8))
-            )
-        # period branch
-        if curve.g2 != 0:
-            scale = (12 * to_mpc(curve.g2) / e4.value) ** Fraction(1, 4)
-            if curve.g3 != 0:
-                want = to_mpc(curve.g3)
-                got = scale**6 * e6.value / 216
-                if abs(got - want) > abs(got + want):
-                    scale *= mpmath.mpc(0, 1)
-                got = scale**6 * e6.value / 216
-                tol = mpmath.mpf(2) ** (-(prec_bits // 3)) * (1 + abs(want))
-                if abs(got - want) > tol:
-                    raise PrecisionError("period branch fix failed on g3")
-        else:
-            scale = (216 * to_mpc(curve.g3) / e6.value) ** Fraction(1, 6)
-        # final lattice certificate through the discriminant
-        dE = to_mpc(curve.discriminant)
-        got = scale**12 * dd.value
-        tol = mpmath.mpf(2) ** (-(prec_bits // 3)) * (1 + abs(dE))
-        if abs(got - dE) > tol:
-            raise PrecisionError("lattice certificate failed on the discriminant")
-        return CurvePair(curve, tau, scale, prec_bits, T)
+    if jv == 0:
+        tau = BigComplex(1 << W, math.isqrt(3 << 2 * W), 0, -W - 1)
+    elif jv == 1728:
+        tau = BigComplex(0, 1)
+    else:
+        tau = _period_tau(curve, W)
+    T = _order_for(float(tau.imag), prec_bits)
+    e4, e6, dd = _level1_values(tau, T, prec_bits + 16)
+    # certify |E4^3 - j Delta| relative to |Delta|
+    residual = (e4 * e4 * e4 - dd * jv).mag()
+    gate = dd.mag() * (1 + abs(jv)) / 2 ** (prec_bits // 2)
+    if residual > gate:
+        raise PrecisionError("j-inversion certificate failed: residual %s vs gate %s"
+                             % (format_decimal(residual, 8), format_decimal(gate, 8)))
+    tol = lambda v: (1 + abs(v)) / 2 ** (prec_bits // 3)  # noqa: E731
+    # the scale, and its branch: times i when that reproduces g3 better
+    k, c, e = (4, 12 * curve.g2, e4) if curve.g2 else (6, 216 * curve.g3, e6)
+    scale = BigComplex(*_ball_root((c / e)._ball(), k, prec_bits + 16))
+    if curve.g2 and curve.g3:
+        got = scale**6 * e6 / 216
+        if got.distance(curve.g3) > got.distance(-curve.g3):
+            scale = BigComplex(-scale.y, scale.x, scale.r, scale.e)
+        if (scale**6 * e6 / 216 - curve.g3).mag() > tol(curve.g3):
+            raise PrecisionError("period branch fix failed on g3")
+    # final lattice certificate through the discriminant
+    if (scale**12 * dd - curve.discriminant).mag() > tol(curve.discriminant):
+        raise PrecisionError("lattice certificate failed on the discriminant")
+    return CurvePair(curve, tau, scale, prec_bits, T)
 
 
 # -- exact specialization ----------------------------------------------------
@@ -317,15 +306,10 @@ def condition_a(poly):
 
 def reconstruct_real(bc, denom_bound=10**6):
     """Recognize a certified BigComplex as a rational; error if ambiguous."""
-    import mpmath
-
-    if abs(bc.value.imag) > bc.err + mpmath.mpf(2) ** -40:
-        raise VerificationError(
-            "value has a nonreal part %s beyond its error bound"
-            % mpmath.nstr(bc.value.imag, 8)
-        )
-    x = exact_fraction(bc.value.real)
-    return rational_reconstruct(x, denom_bound, err=exact_fraction(mpmath.mpf(bc.err)))
+    if abs(bc.imag) > bc.err + Fraction(1, 2**40):
+        raise VerificationError("value has a nonreal part %s beyond its error bound"
+                                % format_decimal(bc.imag, 8))
+    return rational_reconstruct(bc.real, denom_bound, err=bc.err)
 
 
 # -- the specialization corollary -------------------------------------------

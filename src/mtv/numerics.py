@@ -1,34 +1,29 @@
 """Arbitrary-precision numeric layer, in integers.
 
-Every value here is a ball: a Gaussian-integer midpoint (x + iy) 2^e and an
-integer radius r 2^e that contains the true value, each rounding of the
-midpoint widening the radius by what the rounding can lose (in the spirit of
-Johansson's Arb).  q = e(tau) comes from integer pi, exp, cos and sin with
-a proven error (_exp_ball), so eval_qseries' radius is proven for the
-Horner rounding, the error of q and the final scalings.  To that it adds a
-tail for the coefficients past the truncation: proven when the caller knows
-a bound |c_m| <= C m^alpha on them (the Eisenstein rows and their Fricke
-images have one), and otherwise a fitted majorant, a heuristic, since those
-coefficients are unknown to it.  The coset sum of lattice_sum_eisenstein
-reports its truncation tail plus its rounding, both proven.
-
-The one-time gates of qexp and trace compare these balls in integers, so
-newforms, theorem and phi (with or without --curve) never load mpmath.  It
-is imported only where a value leaves the integers: BigComplex, the value
-type that eval_qseries and lattice_sum_eisenstein return, holds mpmath
-numbers, and the elliptic layer computes the curve's period lattice in
-mpmath, trusted there and certified after the fact by three series
-evaluations; so corollary, oracle and specialize load it.  All
-load-bearing identities elsewhere in the package, factorization included,
-are exact; this layer only cross-checks them.
+Every value here is a ball, BigComplex: a Gaussian-integer midpoint
+(x + iy) 2^e and an integer radius r 2^e that contains the true value, each
+rounding of the midpoint widening the radius by what the rounding can lose
+(in the spirit of Johansson's Arb).  q = e(tau) comes from integer pi, exp,
+cos and sin with a proven error (_exp_ball), so eval_qseries' radius is
+proven for the Horner rounding, the error of q and the final scalings.  To
+that it adds a tail for the coefficients past the truncation: proven when
+the caller knows a bound |c_m| <= C m^alpha on them (the Eisenstein rows,
+their Fricke images, and E4, E6 and Delta on the curve path), and otherwise
+a fitted majorant, a heuristic, since those coefficients are unknown to it;
+only specialize's arbitrary series and the eta-quotient Fricke gate take
+that one.  The coset sum of lattice_sum_eisenstein reports its truncation
+tail plus its rounding, both proven.  No subcommand loads mpmath.  All
+load-bearing identities elsewhere in the package are exact; this layer
+only cross-checks them.
 """
 
 import math
+import operator
 from fractions import Fraction
 
-from .errors import InputError, UnsupportedScopeError, require_within
+from .errors import InputError, PrecisionError, UnsupportedScopeError, require_within
 from .polynomial import _power
-from .rational import exact_fraction
+from .rational import exact_fraction, format_decimal, round_bits
 
 DEFAULT_PREC_BITS = 256
 MIN_PREC_BITS = 64
@@ -49,95 +44,100 @@ def check_prec(prec_bits, cap=MAX_PREC_BITS):
     return p
 
 
-def to_mpf(x):
-    """Fraction/int to mpf at the ambient precision."""
-    import mpmath
-
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return mpmath.mpf(x.numerator)
-        return mpmath.mpf(x.numerator) / x.denominator
-    return mpmath.mpf(x)
-
-
-def to_mpc(x):
-    import mpmath
-
-    if isinstance(x, BigComplex):
-        return x.value
-    if isinstance(x, Fraction):
-        return mpmath.mpc(to_mpf(x))
-    return mpmath.mpc(x)
-
-
 class BigComplex:
-    """Complex value (an mpmath mpc) plus an absolute error bound: proven as
-    eval_qseries and lattice_sum_eisenstein attach it, except eval_qseries'
-    fitted tail past the truncation (see the module docstring), and carried
-    through + and *."""
+    """A complex ball: midpoint (x + iy) 2^e and radius r 2^e, all four
+    integers, r >= 0.  The ball holds the value it stands for: proven as
+    eval_qseries and lattice_sum_eisenstein make it, but for eval_qseries'
+    fitted tail (see the module docstring).  +, -, * and / (by a ball whose
+    disc excludes 0) return balls that hold every result of the operation
+    on points of the operands, rounded to the bits of the finer operand,
+    but exact for +, - and * of two points; an int or Fraction operand is
+    a point."""
 
-    __slots__ = ("value", "err")
+    __slots__ = ("x", "y", "r", "e")
 
-    def __init__(self, value, err=0):
-        import mpmath
+    def __init__(self, x, y=0, r=0, e=0):
+        self.x, self.y, self.r, self.e = x, y, r, e
 
-        self.value = to_mpc(value)
-        self.err = abs(mpmath.mpf(err))
+    real = property(lambda self: _dyadic(self.x, self.e))
+    imag = property(lambda self: _dyadic(self.y, self.e))
+    err = property(lambda self: _dyadic(self.r, self.e))
 
-    def __repr__(self):
-        import mpmath
+    def _ball(self):
+        return self.x, self.y, self.r, self.e
 
-        return "BigComplex(%s, err=%s)" % (mpmath.nstr(self.value, 17), mpmath.nstr(self.err, 3))
-
-    def _coerce(self, other):
-        if isinstance(other, BigComplex):
-            return other
-        return BigComplex(other, 0)
+    def _apply(self, op, other, swap=False):
+        if isinstance(other, (int, Fraction)):
+            other = BigComplex(*_ball_scale((1, 0, 0, 0), other.numerator, 0,
+                                            other.denominator, _prec(self)))
+        elif not isinstance(other, BigComplex):
+            return NotImplemented
+        a, b = (other, self) if swap else (self, other)
+        exact = op is not _ball_div and not (a.r or b.r)  # +, - and * of points
+        return BigComplex(*op(a._ball(), b._ball(), math.inf if exact else _prec(a, b)))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return BigComplex(self.value + other.value, self.err + other.err)
+        return self._apply(_ball_add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return BigComplex(self.value - other.value, self.err + other.err)
+        return self._apply(_ball_sub, other)
 
     def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
+        return self._apply(_ball_sub, other, True)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        e = abs(self.value) * other.err + abs(other.value) * self.err + self.err * other.err
-        return BigComplex(self.value * other.value, e)
+        return self._apply(_ball_mul, other)
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return BigComplex(-self.value, self.err)
+    def __truediv__(self, other):
+        return self._apply(_ball_div, other)
 
-    def __abs__(self):
-        return abs(self.value)
+    def __rtruediv__(self, other):
+        return self._apply(_ball_div, other, True)
+
+    def __pow__(self, n):
+        return _power(self, n, operator.mul) if n else BigComplex(1)
+
+    def __neg__(self):
+        return BigComplex(-self.x, -self.y, self.r, self.e)
+
+    def mag(self):
+        """An upper bound of |z| over the ball."""
+        return _dyadic(_abs_up(self.x, self.y) + self.r, self.e)
 
     def distance(self, other):
-        return abs(self.value - to_mpc(other))
+        """An upper bound of the distance between the midpoints of self and
+        other, within a unit of the finer exponent."""
+        exact = self._apply(lambda a, b, bits: _ball_sub(a, b, math.inf), other)
+        return exact.mag() - exact.err
+
+    def text(self, digits=30):
+        """The midpoint as mpmath prints an mpc, "(re + imj)"; see format_decimal."""
+        re, im = (format_decimal(v, digits, self.err) for v in (self.real, self.imag))
+        return "(%s %s %sj)" % (re, "-" if im[0] == "-" else "+", im.lstrip("-"))
+
+    def __repr__(self):
+        return "BigComplex(%s, err=%s)" % (self.text(17), format_decimal(self.err, 3, up=True))
 
     def serialize(self, digits=30):
-        import mpmath
+        err = self.err
+        re, im = (format_decimal(v, digits, err) for v in (self.real, self.imag))
+        return {"re": re, "im": im, "err": format_decimal(err, 3, up=True)}
 
-        return {
-            "re": mpmath.nstr(self.value.real, digits),
-            "im": mpmath.nstr(self.value.imag, digits),
-            "err": mpmath.nstr(self.err, 3),
-        }
+
+def _dyadic(n, e):
+    return Fraction(n << e) if e >= 0 else Fraction(n, 1 << -e)
 
 
 def _point(tau):
     """(Re tau, Im tau) as exact Fractions.  tau is a pair of rationals, or
-    a number: an mpc or mpf is dyadic, read from its mantissa and exponent."""
+    a number, or a BigComplex, read at its midpoint: an mpc or mpf is
+    dyadic, read from its mantissa and exponent."""
     if isinstance(tau, BigComplex):
-        tau = tau.value
+        return tau.real, tau.imag
     if isinstance(tau, tuple):
         re, im = tau
     elif isinstance(tau, complex) or hasattr(tau, "_mpc_"):
@@ -148,24 +148,6 @@ def _point(tau):
         return exact_fraction(re), exact_fraction(im)
     except (InputError, ValueError, OverflowError) as exc:
         raise InputError("tau must lie in the upper half-plane") from exc
-
-
-def _round_bits(x, bits):
-    """The Fraction x rounded to `bits` significant bits, to nearest with
-    ties to even, as mpmath rounds a number to a working precision."""
-    p, d = abs(x.numerator), x.denominator
-    if not p:
-        return x
-    e = p.bit_length() - d.bit_length() - bits
-    for e in (e, e + 1):
-        n, r = divmod(p << -e, d) if e < 0 else divmod(p, d << e)
-        if n.bit_length() <= bits:
-            break
-    den = d if e < 0 else d << e
-    if 2 * r > den or (2 * r == den and n & 1):
-        n += 1
-    v = Fraction(n, 1 << -e) if e < 0 else Fraction(n << e)
-    return v if x > 0 else -v
 
 
 # -- balls: an integer midpoint and radius ------------------------------------
@@ -236,33 +218,80 @@ def _ball_widen(a, t, te):
     return x, y, r + (t << s if s >= 0 else -(-t >> -s)), e
 
 
-def _balls_meet(a, b, rel=None):
-    """True when the discs a and b meet, their radii first widened by
-    2^-rel (|a| + |b|) when rel is given (by a lower bound of it)."""
+def _prec(*balls):
+    """The bits a result of the balls keeps: those of the finest midpoint, 64 at least."""
+    return max(64, *(max(abs(b.x), abs(b.y)).bit_length() for b in balls))
+
+
+def _ball_add(a, b, bits):
+    """a + b, rounded to `bits` bits."""
+    (ax, ay, ar, ae), (bx, by, br, be) = a, b
+    e = min(ae, be)
+    s, t = ae - e, be - e
+    x, y, r = (ax << s) + (bx << t), (ay << s) + (by << t), (ar << s) + (br << t)
+    return _ball_round(x, y, r, e, bits)
+
+
+def _ball_sub(a, b, bits):
+    return _ball_add(a, (-b[0], -b[1], b[2], b[3]), bits)
+
+
+def _ball_div(a, b, bits):
+    """a / b, rounded to `bits` bits, for b's disc clear of 0: the midpoint
+    quotient ma/mb moves by at most (ra |mb| + |ma| rb) / (|mb| (|mb| - rb))."""
     ax, ay, ar, ae = a
     bx, by, br, be = b
-    e = min(ae, be)
-    ax, ay, ar = ax << (ae - e), ay << (ae - e), ar << (ae - e)
-    bx, by, br = bx << (be - e), by << (be - e), br << (be - e)
-    tol = ar + br
-    if rel is not None:
-        tol += (_abs_down(ax, ay) + _abs_down(bx, by)) >> rel
-    dx, dy = ax - bx, ay - by
-    return dx * dx + dy * dy <= tol * tol
+    low = _abs_down(bx, by)
+    if low <= br:
+        raise PrecisionError("a divisor's error disc contains 0")
+    mid = _ball_scale((ax, ay, 0, ae - be), bx, -by, bx * bx + by * by, bits)
+    num, den = ar * _abs_up(bx, by) + _abs_up(ax, ay) * br, low * (low - br)
+    s = ae - be - mid[3]
+    t = -(-(num << s) // den) if s >= 0 else -(-num // (den << -s))
+    return _ball_widen(mid, t, mid[3])
 
 
-def _to_big(ball, bits):
-    """The ball as a BigComplex: its midpoint rounded to nearest at `bits`
-    bits a component, the radius widened by that rounding and rounded up."""
-    import mpmath
+def _ball_root(a, k, bits):
+    """The principal k-th root w of a's midpoint m (k >= 2), rounded to
+    `bits` bits, as a ball that holds, for every z in a, the root of z on
+    the branch through w.
 
-    x, y, r, e = ball
-    with mpmath.workprec(bits):
-        value = mpmath.mpc(mpmath.mpf((x, e)), mpmath.mpf((y, e)))
-    big = BigComplex.__new__(BigComplex)
-    big.value = value
-    big.err = mpmath.mpf((r + ((abs(x) + abs(y)) >> bits) + 1, e), prec=53, rounding="u")
-    return big
+    w comes from a float seed and Newton's rule in Gaussian integers at
+    bits + 8 bits.  Then w^k is formed exactly: a lies in the disc of radius
+    R = r + |w^k - m| about it, and on that disc, clear of 0, the branch
+    moves by at most R |w| / (k (|w^k| - R)), R times the bound
+    (1/k) |z|^(1/k - 1) of its derivative.
+    """
+    x, y, r, e = a
+    G = bits + 8
+    u = max(abs(x), abs(y)).bit_length() - k * G
+    u += -(e + u) % k
+    q = (e + u) // k  # m ~ M 2^(k q), M of about k G bits
+    Mx, My = (x >> u, y >> u) if u >= 0 else (x << -u, y << -u)
+    v = max(0, max(abs(Mx), abs(My)).bit_length() - 53)
+    v += -v % k
+    z = complex(Mx >> v, My >> v) ** (1 / k)  # the principal branch
+    wx, wy = ((int(t * 2.0**60) << v // k) >> 60 for t in (z.real, z.imag))
+    cmul = lambda a, b: (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])  # noqa: E731
+    for _ in range(2 * G.bit_length() + 8):
+        px, py = _power((wx, wy), k - 1, cmul)
+        fx, fy = cmul((px, py), (wx, wy))
+        # (w^k - M) / (k w^(k-1)), rounded to nearest
+        nx, ny, dx, dy = fx - Mx, fy - My, k * px, k * py
+        d2 = 2 * (dx * dx + dy * dy)
+        sx = (2 * (nx * dx + ny * dy) + d2 // 2) // d2
+        sy = (2 * (ny * dx - nx * dy) + d2 // 2) // d2
+        wx, wy = wx - sx, wy - sy
+        if abs(sx) + abs(sy) <= 1:
+            break
+    fx, fy = _power((wx, wy), k, cmul)
+    E0 = min(e, k * q)
+    s1, s2 = k * q - E0, e - E0
+    R = (r << s2) + _abs_up((fx << s1) - (x << s2), (fy << s1) - (y << s2))
+    low = _abs_down(fx, fy) << s1
+    if low <= R:
+        raise PrecisionError("a root's argument has an error disc that contains 0")
+    return _ball_round(wx, wy, -(-(_abs_up(wx, wy) * R) // (k * (low - R))), q, bits)
 
 
 # -- e(tau) in integers -------------------------------------------------------
@@ -426,21 +455,28 @@ def _proven_tail(coeff_bound, M, ln_r):
     return _exp_up(math.fsum(parts) + slack)
 
 
-def _qseries_ball(f, tau, prec, coeff_bound=None):
-    """(ball, W): the QSeries f at tau as a ball with a W-bit midpoint,
-    W = prec + 16 + bitlen(M + 2) for the truncation M; see eval_qseries.
+def eval_qseries(f, tau, prec_bits=None, coeff_bound=None):
+    """Evaluate a QSeries, a series over Q, at tau in the upper half-plane,
+    as a ball with a W-bit midpoint, W = prec + 16 + bitlen(M + 2) for the
+    truncation M.
 
-    q is a ball at W + 8 bits, floored to the Gaussian integer Q = (qx, qy)
-    in units of 2^-P, |Q 2^-P - q| <= D 2^-P, where P = W + log2(1/|q|)
-    keeps the W-bit relative accuracy of q (at most 2W: a smaller q moves
-    the sum by less than its rounding).  Horner's rule starts at the first
-    nonzero numerator num[v], so the integer numerators keep the partial
-    sums >= 1 in size; each step floors one complex product, an error below
-    sqrt(2) units of 2^-P that later steps multiply by |Q| 2^-P, and the
-    sum at Q differs from the sum at q by at most D 2^-P times
-    sum_j j |num[v+j]| rho^(j-1).  The sum is then multiplied by the ball
-    q^v, divided by the denominator and widened by the tail.
+    The sum runs over the series' integer numerators, q = e(tau), with tau
+    taken exactly (an mpc is dyadic).  q is a ball at W + 8 bits
+    (_exp_ball), floored to the Gaussian integer Q = (qx, qy) in units of
+    2^-P, |Q 2^-P - q| <= D 2^-P, where P = W + log2(1/|q|) keeps the W-bit
+    relative accuracy of q (at most 2W: a smaller q moves the sum by less
+    than its rounding).  Horner's rule starts at the first nonzero numerator
+    num[v], so the integer numerators keep the partial sums >= 1 in size;
+    each step floors one complex product, an error below sqrt(2) units of
+    2^-P that later steps multiply by |Q| 2^-P, and the sum at Q differs
+    from the sum at q by at most D 2^-P times sum_j j |num[v+j]| rho^(j-1).
+    The sum is then multiplied by the ball q^v, divided by the denominator
+    and widened by a tail for the coefficients past the truncation: proven
+    by _proven_tail when coeff_bound = (C, alpha) bounds them, |c_m| <=
+    C m^alpha for every m past the truncation, and otherwise the fitted
+    majorant of _fitted_tail, a heuristic.
     """
+    prec = check_prec(prec_bits, math.inf)
     x, y = _point(tau)
     if y <= 0:
         raise InputError("tau must lie in the upper half-plane")
@@ -473,21 +509,7 @@ def _qseries_ball(f, tau, prec, coeff_bound=None):
         tail = _fitted_tail(num, den, ln_r)
     else:
         tail = _proven_tail(coeff_bound, M, ln_r)
-    return _ball_widen(ball, *tail), W
-
-
-def eval_qseries(f, tau, prec_bits=None, coeff_bound=None):
-    """Evaluate a QSeries, a series over Q, at tau in the upper half-plane.
-
-    The sum runs over the series' integer numerators, q = e(tau), with tau
-    taken exactly (an mpc is dyadic).  The error is the proven bound on the
-    integer evaluation and on the error of q (see _qseries_ball and
-    _exp_ball), plus a tail for the coefficients past the truncation:
-    proven by _proven_tail when coeff_bound = (C, alpha) bounds them,
-    |c_m| <= C m^alpha for every m past the truncation, and otherwise the
-    fitted majorant of _fitted_tail, a heuristic.
-    """
-    return _to_big(*_qseries_ball(f, tau, check_prec(prec_bits, math.inf), coeff_bound))
+    return BigComplex(*_ball_round(*_ball_widen(ball, *tail), W))
 
 
 def _lattice_tail_bound(lam, N, X, Y, s, B, W):
@@ -585,13 +607,13 @@ def lattice_sum_eisenstein(weight, level, tau, bound, character=None, prec_bits=
     truncation bound, plus sqrt(2) 2^-P per term for the floors, plus the
     final rounding to prec + 16 bits.
     """
-    return _to_big(*_coset_sum_request(weight, level, tau, bound, character, prec_bits)())
+    return _coset_sum_request(weight, level, tau, bound, character, prec_bits)()
 
 
 def _coset_sum_request(weight, level, tau, bound, character, prec_bits):
     """Every check of lattice_sum_eisenstein, its work cap included, before
-    any sum; returns the sum as a call with no arguments, which gives
-    (ball, W) with W = prec + 16 the bits of the reported value."""
+    any sum; returns the sum as a call with no arguments, which gives a
+    BigComplex with a midpoint of prec + 16 bits."""
     lam = int(weight)
     N = int(level)
     B = int(bound)
@@ -603,7 +625,7 @@ def _coset_sum_request(weight, level, tau, bound, character, prec_bits):
         raise UnsupportedScopeError("the coset sum supports the trivial character only")
     prec = check_prec(prec_bits)
     W = prec + 16
-    x, y = (_round_bits(v, W) for v in _point(tau))
+    x, y = (round_bits(v, W) for v in _point(tau))
     if y <= 0:
         raise InputError("tau must lie in the upper half-plane")
     # the smallest s with x 2^s and y 2^s integers: both are dyadic now
@@ -617,6 +639,7 @@ def _coset_sum_request(weight, level, tau, bound, character, prec_bits):
     def coset_sum():
         sx, sy, nterms = _lattice_kernel(lam, N, B, X, Y, s, P)
         ball = (sx, sy, math.isqrt(2 * nterms * nterms) + 1, -P)
-        return _ball_widen(ball, *_lattice_tail_bound(lam, N, X, Y, s, B, W)), W
+        ball = _ball_widen(ball, *_lattice_tail_bound(lam, N, X, Y, s, B, W))
+        return BigComplex(*_ball_round(*ball, W))
 
     return coset_sum

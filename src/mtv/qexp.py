@@ -52,15 +52,7 @@ from .errors import (
     VerificationError,
     require_within,
 )
-from .numerics import (
-    _ball_scale,
-    _balls_meet,
-    _coset_sum_request,
-    _point,
-    _qseries_ball,
-    _to_big,
-    eval_qseries,
-)
+from .numerics import BigComplex, _coset_sum_request, _point, eval_qseries
 from .polynomial import _is_prime, _power
 
 
@@ -449,9 +441,9 @@ def _check_eisenstein(weight, level):
     ser = _eisenstein_prime_level_raw(weight, level, _GATE_ORDER)
     bound = _eisenstein_coeff_bound(weight, level)
     for tau in _GATE_TAUS:
-        closed, _ = _qseries_ball(ser, tau, _GATE_PREC, bound)
-        lat, _ = _coset_sum_request(weight, level, tau, 32, None, _GATE_PREC)()
-        if not _balls_meet(closed, lat):
+        closed = eval_qseries(ser, tau, _GATE_PREC, bound)
+        lat = _coset_sum_request(weight, level, tau, 32, None, _GATE_PREC)()
+        if closed.distance(lat) > closed.err + lat.err:
             raise VerificationError(
                 "Eisenstein closed form (weight %d, level %d) disagrees with "
                 "the coset-sum oracle at tau=%s" % (weight, level, tau)
@@ -475,16 +467,11 @@ def _slash_agrees(f, g, c, weight, level, tau, prec, bounds=(None, None)):
     d = math.lcm(x.denominator, y.denominator)
     a, b = int(level * x * d), int(level * y * d)
     n2 = a * a + b * b
-    sx, sy = 1, 0
-    for _ in range(weight):
-        sx, sy = sx * a + sy * b, sy * a - sx * b
-    scale = level ** (weight // 2) * d**weight
-    lhs, _ = _qseries_ball(f, (Fraction(-a * d, n2), Fraction(b * d, n2)), prec, bounds[0])
-    rhs, _ = _qseries_ball(g, (x, y), prec, bounds[1])
-    c = Fraction(c)
-    lhs = _ball_scale(lhs, sx * scale, sy * scale, n2**weight, prec + 32)
-    rhs = _ball_scale(rhs, c.numerator, 0, c.denominator, prec + 32)
-    return _balls_meet(lhs, rhs, prec - 16)
+    slash = BigComplex(a, -b) ** weight * (level ** (weight // 2) * d**weight)
+    lhs = eval_qseries(f, (Fraction(-a * d, n2), Fraction(b * d, n2)), prec, bounds[0])
+    lhs = lhs * slash / n2**weight
+    rhs = eval_qseries(g, (x, y), prec, bounds[1]) * Fraction(c)
+    return lhs.distance(rhs) <= lhs.err + rhs.err + (lhs.mag() + rhs.mag()) / 2 ** (prec - 16)
 
 
 def _gate_fricke(weight, level):
@@ -550,7 +537,7 @@ def eisenstein_oracle(weight, level, tau, bound, trunc, prec_bits=None):
     """
     coset_sum = _coset_sum_request(weight, level, tau, bound, None, prec_bits)
     weight, level, trunc = _eisenstein_request(weight, level, trunc)
-    lat = _to_big(*coset_sum())
+    lat = coset_sum()
     closed = eval_qseries(eisenstein_prime_level(weight, level, trunc), tau, prec_bits,
                           _eisenstein_coeff_bound(weight, level))
     return closed, lat

@@ -73,24 +73,18 @@ def parse_rational(s):
 
 
 def exact_fraction(x):
-    """Convert an exact-friendly numeric (int, Fraction, float, mpf, or an
-    mpc with no imaginary part) to Fraction.
+    """Convert an exact-friendly numeric (int, Fraction, float, a decimal
+    string, mpf, or an mpc with no imaginary part) to Fraction.
 
     mpf values are dyadic, read from their mantissa and exponent, so the
     conversion is exact, not a decimal round-trip, and imports no mpmath.
     """
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
     if hasattr(x, "_mpc_"):
         if x.imag != 0:
             raise InputError("cannot reconstruct a rational from a non-real value")
         x = x.real
     if not hasattr(x, "_mpf_"):
-        import mpmath
-
-        return exact_fraction(mpmath.mpmathify(x))
+        return Fraction(x)
     sign, man, exp, _ = x._mpf_
     man = int(man)  # the gmpy backend hands back mpz, which poisons Fraction
     if man == 0:
@@ -99,6 +93,58 @@ def exact_fraction(x):
         return Fraction(0)
     v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
     return -v if sign else v
+
+
+def round_bits(x, bits):
+    """The Fraction x rounded to `bits` significant bits, to nearest with
+    ties to even, as mpmath rounds a number to a working precision."""
+    p, d = abs(x.numerator), x.denominator
+    if not p:
+        return x
+    e = p.bit_length() - d.bit_length() - bits
+    for e in (e, e + 1):
+        n, r = divmod(p << -e, d) if e < 0 else divmod(p, d << e)
+        if n.bit_length() <= bits:
+            break
+    den = d if e < 0 else d << e
+    if 2 * r > den or (2 * r == den and n & 1):
+        n += 1
+    v = Fraction(n, 1 << -e) if e < 0 else Fraction(n << e)
+    return v if x > 0 else -v
+
+
+def _log10_floor(p, q):
+    """floor(log10(p / q)) for positive integers p and q."""
+    return len(_decimal(p // q)) - 1 if p >= q else -len(_decimal((q - 1) // p))
+
+
+def format_decimal(v, digits, err=0, up=False):
+    """The rational v as mpmath's nstr(v, digits) lays it out: fixed form when
+    the place E of the leading digit lies strictly between min(-(digits //
+    3), -5) and digits, else exponent form; trailing zeros stripped; "0.0"
+    for 0.  Rounded half up, or up when `up`, to at most `digits` digits and
+    to no digit whose half unit exceeds err: a value at or below err prints
+    "0.0", and any other within err of its text."""
+    v = Fraction(v)
+    if not v or abs(v) <= err:
+        return "0.0"
+    p, q = abs(v.numerator), v.denominator
+    E = _log10_floor(p, q)
+    n = digits
+    if err:
+        n = min(digits, max(1, E - _log10_floor(2 * err.numerator, err.denominator) + 1))
+    s = n - 1 - E
+    den = q * 10 ** max(0, -s)
+    D, rem = divmod(p * 10 ** max(0, s), den)
+    D += bool(rem) if up else 2 * rem >= den
+    if D == 10**n:
+        D, E = D // 10, E + 1
+    t, split = str(D), 1
+    if min(-(digits // 3), -5) < E < digits:
+        t, split, E = ("0" * -E + t, 1, 0) if E < 0 else (t.ljust(E + 1, "0"), E + 1, 0)
+    t = (t[:split] + "." + t[split:]).rstrip("0")
+    t += "0" if t.endswith(".") else ""
+    return ("-" if v < 0 else "") + t + ("e%+d" % E if E else "")
 
 
 def convergents(x):

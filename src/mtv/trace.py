@@ -84,16 +84,19 @@ def fricke_eta_data(spec, level):
 
 
 def _check_fricke_eta(spec, partner, scalar, level, weight):
-    # the slash side reads f at -1/(N i) = i/N, where |q| = e^(-2 pi/N), and
-    # the value there is about e^(-2 pi v) for the partner's leading
-    # exponent v; order T puts the tail terms, n^(k-1) e^(-2 pi n/N) at most,
-    # past their peak and about e^-64 below that value
-    lam = 2 * math.pi / level
-    T = max(128, math.ceil((2 * (weight - 1) + 64 + 2 * math.pi * partner.leading_exponent) / lam))
+    # at tau = i/m, m = isqrt(N), near the fixed point i/sqrt(N) of w_N, the
+    # slash side reads f at -1/(N tau) = i m/N, and both sides have Im about
+    # 1/sqrt(N), where the value is about e^(-2 pi v/m) for the partner's
+    # leading exponent v; order T puts the tail terms, n^(k-1) e^(-lam n)
+    # with lam = 2 pi m/N, past their peak and about e^-64 below that value
+    m = math.isqrt(level)
+    lam = 2 * math.pi * m / level
+    T = max(128, math.ceil((2 * (weight - 1) + 64 + 2 * math.pi * partner.leading_exponent / m)
+                           / lam))
     require_within(T, MAX_SERIES_TERMS, "the Fricke eta gate's series length at level %d", level)
     f = eta_quotient(spec, T)
     g = f if partner == spec else eta_quotient(partner, T)
-    if not _slash_agrees(f, g, scalar, weight, level, 1j, 160):
+    if not _slash_agrees(f, g, scalar, weight, level, (0, Fraction(1, m)), 160):
         raise VerificationError(
             "Fricke eta scalar %s fails the numeric slash check for %r at level %d"
             % (scalar, spec, level)

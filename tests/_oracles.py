@@ -34,7 +34,8 @@ package's fraction-free inversion.  `Poly` is a `UniPoly` with the Fraction
 ring arithmetic the package's value type no longer carries; the tests build
 their polynomials with it.  `poly_gcd_ref` and `squarefree_parts_ref`, Euclid
 and Yun over Q, are the references for the integer gcd and Yun of the
-factorization.  Slow is fine.
+factorization.  `mp_value` and `mp_err` read a BigComplex ball in mpmath, the
+oracle arithmetic of the numeric tests.  Slow is fine.
 """
 
 import functools
@@ -404,6 +405,17 @@ def real_root_count(p):
     at_pos = [q.lc() > 0 for q in seq]
     at_neg = [(q.lc() > 0) == (q.degree % 2 == 0) for q in seq]
     return sign_changes(at_neg) - sign_changes(at_pos)
+
+
+def mp_value(bc):
+    """The midpoint of a BigComplex as an mpc, exact when the working
+    precision holds its bits."""
+    return mpmath.mpc(mpmath.mpf((bc.x, bc.e)), mpmath.mpf((bc.y, bc.e)))
+
+
+def mp_err(bc):
+    """The radius of a BigComplex as an mpf, rounded up."""
+    return mpmath.mpf((bc.r, bc.e), rounding="u")
 
 
 def lattice_sum_ref(weight, level, tau, bound, prec):
@@ -846,11 +858,13 @@ def invert_j_newton_ref(jv, prec_bits):
     numeric q-expansions, from the reciprocal of j - 744 and then fixed seeds
     (the package's former j-inversion).  Call it inside a working precision
     of about prec_bits + 32."""
-    from mtv.elliptic import _level1_series, _order_for
-    from mtv.numerics import eval_qseries, to_mpc
+    from mtv.elliptic import _order_for
+    from mtv.numerics import eval_qseries
+    from mtv.qexp import eisenstein_level1
+    from mtv.spaces import delta_series
 
     mpc, mpf = mpmath.mpc, mpmath.mpf
-    jc = to_mpc(jv)
+    jc = mpc(mpf(jv.numerator) / jv.denominator)
     seeds = []
     if abs(jc - 744) > 1:
         q0 = 1 / (jc - 744)
@@ -869,8 +883,9 @@ def invert_j_newton_ref(jv, prec_bits):
             tau_r = _reduce_fundamental_ref(tau)
             if tau_r.imag > tau.imag:
                 tau = tau_r
-            E4s, E6s, Ds = _level1_series(_order_for(float(tau.imag), prec_bits))
-            e4, e6, dd = (eval_qseries(f, tau, prec_bits + 16).value
+            T = _order_for(float(tau.imag), prec_bits)
+            E4s, E6s, Ds = eisenstein_level1(4, T), eisenstein_level1(6, T), delta_series(T)
+            e4, e6, dd = (mp_value(eval_qseries(f, tau, prec_bits + 16))
                           for f in (E4s, E6s, Ds))
             jder = -two_pi_i * e4**2 * e6 / dd
             if jder == 0:

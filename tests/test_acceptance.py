@@ -41,6 +41,8 @@ from mtv import (
 from mtv.numfield import nf_charpoly, nf_norm, nf_trace
 from mtv.trace import power_sums_from_elementary
 
+from _oracles import mp_err, mp_value
+
 
 ORACLE_PAIRS = ((4, 1), (6, 1), (4, 2), (4, 3), (6, 5))
 ORACLE_TAUS = (mpc("0.21", "1.13"), mpc("-0.37", "1.71"), mpc("0.40", "2.20"))
@@ -63,18 +65,18 @@ def test_criterion_1_eisenstein_oracle_tolerance():
                 if closed0 is None:
                     closed0 = closed
                 lat = lattice_sum_eisenstein(lam, N, tau, 400, None, 256)
-                d = abs(closed.value - lat.value)
+                d = abs(mp_value(closed) - mp_value(lat))
                 # the truncation defect must sit inside the certificates
-                assert d <= closed.err + lat.err, (lam, N, tau)
+                assert d <= mp_err(closed) + mp_err(lat), (lam, N, tau)
                 worst = max(worst, d)
             defects[(lam, N)] = worst
             # decay exponent per doubling, averaged over 50->100->200
-            d_lo = abs(closed0.value
-                       - lattice_sum_eisenstein(lam, N, ORACLE_TAUS[0], 50,
-                                                None, 256).value)
-            d_hi = abs(closed0.value
-                       - lattice_sum_eisenstein(lam, N, ORACLE_TAUS[0], 200,
-                                                None, 256).value)
+            d_lo = abs(mp_value(closed0)
+                       - mp_value(lattice_sum_eisenstein(lam, N, ORACLE_TAUS[0], 50,
+                                                         None, 256)))
+            d_hi = abs(mp_value(closed0)
+                       - mp_value(lattice_sum_eisenstein(lam, N, ORACLE_TAUS[0], 200,
+                                                         None, 256)))
             exponents[(lam, N)] = float(mpmath.log(d_hi / d_lo, 2)) / 2
     elapsed = time.time() - t0
     print("")

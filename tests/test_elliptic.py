@@ -23,10 +23,10 @@ from mtv import (
 )
 import mtv.elliptic as elliptic
 from mtv.elliptic import j_invariant_numeric
-from mtv.numerics import BigComplex, eval_qseries, to_mpc
+from mtv.numerics import BigComplex, eval_qseries
 from mtv.qexp import QSeries
 
-from _oracles import invert_j_newton_ref, series_pow
+from _oracles import invert_j_newton_ref, mp_err, mp_value, series_pow
 
 
 # -- curve bookkeeping --------------------------------------------------------
@@ -57,14 +57,14 @@ def test_curve_serialize_keys():
 
 def test_j_at_cm_points():
     j_i = j_invariant_numeric(mpmath.mpc(0, 1), 192)
-    assert abs(j_i.value - 1728) <= j_i.err + mpmath.mpf(2) ** -150
+    assert j_i.distance(1728) <= j_i.err + Fraction(1, 2**150)
     with mpmath.workprec(260):
         # the input itself must carry ~200 correct bits: j is quadratic at rho
         rho = (1 + mpmath.sqrt(-3)) / 2
         j_rho = j_invariant_numeric(rho, 192)
-        assert abs(j_rho.value) <= j_rho.err + mpmath.mpf(2) ** -150
+        assert j_rho.distance(0) <= j_rho.err + Fraction(1, 2**150)
     j_2i = j_invariant_numeric(mpmath.mpc(0, 2), 192)
-    assert abs(j_2i.value - 287496) <= j_2i.err + mpmath.mpf(2) ** -150
+    assert j_2i.distance(287496) <= j_2i.err + Fraction(1, 2**150)
 
 
 @pytest.mark.parametrize("prec", [128, 192])
@@ -72,7 +72,7 @@ def test_j_err_covers_the_rounding_of_the_quotient(prec):
     # tau = i is exact, so the whole defect is the series tail and the
     # rounding of E4^3 / Delta at prec + 16 bits (9.2e-41 at 128 bits)
     j_i = j_invariant_numeric(mpmath.mpc(0, 1), prec)
-    assert abs(j_i.value - 1728) <= j_i.err
+    assert j_i.distance(1728) <= j_i.err
 
 
 def test_j_rejects_lower_half_plane():
@@ -88,7 +88,7 @@ def _specialized_exact(pair, weight_series, weight, bound=10**6):
 
 def test_tau_square_lattice():
     pair = tau_from_curve(CurveQ(4, 0), 192)
-    assert abs(pair.tau - mpmath.mpc(0, 1)) < mpmath.mpf(2) ** -100
+    assert pair.tau.distance(BigComplex(0, 1)) < Fraction(1, 2**100)
     e4 = eisenstein_level1(4, pair.order)
     e6 = eisenstein_level1(6, pair.order)
     assert _specialized_exact(pair, e4, 4) == 48
@@ -98,9 +98,9 @@ def test_tau_square_lattice():
 def test_tau_hexagonal_lattice():
     pair = tau_from_curve(CurveQ(0, 1), 192)
     # either corner of the fundamental domain is a valid representative
-    with mpmath.workprec(220):
-        assert abs(abs(pair.tau.real) - mpmath.mpf("0.5")) < mpmath.mpf(2) ** -100
-        assert abs(pair.tau.imag - mpmath.sqrt(3) / 2) < mpmath.mpf(2) ** -100
+    assert abs(abs(pair.tau.real) - Fraction(1, 2)) < Fraction(1, 2**100)
+    with mpmath.workprec(240):
+        assert abs(mp_value(pair.tau).imag - mpmath.sqrt(3) / 2) < mpmath.mpf(2) ** -100
     e4 = eisenstein_level1(4, pair.order)
     e6 = eisenstein_level1(6, pair.order)
     assert _specialized_exact(pair, e4, 4) == 0
@@ -109,8 +109,8 @@ def test_tau_hexagonal_lattice():
 
 def test_tau_discriminant37_curve():
     pair = tau_from_curve(CurveQ(4, 1), 192)
-    assert abs(pair.tau.real) < mpmath.mpf(2) ** -90
-    assert abs(pair.tau.imag - mpmath.mpf("1.22112736")) < mpmath.mpf("1e-7")
+    assert abs(pair.tau.real) < Fraction(1, 2**90)
+    assert abs(pair.tau.imag - Fraction("1.22112736")) < Fraction(1, 10**7)
     d = delta_series(pair.order)
     assert _specialized_exact(pair, d, 12) == 37
 
@@ -128,7 +128,7 @@ def test_tau_negative_g3_branch():
 def test_tau_negative_discriminant_curve():
     # g2^3 - 27 g3^2 = -26 < 0 puts tau on the boundary Re = 1/2 strip edge
     pair = tau_from_curve(CurveQ(1, 1), 192)
-    assert abs(abs(pair.tau.real) - Fraction(1, 2)) < mpmath.mpf("1e-20")
+    assert abs(abs(pair.tau.real) - Fraction(1, 2)) < Fraction(1, 10**20)
     e4 = eisenstein_level1(4, pair.order)
     e6 = eisenstein_level1(6, pair.order)
     assert _specialized_exact(pair, e4, 4) == 12
@@ -159,7 +159,7 @@ def _follows_rule(tau, curve):
         return False
     if j <= 0 and tau.real != Fraction(1, 2):
         return False
-    if 0 <= j <= 1728 and abs(abs(tau) - 1) > mpmath.mpf(2) ** -100:
+    if 0 <= j <= 1728 and abs(tau.real**2 + tau.imag**2 - 1) > Fraction(1, 2**99):
         return False
     return tau.real >= 0
 
@@ -176,7 +176,7 @@ def _tau_error_term(pair):
     j' = -2 pi i E4^2 E6 / Delta.  j's own err covers the evaluation at tau,
     not this; it matters only where j is flat, at j = 0 (cubic at rho)."""
     T, tau, W = pair.order, pair.tau, pair.prec_bits + 16
-    e4, e6, dd = (eval_qseries(f, tau, W).value for f in (
+    e4, e6, dd = (mp_value(eval_qseries(f, tau, W)) for f in (
         eisenstein_level1(4, T), eisenstein_level1(6, T), delta_series(T)))
     jprime = 2 * mpmath.pi * abs(e4) ** 2 * abs(e6) / abs(dd)
     return 2 * jprime * mpmath.mpf(2) ** -(pair.prec_bits + 28)
@@ -201,9 +201,10 @@ def test_agm_tau_matches_newton_oracle():
                 ref = mpmath.mpc(0, 1)
             else:
                 ref = invert_j_newton_ref(curve.j, 128)
-            assert _boundary_distance(tau, ref) < mpmath.mpf(2) ** -100, (g2, g3)
+            assert _boundary_distance(mp_value(tau), ref) < mpmath.mpf(2) ** -100, (g2, g3)
             jn = j_invariant_numeric(tau, 128)
-            assert abs(jn.value - to_mpc(curve.j)) <= jn.err + _tau_error_term(pair), (g2, g3)
+            j = mpmath.mpf(curve.j.numerator) / curve.j.denominator
+            assert abs(mp_value(jn) - j) <= mp_err(jn) + _tau_error_term(pair), (g2, g3)
 
 
 def test_every_pool_curve_round_trips_at_128_bits():
@@ -228,8 +229,7 @@ def test_tau_is_one_representative_at_every_precision(g2, g3):
     taus = [tau_from_curve(curve, prec).tau for prec in (128, 300, 1024)]
     for tau in taus:
         assert _follows_rule(tau, curve)
-    with mpmath.workprec(1100):
-        assert all(abs(t - taus[-1]) < mpmath.mpf(2) ** -100 for t in taus)
+    assert all(t.distance(taus[-1]) < Fraction(1, 2**100) for t in taus)
 
 
 @pytest.mark.parametrize("g2, g3", [
@@ -263,12 +263,31 @@ def test_near_singular_curves_pass_the_certificates(g2, g3):
     (-3 * 10**40, 1),  # the arc 2e-117 from j = 1728: e1 = u + g2 / (12 u) cancels
 ])
 def test_period_tau_holds_the_working_precision_without_guard_bits(g2, g3):
+    # the caller adds no guard bits: _period_tau sets its own from the
+    # exact discriminant
     curve = CurveQ(g2, g3)
-    with mpmath.workprec(160):
-        tau = elliptic._period_tau(curve)
-    with mpmath.workprec(1024):
-        ref = elliptic._period_tau(curve)
-        assert abs(tau - ref) <= abs(ref) * mpmath.mpf(2) ** -150
+    tau = elliptic._period_tau(curve, 160)
+    ref = elliptic._period_tau(curve, 1024)
+    assert tau.distance(ref) <= ref.mag() / 2**150
+
+
+@pytest.mark.parametrize("g2, g3", [(1, 1), (4, 1), (-2, -5), (0, 1), (4, 0)],
+                         ids=["edge", "axis", "arc", "j=0", "j=1728"])
+def test_curve_path_rests_on_proven_tails(monkeypatch, g2, g3):
+    # E4, E6 and Delta carry proven tails (Deligne's bound for Delta), so the
+    # lattice certificates and j never read a fitted one
+    import mtv.numerics as numerics
+
+    def fitted(*args):
+        raise AssertionError("the curve path evaluated a fitted tail")
+
+    monkeypatch.setattr(numerics, "_fitted_tail", fitted)
+    curve = CurveQ(g2, g3)
+    pair = tau_from_curve(curve, 192)
+    assert _follows_rule(pair.tau, curve)
+    j = j_invariant_numeric(pair.tau, 192)
+    assert j.distance(curve.j) < Fraction(1, 10**20) and j.err < Fraction(1, 10**40)
+    assert j_invariant_numeric(pair.tau * 2, 192).err < 1
 
 
 # -- exact specialization --------------------------------------------------------
@@ -326,12 +345,13 @@ def test_specialize_phi_is_cubed_linear_factor(theorem_runs):
 # -- certified-to-exact reconstruction --------------------------------------------
 
 def test_reconstruct_real_paths():
-    half = BigComplex(mpmath.mpc("0.5", 0), mpmath.mpf(2) ** -80)
+    # midpoints and radii in units of 2^-80
+    half = BigComplex(1 << 79, 0, 1, -80)
     assert reconstruct_real(half) == Fraction(1, 2)
-    off = BigComplex(mpmath.mpc("0.5", "0.001"), mpmath.mpf(2) ** -80)
+    off = BigComplex(1 << 79, 2**80 // 1000, 1, -80)
     with pytest.raises(VerificationError):
         reconstruct_real(off)
-    wide = BigComplex(mpmath.mpc("0.5", 0), mpmath.mpf("0.4"))
+    wide = BigComplex(1 << 79, 0, 2**82 // 10, -80)
     with pytest.raises(ReconstructionError):
         reconstruct_real(wide)
 

@@ -21,10 +21,9 @@ The (class, method) pairs that the benchmark tracer wraps by name (its
 METHODS, parsed from perfbench/tracer.py) and the oracle class ``MatQ`` are
 exempt.
 
-No mpmath at import: no module of mtv imports mpmath at module level, so
-only the functions that leave the integers load it, and the exact
-subcommands (newforms, theorem, phi with or without --curve) finish with
-mpmath absent from sys.modules.
+No mpmath: no module of mtv imports mpmath at any scope, function bodies
+included, so every subcommand finishes in a process where importing mpmath
+raises; mpmath is an oracle of the tests only.
 
 Exact factorization: polynomial.py imports neither mpmath nor numerics, so
 no path of poly_factor_q can reach floating point.  The helpers of its
@@ -160,15 +159,17 @@ def test_polynomial_imports_no_floating_point():
     assert not {"mpmath", "numerics"} & parts
 
 
-def import_time_mpmath_imports(source):
+def import_time_mpmath_imports(source, any_scope=False):
     """Line numbers of the imports of mpmath that run when source is
     imported: every one outside a function body, class bodies and
-    module-level if and try blocks included."""
+    module-level if and try blocks included; with any_scope, those in
+    function bodies too."""
     hits = []
 
     def visit(node):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            if not any_scope and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                                    ast.Lambda)):
                 continue
             if isinstance(child, ast.Import):
                 if any(alias.name.split(".")[0] == "mpmath" for alias in child.names):
@@ -200,21 +201,42 @@ def test_no_module_imports_mpmath_at_module_level(path):
     assert import_time_mpmath_imports(path.read_text()) == []
 
 
+def test_any_scope_mpmath_check_flags_function_bodies():
+    assert import_time_mpmath_imports("def f():\n    import mpmath\n", any_scope=True) == [2]
+    assert import_time_mpmath_imports(
+        "class A:\n    def f(self):\n        from mpmath import mpf\n", any_scope=True) == [3]
+    assert import_time_mpmath_imports("def f():\n    import mpmathx\n", any_scope=True) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_mpmath_at_any_scope(path):
+    assert import_time_mpmath_imports(path.read_text(), any_scope=True) == []
+
+
 @pytest.mark.parametrize("argv, loaded", [
     (["newforms", "--weight", "24"], False),
     (["theorem", "--level", "5", "--eis-weight", "8", "--order", "64"], False),
     (["phi", "--level", "2", "--eis-weight", "4", "--order", "8", "--curve=0,1"], False),
-    # a numeric subcommand loads it, so the check can see it
+    (["oracle", "--eis-weight", "4", "--level", "2", "--tau=0.21,1.13", "--bound", "24",
+      "--series-order", "64"], False),
+    (["specialize", "--curve=-2,-5", "--level", "2"], False),
+    (["corollary", "--level", "2", "--eis-weight", "4", "--order", "12", "--curve=1,1"], False),
+    # a child that loads mpmath itself before the command, so the check can see it
     (["--prec", "64", "specialize", "--curve=0,1"], True),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_exact_subcommands_never_load_mpmath(argv, loaded):
     # a fresh interpreter (the test session has mpmath loaded); the child
-    # finds the package through the PYTHONPATH conftest.py sets
+    # finds the package through the PYTHONPATH conftest.py sets, and there
+    # `import mpmath` raises unless the row loads it first
     code = ("import contextlib, io, sys\n"
+            "if %s:\n"
+            "    import mpmath\n"
+            "else:\n"
+            "    sys.modules['mpmath'] = None\n"
             "import mtv.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = mtv.cli.main(sys.argv[1:])\n"
-            "print(code, 'mpmath' in sys.modules)\n")
+            "print(code, sys.modules.get('mpmath') is not None)\n" % loaded)
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                           text=True, timeout=120)
     assert proc.stdout.split() == ["0", str(loaded)], proc.stderr

@@ -1,8 +1,10 @@
+import operator
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mpc, mpf
 
 import mtv.numerics as numerics
@@ -11,7 +13,6 @@ from mtv.numerics import (
     BigComplex,
     eval_qseries,
     lattice_sum_eisenstein,
-    to_mpc,
 )
 from mtv.qexp import (
     _GATE_ORDER,
@@ -22,25 +23,110 @@ from mtv.qexp import (
     eisenstein_level1,
     eisenstein_prime_level,
 )
+from mtv.rational import format_decimal
 from mtv.spaces import delta_series
 
-from _oracles import eval_qseries_ref, lattice_kernel_ref, lattice_sum_ref, lattice_tail_formula
+from _oracles import (
+    eval_qseries_ref,
+    lattice_kernel_ref,
+    lattice_sum_ref,
+    lattice_tail_formula,
+    mp_err,
+    mp_value,
+)
 
 F = Fraction
 
 
 def test_bigcomplex_error_propagation():
-    a = BigComplex(mpc(1, 1), mpf("1e-10"))
-    b = BigComplex(mpc(2, -1), mpf("1e-12"))
+    # 1 + i and 2 - i with radii 2^-33 and 2^-40, midpoints at 2^-60
+    a = BigComplex(1 << 60, 1 << 60, 1 << 27, -60)
+    b = BigComplex(2 << 60, -1 << 60, 1 << 20, -60)
     s = a + b
-    assert s.err >= a.err
+    assert s.err >= a.err + b.err
     p = a * b
-    # |a||db| + |b||da| lower-bounds the product error
-    assert p.err >= abs(b.value) * a.err
-    assert abs((-a).value + a.value) == 0
-    assert a.distance(a.value) == 0
+    # |a||db| + |b||da| lower-bounds the product error, and |b| > 2
+    assert (p.real, p.imag) == (3, 1)
+    assert p.err >= 2 * a.err
+    assert (-a + a).real == 0 and (-a + a).imag == 0
+    assert a.distance(a) == 0
+    assert (a - 1).real == 0 and (2 * a).imag == 2
+    q = (a * b) / b
+    assert q.distance(a) <= q.err
     d = a.serialize(digits=10)
     assert set(d) == {"re", "im", "err"}
+
+
+# -- ball arithmetic against mpmath at four times the bits ------------------------
+
+# a ball: a Gaussian-integer midpoint over 2^-e and a radius, at up to 200 bits
+_BALLS = st.builds(BigComplex, st.integers(-2**200, 2**200), st.integers(-2**200, 2**200),
+                   st.integers(0, 2**40), st.integers(-260, 20))
+# a point of the disc: the midpoint plus t r (3 + 4i)/5 turned by i^s, |(3 + 4i)/5| = 1
+_SPOTS = st.tuples(st.fractions(0, 1, max_denominator=97), st.integers(0, 3))
+
+
+def _mp(v):
+    return mpf(v.numerator) / v.denominator
+
+
+def _spot(ball, spot):
+    # shrunk by 2^-200 so that the rounding of 3/5 and 4/5 keeps it inside
+    t, s = spot
+    turn = mpc(mpf(3) / 5, mpf(4) / 5) * mpc(0, 1) ** s * (1 - mpf(2) ** -200)
+    return mpc(_mp(ball.real), _mp(ball.imag)) + _mp(t * ball.err) * turn
+
+
+def _holds(ball, z):
+    return abs(mpc(_mp(ball.real), _mp(ball.imag)) - z) <= _mp(ball.err)
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BALLS, _BALLS, _SPOTS, _SPOTS, st.sampled_from(sorted(_OPS)))
+def test_ball_operations_hold_the_exact_result(a, b, sa, sb, op):
+    with mpmath.workprec(4 * 260 + 64):
+        za, zb = _spot(a, sa), _spot(b, sb)
+        if op == "/":
+            assume(abs(mpc(_mp(b.real), _mp(b.imag))) > 2 * _mp(b.err))
+        assert _holds(_OPS[op](a, b), _OPS[op](za, zb))
+        # and with a rational operand on the left, a point
+        c = F(a.x % 1000 + 1, 7)
+        assert _holds(_OPS[op](c, b), _OPS[op](_mp(c), zb))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BALLS, _SPOTS, st.sampled_from([2, 4, 6]))
+def test_ball_root_holds_the_root_on_its_branch(a, spot, k):
+    with mpmath.workprec(4 * 260 + 64):
+        mid = mpc(_mp(a.real), _mp(a.imag))
+        assume(abs(mid) > 2 * _mp(a.err))
+        root = BigComplex(*numerics._ball_root((a.x, a.y, a.r, a.e), k, 200))
+        w = mpc(_mp(root.real), _mp(root.imag))
+        # the midpoint's principal root
+        assert abs(w - mid ** (mpf(1) / k)) <= _mp(root.err)
+        z = _spot(a, spot)
+        principal = z ** (mpf(1) / k)
+        nearest = min((principal * mpmath.expjpi(mpf(2 * j) / k) for j in range(k)),
+                      key=lambda r: abs(r - w))
+        assert _holds(root, nearest)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BALLS, st.sampled_from([3, 8, 12, 30]))
+def test_formatter_is_nstr_and_parses_back_within_err(a, digits):
+    exact = BigComplex(a.x, a.y, 0, a.e)
+    with mpmath.workprec(260):
+        # at no error it prints what mpmath's nstr prints
+        assert exact.text(digits) == mpmath.nstr(mpc(_mp(a.real), _mp(a.imag)), digits)
+    # otherwise each part within err of its text, unless `digits` cut it first
+    d = a.serialize(digits)
+    assert F(d["err"]) >= a.err
+    for text, v in ((d["re"], a.real), (d["im"], a.imag)):
+        assert abs(F(text) - v) <= max(a.err, abs(v) / 10 ** (digits - 1))
+    assert format_decimal(F(0), digits) == "0.0"
 
 
 def test_eval_geometric_series_certified():
@@ -51,7 +137,7 @@ def test_eval_geometric_series_certified():
         got = eval_qseries(f, tau, 128)
         q = mpmath.exp(2j * mpmath.pi * tau)
         want = 1 / (1 - q)
-        assert abs(got.value - want) <= got.err + mpf(2) ** -120
+        assert abs(mp_value(got) - want) <= mp_err(got) + mpf(2) ** -120
 
 
 def test_eval_honesty_by_doubling_order():
@@ -61,13 +147,14 @@ def test_eval_honesty_by_doubling_order():
         tau = mpc("0.3", "0.8")
         v1 = eval_qseries(d1, tau, 160)
         v2 = eval_qseries(d2, tau, 160)
-        assert abs(v1.value - v2.value) <= v1.err + v2.err
+        assert abs(mp_value(v1) - mp_value(v2)) <= mp_err(v1) + mp_err(v2)
 
 
 def test_eval_e6_vanishes_at_i():
     e6 = eisenstein_level1(6, 200)
     v = eval_qseries(e6, mpc(0, 1), 192)
-    assert abs(v.value) <= v.err + mpf(2) ** -150
+    with mpmath.workprec(220):
+        assert abs(mp_value(v)) <= mp_err(v) + mpf(2) ** -150
 
 
 def test_eval_large_weight_gate_series_is_finite():
@@ -78,8 +165,8 @@ def test_eval_large_weight_gate_series_is_finite():
     with mpmath.workprec(_GATE_PREC):
         for tau in (mpc("0.21", "1.13"), *_GATE_TAUS):
             r = eval_qseries(ser, tau, _GATE_PREC)
-            assert mpmath.isfinite(r.value) and mpmath.isfinite(r.err)
-            assert abs(r.value - 1) < mpf(10) ** -90 and 0 < r.err < mpf(10) ** -40
+            assert mpmath.isfinite(mp_value(r)) and mpmath.isfinite(mp_err(r))
+            assert abs(mp_value(r) - 1) < mpf(10) ** -90 and 0 < r.err < F(1, 10**40)
 
 
 def test_eval_rejects_low_imag_with_short_series():
@@ -122,12 +209,6 @@ def test_lattice_sum_quadratic_character():
             lattice_sum_eisenstein(5, 1, mpc("0.2", "1.1"), 12, character, 160)
 
 
-def test_to_mpc_fraction_exact():
-    with mpmath.workprec(200):
-        v = to_mpc(F(1, 3))
-        assert abs(v - mpmath.mpf(1) / 3) < mpf(2) ** -190
-
-
 # -- the fixed-point kernels against the former mpmath loops ---------------------
 
 with mpmath.workprec(300):
@@ -163,15 +244,15 @@ def test_lattice_kernel_matches_reference(monkeypatch, weight, level, tau, bound
         point = mpc(tau)
     want = lattice_sum_ref(weight, level, point, bound, prec + 64)
     with mpmath.workprec(prec + 64):
-        diff = abs(got.value - want)
+        diff = abs(mp_value(got) - want)
         assert diff <= mpf(2) ** -prec * max(1, abs(want))
-        assert diff <= got.err
+        assert diff <= mp_err(got)
     # without the truncation tail, what is left is the proven rounding bound
     monkeypatch.setattr(numerics, "_lattice_tail_bound", lambda *a: (0, 0))
     rounding = lattice_sum_eisenstein(weight, level, tau, bound, character, prec)
-    assert rounding.value == got.value
+    assert (rounding.x, rounding.y, rounding.e) == (got.x, got.y, got.e)
     with mpmath.workprec(prec + 64):
-        assert diff <= rounding.err
+        assert diff <= mp_err(rounding)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8, 12, 13, 24, 100])
@@ -203,7 +284,7 @@ def test_lattice_sum_is_unchanged_by_the_kernel(monkeypatch, weight, level, tau,
     got = lattice_sum_eisenstein(weight, level, tau, bound, None, prec)
     monkeypatch.setattr(numerics, "_lattice_kernel", lattice_kernel_ref)
     want = lattice_sum_eisenstein(weight, level, tau, bound, None, prec)
-    assert (got.value, got.err) == (want.value, want.err)
+    assert (got.x, got.y, got.r, got.e) == (want.x, want.y, want.r, want.e)
 
 
 def _tail_points(B):
@@ -273,15 +354,15 @@ def test_eval_kernel_matches_reference(monkeypatch, name, build, e, tau, prec):
         q = abs(mpmath.expjpi(2 * point))
         scale = sum(abs(mpf(c.numerator) / c.denominator) * q**m
                     for m, c in enumerate(map(F, coeffs)))
-        diff = abs(got.value - want)
+        diff = abs(mp_value(got) - want)
         assert diff <= mpf(2) ** -prec * (1 + scale)
-        assert diff <= got.err
+        assert diff <= mp_err(got)
     # without the fitted tail, what is left is the proven rounding bound
     monkeypatch.setattr(numerics, "_fitted_tail", lambda *a: (0, 0))
     rounding = eval_qseries(f, point, prec)
-    assert rounding.value == got.value
+    assert (rounding.x, rounding.y, rounding.e) == (got.x, got.y, got.e)
     with mpmath.workprec(prec + 64):
-        assert diff <= rounding.err
+        assert diff <= mp_err(rounding)
 
 
 # -- e(tau) in integers against mpmath at twice the bits ---------------------------

@@ -72,11 +72,14 @@ def test_fricke_eta_check_refuses_a_slightly_wrong_scalar(pairs, level):
 
 
 @pytest.mark.parametrize("pairs, level", [({1: 8, 2: 8}, 2), ({1: 2, 11: 2}, 11),
-                                          ({1: 2, 47: 2}, 47), ({1: 2, 131: 2}, 131)])
+                                          ({1: 2, 47: 2}, 47), ({1: 2, 131: 2}, 131),
+                                          ({1: 2, 263: 2}, 263), ({1: 2, 311: 2}, 311),
+                                          ({1: 2, 383: 2}, 383), ({1: 2, 431: 2}, 431)])
 def test_fricke_eta_check_refuses_wrong_scalars_at_large_levels(pairs, level):
-    """The slash side is read at i/N, where |q| = e^(-2 pi/N); the gate's
-    order grows with N, so it holds at the true scalar and refuses it times
-    101/100, 2 and -1 at levels 47 and 131 as at 2 and 11."""
+    """Both sides are read near the fixed point i/sqrt(N) of w_N, at Im about
+    1/sqrt(N); the gate's order grows with sqrt(N), so it holds at the true
+    scalar and refuses it times 101/100, 2 and -1 at levels 47 to 431 as at
+    2 and 11."""
     spec = EtaQuotientSpec(pairs)
     partner, scalar = fricke_eta_data(spec, level)
     trace._check_fricke_eta(spec, partner, scalar, level, spec.weight)
@@ -461,13 +464,16 @@ def test_expansion_over_orbits_with_their_own_denominators():
 # sha256 of the sorted-key JSON of each report, recorded with the Fraction
 # solve over per-coefficient field elements that the integer layout replaced;
 # the corollary digest was re-recorded when j_at_level_tau.err took in the
-# rounding of E4^3 / Delta (8.98e-56 in place of 1.36e-61, nothing else moved)
+# rounding of E4^3 / Delta (8.98e-56 in place of 1.36e-61, nothing else moved),
+# and again when j_at_level_tau came to be read at N tau itself, not at N tau
+# rounded to 53 bits, with a ball's proven error (re 4617205.18345990563264602771987
+# and err 3.65e-62 in place of 4617205.18345991166379808726053 and 8.98e-56)
 THEOREM_DIGESTS = {
     (4, 5): "dc9dc470c6e41c60c8cae8971e62044fad0bc4556cfb0aecf2bd329e934c50c6",
     (6, 5): "b521bd2dbcebf3949c1927f9eb23ee4339f3a1333d3547bbc0451a8120363d9e",
     (4, 6): "a5a6e1014dcdc0735272179c36975c5eda2df3513947154c907c77fd0dc93c40",
 }
-COROLLARY_DIGEST = "6d9af80ec4220a93936e242de1ab12f587fd6118a590e5de0db77ef13cf24884"
+COROLLARY_DIGEST = "abdd4a83d6b37200697c63fd8d303b2b909610a9feea27139942bbbf8545a9c0"
 
 
 def _digest(report):
