@@ -45,7 +45,6 @@ from .spaces import (
     level1_coordinates,
     miller_basis,
     newform_basis_level1,
-    validate_external_newform,
 )
 from .trace import (
     TheoremResult,
@@ -116,7 +115,6 @@ __all__ = [
     "tau_from_curve",
     "trace_to_level1",
     "transformation_polynomial",
-    "validate_external_newform",
     "verify_corollary",
     "verify_theorem",
 ]

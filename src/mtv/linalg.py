@@ -12,7 +12,8 @@ from .polynomial import UniPoly
 
 class MatQ:
     """Immutable exact matrix. Entries are Fractions unless the caller
-    supplies elements of some other exact field (number field elements work;
+    supplies elements of some other exact field with division (a
+    NumberFieldElem divides only by rationals, so it is no such field;
     every algorithm below uses only ring ops and exact division)."""
 
     __slots__ = ("rows", "nrows", "ncols")

@@ -176,13 +176,15 @@ def _abs_down(x, y):
 
 def _ball_round(x, y, r, e, bits):
     """The ball with its midpoint rounded to nearest at `bits` bits: each
-    component moves at most half a unit of the new exponent, under 1
-    together, so a part far below the other rounds to 0, not to -1."""
+    component moves at most half a unit of the new exponent, so the midpoint
+    moves at most sqrt(2)/2 < 182/256 of a unit, and the new radius is
+    ceil((r + 182 2^s / 256) / 2^s); a part far below the other rounds to
+    0, not to -1."""
     s = max(abs(x), abs(y)).bit_length() - bits
     if s <= 0:
         return x, y, r, e
     h = 1 << (s - 1)
-    return (x + h) >> s, (y + h) >> s, -(-r >> s) + 1, e + s
+    return (x + h) >> s, (y + h) >> s, -(-((r << 8) + (182 << s)) >> (s + 8)), e + s
 
 
 def _ball_mul(a, b, bits):

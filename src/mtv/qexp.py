@@ -19,7 +19,10 @@ enough that no product coefficient spills into its neighbour, one big-int
 multiply does the whole convolution in CPython's C core (Karatsuba), and the
 coefficients are cut back out of the product's bytes.  Eta quotients expand
 each Euler factor with the power rule for series, so an exponent r costs
-one pass, not |r|, and factors that share r share that pass.
+one pass, not |r|, and factors that share r share that pass.  hecke_T is
+T_p for a prime p: the pipeline's one Hecke operator is T_2, whose
+factorization cuts out the level-1 newform orbits (spaces), and a composite
+index is refused.
 
 Eisenstein series and eta quotients read one process-wide, grow-only store
 of integer arrays: the sigma_(k-1) list per k and the power-rule pass per
@@ -685,8 +688,19 @@ def op_U(f, t):
     return f._with_values(f._num[: t * T + 1 : t], T)
 
 
-def _hecke_p(f, p):
+def hecke_T(f, p):
+    """Hecke operator T_p, p prime, on a level-1 integral-weight expansion:
+    (T_p f)_n = f_(p n) + p^(k-1) f_(n/p), the last term only where p | n."""
+    p = int(p)
+    if p < 1:
+        raise InputError("Hecke index must be >= 1")
+    if not _is_prime(p):
+        raise UnsupportedScopeError("Hecke operators implemented for a prime index only")
+    if f.level != 1:
+        raise UnsupportedScopeError("Hecke operators implemented at level 1 only")
     k = f.weight
+    if k is None:
+        raise InputError("Hecke operators need weight metadata")
     T = f.trunc // p
     if T < 1:
         raise TruncationError(
@@ -698,52 +712,3 @@ def _hecke_p(f, p):
     for m in range(0, T + 1, p):
         out[m] += pk * num[m // p]
     return f._with_values(out, T)
-
-
-def hecke_T(f, n):
-    """Hecke operator T_n on a level-1 integral-weight expansion."""
-    n = int(n)
-    if n < 1:
-        raise InputError("Hecke index must be >= 1")
-    if f.level != 1:
-        raise UnsupportedScopeError("Hecke operators implemented at level 1 only")
-    if f.weight is None:
-        raise InputError("Hecke operators need weight metadata")
-    if f.trunc < n:
-        raise TruncationError(
-            "series order %d too small for T_%d; need order >= %d" % (f.trunc, n, n)
-        )
-    out = f
-    for p, r in _factorize(n):
-        out = _hecke_prime_power(out, p, r)
-    return out
-
-
-def _hecke_prime_power(f, p, r):
-    k = f.weight
-    if r == 0:
-        return f
-    prev2 = f
-    prev1 = _hecke_p(f, p)
-    for _ in range(r - 1):
-        nxt = _hecke_p(prev1, p)
-        corr = prev2.truncate(nxt.trunc).scale(p ** (k - 1))
-        nxt = nxt - corr
-        prev2, prev1 = prev1, nxt
-    return prev1
-
-
-def _factorize(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            r = 0
-            while n % d == 0:
-                n //= d
-                r += 1
-            out.append((d, r))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out

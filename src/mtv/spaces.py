@@ -12,7 +12,10 @@ factor E4^a E6^b, and the form must equal it exactly.
 
 Newforms are cut out as eigenvectors of T_2; Strong Multiplicity One at
 level 1 means each irreducible factor g of the T_2 characteristic polynomial
-chi picks out one Galois orbit.
+chi picks out one Galois orbit.  So T_2 is the one Hecke matrix the pipeline
+builds (hecke_matrix_level1 takes a prime p), and the certificate of an
+orbit is M c = theta c below; the Hecke relations among its a(n) are a check
+of the test suite.
 
 The newform layer works in integers.  The T_2 matrix M is integral in the
 cusp part of this basis, whose first coordinate is a_1, and at level 1 the
@@ -37,7 +40,8 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd
 
-from .errors import InputError, TruncationError, VerificationError, require_within
+from .errors import (InputError, TruncationError, UnsupportedScopeError, VerificationError,
+                     require_within)
 from .linalg import bareiss_solve
 from .numfield import NumberField, NumberFieldElem, _times_gen
 from .polynomial import UniPoly, _is_prime, poly_factor_q
@@ -271,27 +275,30 @@ def level1_coordinates(forms):
     return out
 
 
-def hecke_matrix_level1(weight, n, trunc=None):
-    """(rows, basis): the integer matrix of T_n on the cusp space in the
-    triangular basis, columns = images.  The basis is unitriangular and
-    integral and T_n keeps coefficients integral, so a fraction is refused;
-    each image must equal the combination its coordinates give, through
-    the image's truncation."""
+def hecke_matrix_level1(weight, p, trunc=None):
+    """(rows, basis): the integer matrix of T_p, p prime, on the cusp space
+    in the triangular basis, columns = images.  The basis is unitriangular
+    and integral and T_p keeps coefficients integral, so a fraction is
+    refused; each image must equal the combination its coordinates give,
+    through the image's truncation.  Any other index is refused before the
+    basis is built."""
+    if not _is_prime(p):
+        raise UnsupportedScopeError("Hecke operators implemented for a prime index only")
     s = dim_cusp_level1(weight)
     if s == 0:
         return [], []
-    basis = miller_basis(weight, max(int(trunc or 0), n * s + 2))[1:]
+    basis = miller_basis(weight, max(int(trunc or 0), p * s + 2))[1:]
     cusp = [b._num for b in basis]
     cols = []
     for bj in basis:
-        img = hecke_T(bj, n)
+        img = hecke_T(bj, p)
         if img._den != 1:
             raise VerificationError("T_%d matrix is not integral in the Miller basis at weight %d"
-                                    % (n, weight))
+                                    % (p, weight))
         x, res = _miller_solve(img._num, cusp, 1)
         if any(res):
             raise VerificationError("T_%d image is not in the cusp span at weight %d"
-                                    % (n, weight))
+                                    % (p, weight))
         cols.append(x)
     return [list(r) for r in zip(*cols)], basis
 
@@ -413,48 +420,3 @@ def conductor_of_space(weight, level):
     C = 1 if dim_cusp_level1(weight) > 0 else level
     admissible = [M for M in (1, level) if M % C == 0]
     return C, admissible
-
-
-def validate_external_newform(f):
-    """Check Hecke coefficient relations on a claimed level-1 eigenform: a
-    Newform or a level-1 expansion."""
-    if isinstance(f, Newform):
-        coeff = f.a
-    elif f.level != 1 or f.weight is None:
-        raise InputError("expected a level-1 integral-weight expansion")
-    else:
-        coeff = f.coeff
-    k = f.weight
-    T = f.trunc
-    if T < 2:
-        raise InputError("need at least two coefficients to validate")
-    if coeff(0) != 0:
-        raise VerificationError("constant term is %s, expected 0" % (coeff(0),))
-    if coeff(1) != 1:
-        raise VerificationError("q^1 coefficient is %s, expected 1" % (coeff(1),))
-    # multiplicativity on coprime pairs
-    for m in range(2, T + 1):
-        for n in range(m + 1, T // m + 1):
-            if gcd(m, n) != 1:
-                continue
-            if coeff(m * n) != coeff(m) * coeff(n):
-                raise VerificationError(
-                    "multiplicativity fails first at a_%d * a_%d != a_%d"
-                    % (m, n, m * n)
-                )
-    # prime-power recursion
-    p = 2
-    while p * p <= T:
-        if _is_prime(p):
-            pk = p ** (k - 1)
-            q = p * p
-            while q <= T:
-                lhs = coeff(q)
-                rhs = coeff(p) * coeff(q // p) - pk * coeff(q // (p * p))
-                if lhs != rhs:
-                    raise VerificationError(
-                        "Hecke recursion fails first at a_%d (p=%d)" % (q, p)
-                    )
-                q *= p
-        p += 1
-    return True

@@ -141,19 +141,32 @@ MAX_PHI_MILLER_DIM = 67
 # (181,476), 23 s at 83 (289,338) and 86 s at 107 (618,246).
 MAX_ROUTE2_WORK = 200000
 
+# cap on the Miller work d K T, K = (N + 1) W the weight of the top s_(N+1):
+# the s_i are certified against d Miller rows through q^T whose coefficients
+# grow with K, and the Miller cap alone holds at order 8 only, since phi's
+# order is order * power.  On the same VM, phi --eis-weight 4 takes 9.9 s at
+# level 2 power 22 --order 16 (d K T = 18.7M), 10.0 s at level 3 power 20
+# --order 16 (17.2M) and 17 s at level 5 power 16 --order 24 (19.2M); at the
+# default --order 32, level 5 power 16 (25.6M) took 34 s and level 2 power
+# 22 (37.4M) 44.7 s.
+MAX_PHI_MILLER_WORK = 20000000
+
 
 def _input_order(N, weight, order, lead):
     """The order T >= order of the inputs of Phi(h), h of the given weight at
     prime level N, at which the top s_(N+1) reaches d - lead leads of its
-    Miller basis (the s_i reach q^(T + 8 // N)); d, N^2 T and the series
-    length N T + 8 are refused past their caps before any work."""
-    d = dim_modular_level1((N + 1) * weight)
+    Miller basis (the s_i reach q^(T + 8 // N)); d, the series length
+    N T + 8, N^2 T and d K T are refused past their caps before any work."""
+    K = (N + 1) * weight
+    d = dim_modular_level1(K)
     require_within(d, MAX_PHI_MILLER_DIM, "the Miller dimension of s_%d, of weight %d,",
-                   N + 1, (N + 1) * weight)
+                   N + 1, K)
     T = max(order, d - lead)
     require_within(N * T + 8, MAX_SERIES_TERMS, "the series length at level %d, order %d", N, T)
     require_within(N * N * T, MAX_ROUTE2_WORK, "the route-2 work N^2 T at level %d, order %d",
                    N, T)
+    require_within(d * K * T, MAX_PHI_MILLER_WORK, "the Miller work d K T of s_%d at order %d",
+                   N + 1, T)
     return T
 
 

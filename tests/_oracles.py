@@ -35,7 +35,13 @@ ring arithmetic the package's value type no longer carries; the tests build
 their polynomials with it.  `poly_gcd_ref` and `squarefree_parts_ref`, Euclid
 and Yun over Q, are the references for the integer gcd and Yun of the
 factorization.  `mp_value` and `mp_err` read a BigComplex ball in mpmath, the
-oracle arithmetic of the numeric tests.  Slow is fine.
+oracle arithmetic of the numeric tests.  Three are former library code that
+no path of the package runs: `validate_external_newform`, the Hecke-relation
+check on a claimed eigenform, `nf_norm`, the field norm, and `FieldDiv`, a
+number field element with the division by field elements the package's
+elements no longer carry, for `MatQ` over a number field.  `hecke_ref` gives
+T_m for every m, composite ones included, where the package builds T_p for a
+prime p.  Slow is fine.
 """
 
 import functools
@@ -47,6 +53,8 @@ from fractions import Fraction
 import mpmath
 import sympy
 
+from mtv.errors import InputError, VerificationError
+from mtv.numfield import NumberFieldElem, nf_charpoly
 from mtv.polynomial import UniPoly
 
 
@@ -330,12 +338,12 @@ def elimination_eigenvector(M, g):
     else:
         field = NumberField(g)
         theta = field.elem([0, 1])
-        rows = [[field.coerce(M.rows[i][j]) - (theta if i == j else field.elem([]))
+        rows = [[FieldDiv(field.coerce(M.rows[i][j]) - (theta if i == j else 0))
                  for j in range(s)] for i in range(s)]
     null = MatQ(rows).nullspace()
     assert len(null) == 1
     v = list(null[0])
-    return [x / v[0] for x in v]
+    return [_plain(x / v[0]) for x in v]
 
 
 def mult_matrix(elem):
@@ -386,7 +394,7 @@ def krylov_eigenvector(M, chi, theta):
     Mv = [sum((c * x for c, x in zip(row, v) if c), zero) for row in M.rows]
     assert all(_is_zero(y - theta * x) for y, x in zip(Mv, v)), "not an eigenvector"
     assert not _is_zero(v[0]), "eigenvector with vanishing first entry"
-    inv = 1 / v[0]
+    inv = _reciprocal(v[0])
     return [x * inv for x in v]
 
 
@@ -837,11 +845,113 @@ def expand_in_newforms_ref(f, orbit_set):
     return out
 
 
-def hecke_p_ref(coeffs, p, weight):
-    """a_n(T_p f) = a_(p n) + p^(weight-1) a_(n/p), one coefficient at a time."""
-    T = (len(coeffs) - 1) // p
-    pk = p ** (weight - 1)
-    return [coeffs[p * n] + (pk * coeffs[n // p] if n % p == 0 else 0) for n in range(T + 1)]
+def hecke_ref(coeffs, m, weight):
+    """a_n(T_m f) = sum over d | (m, n) of d^(weight-1) a_(m n / d^2), one
+    coefficient at a time, for every m >= 1 (level 1)."""
+    T = (len(coeffs) - 1) // m
+    return [sum(d ** (weight - 1) * coeffs[m * n // (d * d)]
+                for d in range(1, m + 1) if m % d == 0 and n % d == 0)
+            for n in range(T + 1)]
+
+
+def validate_external_newform(f):
+    """Check the Hecke relations of a claimed level-1 eigenform, a Newform
+    or a level-1 expansion (the package's former
+    spaces.validate_external_newform): a_0 = 0, a_1 = 1, a_(mn) = a_m a_n for
+    coprime m, n, and a_(p^(r+1)) = a_p a_(p^r) - p^(k-1) a_(p^(r-1)).
+    Returns True or raises VerificationError naming the first failure."""
+    from mtv.spaces import Newform
+
+    if isinstance(f, Newform):
+        coeff = f.a
+    elif f.level != 1 or f.weight is None:
+        raise InputError("expected a level-1 integral-weight expansion")
+    else:
+        coeff = f.coeff
+    k = f.weight
+    T = f.trunc
+    if T < 2:
+        raise InputError("need at least two coefficients to validate")
+    if coeff(0) != 0:
+        raise VerificationError("constant term is %s, expected 0" % (coeff(0),))
+    if coeff(1) != 1:
+        raise VerificationError("q^1 coefficient is %s, expected 1" % (coeff(1),))
+    # multiplicativity on coprime pairs
+    for m in range(2, T + 1):
+        for n in range(m + 1, T // m + 1):
+            if math.gcd(m, n) == 1 and coeff(m * n) != coeff(m) * coeff(n):
+                raise VerificationError(
+                    "multiplicativity fails first at a_%d * a_%d != a_%d" % (m, n, m * n))
+    # prime-power recursion
+    for p in range(2, math.isqrt(T) + 1):
+        if sympy.isprime(p):
+            pk = p ** (k - 1)
+            q = p * p
+            while q <= T:
+                if coeff(q) != coeff(p) * coeff(q // p) - pk * coeff(q // (p * p)):
+                    raise VerificationError("Hecke recursion fails first at a_%d (p=%d)" % (q, p))
+                q *= p
+    return True
+
+
+def nf_norm(elem):
+    """Field norm K -> Q: the signed constant term of the charpoly (the
+    package's former numfield.nf_norm)."""
+    c0 = nf_charpoly(elem).coeffs[0]
+    return c0 if elem.field.degree % 2 == 0 else -c0
+
+
+def _reciprocal(x):
+    return x.inverse() if isinstance(x, NumberFieldElem) else 1 / Fraction(x)
+
+
+def _plain(x):
+    return x.v if isinstance(x, FieldDiv) else x
+
+
+class FieldDiv:
+    """A number field element that also divides by field elements, through
+    `inverse()`: the package's former division, so that `MatQ`'s row
+    reduction runs over a number field.  `.v` is the element."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = v
+
+    def __add__(self, other):
+        return FieldDiv(self.v + _plain(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return FieldDiv(self.v - _plain(other))
+
+    def __rsub__(self, other):
+        return FieldDiv(_plain(other) - self.v)
+
+    def __mul__(self, other):
+        return FieldDiv(self.v * _plain(other))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return FieldDiv(-self.v)
+
+    def __truediv__(self, other):
+        return FieldDiv(self.v * _reciprocal(_plain(other)))
+
+    def __rtruediv__(self, other):
+        return FieldDiv(_plain(other) * self.v.inverse())
+
+    def __eq__(self, other):
+        return self.v == _plain(other)
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def is_zero(self):
+        return self.v.is_zero()
 
 
 def _reduce_fundamental_ref(tau):

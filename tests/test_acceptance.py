@@ -36,12 +36,11 @@ from mtv import (
     reconstruct_real,
     specialize_phi,
     tau_from_curve,
-    validate_external_newform,
 )
-from mtv.numfield import nf_charpoly, nf_norm, nf_trace
+from mtv.numfield import nf_charpoly, nf_trace
 from mtv.trace import power_sums_from_elementary
 
-from _oracles import mp_err, mp_value
+from _oracles import mp_err, mp_value, nf_norm, validate_external_newform
 
 
 ORACLE_PAIRS = ((4, 1), (6, 1), (4, 2), (4, 3), (6, 5))

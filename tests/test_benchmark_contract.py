@@ -35,6 +35,32 @@ def _assigned(tree, name):
     return value
 
 
+def observed_keys():
+    """The "module.name" keys of the tracer's OBSERVERS, the names its
+    OBSERVERS.update(... for name in EISENSTEIN) adds included."""
+    tree = _tree("tracer.py")
+    keys = {ast.literal_eval(k) for k in _assigned(tree, "OBSERVERS").keys}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "update" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "OBSERVERS"):
+            (gen,) = node.args
+            keys |= set(ast.literal_eval(_assigned(tree, gen.generators[0].iter.id)))
+    return keys
+
+
+def workload_calls():
+    """(module, name) of each mtv.<module>.<name> that workloads.py reads."""
+    return {
+        (node.value.attr, node.attr)
+        for node in ast.walk(_tree("workloads.py"))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Attribute)
+        and isinstance(node.value.value, ast.Name)
+        and node.value.value.id == "mtv"
+    }
+
+
 def test_traced_methods_are_in_their_class_vars():
     methods = ast.literal_eval(_assigned(_tree("tracer.py"), "METHODS"))
     assert methods
@@ -45,19 +71,11 @@ def test_traced_methods_are_in_their_class_vars():
 
 
 def test_observed_functions_resolve():
-    tree = _tree("tracer.py")
-    keys = {ast.literal_eval(k) for k in _assigned(tree, "OBSERVERS").keys}
-    # OBSERVERS.update(... for name in EISENSTEIN) adds every name of that tuple
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "update" and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "OBSERVERS"):
-            (gen,) = node.args
-            keys |= set(ast.literal_eval(_assigned(tree, gen.generators[0].iter.id)))
     methods = {"%s.%s" % (layer, short)
-               for layer, entries in ast.literal_eval(_assigned(tree, "METHODS")).items()
+               for layer, entries in ast.literal_eval(_assigned(_tree("tracer.py"),
+                                                                "METHODS")).items()
                for _, _, short in entries}
-    functions = sorted(keys - methods)
+    functions = sorted(observed_keys() - methods)
     assert "polynomial.poly_factor_q" in functions and "qexp.eisenstein_level1" in functions
     for key in functions:
         module, name = key.split(".")
@@ -68,14 +86,7 @@ def test_observed_functions_resolve():
 
 
 def test_workload_calls_resolve():
-    used = {
-        (node.value.attr, node.attr)
-        for node in ast.walk(_tree("workloads.py"))
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Attribute)
-        and isinstance(node.value.value, ast.Name)
-        and node.value.value.id == "mtv"
-    }
+    used = workload_calls()
     assert ("trace", "verify_theorem") in used
     for module, name in sorted(used):
         assert hasattr(importlib.import_module("mtv." + module), name), (module, name)

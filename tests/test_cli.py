@@ -451,6 +451,25 @@ def test_phi_power_over_the_miller_cap_exits4_before_any_series(monkeypatch, cap
         assert "above the cap of 67" in err and "reached" not in err
 
 
+def test_phi_miller_work_over_the_cap_exits4_before_any_series(monkeypatch, capsys):
+    # phi's order is order * power, so past --order 8 the Miller cap no
+    # longer bounds the top s_(N+1): d K T = 65 * 768 * 384 (level 5, power
+    # 16, --order 24) passes, 65 * 768 * 512 (--order 32) is refused, and so
+    # is level 2 power 22 at --order 32 (67 * 792 * 704)
+    plant(monkeypatch, "reached the inputs", (trace, "product_inputs"))
+    assert trace.MAX_PHI_MILLER_WORK == 20000000
+
+    def argv(level, power, order):
+        return ["phi", "--level", level, "--eis-weight", "4", "--power", power, "--order", order]
+
+    assert cli.main(argv("5", "16", "24")) == 2
+    assert "reached the inputs" in capsys.readouterr().err
+    for args in (argv("5", "16", "32"), argv("2", "22", "32")):
+        assert cli.main(args) == 4
+        err = capsys.readouterr().err
+        assert "above the cap of 20000000" in err and "reached" not in err
+
+
 def test_theorem_and_corollary_over_the_dimension_cap_exit4(monkeypatch, capsys):
     # at level 2, W = (8 + 4) * power: dim S_264 = 22 (power 22) passes the
     # guard, dim S_288 = 24 (power 24) is refused before the newform basis
@@ -524,6 +543,11 @@ _CURVE = cli.parse_curve("4,1")
      trace.phi, (5, {1: 4, 5: 4}, 4, 17, 8)),
     (["phi", "--level", "5", "--eis-weight", "4", "--power", "3", "--order", "2185"],
      trace.phi, (5, {1: 4, 5: 4}, 4, 3, 2185)),
+    # the Miller work d K T at the default --order 32
+    (["phi", "--level", "2", "--eis-weight", "4", "--power", "22"],
+     trace.phi, (2, {1: 8, 2: 8}, 4, 22)),
+    (["phi", "--level", "5", "--eis-weight", "4", "--power", "16"],
+     trace.phi, (5, {1: 4, 5: 4}, 4, 16)),
     (["oracle", "--eis-weight", "274", "--level", "2", "--tau", "0.1,1.2", "--bound", "400"],
      numerics.lattice_sum_eisenstein, (274, 2, _TAU, 400, None, 256)),
     (["--prec", "4097", "oracle", "--eis-weight", "4", "--level", "2", "--tau", "0.1,1.2"],
@@ -621,20 +645,53 @@ def _near_singular(draw):
     return 3 * t * t, t**3 + e
 
 
+def _singular_ainvs(a1, a2):
+    """(a1, a2, 0, 0, 0): y^2 + a1 x y = x^3 + a2 x^2 is singular at the origin."""
+    return a1, a2, 0, 0, 0
+
+
+def _discriminant(curve):
+    """The discriminant of (g2, g3) or of a long Weierstrass model
+    (a1, a2, a3, a4, a6), by the b-invariants (Silverman, III.1)."""
+    if len(curve) == 2:
+        g2, g3 = map(Fraction, curve)
+        return g2**3 - 27 * g3**2
+    a1, a2, a3, a4, a6 = map(Fraction, curve)
+    b2, b4, b6 = a1**2 + 4 * a2, 2 * a4 + a1 * a3, a3**2 + 4 * a6
+    b8 = a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2
+    return -b2**2 * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
+
+
 def _refuse_constant(name):
     raise AssertionError("non-finite JSON constant %s" % name)
 
 
-@given(curve=st.one_of(st.tuples(_INVARIANT, _INVARIANT), _near_singular()),
+def test_five_part_curve_is_its_short_model():
+    # y^2 + y = x^3 - x (conductor 37) is 4x^3 - 4x + 1 = y^2 in (g2, g3)
+    reports = []
+    for curve in ("0,0,1,-1,0", "4,-1"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["specialize", "--curve=" + curve]) == 0
+        reports.append(out.getvalue())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["exact_targets"] == {"E4": "48", "E6": "-216", "Delta": "37"}
+
+
+@given(curve=st.one_of(st.tuples(_INVARIANT, _INVARIANT), _near_singular(),
+                       st.tuples(*[_INVARIANT] * 5),
+                       st.builds(_singular_ainvs, _INVARIANT, _INVARIANT)),
        prec=st.sampled_from((64, 128)), level=st.sampled_from((0, 2, 3)))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_fuzz_specialize_curve_exits_cleanly(curve, prec, level):
-    argv = ["--prec", str(prec), "specialize", "--curve=%s,%s" % curve,
+    argv = ["--prec", str(prec), "specialize", "--curve=" + ",".join(map(str, curve)),
             "--level", str(level)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    if _discriminant(curve) == 0:
+        assert code == 3 and "singular curve" in err.getvalue(), argv
     if code:
         assert out.getvalue() == "", argv
         return

