@@ -28,9 +28,9 @@ from .elliptic import (
 )
 from .errors import InputError, MtvError, ReconstructionError, VerificationError
 from .numerics import DEFAULT_PREC_BITS, BigComplex, check_prec
-from .qexp import EtaQuotientSpec, eisenstein_level1, eisenstein_oracle
+from .qexp import EtaQuotientSpec, eisenstein_oracle
 from .rational import format_decimal, format_exact, format_rational, parse_rational, round_bits
-from .spaces import delta_series, dim_cusp_level1, newform_basis_level1
+from .spaces import dim_cusp_level1, newform_basis_level1
 from .trace import phi, verify_theorem
 
 # cusp inputs shipped with the engine, keyed by prime level
@@ -183,14 +183,9 @@ def cmd_oracle(args):
 def cmd_specialize(args):
     curve = parse_curve(args.curve)
     pair = tau_from_curve(curve, args.prec)
-    T = pair.order
+    names = ("E4", "E6", "Delta")
     rows = []
-    for name, ser, wt in (
-        ("E4", eisenstein_level1(4, T), 4),
-        ("E6", eisenstein_level1(6, T), 6),
-        ("Delta", delta_series(T), 12),
-    ):
-        bc = pair.specialize_numeric(ser, wt)
+    for name, bc in zip(names, pair.images):
         # the largest denominator bound B whose separation radius 1/(2 B^2)
         # exceeds the value's error, at most 10^8
         err = bc.err
@@ -200,11 +195,7 @@ def cmd_specialize(args):
         except (ReconstructionError, VerificationError) as exc:
             val = "unrecognized (%s)" % exc
         rows.append({"series": name, "numeric": bc.serialize(), "rational": val})
-    exact = {
-        "E4": format_rational(12 * curve.g2),
-        "E6": format_rational(216 * curve.g3),
-        "Delta": format_rational(curve.discriminant),
-    }
+    exact = dict(zip(names, map(format_rational, curve.images)))
     jN = j_invariant_numeric(pair.tau * args.level, args.prec) if args.level else None
     doc = {
         "curve": curve.serialize(),

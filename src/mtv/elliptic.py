@@ -12,8 +12,8 @@ level-1 form.
 
 The period lattice is computed in integers (fixed-point roots, isqrt AGMs),
 trusted there and certified after the fact by three series evaluations
-with proven tails; every numeric value is a BigComplex ball, so no
-function here loads mpmath.
+with proven tails, which the numeric specialization then reuses.  Every
+numeric value is a BigComplex ball, so no function here loads mpmath.
 """
 
 import math
@@ -58,6 +58,11 @@ class CurveQ:
     @property
     def j(self):
         return 1728 * self.g2**3 / self.discriminant
+
+    @property
+    def images(self):
+        """The images 12 g2, 216 g3 and the discriminant of E4, E6 and Delta."""
+        return 12 * self.g2, 216 * self.g3, self.discriminant
 
     @classmethod
     def from_ainvs(cls, a1, a2, a3, a4, a6):
@@ -108,11 +113,12 @@ def j_invariant_numeric(tau, prec_bits=DEFAULT_PREC_BITS):
 
 
 class CurvePair:
-    """A curve together with its lattice point tau and scaling 2 pi / w2."""
+    """A curve with its lattice point tau, scaling s = 2 pi / w2, and the
+    certified balls s^4 E4(tau), s^6 E6(tau), s^12 Delta(tau) as images."""
 
-    __slots__ = ("curve", "tau", "scale", "omega2", "prec_bits", "order")
+    __slots__ = ("curve", "tau", "scale", "omega2", "prec_bits", "order", "images")
 
-    def __init__(self, curve, tau, scale, prec_bits, order):
+    def __init__(self, curve, tau, scale, prec_bits, order, images):
         self.curve = curve
         self.tau = tau
         self.scale = scale
@@ -120,10 +126,14 @@ class CurvePair:
         self.omega2 = BigComplex(_pi_fixed(prec_bits + 32) << 1, 0, 4, -prec_bits - 32) / scale
         self.prec_bits = prec_bits
         self.order = order
+        self.images = images
 
     def specialize_numeric(self, series, weight):
-        """(2 pi / w2)^weight * series(tau) as a BigComplex."""
-        return self.scale ** int(weight) * eval_qseries(series, self.tau, self.prec_bits + 16)
+        """(2 pi / w2)^weight * series(tau) as a BigComplex: the exact path's
+        homomorphism (_specialize_all) on the images."""
+        if weight != series.weight:
+            raise InputError("weight %s is not the series' weight %s" % (weight, series.weight))
+        return _specialize_all([series], self.images)[0]
 
     def serialize(self):
         return {
@@ -237,32 +247,33 @@ def tau_from_curve(curve, prec_bits=DEFAULT_PREC_BITS):
         got = scale**6 * e6 / 216
         if got.distance(curve.g3) > got.distance(-curve.g3):
             scale = BigComplex(-scale.y, scale.x, scale.r, scale.e)
-        if (scale**6 * e6 / 216 - curve.g3).mag() > tol(curve.g3):
-            raise PrecisionError("period branch fix failed on g3")
-    # final lattice certificate through the discriminant
-    if (scale**12 * dd - curve.discriminant).mag() > tol(curve.discriminant):
+    images = (scale**4 * e4, scale**6 * e6, scale**12 * dd)
+    # the certificates: the branch reproduces g3, the lattice the discriminant
+    if curve.g2 and curve.g3 and (images[1] / 216 - curve.g3).mag() > tol(curve.g3):
+        raise PrecisionError("period branch fix failed on g3")
+    if (images[2] - curve.discriminant).mag() > tol(curve.discriminant):
         raise PrecisionError("lattice certificate failed on the discriminant")
-    return CurvePair(curve, tau, scale, prec_bits, T)
+    return CurvePair(curve, tau, scale, prec_bits, T, images)
 
 
 # -- exact specialization ----------------------------------------------------
 
-def _specialize_coordinates(weight, coords, curve):
-    """sum_j coords[j-1] h_j(curve): the basis monomials map through
-    E4 -> 12 g2, E6 -> 216 g3, Delta -> discriminant.  The value lies where
-    the coordinates do: in Q, or in the Hecke field of an orbit."""
+def _specialize_coordinates(weight, coords, images):
+    """sum_j coords[j-1] h_j at images = (A, B, D): E4 -> A, E6 -> B and
+    Delta -> D.  The value lies where the coordinates and images do: in Q,
+    in an orbit's Hecke field, or in a ball, rounded only where a term is."""
     d, a, b = miller_exponents(weight)
-    A, B, D = 12 * curve.g2, 216 * curve.g3, curve.discriminant
-    return sum((c * (A**a * B ** (b + 2 * (d - j)) * D ** (j - 1))
-                for j, c in enumerate(coords, start=1)), Fraction(0))
+    A, B, D = images
+    terms = [c * (A**a * B ** (b + 2 * (d - j)) * D ** (j - 1))
+             for j, c in enumerate(coords, start=1) if c]
+    return sum(terms[1:], terms[0]) if terms else 0 * A
 
 
-def _specialize_all(forms, curve):
-    """Exact specialized values of rational level-1 forms of even weight.
-
-    One level1_coordinates call certifies every form and gives its
-    coordinates in the triangular basis, which _specialize_coordinates maps
-    to a rational value.
+def _specialize_all(forms, images):
+    """Specialized values of rational level-1 forms of even weight at
+    images, CurveQ's (exact) or CurvePair's (balls).  One level1_coordinates
+    call certifies every form, refusing one outside M_k, and gives the
+    coordinates that _specialize_coordinates maps to a value.
     """
     for f in forms:
         k = f.weight
@@ -271,14 +282,14 @@ def _specialize_all(forms, curve):
         d = dim_modular_level1(k)
         if f.trunc < d:
             raise InputError("series order %d below basis length %d" % (f.trunc, d))
-    return [_specialize_coordinates(f.weight, coords, curve)
+    return [_specialize_coordinates(f.weight, coords, images)
             for f, coords in zip(forms, level1_coordinates(forms))]
 
 
 def specialize_level1_exact(f, curve):
     """Exact specialized value of a level-1 form of even weight, certified
     level 1 through its whole truncation."""
-    return _specialize_all([f], curve)[0]
+    return _specialize_all([f], curve.images)[0]
 
 
 def specialize_phi(symmetric, curve):
@@ -287,7 +298,7 @@ def specialize_phi(symmetric, curve):
     coeffs = [Fraction(0)] * (mu + 1)
     coeffs[mu] = Fraction(1)
     sign = -1
-    for i, v in enumerate(_specialize_all(symmetric, curve), start=1):
+    for i, v in enumerate(_specialize_all(symmetric, curve.images), start=1):
         coeffs[mu - i] = sign * v
         sign = -sign
     return UniPoly(coeffs)
@@ -360,7 +371,7 @@ def verify_corollary(level, eta_pairs, eis_weight, power, curve, order=64,
     lhs = specialize_level1_exact(res.trace, curve)
     acc = Fraction(0)
     for nf, xi in zip(res.orbit_set.orbits, res.ratios):
-        sv = _specialize_coordinates(nf.weight, nf.coordinates(), curve)
+        sv = _specialize_coordinates(nf.weight, nf.coordinates(), curve.images)
         acc += nf_trace(xi * sv)
     rhs = res.constant * acc
     if lhs != rhs:

@@ -6,12 +6,12 @@ rounding of the midpoint widening the radius by what the rounding can lose
 (in the spirit of Johansson's Arb).  q = e(tau) comes from integer pi, exp,
 cos and sin with a proven error (_exp_ball), so eval_qseries' radius is
 proven for the Horner rounding, the error of q and the final scalings.  To
-that it adds a tail for the coefficients past the truncation: proven when
-the caller knows a bound |c_m| <= C m^alpha on them (the Eisenstein rows,
-their Fricke images, and E4, E6 and Delta on the curve path), and otherwise
-a fitted majorant, a heuristic, since those coefficients are unknown to it;
-only specialize's arbitrary series and the eta-quotient Fricke gate take
-that one.  The coset sum of lattice_sum_eisenstein reports its truncation
+that it adds a proven tail for the coefficients past the truncation when
+the caller gives a bound |c_m| <= C m^alpha on them; every evaluation in
+the package does (the Eisenstein rows and their Fricke images, E4, E6 and
+Delta on the curve path, and eta's pentagonal series).  Without one the
+ball holds the value of the polynomial the series holds, and nothing past
+it.  The coset sum of lattice_sum_eisenstein reports its truncation
 tail plus its rounding, both proven.  No subcommand loads mpmath.  All
 load-bearing identities elsewhere in the package are exact; this layer
 only cross-checks them.
@@ -28,9 +28,9 @@ from .rational import exact_fraction, format_decimal, round_bits
 DEFAULT_PREC_BITS = 256
 MIN_PREC_BITS = 64
 # cap on the working precision of a request.  specialize --curve=1,2 takes
-# about 1.2 s at 2048 bits, 4.6 s at 4096 and 34 s at 8192 on a 2-vCPU VM
-# with CPython 3.11 (corollary: 5.9 s and 29 s); the time grows about
-# sevenfold per doubling, so the cap is 4096.
+# about 0.3 s at 2048 bits, 0.5 s at 4096 and 1.6-2.1 s at 8192 on a 2-vCPU
+# VM with CPython 3.11 (corollary --level 2 --eis-weight 4: 0.5-0.9 s and
+# 2.0-3.5 s); the time grows about fourfold per doubling; the cap is 4096.
 MAX_PREC_BITS = 4096
 
 
@@ -46,13 +46,12 @@ def check_prec(prec_bits, cap=MAX_PREC_BITS):
 
 class BigComplex:
     """A complex ball: midpoint (x + iy) 2^e and radius r 2^e, all four
-    integers, r >= 0.  The ball holds the value it stands for: proven as
-    eval_qseries and lattice_sum_eisenstein make it, but for eval_qseries'
-    fitted tail (see the module docstring).  +, -, * and / (by a ball whose
-    disc excludes 0) return balls that hold every result of the operation
-    on points of the operands, rounded to the bits of the finer operand,
-    but exact for +, - and * of two points; an int or Fraction operand is
-    a point."""
+    integers, r >= 0.  The ball holds the value it stands for, proven as
+    eval_qseries and lattice_sum_eisenstein make it.  +, -, * and / (by a
+    ball whose disc excludes 0) return balls that hold every result of the
+    operation on points of the operands, rounded to the bits of the finer
+    operand, but exact for +, - and * of two points; an int or Fraction
+    operand is a point."""
 
     __slots__ = ("x", "y", "r", "e")
 
@@ -389,43 +388,6 @@ def _upper_sum(vals, rho64):
     return acc
 
 
-def _exp_up(L):
-    """(t, e) with t 2^e >= e^L for a float L, t below 2^54: exact but for a
-    relative 2^-40 of slack, which covers the rounding of the floats."""
-    b = L / math.log(2)
-    b += 2**-40 * (1 + abs(b))
-    n = math.floor(b)
-    return math.ceil(math.ldexp(2.0 ** (b - n), 52)) + 1, n - 52
-
-
-def _fitted_tail(num, den, ln_r):
-    """Heuristic tail majorant for the coefficients past the truncation,
-    as (t, e), the bound t 2^e.
-
-    Fits |c_m| <= C (m + 1)^alpha on the computed range (alpha from m >= 2)
-    and sums that majorant past M: 4 C (M + 2)^alpha r^(M+1) / (1 - rho) with
-    rho = r (1 + 1/(M + 2))^alpha.  Not a proof: the coefficients past M are
-    unknown.  The logarithms are floats of the exact integers; alpha and the
-    final exponent are rounded up, and the tail grows with alpha, so the
-    float arithmetic never gives less than the fit computed exactly.
-    """
-    M = len(num) - 1
-    lden = math.log(den)
-    logs = [(m, math.log(abs(c)) - lden) for m, c in enumerate(num) if c]
-    alpha = max([lc / math.log(m + 1) for m, lc in logs if m >= 2] + [0.0])
-    alpha += 2**-40 * (1 + alpha)
-    ln_c = max([lc - alpha * math.log(m + 1) for m, lc in logs], default=0.0)
-    rho = math.exp(ln_r + alpha * math.log1p(1 / (M + 2))) * (1 + 2**-40)
-    if rho >= 63 / 64:
-        raise InputError(
-            "Im(tau) too small for the truncation order; evaluate with a larger series order"
-        )
-    parts = (math.log(4), ln_c, alpha * math.log(M + 2), (M + 1) * ln_r,
-             -math.log1p(-rho))
-    slack = 2**-40 * (1 + sum(map(abs, parts)) + max([abs(lc) for _, lc in logs], default=0))
-    return _exp_up(math.fsum(parts) + slack)
-
-
 def _proven_tail(coeff_bound, M, ln_r):
     """An upper bound for sum_(m > M) C m^alpha r^m, r = e^ln_r < 1, given
     coeff_bound = (C, alpha) with C a positive Fraction and alpha >= 1, as
@@ -453,8 +415,11 @@ def _proven_tail(coeff_bound, M, ln_r):
         geometric = parts[:2] + [alpha * math.log(M + 1), (M + 1) * ln_r,
                                  -math.log(-math.expm1(ln_rho))]
         parts = min(parts, geometric, key=math.fsum)
-    slack = 2**-40 * (1 + sum(map(abs, parts)))
-    return _exp_up(math.fsum(parts) + slack)
+    # the bound as t 2^e, t below 2^54, each float step covered by 2^-40 slack
+    b = (math.fsum(parts) + 2**-40 * (1 + sum(map(abs, parts)))) / math.log(2)
+    b += 2**-40 * (1 + abs(b))
+    n = math.floor(b)
+    return math.ceil(math.ldexp(2.0 ** (b - n), 52)) + 1, n - 52
 
 
 def eval_qseries(f, tau, prec_bits=None, coeff_bound=None):
@@ -473,10 +438,10 @@ def eval_qseries(f, tau, prec_bits=None, coeff_bound=None):
     2^-P that later steps multiply by |Q| 2^-P, and the sum at Q differs
     from the sum at q by at most D 2^-P times sum_j j |num[v+j]| rho^(j-1).
     The sum is then multiplied by the ball q^v, divided by the denominator
-    and widened by a tail for the coefficients past the truncation: proven
-    by _proven_tail when coeff_bound = (C, alpha) bounds them, |c_m| <=
-    C m^alpha for every m past the truncation, and otherwise the fitted
-    majorant of _fitted_tail, a heuristic.
+    and, when coeff_bound = (C, alpha) bounds the coefficients past the
+    truncation, |c_m| <= C m^alpha for every such m, widened by the proven
+    tail of _proven_tail.  With no bound the ball holds the polynomial the
+    series holds, its rounding proven, and no tail is added.
     """
     prec = check_prec(prec_bits, math.inf)
     x, y = _point(tau)
@@ -506,12 +471,10 @@ def eval_qseries(f, tau, prec_bits=None, coeff_bound=None):
     if v:
         ball = _ball_mul(ball, _power(q, v, lambda a, b: _ball_mul(a, b, B)), B)
     ball = _ball_scale(ball, 1, 0, den, B)
-    ln_r = -2 * math.pi * float(min(y, 2**20))
-    if coeff_bound is None:
-        tail = _fitted_tail(num, den, ln_r)
-    else:
-        tail = _proven_tail(coeff_bound, M, ln_r)
-    return BigComplex(*_ball_round(*_ball_widen(ball, *tail), W))
+    if coeff_bound is not None:
+        ln_r = -2 * math.pi * float(min(y, 2**20))
+        ball = _ball_widen(ball, *_proven_tail(coeff_bound, M, ln_r))
+    return BigComplex(*_ball_round(*ball, W))
 
 
 def _lattice_tail_bound(lam, N, X, Y, s, B, W):

@@ -36,11 +36,11 @@ build that raises stores nothing.  Each process, hence each CLI call,
 starts with it empty.  The gates run above the store.
 
 The Eisenstein constructors are closed forms; each (weight, level) is gated
-once per process against the independent numeric coset-sum oracle before its
-series is handed out, and the Fricke image is additionally gated against a
-direct numeric evaluation of the slash action.  Both gates, and the oracle
-subcommand's closed form (eisenstein_oracle), evaluate these series with a
-proven tail from the coefficient bound of _eisenstein_coeff_bound.
+once per process against the numeric coset-sum oracle before its series is
+handed out, and the Fricke image against the slash action.  Both gates and
+eisenstein_oracle evaluate these series with the proven tail of
+_eisenstein_coeff_bound; the eta Fricke gate reads eta from its pentagonal
+series, whose coefficients 0 and +-1 bound its tail (eval_eta_quotient).
 """
 
 import math
@@ -55,7 +55,7 @@ from .errors import (
     VerificationError,
     require_within,
 )
-from .numerics import BigComplex, _coset_sum_request, _point, eval_qseries
+from .numerics import BigComplex, _coset_sum_request, _exp_ball, _point, eval_qseries
 from .polynomial import _is_prime, _power
 
 
@@ -453,16 +453,16 @@ def _check_eisenstein(weight, level):
             )
 
 
-def _slash_agrees(f, g, c, weight, level, tau, prec, bounds=(None, None)):
+def _slash_agrees(f, g, c, weight, level, tau, prec):
     """Numeric check of f|w_N = c g at tau, N = level and c rational, at
-    prec bits, in integers.
+    prec bits, in integers; f and g are evaluators, each a call that takes
+    a point (x, y) of Fractions to a ball that holds the form's value there.
 
     The slash side is f at -1/(N tau) times N^(k/2) (N tau)^(-k), both
     exact for a rational tau; each side is a ball, the error of its
     evaluation scaled with it, and the two must meet within a further
     2^-(prec-16) (|lhs| + |rhs|), relative: an absolute one passes any
-    image far below 1.  bounds are the coefficient bounds of f and g for
-    eval_qseries, None for a fitted tail.
+    image far below 1.
     """
     x, y = _point(tau)
     # N tau = (a + ib)/d, so -1/(N tau) = d (-a + ib)/n2, n2 = a^2 + b^2, and
@@ -471,9 +471,8 @@ def _slash_agrees(f, g, c, weight, level, tau, prec, bounds=(None, None)):
     a, b = int(level * x * d), int(level * y * d)
     n2 = a * a + b * b
     slash = BigComplex(a, -b) ** weight * (level ** (weight // 2) * d**weight)
-    lhs = eval_qseries(f, (Fraction(-a * d, n2), Fraction(b * d, n2)), prec, bounds[0])
-    lhs = lhs * slash / n2**weight
-    rhs = eval_qseries(g, (x, y), prec, bounds[1]) * Fraction(c)
+    lhs = f((Fraction(-a * d, n2), Fraction(b * d, n2))) * slash / n2**weight
+    rhs = g((x, y)) * Fraction(c)
     return lhs.distance(rhs) <= lhs.err + rhs.err + (lhs.mag() + rhs.mag()) / 2 ** (prec - 16)
 
 
@@ -492,10 +491,11 @@ def _check_fricke(weight, level):
     require_within(T, MAX_SERIES_TERMS, "the Fricke gate's series length at level %d", level)
     E = _eisenstein_prime_level_raw(weight, level, T)
     F = _fricke_eisenstein_raw(weight, level, T)
-    bounds = (_eisenstein_coeff_bound(weight, level),
-              _eisenstein_coeff_bound(weight, level, fricke=True))
+    bE, bF = _eisenstein_coeff_bound(weight, level), _eisenstein_coeff_bound(weight, level, True)
+    E_at = lambda t: eval_qseries(E, t, _GATE_PREC, bE)  # noqa: E731
+    F_at = lambda t: eval_qseries(F, t, _GATE_PREC, bF)  # noqa: E731
     for tau in _FRICKE_GATE_TAUS:
-        if not _slash_agrees(E, F, 1, weight, level, tau, _GATE_PREC, bounds):
+        if not _slash_agrees(E_at, F_at, 1, weight, level, tau, _GATE_PREC):
             raise VerificationError(
                 "Fricke Eisenstein closed form (weight %d, level %d) fails "
                 "the slash-action check at tau=%s" % (weight, level, tau)
@@ -652,6 +652,29 @@ def _euler_power(d, r, L):
                     lambda n: _unit_series_power(_pentagonal(n - 1), r, n - 1))
     out = [0] * (L + 1)
     out[::d] = power
+    return out
+
+
+def eval_eta_quotient(spec, tau, prec_bits):
+    """prod_d eta(d tau)^(r_d) at tau as a ball, e(v tau) prod_d P(e(d tau))^(r_d)
+    for the leading exponent v.  P = prod (1 - q^n) is read from its
+    pentagonal series, whose coefficients 0 and +-1 give the proven tail of
+    (C, alpha) = (1, 1), through an order T_d, within the series cap, that
+    puts the tail about 2^-(prec + 64) below |P| >= e^(-pi/(12 y)) at
+    Im(d tau) = y (eta's modular transformation)."""
+    x, y = _point(tau)
+    v = spec.leading_exponent
+    if v < 0:
+        raise UnsupportedScopeError("eta quotient with a pole at infinity")
+    out = BigComplex(*_exp_ball(v * x, v * y, prec_bits + 16)) if v else BigComplex(1)
+    for d, r in spec.pairs:
+        yd = float(d * y)
+        T = math.ceil(((prec_bits + 64) * math.log(2) + math.pi / (12 * yd)) / (2 * math.pi * yd))
+        require_within(T, MAX_SERIES_TERMS, "the eta series length at Im %.3g", yd)
+        signs = dict(_pentagonal(T))
+        num = [1] + [signs.get(n, 0) for n in range(1, T + 1)]
+        P = eval_qseries(QSeries(num), (d * x, d * y), prec_bits, (Fraction(1), 1)) ** abs(r)
+        out = out * P if r > 0 else out / P
     return out
 
 

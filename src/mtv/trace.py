@@ -40,6 +40,7 @@ from .qexp import (
     dim_modular_level1,
     eisenstein_prime_level,
     eta_quotient,
+    eval_eta_quotient,
     fricke_eisenstein,
     op_U,
 )
@@ -59,8 +60,9 @@ def fricke_eta_data(spec, level):
 
     Scope: every d divides the (prime or 1) level and the scalar must come out
     rational; otherwise UnsupportedScopeError.  The first use of each (spec,
-    level) pair is validated numerically against the slash action at tau = i,
-    and recorded with the Eisenstein gates (qexp._gate_once).
+    level) pair is validated numerically against the slash action, reading
+    eta from its series (qexp.eval_eta_quotient), and recorded with the
+    Eisenstein gates (qexp._gate_once).
     """
     if not isinstance(spec, EtaQuotientSpec):
         spec = EtaQuotientSpec(spec)
@@ -85,17 +87,11 @@ def fricke_eta_data(spec, level):
 
 def _check_fricke_eta(spec, partner, scalar, level, weight):
     # at tau = i/m, m = isqrt(N), near the fixed point i/sqrt(N) of w_N, the
-    # slash side reads f at -1/(N tau) = i m/N, and both sides have Im about
-    # 1/sqrt(N), where the value is about e^(-2 pi v/m) for the partner's
-    # leading exponent v; order T puts the tail terms, n^(k-1) e^(-lam n)
-    # with lam = 2 pi m/N, past their peak and about e^-64 below that value
+    # slash side reads spec at -1/(N tau) = i m/N, and both sides have Im
+    # about 1/sqrt(N); each side is read from eta's own series
+    f = lambda t: eval_eta_quotient(spec, t, 160)  # noqa: E731
+    g = lambda t: eval_eta_quotient(partner, t, 160)  # noqa: E731
     m = math.isqrt(level)
-    lam = 2 * math.pi * m / level
-    T = max(128, math.ceil((2 * (weight - 1) + 64 + 2 * math.pi * partner.leading_exponent / m)
-                           / lam))
-    require_within(T, MAX_SERIES_TERMS, "the Fricke eta gate's series length at level %d", level)
-    f = eta_quotient(spec, T)
-    g = f if partner == spec else eta_quotient(partner, T)
     if not _slash_agrees(f, g, scalar, weight, level, (0, Fraction(1, m)), 160):
         raise VerificationError(
             "Fricke eta scalar %s fails the numeric slash check for %r at level %d"

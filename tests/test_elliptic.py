@@ -271,23 +271,52 @@ def test_period_tau_holds_the_working_precision_without_guard_bits(g2, g3):
     assert tau.distance(ref) <= ref.mag() / 2**150
 
 
-@pytest.mark.parametrize("g2, g3", [(1, 1), (4, 1), (-2, -5), (0, 1), (4, 0)],
-                         ids=["edge", "axis", "arc", "j=0", "j=1728"])
+FIVE_CURVES = pytest.mark.parametrize("g2, g3", [(1, 1), (4, 1), (-2, -5), (0, 1), (4, 0)],
+                                      ids=["edge", "axis", "arc", "j=0", "j=1728"])
+
+
+@FIVE_CURVES
 def test_curve_path_rests_on_proven_tails(monkeypatch, g2, g3):
     # E4, E6 and Delta carry proven tails (Deligne's bound for Delta), so the
-    # lattice certificates and j never read a fitted one
+    # lattice certificates, j and the numeric specialization never evaluate
+    # a series without a coefficient bound
     import mtv.numerics as numerics
+    import mtv.qexp as qexp
 
-    def fitted(*args):
-        raise AssertionError("the curve path evaluated a fitted tail")
+    def bounded_only(f, tau, prec_bits=None, coeff_bound=None):
+        if coeff_bound is None:
+            raise AssertionError("the curve path evaluated a series without a bound")
+        return eval_qseries(f, tau, prec_bits, coeff_bound)
 
-    monkeypatch.setattr(numerics, "_fitted_tail", fitted)
+    for module in (numerics, qexp, elliptic):
+        monkeypatch.setattr(module, "eval_qseries", bounded_only)
     curve = CurveQ(g2, g3)
     pair = tau_from_curve(curve, 192)
     assert _follows_rule(pair.tau, curve)
     j = j_invariant_numeric(pair.tau, 192)
     assert j.distance(curve.j) < Fraction(1, 10**20) and j.err < Fraction(1, 10**40)
     assert j_invariant_numeric(pair.tau * 2, 192).err < 1
+    T = pair.order
+    got = [_specialized_exact(pair, ser, wt) for ser, wt in (
+        (eisenstein_level1(4, T), 4), (eisenstein_level1(6, T), 6), (delta_series(T), 12))]
+    assert got == list(curve.images)
+
+
+@FIVE_CURVES
+def test_numeric_specialization_holds_the_exact_value(g2, g3):
+    # the numeric and the exact path run one homomorphism, on the certified
+    # balls and on 12 g2, 216 g3 and the discriminant
+    curve = CurveQ(g2, g3)
+    pair = tau_from_curve(curve, 192)
+    e4, dd = eisenstein_level1(4, pair.order), delta_series(pair.order)
+    f = e4**4 - (e4 * dd).scale(3)
+    got = pair.specialize_numeric(f, 16)
+    assert got.distance(specialize_level1_exact(f, curve)) <= got.err
+    off = QSeries([c + (m == 5) for m, c in enumerate(f.coeffs)], trunc=f.trunc, weight=16)
+    with pytest.raises(VerificationError):
+        pair.specialize_numeric(off, 16)
+    with pytest.raises(InputError):
+        pair.specialize_numeric(f, 12)
 
 
 # -- exact specialization --------------------------------------------------------

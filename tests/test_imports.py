@@ -53,6 +53,11 @@ One Hecke-field type: every newform orbit carries its Hecke field, a
 rational orbit the field of degree 1.  No module of mtv compares a
 ``.field`` attribute with None or tests its truth, and the field functions
 ``nf_*`` of numfield.py take no int or Fraction in place of an element.
+
+Bounded evaluations: every call of ``eval_qseries`` in mtv passes a
+coefficient bound, as its fourth positional argument or as
+``coeff_bound``.  Without one the ball holds only the polynomial the series
+holds, so every value the package evaluates carries a proven tail.
 """
 
 import ast
@@ -133,6 +138,33 @@ def test_matq_check_flags_imports_and_names():
                          ids=lambda p: p.name)
 def test_only_linalg_names_matq(path):
     assert not names_matq(path.read_text())
+
+
+def unbounded_evaluations(source):
+    """Line numbers of the eval_qseries calls in source, bare or as an
+    attribute, that pass no coefficient bound."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "eval_qseries"
+            and len(node.args) < 4 and "coeff_bound" not in {k.arg for k in node.keywords}]
+
+
+def test_unbounded_evaluation_check_flags_calls_without_a_bound():
+    source = (
+        "from .numerics import eval_qseries\n"
+        "from . import numerics\n"
+        "a = eval_qseries(f, tau, 128)\n"
+        "b = numerics.eval_qseries(f, tau, prec_bits=128)\n"
+        "c = eval_qseries(f, tau, 128, (C, 1))\n"
+        "d = numerics.eval_qseries(f, tau, 128, coeff_bound=bound)\n"
+        "e = other(f, tau, 128)\n"
+    )
+    assert unbounded_evaluations(source) == [3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_evaluation_passes_a_coefficient_bound(path):
+    assert unbounded_evaluations(path.read_text()) == []
 
 
 def imported_parts(source):

@@ -19,6 +19,7 @@ from mtv.qexp import (
     _GATE_PREC,
     _GATE_TAUS,
     QSeries,
+    _eisenstein_coeff_bound,
     _eisenstein_prime_level_raw,
     eisenstein_level1,
     eisenstein_prime_level,
@@ -152,7 +153,7 @@ def test_eval_geometric_series_certified():
     f = QSeries([F(1)] * (T + 1), trunc=T, weight=None, level=1)
     with mpmath.workprec(150):
         tau = mpc("0.1", "0.9")
-        got = eval_qseries(f, tau, 128)
+        got = eval_qseries(f, tau, 128, (F(1), 1))
         q = mpmath.exp(2j * mpmath.pi * tau)
         want = 1 / (1 - q)
         assert abs(mp_value(got) - want) <= mp_err(got) + mpf(2) ** -120
@@ -163,14 +164,14 @@ def test_eval_honesty_by_doubling_order():
     d2 = delta_series(80)
     with mpmath.workprec(170):
         tau = mpc("0.3", "0.8")
-        v1 = eval_qseries(d1, tau, 160)
-        v2 = eval_qseries(d2, tau, 160)
+        v1 = eval_qseries(d1, tau, 160, (F(2), 6))
+        v2 = eval_qseries(d2, tau, 160, (F(2), 6))
         assert abs(mp_value(v1) - mp_value(v2)) <= mp_err(v1) + mp_err(v2)
 
 
 def test_eval_e6_vanishes_at_i():
     e6 = eisenstein_level1(6, 200)
-    v = eval_qseries(e6, mpc(0, 1), 192)
+    v = eval_qseries(e6, mpc(0, 1), 192, _eisenstein_coeff_bound(6, 1))
     with mpmath.workprec(220):
         assert abs(mp_value(v)) <= mp_err(v) + mpf(2) ** -150
 
@@ -182,22 +183,25 @@ def test_eval_large_weight_gate_series_is_finite():
     ser = _eisenstein_prime_level_raw(274, 2, _GATE_ORDER)
     with mpmath.workprec(_GATE_PREC):
         for tau in (mpc("0.21", "1.13"), *_GATE_TAUS):
-            r = eval_qseries(ser, tau, _GATE_PREC)
+            r = eval_qseries(ser, tau, _GATE_PREC, _eisenstein_coeff_bound(274, 2))
             assert mpmath.isfinite(mp_value(r)) and mpmath.isfinite(mp_err(r))
             assert abs(mp_value(r) - 1) < mpf(10) ** -90 and 0 < r.err < F(1, 10**40)
 
 
-def test_eval_rejects_low_imag_with_short_series():
-    f = delta_series(8)
-    with pytest.raises(InputError):
-        eval_qseries(f, mpc("0.0", "0.001"), 128)
+def test_eval_proven_tail_holds_at_low_imag_with_short_series():
+    # at Im tau = 0.001 Deligne's bound (2, 6) past q^8 gives a wide but
+    # finite ball; Delta(i/1000) = 10^36 Delta(1000 i) is below 10^-2690
+    # (Delta(-1/tau) = tau^12 Delta(tau)), so the ball must hold 0 as well
+    v = eval_qseries(delta_series(8), mpc("0.0", "0.001"), 128, (F(2), 6))
+    assert 0 < v.err < 10**20
+    assert v.distance(0) + F(1, 10**2690) <= v.err
 
 
 def test_lattice_sum_certified_against_closed_form():
     # the certificate must cover the actual truncation defect
     e4 = eisenstein_level1(4, 64)
     for tau in (mpc(0, 1), mpc("0.21", "1.13")):
-        closed = eval_qseries(e4, tau, 160)
+        closed = eval_qseries(e4, tau, 160, _eisenstein_coeff_bound(4, 1))
         lat = lattice_sum_eisenstein(4, 1, tau, 24, None, 160)
         assert closed.distance(lat) <= closed.err + lat.err
 
@@ -207,7 +211,7 @@ def test_lattice_sum_prime_level():
 
     ser = eisenstein_prime_level(6, 3, 64)
     tau = mpc("0.11", "1.4")
-    closed = eval_qseries(ser, tau, 160)
+    closed = eval_qseries(ser, tau, 160, _eisenstein_coeff_bound(6, 3))
     lat = lattice_sum_eisenstein(6, 3, tau, 24, None, 160)
     assert closed.distance(lat) <= closed.err + lat.err
 
@@ -359,13 +363,15 @@ EVAL_CASES = [
 
 @pytest.mark.parametrize("name, build, e, tau, prec", EVAL_CASES,
                          ids=[c[0] for c in EVAL_CASES])
-def test_eval_kernel_matches_reference(monkeypatch, name, build, e, tau, prec):
+def test_eval_kernel_matches_reference(name, build, e, tau, prec):
     f = build()
     coeffs = list(f.coeffs)
     # the kernel evaluates at the point tau / e rounds to at its working
     # precision; e times that point is exact at the reference's precision
     with mpmath.workprec(prec + 16 + (len(coeffs) + 1).bit_length()):
         point = mpc(tau) / e
+    # without a coefficient bound the ball holds the polynomial the series
+    # holds, so its radius is the proven rounding bound alone
     got = eval_qseries(f, point, prec)
     with mpmath.workprec(prec + 64):
         want = eval_qseries_ref(coeffs, e, point * e, prec + 64)
@@ -375,12 +381,6 @@ def test_eval_kernel_matches_reference(monkeypatch, name, build, e, tau, prec):
         diff = abs(mp_value(got) - want)
         assert diff <= mpf(2) ** -prec * (1 + scale)
         assert diff <= mp_err(got)
-    # without the fitted tail, what is left is the proven rounding bound
-    monkeypatch.setattr(numerics, "_fitted_tail", lambda *a: (0, 0))
-    rounding = eval_qseries(f, point, prec)
-    assert (rounding.x, rounding.y, rounding.e) == (got.x, got.y, got.e)
-    with mpmath.workprec(prec + 64):
-        assert diff <= mp_err(rounding)
 
 
 # -- e(tau) in integers against mpmath at twice the bits ---------------------------

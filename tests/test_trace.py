@@ -59,10 +59,13 @@ def test_discriminant_fricke_scalar_level2():
     assert scalar * scalar2 == 1
 
 
-@pytest.mark.parametrize("pairs, level", [({1: 8, 2: 8}, 2), ({1: 24}, 2), ({1: 4, 5: 4}, 5)])
+@pytest.mark.parametrize("pairs, level", [({1: 8, 2: 8}, 2), ({1: 24}, 2), ({1: 4, 5: 4}, 5),
+                                          ({2: 16, 1: -8}, 2), ({3: 18, 1: -6}, 3)])
 def test_fricke_eta_check_refuses_a_slightly_wrong_scalar(pairs, level):
     """The slash check holds at the true scalar and refuses it scaled by
-    1 + 2^-120, which the rounding allowance at 160 bits does not cover."""
+    1 + 2^-120, which the rounding allowance at 160 bits does not cover;
+    negative exponents divide by eta's value, and their partners have
+    leading exponent 0."""
     spec = EtaQuotientSpec(pairs)
     partner, scalar = fricke_eta_data(spec, level)
     trace._check_fricke_eta(spec, partner, scalar, level, spec.weight)
