@@ -28,6 +28,7 @@ from .numerics import (
     _point,
     check_prec,
     eval_qseries,
+    tail_order,
 )
 from .numfield import nf_trace
 from .polynomial import UniPoly, poly_factor_q
@@ -89,18 +90,19 @@ class CurveQ:
 
 # -- numeric lattice -------------------------------------------------------
 
-def _order_for(im_tau, prec_bits):
-    # |q|^T = exp(-2 pi Im(tau) T) must undercut 2^-prec with headroom
-    T = int(0.80 * prec_bits / im_tau) + 24
-    return max(48, T)
-
-
-def _level1_values(tau, T, bits, weights=(4, 6, 12)):
-    """E4, E6 and Delta (E_k for k in weights, Delta for 12) through q^T at
-    tau, as balls of `bits` bits with proven tails."""
-    return [eval_qseries(delta_series(T), tau, bits, _DELTA_BOUND) if k == 12 else
-            eval_qseries(eisenstein_level1(k, T), tau, bits, _eisenstein_coeff_bound(k, 1))
-            for k in weights]
+def _level1_values(tau, bits, weights=(4, 6, 12)):
+    """E4, E6 and Delta (E_k for k in weights, Delta for 12) at tau as balls
+    of `bits` bits, each through the least order whose proven tail lies 64
+    bits below them (tail_order), and the largest of those orders."""
+    y = _point(tau)[1]
+    values, orders = [], []
+    for k in weights:
+        bound = _DELTA_BOUND if k == 12 else _eisenstein_coeff_bound(k, 1)
+        T = tail_order(bound, y, bits + 64)
+        ser = delta_series(T) if k == 12 else eisenstein_level1(k, T)
+        values.append(eval_qseries(ser, tau, bits, bound))
+        orders.append(T)
+    return values, max(orders)
 
 
 def j_invariant_numeric(tau, prec_bits=DEFAULT_PREC_BITS):
@@ -108,13 +110,15 @@ def j_invariant_numeric(tau, prec_bits=DEFAULT_PREC_BITS):
     y = _point(tau)[1]
     if y <= 0:
         raise InputError("tau must be in the upper half plane")
-    e4, dd = _level1_values(tau, _order_for(float(y), prec_bits), prec_bits + 16, (4, 12))
+    (e4, dd), _ = _level1_values(tau, prec_bits + 16, (4, 12))
     return e4 * e4 * e4 / dd  # a PrecisionError when Delta's disc holds 0
 
 
 class CurvePair:
     """A curve with its lattice point tau, scaling s = 2 pi / w2, and the
-    certified balls s^4 E4(tau), s^6 E6(tau), s^12 Delta(tau) as images."""
+    certified balls s^4 E4(tau), s^6 E6(tau), s^12 Delta(tau) as images;
+    order is the largest order of those three series, at least 2, so that
+    series built at it span M_12 for specialize_numeric's certificate."""
 
     __slots__ = ("curve", "tau", "scale", "omega2", "prec_bits", "order", "images")
 
@@ -231,8 +235,7 @@ def tau_from_curve(curve, prec_bits=DEFAULT_PREC_BITS):
         tau = BigComplex(0, 1)
     else:
         tau = _period_tau(curve, W)
-    T = _order_for(float(tau.imag), prec_bits)
-    e4, e6, dd = _level1_values(tau, T, prec_bits + 16)
+    (e4, e6, dd), T = _level1_values(tau, prec_bits + 16)
     # certify |E4^3 - j Delta| relative to |Delta|
     residual = (e4 * e4 * e4 - dd * jv).mag()
     gate = dd.mag() * (1 + abs(jv)) / 2 ** (prec_bits // 2)
@@ -253,7 +256,7 @@ def tau_from_curve(curve, prec_bits=DEFAULT_PREC_BITS):
         raise PrecisionError("period branch fix failed on g3")
     if (images[2] - curve.discriminant).mag() > tol(curve.discriminant):
         raise PrecisionError("lattice certificate failed on the discriminant")
-    return CurvePair(curve, tau, scale, prec_bits, T, images)
+    return CurvePair(curve, tau, scale, prec_bits, max(2, T), images)
 
 
 # -- exact specialization ----------------------------------------------------

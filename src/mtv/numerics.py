@@ -9,7 +9,9 @@ proven for the Horner rounding, the error of q and the final scalings.  To
 that it adds a proven tail for the coefficients past the truncation when
 the caller gives a bound |c_m| <= C m^alpha on them; every evaluation in
 the package does (the Eisenstein rows and their Fricke images, E4, E6 and
-Delta on the curve path, and eta's pentagonal series).  Without one the
+Delta on the curve path, and eta's pentagonal series), and reads the series
+through the least order whose proven tail meets its target (tail_order),
+the oracle aside, which reads the order its request names.  Without one the
 ball holds the value of the polynomial the series holds, and nothing past
 it.  The coset sum of lattice_sum_eisenstein reports its truncation
 tail plus its rounding, both proven.  No subcommand loads mpmath.  All
@@ -27,10 +29,12 @@ from .rational import exact_fraction, format_decimal, round_bits
 
 DEFAULT_PREC_BITS = 256
 MIN_PREC_BITS = 64
-# cap on the working precision of a request.  specialize --curve=1,2 takes
-# about 0.3 s at 2048 bits, 0.5 s at 4096 and 1.6-2.1 s at 8192 on a 2-vCPU
-# VM with CPython 3.11 (corollary --level 2 --eis-weight 4: 0.5-0.9 s and
-# 2.0-3.5 s); the time grows about fourfold per doubling; the cap is 4096.
+# cap on the working precision of a request.  On a 2-vCPU VM with CPython
+# 3.11, specialize --curve=1,2 takes about 0.13 s at 2048 bits, 0.16 s at
+# 4096 and 0.36 s at 8192, specialize --curve=-2,-5 --level 2 0.15 s, 0.28 s
+# and 1.1-1.6 s, and corollary --level 2 --eis-weight 4 --curve=1,2 0.14 s,
+# 0.19 s and 0.44 s; the time grows two- to fivefold per doubling; the cap
+# is 4096.
 MAX_PREC_BITS = 4096
 
 
@@ -98,6 +102,10 @@ class BigComplex:
         return self._apply(_ball_div, other, True)
 
     def __pow__(self, n):
+        """self^n for an integer n; for n < 0 the reciprocal of self^-n, a
+        PrecisionError when that disc holds 0."""
+        if n < 0:
+            return 1 / self ** -n
         return _power(self, n, operator.mul) if n else BigComplex(1)
 
     def __neg__(self):
@@ -177,11 +185,15 @@ def _ball_round(x, y, r, e, bits):
     """The ball with its midpoint rounded to nearest at `bits` bits: each
     component moves at most half a unit of the new exponent, so the midpoint
     moves at most sqrt(2)/2 < 182/256 of a unit, and the new radius is
-    ceil((r + 182 2^s / 256) / 2^s); a part far below the other rounds to
-    0, not to -1."""
+    ceil((r + 182 2^s / 256) / 2^s), or ceil(r / 2^s) when the bits shifted
+    out are all 0 and the midpoint does not move; a part far below the
+    other rounds to 0, not to -1."""
     s = max(abs(x), abs(y)).bit_length() - bits
     if s <= 0:
         return x, y, r, e
+    low = (1 << s) - 1
+    if not (x & low or y & low):
+        return x >> s, y >> s, -(-r >> s), e + s
     h = 1 << (s - 1)
     return (x + h) >> s, (y + h) >> s, -(-((r << 8) + (182 << s)) >> (s + 8)), e + s
 
@@ -422,6 +434,43 @@ def _proven_tail(coeff_bound, M, ln_r):
     return math.ceil(math.ldexp(2.0 ** (b - n), 52)) + 1, n - 52
 
 
+def _ln_r(im_tau):
+    """ln |e(tau)| = -2 pi Im tau as a float; an Im tau past 2^20 is read as
+    2^20, which only raises the bound of a tail."""
+    return -2 * math.pi * float(min(im_tau, 2**20))
+
+
+def tail_order(coeff_bound, im_tau, bits):
+    """The least T >= 1 whose proven tail past q^T (_proven_tail of
+    coeff_bound = (C, alpha) at |q| = e^(-lambda), lambda = 2 pi Im tau) is
+    at most 2^-bits R, R = C n^alpha |q|^n at n = max(1, alpha/lambda) the
+    largest term the bound allows.  The package reads every series it
+    evaluates through this order; each caller refuses one past its cap.
+
+    The tail bound does not grow with T (the minimum of a bound free of T
+    and a geometric one that falls), so doubling and then bisection find
+    T; the bisection keeps an order that fails below T, so T - 1 fails
+    unless T = 1.
+    """
+    C, alpha = coeff_bound
+    ln_r = _ln_r(im_tau)
+    n = max(1, alpha / -ln_r)
+    target = (math.log(C.numerator) - math.log(C.denominator) + alpha * math.log(n)
+              + n * ln_r) / math.log(2) - bits
+
+    def meets(T):
+        t, e = _proven_tail(coeff_bound, T, ln_r)
+        return math.log2(t) + e <= target
+
+    failed, T = 0, 1
+    while not meets(T):
+        failed, T = T, 2 * T
+    while T - failed > 1:
+        mid = (failed + T) // 2
+        failed, T = (failed, mid) if meets(mid) else (mid, T)
+    return T
+
+
 def eval_qseries(f, tau, prec_bits=None, coeff_bound=None):
     """Evaluate a QSeries, a series over Q, at tau in the upper half-plane,
     as a ball with a W-bit midpoint, W = prec + 16 + bitlen(M + 2) for the
@@ -472,8 +521,7 @@ def eval_qseries(f, tau, prec_bits=None, coeff_bound=None):
         ball = _ball_mul(ball, _power(q, v, lambda a, b: _ball_mul(a, b, B)), B)
     ball = _ball_scale(ball, 1, 0, den, B)
     if coeff_bound is not None:
-        ln_r = -2 * math.pi * float(min(y, 2**20))
-        ball = _ball_widen(ball, *_proven_tail(coeff_bound, M, ln_r))
+        ball = _ball_widen(ball, *_proven_tail(coeff_bound, M, _ln_r(y)))
     return BigComplex(*_ball_round(*ball, W))
 
 

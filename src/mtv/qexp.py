@@ -39,8 +39,9 @@ The Eisenstein constructors are closed forms; each (weight, level) is gated
 once per process against the numeric coset-sum oracle before its series is
 handed out, and the Fricke image against the slash action.  Both gates and
 eisenstein_oracle evaluate these series with the proven tail of
-_eisenstein_coeff_bound; the eta Fricke gate reads eta from its pentagonal
-series, whose coefficients 0 and +-1 bound its tail (eval_eta_quotient).
+_eisenstein_coeff_bound, the gates through the order numerics.tail_order
+gives; the eta Fricke gate reads eta from its pentagonal series, whose
+coefficients 0 and +-1 bound its tail (eval_eta_quotient).
 """
 
 import math
@@ -55,7 +56,7 @@ from .errors import (
     VerificationError,
     require_within,
 )
-from .numerics import BigComplex, _coset_sum_request, _exp_ball, _point, eval_qseries
+from .numerics import BigComplex, _coset_sum_request, _exp_ball, _point, eval_qseries, tail_order
 from .polynomial import _is_prime, _power
 
 
@@ -361,7 +362,6 @@ def _eisenstein_coeff_bound(weight, level, fricke=False):
 
 
 _GATE_DONE = set()
-_GATE_ORDER = 64
 _GATE_PREC = 160
 # 27/128 + 145/128 i and -47/128 + 219/128 i: exact as floats, with 7
 # fractional bits (see _check_eisenstein)
@@ -439,10 +439,13 @@ def _check_eisenstein(weight, level):
     The points are short dyadics: the coset-sum kernel works on tau scaled
     to Gaussian integers, whose terms grow like the weight times the
     fractional bits of tau, so 7 bits keep them small where a decimal point
-    held at _GATE_PREC bits would carry about 160.
+    held at _GATE_PREC bits would carry about 160.  The series runs
+    through the least order whose proven tail lies 64 bits below the
+    gate's precision at both points (tail_order).
     """
-    ser = _eisenstein_prime_level_raw(weight, level, _GATE_ORDER)
     bound = _eisenstein_coeff_bound(weight, level)
+    T = max(tail_order(bound, _point(tau)[1], _GATE_PREC + 64) for tau in _GATE_TAUS)
+    ser = _eisenstein_prime_level_raw(weight, level, T)
     for tau in _GATE_TAUS:
         closed = eval_qseries(ser, tau, _GATE_PREC, bound)
         lat = _coset_sum_request(weight, level, tau, 32, None, _GATE_PREC)()
@@ -482,16 +485,16 @@ def _gate_fricke(weight, level):
 
 
 def _check_fricke(weight, level):
-    # the slash side's tail terms n^(k-1) e^(-lam n), lam = 2 pi Im(-1/(N tau)),
-    # peak at n = (k-1)/lam; order (2(k-1) + 64)/lam, at least 256, kept the
-    # proven tail below 1e-20 of the value at weights 4-278, levels 2-311
-    # (order 256 left it 15 times the value at weight 200, level 5)
-    lam = 2 * math.pi * min((-1 / (level * tau)).imag for tau in _FRICKE_GATE_TAUS)
-    T = max(256, math.ceil((2 * (weight - 1) + 64) / lam))
-    require_within(T, MAX_SERIES_TERMS, "the Fricke gate's series length at level %d", level)
-    E = _eisenstein_prime_level_raw(weight, level, T)
-    F = _fricke_eisenstein_raw(weight, level, T)
+    # E is read at -1/(N tau), Im y / (N |tau|^2), and F at tau, each through
+    # the least order whose proven tail lies 64 bits below the gate's precision
+    points = [_point(tau) for tau in _FRICKE_GATE_TAUS]
     bE, bF = _eisenstein_coeff_bound(weight, level), _eisenstein_coeff_bound(weight, level, True)
+    TE = max(tail_order(bE, y / (level * (x * x + y * y)), _GATE_PREC + 64) for x, y in points)
+    TF = max(tail_order(bF, y, _GATE_PREC + 64) for x, y in points)
+    require_within(max(TE, TF), MAX_SERIES_TERMS, "the Fricke gate's series length at level %d",
+                   level)
+    E = _eisenstein_prime_level_raw(weight, level, TE)
+    F = _fricke_eisenstein_raw(weight, level, TF)
     E_at = lambda t: eval_qseries(E, t, _GATE_PREC, bE)  # noqa: E731
     F_at = lambda t: eval_qseries(F, t, _GATE_PREC, bF)  # noqa: E731
     for tau in _FRICKE_GATE_TAUS:
@@ -659,22 +662,23 @@ def eval_eta_quotient(spec, tau, prec_bits):
     """prod_d eta(d tau)^(r_d) at tau as a ball, e(v tau) prod_d P(e(d tau))^(r_d)
     for the leading exponent v.  P = prod (1 - q^n) is read from its
     pentagonal series, whose coefficients 0 and +-1 give the proven tail of
-    (C, alpha) = (1, 1), through an order T_d, within the series cap, that
-    puts the tail about 2^-(prec + 64) below |P| >= e^(-pi/(12 y)) at
-    Im(d tau) = y (eta's modular transformation)."""
+    (C, alpha) = (1, 1), through the order tail_order takes, within the
+    series cap, at prec + 64 bits plus the pi/(12 y ln 2) bits of the lower
+    bound |P| >= e^(-pi/(12 y)) at Im(d tau) = y (eta's modular
+    transformation)."""
     x, y = _point(tau)
     v = spec.leading_exponent
     if v < 0:
         raise UnsupportedScopeError("eta quotient with a pole at infinity")
     out = BigComplex(*_exp_ball(v * x, v * y, prec_bits + 16)) if v else BigComplex(1)
+    bound = (Fraction(1), 1)
     for d, r in spec.pairs:
         yd = float(d * y)
-        T = math.ceil(((prec_bits + 64) * math.log(2) + math.pi / (12 * yd)) / (2 * math.pi * yd))
+        T = tail_order(bound, d * y, prec_bits + 64 + math.pi / (12 * yd * math.log(2)))
         require_within(T, MAX_SERIES_TERMS, "the eta series length at Im %.3g", yd)
         signs = dict(_pentagonal(T))
         num = [1] + [signs.get(n, 0) for n in range(1, T + 1)]
-        P = eval_qseries(QSeries(num), (d * x, d * y), prec_bits, (Fraction(1), 1)) ** abs(r)
-        out = out * P if r > 0 else out / P
+        out = out * eval_qseries(QSeries(num), (d * x, d * y), prec_bits, bound) ** r
     return out
 
 

@@ -968,7 +968,6 @@ def invert_j_newton_ref(jv, prec_bits):
     numeric q-expansions, from the reciprocal of j - 744 and then fixed seeds
     (the package's former j-inversion).  Call it inside a working precision
     of about prec_bits + 32."""
-    from mtv.elliptic import _order_for
     from mtv.numerics import eval_qseries
     from mtv.qexp import eisenstein_level1
     from mtv.spaces import delta_series
@@ -993,7 +992,8 @@ def invert_j_newton_ref(jv, prec_bits):
             tau_r = _reduce_fundamental_ref(tau)
             if tau_r.imag > tau.imag:
                 tau = tau_r
-            T = _order_for(float(tau.imag), prec_bits)
+            # |q|^T = exp(-2 pi Im(tau) T) undercuts 2^-prec with headroom
+            T = max(48, int(0.80 * prec_bits / float(tau.imag)) + 24)
             E4s, E6s, Ds = eisenstein_level1(4, T), eisenstein_level1(6, T), delta_series(T)
             e4, e6, dd = (mp_value(eval_qseries(f, tau, prec_bits + 16))
                           for f in (E4s, E6s, Ds))

@@ -58,6 +58,12 @@ Bounded evaluations: every call of ``eval_qseries`` in mtv passes a
 coefficient bound, as its fourth positional argument or as
 ``coeff_bound``.  Without one the ball holds only the polynomial the series
 holds, so every value the package evaluates carries a proven tail.
+
+One truncation rule: every function of mtv that calls ``eval_qseries`` takes
+the order of what it evaluates from ``numerics.tail_order``, the least order
+whose proven tail meets its target, except the oracle, which evaluates the
+order its request names.  The fitted order rules it replaced
+(``_order_for``, ``_GATE_ORDER``) are neither defined nor named.
 """
 
 import ast
@@ -165,6 +171,87 @@ def test_unbounded_evaluation_check_flags_calls_without_a_bound():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_evaluation_passes_a_coefficient_bound(path):
     assert unbounded_evaluations(path.read_text()) == []
+
+
+# functions that evaluate a series at the order their caller names
+REQUEST_ORDER = {"eisenstein_oracle"}
+REMOVED_ORDER_RULES = {"_order_for", "_GATE_ORDER"}
+
+
+def unsized_evaluations(source):
+    """Module-level functions and methods of source, as "name" or
+    "Class.name", that call eval_qseries (bare or as an attribute, nested
+    calls included) but never tail_order, outside REQUEST_ORDER."""
+    def called(node):
+        return {getattr(n.func, "id", getattr(n.func, "attr", None))
+                for n in ast.walk(node) if isinstance(n, ast.Call)}
+
+    defs = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            defs.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            defs += [(node.name + "." + m.name, m) for m in node.body
+                     if isinstance(m, ast.FunctionDef)]
+    return [name for name, node in defs if name not in REQUEST_ORDER
+            and "eval_qseries" in called(node) and "tail_order" not in called(node)]
+
+
+def names_removed_order_rules(source):
+    """The removed order rules that source defines, imports or names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return sorted(names & REMOVED_ORDER_RULES)
+
+
+def test_unsized_evaluation_check_flags_orders_not_from_the_tail():
+    source = (
+        "from .numerics import eval_qseries, tail_order\n"
+        "from . import numerics\n"
+        "def sized(f, tau):\n"
+        "    T = tail_order(b, y, 224)\n"
+        "    return eval_qseries(f(T), tau, 160, b)\n"
+        "def nested_sized(f, tau):\n"
+        "    T = numerics.tail_order(b, y, 224)\n"
+        "    at = lambda t: eval_qseries(f(T), t, 160, b)\n"
+        "    return at(tau)\n"
+        "def fixed(f, tau):\n"
+        "    return eval_qseries(f(64), tau, 160, b)\n"
+        "def nested_fixed(f, tau):\n"
+        "    at = lambda t: numerics.eval_qseries(f(256), t, 160, b)\n"
+        "    return at(tau)\n"
+        "class Pair:\n"
+        "    def value(self, f):\n"
+        "        return eval_qseries(f(48), self.tau, 160, b)\n"
+        "def eisenstein_oracle(f, trunc):\n"
+        "    return eval_qseries(f(trunc), tau, 160, b)\n"
+        "def other(f):\n"
+        "    return f(64)\n"
+    )
+    assert unsized_evaluations(source) == ["fixed", "nested_fixed", "Pair.value"]
+
+
+def test_removed_order_rule_check_flags_definitions_and_names():
+    assert names_removed_order_rules("def _order_for(y, p):\n    return 48\n") == ["_order_for"]
+    assert names_removed_order_rules("_GATE_ORDER = 64\n") == ["_GATE_ORDER"]
+    assert names_removed_order_rules("from .elliptic import _order_for\n") == ["_order_for"]
+    assert names_removed_order_rules("T = qexp._GATE_ORDER\n") == ["_GATE_ORDER"]
+    assert names_removed_order_rules("T = tail_order(b, y, 224)  # not _GATE_ORDER\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_evaluation_takes_its_order_from_the_tail(path):
+    source = path.read_text()
+    assert unsized_evaluations(source) == []
+    assert names_removed_order_rules(source) == []
 
 
 def imported_parts(source):

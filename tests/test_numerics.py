@@ -8,14 +8,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mpmath import mpc, mpf
 
 import mtv.numerics as numerics
-from mtv.errors import InputError, UnsupportedScopeError
+from mtv.errors import InputError, PrecisionError, UnsupportedScopeError
 from mtv.numerics import (
     BigComplex,
     eval_qseries,
     lattice_sum_eisenstein,
+    tail_order,
 )
 from mtv.qexp import (
-    _GATE_ORDER,
     _GATE_PREC,
     _GATE_TAUS,
     QSeries,
@@ -56,6 +56,23 @@ def test_bigcomplex_error_propagation():
     assert q.distance(a) <= q.err
     d = a.serialize(digits=10)
     assert set(d) == {"re", "im", "err"}
+
+
+def test_negative_power_is_the_reciprocal():
+    v = BigComplex(3) ** -2
+    assert abs(v.real - F(1, 9)) <= v.err and abs(v.imag) <= v.err and v.err < F(1, 2**60)
+    assert (BigComplex(1) ** -1).distance(1) <= (BigComplex(1) ** -1).err
+    # a disc that holds 0 has no reciprocal
+    with pytest.raises(PrecisionError):
+        BigComplex(1, 0, 2) ** -3
+
+
+def test_ball_round_keeps_the_radius_on_an_exact_shift():
+    # aligning to a finer exponent and back drops only zero bits, so the
+    # midpoint does not move and the radius is not widened
+    s = BigComplex(3 << 100, 0, 1, 0) + BigComplex(0, 0, 0, -10)
+    assert (s.real, s.imag, s.err) == (3 << 100, 0, 1)
+    assert numerics._ball_round(5 << 80, -3 << 80, 7, 0, 64) == (5 << 61, -3 << 61, 1, 19)
 
 
 # -- ball arithmetic against mpmath at four times the bits ------------------------
@@ -177,13 +194,15 @@ def test_eval_e6_vanishes_at_i():
 
 
 def test_eval_large_weight_gate_series_is_finite():
-    # the level-2 Eisenstein gate series at weight 274 (order 64): its
-    # rounding sum outgrows a float, and must still give a finite bound, at
-    # a decimal point and at the gate's own points
-    ser = _eisenstein_prime_level_raw(274, 2, _GATE_ORDER)
+    # the level-2 Eisenstein gate series at weight 274, at the gate's order:
+    # its rounding sum outgrows a float, and must still give a finite bound,
+    # at a decimal point and at the gate's own points
+    bound = _eisenstein_coeff_bound(274, 2)
+    order = max(tail_order(bound, F(tau.imag), _GATE_PREC + 64) for tau in _GATE_TAUS)
+    ser = _eisenstein_prime_level_raw(274, 2, order)
     with mpmath.workprec(_GATE_PREC):
         for tau in (mpc("0.21", "1.13"), *_GATE_TAUS):
-            r = eval_qseries(ser, tau, _GATE_PREC, _eisenstein_coeff_bound(274, 2))
+            r = eval_qseries(ser, tau, _GATE_PREC, bound)
             assert mpmath.isfinite(mp_value(r)) and mpmath.isfinite(mp_err(r))
             assert abs(mp_value(r) - 1) < mpf(10) ** -90 and 0 < r.err < F(1, 10**40)
 
@@ -415,3 +434,35 @@ def test_integer_e_of_tau_holds_its_proven_bound(bits):
         assert seen <= r, (x, y)
         worst = max(worst, seen)
     assert r <= 4 * worst
+
+
+# -- the one truncation rule ---------------------------------------------------------
+
+def _tail_bounds():
+    """E4, E6, Delta's (2, 6), eta's (1, 1), and Eisenstein rows and their
+    Fricke images at weights 4-278 and levels 1-131."""
+    bounds = [_eisenstein_coeff_bound(4, 1), _eisenstein_coeff_bound(6, 1), (F(2), 6), (F(1), 1)]
+    for weight in (4, 12, 24, 100, 200, 278):
+        for level in (1, 2, 5, 11, 47, 131):
+            bounds.append(_eisenstein_coeff_bound(weight, level))
+            if level > 1:
+                bounds.append(_eisenstein_coeff_bound(weight, level, True))
+    return bounds
+
+
+@pytest.mark.parametrize("bits", [64, 224, 4176])
+@pytest.mark.parametrize("im", ["0.002", "0.1", "0.866", "1", "3", "22"])
+def test_tail_order_is_the_least_order_that_meets_its_target(im, bits):
+    # the target is 2^-bits times the largest term C n^alpha |q|^n the bound
+    # allows, at n = max(1, alpha/lambda); at the returned T the proven tail
+    # meets it, at T - 1 it does not
+    y = F(im)
+    with mpmath.workprec(128):
+        lam = 2 * mpmath.pi * mpf(float(y))
+        for C, alpha in _tail_bounds():
+            n = max(1, alpha / lam)
+            target = _mp(C) * n**alpha * mpmath.exp(-lam * n) * mpf(2) ** -bits
+            tail = lambda T: mpf(numerics._proven_tail((C, alpha), T, -float(lam)))  # noqa: E731
+            T = tail_order((C, alpha), y, bits)
+            assert T >= 1 and tail(T) <= target, (C, alpha)
+            assert T == 1 or tail(T - 1) > target, (C, alpha)

@@ -391,16 +391,31 @@ def test_fricke_gate_catches_corruption(monkeypatch, fresh_gates):
 
 @pytest.mark.parametrize("weight", [200, 278])
 def test_fricke_gate_catches_a_one_percent_error_at_high_weight(weight, monkeypatch):
-    # the slash side is evaluated at -1/(5 tau), where order 256 leaves a
-    # proven tail 15 (weight 200) and 117 (weight 278) times the value; the
-    # gate's order follows the weight, so the true image passes and one 1%
-    # off fails
+    # the slash side is evaluated at -1/(5 tau), where the tail's terms peak
+    # near n = (k - 1)/lambda; the gate's order follows them, so the true
+    # image passes and one 1% off fails
     real = qexp_mod._fricke_eisenstein_raw
     qexp_mod._check_fricke(weight, 5)
     monkeypatch.setattr(qexp_mod, "_fricke_eisenstein_raw",
                         lambda w, N, T: real(w, N, T).scale(Fraction(101, 100)))
     with pytest.raises(VerificationError):
         qexp_mod._check_fricke(weight, 5)
+
+
+@pytest.mark.parametrize("weight,level", [(4, 2), (24, 11), (4, 47), (24, 47), (4, 131),
+                                          (200, 5), (278, 5)])
+def test_fricke_gate_refuses_a_scaled_image(weight, level, monkeypatch):
+    # the gate claims 160 bits: each side is read through the order whose
+    # proven tail lies 64 bits below that, so the true image passes and one
+    # scaled by 1 + 2^-120 fails, as do 101/100 and -1 (a fitted order let
+    # 1 + 2^-120 through at (24, 11), (4, 47), (24, 47) and (4, 131))
+    real = qexp_mod._fricke_eisenstein_raw
+    qexp_mod._check_fricke(weight, level)
+    for wrong in (1 + Fraction(1, 2**120), Fraction(101, 100), -1):
+        monkeypatch.setattr(qexp_mod, "_fricke_eisenstein_raw",
+                            lambda w, N, T: real(w, N, T).scale(wrong))
+        with pytest.raises(VerificationError):
+            qexp_mod._check_fricke(weight, level)
 
 
 def _double_q1(f):
@@ -450,12 +465,12 @@ def test_eisenstein_gate_passes_at_even_weights(fresh_gates, level):
 @pytest.mark.parametrize("level,fricke", [(1, False), (2, False), (2, True), (5, False),
                                           (5, True)])
 def test_proven_eisenstein_tail_covers_the_known_coefficients(weight, level, fricke):
-    # the tail of the gate's series past q^64, bounded from C n^(k-1), is
-    # never below the sum over the coefficients 65..400 at the gate's points
+    # the tail of a series past q^64, bounded from C n^(k-1), is never below
+    # the sum over the coefficients 65..400 at the gate's points
     build = qexp_mod._fricke_eisenstein_raw if fricke else qexp_mod._eisenstein_prime_level_raw
     ser = build(weight, level, 400)
     bound = qexp_mod._eisenstein_coeff_bound(weight, level, fricke)
-    order = qexp_mod._GATE_ORDER
+    order = 64
     for tau in qexp_mod._GATE_TAUS:
         with mpmath.workprec(256):
             r = mpmath.exp(-2 * mpmath.pi * tau.imag)

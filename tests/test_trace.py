@@ -472,13 +472,16 @@ def test_expansion_over_orbits_with_their_own_denominators():
 # rounded to 53 bits, with a ball's proven error (re 4617205.18345990563264602771987
 # and err 3.65e-62 in place of 4617205.18345991166379808726053 and 8.98e-56), and
 # again when a rounded ball's radius took in the midpoint's move of at most
-# sqrt(2)/2 of a unit in place of a whole unit (err 1.95e-62, nothing else moved)
+# sqrt(2)/2 of a unit in place of a whole unit (err 1.95e-62, nothing else moved),
+# and again when E4 and Delta came to be read through the least order whose
+# proven tail meets the target, with fewer guard bits (err 1.27e-61, nothing
+# else moved)
 THEOREM_DIGESTS = {
     (4, 5): "dc9dc470c6e41c60c8cae8971e62044fad0bc4556cfb0aecf2bd329e934c50c6",
     (6, 5): "b521bd2dbcebf3949c1927f9eb23ee4339f3a1333d3547bbc0451a8120363d9e",
     (4, 6): "a5a6e1014dcdc0735272179c36975c5eda2df3513947154c907c77fd0dc93c40",
 }
-COROLLARY_DIGEST = "317237cc911d514430ae470599d2291ae59049f236eeaa3c8153ca08291d5ad4"
+COROLLARY_DIGEST = "6f57a1fb3e2afa7416e8bed6c114f70fe94074a4a30b0e35e1e21040c6629e98"
 
 
 def _digest(report):
