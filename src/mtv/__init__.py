@@ -6,11 +6,9 @@ Zassenhaus's method).  Numeric values appear in two places: oracle
 comparisons against lattice sums, and period recovery for elliptic
 specializations.  Each is an integer ball (BigComplex) with an error bound,
 and no subcommand loads mpmath.  The lattice-sum error (truncation tail plus
-rounding) and the rounding of q-series evaluation are proven; the tail of a
-q-series evaluation past its truncation is proven for the Eisenstein rows
-and for E4, E6 and Delta on the curve path, and a fitted majorant only for
-the arbitrary series that specialize scales and the eta-quotient Fricke
-gate.
+rounding) and the rounding of q-series evaluation are proven, and so is the
+tail of every q-series evaluation past its truncation: each evaluation
+passes a proven bound on the coefficients it does not read.
 """
 
 from .errors import (

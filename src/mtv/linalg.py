@@ -1,4 +1,5 @@
-"""Exact linear algebra.  The pipeline runs one integer kernel, bareiss_solve.
+"""Exact linear algebra.  The pipeline runs one integer kernel, the
+fraction-free forward elimination behind bareiss_solve and is_totally_real.
 MatQ, dense matrices over Q or another exact field, serves the tests as an
 oracle; it stays here while the benchmark's tracer wraps its nullspace,
 charpoly and solve by name.
@@ -82,48 +83,15 @@ class MatQ:
         if n != self.ncols:
             raise InputError("solve needs a square matrix")
         a = [list(r) + [b] for r, b in zip(self.rows, rhs)]
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if a[r][col] != 0:
-                    piv = r
-                    break
-            if piv is None:
-                raise VerificationError("singular system")
-            a[col], a[piv] = a[piv], a[col]
-            inv = a[col][col]
-            a[col] = [v / inv for v in a[col]]
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-        return [a[r][n] for r in range(n)]
+        if len(_rref(a, n)) < n:
+            raise VerificationError("singular system")
+        return [r[n] for r in a]
 
     def nullspace(self):
         """Basis of the right nullspace, via reduced row echelon form."""
-        m, n = self.nrows, self.ncols
+        n = self.ncols
         a = [list(r) for r in self.rows]
-        pivots = []
-        row = 0
-        for col in range(n):
-            piv = None
-            for r in range(row, m):
-                if a[r][col] != 0:
-                    piv = r
-                    break
-            if piv is None:
-                continue
-            a[row], a[piv] = a[piv], a[row]
-            inv = a[row][col]
-            a[row] = [v / inv for v in a[row]]
-            for r in range(m):
-                if r != row and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [v - f * w for v, w in zip(a[r], a[row])]
-            pivots.append(col)
-            row += 1
-            if row == m:
-                break
+        pivots = _rref(a, n)
         free = [c for c in range(n) if c not in pivots]
         basis = []
         probe = self.rows[0][0] if self.rows else Fraction(0)
@@ -159,31 +127,77 @@ class MatQ:
         return c0 if self.nrows % 2 == 0 else -c0
 
 
-def bareiss_solve(A, B):
-    """Fraction-free Gauss-Jordan on [A | B], A square, all entries integers.
+def _rref(a, ncols):
+    """Reduced row echelon form, in place, of the rows a over their first
+    ncols columns, by Gauss-Jordan with exact division; returns the pivot
+    columns."""
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        piv = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = a[row][col]
+        a[row] = [v / inv for v in a[row]]
+        for r in range(len(a)):
+            if r != row and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[row])]
+        pivots.append(col)
+    return pivots
 
-    Returns (D, X) with D = |det A| and A X = D B, all in integers: every
-    intermediate entry is a minor of [A | B] (Sylvester's identity), so each
-    division by the previous pivot is exact and nothing grows beyond
-    determinant size.  Raises VerificationError if A is singular.
+
+def _bareiss_forward(a):
+    """Fraction-free forward elimination, in place, on the n integer rows a
+    (n columns, then any right-hand sides): row k ends as the pivot row of
+    step k from column k on, so the rows hold an upper triangular U.
+
+    Returns each step's diagonal entry before any row swap, which until the
+    first swap is a leading principal minor (Sylvester's identity, which
+    also makes each division by the previous pivot exact).  It stops at an
+    entry 0 with nothing nonzero below, so its last entry is 0 exactly when
+    the left block is singular, and otherwise +-det of that block.
+    """
+    n = len(a)
+    minors = []
+    prev = 1
+    for k in range(n):
+        minors.append(a[k][0])
+        piv = next((r for r in range(k, n) if a[r][0]), None)
+        if piv is None:
+            return minors
+        a[k], a[piv] = a[piv], a[k]
+        p = a[k][0]
+        rk = a[k][1:]
+        for i in range(k + 1, n):
+            f = a[i][0]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i][1:], rk)]
+        prev = p
+    return minors
+
+
+def bareiss_solve(A, B):
+    """Returns (D, X) with D = |det A| and X = D A^(-1) B, all integers, for
+    A square of size >= 1 and A, B integer.  Forward elimination on [A | B]
+    leaves U X = D C; back substitution divides by U's diagonal without
+    remainder, X = +-adj(A) B being integral.  Raises VerificationError if A
+    is singular.
     """
     n = len(A)
     a = [list(r) + list(b) for r, b in zip(A, B)]
-    prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k]), None)
-        if piv is None:
-            raise VerificationError("singular integer matrix")
-        a[k], a[piv] = a[piv], a[k]
-        rk, p = a[k], a[k][k]
-        for i, ri in enumerate(a):
-            if i != k:
-                f = ri[k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(ri, rk)]
-        prev = p
-    # the left block is now prev * I
-    sign = 1 if prev > 0 else -1
-    return sign * prev, [[sign * x for x in r[n:]] for r in a]
+    D = abs(_bareiss_forward(a)[-1])
+    if not D:
+        raise VerificationError("singular integer matrix")
+    X = []  # rows i+1 .. n-1 of the solution while row i is formed
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = [D * c for c in row[n - i :]]
+        for f, xj in zip(row[1 : n - i], X):
+            if f:
+                acc = [s - f * x for s, x in zip(acc, xj)]
+        X.insert(0, [s // row[0] for s in acc])
+    return D, X
 
 
 def _dot(r, c):

@@ -19,7 +19,7 @@ import operator
 from fractions import Fraction
 
 from .errors import InputError
-from .linalg import bareiss_solve
+from .linalg import _bareiss_forward, bareiss_solve
 from .polynomial import UniPoly, elementary_from_power_sums, power_sums_from_elementary
 
 
@@ -100,25 +100,12 @@ class NumberField:
         for a separable modulus its signature is (real roots + complex pairs,
         complex pairs), so the field is totally real exactly when every
         leading principal minor is positive (Sylvester's criterion).  The
-        minors are the pivots of fraction-free elimination without pivoting.
+        minors are the diagonal entries of linalg's forward elimination, which
+        swaps rows only after an entry 0, where the answer is already False.
         """
         d = self.degree
         ps = self.power_sums()
-        a = [ps[i : i + d] for i in range(d)]
-        prev = 1
-        for k in range(d):
-            p = a[k][k]
-            if p <= 0:
-                return False
-            rk = a[k]
-            for i in range(k + 1, d):
-                ri = a[i]
-                f = ri[k]
-                a[i] = [0] * (k + 1) + [
-                    (p * ri[j] - f * rk[j]) // prev for j in range(k + 1, d)
-                ]
-            prev = p
-        return True
+        return all(m > 0 for m in _bareiss_forward([ps[i : i + d] for i in range(d)]))
 
 
 def _times_gen(v, g):

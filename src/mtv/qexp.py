@@ -378,10 +378,10 @@ _FRICKE_GATE_TAUS = (0.13 + 1.07j, -0.29 + 1.04j)
 MAX_SERIES_TERMS = 2**15
 
 # cap on the cusp dimension of a newform basis, of the weight of a trace and
-# of an Eisenstein weight before its numeric gate.  The basis takes about
-# 0.4 s at dimension 16, 2 s at 20, 2 to 5 s at 22 and 6 s at 24 on a 2-vCPU
-# VM with CPython 3.11, 4.6 s of the 5.9 s at weight 288 in the Krylov solve
-# (linalg.bareiss_solve), whose cost grows with the dimension and the bits.
+# of an Eisenstein weight before its numeric gate.  A cold basis takes about
+# 0.12 s at dimension 16, 0.5 s at 20, 1.0 s at 22 and 3.0 s at 24 on a
+# 2-vCPU VM with CPython 3.11, 2.1 s of the 3.0 s at weight 288 in the Krylov
+# solve (linalg.bareiss_solve); the report of a theorem at 22 costs more.
 MAX_NEWFORM_DIM = 22
 
 

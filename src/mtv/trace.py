@@ -28,6 +28,7 @@ from .numfield import nf_charpoly, nf_trace
 from .polynomial import elementary_from_power_sums, power_sums_from_elementary
 from .qexp import (
     MAX_SERIES_TERMS,
+    _GATE_PREC,
     EtaQuotientSpec,
     QSeries,
     _gate_once,
@@ -89,10 +90,10 @@ def _check_fricke_eta(spec, partner, scalar, level, weight):
     # at tau = i/m, m = isqrt(N), near the fixed point i/sqrt(N) of w_N, the
     # slash side reads spec at -1/(N tau) = i m/N, and both sides have Im
     # about 1/sqrt(N); each side is read from eta's own series
-    f = lambda t: eval_eta_quotient(spec, t, 160)  # noqa: E731
-    g = lambda t: eval_eta_quotient(partner, t, 160)  # noqa: E731
+    f = lambda t: eval_eta_quotient(spec, t, _GATE_PREC)  # noqa: E731
+    g = lambda t: eval_eta_quotient(partner, t, _GATE_PREC)  # noqa: E731
     m = math.isqrt(level)
-    if not _slash_agrees(f, g, scalar, weight, level, (0, Fraction(1, m)), 160):
+    if not _slash_agrees(f, g, scalar, weight, level, (0, Fraction(1, m)), _GATE_PREC):
         raise VerificationError(
             "Fricke eta scalar %s fails the numeric slash check for %r at level %d"
             % (scalar, spec, level)

@@ -6,7 +6,8 @@ import pytest
 import sympy
 
 from mtv.errors import VerificationError
-from mtv.linalg import MatQ, bareiss_solve
+from mtv import linalg, numfield
+from mtv.linalg import MatQ, _bareiss_forward, bareiss_solve
 from mtv.numfield import NumberField
 from mtv.polynomial import UniPoly
 
@@ -140,3 +141,61 @@ def test_bareiss_solve_pivots_past_zeros():
     assert D == 6 and X == [[0, 0, 2], [6, 0, 0], [0, 3, 0]]
     D, X = bareiss_solve(A, [[5], [4], [9]])
     assert D == 6 and X == [[18], [30], [12]]
+
+
+def nonsingular_rows(rng, n, swap_at=None):
+    """A random nonsingular integer matrix and its determinant; with
+    swap_at = m (0 < m < n - 1) its leading (m+1) x (m+1) minor is 0, so
+    elimination swaps rows at step m."""
+    while True:
+        rows = [[rng.choice((-1, 1)) * rng.randint(1, 99) for _ in range(n)] for _ in range(n)]
+        if swap_at is not None:
+            rows[swap_at][: swap_at + 1] = rows[0][: swap_at + 1]
+        det = frac_rows(rows).det()
+        if det:
+            return rows, det
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_bareiss_solve_matches_the_fraction_oracle(n):
+    rng = random.Random(100 + n)
+    cases = [nonsingular_rows(rng, n)]
+    cases += [nonsingular_rows(rng, n, m) for m in sorted({1, n // 2, n - 2}) if 0 < m < n - 1]
+    for rows, det in cases:
+        for k in (1, n):
+            B = [[rng.randint(-10**6, 10**6) for _ in range(k)] for _ in range(n)]
+            D, X = bareiss_solve(rows, B)
+            oracle = [frac_rows(rows).solve(col) for col in zip(*B)]
+            assert D == abs(det) and X == [[D * x for x in r] for r in zip(*oracle)]
+
+
+def test_forward_pass_reads_leading_minors_until_its_first_swap():
+    rng = random.Random(7)
+    for n in range(3, 9):
+        m = n // 2
+        rows, _ = nonsingular_rows(rng, n, m)
+        minors = _bareiss_forward([list(r) for r in rows])
+        lead = [frac_rows([r[: j + 1] for r in rows[: j + 1]]).det() for j in range(n)]
+        assert minors[: m + 1] == lead[: m + 1] and minors[m] == 0
+        assert abs(minors[-1]) == abs(lead[-1]) != 0
+    # a singular left block stops the pass on an entry 0
+    assert _bareiss_forward([[0, 0, 1], [0, 3, 5], [0, 7, 2]]) == [0]
+    assert _bareiss_forward([[1, 2, 3], [2, 4, 6], [1, 0, 1]])[-1] == 0
+
+
+def test_is_totally_real_and_bareiss_solve_run_the_one_forward_pass(monkeypatch):
+    assert numfield._bareiss_forward is linalg._bareiss_forward
+    calls = []
+    original = linalg._bareiss_forward
+
+    def counting(a):
+        calls.append(len(a))
+        return original(a)
+
+    monkeypatch.setattr(linalg, "_bareiss_forward", counting)
+    monkeypatch.setattr(numfield, "_bareiss_forward", counting)
+    K = NumberField(UniPoly([1, -3, 0, 1]))
+    assert K.is_totally_real() and calls == [3]
+    assert bareiss_solve([[2, 1], [1, 1]], [[1], [0]]) == (1, [[1], [-1]]) and calls == [3, 2]
+    K.elem([1, 1]).inverse()
+    assert calls == [3, 2, 3]

@@ -106,6 +106,17 @@ def test_totally_real_detection():
     assert not NumberField(X**2 - 2 * 10**100 * X + 10**200 + 2).is_totally_real()
 
 
+def test_totally_real_refuses_a_zero_leading_minor():
+    # (x + 1)^3 + 2: one real root; the trace form's second leading minor is
+    # 0 and its determinant is -108 < 0, so elimination swaps rows there
+    K = NumberField(X**3 + 3 * X**2 + 3 * X + 3)
+    d = K.degree
+    assert [list(K.power_sums()[i : i + d]) for i in range(d)] == [
+        [3, -3, 3], [-3, 3, -9], [3, -9, 27]]
+    assert not K.is_totally_real()
+    assert real_root_count(X**3 + 3 * X**2 + 3 * X + 3) == 1
+
+
 def test_cubic_field_inverse_and_power():
     K = NumberField(X**3 - 2)
     c = K.elem([0, 1])  # cube root of 2
