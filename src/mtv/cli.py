@@ -12,7 +12,6 @@ pays for it, which refuses before any work (see the README's caps list).
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -186,12 +185,8 @@ def cmd_specialize(args):
     names = ("E4", "E6", "Delta")
     rows = []
     for name, bc in zip(names, pair.images):
-        # the largest denominator bound B whose separation radius 1/(2 B^2)
-        # exceeds the value's error, at most 10^8
-        err = bc.err
-        B = math.isqrt((err.denominator - 1) // (2 * err.numerator)) if err else 10**8
         try:
-            val = format_rational(reconstruct_real(bc, max(1, min(B, 10**8))))
+            val = format_rational(reconstruct_real(bc))
         except (ReconstructionError, VerificationError) as exc:
             val = "unrecognized (%s)" % exc
         rows.append({"series": name, "numeric": bc.serialize(), "rational": val})

@@ -318,12 +318,15 @@ def condition_a(poly):
     return irreducible, factors
 
 
-def reconstruct_real(bc, denom_bound=10**6):
-    """Recognize a certified BigComplex as a rational; error if ambiguous."""
+def reconstruct_real(bc):
+    """Recognize a certified BigComplex as a rational; error if ambiguous.  The
+    denominator bound is the largest B <= 10^8 whose radius 1/(2 B^2) exceeds the error."""
     if abs(bc.imag) > bc.err + Fraction(1, 2**40):
         raise VerificationError("value has a nonreal part %s beyond its error bound"
                                 % format_decimal(bc.imag, 8))
-    return rational_reconstruct(bc.real, denom_bound, err=bc.err)
+    err = bc.err
+    B = math.isqrt((err.denominator - 1) // (2 * err.numerator)) if err else 10**8
+    return rational_reconstruct(bc.real, max(1, min(B, 10**8)), err=err)
 
 
 # -- the specialization corollary -------------------------------------------

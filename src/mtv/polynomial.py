@@ -21,7 +21,8 @@ others), and recombination of the lifted factors, each candidate accepted
 only by exact division.  The result is certified unconditionally, by exact
 division of P by every factor, and VerificationError is raised if it fails.
 Every product modulo a polynomial over F_p is a Kronecker-packed integer
-product reduced by a table packed once per modulus (_fp_ring).
+product reduced by a table packed once per modulus (_fp_ring), and every
+power is _power over those products.
 """
 
 import itertools
@@ -247,21 +248,16 @@ def _fp_gcd(a, b, p):
 
 
 def _fp_ring(f, p):
-    """(mul, xpow): products modulo the monic f of degree n over F_p.
+    """mul, the product modulo the monic f of degree n over F_p: mul(a, b)
+    is a b mod f for a and b reduced (degree below n, entries in [0, p)).
 
-    mul(a, b) is a b mod f for a and b reduced (degree below n, entries in
-    [0, p)).  Kronecker substitution: each operand packs, through
-    array("Q"), into one integer with a 64-bit slot per coefficient, so one
-    integer product holds every coefficient of a b, each at most
-    n (p - 1)^2, in its own slot.  x^(n + j) mod f for j < n - 1 is packed
-    once, so the n - 1 high coefficients of a b reduce by one sum of n - 1
-    integer products, each slot then at most (2n - 1) (p - 1)^2.
-    ResourceLimitError when that bound does not fit a slot: a carry would
-    cross into the next coefficient.
-
-    xpow(e) is x^e mod f for e >= 1, left to right: one squaring per bit of
-    e after the first, and on each one bit a shift by x, reduced by one
-    multiple of f.
+    Kronecker substitution: each operand packs, through array("Q"), into
+    one integer with a 64-bit slot per coefficient, so one integer product
+    holds every coefficient of a b, each at most n (p - 1)^2, in its own
+    slot.  x^(n + j) mod f for j < n - 1 is packed once, so the n - 1 high
+    coefficients of a b reduce by one sum of n - 1 integer products, each
+    slot then at most (2n - 1) (p - 1)^2.  ResourceLimitError when that
+    bound does not fit a slot: a carry would cross into the next coefficient.
     """
     n = len(f) - 1
     if (2 * n - 1) * (p - 1) ** 2 >> 64:
@@ -295,22 +291,7 @@ def _fp_ring(f, p):
             k = n
         return _fp_trim([v % p for v in unpack(c, k)])
 
-    def times_x(a):
-        a = [0] + a
-        if len(a) > n:
-            top = a.pop()
-            a = [(c + top * t) % p for c, t in zip(a, low)]
-        return _fp_trim(a)
-
-    def xpow(e):
-        r = times_x([1])
-        for bit in bin(e)[3:]:
-            r = mul(r, r)
-            if bit == "1":
-                r = times_x(r)
-        return r
-
-    return mul, xpow
+    return mul
 
 
 def _fp_ddf(f, p):
@@ -319,24 +300,23 @@ def _fp_ddf(f, p):
     degree d, over the degrees d that occur.
 
     gcd(f, x^(p^d) - x) is the product of the irreducible factors of degree d
-    once those of lower degree are divided out.  x^p mod f comes from the
-    ring's left-to-right power; from d = 2 on, x^(p^d) is the previous one
-    times the Frobenius matrix, row i x^(ip) mod f as f stands at d = 2
-    ((sum a_i x^i)^p = sum a_i x^(ip) over F_p), reduced by the cofactor f
-    has since shrunk to, a divisor of that modulus.
+    once those of lower degree are divided out.  x^p mod f is _power over
+    the ring's products (the loop runs while deg f >= 2, so x is reduced);
+    from d = 2 on, x^(p^d) is the previous one times the Frobenius matrix,
+    row i x^(ip) mod f as f stands at d = 2 ((sum a_i x^i)^p = sum a_i
+    x^(ip) over F_p), reduced modulo the divisor f has since shrunk to.
     """
-    mul, xpow = _fp_ring(f, p)
+    mul = _fp_ring(f, p)
     parts = []
     d = 0
-    xp = [0, 1]  # x^(p^d) mod f
     while 2 * (d + 1) <= len(f) - 1:
         d += 1
         if d == 1:
-            xp = xpow(p)
+            xp = _power([0, 1], p, mul)
         else:
             if d == 2:  # the Frobenius matrix, by columns
                 if parts:  # f shrank at d = 1
-                    mul = _fp_ring(f, p)[0]
+                    mul = _fp_ring(f, p)
                 rows = [[1], xp]
                 while len(rows) < len(f) - 1:
                     rows.append(mul(rows[-1], xp))
@@ -364,7 +344,7 @@ def _fp_edf(g, d, p, rng):
     """
     if len(g) - 1 == d:
         return [g]
-    mul = _fp_ring(g, p)[0]
+    mul = _fp_ring(g, p)
     while True:
         a = [rng.randrange(p) for _ in range(len(g) - 2)] + [1]
         b = _power(a, (p ** d - 1) // 2, mul)
@@ -428,7 +408,7 @@ def _hensel_lift(H, f, p, q):
     g = H / f over F_p.  The inverse is g^(p^d - 2) in F_p[x]/(f), the field
     of p^d elements; it and each correction are products in _fp_ring(f, p).
     """
-    mul = _fp_ring(f, p)[0]
+    mul = _fp_ring(f, p)
     g = _fp_divmod([c % p for c in H], f, p)[0]
     ginv = _power(_fp_divmod(g, f, p)[1], p ** (len(f) - 1) - 2, mul)
     F, m = f, p

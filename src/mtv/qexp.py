@@ -56,7 +56,8 @@ from .errors import (
     VerificationError,
     require_within,
 )
-from .numerics import BigComplex, _coset_sum_request, _exp_ball, _point, eval_qseries, tail_order
+from .numerics import (BigComplex, _coset_sum_request, _exp_ball, _ln_r, _point, eval_qseries,
+                       tail_order)
 from .polynomial import _is_prime, _power
 
 
@@ -543,6 +544,7 @@ def eisenstein_oracle(weight, level, tau, bound, trunc, prec_bits=None):
     """
     coset_sum = _coset_sum_request(weight, level, tau, bound, None, prec_bits)
     weight, level, trunc = _eisenstein_request(weight, level, trunc)
+    _ln_r(_point(tau)[1])  # the closed form's proven tail refuses a tiny Im tau
     lat = coset_sum()
     closed = eval_qseries(eisenstein_prime_level(weight, level, trunc), tau, prec_bits,
                           _eisenstein_coeff_bound(weight, level))
@@ -673,9 +675,9 @@ def eval_eta_quotient(spec, tau, prec_bits):
     out = BigComplex(*_exp_ball(v * x, v * y, prec_bits + 16)) if v else BigComplex(1)
     bound = (Fraction(1), 1)
     for d, r in spec.pairs:
-        yd = float(d * y)
-        T = tail_order(bound, d * y, prec_bits + 64 + math.pi / (12 * yd * math.log(2)))
-        require_within(T, MAX_SERIES_TERMS, "the eta series length at Im %.3g", yd)
+        lam = -_ln_r(d * y)  # 2 pi y, and pi/(12 y ln 2) = pi^2/(6 lam ln 2)
+        T = tail_order(bound, d * y, prec_bits + 64 + math.pi**2 / (6 * math.log(2) * lam))
+        require_within(T, MAX_SERIES_TERMS, "the eta series length at Im %.3g", float(d * y))
         signs = dict(_pentagonal(T))
         num = [1] + [signs.get(n, 0) for n in range(1, T + 1)]
         out = out * eval_qseries(QSeries(num), (d * x, d * y), prec_bits, bound) ** r

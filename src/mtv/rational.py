@@ -2,8 +2,8 @@
 
 Fraction already guarantees the invariants we need (gcd-reduced, positive
 denominator, exact arithmetic), so this module only adds the serialization
-format and continued-fraction reconstruction of rationals from
-high-precision numeric values.
+format and the reconstruction of rationals from high-precision numeric
+values by best approximation (Fraction.limit_denominator).
 """
 
 import re
@@ -147,30 +147,15 @@ def format_decimal(v, digits, err=0, up=False):
     return ("-" if v < 0 else "") + t + ("e%+d" % E if E else "")
 
 
-def convergents(x):
-    """Yield the continued-fraction convergents (p, q) of an exact Fraction."""
-    x = Fraction(x)
-    h0, k0 = 1, 0
-    a = x.numerator // x.denominator
-    h1, k1 = a, 1
-    yield h1, k1
-    x = x - a
-    while x != 0:
-        x = 1 / x
-        a = x.numerator // x.denominator
-        h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
-        yield h1, k1
-        x = x - a
-
-
 def rational_reconstruct(x, denom_bound, err=None):
     """Recover the unique p/q with q <= denom_bound lying within 1/(2*denom_bound^2) of x.
 
-    Classical best-approximation theory: any such p/q is a convergent of x,
-    and two distinct candidates with q <= B differ by at least 1/B^2, so at
-    most one can qualify.  err is the known absolute error of x; when it is
-    too large relative to the bound the answer would be ambiguous and we
-    refuse rather than guess.
+    Two distinct fractions with denominators at most B differ by at least
+    1/B^2, so at most one lies within 1/(2B^2) of x, and it is then the
+    closest fraction to x with denominator at most B, the one
+    Fraction.limit_denominator returns.  err is the known absolute error of
+    x; when it is too large relative to the bound the answer would be
+    ambiguous and we refuse rather than guess.
     """
     B = int(denom_bound)
     if B < 1:
@@ -186,12 +171,8 @@ def rational_reconstruct(x, denom_bound, err=None):
                 "ambiguous: error bound %s exceeds the separation radius %s"
                 % (format_rational(eps) if eps.denominator < 10**40 else float(eps), format_rational(radius))
             )
-    best = None
-    for p, q in convergents(X):
-        if q > B:
-            break
-        best = Fraction(p, q)
-    if best is None or abs(X - best) >= radius:
+    best = X.limit_denominator(B)
+    if abs(X - best) >= radius:
         raise ReconstructionError(
             "no rational with denominator <= %d within 1/(2*%d^2) of the input" % (B, B)
         )

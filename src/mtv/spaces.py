@@ -3,12 +3,13 @@
 The basis for weight k is h_j = E4^a * E6^(b + 2(d-j)) * Delta^(j-1) with
 4a + 6b = k - 12(d-1), which makes h_j = q^(j-1) + O(q^j): unitriangular
 with integer entries, so the coordinates of an integer array in it come from
-one forward substitution in integers (_miller_solve).  h_j is E4^a E6^b
-times g_j, the j-th basis form of weight 12(d-1), so level1_coordinates
-certifies a form level 1 from two stored bases: the head of d coefficients
-fixes the only candidate coordinates (solved against the basis through
-q^(d-1)), the candidate is their combination of the core g_1..g_d times the
-factor E4^a E6^b, and the form must equal it exactly.
+one forward substitution in integers.  h_j is E4^a E6^b times g_j, the j-th
+basis form of weight 12(d-1), so level1_coordinates certifies a form level 1
+from two stored bases: the head of d coefficients fixes the only candidate
+coordinates (solved against the basis through q^(d-1)), the candidate is
+their combination of the core g_1..g_d times the factor E4^a E6^b, and the
+form must equal it exactly.  It certifies every level-1 form the package
+reads, the T_2 images of hecke_matrix_level1 among them.
 
 Newforms are cut out as eigenvectors of T_2; Strong Multiplicity One at
 level 1 means each irreducible factor g of the T_2 characteristic polynomial
@@ -202,33 +203,16 @@ class GaloisOrbitSet:
         return len(self.orbits)
 
 
-def _miller_solve(a, cols, v=0):
-    """Integer coordinates x of the integer array a in unitriangular integer
-    columns, and the residual a - sum_j x_j cols[j].
-
-    Column j has leading coefficient 1 at index v + j and no term below it
-    (the Miller columns h_j with v = 0, their cusp part with v = 1), so x_j
-    is the residual's entry there: forward substitution, all in integers.
-    Each column is at least as long as a.
-    """
-    x = []
-    for j, h in enumerate(cols):
-        c = a[v + j]
-        x.append(c)
-        if c:
-            a = [r - c * y for r, y in zip(a, h)]
-    return x, a
-
-
 def level1_coordinates(forms):
     """Miller coordinates of rational level-1 forms, each certified through
     its own truncation.
 
     A form f = F / D of weight k and dimension d = dim M_k, F its integer
-    array, gets its coordinates X_j / D from the first d entries of F,
-    solved in integers against the Miller columns through q^(d-1).  The
-    basis is triangular, so f lies in the span through q^T exactly when F
-    equals the one candidate sum_j X_j h_j that its head determines.  The
+    array, gets its coordinates X_j / D from the first d entries of F by
+    forward substitution in integers against the Miller columns through
+    q^(d-1): h_j = q^(j-1) + O(q^j), so X_j is the entry at q^(j-1) of what
+    the earlier columns leave.  So f lies in the span through q^T exactly
+    when F equals the one candidate sum_j X_j h_j that its head determines.  The
     weight-k basis is h_j = E4^a E6^b g_j, where g_1..g_d is the Miller
     basis of weight 12(d - 1), so the candidate is
 
@@ -260,7 +244,9 @@ def level1_coordinates(forms):
         core = _miller_store(12 * (d - 1), n)
         r = k - 12 * (d - 1)
         num = f._num
-        x, _ = _miller_solve(num[:d], head)
+        x = num[:d]
+        for j, h in enumerate(head):
+            x[j + 1:] = [v - x[j] * y for v, y in zip(x[j + 1:], h[j + 1:])]
         acc = [sum(map(operator.mul, x, row)) for row in core]
         if r:
             acc = _kron_mul([row[0] for row in _miller_store(r, n)], acc, n)
@@ -277,30 +263,27 @@ def level1_coordinates(forms):
 
 def hecke_matrix_level1(weight, p, trunc=None):
     """(rows, basis): the integer matrix of T_p, p prime, on the cusp space
-    in the triangular basis, columns = images.  The basis is unitriangular
-    and integral and T_p keeps coefficients integral, so a fraction is
-    refused; each image must equal the combination its coordinates give,
-    through the image's truncation.  Any other index is refused before the
-    basis is built."""
+    in the triangular basis, columns = images.  level1_coordinates
+    certifies the images: each must lie in the cusp span (coordinate 0 at
+    h_1), with integer coordinates, as T_p keeps coefficients integral.  Any
+    other index is refused before the basis is built."""
     if not _is_prime(p):
         raise UnsupportedScopeError("Hecke operators implemented for a prime index only")
     s = dim_cusp_level1(weight)
     if s == 0:
         return [], []
     basis = miller_basis(weight, max(int(trunc or 0), p * s + 2))[1:]
-    cusp = [b._num for b in basis]
-    cols = []
-    for bj in basis:
-        img = hecke_T(bj, p)
-        if img._den != 1:
-            raise VerificationError("T_%d matrix is not integral in the Miller basis at weight %d"
-                                    % (p, weight))
-        x, res = _miller_solve(img._num, cusp, 1)
-        if any(res):
-            raise VerificationError("T_%d image is not in the cusp span at weight %d"
-                                    % (p, weight))
-        cols.append(x)
-    return [list(r) for r in zip(*cols)], basis
+    outside = VerificationError("T_%d image is not in the cusp span at weight %d" % (p, weight))
+    try:
+        cols = level1_coordinates([hecke_T(b, p) for b in basis])
+    except VerificationError:
+        raise outside from None
+    if any(x[0] for x in cols):
+        raise outside
+    if any(c.denominator != 1 for x in cols for c in x):
+        raise VerificationError("T_%d matrix is not integral in the Miller basis at weight %d"
+                                % (p, weight))
+    return [[int(c) for c in r] for r in list(zip(*cols))[1:]], basis
 
 
 def krylov_charpoly(M):

@@ -15,6 +15,8 @@ route, `lattice_sum_ref` / `eval_qseries_ref`, the former mpmath loops of
 the numeric layer, for its fixed-point kernels, `lattice_kernel_ref`, the
 coset-sum kernel that raised conj(W)^2 to k // 2 one product at a time,
 for the kernel that powers by squaring, and
+`rational_reconstruct_ref`, the former scan of the continued-fraction
+convergents, for the reconstruction by `Fraction.limit_denominator`,
 `twisted_translate_power_sum`, Q(zeta_N) arithmetic by plain convolution in
 place of the former cyclotomic fields, for the root-of-unity sieve that
 builds the transformation polynomial over Q, `ddf_degrees_ref`, the
@@ -53,7 +55,7 @@ from fractions import Fraction
 import mpmath
 import sympy
 
-from mtv.errors import InputError, VerificationError
+from mtv.errors import InputError, ReconstructionError, VerificationError
 from mtv.numfield import NumberFieldElem, nf_charpoly
 from mtv.polynomial import UniPoly
 
@@ -1007,3 +1009,29 @@ def invert_j_newton_ref(jv, prec_bits):
                     return _reduce_fundamental_ref(tau)
                 break
     raise ArithmeticError("j-inversion did not converge from any seed")
+
+
+def rational_reconstruct_ref(x, B, err=None):
+    """The last continued-fraction convergent p/q of the Fraction x with
+    q <= B, refused (ReconstructionError) unless it lies within 1/(2 B^2)
+    of x and err is below that radius: the package's former scan of
+    rational.convergents."""
+    radius = Fraction(1, 2 * B * B)
+    if err is not None and err >= radius:
+        raise ReconstructionError("ambiguous")
+    h0, k0, h1, k1 = 0, 1, 1, 0
+    rest = x
+    while True:
+        a = rest.numerator // rest.denominator
+        h, k = a * h1 + h0, a * k1 + k0
+        if k > B:
+            break
+        h0, k0, h1, k1 = h1, k1, h, k
+        rest -= a
+        if not rest:
+            break
+        rest = 1 / rest
+    best = Fraction(h1, k1)
+    if abs(x - best) >= radius:
+        raise ReconstructionError("no candidate")
+    return best

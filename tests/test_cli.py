@@ -599,6 +599,20 @@ def test_oracle_refuses_a_malformed_closed_form_before_the_coset_sum(monkeypatch
     assert "reached the sum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("im", ["1e-320", "1e-400"])
+def test_oracle_at_a_tiny_imaginary_part_exits4_before_the_coset_sum(im, monkeypatch, capsys):
+    # the closed form's proven tail reads -2 pi Im tau as a float, which
+    # is denormal at 1e-320 and 0 at 1e-400: refused, and the planted kernel
+    # shows that the coset sum never starts
+    argv = ["oracle", "--eis-weight", "4", "--level", "2", "--tau=0," + im]
+    proc = run_cli(argv)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert proc.stderr == "error: Im(tau) below 2^-1000 is out of the range of the proven tail bounds\n"
+    plant(monkeypatch, "reached the sum", (numerics, "_lattice_kernel"))
+    assert cli.main(argv) == 4
+    assert "reached" not in capsys.readouterr().err
+
+
 def test_oracle_at_a_40_digit_prime_level_exits4(capsys):
     # past the range where the prime test is proven exact: the closed form
     # refuses it before its series and gate

@@ -82,8 +82,8 @@ def test_j_rejects_lower_half_plane():
 
 # -- lattice recovery ----------------------------------------------------------
 
-def _specialized_exact(pair, weight_series, weight, bound=10**6):
-    return reconstruct_real(pair.specialize_numeric(weight_series, weight), bound)
+def _specialized_exact(pair, weight_series, weight):
+    return reconstruct_real(pair.specialize_numeric(weight_series, weight))
 
 
 def test_tau_square_lattice():

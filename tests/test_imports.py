@@ -46,8 +46,15 @@ and a newform orbit over its Hecke field is its Miller coordinates.
 
 One request layer: the command line front end (cli.py) only parses, calls
 and emits.  It defines no cap (no module-level ``MAX_*`` name), imports no
-underscore-prefixed name from mtv and calls no ``_require_*`` helper, so
-every size and cap of a request is worked out in the library.
+underscore-prefixed name from mtv, calls no ``_require_*`` helper and
+imports no ``math``, so every size and cap of a request is worked out in
+the library.
+
+One power routine: powers are ``polynomial._power`` over the ring's
+product.  The one exception is the coset-sum kernel
+``numerics._lattice_kernel``, which squares inline for speed (its comment
+gives the measurement), so only it reads the bits of an exponent with
+``bin(``.
 
 One Hecke-field type: every newform orbit carries its Hecke field, a
 rational orbit the field of degree 1.  No module of mtv compares a
@@ -653,14 +660,18 @@ def test_qseries_carries_no_exponent_grid():
 
 def front_end_offenders(source):
     """Caps that source defines at module level (MAX_* names), the
-    underscore-prefixed names it imports from mtv, and the _require_*
-    helpers it reads as attributes, sorted."""
+    underscore-prefixed names it imports from mtv, the _require_* helpers
+    it reads as attributes and "math" when it imports that module, sorted."""
     tree = ast.parse(source)
     out = [t.id for node in tree.body if isinstance(node, ast.Assign)
            for t in node.targets if isinstance(t, ast.Name) and t.id.startswith("MAX_")]
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "mtv"):
             out += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "math":
+            out.append("math")
+        elif isinstance(node, ast.Import):
+            out += ["math" for alias in node.names if alias.name.split(".")[0] == "math"]
         elif isinstance(node, ast.Attribute) and node.attr.startswith("_require"):
             out.append(node.attr)
     return sorted(out)
@@ -672,13 +683,16 @@ def test_front_end_check_flags_caps_and_private_names():
         "from mtv.spaces import _stored\n"
         "from os import _exit\n"
         "import mtv.trace as trace\n"
+        "import json, math\n"
         "MAX_TERMS = 10\n"
         "trace._require_series_terms(1, 'order 1')\n"
         "def f():\n"
         "    MAX_LOCAL = 1\n"
+        "    from math import isqrt\n"
     )
     assert front_end_offenders(source) == [
-        "MAX_TERMS", "_require_prime", "_require_series_terms", "_stored"]
+        "MAX_TERMS", "_require_prime", "_require_series_terms", "_stored", "math", "math"]
+    assert front_end_offenders("import mathx\nfrom .mathx import y\n") == []
 
 
 def test_cli_defines_no_cap_and_reads_no_private_name():
@@ -733,3 +747,41 @@ def test_field_absence_check_flags_none_and_truth_tests():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_tests_for_an_absent_hecke_field(path):
     assert field_absence_tests(path.read_text()) == []
+
+
+def bin_callers(source):
+    """(function, line) for each call of bin( in source, the function the
+    innermost def around it, None at module level."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "bin"):
+                out.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_bin_check_names_the_enclosing_function():
+    source = (
+        "steps = bin(5)\n"
+        "def power(e):\n"
+        "    def inner():\n"
+        "        return bin(e)[3:]\n"
+        "    return [b for b in bin(e)]\n"
+        "def other(x):\n"
+        "    return x.bin(3), binary(3)\n"
+    )
+    assert bin_callers(source) == [(None, 1), ("inner", 4), ("power", 5)]
+
+
+def test_only_the_coset_sum_kernel_reads_exponent_bits():
+    calls = {path.name: [name for name, _ in bin_callers(path.read_text())]
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: c for name, c in calls.items() if c} == {"numerics.py": ["_lattice_kernel"]}

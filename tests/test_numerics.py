@@ -1,5 +1,7 @@
+import contextlib
 import operator
 import random
+import signal
 from fractions import Fraction
 
 import mpmath
@@ -18,11 +20,13 @@ from mtv.numerics import (
 from mtv.qexp import (
     _GATE_PREC,
     _GATE_TAUS,
+    EtaQuotientSpec,
     QSeries,
     _eisenstein_coeff_bound,
     _eisenstein_prime_level_raw,
     eisenstein_level1,
     eisenstein_prime_level,
+    eval_eta_quotient,
 )
 from mtv.rational import format_decimal
 from mtv.spaces import delta_series
@@ -466,3 +470,39 @@ def test_tail_order_is_the_least_order_that_meets_its_target(im, bits):
             T = tail_order((C, alpha), y, bits)
             assert T >= 1 and tail(T) <= target, (C, alpha)
             assert T == 1 or tail(T - 1) > target, (C, alpha)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once `seconds` of wall clock pass."""
+    def expire(signum, frame):
+        raise TimeoutError("over %s s" % seconds)
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("exponent", [300, 320, 400])
+def test_tail_order_refuses_a_tiny_imaginary_part_at_once(exponent):
+    # at 1e-300 the geometric bound applies at no order, so the tail bound
+    # is the same at every T and misses its target; below 2^-1000 (1e-320,
+    # 1e-400) the float logarithms of the bound are refused
+    y = F(1, 10**exponent)
+    bound = _eisenstein_coeff_bound(4, 1)
+    series = eisenstein_level1(4, 16)
+    with time_limit(5):
+        with pytest.raises(PrecisionError):
+            tail_order(bound, y, 64)
+        with pytest.raises(PrecisionError):
+            eval_eta_quotient(EtaQuotientSpec({1: 24}), (0, y), 64)
+        if exponent == 300:
+            ball = eval_qseries(series, (0, y), 64, bound)
+            assert 0 < ball.err < F(10) ** 1300
+        else:
+            with pytest.raises(PrecisionError, match="below 2"):
+                eval_qseries(series, (0, y), 64, bound)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import rational_reconstruct_ref
 from mtv.errors import InputError, ReconstructionError
 from mtv.rational import (
-    convergents,
     exact_fraction,
     format_rational,
     parse_rational,
@@ -70,7 +71,7 @@ def test_exact_fraction_returns_plain_int_internals():
     f = exact_fraction(x)
     assert type(f.numerator) is int and type(f.denominator) is int
     # and downstream Fraction arithmetic must actually work
-    assert (f - f) == 0 and list(convergents(f + 1))[-1][1] >= 1
+    assert (f - f) == 0 and rational_reconstruct(f + 1, 10**6) == 1
 
 
 def test_exact_fraction_rejects_nonreal_and_nan():
@@ -78,16 +79,6 @@ def test_exact_fraction_rejects_nonreal_and_nan():
         exact_fraction(mpmath.mpc(1, 2))
     with pytest.raises(InputError):
         exact_fraction(mpmath.inf)
-
-
-def test_convergents_terminate_exactly():
-    x = Fraction(649, 200)
-    cs = list(convergents(x))
-    assert cs[-1] == (649, 200)
-    assert cs[0] == (3, 1)
-    # denominators strictly increase after the first step
-    dens = [q for _, q in cs]
-    assert all(b > a for a, b in zip(dens[1:], dens[2:]))
 
 
 @given(st.fractions(min_value=-1000, max_value=1000, max_denominator=99991))
@@ -117,3 +108,37 @@ def test_reconstruct_rejects_bad_arguments():
         rational_reconstruct(Fraction(1, 2), 0)
     with pytest.raises(InputError):
         rational_reconstruct(Fraction(1, 2), 10, err=Fraction(-1, 5))
+
+
+def reconstruct_or_refusal(reconstruct, x, B, err):
+    try:
+        return reconstruct(x, B, err=err)
+    except ReconstructionError:
+        return "refused"
+
+
+@given(st.integers(1, 10**8), st.data())
+@settings(max_examples=300)
+def test_reconstruct_matches_the_convergent_scan(B, data):
+    """rational_reconstruct (Fraction.limit_denominator) against the former
+    scan of the convergents: dyadic x within a few radii 1/(2 B^2) of a
+    fraction with denominator at most B, errors on both sides of the
+    radius, and no error."""
+    radius = Fraction(1, 2 * B * B)
+    q = data.draw(st.integers(1, B))
+    p = data.draw(st.integers(-3 * q, 3 * q))
+    offset = radius * data.draw(st.fractions(-3, 3, max_denominator=64))
+    bits = 2 * B.bit_length() + data.draw(st.integers(1, 40))
+    x = Fraction(math.floor((Fraction(p, q) + offset) * 2**bits), 2**bits)
+    err = data.draw(st.none() | st.sampled_from([0, radius / 3, radius - radius / 2**20,
+                                                 radius, radius + radius / 2**20, 2 * radius]))
+    want = reconstruct_or_refusal(rational_reconstruct_ref, x, B, err)
+    assert reconstruct_or_refusal(rational_reconstruct, x, B, err) == want
+
+
+def test_reconstruct_refuses_the_tie_at_one_half():
+    # 0 and 1 are both 1/2 from x = 1/2, the radius at B = 1
+    for reconstruct in (rational_reconstruct, rational_reconstruct_ref):
+        with pytest.raises(ReconstructionError):
+            reconstruct(Fraction(1, 2), 1)
+    assert rational_reconstruct(Fraction(1, 2), 2) == Fraction(1, 2)

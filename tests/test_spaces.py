@@ -373,7 +373,7 @@ def test_hecke_matrix_weight12(monkeypatch):
             hecke_matrix_level1(12, n)
 
 
-@pytest.mark.parametrize("weight, n", [(24, 2), (96, 2), (192, 2), (96, 3)])
+@pytest.mark.parametrize("weight, n", [(12, 2), (24, 2), (96, 2), (192, 2), (264, 2), (96, 3)])
 def test_hecke_matrix_matches_the_series_expansion_of_the_images(weight, n):
     """Column j is the expansion of T_n b_j in the cusp basis by forward
     substitution on Fraction series, through the matrix's own order."""
@@ -662,6 +662,11 @@ def test_hecke_matrix_refuses_an_image_outside_the_cusp_span(monkeypatch, fresh_
         return image + QSeries([1], trunc=image.trunc, weight=image.weight)
 
     monkeypatch.setattr(spaces, "hecke_T", with_constant_term)
+    with pytest.raises(VerificationError, match="T_2 image is not in the cusp span at weight 36"):
+        hecke_matrix_level1(36, 2)
+    # one plus h_1, the first Miller form: in the full span, with coordinate 1 at h_1
+    h1 = miller_basis(36, 40)[0]
+    monkeypatch.setattr(spaces, "hecke_T", lambda f, n: real(f, n) + h1.truncate(real(f, n).trunc))
     with pytest.raises(VerificationError, match="T_2 image is not in the cusp span at weight 36"):
         hecke_matrix_level1(36, 2)
 
