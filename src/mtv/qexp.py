@@ -28,7 +28,9 @@ Eisenstein series and eta quotients read one process-wide, grow-only store
 of integer arrays: the sigma_(k-1) list per k and the power-rule pass per
 eta exponent r (spaces adds the Miller basis per weight, the E6^(2m)
 ladder, and under ("orbits", k) the one-entry list of the weight's
-certified newform orbits, which depend on the weight alone).  It holds one
+certified newform orbits, which depend on the weight alone; trace adds the
+theorem inputs h and h|w_N per level, eta quotient and Eisenstein weight,
+built from _eisenstein_ints, whose denominator is fixed per key).  It holds one
 array per key, the longest built so far, so no key holds more than the
 largest call for it already held at its peak; a read returns a fresh list
 of the first T + 1 entries, and a longer request rebuilds that key.  A
@@ -312,32 +314,39 @@ def _sigma_list(power, T):
     return _stored(("sigma", power), T + 1, build)
 
 
-def _eisenstein_level1_raw(weight, trunc):
+def _eisenstein_den(weight, level):
+    """The denominator of _eisenstein_ints: that of -2k/B_k, times N^k - 1 at
+    a prime level N."""
+    den = (Fraction(-2 * weight) / bernoulli(weight)).denominator
+    return den if level == 1 else den * (level**weight - 1)
+
+
+def _eisenstein_ints(weight, level, trunc, fricke=False):
+    """The level-N Eisenstein row through q^trunc (E_k itself at level 1), or
+    with fricke its Fricke image, as integers over _eisenstein_den.  That
+    denominator depends on (weight, level) alone, so the arrays of two
+    orders are prefixes of one another."""
     mult = Fraction(-2 * weight) / bernoulli(weight)
-    p, q = mult.numerator, mult.denominator
-    num = [q] + [p * s for s in _sigma_list(weight - 1, trunc)[1:]]
-    return QSeries._from_ints(num, q, trunc, weight, 1)
+    E = [mult.denominator] + [mult.numerator * s for s in _sigma_list(weight - 1, trunc)[1:]]
+    if level == 1:
+        return E
+    # (N^k E(N z) - E(z)) / (N^k - 1), or N^(k/2) (E(z) - E(N z)) / (N^k - 1)
+    s = level ** (weight // 2)
+    a, b = (s, -s) if fricke else (-1, level**weight)
+    num = [a * x for x in E]
+    for m in range(0, trunc + 1, level):
+        num[m] += b * E[m // level]
+    return num
 
 
 def _eisenstein_prime_level_raw(weight, level, trunc):
-    if level == 1:
-        return _eisenstein_level1_raw(weight, trunc)
-    E = _eisenstein_level1_raw(weight, trunc)
-    Npow = level**weight
-    num = [-x for x in E._num]
-    for m in range(0, trunc + 1, level):
-        num[m] += Npow * E._num[m // level]
-    return QSeries._from_ints(num, E._den * (Npow - 1), trunc, weight, level)
+    return QSeries._from_ints(_eisenstein_ints(weight, level, trunc),
+                              _eisenstein_den(weight, level), trunc, weight, level)
 
 
 def _fricke_eisenstein_raw(weight, level, trunc):
-    E = _eisenstein_level1_raw(weight, trunc)
-    num = list(E._num)
-    for m in range(0, trunc + 1, level):
-        num[m] -= E._num[m // level]
-    scale = level ** (weight // 2)
-    num = [x * scale for x in num]
-    return QSeries._from_ints(num, E._den * (level**weight - 1), trunc, weight, level)
+    return QSeries._from_ints(_eisenstein_ints(weight, level, trunc, True),
+                              _eisenstein_den(weight, level), trunc, weight, level)
 
 
 def _eisenstein_coeff_bound(weight, level, fricke=False):

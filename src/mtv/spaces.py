@@ -111,6 +111,17 @@ def _miller_store(k, n):
     return _stored(("miller", k), n, lambda n: _miller_rows(k, n))
 
 
+def _gate_miller(k):
+    """The E4 and E6 gates the weight-k Miller basis reads, whose core and
+    factor (level1_coordinates) read no other; returns miller_exponents(k)."""
+    d, a, b = miller_exponents(k)
+    if a:
+        _gate_eisenstein(4, 1)
+    if b or d > 1:
+        _gate_eisenstein(6, 1)
+    return d, a, b
+
+
 def miller_basis(weight, trunc):
     """Triangular basis h_1..h_d of the full weight-k space, h_j = q^(j-1)+O(q^j),
     read as a prefix of the series store after the E4 and E6 gates have run."""
@@ -119,12 +130,8 @@ def miller_basis(weight, trunc):
         raise InputError("weight must be a nonnegative even integer")
     if dim_modular_level1(k) == 0:
         return []
-    d, a, b = miller_exponents(k)
     trunc = int(trunc)
-    if a:
-        _gate_eisenstein(4, 1)
-    if b or d > 1:
-        _gate_eisenstein(6, 1)
+    _gate_miller(k)
     rows = _miller_store(k, trunc + 1)
     return [QSeries._from_ints(list(col), 1, trunc, k, 1) for col in zip(*rows)]
 
@@ -220,7 +227,10 @@ def level1_coordinates(forms):
 
     one linear combination of the stored core columns g_j and at most one
     product by the stored factor E4^a E6^b (none when 12 | k), both read as
-    prefixes, and F minus it must vanish exactly.  A form outside the span
+    prefixes, and F minus it must vanish exactly.  The head, core and factor
+    of a weight are read once per call, after the E4 and E6 gates, and
+    shared by its forms (the s T_2 images of hecke_matrix_level1, say).  A
+    form outside the span
     raises VerificationError whose ``index`` attribute is its position in
     forms and whose ``start`` is the q-power where its residual starts.
     """
@@ -234,22 +244,25 @@ def level1_coordinates(forms):
                 "basis element %d vanishes through q^%d; raise the order"
                 % (f.trunc + 2, f.trunc)
             )
+    bases = {}
+    for k in dict.fromkeys(f.weight for f in forms):
+        # core and factor through the longest form of the weight
+        n = max(f.trunc for f in forms if f.weight == k) + 1
+        d, _, _ = _gate_miller(k)
+        r = k - 12 * (d - 1)
+        factor = [row[0] for row in _miller_store(r, n)] if r else None
+        bases[k] = list(zip(*_miller_store(k, d))), _miller_store(12 * (d - 1), n), factor
     out = []
     for i, f in enumerate(forms):
-        k = f.weight
+        head, core, factor = bases[f.weight]
         n = f.trunc + 1
-        d = dim_modular_level1(k)
-        # miller_basis runs the gates the stored reads rely on
-        head = [h._num for h in miller_basis(k, d - 1)]
-        core = _miller_store(12 * (d - 1), n)
-        r = k - 12 * (d - 1)
         num = f._num
-        x = num[:d]
+        x = num[: len(head)]
         for j, h in enumerate(head):
             x[j + 1:] = [v - x[j] * y for v, y in zip(x[j + 1:], h[j + 1:])]
-        acc = [sum(map(operator.mul, x, row)) for row in core]
-        if r:
-            acc = _kron_mul([row[0] for row in _miller_store(r, n)], acc, n)
+        acc = [sum(map(operator.mul, x, row)) for row in core[:n]]
+        if factor:
+            acc = _kron_mul(factor, acc, n)
         miss = next((m for m in range(n) if num[m] != acc[m]), None)
         if miss is not None:
             exc = VerificationError(

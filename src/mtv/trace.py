@@ -31,18 +31,23 @@ from .qexp import (
     _GATE_PREC,
     EtaQuotientSpec,
     QSeries,
+    _eisenstein_den,
+    _eisenstein_ints,
+    _eisenstein_request,
+    _gate_eisenstein,
+    _gate_fricke,
     _gate_once,
     _kron_mul,
     _require_eisenstein_weight,
     _require_newform_dim,
     _require_prime,
+    _scaled,
     _slash_agrees,
+    _stored,
     dim_cusp_level1,
     dim_modular_level1,
-    eisenstein_prime_level,
     eta_quotient,
     eval_eta_quotient,
-    fricke_eisenstein,
     op_U,
 )
 from .rational import format_exact, format_rational
@@ -106,18 +111,31 @@ def product_inputs(level, eta_spec, eis_weight, order):
     h|w_N is known through q^T_in, T_in = N*order + 8, and h through
     q^(T_in // N): route 1 reads the Fricke image through U_N and route 2
     as a series in t = q^(1/N), so both reach q^(T_in // N) and read h no
-    further.  An eta quotient that is its own Fricke partner is expanded
-    once, at T_in.
+    further.  Both depend on (N, eta pairs, Eisenstein weight) alone, and the
+    series store (qexp._stored) holds them under that key, as integers over
+    the denominator the closed forms fix for it (qexp._eisenstein_den, times
+    the eta scalar's): a lower order reads a prefix, a higher one rebuilds
+    the key.  The eta, Eisenstein and Fricke gates run before any read.
     """
     spec = eta_spec if isinstance(eta_spec, EtaQuotientSpec) else EtaQuotientSpec(eta_spec)
-    T_in = level * order + 8
-    T_h = T_in // level
+    level = _require_prime(level)
+    k, _, T_in = _eisenstein_request(eis_weight, level, level * order + 8)
     partner, scalar = fricke_eta_data(spec, level)
-    gfr = eta_quotient(partner, T_in, level=level)
-    g = gfr.truncate(T_h) if partner == spec else eta_quotient(spec, T_h, level=level)
-    E = eisenstein_prime_level(eis_weight, level, T_h)
-    Efr = fricke_eisenstein(eis_weight, level, T_in)
-    return g * E, gfr.scale(scalar) * Efr
+    _gate_eisenstein(k, level)
+    _gate_fricke(k, level)
+    key = (level, spec.pairs, k)
+    w = spec.weight + k
+    den = _eisenstein_den(k, level)
+
+    def read(fricke, eta, c, T):
+        def build(n):
+            E = _eisenstein_ints(k, level, n - 1, fricke)
+            return _scaled(_kron_mul(eta_quotient(eta, n - 1)._num, E, n), c.numerator)
+
+        num = _stored(("h_fricke" if fricke else "h", key), T + 1, build)
+        return QSeries._from_ints(num, den * c.denominator, T, w, level)
+
+    return read(False, spec, Fraction(1), T_in // level), read(True, partner, scalar, T_in)
 
 
 # -- the size of a request ------------------------------------------------

@@ -23,7 +23,7 @@ from mtv import (
     newform_basis_level1,
     verify_theorem,
 )
-from mtv import polynomial, qexp, spaces
+from mtv import polynomial, qexp, spaces, trace
 from mtv.linalg import MatQ
 from mtv.numfield import NumberField
 from mtv.polynomial import UniPoly, poly_factor_q
@@ -212,11 +212,14 @@ def grown_store_run(run):
     store = qexp._SERIES_STORE
     store.clear()
     cold = run()
-    # an orbit certificate is one entry at any length: reading it again is all
+    # an orbit certificate is one entry at any length: reading it again is
+    # all; h reaches q^(order + 8 // N) and its Fricke image q^(N order + 8)
     readers = {"sigma": qexp._sigma_list, "miller": miller_basis,
                "euler": lambda r, T: qexp._euler_power(1, r, T),
                "e6sq": lambda m, T: spaces._e6sq_power(m, T + 1),
-               "orbits": lambda k, T: newform_basis_level1(k, 0)}
+               "orbits": lambda k, T: newform_basis_level1(k, 0),
+               "h": lambda key, T: trace.product_inputs(*key, T - 8 // key[0]),
+               "h_fricke": lambda key, T: trace.product_inputs(*key, -((8 - T) // key[0]))}
     for (kind, x), arr in list(store.items()):
         readers[kind](x, 2 * len(arr) - 1)
     grown = {key: len(arr) for key, arr in store.items()}

@@ -196,13 +196,16 @@ def test_sieved_product_is_the_integral_part_of_the_full_product(e, seed):
     assert _sieved_product(a, zero, e).is_zero()
 
 
-@pytest.mark.parametrize("level,pairs,lam,order", [
+PRODUCT_INPUTS = [
     (2, {1: 8, 2: 8}, 4, 20),
     (3, {1: 6, 3: 6}, 6, 16),
     (5, {1: 4, 5: 4}, 8, 12),
     # not its own Fricke partner: {2: 32, 1: 8} is, with scalar 2^6
     (2, {1: 32, 2: 8}, 4, 16),
-])
+]
+
+
+@pytest.mark.parametrize("level,pairs,lam,order", PRODUCT_INPUTS)
 def test_product_inputs_match_the_full_length_construction(level, pairs, lam, order):
     """h|w_N is the full product at T_in = N*order + 8, and h is the full
     product cut to T_in // N, the part both routes read."""
@@ -214,6 +217,105 @@ def test_product_inputs_match_the_full_length_construction(level, pairs, lam, or
     assert h == h_full.truncate(T_in // level)
     for got, want in ((h, h_full), (hfr, hfr_full)):
         assert (got.weight, got.level) == (want.weight, want.level)
+
+
+def input_keys(level, pairs, lam):
+    """The series-store keys of h and of h|w_N."""
+    key = (level, EtaQuotientSpec(pairs).pairs, lam)
+    return ("h", key), ("h_fricke", key)
+
+
+def input_state(level, pairs, lam, order):
+    """What product_inputs returns: both series with their metadata."""
+    return [(f, f.trunc, f.weight, f.level)
+            for f in trace.product_inputs(level, pairs, lam, order)]
+
+
+@pytest.mark.parametrize("level,pairs,lam,order", PRODUCT_INPUTS)
+def test_stored_inputs_equal_fresh_builds(fresh_gates, level, pairs, lam, order):
+    """A read from a store built longer or shorter equals the build from an
+    empty store, and the longest request sets each key's length."""
+    store = qexp._SERIES_STORE
+    fresh = input_state(level, pairs, lam, order)
+    for before in (2 * order, order // 2):
+        for key in input_keys(level, pairs, lam):
+            del store[key]
+        input_state(level, pairs, lam, before)
+        assert input_state(level, pairs, lam, order) == fresh
+        top = max(before, order)
+        assert [len(store[key]) for key in input_keys(level, pairs, lam)] == \
+            [top + 8 // level + 1, level * top + 9]
+
+
+def test_stored_inputs_reduce_at_every_length(fresh_gates):
+    """The store keeps h over the fixed denominator of its key; a prefix
+    read reduces again, so at order 0 (h through q^1, whose coefficients
+    are 0 and 1) it has denominator 1, as a fresh build does, where every
+    longer h has 4069 and the store holds 5^8 - 1 = 390624."""
+    args = (5, {1: 4, 5: 4}, 8)
+    fresh = {order: input_state(*args, order) for order in (0, 1)}
+    assert [state[0][0]._den for state in fresh.values()] == [1, 4069]
+    assert qexp._eisenstein_den(8, 5) == 390624
+    input_state(*args, 12)
+    for order in (0, 1):
+        assert input_state(*args, order) == fresh[order]
+
+
+def test_stored_inputs_are_fresh_series(fresh_gates):
+    args = (2, {1: 32, 2: 8}, 4)
+    want = input_state(*args, 16)
+    h, hfr = trace.product_inputs(*args, 16)
+    h._num[3] += 1
+    hfr._num.append(7)
+    assert input_state(*args, 16) == want
+    assert [f.truncate(g.trunc) for f, (g, *_) in
+            zip(trace.product_inputs(*args, 20), want)] == [g for g, *_ in want]
+
+
+@pytest.mark.parametrize("module,check", [(qexp, "_check_eisenstein"), (qexp, "_check_fricke"),
+                                          (trace, "_check_fricke_eta")])
+def test_a_warm_inputs_store_still_runs_the_gates(monkeypatch, fresh_gates, module, check):
+    args = (3, {1: 6, 3: 6}, 6)
+    want = input_state(*args, 16)
+    assert all(key in qexp._SERIES_STORE for key in input_keys(*args))
+    qexp._GATE_DONE.clear()
+
+    def planted(*_):
+        raise VerificationError("planted failure of %s" % check)
+
+    monkeypatch.setattr(module, check, planted)
+    for order in (16, 8):
+        with pytest.raises(VerificationError, match="planted failure"):
+            trace.product_inputs(*args, order)
+    monkeypatch.undo()
+    assert input_state(*args, 16) == want
+
+
+@pytest.mark.parametrize("level,pairs,lam,order", PRODUCT_INPUTS)
+def test_inputs_are_multiplied_once_per_build(monkeypatch, fresh_gates, level, pairs, lam,
+                                              order):
+    """A cold build forms each eta quotient's factor products and one product
+    by the Eisenstein row per key; a read at an equal or lower order forms
+    none, and a higher order rebuilds both keys once."""
+    trace.product_inputs(level, pairs, lam, 8)  # the gates
+    for key in input_keys(level, pairs, lam):
+        del qexp._SERIES_STORE[key]
+    calls = []
+    real = qexp._kron_mul
+
+    def spy(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    for module in (qexp, trace):
+        monkeypatch.setattr(module, "_kron_mul", spy)
+    spec = EtaQuotientSpec(pairs)
+    build = len(spec.pairs) + len(spec.fricke_partner(level).pairs)
+    for ask, made in ((order, build), (order, 0), (order // 2, 0), (2 * order, build),
+                      (2 * order, 0), (order, 0)):
+        calls.clear()
+        trace.product_inputs(level, pairs, lam, ask)
+        assert len(calls) == made, (ask, calls)
 
 
 @pytest.mark.parametrize("level,pairs,lam,order", [
